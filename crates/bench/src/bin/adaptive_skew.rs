@@ -9,12 +9,12 @@
 //! optimizer joins `S` first and builds a ~7M-row intermediate; the
 //! corrected cardinalities make `(A⋈B)`-first orders of magnitude
 //! cheaper on the combine side. The adaptive executor detects the miss
-//! at the post-fetch checkpoint (two-phase) or mid-stream (pipelined),
+//! as the subanswer arrives (whole, or mid-stream when chunked),
 //! abandons the running order, and re-drives the combine from the
 //! already-materialized subanswers.
 //!
-//! Asserted: adaptive ≥ 2× faster than static end-to-end on both
-//! engines (10× is the target and the measured number is recorded),
+//! Asserted: adaptive ≥ 2× faster than static end-to-end at both
+//! chunkings (10× is the target and the measured number is recorded),
 //! identical answers, a visible re-plan event in EXPLAIN ANALYZE, zero
 //! re-plans plus <5% regression on the uniform (no-skew) control.
 //! Writes `BENCH_adaptive.json` (consumed by CI as an artifact) and
@@ -68,7 +68,7 @@ fn long_schema(attrs: &[&str]) -> Schema {
 /// * `S` (uniform control): `k = i mod 1001`, `y = i mod 97` — the same
 ///   prediction is now exactly right, so the checkpoint must stay
 ///   silent.
-fn federation(skewed: bool, streaming: bool, adaptive: AdaptivePolicy) -> Mediator {
+fn federation(skewed: bool, chunk_rows: Option<u32>, adaptive: AdaptivePolicy) -> Mediator {
     let mut a = PagedStore::new("a", CostProfile::relational());
     a.add_collection(
         "A",
@@ -111,8 +111,7 @@ fn federation(skewed: bool, streaming: bool, adaptive: AdaptivePolicy) -> Mediat
     )
     .unwrap();
     let mut m = Mediator::new().with_options(MediatorOptions {
-        streaming,
-        streaming_chunk_rows: 1024,
+        chunk_rows,
         adaptive,
         ..MediatorOptions::default()
     });
@@ -135,8 +134,8 @@ struct Run {
     wall_ms: f64,
 }
 
-fn run(skewed: bool, streaming: bool, adaptive: AdaptivePolicy) -> Run {
-    let mut m = federation(skewed, streaming, adaptive);
+fn run(skewed: bool, chunk_rows: Option<u32>, adaptive: AdaptivePolicy) -> Run {
+    let mut m = federation(skewed, chunk_rows, adaptive);
     let start = Instant::now();
     let result = m.query(SKEW_SQL).expect("query");
     Run {
@@ -146,7 +145,7 @@ fn run(skewed: bool, streaming: bool, adaptive: AdaptivePolicy) -> Run {
 }
 
 struct WorkloadRow {
-    engine: &'static str,
+    chunking: &'static str,
     static_ms: f64,
     adaptive_ms: f64,
     speedup: f64,
@@ -165,32 +164,32 @@ fn main() {
         }
     };
 
-    // --- seeded-skew federation, both engines -------------------------
-    let oracle = answer_key(&run(true, false, AdaptivePolicy::default()).result);
+    // --- seeded-skew federation, both chunkings -----------------------
+    let oracle = answer_key(&run(true, None, AdaptivePolicy::default()).result);
     let mut rows: Vec<WorkloadRow> = Vec::new();
-    for (engine, streaming) in [("two_phase", false), ("streaming", true)] {
-        let stat = run(true, streaming, AdaptivePolicy::default());
-        let adap = run(true, streaming, AdaptivePolicy::enabled());
+    for (chunking, chunk_rows) in [("whole", None), ("chunked_1024", Some(1024))] {
+        let stat = run(true, chunk_rows, AdaptivePolicy::default());
+        let adap = run(true, chunk_rows, AdaptivePolicy::enabled());
         check(
             answer_key(&stat.result) == oracle && answer_key(&adap.result) == oracle,
-            format!("{engine}: adaptive answer must be byte-identical to static"),
+            format!("{chunking}: adaptive answer must be byte-identical to static"),
         );
         check(
             stat.result.trace.replans.is_empty(),
-            format!("{engine}: static run must not re-plan"),
+            format!("{chunking}: static run must not re-plan"),
         );
         check(
             adap.result.trace.replans.iter().any(|e| e.switched),
-            format!("{engine}: seeded skew must trigger a switched re-plan"),
+            format!("{chunking}: seeded skew must trigger a switched re-plan"),
         );
         let speedup = stat.result.measured_ms / adap.result.measured_ms;
         let combine_speedup = stat.result.trace.mediator_ms / adap.result.trace.mediator_ms;
         check(
             speedup >= 2.0,
-            format!("{engine}: adaptive must be >=2x faster end-to-end (got {speedup:.2}x)"),
+            format!("{chunking}: adaptive must be >=2x faster end-to-end (got {speedup:.2}x)"),
         );
         rows.push(WorkloadRow {
-            engine,
+            chunking,
             static_ms: stat.result.measured_ms,
             adaptive_ms: adap.result.measured_ms,
             speedup,
@@ -202,8 +201,8 @@ fn main() {
     }
 
     // --- no-skew control: dead zone respected, no regression ----------
-    let ctrl_static = run(false, false, AdaptivePolicy::default());
-    let ctrl_adaptive = run(false, false, AdaptivePolicy::enabled());
+    let ctrl_static = run(false, None, AdaptivePolicy::default());
+    let ctrl_adaptive = run(false, None, AdaptivePolicy::enabled());
     check(
         answer_key(&ctrl_static.result) == answer_key(&ctrl_adaptive.result),
         "no-skew: answers must match".into(),
@@ -222,7 +221,7 @@ fn main() {
     );
 
     // --- EXPLAIN ANALYZE narrates the abandonment ---------------------
-    let report = federation(true, false, AdaptivePolicy::enabled())
+    let report = federation(true, None, AdaptivePolicy::enabled())
         .explain_analyze(SKEW_SQL)
         .expect("explain analyze");
     let text = report.render();
@@ -232,7 +231,7 @@ fn main() {
     );
 
     let mut t = Table::new(&[
-        "engine",
+        "chunking",
         "static ms",
         "adaptive ms",
         "speedup",
@@ -243,7 +242,7 @@ fn main() {
     ]);
     for r in &rows {
         t.row(vec![
-            r.engine.to_string(),
+            r.chunking.to_string(),
             format!("{:.1}", r.static_ms),
             format!("{:.1}", r.adaptive_ms),
             format!("{:.2}x", r.speedup),
@@ -268,7 +267,7 @@ fn main() {
         "\nThe static plan trusts the uniformity assumption and joins the \
          skew-filtered S first (~8 rows predicted, 7 000 observed), \
          multiplying it against B's hot partition; the adaptive executor \
-         abandons that order at the cardinality checkpoint and re-drives \
+         abandons that order when the measured cardinality arrives and re-drives \
          the combine from the same materialized subanswers."
     );
 
@@ -279,11 +278,11 @@ fn main() {
         }
         write!(
             json_rows,
-            "\n    {{\"engine\": \"{}\", \"static_ms\": {:.3}, \
+            "\n    {{\"chunking\": \"{}\", \"static_ms\": {:.3}, \
              \"adaptive_ms\": {:.3}, \"speedup\": {:.3}, \
              \"combine_speedup\": {:.3}, \"replans\": {}, \
              \"wall_static_ms\": {:.3}, \"wall_adaptive_ms\": {:.3}}}",
-            r.engine,
+            r.chunking,
             r.static_ms,
             r.adaptive_ms,
             r.speedup,

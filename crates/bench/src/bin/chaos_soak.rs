@@ -46,7 +46,7 @@ fn main() {
         "deterministic",
         "digest",
         "conc mism",
-        "stream mism",
+        "chunk mism",
         "replans",
         "adapt mism",
     ]);
@@ -57,20 +57,20 @@ fn main() {
         let rep = chaos::run_seed(seed, QUERIES_PER_SEED);
         let replay = chaos::run_seed(seed, QUERIES_PER_SEED);
         let conc = chaos::run_seed_concurrent(seed, QUERIES_PER_SEED, SESSIONS);
-        let stream = chaos::run_seed_streaming(seed, QUERIES_PER_SEED);
+        let chunked = chaos::run_seed_chunked(seed, QUERIES_PER_SEED, chaos::CHUNKED);
         let adaptive = chaos::run_seed_adaptive(seed, QUERIES_PER_SEED);
         let adaptive_replay = chaos::run_seed_adaptive(seed, QUERIES_PER_SEED);
         let deterministic = rep == replay && adaptive == adaptive_replay;
         let ok =
-            rep.passed() && deterministic && conc.passed() && stream.passed() && adaptive.passed();
+            rep.passed() && deterministic && conc.passed() && chunked.passed() && adaptive.passed();
         if !ok {
             failed.push(seed);
         }
         for m in rep.mismatches.iter().chain(&conc.mismatches) {
             eprintln!("seed {seed}: {m}");
         }
-        for m in &stream.mismatches {
-            eprintln!("seed {seed} (streaming): {m}");
+        for m in &chunked.mismatches {
+            eprintln!("seed {seed} (chunked): {m}");
         }
         for m in &adaptive.mismatches {
             eprintln!("seed {seed} (adaptive): {m}");
@@ -99,7 +99,7 @@ fn main() {
             deterministic.to_string(),
             rep.digest.clone(),
             conc.mismatches.len().to_string(),
-            stream.mismatches.len().to_string(),
+            chunked.mismatches.len().to_string(),
             adaptive.replans.to_string(),
             adaptive.mismatches.len().to_string(),
         ]);
@@ -119,7 +119,7 @@ fn main() {
              \"digest\": \"{}\", \"concurrent\": {{\"sessions\": {}, \
              \"queries\": {}, \"complete\": {}, \"partial\": {}, \
              \"failovers\": {}, \"mismatches\": {}}}, \
-             \"streaming\": {{\"queries\": {}, \"complete\": {}, \
+             \"chunked\": {{\"queries\": {}, \"complete\": {}, \
              \"partial\": {}, \"failovers\": {}, \"mismatches\": {}}}, \
              \"adaptive\": {{\"queries\": {}, \"complete\": {}, \
              \"partial\": {}, \"replans\": {}, \"mismatches\": {}}}}}",
@@ -136,11 +136,11 @@ fn main() {
             conc.partial,
             conc.failovers,
             conc.mismatches.len(),
-            stream.queries,
-            stream.complete,
-            stream.partial,
-            stream.failovers,
-            stream.mismatches.len(),
+            chunked.queries,
+            chunked.complete,
+            chunked.partial,
+            chunked.failovers,
+            chunked.mismatches.len(),
             adaptive.queries,
             adaptive.complete,
             adaptive.partial,
@@ -157,9 +157,9 @@ fn main() {
          is run twice and must produce identical transcripts, then soaked \
          again with {SESSIONS} concurrent sessions through one shared \
          mediator (per-answer oracle check; transcripts are \
-         interleaving-dependent there), once more with the pipelined \
-         streaming engine executing every query against the same two-phase \
-         oracle, and finally with mid-query adaptive re-optimization armed \
+         interleaving-dependent there), once more with the executor \
+         streaming 16-row chunks against the same whole-answer oracle, \
+         and finally with mid-query adaptive re-optimization armed \
          (aggressive trigger) — re-planned answers must stay \
          oracle-identical and deterministic."
     );

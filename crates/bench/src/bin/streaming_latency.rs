@@ -1,20 +1,21 @@
-//! E16 — streaming pipelined execution: time-to-first-row vs
+//! E16 — chunked (pipelined) execution: time-to-first-row vs
 //! full-answer latency over slow simulated links.
 //!
 //! A three-wrapper federation sits behind a slow network profile
 //! (50 ms latency, 50 bytes/ms, no jitter) whose simulated
 //! communication time is partially slept (`sleep_scale`), so wall
-//! clocks are real. The same queries run through the two-phase
-//! fetch-then-combine engine and the pipelined streaming engine:
+//! clocks are real. The same queries run through the one executor with
+//! whole answers (`chunk_rows: None`, fetch-then-combine) and with
+//! `chunk_rows: Some(2048)` (pipelined):
 //!
 //! * **LIMIT workload** — an interactive `LIMIT` query (planned under
-//!   the `TimeFirst` objective) whose streamed execution stops pulling
-//!   after the first chunks. Asserts the streamed first row *and* the
-//!   streamed complete answer arrive ≥ 3× sooner than the two-phase
-//!   answer.
-//! * **Full workload** — a full single-site scan, where streaming
-//!   cannot skip any transfer. Asserts the chunked engine's throughput
-//!   regresses < 5% against two-phase.
+//!   the `TimeFirst` objective) whose chunked execution stops pulling
+//!   after the first chunks. Asserts the chunked first row *and* the
+//!   chunked complete answer arrive ≥ 3× sooner than the whole-answer
+//!   run.
+//! * **Full workload** — a full single-site scan, where chunking
+//!   cannot skip any transfer. Asserts chunked throughput regresses
+//!   < 5% against whole-answer.
 //!
 //! Writes `BENCH_streaming.json` (machine-readable, consumed by CI as
 //! an artifact).
@@ -35,7 +36,7 @@ use disco_wrapper::SourceWrapper;
 
 const WRAPPERS: usize = 3;
 const ROWS_PER_COLLECTION: i64 = 20_000;
-const CHUNK_ROWS: u32 = 2_048;
+const CHUNKED: Option<u32> = Some(2_048);
 const REPEATS: usize = 5;
 
 /// Slow link: high latency, narrow pipe, deterministic (no jitter).
@@ -51,7 +52,7 @@ fn slow_link() -> NetProfile {
 }
 
 /// `WRAPPERS` single-collection endpoints behind the slow profile.
-fn federation(streaming: bool) -> Mediator {
+fn federation(chunk_rows: Option<u32>) -> Mediator {
     let mut t = ChannelTransport::new();
     for i in 0..WRAPPERS {
         let schema = Schema::new(vec![
@@ -75,8 +76,7 @@ fn federation(streaming: bool) -> Mediator {
     }
     let mut m = Mediator::new().with_options(MediatorOptions {
         parallel_submits: true,
-        streaming,
-        streaming_chunk_rows: CHUNK_ROWS,
+        chunk_rows,
         ..MediatorOptions::default()
     });
     m.connect(TransportClient::new(Box::new(t)))
@@ -85,15 +85,15 @@ fn federation(streaming: bool) -> Mediator {
 }
 
 /// One timed query on a fresh federation: (total wall ms, wall ms to
-/// first answer row — `None` for the two-phase engine, which has no
-/// first row before the last).
-fn timed(streaming: bool, sql: &str) -> (f64, Option<f64>, usize) {
-    let mut m = federation(streaming);
+/// first answer row, rows).
+fn timed(chunk_rows: Option<u32>, sql: &str) -> (f64, f64, usize) {
+    let mut m = federation(chunk_rows);
     let start = Instant::now();
     let r = m.query(sql).expect("query succeeds");
     let wall = start.elapsed().as_secs_f64() * 1000.0;
     assert!(!r.is_partial());
-    (wall, r.trace.first_row_wall_ms, r.tuples.len())
+    let first_row = r.trace.first_row_wall_ms.expect("non-empty answer");
+    (wall, first_row, r.tuples.len())
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -104,41 +104,41 @@ fn median(samples: &mut [f64]) -> f64 {
 struct Workload {
     name: &'static str,
     sql: String,
-    two_phase_ms: f64,
-    streamed_ms: f64,
+    whole_ms: f64,
+    chunked_ms: f64,
     first_row_ms: f64,
     rows: usize,
 }
 
 fn run_workload(name: &'static str, sql: String) -> Workload {
-    let mut two = Vec::new();
-    let mut full = Vec::new();
+    let mut whole = Vec::new();
+    let mut chunked = Vec::new();
     let mut first = Vec::new();
     let mut rows = 0;
     for _ in 0..REPEATS {
-        let (wall, first_row, n) = timed(false, &sql);
-        assert!(first_row.is_none(), "two-phase must not stream");
-        two.push(wall);
-        let (wall, first_row, n2) = timed(true, &sql);
-        assert_eq!(n, n2, "engines disagree on `{sql}`");
+        let (wall, _, n) = timed(None, &sql);
+        whole.push(wall);
+        let (wall, first_row, n2) = timed(CHUNKED, &sql);
+        assert_eq!(n, n2, "chunking changed the answer to `{sql}`");
         rows = n;
-        full.push(wall);
-        first.push(first_row.expect("streamed run records first row"));
+        chunked.push(wall);
+        first.push(first_row);
     }
     Workload {
         name,
         sql,
-        two_phase_ms: median(&mut two),
-        streamed_ms: median(&mut full),
+        whole_ms: median(&mut whole),
+        chunked_ms: median(&mut chunked),
         first_row_ms: median(&mut first),
         rows,
     }
 }
 
 fn main() {
-    // Interactive: a LIMIT across the federation. The streaming engine
+    // Interactive: a LIMIT across the federation. Chunked execution
     // answers out of the first chunks and abandons the rest of every
-    // stream; two-phase ships all three collections before truncating.
+    // stream; whole-answer execution ships all three collections before
+    // truncating.
     let limit_sql = (0..WRAPPERS)
         .map(|i| format!("SELECT x FROM C{i}"))
         .collect::<Vec<_>>()
@@ -150,15 +150,15 @@ fn main() {
     // either way, so chunking may only cost its framing overhead.
     let full = run_workload("full-scan", "SELECT x, v FROM C0".to_string());
 
-    let first_row_improvement = limit.two_phase_ms / limit.first_row_ms.max(1e-9);
-    let answer_improvement = limit.two_phase_ms / limit.streamed_ms.max(1e-9);
-    let full_regression = full.streamed_ms / full.two_phase_ms.max(1e-9) - 1.0;
+    let first_row_improvement = limit.whole_ms / limit.first_row_ms.max(1e-9);
+    let answer_improvement = limit.whole_ms / limit.chunked_ms.max(1e-9);
+    let full_regression = full.chunked_ms / full.whole_ms.max(1e-9) - 1.0;
 
     let mut t = Table::new(&[
         "workload",
         "rows",
-        "two-phase ms",
-        "streamed ms",
+        "whole ms",
+        "chunked ms",
         "first row ms",
         "first-row speedup",
     ]);
@@ -166,40 +166,40 @@ fn main() {
         t.row(vec![
             w.name.to_string(),
             w.rows.to_string(),
-            format!("{:.2}", w.two_phase_ms),
-            format!("{:.2}", w.streamed_ms),
+            format!("{:.2}", w.whole_ms),
+            format!("{:.2}", w.chunked_ms),
             format!("{:.2}", w.first_row_ms),
-            format!("{:.1}x", w.two_phase_ms / w.first_row_ms.max(1e-9)),
+            format!("{:.1}x", w.whole_ms / w.first_row_ms.max(1e-9)),
         ]);
     }
     println!("{}", t.render());
     println!(
         "LIMIT workload: first row {first_row_improvement:.1}x sooner, complete \
-         answer {answer_improvement:.1}x sooner than two-phase; full-scan \
+         answer {answer_improvement:.1}x sooner than whole-answer; full-scan \
          throughput regression {:+.1}%.",
         full_regression * 100.0
     );
 
     assert!(
         first_row_improvement >= 3.0,
-        "streamed first row must arrive >= 3x sooner on the LIMIT workload: \
-         two-phase {:.2} ms vs first row {:.2} ms ({first_row_improvement:.1}x)",
-        limit.two_phase_ms,
+        "chunked first row must arrive >= 3x sooner on the LIMIT workload: \
+         whole {:.2} ms vs first row {:.2} ms ({first_row_improvement:.1}x)",
+        limit.whole_ms,
         limit.first_row_ms
     );
     assert!(
         answer_improvement >= 3.0,
-        "streamed LIMIT answer must complete >= 3x sooner: two-phase {:.2} ms \
-         vs streamed {:.2} ms ({answer_improvement:.1}x)",
-        limit.two_phase_ms,
-        limit.streamed_ms
+        "chunked LIMIT answer must complete >= 3x sooner: whole {:.2} ms \
+         vs chunked {:.2} ms ({answer_improvement:.1}x)",
+        limit.whole_ms,
+        limit.chunked_ms
     );
     assert!(
         full_regression < 0.05,
-        "full-answer throughput must regress < 5%: two-phase {:.2} ms vs \
-         streamed {:.2} ms ({:+.1}%)",
-        full.two_phase_ms,
-        full.streamed_ms,
+        "full-answer throughput must regress < 5%: whole {:.2} ms vs \
+         chunked {:.2} ms ({:+.1}%)",
+        full.whole_ms,
+        full.chunked_ms,
         full_regression * 100.0
     );
 
@@ -211,21 +211,22 @@ fn main() {
         write!(
             json_rows,
             "\n    {{\"workload\": \"{}\", \"sql\": \"{}\", \"rows\": {}, \
-             \"two_phase_ms\": {:.3}, \"streamed_ms\": {:.3}, \
+             \"whole_ms\": {:.3}, \"chunked_ms\": {:.3}, \
              \"first_row_ms\": {:.3}}}",
-            w.name, w.sql, w.rows, w.two_phase_ms, w.streamed_ms, w.first_row_ms,
+            w.name, w.sql, w.rows, w.whole_ms, w.chunked_ms, w.first_row_ms,
         )
         .expect("write json row");
     }
     let json = format!(
         "{{\n  \"bench\": \"streaming_latency\",\n  \"wrappers\": {WRAPPERS},\n  \
          \"rows_per_collection\": {ROWS_PER_COLLECTION},\n  \
-         \"chunk_rows\": {CHUNK_ROWS},\n  \"repeats\": {REPEATS},\n  \
+         \"chunk_rows\": {},\n  \"repeats\": {REPEATS},\n  \
          \"link\": {{\"latency_ms\": 50.0, \"bytes_per_ms\": 50.0, \
          \"sleep_scale\": 0.02}},\n  \"workloads\": [{json_rows}\n  ],\n  \
          \"first_row_improvement\": {first_row_improvement:.3},\n  \
          \"answer_improvement\": {answer_improvement:.3},\n  \
-         \"full_scan_regression\": {full_regression:.4}\n}}\n"
+         \"full_scan_regression\": {full_regression:.4}\n}}\n",
+        CHUNKED.expect("a chunk size"),
     );
     std::fs::write("BENCH_streaming.json", &json).expect("write BENCH_streaming.json");
     println!("wrote BENCH_streaming.json");

@@ -158,23 +158,22 @@ fn chaos_policy() -> ResiliencePolicy {
 /// schedule, `caps` each endpoint's declared capability profile (the
 /// oracle must be built with the *same* profiles as the run it checks),
 /// `empty` names collections registered with zero rows (used by the
-/// oracle to mirror a degraded answer), and `streaming` runs queries
-/// through the pipelined engine (small chunks, to exercise the frame
-/// loop; the oracle always stays two-phase).
+/// oracle to mirror a degraded answer). Whole answers, static plans —
+/// what every oracle runs.
 fn federation<F: Fn(&str) -> FaultPlan, C: Fn(&str) -> CapabilityProfile>(
     faults: F,
     caps: C,
     empty: &BTreeSet<String>,
-    streaming: bool,
 ) -> Mediator {
-    federation_adaptive(faults, caps, empty, streaming, AdaptivePolicy::default())
+    federation_with(faults, caps, empty, None, AdaptivePolicy::default())
 }
 
-fn federation_adaptive<F: Fn(&str) -> FaultPlan, C: Fn(&str) -> CapabilityProfile>(
+/// [`federation`] at a given executor chunk size and adaptive policy.
+fn federation_with<F: Fn(&str) -> FaultPlan, C: Fn(&str) -> CapabilityProfile>(
     faults: F,
     caps: C,
     empty: &BTreeSet<String>,
-    streaming: bool,
+    chunk_rows: Option<u32>,
     adaptive: AdaptivePolicy,
 ) -> Mediator {
     let mut t = ChannelTransport::new();
@@ -206,8 +205,7 @@ fn federation_adaptive<F: Fn(&str) -> FaultPlan, C: Fn(&str) -> CapabilityProfil
         parallel_submits: false,
         partial_answers: true,
         resilience: chaos_policy(),
-        streaming,
-        streaming_chunk_rows: 16,
+        chunk_rows,
         adaptive,
         ..MediatorOptions::default()
     });
@@ -283,21 +281,25 @@ impl SeedReport {
     }
 }
 
+/// The chunked side of the soak: small chunks, so the 30–100-row
+/// collections exercise the frame loop.
+pub const CHUNKED: Option<u32> = Some(16);
+
 /// Soak one seed: run `queries` federated queries under the seed's
 /// fault schedules, checking every answer against its oracle.
 pub fn run_seed(seed: u64, queries: usize) -> SeedReport {
-    run_seed_with(seed, queries, false, AdaptivePolicy::default())
+    run_seed_chunked(seed, queries, None)
 }
 
-/// [`run_seed`] with the pipelined streaming engine executing every
-/// chaos query (the oracle stays two-phase and fault-free): streamed
-/// answers must degrade exactly like two-phase ones under faults.
-pub fn run_seed_streaming(seed: u64, queries: usize) -> SeedReport {
-    run_seed_with(seed, queries, true, AdaptivePolicy::default())
+/// [`run_seed`] at a given chunk size (the oracle stays whole-answer
+/// and fault-free): under faults, answers must degrade the same way
+/// whatever the chunking.
+pub fn run_seed_chunked(seed: u64, queries: usize, chunk_rows: Option<u32>) -> SeedReport {
+    run_seed_with(seed, queries, chunk_rows, AdaptivePolicy::default())
 }
 
-/// [`run_seed`] with mid-query adaptive re-optimization armed on the
-/// streaming engine, under an aggressive trigger (low threshold, no dead
+/// [`run_seed`] with mid-query adaptive re-optimization armed on
+/// chunked execution, under an aggressive trigger (low threshold, no dead
 /// zone) so the query mix's natural estimate errors — and fault-emptied
 /// subanswers — exercise the abandon/re-drive path while every answer is
 /// still checked against the static fault-free oracle.
@@ -305,7 +307,7 @@ pub fn run_seed_adaptive(seed: u64, queries: usize) -> SeedReport {
     run_seed_with(
         seed,
         queries,
-        true,
+        CHUNKED,
         AdaptivePolicy {
             enabled: true,
             error_threshold: 1.5,
@@ -319,14 +321,14 @@ pub fn run_seed_adaptive(seed: u64, queries: usize) -> SeedReport {
 fn run_seed_with(
     seed: u64,
     queries: usize,
-    streaming: bool,
+    chunk_rows: Option<u32>,
     adaptive: AdaptivePolicy,
 ) -> SeedReport {
-    let mut m = federation_adaptive(
+    let mut m = federation_with(
         |e| fault_schedule(seed, e),
         |e| capability_profile(seed, e),
         &BTreeSet::new(),
-        streaming,
+        chunk_rows,
         adaptive,
     );
     let mut oracles: BTreeMap<(usize, BTreeSet<String>), String> = BTreeMap::new();
@@ -370,7 +372,6 @@ fn run_seed_with(
                 |_| FaultPlan::none(),
                 |e| capability_profile(seed, e),
                 &missing,
-                false,
             );
             let o = oracle.query(sql).expect("oracle query succeeds");
             assert!(!o.is_partial(), "oracle must never degrade");
@@ -444,7 +445,6 @@ fn oracle_digest(
         |_| FaultPlan::none(),
         |e| capability_profile(seed, e),
         missing,
-        false,
     );
     let o = oracle.query(QUERIES[idx]).expect("oracle query succeeds");
     assert!(!o.is_partial(), "oracle must never degrade");
@@ -475,7 +475,6 @@ pub fn run_seed_concurrent(
         |e| fault_schedule(seed, e),
         |e| capability_profile(seed, e),
         &BTreeSet::new(),
-        false,
     ));
     let oracles: Mutex<BTreeMap<(usize, BTreeSet<String>), String>> = Mutex::new(BTreeMap::new());
     let mut report = ConcurrentReport {

@@ -5,35 +5,21 @@
 use disco_bench::chaos;
 
 #[test]
-fn chaotic_answers_match_the_fault_free_oracle() {
+fn chaotic_answers_match_the_fault_free_oracle_at_either_chunking() {
     for seed in [1u64, 2] {
-        let rep = chaos::run_seed(seed, 24);
-        assert!(
-            rep.passed(),
-            "seed {seed} diverged from the oracle: {:#?}\nreplay: \
-             cargo run --release -p disco-bench --bin chaos_soak -- {seed}",
-            rep.mismatches
-        );
-        assert_eq!(rep.complete + rep.partial, 24);
-    }
-}
-
-#[test]
-fn streaming_chaotic_answers_match_the_fault_free_oracle() {
-    for seed in [1u64, 2] {
-        let rep = chaos::run_seed_streaming(seed, 24);
-        assert!(
-            rep.passed(),
-            "seed {seed} (streaming) diverged from the oracle: {:#?}",
-            rep.mismatches
-        );
-        assert_eq!(rep.complete + rep.partial, 24);
-        // The streamed run degrades exactly like the two-phase run: same
-        // per-query completeness, same failovers.
-        let two_phase = chaos::run_seed(seed, 24);
-        assert_eq!(rep.complete, two_phase.complete, "seed {seed}");
-        assert_eq!(rep.partial, two_phase.partial, "seed {seed}");
-        assert_eq!(rep.failovers, two_phase.failovers, "seed {seed}");
+        let runs = [None, chaos::CHUNKED].map(|c| (c, chaos::run_seed_chunked(seed, 24, c)));
+        for (chunk_rows, rep) in &runs {
+            assert!(
+                rep.passed(),
+                "seed {seed} (chunk_rows {chunk_rows:?}) diverged from the oracle: {:#?}\nreplay: \
+                 cargo run --release -p disco-bench --bin chaos_soak -- {seed}",
+                rep.mismatches
+            );
+            assert_eq!(rep.complete + rep.partial, 24);
+        }
+        // Degradation does not depend on the chunking: same per-query
+        // completeness, same failovers, same transcript.
+        assert_eq!(runs[0].1, runs[1].1, "seed {seed}");
     }
 }
 

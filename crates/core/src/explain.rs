@@ -224,8 +224,8 @@ pub struct MeasuredNode {
     pub pages: Option<u64>,
     /// Measured time-to-first-row in simulated milliseconds (`submit`
     /// nodes only: the wrapper's `TimeFirst` plus the communication time
-    /// of whatever carried the first row — the whole reply in two-phase
-    /// mode, the first stream frame in pipelined mode).
+    /// of whatever carried the first row — the whole reply in whole-answer
+    /// mode, the first stream frame in chunked mode).
     pub first_row_ms: Option<f64>,
     pub children: Vec<MeasuredNode>,
 }

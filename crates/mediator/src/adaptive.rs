@@ -3,9 +3,9 @@
 //! The paper's §4.3 feedback loop corrects cost estimates *between*
 //! queries and its §4.3.2 branch-and-bound abandons plans *during
 //! optimization*; this module generalizes both into **runtime plan
-//! abandonment**. Once subanswers materialize (after the two-phase fetch
-//! phase, or mid-stream under pipelined execution), the executor compares
-//! measured cardinalities against the optimizer's per-site predictions.
+//! abandonment**. As subanswers materialize (whole, or chunk by chunk
+//! under pipelined execution), the executor compares measured
+//! cardinalities against the optimizer's per-site predictions.
 //! When the relative error crosses [`AdaptivePolicy::error_threshold`]
 //! (outside the [`AdaptivePolicy::min_rows`] dead zone), the
 //! [`Replanner`] re-enumerates left-deep join orders over the combine
@@ -119,8 +119,6 @@ pub struct ReplanEvent {
     /// Whether the win cleared the switch margin and the plan was
     /// actually abandoned.
     pub switched: bool,
-    /// `"two_phase"` or `"streaming"`.
-    pub engine: &'static str,
 }
 
 impl ReplanEvent {
@@ -245,7 +243,6 @@ impl<'a> Replanner<'a> {
         &self,
         plan: &PhysicalPlan,
         observations: &[SiteObservation],
-        engine: &'static str,
     ) -> Option<ReplanOutcome> {
         if !self.policy.enabled {
             return None;
@@ -264,7 +261,7 @@ impl<'a> Replanner<'a> {
             .0;
 
         if disco_obs::enabled() {
-            disco_obs::counter(disco_obs::names::REPLAN_CONSIDERED, &[("engine", engine)]).inc();
+            disco_obs::counter(disco_obs::names::REPLAN_CONSIDERED, &[]).inc();
         }
 
         let mut event = ReplanEvent {
@@ -274,7 +271,6 @@ impl<'a> Replanner<'a> {
             old_cost_ms: 0.0,
             new_cost_ms: 0.0,
             switched: false,
-            engine,
         };
 
         // Every observation (failed ones included) corrects its submit
@@ -330,8 +326,8 @@ impl<'a> Replanner<'a> {
         if event.new_cost_ms < event.old_cost_ms * (1.0 - self.policy.switch_margin) {
             event.switched = true;
             if disco_obs::enabled() {
-                disco_obs::counter(disco_obs::names::REPLAN_EXECUTED, &[("engine", engine)]).inc();
-                disco_obs::histogram(disco_obs::names::REPLAN_WIN_MS, &[("engine", engine)])
+                disco_obs::counter(disco_obs::names::REPLAN_EXECUTED, &[]).inc();
+                disco_obs::histogram(disco_obs::names::REPLAN_WIN_MS, &[])
                     .observe(event.old_cost_ms - event.new_cost_ms);
             }
             let new_plan = apply_suffix(suffix, best.0);
@@ -682,7 +678,6 @@ mod tests {
             old_cost_ms: 1234.0,
             new_cost_ms: 56.0,
             switched: true,
-            engine: "two_phase",
         };
         let line = e.render();
         assert!(line.starts_with("re-optimized: predicted 1000 rows, observed 800k"));

@@ -1,22 +1,32 @@
 //! Plan execution (steps 4–6 of Figure 2).
 //!
-//! Execution is two-phase. The *fetch* phase collects every
-//! `SubmitRemote` site of the physical plan and obtains its subanswer —
-//! sequentially, or concurrently on scoped threads when parallel
-//! submission is enabled (Figure 2 shows steps 4a/4b issued in parallel);
-//! the fan-out's wall-clock time is measured. The *combine* phase then
-//! walks the plan, consuming fetched subanswers at the submit sites and
-//! running the vectorized columnar operators ([`disco_sources::vexec`])
-//! on a mediator-side virtual clock.
+//! There is one executor. It *opens* every `SubmitRemote` site of the
+//! physical plan — sequentially, or concurrently on scoped threads when
+//! parallel submission is enabled (Figure 2 shows steps 4a/4b issued in
+//! parallel) — and then pulls the answer through a tree of pull-based
+//! combine operators ([`disco_sources::vstream`]) metered on a
+//! mediator-side virtual clock.
 //!
-//! Subanswers enter the combine phase as [`BatchAnswer`]s: over a
-//! transport the reply bytes decode straight into column vectors
-//! (fetched rows are never built as `Tuple`s), and in-process answers
-//! are columnarized inside the fetch workers. The pipeline stays
-//! columnar end-to-end; rows materialize exactly once, at the final
-//! answer boundary in [`Executor::execute`]. Virtual-clock charges are
-//! per-tuple formulas over operator cardinalities, so they are
-//! identical to the row-at-a-time engine's.
+//! How much of a subanswer an open waits for is the one setting,
+//! `chunk_rows`:
+//!
+//! * `None` (the default): every site ships its answer as **one chunk**
+//!   and is drained to its end-of-stream stats before the combine tree
+//!   is pulled — the classic fetch-then-combine schedule, with the
+//!   fan-out's wall-clock time measured
+//!   ([`ExecutionTrace::submit_wall_ms`]);
+//! * `Some(n)`: sites stream chunks of at most `n` rows which flow
+//!   straight through the operators, so the first rows of the answer
+//!   materialize before the slowest wrapper finishes (the runtime
+//!   counterpart of the cost model's `TimeFirst`) and a `LIMIT` stops
+//!   pulling early.
+//!
+//! Answers, partial-answer sets and virtual-clock charges (per-tuple
+//! formulas over operator cardinalities, summed per chunk) do not
+//! depend on the chunk size. The pipeline is columnar end-to-end: over a
+//! transport the reply frames decode straight into column vectors, and
+//! rows materialize exactly once, at the final answer boundary in
+//! [`Executor::execute`].
 //!
 //! Wrappers are reached either in-process (the seed's trait-object table)
 //! or through a [`TransportClient`] — the byte-level RPC boundary with
@@ -36,7 +46,6 @@ use std::time::{Duration, Instant};
 use disco_algebra::{LogicalPlan, PhysicalJoinAlgo, PhysicalPlan};
 use disco_common::{Batch, DiscoError, QualifiedName, Result, Schema, Tuple};
 use disco_core::{MeasuredNode, NodeCost, RuleRegistry};
-use disco_sources::vexec;
 use disco_sources::vstream::{self, BatchStream};
 use disco_sources::{BatchAnswer, ExecStats, VirtualClock};
 use disco_transport::{
@@ -71,8 +80,8 @@ pub struct SubmitTrace {
     pub hedges: u32,
     /// Measured time-to-first-row (ms, simulated): the wrapper's
     /// `TimeFirst` plus the communication time of whatever carried the
-    /// first row — the whole reply in two-phase mode, the first stream
-    /// frame in pipelined mode. `0` when the submit failed or its stream
+    /// first row — the whole reply in whole-answer mode, the first stream
+    /// frame in chunked mode. `0` when the submit failed or its stream
     /// was abandoned before its end-of-stream stats arrived.
     pub first_ms: f64,
     /// The subanswer was delivered in full: the wrapper answered and its
@@ -108,7 +117,10 @@ pub struct ExecutionTrace {
     pub communication_ms: f64,
     /// Sum of wrapper-reported elapsed times (ms, simulated).
     pub wrapper_ms: f64,
-    /// Measured wall-clock time of the whole fetch phase (ms).
+    /// Measured wall-clock fetch time (ms): from the start of execution
+    /// until every site is opened — which in whole-answer mode means
+    /// drained, and in chunked mode means its first chunk has arrived.
+    /// Combine work is never part of it.
     pub submit_wall_ms: f64,
     /// Submits were actually fanned out on threads over a transport, so
     /// [`submit_wall_ms`](Self::submit_wall_ms) reflects real concurrency.
@@ -125,13 +137,13 @@ pub struct ExecutionTrace {
     pub hedges: u32,
     /// The query-level time budget ran out before every submit was
     /// issued; skipped submits appear in [`missing`](Self::missing).
-    /// Under streaming execution a budget that expires mid-stream
-    /// truncates the affected streams instead: the rows already
-    /// delivered stay in the answer and the submit trace records them.
+    /// In chunked mode a budget that expires mid-stream truncates the
+    /// affected streams instead: the rows already delivered stay in the
+    /// answer and the submit trace records them.
     pub budget_exhausted: bool,
     /// Wall-clock ms until the first non-empty root chunk was produced
-    /// (streaming execution only; `None` in two-phase mode, where the
-    /// first row is only available with the last).
+    /// (`None` for an empty answer). In whole-answer mode the first row
+    /// is only available once every site has been drained.
     pub first_row_wall_ms: Option<f64>,
     /// Mid-query re-optimization decisions, in the order they were
     /// considered: one entry per time measured cardinalities crossed the
@@ -212,26 +224,6 @@ enum Backend<'a> {
 struct SubmitSite<'p> {
     wrapper: &'p str,
     plan: &'p LogicalPlan,
-}
-
-/// The fetch phase's product for one site.
-struct Fetched {
-    outcome: Result<FetchedAnswer>,
-    /// The site was never submitted: the query budget ran out first.
-    /// Always degrades to an empty subanswer, even when partial answers
-    /// are off — an exhausted budget is a policy decision, not a fault.
-    budget_skipped: bool,
-}
-
-struct FetchedAnswer {
-    answer: BatchAnswer,
-    comm_ms: f64,
-    wall_ms: f64,
-    attempts: u32,
-    /// Replica that answered (the site's wrapper unless a hedge won).
-    served_by: String,
-    /// Straggler-triggered hedges launched for this site.
-    hedges: u32,
 }
 
 /// Executes physical plans against registered wrappers.
@@ -319,9 +311,8 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attach a mid-query re-optimizer (builder style). After the fetch
-    /// phase (or, under streaming, as subanswer cardinalities become
-    /// known) measured cardinalities are compared against the attached
+    /// Attach a mid-query re-optimizer (builder style). As subanswer
+    /// cardinalities become known, they are compared against the attached
     /// [`SitePrediction`]s; a large enough error re-enumerates the
     /// combine plan and may abandon the running order.
     pub fn with_adaptive(mut self, replanner: Option<Replanner<'a>>) -> Self {
@@ -333,479 +324,23 @@ impl<'a> Executor<'a> {
         self.registry.params().get_f64(name).unwrap_or(default)
     }
 
-    /// Execute a plan, returning tuples, schema and the trace.
-    pub fn execute(&self, plan: &PhysicalPlan) -> Result<(Schema, Vec<Tuple>, ExecutionTrace)> {
-        let mut trace = ExecutionTrace::default();
-
-        // Fetch phase: obtain every subanswer up front, possibly in
-        // parallel, measuring the fan-out's wall-clock time.
-        let mut sites = Vec::new();
-        collect_submits(plan, &mut sites);
-        let started = Instant::now();
-        let budget_deadline = self
-            .resilience
-            .as_ref()
-            .and_then(|p| p.query_budget_ms)
-            .filter(|ms| ms.is_finite() && *ms >= 0.0)
-            .map(|ms| started + Duration::from_micros((ms * 1e3) as u64));
-        let fetched = self.fetch_all(&sites, budget_deadline);
-        trace.submit_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        trace.budget_exhausted = fetched.iter().any(|f| f.budget_skipped);
-        if trace.budget_exhausted && disco_obs::enabled() {
-            disco_obs::counter(disco_obs::names::BUDGET_EXHAUSTED, &[]).inc();
-        }
-        // Only a threaded fan-out over a real transport yields a wall
-        // clock that means anything: in-process wrappers have no network,
-        // so their "measured" communication would be zero.
-        trace.concurrent =
-            self.parallel && sites.len() > 1 && matches!(self.backend, Backend::Remote(_));
-
-        // Adaptive checkpoint: every subanswer cardinality is now known.
-        // If the measurements contradict the optimizer's predictions,
-        // re-enumerate the combine plan before any join work starts —
-        // fetched subanswers are a sunk cost, the combine order is not.
-        let mut switched: Option<PhysicalPlan> = None;
-        if let Some(replanner) = &self.adaptive {
-            let observations = two_phase_observations(&sites, &fetched, &self.predictions);
-            if let Some(outcome) = replanner.consider(plan, &observations, "two_phase") {
-                if let Some(new_plan) = outcome.new_plan {
-                    trace.final_plan = Some(new_plan.clone());
-                    switched = Some(new_plan);
-                }
-                trace.replans.push(outcome.event);
-            }
-        }
-        let plan = switched.as_ref().unwrap_or(plan);
-
-        // Combine phase: walk the plan, consuming fetched answers at the
-        // submit sites and running the vectorized mediator-side
-        // operators on columnar batches. The pool maps each submit site
-        // to its fetched answer by (wrapper, subplan) so a re-planned
-        // order still consumes the answers fetched for the original —
-        // nothing is re-fetched.
-        let mut clock = VirtualClock::new();
-        let mut fetched = FetchPool::new(&sites, fetched);
-        let (schema, batch, measured) = self.run(plan, &mut clock, &mut trace, &mut fetched)?;
-        trace.mediator_ms = clock.now();
-        trace.measured = Some(measured);
-        trace.missing.sort();
-        trace.missing.dedup();
-        // The one place rows materialize: the final answer boundary.
-        Ok((schema, batch.to_tuples(), trace))
-    }
-
-    /// Obtain subanswers for all sites, in site order. The straggler
-    /// hedge allowance is shared across sites (per-query cap).
-    fn fetch_all(
-        &self,
-        sites: &[SubmitSite<'_>],
-        budget_deadline: Option<Instant>,
-    ) -> Vec<Fetched> {
-        let hedge_budget = AtomicU32::new(
-            self.resilience
-                .as_ref()
-                .map_or(0, |p| p.max_hedges_per_query),
-        );
-        if self.parallel && sites.len() > 1 {
-            match self.backend {
-                Backend::Local(wrappers) => {
-                    let msg = self.param("MsgLatency", 100.0);
-                    let byte = self.param("PerByte", 0.001);
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = sites
-                            .iter()
-                            .map(|site| s.spawn(move || fetch_local(wrappers, site, msg, byte)))
-                            .collect();
-                        handles.into_iter().map(join_fetch).collect()
-                    })
-                }
-                Backend::Remote(client) => std::thread::scope(|s| {
-                    let hedge_budget = &hedge_budget;
-                    let handles: Vec<_> = sites
-                        .iter()
-                        .enumerate()
-                        .map(|(i, site)| {
-                            s.spawn(move || {
-                                self.fetch_remote_site(
-                                    client,
-                                    site,
-                                    i,
-                                    hedge_budget,
-                                    budget_deadline,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(join_fetch).collect()
-                }),
-            }
-        } else {
-            sites
-                .iter()
-                .enumerate()
-                .map(|(i, site)| match self.backend {
-                    Backend::Local(wrappers) => fetch_local(
-                        wrappers,
-                        site,
-                        self.param("MsgLatency", 100.0),
-                        self.param("PerByte", 0.001),
-                    ),
-                    Backend::Remote(client) => {
-                        self.fetch_remote_site(client, site, i, &hedge_budget, budget_deadline)
-                    }
-                })
-                .collect()
-        }
-    }
-
-    /// Fetch one subanswer over the transport, applying the resilience
-    /// policy when one is attached: predicted deadlines (capped by the
-    /// remaining query budget), hedged replica submits and failover.
-    /// Without a policy this is the seed's plain submit.
-    fn fetch_remote_site(
-        &self,
-        client: &TransportClient,
-        site: &SubmitSite<'_>,
-        index: usize,
-        hedge_budget: &AtomicU32,
-        budget_deadline: Option<Instant>,
-    ) -> Fetched {
-        let Some(policy) = &self.resilience else {
-            return fetch_remote(client, site);
-        };
-
-        // Query budget: a site reached after the budget ran out is never
-        // submitted; remaining time caps the per-attempt deadline.
-        let remaining_ms = budget_deadline.map(|d| {
-            let now = Instant::now();
-            if now >= d {
-                0.0
-            } else {
-                (d - now).as_secs_f64() * 1e3
-            }
-        });
-        if remaining_ms.is_some_and(|ms| ms < 1.0) {
-            return Fetched {
-                outcome: Err(DiscoError::Timeout(format!(
-                    "query budget exhausted before submit to `{}`",
-                    site.wrapper
-                ))),
-                budget_skipped: true,
-            };
-        }
-
-        let prediction = self.predictions.get(index).copied().flatten();
-        let total = prediction.map(|p| p.total_ms);
-        let mut opts = SubmitOptions {
-            deadline_ms: policy.wall_deadline_ms(total),
-            sim_deadline_ms: policy.sim_deadline_ms(total),
-            predicted_total_ms: total,
-        };
-        if let Some(rem) = remaining_ms {
-            let cap = rem.ceil().max(1.0) as u64;
-            opts.deadline_ms = Some(opts.deadline_ms.map_or(cap, |d| d.min(cap)));
-        }
-
-        let mut targets = vec![HedgeTarget {
-            endpoint: site.wrapper.to_string(),
-            plan: site.plan.clone(),
-            opts,
-        }];
-        if policy.hedge {
-            if let Some(peers) = self.replicas.get(site.wrapper) {
-                for peer in peers {
-                    targets.push(HedgeTarget {
-                        endpoint: peer.clone(),
-                        plan: site.plan.retargeted(peer),
-                        opts,
-                    });
-                }
-            }
-        }
-        let wait = policy
-            .straggler_wait_ms(prediction.map(|p| p.first_ms))
-            .map(Duration::from_millis);
-        let allowance = hedge_budget.load(Ordering::Relaxed);
-
-        let outcome = client
-            .submit_batch_hedged(&targets, wait, allowance)
-            .map(|h| {
-                if h.hedges > 0 {
-                    let _ = hedge_budget.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                        Some(v.saturating_sub(h.hedges))
-                    });
-                }
-                FetchedAnswer {
-                    served_by: targets[h.winner].endpoint.clone(),
-                    hedges: h.hedges,
-                    answer: h.outcome.answer,
-                    comm_ms: h.outcome.comm_ms,
-                    wall_ms: h.outcome.wall_ms,
-                    attempts: h.outcome.attempts,
-                }
-            });
-        Fetched {
-            outcome,
-            budget_skipped: false,
-        }
-    }
-
-    /// One combine-phase node: measures the simulated time of its whole
-    /// subtree (virtual-clock charges plus wrapper and communication
-    /// time — the same cumulative convention as `NodeCost::total_time`)
-    /// and records rows produced, building the measured half of
-    /// EXPLAIN ANALYZE as execution proceeds.
-    fn run(
-        &self,
-        plan: &PhysicalPlan,
-        clock: &mut VirtualClock,
-        trace: &mut ExecutionTrace,
-        fetched: &mut FetchPool,
-    ) -> Result<(Schema, Batch, MeasuredNode)> {
-        let before = clock.now() + trace.wrapper_ms + trace.communication_ms;
-        let (schema, batch, operator, failed, pages, first_row_ms, children) =
-            self.run_node(plan, clock, trace, fetched)?;
-        let elapsed_ms = clock.now() + trace.wrapper_ms + trace.communication_ms - before;
-        let node = MeasuredNode {
-            operator,
-            rows: batch.len() as u64,
-            elapsed_ms,
-            failed,
-            pages,
-            first_row_ms,
-            children,
-        };
-        Ok((schema, batch, node))
-    }
-
-    /// The combine phase proper: columnar batches flow between
-    /// operators; virtual-clock charges use batch cardinalities with
-    /// the same per-tuple formulas as the row engine.
-    #[allow(clippy::type_complexity)]
-    fn run_node(
-        &self,
-        plan: &PhysicalPlan,
-        clock: &mut VirtualClock,
-        trace: &mut ExecutionTrace,
-        fetched: &mut FetchPool,
-    ) -> Result<(
-        Schema,
-        Batch,
-        String,
-        bool,
-        Option<u64>,
-        Option<f64>,
-        Vec<MeasuredNode>,
-    )> {
-        let cpu_pred = self.param("CpuPred", 0.05);
-        let cpu_hash = self.param("CpuHash", 0.02);
-        match plan {
-            PhysicalPlan::SubmitRemote {
-                wrapper,
-                plan,
-                schema: expected_schema,
-            } => {
-                let operator = format!("submit {wrapper}");
-                let next = fetched
-                    .take(wrapper, plan)
-                    .ok_or_else(|| DiscoError::Exec("submit site without a fetch".into()))?;
-                let budget_skipped = next.budget_skipped;
-                match next.outcome {
-                    Ok(f) => {
-                        // A wrapper returning a different shape than it
-                        // registered would silently misalign downstream
-                        // column lookups.
-                        if f.answer.schema.arity() != expected_schema.arity() {
-                            return Err(DiscoError::Exec(format!(
-                                "wrapper `{wrapper}` returned {} columns, plan expected {}",
-                                f.answer.schema.arity(),
-                                expected_schema.arity()
-                            )));
-                        }
-                        let bytes = f.answer.batch.byte_width();
-                        let pages = Some(f.answer.stats.pages_read);
-                        // Two-phase: nothing arrives before the whole
-                        // reply, so first-row time pays the full comm.
-                        let first_ms = f.answer.stats.time_first_ms + f.comm_ms;
-                        trace.wrapper_ms += f.answer.stats.elapsed_ms;
-                        trace.communication_ms += f.comm_ms;
-                        trace.hedges += f.hedges;
-                        trace.submits.push(SubmitTrace {
-                            wrapper: wrapper.clone(),
-                            plan: plan.clone(),
-                            stats: f.answer.stats,
-                            tuples: f.answer.batch.len(),
-                            bytes,
-                            comm_ms: f.comm_ms,
-                            wall_ms: f.wall_ms,
-                            attempts: f.attempts,
-                            failed: false,
-                            served_by: f.served_by,
-                            hedges: f.hedges,
-                            first_ms,
-                            complete: true,
-                        });
-                        Ok((
-                            f.answer.schema,
-                            f.answer.batch,
-                            operator,
-                            false,
-                            pages,
-                            Some(first_ms),
-                            vec![],
-                        ))
-                    }
-                    Err(e) if (self.partial_answers && e.is_transient()) || budget_skipped => {
-                        // The wrapper stayed down past the retry budget:
-                        // contribute an empty, schema-correct subanswer
-                        // and report what is missing (degraded result).
-                        trace
-                            .missing
-                            .extend(plan.collections().into_iter().cloned());
-                        trace.submits.push(SubmitTrace {
-                            wrapper: wrapper.clone(),
-                            plan: plan.clone(),
-                            stats: ExecStats::default(),
-                            tuples: 0,
-                            bytes: 0,
-                            comm_ms: 0.0,
-                            wall_ms: 0.0,
-                            attempts: 0,
-                            failed: true,
-                            served_by: String::new(),
-                            hedges: 0,
-                            first_ms: 0.0,
-                            complete: false,
-                        });
-                        Ok((
-                            expected_schema.clone(),
-                            Batch::empty(expected_schema.arity()),
-                            operator,
-                            true,
-                            None,
-                            None,
-                            vec![],
-                        ))
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            PhysicalPlan::Filter { input, predicate } => {
-                let (schema, batch, child) = self.run(input, clock, trace, fetched)?;
-                clock.charge(batch.len() as f64 * predicate.conjuncts.len() as f64 * cpu_pred);
-                let out = vexec::filter(&schema, &batch, predicate)?;
-                Ok((schema, out, "filter".into(), false, None, None, vec![child]))
-            }
-            PhysicalPlan::Project { input, columns } => {
-                let (schema, batch, child) = self.run(input, clock, trace, fetched)?;
-                clock.charge(batch.len() as f64 * cpu_hash);
-                let (out_schema, out) = vexec::project(&schema, &batch, columns)?;
-                Ok((
-                    out_schema,
-                    out,
-                    "project".into(),
-                    false,
-                    None,
-                    None,
-                    vec![child],
-                ))
-            }
-            PhysicalPlan::Sort { input, keys } => {
-                let (schema, batch, child) = self.run(input, clock, trace, fetched)?;
-                let n = batch.len() as f64;
-                clock.charge(self.param("SortFactor", 0.02) * n * n.max(2.0).log2());
-                let out = vexec::sort(&schema, &batch, keys)?;
-                Ok((schema, out, "sort".into(), false, None, None, vec![child]))
-            }
-            PhysicalPlan::Join {
-                algo,
-                left,
-                right,
-                predicate,
-            } => {
-                let (ls, lb, lc) = self.run(left, clock, trace, fetched)?;
-                let (rs, rb, rc) = self.run(right, clock, trace, fetched)?;
-                let out_schema = ls.join(&rs);
-                let out = match algo {
-                    PhysicalJoinAlgo::Hash => {
-                        clock.charge((lb.len() + rb.len()) as f64 * cpu_hash);
-                        let out = vexec::hash_join(&ls, &lb, &rs, &rb, predicate)?;
-                        clock.charge(out.len() as f64 * cpu_hash);
-                        out
-                    }
-                    PhysicalJoinAlgo::SortMerge => {
-                        // Executed as sort + hash match; charged as the
-                        // sort-based algorithm it models.
-                        let sf = self.param("SortFactor", 0.02);
-                        let (nl, nr) = (lb.len() as f64, rb.len() as f64);
-                        clock.charge(sf * nl * nl.max(2.0).log2() + sf * nr * nr.max(2.0).log2());
-                        clock.charge((nl + nr) * cpu_pred);
-                        vexec::hash_join(&ls, &lb, &rs, &rb, predicate)?
-                    }
-                    PhysicalJoinAlgo::NestedLoop => {
-                        clock.charge((lb.len() * rb.len()) as f64 * cpu_pred);
-                        vexec::nested_loop_join(&ls, &lb, &rs, &rb, predicate)?
-                    }
-                };
-                let operator = format!("join ({algo:?})").to_lowercase();
-                Ok((out_schema, out, operator, false, None, None, vec![lc, rc]))
-            }
-            PhysicalPlan::Union { left, right } => {
-                let (ls, lb, lc) = self.run(left, clock, trace, fetched)?;
-                let (rs, rb, rc) = self.run(right, clock, trace, fetched)?;
-                if ls.arity() != rs.arity() {
-                    return Err(DiscoError::Exec("union arity mismatch".into()));
-                }
-                clock.charge(rb.len() as f64 * cpu_hash);
-                let out = vexec::union(&lb, &rb)?;
-                Ok((ls, out, "union".into(), false, None, None, vec![lc, rc]))
-            }
-            PhysicalPlan::Dedup { input } => {
-                let (schema, batch, child) = self.run(input, clock, trace, fetched)?;
-                clock.charge(batch.len() as f64 * cpu_hash);
-                let out = vexec::dedup(&batch);
-                Ok((schema, out, "dedup".into(), false, None, None, vec![child]))
-            }
-            PhysicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let (schema, batch, child) = self.run(input, clock, trace, fetched)?;
-                clock.charge(batch.len() as f64 * cpu_hash);
-                let out = vexec::aggregate(&schema, &batch, group_by, aggs)?;
-                let out_schema = to_agg_schema(&schema, group_by, aggs)?;
-                Ok((
-                    out_schema,
-                    out,
-                    "aggregate".into(),
-                    false,
-                    None,
-                    None,
-                    vec![child],
-                ))
-            }
-        }
-    }
-
-    /// Execute a plan with pipelined streaming: wrappers stream their
-    /// subanswers in bounded chunks which flow straight through
-    /// pull-based combine operators ([`disco_sources::vstream`]), so the
-    /// first rows of the answer materialize before the slowest wrapper
-    /// finishes (the runtime counterpart of the cost model's
-    /// `TimeFirst`). Chunk reassembly is byte-identical to
-    /// [`execute`](Self::execute) and virtual-clock charges use the same
-    /// per-tuple formulas, summed per chunk.
+    /// Execute a plan, returning schema, tuples and the trace.
     ///
-    /// `limit` caps the answer and stops pulling once satisfied — the
-    /// early-stop that rewards `TimeFirst`-optimal plans. A query budget
-    /// that expires mid-stream truncates the affected streams, keeping
-    /// the rows already delivered (see
+    /// `chunk_rows` is the one execution setting. `None` is whole-answer
+    /// mode: every site ships its subanswer as a single chunk and is
+    /// drained to its end-of-stream stats before the combine tree is
+    /// pulled, so every submit is fully measured and `limit` is applied
+    /// to the finished answer. `Some(n)` is chunked (pipelined) mode:
+    /// sites stream chunks of at most `n` rows through the operators,
+    /// `limit` stops pulling once satisfied — the early-stop that rewards
+    /// `TimeFirst`-optimal plans, abandoning the streams it no longer
+    /// needs — and a query budget that expires mid-stream truncates the
+    /// affected streams, keeping the rows already delivered (see
     /// [`ExecutionTrace::budget_exhausted`]).
-    pub fn execute_streaming(
+    pub fn execute(
         &self,
         plan: &PhysicalPlan,
-        chunk_rows: u32,
+        chunk_rows: Option<u32>,
         limit: Option<u64>,
     ) -> Result<(Schema, Vec<Tuple>, ExecutionTrace)> {
         let mut trace = ExecutionTrace::default();
@@ -819,6 +354,10 @@ impl<'a> Executor<'a> {
             .filter(|ms| ms.is_finite() && *ms >= 0.0)
             .map(|ms| started + Duration::from_micros((ms * 1e3) as u64));
         let opened = self.open_all(&sites, budget_deadline, chunk_rows);
+        trace.submit_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        // Only a threaded fan-out over a real transport yields a wall
+        // clock that means anything: in-process wrappers have no network,
+        // so their "measured" communication would be zero.
         trace.concurrent =
             self.parallel && sites.len() > 1 && matches!(self.backend, Backend::Remote(_));
 
@@ -841,17 +380,25 @@ impl<'a> Executor<'a> {
             trigger,
             replay: false,
             budget_deadline,
-            chunk_rows: chunk_rows.max(1) as usize,
+            chunk_rows: chunk_rows.map_or(usize::MAX, |n| n.max(1) as usize),
             cpu_pred: self.param("CpuPred", 0.05),
             cpu_hash: self.param("CpuHash", 0.02),
             sort_factor: self.param("SortFactor", 0.02),
         };
         let mut opened = opened.into_iter();
         let (root, mut tally) = self.build_stream_node(plan, &mut opened, &ctx)?;
-        let mut root: Box<dyn BatchStream> = match limit {
-            Some(n) => Box::new(vstream::LimitStream::new(root, n)),
-            None => root,
+        // Only a chunked tree stops early: with whole answers there is
+        // nothing left to save by the time the first row surfaces, and a
+        // site abandoned before its end-of-stream frame would go
+        // unmeasured.
+        let early_stop = limit.filter(|_| chunk_rows.is_some());
+        let limited = |root: Box<dyn BatchStream>| -> Box<dyn BatchStream> {
+            match early_stop {
+                Some(n) => Box::new(vstream::LimitStream::new(root, n)),
+                None => root,
+            }
         };
+        let mut root = limited(root);
         let schema = root.schema().clone();
         let mut chunks: Vec<Batch> = Vec::new();
         // After a re-plan the per-submit accounting comes from the
@@ -899,7 +446,7 @@ impl<'a> Executor<'a> {
                         DiscoError::Exec("replan raised without a replanner".into())
                     })?;
                     let mut drive: Option<PhysicalPlan> = None;
-                    if let Some(outcome) = replanner.consider(plan, &observations, "streaming") {
+                    if let Some(outcome) = replanner.consider(plan, &observations) {
                         if let Some(new_plan) = outcome.new_plan {
                             trace.final_plan = Some(new_plan.clone());
                             drive = Some(new_plan);
@@ -945,7 +492,6 @@ impl<'a> Executor<'a> {
                         let mut st = state.borrow_mut();
                         st.failed = snap.failed;
                         st.budget_skipped = snap.budget_skipped;
-                        st.hedges = snap.hedges;
                         st.attempts = snap.attempts;
                         st.pages = snap.pages;
                         st.first_ms = snap.first_ms;
@@ -962,10 +508,7 @@ impl<'a> Executor<'a> {
                             .collect(),
                     );
                     tally = t2;
-                    root = match limit {
-                        Some(n) => Box::new(vstream::LimitStream::new(r2, n)),
-                        None => r2,
-                    };
+                    root = limited(r2);
                     chunks.clear();
                     trace.first_row_wall_ms = None;
                 }
@@ -975,7 +518,6 @@ impl<'a> Executor<'a> {
         // Dropping the tree abandons any undrained streams, releasing
         // their transport workers (the LIMIT early-stop).
         drop(root);
-        trace.submit_wall_ms = started.elapsed().as_secs_f64() * 1e3;
         trace.mediator_ms = ctx.clock.borrow().now();
 
         let assembly: Vec<SiteAssembly> = match assembly {
@@ -1019,92 +561,78 @@ impl<'a> Executor<'a> {
         trace.measured = Some(measured_from_tally(&tally).0);
         trace.missing.sort();
         trace.missing.dedup();
-        let batch = if chunks.is_empty() {
-            Batch::empty(schema.arity())
-        } else {
-            let refs: Vec<&Batch> = chunks.iter().collect();
-            Batch::concat(&refs)?
-        };
-        Ok((schema, batch.to_tuples(), trace))
+        let batch = vstream::concat_chunks(chunks, schema.arity())?;
+        // The one place rows materialize: the final answer boundary
+        // (where a whole-answer LIMIT is applied, too).
+        let rows = limit.map_or(batch.len(), |n| batch.len().min(n as usize));
+        let tuples = (0..rows).map(|row| batch.tuple_at(row)).collect();
+        Ok((schema, tuples, trace))
     }
 
-    /// Open every submit site's stream, in site order — the streaming
-    /// counterpart of [`fetch_all`](Self::fetch_all): the same fan-out
-    /// and budget rules, but each site returns a live stream (with its
-    /// first chunk) instead of a complete answer.
+    /// Open every submit site, in site order, fanning out on scoped
+    /// threads when parallel submission is on. The straggler hedge
+    /// allowance is shared across sites (per-query cap). With
+    /// `chunk_rows = None` an open returns the site's whole answer;
+    /// otherwise a live stream with its first chunk.
     fn open_all(
         &self,
         sites: &[SubmitSite<'_>],
         budget_deadline: Option<Instant>,
-        chunk_rows: u32,
+        chunk_rows: Option<u32>,
     ) -> Vec<OpenedSite> {
         let hedge_budget = AtomicU32::new(
             self.resilience
                 .as_ref()
                 .map_or(0, |p| p.max_hedges_per_query),
         );
+        let open = |index: usize, site: &SubmitSite<'_>| match self.backend {
+            Backend::Local(wrappers) => open_local(
+                wrappers,
+                site,
+                self.param("MsgLatency", 100.0),
+                self.param("PerByte", 0.001),
+            ),
+            Backend::Remote(client) => self.open_remote_site(
+                client,
+                site,
+                index,
+                &hedge_budget,
+                budget_deadline,
+                chunk_rows,
+            ),
+        };
         if self.parallel && sites.len() > 1 {
-            match self.backend {
-                Backend::Local(wrappers) => {
-                    let msg = self.param("MsgLatency", 100.0);
-                    let byte = self.param("PerByte", 0.001);
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = sites
-                            .iter()
-                            .map(|site| s.spawn(move || open_local(wrappers, site, msg, byte)))
-                            .collect();
-                        handles.into_iter().map(join_open).collect()
-                    })
-                }
-                Backend::Remote(client) => std::thread::scope(|s| {
-                    let hedge_budget = &hedge_budget;
-                    let handles: Vec<_> = sites
-                        .iter()
-                        .enumerate()
-                        .map(|(i, site)| {
-                            s.spawn(move || {
-                                self.open_remote_site(
-                                    client,
-                                    site,
-                                    i,
-                                    hedge_budget,
-                                    budget_deadline,
-                                    chunk_rows,
-                                )
-                            })
+            let open = &open;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = sites
+                    .iter()
+                    .enumerate()
+                    .map(|(i, site)| s.spawn(move || open(i, site)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|_| OpenedSite {
+                            outcome: Err(DiscoError::Exec("submit worker thread panicked".into())),
+                            budget_skipped: false,
                         })
-                        .collect();
-                    handles.into_iter().map(join_open).collect()
-                }),
-            }
+                    })
+                    .collect()
+            })
         } else {
             sites
                 .iter()
                 .enumerate()
-                .map(|(i, site)| match self.backend {
-                    Backend::Local(wrappers) => open_local(
-                        wrappers,
-                        site,
-                        self.param("MsgLatency", 100.0),
-                        self.param("PerByte", 0.001),
-                    ),
-                    Backend::Remote(client) => self.open_remote_site(
-                        client,
-                        site,
-                        i,
-                        &hedge_budget,
-                        budget_deadline,
-                        chunk_rows,
-                    ),
-                })
+                .map(|(i, site)| open(i, site))
                 .collect()
         }
     }
 
-    /// Open one site's stream over the transport, mirroring
-    /// [`fetch_remote_site`](Self::fetch_remote_site): the same budget
-    /// pre-check, predicted deadlines and hedged replica targets — but
-    /// racing replicas to the *first chunk* instead of the full answer.
+    /// Open one site over the transport. An attached resilience policy
+    /// supplies predicted deadlines (capped by the remaining query
+    /// budget) and replica targets to hedge to or fail over onto;
+    /// without one this is a plain submit to the site's wrapper. The
+    /// race between replicas is to the *first chunk*.
     fn open_remote_site(
         &self,
         client: &TransportClient,
@@ -1112,31 +640,12 @@ impl<'a> Executor<'a> {
         index: usize,
         hedge_budget: &AtomicU32,
         budget_deadline: Option<Instant>,
-        chunk_rows: u32,
+        chunk_rows: Option<u32>,
     ) -> OpenedSite {
-        let Some(policy) = &self.resilience else {
-            let outcome = client
-                .submit_stream_opts(
-                    site.wrapper,
-                    site.plan,
-                    &SubmitOptions::default(),
-                    chunk_rows,
-                )
-                .and_then(|s| open_source(s, site.wrapper.to_string(), 0));
-            return OpenedSite {
-                outcome,
-                budget_skipped: false,
-            };
-        };
-
-        let remaining_ms = budget_deadline.map(|d| {
-            let now = Instant::now();
-            if now >= d {
-                0.0
-            } else {
-                (d - now).as_secs_f64() * 1e3
-            }
-        });
+        // Query budget: a site reached after the budget ran out is never
+        // submitted; remaining time caps the per-attempt deadline.
+        let remaining_ms = budget_deadline
+            .map(|d| d.saturating_duration_since(Instant::now()).as_secs_f64() * 1e3);
         if remaining_ms.is_some_and(|ms| ms < 1.0) {
             return OpenedSite {
                 outcome: Err(DiscoError::Timeout(format!(
@@ -1147,48 +656,50 @@ impl<'a> Executor<'a> {
             };
         }
 
-        let prediction = self.predictions.get(index).copied().flatten();
-        let total = prediction.map(|p| p.total_ms);
-        let mut opts = SubmitOptions {
-            deadline_ms: policy.wall_deadline_ms(total),
-            sim_deadline_ms: policy.sim_deadline_ms(total),
-            predicted_total_ms: total,
-        };
-        if let Some(rem) = remaining_ms {
-            let cap = rem.ceil().max(1.0) as u64;
-            opts.deadline_ms = Some(opts.deadline_ms.map_or(cap, |d| d.min(cap)));
+        let mut opts = SubmitOptions::default();
+        let mut wait = None;
+        let mut peers: &[String] = &[];
+        if let Some(policy) = &self.resilience {
+            let prediction = self.predictions.get(index).copied().flatten();
+            let total = prediction.map(|p| p.total_ms);
+            opts = SubmitOptions {
+                deadline_ms: policy.wall_deadline_ms(total),
+                sim_deadline_ms: policy.sim_deadline_ms(total),
+                predicted_total_ms: total,
+            };
+            if let Some(rem) = remaining_ms {
+                let cap = rem.ceil().max(1.0) as u64;
+                opts.deadline_ms = Some(opts.deadline_ms.map_or(cap, |d| d.min(cap)));
+            }
+            wait = policy
+                .straggler_wait_ms(prediction.map(|p| p.first_ms))
+                .map(Duration::from_millis);
+            if policy.hedge {
+                peers = self.replicas.get(site.wrapper).map_or(&[], Vec::as_slice);
+            }
         }
-
         let mut targets = vec![HedgeTarget {
             endpoint: site.wrapper.to_string(),
             plan: site.plan.clone(),
             opts,
         }];
-        if policy.hedge {
-            if let Some(peers) = self.replicas.get(site.wrapper) {
-                for peer in peers {
-                    targets.push(HedgeTarget {
-                        endpoint: peer.clone(),
-                        plan: site.plan.retargeted(peer),
-                        opts,
-                    });
-                }
-            }
-        }
-        let wait = policy
-            .straggler_wait_ms(prediction.map(|p| p.first_ms))
-            .map(Duration::from_millis);
+        targets.extend(peers.iter().map(|peer| HedgeTarget {
+            endpoint: peer.clone(),
+            plan: site.plan.retargeted(peer),
+            opts,
+        }));
         let allowance = hedge_budget.load(Ordering::Relaxed);
 
         let outcome = client
-            .submit_stream_hedged(&targets, wait, allowance, chunk_rows)
+            .submit_stream_hedged(&targets, wait, allowance, chunk_rows.unwrap_or(u32::MAX))
             .and_then(|h| {
                 if h.hedges > 0 {
                     let _ = hedge_budget.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                         Some(v.saturating_sub(h.hedges))
                     });
                 }
-                open_source(h.stream, targets[h.winner].endpoint.clone(), h.hedges)
+                let served_by = targets[h.winner].endpoint.clone();
+                open_source(h.stream, served_by, h.hedges, chunk_rows.is_none())
             });
         OpenedSite {
             outcome,
@@ -1196,9 +707,9 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// One node of the streaming tree: builds the operator stream and
-    /// its charge/row tally, consuming opened sources at submit sites in
-    /// the same depth-first order as the two-phase combine.
+    /// One node of the operator tree: builds the operator stream and its
+    /// charge/row tally, consuming opened sources at submit sites in
+    /// depth-first order (left before right).
     fn build_stream_node(
         &self,
         plan: &PhysicalPlan,
@@ -1236,6 +747,9 @@ impl<'a> Executor<'a> {
                         served_by,
                         hedges,
                     }) => {
+                        // A wrapper returning a different shape than it
+                        // registered would silently misalign downstream
+                        // column lookups.
                         if schema.arity() != expected_schema.arity() {
                             return Err(DiscoError::Exec(format!(
                                 "wrapper `{wrapper}` returned {} columns, plan expected {}",
@@ -1266,6 +780,7 @@ impl<'a> Executor<'a> {
                         wall_ms,
                         attempts,
                         served_by,
+                        hedges,
                     }) => {
                         if answer.schema.arity() != expected_schema.arity() {
                             return Err(DiscoError::Exec(format!(
@@ -1283,6 +798,9 @@ impl<'a> Executor<'a> {
                             st.wall_ms = wall_ms;
                             st.attempts = attempts;
                             st.served_by = served_by;
+                            st.hedges = hedges;
+                            // Nothing arrives before the whole reply, so
+                            // first-row time pays the full comm.
                             st.first_ms = Some(answer.stats.time_first_ms + comm_ms);
                         }
                         let schema = answer.schema.clone();
@@ -1297,6 +815,10 @@ impl<'a> Executor<'a> {
                         )
                     }
                     Err(e) if (self.partial_answers && e.is_transient()) || budget_skipped => {
+                        // The wrapper stayed down past the retry budget
+                        // (or the query budget ran out first): contribute
+                        // an empty, schema-correct subanswer and report
+                        // what is missing (degraded result).
                         {
                             let mut st = state.borrow_mut();
                             st.failed = true;
@@ -1469,76 +991,12 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Key identifying one submit site's fetch: a re-planned combine order
-/// permutes submit sites but never changes their `(wrapper, subplan)`
-/// pairs, so the key re-associates already-fetched answers with their
-/// sites under any order.
+/// Key identifying one submit site: a re-planned combine order permutes
+/// submit sites but never changes their `(wrapper, subplan)` pairs, so
+/// the key re-associates already-shipped subanswers with their sites
+/// under any order.
 fn pool_key(wrapper: &str, plan: &LogicalPlan) -> String {
     format!("{wrapper}|{plan:?}")
-}
-
-/// Fetched subanswers keyed by submit site. For the original plan this
-/// degenerates to in-order consumption (sites are pushed and taken in
-/// the same depth-first order); after a mid-query re-plan it hands each
-/// submit site the answer fetched for it under the old order. Duplicate
-/// sites (same wrapper and subplan submitted twice) consume distinct
-/// entries in first-in-first-out order.
-struct FetchPool {
-    entries: Vec<(String, Option<Fetched>)>,
-}
-
-impl FetchPool {
-    fn new(sites: &[SubmitSite<'_>], fetched: Vec<Fetched>) -> Self {
-        FetchPool {
-            entries: sites
-                .iter()
-                .zip(fetched)
-                .map(|(site, f)| (pool_key(site.wrapper, site.plan), Some(f)))
-                .collect(),
-        }
-    }
-
-    fn take(&mut self, wrapper: &str, plan: &LogicalPlan) -> Option<Fetched> {
-        let key = pool_key(wrapper, plan);
-        self.entries
-            .iter_mut()
-            .find(|(k, f)| *k == key && f.is_some())
-            .and_then(|(_, f)| f.take())
-    }
-}
-
-/// Pair each fetched subanswer with its prediction for the adaptive
-/// checkpoint. Failed or budget-skipped sites observe zero rows and are
-/// flagged so they can correct the re-enumeration's cardinalities
-/// without themselves triggering a re-plan.
-fn two_phase_observations(
-    sites: &[SubmitSite<'_>],
-    fetched: &[Fetched],
-    predictions: &[Option<SitePrediction>],
-) -> Vec<SiteObservation> {
-    sites
-        .iter()
-        .zip(fetched)
-        .enumerate()
-        .map(|(i, (site, f))| {
-            let (observed_rows, observed_bytes, failed) = match &f.outcome {
-                Ok(fa) => (
-                    fa.answer.batch.len() as f64,
-                    fa.answer.batch.byte_width() as f64,
-                    false,
-                ),
-                Err(_) => (0.0, 0.0, true),
-            };
-            SiteObservation {
-                wrapper: site.wrapper.to_string(),
-                plan: site.plan.clone(),
-                predicted_rows: predictions.get(i).copied().flatten().map(|p| p.rows),
-                observed_rows,
-                observed_bytes,
-                failed,
-            }
-        })
-        .collect()
 }
 
 /// Submit sites of a plan in fetch order (depth-first, left before
@@ -1550,7 +1008,7 @@ pub(crate) fn submit_sites(plan: &PhysicalPlan) -> Vec<(&str, &LogicalPlan)> {
     sites.into_iter().map(|s| (s.wrapper, s.plan)).collect()
 }
 
-/// Collect `SubmitRemote` sites in the same order `run` reaches them
+/// Collect `SubmitRemote` sites in the order the operator tree is built
 /// (depth-first, left before right).
 fn collect_submits<'p>(plan: &'p PhysicalPlan, out: &mut Vec<SubmitSite<'p>>) {
     match plan {
@@ -1565,63 +1023,6 @@ fn collect_submits<'p>(plan: &'p PhysicalPlan, out: &mut Vec<SubmitSite<'p>>) {
             collect_submits(right, out);
         }
     }
-}
-
-/// Fetch one subanswer from an in-process wrapper, charging the seed's
-/// uniform analytic communication cost.
-fn fetch_local(
-    wrappers: &BTreeMap<String, Box<dyn Wrapper>>,
-    site: &SubmitSite<'_>,
-    msg_latency: f64,
-    per_byte: f64,
-) -> Fetched {
-    let started = Instant::now();
-    let outcome = wrappers
-        .get(site.wrapper)
-        .ok_or_else(|| DiscoError::Exec(format!("wrapper `{}` is not registered", site.wrapper)))
-        .and_then(|w| w.execute(site.plan))
-        .map(|answer| {
-            let bytes: u64 = answer.tuples.iter().map(Tuple::width).sum();
-            FetchedAnswer {
-                comm_ms: msg_latency + bytes as f64 * per_byte,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                attempts: 1,
-                served_by: site.wrapper.to_string(),
-                hedges: 0,
-                answer: BatchAnswer::from(answer),
-            }
-        });
-    Fetched {
-        outcome,
-        budget_skipped: false,
-    }
-}
-
-/// Fetch one subanswer over the transport: deadlines, retries and circuit
-/// breaking live in the client; the simulated network model supplies the
-/// communication time.
-fn fetch_remote(client: &TransportClient, site: &SubmitSite<'_>) -> Fetched {
-    let outcome = client
-        .submit_batch(site.wrapper, site.plan)
-        .map(|o| FetchedAnswer {
-            answer: o.answer,
-            comm_ms: o.comm_ms,
-            wall_ms: o.wall_ms,
-            attempts: o.attempts,
-            served_by: site.wrapper.to_string(),
-            hedges: 0,
-        });
-    Fetched {
-        outcome,
-        budget_skipped: false,
-    }
-}
-
-fn join_fetch(handle: std::thread::ScopedJoinHandle<'_, Fetched>) -> Fetched {
-    handle.join().unwrap_or_else(|_| Fetched {
-        outcome: Err(DiscoError::Exec("submit worker thread panicked".into())),
-        budget_skipped: false,
-    })
 }
 
 /// Output schema of an aggregate over a known input schema.
@@ -1655,9 +1056,9 @@ fn to_agg_schema(
     Ok(Schema::new(attrs))
 }
 
-// ---- streaming (pipelined) execution support ----
+// ---- operator-tree support ----
 
-/// Shared context for building one streaming operator tree.
+/// Shared context for building one operator tree.
 struct StreamCtx {
     /// The mediator's virtual clock, shared by every operator meter.
     clock: Rc<RefCell<VirtualClock>>,
@@ -1685,7 +1086,7 @@ struct StreamCtx {
     sort_factor: f64,
 }
 
-/// Shared adaptive trip-wire for one streaming execution. `fired` is
+/// Shared adaptive trip-wire for one execution. `fired` is
 /// set by the first site stream whose measured cardinality contradicts
 /// its prediction badly enough; at most one re-plan is raised per
 /// execution (the re-driven tree is built without a trigger).
@@ -1726,15 +1127,15 @@ impl StreamTrigger {
     }
 }
 
-/// Live accounting for one streamed submit site, updated by its source
-/// adapter as chunks arrive and read after the pull loop to assemble
+/// Per-submit accounting triple: wrapper name, the subquery it ran, and
+/// the shared state its source wrote into.
+type SiteAssembly = (String, LogicalPlan, Rc<RefCell<SiteState>>);
+
+/// Live accounting for one submit site, updated by its source adapter
+/// as chunks arrive and read after the pull loop to assemble
 /// [`SubmitTrace`]s. An abandoned stream (LIMIT satisfied early) keeps
 /// whatever had arrived when pulling stopped — under-counting
 /// `wrapper_ms` there is the point of early termination.
-/// Per-submit accounting triple for the streaming engine: wrapper name,
-/// the subquery it ran, and the shared state its stream wrote into.
-type SiteAssembly = (String, LogicalPlan, Rc<RefCell<SiteState>>);
-
 #[derive(Default)]
 struct SiteState {
     stats: ExecStats,
@@ -1760,11 +1161,12 @@ struct SiteState {
     delivered: Vec<Batch>,
 }
 
-/// The open phase's product for one submit site — the streaming
-/// counterpart of [`Fetched`].
+/// The open phase's product for one submit site.
 struct OpenedSite {
     outcome: Result<OpenedSource>,
-    /// Never submitted: the query budget ran out first.
+    /// The site was never submitted: the query budget ran out first.
+    /// Always degrades to an empty subanswer, even when partial answers
+    /// are off — an exhausted budget is a policy decision, not a fault.
     budget_skipped: bool,
 }
 
@@ -1778,61 +1180,94 @@ enum OpenedSource {
         served_by: String,
         hedges: u32,
     },
-    /// A fully materialized in-process answer, served to the pipeline in
-    /// bounded chunks.
+    /// A whole answer — an in-process wrapper's (it has no streaming
+    /// interface), a stream drained at open in whole-answer mode, or a
+    /// re-plan's replayed subanswer — served to the pipeline in chunks
+    /// of the execution's chunk size.
     Whole {
         answer: BatchAnswer,
         comm_ms: f64,
         wall_ms: f64,
         attempts: u32,
         served_by: String,
+        hedges: u32,
     },
 }
 
-/// Pull the schema-bearing first chunk off a freshly opened stream.
-fn open_source(mut stream: SubmitStream, served_by: String, hedges: u32) -> Result<OpenedSource> {
+/// Pull the schema-bearing first chunk off a freshly opened stream. In
+/// whole-answer mode keep pulling, here on the fetch worker, through the
+/// end-of-stream stats: a mid-stream failure then fails the whole submit.
+fn open_source(
+    mut stream: SubmitStream,
+    served_by: String,
+    hedges: u32,
+    whole: bool,
+) -> Result<OpenedSource> {
     let first = stream
         .next_chunk()?
         .ok_or_else(|| DiscoError::Exec("stream ended before delivering a schema chunk".into()))?;
-    Ok(OpenedSource::Stream {
-        schema: first.schema,
-        first: first.batch,
-        stream,
+    if !whole {
+        return Ok(OpenedSource::Stream {
+            schema: first.schema,
+            first: first.batch,
+            stream,
+            served_by,
+            hedges,
+        });
+    }
+    let draining = Instant::now();
+    let mut chunks = vec![first.batch];
+    while let Some(chunk) = stream.next_chunk()? {
+        chunks.push(chunk.batch);
+    }
+    let stats = stream
+        .stats()
+        .ok_or_else(|| DiscoError::Exec("stream ended without its stats frame".into()))?;
+    Ok(OpenedSource::Whole {
+        answer: BatchAnswer {
+            batch: vstream::concat_chunks(chunks, first.schema.arity())?,
+            schema: first.schema,
+            stats,
+        },
+        comm_ms: stream.comm_ms(),
+        wall_ms: stream.wall_first_ms() + draining.elapsed().as_secs_f64() * 1e3,
+        attempts: stream.attempts(),
         served_by,
         hedges,
     })
 }
 
-/// Open one in-process site: the wrapper executes eagerly (it has no
-/// streaming interface), and the answer is served to the pipeline in
-/// bounded chunks with the seed's analytic communication charge.
+/// Open one in-process site: the wrapper executes eagerly, charged the
+/// seed's uniform analytic communication cost.
 fn open_local(
     wrappers: &BTreeMap<String, Box<dyn Wrapper>>,
     site: &SubmitSite<'_>,
     msg_latency: f64,
     per_byte: f64,
 ) -> OpenedSite {
-    let f = fetch_local(wrappers, site, msg_latency, per_byte);
+    let started = Instant::now();
+    let outcome = wrappers
+        .get(site.wrapper)
+        .ok_or_else(|| DiscoError::Exec(format!("wrapper `{}` is not registered", site.wrapper)))
+        .and_then(|w| w.execute(site.plan))
+        .map(|answer| {
+            let bytes: u64 = answer.tuples.iter().map(Tuple::width).sum();
+            OpenedSource::Whole {
+                comm_ms: msg_latency + bytes as f64 * per_byte,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                attempts: 1,
+                served_by: site.wrapper.to_string(),
+                hedges: 0,
+                answer: BatchAnswer::from(answer),
+            }
+        });
     OpenedSite {
-        outcome: f.outcome.map(|fa| OpenedSource::Whole {
-            answer: fa.answer,
-            comm_ms: fa.comm_ms,
-            wall_ms: fa.wall_ms,
-            attempts: fa.attempts,
-            served_by: fa.served_by,
-        }),
-        budget_skipped: f.budget_skipped,
+        outcome,
+        budget_skipped: false,
     }
 }
 
-fn join_open(handle: std::thread::ScopedJoinHandle<'_, OpenedSite>) -> OpenedSite {
-    handle.join().unwrap_or_else(|_| OpenedSite {
-        outcome: Err(DiscoError::Exec("submit worker thread panicked".into())),
-        budget_skipped: false,
-    })
-}
-
-/// How one submit site feeds the streaming pipeline.
+/// How one submit site feeds the operator tree.
 enum SiteMode {
     /// Live remote stream; the schema-bearing first chunk is pending.
     Remote {
@@ -1840,11 +1275,11 @@ enum SiteMode {
         pending: Option<Batch>,
         done: bool,
     },
-    /// Materialized answer served in bounded chunks.
+    /// Whole answer served in chunks.
     Whole {
         source: vstream::BatchSource,
         /// Exhausting this source proves the subquery's true cardinality
-        /// (a complete in-process answer). `false` when the source
+        /// (a complete answer). `false` when the source
         /// replays a re-plan's possibly-partial materialized subanswer —
         /// exhausting it must not overwrite the snapshot's
         /// [`SiteState::complete`].
@@ -1950,7 +1385,6 @@ fn drain_site(
 struct ReplaySnap {
     failed: bool,
     budget_skipped: bool,
-    hedges: u32,
     attempts: u32,
     pages: Option<u64>,
     first_ms: Option<f64>,
@@ -1958,10 +1392,11 @@ struct ReplaySnap {
     complete: bool,
 }
 
-/// Materialized subanswers keyed by submit site for the re-drive — the
-/// streaming counterpart of [`FetchPool`]: the re-planned order permutes
-/// sites, the pool hands each one the subanswer its wrapper already
-/// shipped.
+/// Materialized subanswers keyed by submit site for the re-drive: the
+/// re-planned order permutes sites, the pool hands each one the
+/// subanswer its wrapper already shipped. Duplicate sites (same wrapper
+/// and subplan submitted twice) consume distinct entries in
+/// first-in-first-out order.
 struct ReplayPool {
     entries: Vec<(String, Option<(OpenedSite, ReplaySnap)>)>,
 }
@@ -1974,13 +1409,10 @@ impl ReplayPool {
     ) -> Result<Self> {
         let mut entries = Vec::with_capacity(sites.len());
         for ((site, state), schema) in sites.iter().zip(states).zip(schemas) {
-            let st = state.borrow();
-            let refs: Vec<&Batch> = st.delivered.iter().collect();
-            let batch = if refs.is_empty() {
-                Batch::empty(schema.arity())
-            } else {
-                Batch::concat(&refs)?
-            };
+            // The abandoned tree's states are read for the last time here.
+            let mut st = state.borrow_mut();
+            let delivered = std::mem::take(&mut st.delivered);
+            let batch = vstream::concat_chunks(delivered, schema.arity())?;
             let opened = OpenedSite {
                 outcome: Ok(OpenedSource::Whole {
                     answer: BatchAnswer {
@@ -1992,13 +1424,13 @@ impl ReplayPool {
                     wall_ms: st.wall_ms,
                     attempts: st.attempts,
                     served_by: st.served_by.clone(),
+                    hedges: st.hedges,
                 }),
                 budget_skipped: st.budget_skipped,
             };
             let snap = ReplaySnap {
                 failed: st.failed,
                 budget_skipped: st.budget_skipped,
-                hedges: st.hedges,
                 attempts: st.attempts,
                 pages: st.pages,
                 first_ms: st.first_ms,
@@ -2157,7 +1589,7 @@ impl BatchStream for SiteStream {
     }
 }
 
-/// Row-counting pass-through wrapped around every streaming operator.
+/// Row-counting pass-through wrapped around every operator.
 struct CountedStream {
     inner: Box<dyn BatchStream>,
     rows: Rc<Cell<u64>>,
@@ -2179,8 +1611,7 @@ impl BatchStream for CountedStream {
 
 /// Parallel accounting tree mirroring the plan: per-node virtual-clock
 /// charges and output rows, folded into [`MeasuredNode`]s after the
-/// pull loop using the cumulative-time convention of the two-phase
-/// path.
+/// pull loop — the measured half of EXPLAIN ANALYZE.
 struct TallyNode {
     operator: String,
     charge: Rc<Cell<f64>>,
@@ -2220,7 +1651,8 @@ fn counted(
 
 /// Fold a tally tree into measured nodes. Returns the node and its
 /// cumulative simulated time (subtree charges plus wrapper and
-/// communication time — the same convention as the two-phase walk).
+/// communication time — the same cumulative convention as
+/// `NodeCost::total_time`).
 fn measured_from_tally(t: &TallyNode) -> (MeasuredNode, f64) {
     let mut children = Vec::new();
     let mut cum = 0.0;
@@ -2302,7 +1734,7 @@ mod tests {
         let reg = disco_core::RuleRegistry::with_default_model();
         // The registry must outlive the executor borrowing it.
         let exec = Executor::new(&w, &reg);
-        exec.execute(plan).unwrap()
+        exec.execute(plan, None, None).unwrap()
     }
 
     #[test]
@@ -2357,7 +1789,7 @@ mod tests {
         let w = wrappers();
         let reg = disco_core::RuleRegistry::with_default_model();
         let exec = Executor::new(&w, &reg).with_parallel(true);
-        let (_, tuples, trace) = exec.execute(&plan).unwrap();
+        let (_, tuples, trace) = exec.execute(&plan, None, None).unwrap();
         assert_eq!(tuples.len(), 85);
         assert_eq!(trace.submits.len(), 2);
         assert!(trace.submit_wall_ms >= 0.0);
@@ -2438,7 +1870,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_two_phase_on_combine_pipeline() {
+    fn chunking_does_not_change_answers_charges_or_measurements() {
         let pred = JoinPredicate::equi("v", "v");
         let plans = [
             submit(10),
@@ -2466,8 +1898,8 @@ mod tests {
         let reg = disco_core::RuleRegistry::with_default_model();
         let exec = Executor::new(&w, &reg);
         for plan in &plans {
-            let (s1, t1, tr1) = exec.execute(plan).unwrap();
-            let (s2, t2, tr2) = exec.execute_streaming(plan, 7, None).unwrap();
+            let (s1, t1, tr1) = exec.execute(plan, None, None).unwrap();
+            let (s2, t2, tr2) = exec.execute(plan, Some(7), None).unwrap();
             assert_eq!(s1, s2);
             assert_eq!(t1, t2);
             assert_eq!(tr1.submits.len(), tr2.submits.len());
@@ -2483,25 +1915,49 @@ mod tests {
     }
 
     #[test]
-    fn streaming_limit_truncates_answer() {
-        let (schema, tuples, trace) = {
-            let w = wrappers();
-            let reg = disco_core::RuleRegistry::with_default_model();
-            let exec = Executor::new(&w, &reg);
-            exec.execute_streaming(&submit(50), 8, Some(5)).unwrap()
-        };
-        assert_eq!(schema.arity(), 2);
-        assert_eq!(tuples.len(), 5);
-        assert!(trace.first_row_wall_ms.is_some());
-        assert!(trace.is_complete());
-    }
-
-    #[test]
-    fn streaming_records_first_row_time_per_submit() {
+    fn limit_truncates_answer_at_any_chunk_size() {
         let w = wrappers();
         let reg = disco_core::RuleRegistry::with_default_model();
         let exec = Executor::new(&w, &reg);
-        let (_, _, trace) = exec.execute_streaming(&submit(10), 4, None).unwrap();
+        for chunk_rows in [None, Some(8)] {
+            let (schema, tuples, trace) = exec.execute(&submit(50), chunk_rows, Some(5)).unwrap();
+            assert_eq!(schema.arity(), 2);
+            assert_eq!(tuples.len(), 5);
+            assert!(trace.first_row_wall_ms.is_some());
+            assert!(trace.is_complete());
+        }
+    }
+
+    #[test]
+    fn submit_wall_is_fetch_time_not_execute_time() {
+        let plan = PhysicalPlan::Join {
+            algo: PhysicalJoinAlgo::Hash,
+            left: Box::new(submit(100)),
+            right: Box::new(submit(100)),
+            predicate: JoinPredicate::equi("v", "v"),
+        };
+        let w = wrappers();
+        let reg = disco_core::RuleRegistry::with_default_model();
+        let exec = Executor::new(&w, &reg);
+        for chunk_rows in [None, Some(16)] {
+            let started = Instant::now();
+            let (_, tuples, trace) = exec.execute(&plan, chunk_rows, None).unwrap();
+            let execute_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+            assert!(!tuples.is_empty());
+            // The fetch stamp is taken before the tree is pulled, so the
+            // join's combine work can never be inside it.
+            let first_row = trace.first_row_wall_ms.expect("non-empty answer");
+            assert!(trace.submit_wall_ms <= first_row, "{chunk_rows:?}");
+            assert!(trace.submit_wall_ms < execute_wall_ms, "{chunk_rows:?}");
+        }
+    }
+
+    #[test]
+    fn first_row_time_is_recorded_per_submit() {
+        let w = wrappers();
+        let reg = disco_core::RuleRegistry::with_default_model();
+        let exec = Executor::new(&w, &reg);
+        let (_, _, trace) = exec.execute(&submit(10), Some(4), None).unwrap();
         assert_eq!(trace.submits.len(), 1);
         // In-process answers materialize whole: first-row time is the
         // wrapper's TimeFirst plus the full communication charge.
@@ -2518,7 +1974,7 @@ mod tests {
         let w: BTreeMap<String, Box<dyn Wrapper>> = BTreeMap::new();
         let reg = disco_core::RuleRegistry::with_default_model();
         let exec = Executor::new(&w, &reg);
-        let err = exec.execute(&submit(10)).unwrap_err();
+        let err = exec.execute(&submit(10), None, None).unwrap_err();
         assert_eq!(err.kind(), "exec");
     }
 
@@ -2530,7 +1986,7 @@ mod tests {
         let w: BTreeMap<String, Box<dyn Wrapper>> = BTreeMap::new();
         let reg = disco_core::RuleRegistry::with_default_model();
         let exec = Executor::new(&w, &reg).with_partial_answers(true);
-        let err = exec.execute(&submit(10)).unwrap_err();
+        let err = exec.execute(&submit(10), None, None).unwrap_err();
         assert_eq!(err.kind(), "exec");
     }
 }

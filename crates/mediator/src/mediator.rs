@@ -47,22 +47,20 @@ pub struct MediatorOptions {
     /// hedged replica submits and adaptive wrapper penalties. Only
     /// meaningful with a connected transport.
     pub resilience: ResiliencePolicy,
-    /// Execute queries through the pipelined streaming engine: wrappers
-    /// stream `BatchAnswer` chunks and combine operators pull them
-    /// incrementally, so first rows surface before the slowest site has
-    /// finished and `LIMIT` stops pulling early. Off by default (the
-    /// two-phase fetch-then-combine engine); answers are identical
-    /// either way.
-    pub streaming: bool,
-    /// Rows per streamed chunk when [`streaming`](Self::streaming) is
-    /// on (clamped to at least 1).
-    pub streaming_chunk_rows: u32,
+    /// Rows per subanswer chunk. `None` (the default): every wrapper
+    /// ships its answer as one chunk and all of them are fetched before
+    /// the combine starts, so every submit is fully measured.
+    /// `Some(n)` (clamped to at least 1): wrappers stream chunks of at
+    /// most `n` rows which the combine operators pull incrementally, so
+    /// first rows surface before the slowest site has finished and
+    /// `LIMIT` stops pulling early. Answers are identical either way.
+    pub chunk_rows: Option<u32>,
     /// Mid-query adaptive re-optimization: when measured subanswer
     /// cardinalities contradict the optimizer's predictions badly
     /// enough, re-enumerate the combine plan with corrected
     /// cardinalities and abandon the running join order for a cheaper
     /// one — fetched subanswers are reused, never re-fetched. Off by
-    /// default; works with both engines.
+    /// default; works at any chunk size.
     pub adaptive: AdaptivePolicy,
 }
 
@@ -76,8 +74,7 @@ impl Default for MediatorOptions {
             enumeration: JoinEnumeration::default(),
             small_query_threshold: OptimizerOptions::default().small_query_threshold,
             resilience: ResiliencePolicy::default(),
-            streaming: false,
-            streaming_chunk_rows: 1024,
+            chunk_rows: None,
             adaptive: AdaptivePolicy::default(),
         }
     }
@@ -316,8 +313,8 @@ impl Mediator {
             crate::sql::parse_statement(sql)?
         };
         // A LIMIT marks the query latency-sensitive: rank plans by
-        // `TimeFirst` so the streaming engine surfaces the first rows
-        // (and stops) as early as possible.
+        // `TimeFirst` so chunked execution surfaces the first rows (and
+        // stops) as early as possible.
         let objective = if stmt.limit.is_some() {
             Objective::TimeFirst
         } else {
@@ -672,26 +669,15 @@ impl Mediator {
         .with_partial_answers(self.options.partial_answers)
         .with_adaptive(replanner);
         let span = self.tracer.as_ref().map(|t| t.start("execute"));
-        let executed = if self.options.streaming {
-            executor.execute_streaming(
-                &optimized.physical,
-                self.options.streaming_chunk_rows,
-                optimized.limit,
-            )
-        } else {
-            executor.execute(&optimized.physical)
-        };
+        let executed = executor.execute(
+            &optimized.physical,
+            self.options.chunk_rows,
+            optimized.limit,
+        );
         // One decay tick per executed query — wrappers the query never
         // touched heal over time instead of staying penalized forever.
         self.health.tick();
-        let (schema, mut tuples, trace) = executed?;
-        // Two-phase LIMIT: the full answer was combined, cap it here
-        // (the streaming engine already stopped pulling at the limit).
-        if !self.options.streaming {
-            if let Some(n) = optimized.limit {
-                tuples.truncate(n as usize);
-            }
-        }
+        let (schema, tuples, trace) = executed?;
         let measured_ms = if self.options.parallel_submits {
             trace.parallel_ms()
         } else {

@@ -40,7 +40,7 @@
 //! `TotalTime` (the default — throughput) or `TimeFirst` (latency to the
 //! first answer tuple, the cost model's `TimeFirst` variable). A `LIMIT`
 //! or interactive hint selects `TimeFirst`, pairing with the executor's
-//! streaming path which can stop early. The DP memo's Pareto set already
+//! chunked mode which can stop early. The DP memo's Pareto set already
 //! keeps `time_first`-optimal prefixes, so only the final ranking (and
 //! the access-variant choice) re-keys; §4.3.2 cost-limit pruning is
 //! disabled under `TimeFirst` because the estimator's abandon check
@@ -82,8 +82,8 @@ pub enum Objective {
     #[default]
     TotalTime,
     /// Minimize `TimeFirst` — best latency to the first answer tuple.
-    /// Chosen for `LIMIT`/interactive queries executed by the streaming
-    /// pipeline, which delivers rows as wrappers produce them.
+    /// Chosen for `LIMIT`/interactive queries; pays off under chunked
+    /// execution, which delivers rows as wrappers produce them.
     TimeFirst,
 }
 
@@ -154,7 +154,7 @@ pub struct OptimizedPlan {
     /// [`OptimizerOptions::small_query_threshold`]).
     pub fast_path: bool,
     /// `LIMIT n` carried from the query: the executor caps the answer
-    /// (and, streaming, stops pulling) at `n` rows. Not part of the
+    /// (and, in chunked mode, stops pulling) at `n` rows. Not part of the
     /// plan tree — enforcement is an executor concern.
     pub limit: Option<u64>,
     /// Constant-free decisions extracted from the *pre-negotiation*

@@ -1,6 +1,7 @@
 //! Differential tests for mid-query adaptive re-optimization: adaptive
-//! runs must return exactly the same answers as static runs, on both
-//! engines, while actually exercising the re-plan path.
+//! runs must return exactly the same answers as static runs, with whole
+//! answers and with chunked ones, while actually exercising the re-plan
+//! path.
 //!
 //! The skew federation seeds a cardinality misestimate through the
 //! estimator's own uniformity assumption (equality selectivity is
@@ -28,6 +29,10 @@ fn answer_key(r: &QueryResult) -> String {
     rows.sort();
     rows.join("\n")
 }
+
+/// The chunked setting of every sweep: small enough that the 4k-row
+/// sites span many chunks and the trigger fires mid-stream.
+const CHUNKED: Option<u32> = Some(64);
 
 fn long_schema(attrs: &[&str]) -> Schema {
     Schema::new(
@@ -61,7 +66,7 @@ fn skew_rows(n: i64) -> Vec<Vec<Value>> {
 /// under the tiny `S` prediction the `(B⋈S)`-first order is cheapest
 /// (~80 rows), under the observed truth it builds a ~15k-row
 /// intermediate that `(A⋈B)`-first avoids — the re-planner must switch.
-fn federation_sized(n_s: i64, streaming: bool, adaptive: AdaptivePolicy) -> Mediator {
+fn federation_sized(n_s: i64, chunk_rows: Option<u32>, adaptive: AdaptivePolicy) -> Mediator {
     let mut a = PagedStore::new("a", CostProfile::relational());
     a.add_collection(
         "A",
@@ -83,8 +88,7 @@ fn federation_sized(n_s: i64, streaming: bool, adaptive: AdaptivePolicy) -> Medi
     )
     .unwrap();
     let mut m = Mediator::new().with_options(MediatorOptions {
-        streaming,
-        streaming_chunk_rows: 64,
+        chunk_rows,
         adaptive,
         ..MediatorOptions::default()
     });
@@ -94,8 +98,8 @@ fn federation_sized(n_s: i64, streaming: bool, adaptive: AdaptivePolicy) -> Medi
     m
 }
 
-fn federation(streaming: bool, adaptive: AdaptivePolicy) -> Mediator {
-    federation_sized(4_000, streaming, adaptive)
+fn federation(chunk_rows: Option<u32>, adaptive: AdaptivePolicy) -> Mediator {
+    federation_sized(4_000, chunk_rows, adaptive)
 }
 
 /// Chain join ending at the skew-filtered `S`: the optimizer predicts
@@ -104,13 +108,13 @@ const SKEW_SQL: &str = "SELECT a.x, b.y, s.k FROM A a, B b, S s \
      WHERE a.p = 7 AND a.x = b.x AND b.y = s.y AND s.k = 0";
 
 #[test]
-fn two_phase_adaptive_switches_and_matches_static() {
+fn whole_answer_adaptive_switches_and_matches_static() {
     let want = answer_key(
-        &federation(false, AdaptivePolicy::default())
+        &federation(None, AdaptivePolicy::default())
             .query(SKEW_SQL)
             .unwrap(),
     );
-    let r = federation(false, AdaptivePolicy::enabled())
+    let r = federation(None, AdaptivePolicy::enabled())
         .query(SKEW_SQL)
         .unwrap();
     assert_eq!(answer_key(&r), want, "adaptive answer diverged from static");
@@ -132,22 +136,24 @@ fn two_phase_adaptive_switches_and_matches_static() {
 }
 
 #[test]
-fn streaming_adaptive_aborts_pipeline_and_matches_static() {
+fn chunked_adaptive_aborts_pipeline_and_matches_static() {
     let want = answer_key(
-        &federation(false, AdaptivePolicy::default())
+        &federation(None, AdaptivePolicy::default())
             .query(SKEW_SQL)
             .unwrap(),
     );
-    let r = federation(true, AdaptivePolicy::enabled())
+    let r = federation(CHUNKED, AdaptivePolicy::enabled())
         .query(SKEW_SQL)
         .unwrap();
     assert_eq!(
         answer_key(&r),
         want,
-        "streaming adaptive answer diverged from static two-phase"
+        "chunked adaptive answer diverged from static whole-answer"
     );
-    assert!(!r.trace.replans.is_empty(), "streaming trigger never fired");
-    assert_eq!(r.trace.replans[0].engine, "streaming");
+    assert!(
+        !r.trace.replans.is_empty(),
+        "mid-stream trigger never fired"
+    );
     // The re-drive consumes already-materialized subanswers: every site
     // still reports exactly one submit, none re-fetched.
     assert_eq!(r.trace.submits.len(), 3);
@@ -155,16 +161,16 @@ fn streaming_adaptive_aborts_pipeline_and_matches_static() {
 
 #[test]
 fn uniform_data_never_replans() {
-    // No skew: predictions hold, so the checkpoint must stay silent on
-    // both engines (zero re-plan events, not merely zero switches).
-    for streaming in [false, true] {
-        let mut m = federation(streaming, AdaptivePolicy::enabled());
+    // No skew: predictions hold, so the trigger must stay silent at
+    // either chunking (zero re-plan events, not merely zero switches).
+    for chunk_rows in [None, CHUNKED] {
+        let mut m = federation(chunk_rows, AdaptivePolicy::enabled());
         let r = m
             .query("SELECT a.x, b.y FROM A a, B b WHERE a.x = b.x")
             .unwrap();
         assert!(
             r.trace.replans.is_empty(),
-            "uniform workload re-planned under streaming={streaming}: {:?}",
+            "uniform workload re-planned under chunk_rows={chunk_rows:?}: {:?}",
             r.trace.replans
         );
     }
@@ -172,7 +178,7 @@ fn uniform_data_never_replans() {
 
 #[test]
 fn explain_analyze_reports_replan_event() {
-    let mut m = federation(false, AdaptivePolicy::enabled());
+    let mut m = federation(None, AdaptivePolicy::enabled());
     let report = m.explain_analyze(SKEW_SQL).unwrap();
     let text = report.render();
     assert!(
@@ -190,7 +196,7 @@ fn switched_replan_evicts_serving_cache_entry() {
     let bypasses = disco_obs::counter(disco_obs::names::PLAN_CACHE_REPLAN_BYPASS, &[]);
     let before = bypasses.get();
 
-    let shared = SharedMediator::new(federation(false, AdaptivePolicy::enabled()));
+    let shared = SharedMediator::new(federation(None, AdaptivePolicy::enabled()));
     let first = shared.query(SKEW_SQL).unwrap();
     assert_eq!(first.source, PlanSource::CacheMiss);
     assert!(
@@ -211,7 +217,7 @@ fn switched_replan_evicts_serving_cache_entry() {
     );
 
     // Control: with adaptive off the same shape caches and replays.
-    let control = SharedMediator::new(federation(false, AdaptivePolicy::default()));
+    let control = SharedMediator::new(federation(None, AdaptivePolicy::default()));
     control.query(SKEW_SQL).unwrap();
     assert_eq!(
         control.query(SKEW_SQL).unwrap().source,
@@ -220,11 +226,11 @@ fn switched_replan_evicts_serving_cache_entry() {
 }
 
 /// Randomized differential sweep: seeded federations with varying
-/// sizes and constants; for every seed the four engine×policy
+/// sizes and constants; for every seed the four chunking×policy
 /// combinations must agree byte-for-byte, with an aggressive trigger so
 /// re-plans actually occur along the way.
 #[test]
-fn randomized_differential_static_vs_adaptive_both_engines() {
+fn randomized_differential_static_vs_adaptive_both_chunkings() {
     let aggressive = AdaptivePolicy {
         error_threshold: 1.5,
         min_rows: 1.0,
@@ -242,20 +248,20 @@ fn randomized_differential_static_vs_adaptive_both_engines() {
              WHERE a.p = 7 AND a.x = b.x AND b.y = s.y AND s.k = {k}"
         );
         let want = answer_key(
-            &federation_sized(n_s, false, AdaptivePolicy::default())
+            &federation_sized(n_s, None, AdaptivePolicy::default())
                 .query(&sql)
                 .unwrap(),
         );
-        for streaming in [false, true] {
+        for chunk_rows in [None, CHUNKED] {
             for policy in [AdaptivePolicy::default(), aggressive.clone()] {
                 let enabled = policy.enabled;
-                let r = federation_sized(n_s, streaming, policy)
+                let r = federation_sized(n_s, chunk_rows, policy)
                     .query(&sql)
                     .unwrap();
                 assert_eq!(
                     answer_key(&r),
                     want,
-                    "seed {seed} streaming={streaming} adaptive={enabled} diverged"
+                    "seed {seed} chunk_rows={chunk_rows:?} adaptive={enabled} diverged"
                 );
                 if enabled {
                     replans_seen += r.trace.replans.len();

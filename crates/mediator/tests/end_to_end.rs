@@ -478,7 +478,7 @@ fn union_order_by_in_middle_rejected() {
 }
 
 #[test]
-fn streaming_mediator_matches_two_phase_answers() {
+fn chunked_mediator_matches_whole_answer_mediator() {
     let queries = [
         "SELECT name, salary FROM Employee WHERE id < 10",
         "SELECT e.name, d.dept_name FROM Employee e, Dept d \
@@ -491,14 +491,13 @@ fn streaming_mediator_matches_two_phase_answers() {
          WHERE e.id = a.emp_id AND e.id < 5",
     ];
     for sql in queries {
-        let mut two_phase = mediator();
-        let mut streaming = mediator().with_options(MediatorOptions {
-            streaming: true,
-            streaming_chunk_rows: 7,
+        let mut whole = mediator();
+        let mut chunked = mediator().with_options(MediatorOptions {
+            chunk_rows: Some(7),
             ..Default::default()
         });
-        let a = two_phase.query(sql).unwrap();
-        let b = streaming.query(sql).unwrap();
+        let a = whole.query(sql).unwrap();
+        let b = chunked.query(sql).unwrap();
         assert_eq!(a.schema, b.schema, "{sql}");
         assert_eq!(a.tuples, b.tuples, "{sql}");
         assert_eq!(a.trace.submits.len(), b.trace.submits.len(), "{sql}");
@@ -506,21 +505,21 @@ fn streaming_mediator_matches_two_phase_answers() {
 }
 
 #[test]
-fn limit_caps_answers_in_both_engines() {
+fn limit_caps_answers_at_either_chunking() {
     let sql = "SELECT name FROM Employee WHERE id < 50 ORDER BY name LIMIT 5";
     let plan = mediator().plan(sql).unwrap();
     assert_eq!(plan.limit, Some(5));
-    let mut two_phase = mediator();
-    let mut streaming = mediator().with_options(MediatorOptions {
-        streaming: true,
-        streaming_chunk_rows: 8,
+    let mut whole = mediator();
+    let mut chunked = mediator().with_options(MediatorOptions {
+        chunk_rows: Some(8),
         ..Default::default()
     });
-    let a = two_phase.query(sql).unwrap();
-    let b = streaming.query(sql).unwrap();
+    let a = whole.query(sql).unwrap();
+    let b = chunked.query(sql).unwrap();
     assert_eq!(a.tuples.len(), 5);
     assert_eq!(a.tuples, b.tuples);
-    // The streamed run records when the first rows surfaced.
+    // Either run records when the first rows surfaced.
+    assert!(a.trace.first_row_wall_ms.is_some());
     assert!(b.trace.first_row_wall_ms.is_some());
 }
 

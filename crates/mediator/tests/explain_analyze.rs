@@ -250,9 +250,11 @@ fn broken_federation() -> Mediator {
         NetProfile::lan(),
         FaultPlan::always(FaultKind::Unavailable),
     );
+    // `Unavailable` answers at once; the deadline only has to be long
+    // enough that the healthy `hr` endpoint never misses it under load.
     let client = TransportClient::new(Box::new(t)).with_retry(RetryPolicy {
         max_attempts: 2,
-        deadline_ms: 20,
+        deadline_ms: 2_000,
         backoff_base_ms: 1,
         backoff_factor: 2.0,
     });
@@ -375,16 +377,15 @@ fn the_submit(report: &AnalyzeReport) -> disco_core::AnalyzeNode {
 
 #[test]
 fn explain_analyze_reports_time_to_first_per_submit() {
-    // Both engines surface predicted vs measured time-to-first-row on
-    // executed submit nodes; the streamed run measures the first frame,
-    // the two-phase run the whole reply.
-    for streaming in [false, true] {
+    // Either chunking surfaces predicted vs measured time-to-first-row
+    // on executed submit nodes; the chunked run measures the first
+    // frame, the whole-answer run the whole reply.
+    for chunk_rows in [None, Some(8)] {
         let mut m = Mediator::new();
         m.register(Box::new(SourceWrapper::new("hr", hr_store())))
             .unwrap();
         let mut m = m.with_options(MediatorOptions {
-            streaming,
-            streaming_chunk_rows: 8,
+            chunk_rows,
             ..Default::default()
         });
         let report = m
@@ -394,21 +395,21 @@ fn explain_analyze_reports_time_to_first_per_submit() {
         let measured = submit.measured.unwrap();
         let first = measured
             .first_row_ms
-            .unwrap_or_else(|| panic!("streaming={streaming}: no first-row measurement"));
+            .unwrap_or_else(|| panic!("chunk_rows={chunk_rows:?}: no first-row measurement"));
         assert!(
             first > 0.0 && first <= measured.elapsed_ms + 1e-9,
-            "streaming={streaming}: first {first} vs elapsed {}",
+            "chunk_rows={chunk_rows:?}: first {first} vs elapsed {}",
             measured.elapsed_ms
         );
         assert!(submit.predicted.time_first > 0.0);
         assert!(
             submit.first_row_error().is_some(),
-            "streaming={streaming}: relative error should be computable"
+            "chunk_rows={chunk_rows:?}: relative error should be computable"
         );
         let text = report.render();
         assert!(
             text.contains("time to first: predicted="),
-            "streaming={streaming}:\n{text}"
+            "chunk_rows={chunk_rows:?}:\n{text}"
         );
         // Combine-phase operators carry no first-row measurement of
         // their own... except the root, which tracks when the first

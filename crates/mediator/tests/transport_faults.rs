@@ -50,10 +50,13 @@ fn audit_file() -> FlatFile {
     )
 }
 
-fn fast_retry() -> RetryPolicy {
+/// Three attempts under a wall deadline no healthy (or immediately
+/// `Unavailable`) endpoint can overrun on a loaded machine. Only a test
+/// that must sit out dropped messages passes a shorter one.
+fn retry(deadline_ms: u64) -> RetryPolicy {
     RetryPolicy {
         max_attempts: 3,
-        deadline_ms: 30,
+        deadline_ms,
         backoff_base_ms: 1,
         backoff_factor: 2.0,
     }
@@ -79,7 +82,7 @@ fn federation(files_faults: FaultPlan, retry: RetryPolicy) -> Mediator {
 
 #[test]
 fn registration_travels_the_wire() {
-    let m = federation(FaultPlan::none(), fast_retry());
+    let m = federation(FaultPlan::none(), retry(2_000));
     assert_eq!(m.catalog().collection_count(), 2);
     let stats = m
         .catalog()
@@ -91,7 +94,7 @@ fn registration_travels_the_wire() {
 
 #[test]
 fn healthy_federation_answers_normally() {
-    let mut m = federation(FaultPlan::none(), fast_retry());
+    let mut m = federation(FaultPlan::none(), retry(2_000));
     let r = m.query("SELECT name FROM Employee WHERE id < 10").unwrap();
     assert_eq!(r.tuples.len(), 10);
     assert!(!r.is_partial());
@@ -103,7 +106,7 @@ fn healthy_federation_answers_normally() {
 #[test]
 fn dropped_messages_are_retried_to_success() {
     // The first two submits to `files` vanish; the third attempt lands.
-    let mut m = federation(FaultPlan::first_n(FaultKind::Drop, 2), fast_retry());
+    let mut m = federation(FaultPlan::first_n(FaultKind::Drop, 2), retry(150));
     let r = m.query("SELECT action FROM Audit").unwrap();
     assert_eq!(r.tuples.len(), 40);
     assert!(!r.is_partial());
@@ -114,7 +117,7 @@ fn dropped_messages_are_retried_to_success() {
 
 #[test]
 fn exhausted_retries_yield_a_partial_answer_not_an_error() {
-    let mut m = federation(FaultPlan::always(FaultKind::Unavailable), fast_retry());
+    let mut m = federation(FaultPlan::always(FaultKind::Unavailable), retry(2_000));
     let r = m
         .query(
             "SELECT e.name, a.action FROM Employee e, Audit a \
@@ -162,7 +165,7 @@ fn union_survives_a_down_wrapper_with_the_healthy_tuples() {
 
 #[test]
 fn partial_answers_can_be_disabled() {
-    let mut m = federation(FaultPlan::always(FaultKind::Unavailable), fast_retry());
+    let mut m = federation(FaultPlan::always(FaultKind::Unavailable), retry(2_000));
     m = m.with_options(MediatorOptions {
         partial_answers: false,
         ..Default::default()
@@ -189,7 +192,7 @@ fn circuit_breaker_opens_half_opens_and_closes() {
     let client = TransportClient::new(Box::new(t))
         .with_retry(RetryPolicy {
             max_attempts: 1,
-            deadline_ms: 50,
+            deadline_ms: 2_000,
             backoff_base_ms: 1,
             backoff_factor: 2.0,
         })
@@ -226,7 +229,7 @@ fn circuit_breaker_opens_half_opens_and_closes() {
 
 #[test]
 fn history_records_only_successful_submits() {
-    let mut m = federation(FaultPlan::always(FaultKind::Unavailable), fast_retry());
+    let mut m = federation(FaultPlan::always(FaultKind::Unavailable), retry(2_000));
     m = m.with_options(MediatorOptions {
         record_history: true,
         ..Default::default()

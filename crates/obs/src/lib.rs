@@ -102,16 +102,15 @@ pub mod names {
     pub const STORE_BUFFER_HITS: &str = "store_buffer_hits_total";
     /// Counter, labels `{engine, source}`: frames evicted to make room.
     pub const STORE_EVICTIONS: &str = "store_evictions_total";
-    /// Counter, labels `{engine="two_phase"|"streaming"}`: queries whose
-    /// measured subanswer cardinalities crossed the adaptive error
-    /// threshold, triggering a mid-query re-enumeration of the combine
-    /// plan.
+    /// Counter, no labels: queries whose measured subanswer
+    /// cardinalities crossed the adaptive error threshold, triggering a
+    /// mid-query re-enumeration of the combine plan.
     pub const REPLAN_CONSIDERED: &str = "replan_considered_total";
-    /// Counter, labels `{engine="two_phase"|"streaming"}`: re-enumerations
-    /// that found a cheaper combine order (beyond the switch margin) and
-    /// actually abandoned the running plan.
+    /// Counter, no labels: re-enumerations that found a cheaper combine
+    /// order (beyond the switch margin) and actually abandoned the
+    /// running plan.
     pub const REPLAN_EXECUTED: &str = "replan_executed_total";
-    /// Histogram, labels `{engine}`: predicted win (old minus new combine
+    /// Histogram, no labels: predicted win (old minus new combine
     /// cost, ms) of each executed mid-query re-plan.
     pub const REPLAN_WIN_MS: &str = "replan_win_ms";
     /// Counter, no labels: plan-cache entries evicted because the query

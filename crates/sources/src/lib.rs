@@ -18,10 +18,11 @@
 //! * [`btree`] — a from-scratch B+-tree used for index scans;
 //! * [`exec`] — in-memory row-at-a-time operator implementations shared
 //!   by the sources and kept as the reference semantics;
-//! * [`vexec`] — vectorized counterparts over columnar batches, used by
-//!   the mediator's combine phase;
-//! * [`vstream`] — pull-based streaming versions of the vectorized
-//!   operators, used by the mediator's pipelined execution path;
+//! * [`vexec`] — the vectorized kernels: the same operators, one
+//!   columnar batch in, one batch out;
+//! * [`vstream`] — the mediator's combine operator set: pull-based
+//!   streams of chunks over the `vexec` kernels (a whole answer is a
+//!   stream of one chunk);
 //! * [`store`] — the paged store engine ([`PagedStore`]) with
 //!   object-database and relational cost profiles;
 //! * [`disk`] — [`StoreSource`], the same execution paths over the real

@@ -1,4 +1,6 @@
-//! Vectorized operator implementations over columnar [`Batch`]es.
+//! Vectorized operator kernels over columnar [`Batch`]es — one batch
+//! in, one batch out; the mediator drives them chunk by chunk through
+//! the [`crate::vstream`] operators.
 //!
 //! Each function mirrors its row-at-a-time counterpart in [`crate::exec`]
 //! — same signatures modulo `Batch` for `Vec<Tuple>`, same error
@@ -10,9 +12,10 @@
 //!   string, and boolean columns, then gathers once;
 //! * **project** re-slices attribute columns (an `Arc` clone per
 //!   column), computing only constant and arithmetic columns;
-//! * **hash join** builds on the key column (hashing normalized
-//!   [`Key`]s, not formatted strings) and emits row-id pairs, gathering
-//!   output columns instead of cloning rows;
+//! * **hash join** builds on the key column (hashing normalized keys,
+//!   not formatted strings) into a table that owns its keys
+//!   ([`HashJoinBuild`]: built once, probed per chunk) and emits row-id
+//!   pairs, gathering output columns instead of cloning rows;
 //! * **aggregate / dedup** group on `Key` vectors;
 //! * **sort** permutes row ids and gathers once.
 //!
@@ -264,9 +267,142 @@ fn keys_of(col: &Column) -> Vec<Option<Key<'_>>> {
     }
 }
 
-/// Hash equi-join emitting row-id pairs, then gathering (vectorized
-/// `exec::hash_join`). Output rows appear in the same order as the row
-/// path: probe order outer, build insertion order inner.
+/// Owned counterpart of [`Key`] for a hash table that outlives the
+/// batch it was read from: strings are interned by the build side, so a
+/// probe string the build never saw has no key at all.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum JoinKey {
+    Num(u64),
+    Bool(bool),
+    Str(u32),
+}
+
+/// Call `f(row, key)` for every non-null row of `col`, in row order.
+/// `intern` maps a string to its id on the build side (`None` on the
+/// probe side means "cannot match", and the row is skipped). Dictionary
+/// columns resolve each distinct string once.
+fn for_each_join_key(
+    col: &Column,
+    mut intern: impl FnMut(&str) -> Option<u32>,
+    mut f: impl FnMut(u32, JoinKey),
+) {
+    let mut owned = |k: Key<'_>| match k {
+        Key::Num(n) => Some(JoinKey::Num(n)),
+        Key::Bool(b) => Some(JoinKey::Bool(b)),
+        Key::Str(s) => intern(s).map(JoinKey::Str),
+    };
+    let mut emit = |row: usize, k: Option<JoinKey>| {
+        if let Some(k) = k.filter(|_| col.is_valid(row)) {
+            f(row as u32, k);
+        }
+    };
+    match col.data() {
+        ColumnData::Str { dict, codes } => {
+            let per_code: Vec<Option<JoinKey>> =
+                dict.iter().map(|s| owned(Key::Str(s.as_str()))).collect();
+            for (row, &c) in codes.iter().enumerate() {
+                emit(row, per_code[c as usize]);
+            }
+        }
+        ColumnData::Long(data) => {
+            for (row, &n) in data.iter().enumerate() {
+                emit(row, owned(Key::num(n as f64)));
+            }
+        }
+        ColumnData::Double(data) => {
+            for (row, &d) in data.iter().enumerate() {
+                emit(row, owned(Key::num(d)));
+            }
+        }
+        _ => {
+            for row in 0..col.len() {
+                emit(row, col.key_at(row).and_then(&mut owned));
+            }
+        }
+    }
+}
+
+fn join_attr(schema: &Schema, attr: &str) -> Result<usize> {
+    schema
+        .index_of(attr)
+        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{attr}`")))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Hash tables built on this thread (build-once regression tests).
+    pub(crate) static HASH_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The build half of a hash equi-join: the build (right) side's rows
+/// hashed once on the join key, probed any number of times.
+pub struct HashJoinBuild {
+    right: Batch,
+    left_attr: String,
+    table: HashMap<JoinKey, Vec<u32>>,
+    strings: HashMap<String, u32>,
+}
+
+impl HashJoinBuild {
+    /// Hash `right` on the predicate's right attribute.
+    pub fn new(right_schema: &Schema, right: Batch, pred: &JoinPredicate) -> Result<Self> {
+        if pred.op != CompareOp::Eq {
+            return Err(DiscoError::Exec(format!(
+                "hash join requires an equality predicate, got `{}`",
+                pred.op
+            )));
+        }
+        let ri = join_attr(right_schema, &pred.right_attr)?;
+        let mut strings: HashMap<String, u32> = HashMap::new();
+        let mut table: HashMap<JoinKey, Vec<u32>> = HashMap::new();
+        for_each_join_key(
+            right.column(ri),
+            |s| {
+                if let Some(&id) = strings.get(s) {
+                    return Some(id);
+                }
+                let id = strings.len() as u32;
+                strings.insert(s.to_string(), id);
+                Some(id)
+            },
+            |row, k| table.entry(k).or_default().push(row),
+        );
+        #[cfg(test)]
+        HASH_BUILDS.with(|c| c.set(c.get() + 1));
+        Ok(HashJoinBuild {
+            right,
+            left_attr: pred.left_attr.clone(),
+            table,
+            strings,
+        })
+    }
+
+    /// Join one probe (left) batch against the built side. Output rows
+    /// appear in the same order as the row path: probe order outer,
+    /// build insertion order inner.
+    pub fn probe(&self, left_schema: &Schema, left: &Batch) -> Result<Batch> {
+        let li = join_attr(left_schema, &self.left_attr)?;
+        let mut lids: Vec<u32> = Vec::new();
+        let mut rids: Vec<u32> = Vec::new();
+        for_each_join_key(
+            left.column(li),
+            |s| self.strings.get(s).copied(),
+            |row, k| {
+                if let Some(matches) = self.table.get(&k) {
+                    for &r in matches {
+                        lids.push(row);
+                        rids.push(r);
+                    }
+                }
+            },
+        );
+        observe("hash_join", lids.len());
+        left.take(&lids).hstack(&self.right.take(&rids))
+    }
+}
+
+/// One-shot hash equi-join (vectorized `exec::hash_join`): build on
+/// `right`, probe with `left`.
 pub fn hash_join(
     left_schema: &Schema,
     left: &Batch,
@@ -274,39 +410,7 @@ pub fn hash_join(
     right: &Batch,
     pred: &JoinPredicate,
 ) -> Result<Batch> {
-    if pred.op != CompareOp::Eq {
-        return Err(DiscoError::Exec(format!(
-            "hash join requires an equality predicate, got `{}`",
-            pred.op
-        )));
-    }
-    let li = left_schema
-        .index_of(&pred.left_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.left_attr)))?;
-    let ri = right_schema
-        .index_of(&pred.right_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.right_attr)))?;
-    let rkeys = keys_of(right.column(ri));
-    let mut table: HashMap<Key<'_>, Vec<u32>> = HashMap::new();
-    for (row, k) in rkeys.iter().enumerate() {
-        if let Some(k) = k {
-            table.entry(*k).or_default().push(row as u32);
-        }
-    }
-    let lkeys = keys_of(left.column(li));
-    let mut lids: Vec<u32> = Vec::new();
-    let mut rids: Vec<u32> = Vec::new();
-    for (row, k) in lkeys.iter().enumerate() {
-        let Some(k) = k else { continue };
-        if let Some(matches) = table.get(k) {
-            for &r in matches {
-                lids.push(row as u32);
-                rids.push(r);
-            }
-        }
-    }
-    observe("hash_join", lids.len());
-    left.take(&lids).hstack(&right.take(&rids))
+    HashJoinBuild::new(right_schema, right.clone(), pred)?.probe(left_schema, left)
 }
 
 /// Nested-loop join for arbitrary comparison predicates (vectorized
@@ -318,12 +422,8 @@ pub fn nested_loop_join(
     right: &Batch,
     pred: &JoinPredicate,
 ) -> Result<Batch> {
-    let li = left_schema
-        .index_of(&pred.left_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.left_attr)))?;
-    let ri = right_schema
-        .index_of(&pred.right_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.right_attr)))?;
+    let li = join_attr(left_schema, &pred.left_attr)?;
+    let ri = join_attr(right_schema, &pred.right_attr)?;
     let (lcol, rcol) = (left.column(li), right.column(ri));
     let mut lids: Vec<u32> = Vec::new();
     let mut rids: Vec<u32> = Vec::new();

@@ -1,19 +1,20 @@
-//! Pull-based streaming counterparts of the [`crate::vexec`] operators.
+//! The mediator's combine operator set: pull-based streams of columnar
+//! chunks over the [`crate::vexec`] kernels.
 //!
-//! The two-phase combine path runs each vectorized operator once over a
-//! fully materialized batch. The streaming path instead threads bounded
-//! chunks through a tree of [`BatchStream`]s: linear operators (filter,
-//! project, union pass-through, limit) transform each chunk as it
-//! arrives, joins materialize only their build side, and the inherently
-//! blocking operators (sort, dedup, aggregate, sort-merge join) drain
-//! their input before emitting a single output chunk.
+//! The executor threads chunks through a tree of [`BatchStream`]s:
+//! linear operators (filter, project, union pass-through, limit)
+//! transform each chunk as it arrives, joins materialize only their
+//! build side, and the inherently blocking operators (sort, dedup,
+//! aggregate, sort-merge join) drain their input before emitting a
+//! single output chunk. A whole answer is simply a stream of one chunk,
+//! which every operator passes through without copying it.
 //!
-//! Equivalence contract: for every operator, the concatenation of its
-//! streamed output chunks is byte-identical to the one-shot `vexec`
-//! result over the concatenation of its input chunks, in the same row
-//! order. Virtual-clock charges are reported through a [`Meter`] using
-//! the same per-tuple formulas as the two-phase executor, so the totals
-//! agree too (up to float summation order).
+//! Chunking contract: for every operator, the concatenation of its
+//! output chunks is byte-identical to the one-shot `vexec` kernel over
+//! the concatenation of its input chunks, in the same row order, for
+//! any chunk size. Virtual-clock charges are reported through a
+//! [`Meter`] as per-tuple formulas summed per chunk, so the totals do
+//! not depend on the chunk size either (up to float summation order).
 //!
 //! Cost constants are passed in by the caller (the mediator's executor
 //! owns the registry); a stream built with [`no_meter`] charges nothing.
@@ -54,11 +55,16 @@ pub fn drain(stream: &mut dyn BatchStream) -> Result<Batch> {
     while let Some(b) = stream.next_batch()? {
         chunks.push(b);
     }
-    if chunks.is_empty() {
-        return Ok(Batch::empty(arity));
+    concat_chunks(chunks, arity)
+}
+
+/// Reassemble chunks into one batch: a lone chunk (the whole-answer
+/// case) is returned as it is, not copied.
+pub fn concat_chunks(mut chunks: Vec<Batch>, arity: usize) -> Result<Batch> {
+    if chunks.len() > 1 {
+        return Batch::concat(&chunks.iter().collect::<Vec<_>>());
     }
-    let refs: Vec<&Batch> = chunks.iter().collect();
-    Batch::concat(&refs)
+    Ok(chunks.pop().unwrap_or_else(|| Batch::empty(arity)))
 }
 
 /// An in-memory source serving a pre-built batch in bounded chunks —
@@ -102,7 +108,18 @@ impl BatchStream for BatchSource {
             return Ok(Some(Batch::empty(self.batch.arity())));
         }
         self.served = true;
-        let end = (self.next_row + self.chunk_rows).min(self.batch.len());
+        if self.next_row == 0 && self.chunk_rows >= self.batch.len() {
+            // One chunk covers the answer: hand the batch over whole.
+            let arity = self.batch.arity();
+            return Ok(Some(std::mem::replace(
+                &mut self.batch,
+                Batch::empty(arity),
+            )));
+        }
+        let end = self
+            .next_row
+            .saturating_add(self.chunk_rows)
+            .min(self.batch.len());
         let sel: Vec<u32> = (self.next_row as u32..end as u32).collect();
         self.next_row = end;
         Ok(Some(self.batch.take(&sel)))
@@ -204,9 +221,10 @@ impl BatchStream for ProjectStream {
     }
 }
 
-/// Streaming hash join: drains and charges the build (right) side on
-/// the first pull, then probes with each left chunk as it arrives —
-/// output order matches the one-shot join (probe order outer).
+/// Streaming hash join: drains, charges and hashes the build (right)
+/// side once, on the first pull, then probes the kept table with each
+/// left chunk as it arrives — output order matches the one-shot join
+/// (probe order outer).
 pub struct HashJoinStream {
     left: Box<dyn BatchStream>,
     right: Box<dyn BatchStream>,
@@ -215,7 +233,7 @@ pub struct HashJoinStream {
     meter: Meter,
     /// Simulated ms per build/probe/output row (`CpuHash`).
     cpu_hash: f64,
-    build: Option<Batch>,
+    build: Option<vexec::HashJoinBuild>,
 }
 
 impl HashJoinStream {
@@ -245,23 +263,20 @@ impl BatchStream for HashJoinStream {
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.build.is_none() {
-            let rb = drain(self.right.as_mut())?;
-            (self.meter)(rb.len() as f64 * self.cpu_hash);
-            self.build = Some(rb);
-        }
+        let build = match &self.build {
+            Some(build) => build,
+            None => {
+                let rb = drain(self.right.as_mut())?;
+                (self.meter)(rb.len() as f64 * self.cpu_hash);
+                let build = vexec::HashJoinBuild::new(self.right.schema(), rb, &self.predicate)?;
+                self.build.insert(build)
+            }
+        };
         match self.left.next_batch()? {
             None => Ok(None),
             Some(lb) => {
                 (self.meter)(lb.len() as f64 * self.cpu_hash);
-                let build = self.build.as_ref().expect("build side drained");
-                let out = vexec::hash_join(
-                    self.left.schema(),
-                    &lb,
-                    self.right.schema(),
-                    build,
-                    &self.predicate,
-                )?;
+                let out = build.probe(self.left.schema(), &lb)?;
                 (self.meter)(out.len() as f64 * self.cpu_hash);
                 Ok(Some(out))
             }
@@ -331,7 +346,7 @@ impl BatchStream for NestedLoopStream {
 
 /// Streaming sort-merge join: inherently blocking — both sides drain
 /// before the single output chunk, charged as the sort-based algorithm
-/// it models (sorts plus a merge pass), exactly like the two-phase path.
+/// it models (sorts plus a merge pass).
 pub struct SortMergeStream {
     left: Box<dyn BatchStream>,
     right: Box<dyn BatchStream>,
@@ -393,8 +408,8 @@ impl BatchStream for SortMergeStream {
 }
 
 /// Streaming union: left chunks pass through unmetered, then right
-/// chunks metered per row — the same total charge as the two-phase
-/// union (which charges only the right cardinality).
+/// chunks metered per row — a union charges only the right
+/// cardinality.
 pub struct UnionStream {
     left: Box<dyn BatchStream>,
     right: Box<dyn BatchStream>,
@@ -405,7 +420,7 @@ pub struct UnionStream {
 }
 
 impl UnionStream {
-    /// Errors on arity mismatch with the two-phase message.
+    /// Errors on arity mismatch.
     pub fn new(
         left: Box<dyn BatchStream>,
         right: Box<dyn BatchStream>,
@@ -632,6 +647,7 @@ impl BatchStream for LimitStream {
 mod tests {
     use super::*;
     use std::cell::Cell;
+    use std::sync::Arc;
 
     use disco_algebra::{CompareOp, SelectPredicate};
     use disco_common::{AttributeDef, DataType, Tuple, Value};
@@ -700,6 +716,43 @@ mod tests {
         // (lb + rb + out) × CpuHash, chunk-summed.
         let expect = (10.0 + 7.0 + one_shot.len() as f64) * 0.02;
         assert!((total.get() - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hash_join_builds_once_per_join_at_any_chunk_size() {
+        let pred = JoinPredicate::equi("grp", "grp");
+        let one_shot =
+            vexec::hash_join(&schema(), &batch(40), &schema(), &batch(9), &pred).unwrap();
+        for chunk_rows in [1, 7, 40, usize::MAX] {
+            let before = vexec::HASH_BUILDS.with(Cell::get);
+            let (meter, total) = counting_meter();
+            let mut s = HashJoinStream::new(
+                source(40, chunk_rows),
+                source(9, chunk_rows),
+                pred.clone(),
+                meter,
+                0.02,
+            );
+            let streamed = drain(&mut s).unwrap();
+            assert_eq!(
+                vexec::HASH_BUILDS.with(Cell::get) - before,
+                1,
+                "chunk_rows {chunk_rows}"
+            );
+            assert_eq!(streamed.to_tuples(), one_shot.to_tuples());
+            let expect = (40.0 + 9.0 + one_shot.len() as f64) * 0.02;
+            assert!((total.get() - expect).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn whole_answer_chunks_are_moved_not_copied() {
+        let whole = batch(10);
+        let first = Arc::as_ptr(whole.column(0));
+        let mut s = BatchSource::new(schema(), whole, usize::MAX);
+        let out = drain(&mut s).unwrap();
+        assert_eq!(out.len(), 10);
+        assert_eq!(Arc::as_ptr(out.column(0)), first);
     }
 
     #[test]

@@ -32,14 +32,21 @@ impl WireDecode for ExecStats {
     }
 }
 
+/// Write a subanswer's wire form from borrowed parts — what
+/// [`SubAnswer::encode`] writes, for producers that ship a slice of
+/// their rows (one chunk of a stream) without copying it out first.
+pub fn encode_subanswer(schema: &Schema, stats: &ExecStats, tuples: &[Tuple], w: &mut WireWriter) {
+    schema.encode(w);
+    stats.encode(w);
+    w.put_len(tuples.len());
+    for t in tuples {
+        t.encode(w);
+    }
+}
+
 impl WireEncode for SubAnswer {
     fn encode(&self, w: &mut WireWriter) {
-        self.schema.encode(w);
-        self.stats.encode(w);
-        w.put_len(self.tuples.len());
-        for t in &self.tuples {
-            t.encode(w);
-        }
+        encode_subanswer(&self.schema, &self.stats, &self.tuples, w);
     }
 }
 

@@ -17,7 +17,6 @@ use std::time::Duration;
 use disco_common::rng::{seeded, DEFAULT_SEED};
 use disco_common::wire::{WireDecode, WireEncode};
 use disco_common::{DiscoError, Result};
-use disco_sources::{BatchAnswer, ExecStats};
 use disco_wrapper::Wrapper;
 
 use crate::fault::{FaultKind, FaultPlan};
@@ -230,8 +229,7 @@ fn serve_stream(
         _ => 0.0,
     };
     let mut first = true;
-    let mut send = |frame: Frame| -> bool {
-        let payload = frame.to_wire_bytes();
+    let mut send = |payload: Vec<u8>| -> bool {
         let comm_ms = if first {
             first = false;
             profile.comm_ms(request_bytes, payload.len(), draw) + extra_ms
@@ -245,9 +243,12 @@ fn serve_stream(
         reply.send(Reply { comm_ms, payload }).is_ok()
     };
 
-    let error_frame = |e: &DiscoError| Frame::Error {
-        kind: e.kind().to_string(),
-        message: e.message().to_string(),
+    let error_frame = |e: &DiscoError| {
+        Frame::Error {
+            kind: e.kind().to_string(),
+            message: e.message().to_string(),
+        }
+        .to_wire_bytes()
     };
 
     let (plan, chunk_rows) = match (decoded, action) {
@@ -256,18 +257,17 @@ fn serve_stream(
             return;
         }
         (Ok(_), Some(FaultKind::Unavailable)) => {
-            send(Frame::Error {
-                kind: "unavailable".to_string(),
-                message: format!("endpoint `{}` is unavailable", wrapper.name()),
-            });
+            send(error_frame(&DiscoError::Unavailable(format!(
+                "endpoint `{}` is unavailable",
+                wrapper.name()
+            ))));
             return;
         }
         (Ok(Request::SubmitStream { plan, chunk_rows }), _) => (plan, chunk_rows),
         (Ok(_), _) => {
-            send(Frame::Error {
-                kind: "exec".to_string(),
-                message: "streaming call requires a streaming submit".to_string(),
-            });
+            send(error_frame(&DiscoError::Exec(
+                "streaming call requires a streaming submit".into(),
+            )));
             return;
         }
     };
@@ -277,29 +277,21 @@ fn serve_stream(
             send(error_frame(&e));
         }
         Ok(answer) => {
-            let answer = BatchAnswer::from(answer);
-            let chunk = (chunk_rows as usize).max(1);
-            let total = answer.batch.len();
-            let mut start = 0;
-            // Always at least one chunk, so an empty answer still ships
+            // Chunks are slices of the wrapper's rows, encoded as they
+            // stand. Always at least one, so an empty answer still ships
             // its schema before the end-of-stream frame.
+            let mut chunks = answer.tuples.chunks((chunk_rows as usize).max(1));
+            let mut rows = chunks.next().unwrap_or(&[]);
             loop {
-                let end = (start + chunk).min(total);
-                let sel: Vec<u32> = (start as u32..end as u32).collect();
-                let delivered = send(Frame::Chunk(BatchAnswer {
-                    schema: answer.schema.clone(),
-                    batch: answer.batch.take(&sel),
-                    stats: ExecStats::default(),
-                }));
-                if !delivered {
+                if !send(Frame::chunk_bytes(&answer.schema, rows)) {
                     return;
                 }
-                start = end;
-                if start >= total {
-                    break;
+                match chunks.next() {
+                    Some(next) => rows = next,
+                    None => break,
                 }
             }
-            send(Frame::End(answer.stats));
+            send(Frame::End(answer.stats).to_wire_bytes());
         }
     }
 }
@@ -368,10 +360,6 @@ impl Transport for ChannelTransport {
 
     fn sleep_scale(&self, endpoint: &str) -> Option<f64> {
         self.workers.get(endpoint).map(|w| w.profile.sleep_scale)
-    }
-
-    fn supports_streaming(&self) -> bool {
-        true
     }
 
     fn call_stream(&self, endpoint: &str, request: &[u8]) -> Result<Box<dyn FrameStream>> {

@@ -7,7 +7,7 @@
 //! unavailability), a per-endpoint circuit breaker so a dead wrapper
 //! fails fast instead of burning a full retry budget on every submit,
 //! hedged submits racing replica endpoints
-//! ([`submit_batch_hedged`](TransportClient::submit_batch_hedged)), and
+//! ([`submit_stream_hedged`](TransportClient::submit_stream_hedged)), and
 //! per-wrapper health recording feeding the estimator's adaptive scope
 //! penalties. Non-transient errors (a wrapper rejecting a malformed
 //! plan, say) are returned immediately — retrying them cannot help.
@@ -21,11 +21,11 @@ use disco_algebra::LogicalPlan;
 use disco_common::rng::{seeded, StdRng, DEFAULT_SEED};
 use disco_common::wire::{WireDecode, WireEncode, WireWriter};
 use disco_common::{Batch, DiscoError, HealthTracker, Result, Schema};
-use disco_sources::{BatchAnswer, ExecStats, SubAnswer};
+use disco_sources::{ExecStats, SubAnswer};
 use disco_wrapper::Registration;
 
 use crate::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
-use crate::wire::{decode_answer_batch, decode_frame, encode_plan, Frame, Request, Response};
+use crate::wire::{decode_frame, encode_plan, Frame, Request, Response};
 use crate::{FrameStream, Transport};
 
 /// Retry tuning for one submit.
@@ -83,41 +83,11 @@ pub struct HedgeTarget {
     pub opts: SubmitOptions,
 }
 
-/// Result of a hedged submit race.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HedgedOutcome {
-    /// The winning submit's outcome.
-    pub outcome: BatchSubmitOutcome,
-    /// Index into the target list of the replica that answered.
-    pub winner: usize,
-    /// Straggler-triggered hedges launched (failover after a failed
-    /// replica is not counted).
-    pub hedges: u32,
-}
-
 /// Everything a successful submit reports back to the executor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitOutcome {
     /// The decoded subanswer.
     pub answer: SubAnswer,
-    /// Simulated communication time of the *successful* attempt.
-    pub comm_ms: f64,
-    /// Measured wall-clock time of the whole submit, retries included.
-    pub wall_ms: f64,
-    /// Attempts spent (1 = first try succeeded).
-    pub attempts: u32,
-    /// Request size on the wire.
-    pub request_bytes: usize,
-    /// Reply size on the wire.
-    pub response_bytes: usize,
-}
-
-/// [`SubmitOutcome`] with the answer decoded straight into columns —
-/// what the mediator's vectorized combine phase fetches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSubmitOutcome {
-    /// The decoded columnar subanswer.
-    pub answer: BatchAnswer,
     /// Simulated communication time of the *successful* attempt.
     pub comm_ms: f64,
     /// Measured wall-clock time of the whole submit, retries included.
@@ -143,6 +113,7 @@ pub struct StreamChunk {
 
 /// Result of a hedged streaming submit race (see
 /// [`TransportClient::submit_stream_hedged`]).
+#[derive(Debug)]
 pub struct HedgedStreamOutcome {
     /// The winning replica's open stream, first chunk already buffered.
     pub stream: SubmitStream,
@@ -152,17 +123,7 @@ pub struct HedgedStreamOutcome {
     pub hedges: u32,
 }
 
-/// Where an open [`SubmitStream`]'s remaining chunks come from.
-enum StreamSource {
-    /// A live transport stream; frames are pulled on demand.
-    Live(Box<dyn FrameStream>),
-    /// The whole answer already arrived (one-shot fallback for
-    /// transports that cannot stream); nothing further will come.
-    Drained,
-}
-
-/// A streamed submit in progress: the reliability-layer counterpart of
-/// [`BatchSubmitOutcome`]. Retries, breaker accounting and the
+/// A streamed submit in progress. Retries, breaker accounting and the
 /// simulated-time deadline are all settled while opening the stream
 /// (i.e. before the first chunk is surfaced — the only point where a
 /// retry cannot duplicate rows); afterwards the consumer pulls chunks
@@ -173,7 +134,8 @@ enum StreamSource {
 pub struct SubmitStream {
     core: Arc<ClientCore>,
     endpoint: String,
-    source: StreamSource,
+    /// The live transport stream; `None` once it failed.
+    source: Option<Box<dyn FrameStream>>,
     deadline: Duration,
     buffered: VecDeque<StreamChunk>,
     stats: Option<ExecStats>,
@@ -208,7 +170,7 @@ impl SubmitStream {
         if self.finished {
             return Ok(None);
         }
-        let StreamSource::Live(stream) = &mut self.source else {
+        let Some(stream) = &mut self.source else {
             self.finished = true;
             return Ok(None);
         };
@@ -240,7 +202,7 @@ impl SubmitStream {
     /// feed the breaker/health trackers, mirroring a failed submit.
     fn fail(&mut self, e: DiscoError) -> DiscoError {
         self.finished = true;
-        self.source = StreamSource::Drained;
+        self.source = None;
         self.core.record(&self.endpoint, false);
         self.core
             .note_health(&self.endpoint, false, 0.0, &SubmitOptions::default());
@@ -284,16 +246,6 @@ impl SubmitStream {
     pub fn response_bytes(&self) -> usize {
         self.response_bytes
     }
-}
-
-/// A successful delivery, generic over the decoded answer shape.
-struct Delivered<A> {
-    answer: A,
-    comm_ms: f64,
-    wall_ms: f64,
-    attempts: u32,
-    request_bytes: usize,
-    response_bytes: usize,
 }
 
 /// Reliability-aware client over any [`Transport`].
@@ -401,151 +353,19 @@ impl TransportClient {
         }
     }
 
-    /// Submit a subplan with deadlines, retries and circuit breaking.
+    /// Submit a subplan one-shot — the whole subanswer in a single
+    /// reply, decoded to rows — with deadlines, retries and circuit
+    /// breaking. The executor streams instead
+    /// ([`submit_stream_hedged`](Self::submit_stream_hedged)); this is
+    /// the plain RPC for tools and tests.
     pub fn submit(&self, endpoint: &str, plan: &LogicalPlan) -> Result<SubmitOutcome> {
-        self.submit_opts(endpoint, plan, &SubmitOptions::default())
-    }
-
-    /// [`submit`](Self::submit) with per-call deadline/prediction
-    /// overrides.
-    pub fn submit_opts(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-    ) -> Result<SubmitOutcome> {
-        self.core.submit_opts(endpoint, plan, opts)
-    }
-
-    /// Like [`submit`](Self::submit), but the reply payload is decoded
-    /// straight into columns — same deadlines, retries and breaker.
-    pub fn submit_batch(&self, endpoint: &str, plan: &LogicalPlan) -> Result<BatchSubmitOutcome> {
-        self.submit_batch_opts(endpoint, plan, &SubmitOptions::default())
-    }
-
-    /// [`submit_batch`](Self::submit_batch) with per-call
-    /// deadline/prediction overrides.
-    pub fn submit_batch_opts(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-    ) -> Result<BatchSubmitOutcome> {
-        self.core.submit_batch_opts(endpoint, plan, opts)
-    }
-
-    /// Race a submit across replica endpoints: send to `targets[0]`,
-    /// hedge to the next replica whenever the outstanding submit has
-    /// been silent for `straggler_wait` (at most `hedge_allowance`
-    /// hedges), and fail over to the next replica immediately when a
-    /// launched one fails. First success wins; a losing replica is not
-    /// joined — its detached thread runs on to its own deadline and its
-    /// late reply lands in a dropped channel (joining it would make
-    /// every race as slow as its slowest replica). An error is returned
-    /// only when *every* replica failed.
-    ///
-    /// A hedge goes through the same breaker acquire/record path as any
-    /// submit, so a hedge into a half-open breaker is that breaker's
-    /// single probe — hedging cannot bypass it.
-    pub fn submit_batch_hedged(
-        &self,
-        targets: &[HedgeTarget],
-        straggler_wait: Option<Duration>,
-        hedge_allowance: u32,
-    ) -> Result<HedgedOutcome> {
-        let first = targets
-            .first()
-            .ok_or_else(|| DiscoError::Exec("hedged submit needs at least one target".into()))?;
-        if targets.len() == 1 {
-            return self
-                .submit_batch_opts(&first.endpoint, &first.plan, &first.opts)
-                .map(|outcome| HedgedOutcome {
-                    outcome,
-                    winner: 0,
-                    hedges: 0,
-                });
-        }
-        {
-            let (tx, rx) = mpsc::channel::<(usize, Result<BatchSubmitOutcome>)>();
-            let mut launched = 0usize;
-            let mut pending = 0usize;
-            let mut hedges = 0u32;
-            let launch = |idx: usize, pending: &mut usize| {
-                let t = targets[idx].clone();
-                let tx = tx.clone();
-                let core = Arc::clone(&self.core);
-                std::thread::spawn(move || {
-                    let result = core.submit_batch_opts(&t.endpoint, &t.plan, &t.opts);
-                    // The race may be over; a closed channel is fine.
-                    let _ = tx.send((idx, result));
-                });
-                *pending += 1;
-            };
-            launch(launched, &mut pending);
-            launched += 1;
-            // Loudest error wins the report: a non-transient failure
-            // (e.g. a wrapper rejecting the plan) beats timeouts.
-            let mut last_err: Option<DiscoError> = None;
-            loop {
-                if pending == 0 {
-                    if launched < targets.len() {
-                        // Every launched replica failed: fail over.
-                        launch(launched, &mut pending);
-                        launched += 1;
-                        continue;
-                    }
-                    return Err(last_err.unwrap_or_else(|| {
-                        DiscoError::Exec("hedged submit made no attempts".into())
-                    }));
-                }
-                let can_hedge = hedges < hedge_allowance && launched < targets.len();
-                let message = match (can_hedge, straggler_wait) {
-                    (true, Some(wait)) => match rx.recv_timeout(wait) {
-                        Ok(m) => m,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Straggler: open a second front at the
-                            // next replica.
-                            note_hedge(&targets[launched].endpoint);
-                            hedges += 1;
-                            launch(launched, &mut pending);
-                            launched += 1;
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => unreachable!("race holds a sender"),
-                    },
-                    _ => rx.recv().expect("race holds a sender"),
-                };
-                match message {
-                    (winner, Ok(outcome)) => {
-                        if winner > 0 {
-                            note_hedge_win(&targets[winner].endpoint);
-                        }
-                        return Ok(HedgedOutcome {
-                            outcome,
-                            winner,
-                            hedges,
-                        });
-                    }
-                    (_, Err(e)) => {
-                        pending -= 1;
-                        let louder = !e.is_transient()
-                            || last_err.as_ref().is_none_or(|prev| prev.is_transient());
-                        if louder {
-                            last_err = Some(e);
-                        }
-                    }
-                }
-            }
-        }
+        self.core.submit(endpoint, plan)
     }
 
     /// Open a streaming submit: deadlines, retries and circuit breaking
     /// apply up to (and including) the first delivered chunk — the last
     /// point where a retry cannot duplicate rows — after which chunks
     /// are pulled incrementally from the returned [`SubmitStream`].
-    /// Against a transport without streaming support this degrades to a
-    /// one-shot [`submit_batch_opts`](Self::submit_batch_opts) served as
-    /// a single-chunk stream.
     pub fn submit_stream_opts(
         &self,
         endpoint: &str,
@@ -556,12 +376,23 @@ impl TransportClient {
         self.core.open_stream(endpoint, plan, opts, chunk_rows)
     }
 
-    /// Race a streaming submit across replica endpoints, exactly like
-    /// [`submit_batch_hedged`](Self::submit_batch_hedged) but the race
-    /// is to the *first chunk*: the winner is the replica whose stream
-    /// opens (first frame delivered) first, and its remaining chunks are
-    /// then consumed from the single returned stream. Losing replicas
-    /// are abandoned — dropping their handles releases their workers.
+    /// Race a streaming submit across replica endpoints: send to
+    /// `targets[0]`, hedge to the next replica whenever the outstanding
+    /// opens have been silent for `straggler_wait` (at most
+    /// `hedge_allowance` hedges), and fail over to the next replica
+    /// immediately when a launched one fails. The race is to the *first
+    /// chunk*: the winner is the replica whose stream opens (first frame
+    /// delivered) first, and its remaining chunks are then consumed from
+    /// the single returned stream. A losing replica is not joined — its
+    /// detached thread runs on to its own deadline and its late stream
+    /// lands in a dropped channel, which releases its worker (joining it
+    /// would make every race as slow as its slowest replica). An error
+    /// is returned only when *every* replica failed. A single target is
+    /// a plain [`submit_stream_opts`](Self::submit_stream_opts).
+    ///
+    /// A hedge goes through the same breaker acquire/record path as any
+    /// submit, so a hedge into a half-open breaker is that breaker's
+    /// single probe — hedging cannot bypass it.
     pub fn submit_stream_hedged(
         &self,
         targets: &[HedgeTarget],
@@ -598,6 +429,8 @@ impl TransportClient {
         };
         launch(launched, &mut pending);
         launched += 1;
+        // Loudest error wins the report: a non-transient failure (e.g. a
+        // wrapper rejecting the plan) beats timeouts.
         let mut last_err: Option<DiscoError> = None;
         loop {
             if pending == 0 {
@@ -615,6 +448,8 @@ impl TransportClient {
                 (true, Some(wait)) => match rx.recv_timeout(wait) {
                     Ok(m) => m,
                     Err(RecvTimeoutError::Timeout) => {
+                        // Straggler: open a second front at the next
+                        // replica.
                         note_hedge(&targets[launched].endpoint);
                         hedges += 1;
                         launch(launched, &mut pending);
@@ -650,50 +485,6 @@ impl TransportClient {
 }
 
 impl ClientCore {
-    fn submit_opts(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-    ) -> Result<SubmitOutcome> {
-        self.submit_with(
-            endpoint,
-            plan,
-            opts,
-            |payload| match Response::from_wire_bytes(payload)?.into_result()? {
-                Response::Answer(answer) => Ok(answer),
-                other => Err(DiscoError::Exec(format!(
-                    "endpoint `{endpoint}` answered submit with {other:?}"
-                ))),
-            },
-        )
-        .map(|d| SubmitOutcome {
-            answer: d.answer,
-            comm_ms: d.comm_ms,
-            wall_ms: d.wall_ms,
-            attempts: d.attempts,
-            request_bytes: d.request_bytes,
-            response_bytes: d.response_bytes,
-        })
-    }
-
-    fn submit_batch_opts(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-    ) -> Result<BatchSubmitOutcome> {
-        self.submit_with(endpoint, plan, opts, decode_answer_batch)
-            .map(|d| BatchSubmitOutcome {
-                answer: d.answer,
-                comm_ms: d.comm_ms,
-                wall_ms: d.wall_ms,
-                attempts: d.attempts,
-                request_bytes: d.request_bytes,
-                response_bytes: d.response_bytes,
-            })
-    }
-
     /// Effective per-attempt wall deadline: the per-call override (or
     /// the flat retry default), clamped so it can never be shorter than
     /// the endpoint's simulated round-trip floor converted to wall time
@@ -722,34 +513,29 @@ impl ClientCore {
         Some(sim.max(floor))
     }
 
-    /// The shared submit loop, generic over how the successful reply
-    /// payload is decoded.
-    fn submit_with<A>(
+    /// The reliability loop every submit runs: breaker acquire, then up
+    /// to `max_attempts` tries with full-jitter backoff between them,
+    /// each outcome recorded into the breaker and the health tracker.
+    /// `attempt` makes one try (given its 1-based number) and returns its
+    /// product with the simulated communication time health samples.
+    fn with_retries<T>(
         &self,
         endpoint: &str,
-        plan: &LogicalPlan,
         opts: &SubmitOptions,
-        decode: impl Fn(&[u8]) -> Result<A>,
-    ) -> Result<Delivered<A>> {
-        let started = Instant::now();
-        let mut w = WireWriter::new();
-        Request::Submit(plan.clone()).encode(&mut w);
-        // Encode once; every retry ships the same bytes.
-        let request = w.into_bytes();
-        let deadline = self.attempt_deadline(endpoint, opts);
-        let sim_deadline = self.sim_deadline(endpoint, opts);
-
-        if !self.acquire(endpoint) {
+        mut attempt: impl FnMut(u32) -> Result<(T, f64)>,
+    ) -> Result<T> {
+        let breaker_open = || {
             note_unavailable(endpoint);
-            return Err(DiscoError::Unavailable(format!(
-                "circuit breaker open for `{endpoint}`"
-            )));
+            DiscoError::Unavailable(format!("circuit breaker open for `{endpoint}`"))
+        };
+        if !self.acquire(endpoint) {
+            return Err(breaker_open());
         }
 
         let mut backoff_ms = self.retry.backoff_base_ms as f64;
         let mut last_err = DiscoError::Exec(format!("no attempts made against `{endpoint}`"));
-        for attempt in 1..=self.retry.max_attempts.max(1) {
-            if attempt > 1 {
+        for n in 1..=self.retry.max_attempts.max(1) {
+            if n > 1 {
                 if disco_obs::enabled() {
                     disco_obs::counter(
                         disco_obs::names::TRANSPORT_RETRIES,
@@ -765,33 +551,12 @@ impl ClientCore {
                 }
                 backoff_ms *= self.retry.backoff_factor;
             }
-            let result = self
-                .transport
-                .call(endpoint, &request, deadline)
-                .and_then(|env| {
-                    if let Some(sim) = sim_deadline {
-                        if env.comm_ms > sim {
-                            return Err(DiscoError::Timeout(format!(
-                                "reply from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
-                                env.comm_ms
-                            )));
-                        }
-                    }
-                    decode(&env.payload).map(|answer| Delivered {
-                        answer,
-                        comm_ms: env.comm_ms,
-                        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                        attempts: attempt,
-                        request_bytes: env.request_bytes,
-                        response_bytes: env.response_bytes,
-                    })
-                });
-            match result {
-                Ok(outcome) => {
+            match attempt(n) {
+                Ok((out, comm_ms)) => {
                     self.record(endpoint, true);
-                    self.note_health(endpoint, true, outcome.comm_ms, opts);
+                    self.note_health(endpoint, true, comm_ms, opts);
                     note_deadline(endpoint, "met");
-                    return Ok(outcome);
+                    return Ok(out);
                 }
                 Err(e) if e.is_transient() => {
                     self.record(endpoint, false);
@@ -802,11 +567,8 @@ impl ClientCore {
                     last_err = e;
                     // The breaker may have opened mid-budget; stop early
                     // rather than hammering a tripped endpoint.
-                    if attempt < self.retry.max_attempts && !self.acquire(endpoint) {
-                        note_unavailable(endpoint);
-                        return Err(DiscoError::Unavailable(format!(
-                            "circuit breaker open for `{endpoint}`"
-                        )));
+                    if n < self.retry.max_attempts && !self.acquire(endpoint) {
+                        return Err(breaker_open());
                     }
                 }
                 // Non-transient errors are the wrapper's final word.
@@ -818,14 +580,39 @@ impl ClientCore {
         Err(last_err)
     }
 
-    /// Open a streaming submit with the same retry/breaker/deadline
-    /// machinery as [`submit_with`](Self::submit_with). The loop runs
-    /// only until the first frame is delivered: every retry re-issues
-    /// the whole stream, which is safe exactly because no chunk has been
-    /// surfaced yet. The simulated-time deadline is enforced on the
-    /// first frame (which carries the round trip, jitter and any
-    /// injected delay); later frames pay transfer only and ride the
-    /// per-frame wall deadline.
+    /// One-shot submit: every retry ships the same request bytes.
+    fn submit(&self, endpoint: &str, plan: &LogicalPlan) -> Result<SubmitOutcome> {
+        let started = Instant::now();
+        let request = Request::Submit(plan.clone()).to_wire_bytes();
+        let opts = SubmitOptions::default();
+        let deadline = self.attempt_deadline(endpoint, &opts);
+        self.with_retries(endpoint, &opts, |attempts| {
+            let env = self.transport.call(endpoint, &request, deadline)?;
+            match Response::from_wire_bytes(&env.payload)?.into_result()? {
+                Response::Answer(answer) => Ok((
+                    SubmitOutcome {
+                        answer,
+                        comm_ms: env.comm_ms,
+                        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                        attempts,
+                        request_bytes: env.request_bytes,
+                        response_bytes: env.response_bytes,
+                    },
+                    env.comm_ms,
+                )),
+                other => Err(DiscoError::Exec(format!(
+                    "endpoint `{endpoint}` answered submit with {other:?}"
+                ))),
+            }
+        })
+    }
+
+    /// Open a streaming submit. The retry loop runs only until the first
+    /// frame is delivered: every retry re-issues the whole stream, which
+    /// is safe exactly because no chunk has been surfaced yet. The
+    /// simulated-time deadline is enforced on the first frame (which
+    /// carries the round trip, jitter and any injected delay); later
+    /// frames pay transfer only and ride the per-frame wall deadline.
     fn open_stream(
         self: &Arc<Self>,
         endpoint: &str,
@@ -834,31 +621,6 @@ impl ClientCore {
         chunk_rows: u32,
     ) -> Result<SubmitStream> {
         let started = Instant::now();
-        if !self.transport.supports_streaming() {
-            // One-shot fallback: the whole answer arrives at once and is
-            // served as a single buffered chunk.
-            let out = self.submit_batch_opts(endpoint, plan, opts)?;
-            return Ok(SubmitStream {
-                core: Arc::clone(self),
-                endpoint: endpoint.to_string(),
-                source: StreamSource::Drained,
-                deadline: Duration::ZERO,
-                buffered: VecDeque::from([StreamChunk {
-                    schema: out.answer.schema,
-                    batch: out.answer.batch,
-                    comm_ms: out.comm_ms,
-                }]),
-                stats: Some(out.answer.stats),
-                comm_ms: out.comm_ms,
-                first_frame_comm_ms: out.comm_ms,
-                wall_first_ms: out.wall_ms,
-                attempts: out.attempts,
-                request_bytes: out.request_bytes,
-                response_bytes: out.response_bytes,
-                finished: true,
-            });
-        }
-
         let request = Request::SubmitStream {
             plan: plan.clone(),
             chunk_rows,
@@ -866,98 +628,47 @@ impl ClientCore {
         .to_wire_bytes();
         let deadline = self.attempt_deadline(endpoint, opts);
         let sim_deadline = self.sim_deadline(endpoint, opts);
-
-        if !self.acquire(endpoint) {
-            note_unavailable(endpoint);
-            return Err(DiscoError::Unavailable(format!(
-                "circuit breaker open for `{endpoint}`"
-            )));
-        }
-
-        let mut backoff_ms = self.retry.backoff_base_ms as f64;
-        let mut last_err = DiscoError::Exec(format!("no attempts made against `{endpoint}`"));
-        for attempt in 1..=self.retry.max_attempts.max(1) {
-            if attempt > 1 {
-                if disco_obs::enabled() {
-                    disco_obs::counter(
-                        disco_obs::names::TRANSPORT_RETRIES,
-                        &[("wrapper", endpoint)],
-                    )
-                    .inc();
-                }
-                let sleep_ms = backoff_ms * self.jitter.lock().expect("jitter lock").gen_f64();
-                if sleep_ms >= 0.5 {
-                    std::thread::sleep(Duration::from_micros((sleep_ms * 1000.0) as u64));
-                }
-                backoff_ms *= self.retry.backoff_factor;
+        self.with_retries(endpoint, opts, |attempts| {
+            let mut stream = self.transport.call_stream(endpoint, &request)?;
+            let env = stream.next_frame(deadline)?;
+            if let Some(sim) = sim_deadline.filter(|sim| env.comm_ms > *sim) {
+                return Err(DiscoError::Timeout(format!(
+                    "first frame from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
+                    env.comm_ms
+                )));
             }
-            let result = self
-                .transport
-                .call_stream(endpoint, &request)
-                .and_then(|mut stream| {
-                    let env = stream.next_frame(deadline)?;
-                    if let Some(sim) = sim_deadline {
-                        if env.comm_ms > sim {
-                            return Err(DiscoError::Timeout(format!(
-                                "first frame from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
-                                env.comm_ms
-                            )));
-                        }
-                    }
-                    match decode_frame(&env.payload)? {
-                        Frame::Chunk(a) => Ok((stream, env.payload.len(), env.comm_ms, a)),
-                        Frame::End(_) => Err(DiscoError::Exec(format!(
-                            "stream from `{endpoint}` ended before delivering a schema chunk"
-                        ))),
-                        Frame::Error { kind, message } => {
-                            Err(DiscoError::from_kind(&kind, message))
-                        }
-                    }
-                });
-            match result {
-                Ok((stream, first_bytes, first_comm, first_chunk)) => {
-                    self.record(endpoint, true);
-                    self.note_health(endpoint, true, first_comm, opts);
-                    note_deadline(endpoint, "met");
-                    return Ok(SubmitStream {
-                        core: Arc::clone(self),
-                        endpoint: endpoint.to_string(),
-                        source: StreamSource::Live(stream),
-                        deadline,
-                        buffered: VecDeque::from([StreamChunk {
-                            schema: first_chunk.schema,
-                            batch: first_chunk.batch,
-                            comm_ms: first_comm,
-                        }]),
-                        stats: None,
-                        comm_ms: first_comm,
-                        first_frame_comm_ms: first_comm,
-                        wall_first_ms: started.elapsed().as_secs_f64() * 1e3,
-                        attempts: attempt,
-                        request_bytes: request.len(),
-                        response_bytes: first_bytes,
-                        finished: false,
-                    });
+            let first = match decode_frame(&env.payload)? {
+                Frame::Chunk(a) => a,
+                Frame::End(_) => {
+                    return Err(DiscoError::Exec(format!(
+                        "stream from `{endpoint}` ended before delivering a schema chunk"
+                    )))
                 }
-                Err(e) if e.is_transient() => {
-                    self.record(endpoint, false);
-                    self.note_health(endpoint, false, 0.0, opts);
-                    if e.kind() == "timeout" {
-                        note_deadline(endpoint, "missed");
-                    }
-                    last_err = e;
-                    if attempt < self.retry.max_attempts && !self.acquire(endpoint) {
-                        note_unavailable(endpoint);
-                        return Err(DiscoError::Unavailable(format!(
-                            "circuit breaker open for `{endpoint}`"
-                        )));
-                    }
+                Frame::Error { kind, message } => {
+                    return Err(DiscoError::from_kind(&kind, message))
                 }
-                Err(e) => return Err(e),
-            }
-        }
-        note_unavailable(endpoint);
-        Err(last_err)
+            };
+            let opened = SubmitStream {
+                core: Arc::clone(self),
+                endpoint: endpoint.to_string(),
+                source: Some(stream),
+                deadline,
+                buffered: VecDeque::from([StreamChunk {
+                    schema: first.schema,
+                    batch: first.batch,
+                    comm_ms: env.comm_ms,
+                }]),
+                stats: None,
+                comm_ms: env.comm_ms,
+                first_frame_comm_ms: env.comm_ms,
+                wall_first_ms: started.elapsed().as_secs_f64() * 1e3,
+                attempts,
+                request_bytes: request.len(),
+                response_bytes: env.payload.len(),
+                finished: false,
+            };
+            Ok((opened, env.comm_ms))
+        })
     }
 
     /// Record one attempt outcome into the shared health tracker and
@@ -1192,7 +903,7 @@ mod tests {
     #[test]
     fn streamed_submit_matches_one_shot_answer() {
         let c = client(FaultPlan::none());
-        let one_shot = c.submit_batch("s", &plan("s")).unwrap();
+        let one_shot = c.submit("s", &plan("s")).unwrap();
         let mut stream = c
             .submit_stream_opts("s", &plan("s"), &SubmitOptions::default(), 4)
             .unwrap();
@@ -1205,7 +916,7 @@ mod tests {
         let parts: Vec<&Batch> = batches.iter().collect();
         let reassembled = Batch::concat(&parts).unwrap();
         assert_eq!(schema.unwrap(), one_shot.answer.schema);
-        assert_eq!(reassembled.to_tuples(), one_shot.answer.batch.to_tuples());
+        assert_eq!(reassembled.to_tuples(), one_shot.answer.tuples);
         assert_eq!(stream.stats(), Some(one_shot.answer.stats));
         assert_eq!(stream.attempts(), 1);
         assert!(stream.first_frame_comm_ms() >= 100.0);

@@ -34,13 +34,13 @@ pub mod wire;
 
 use std::time::Duration;
 
-use disco_common::{DiscoError, Result};
+use disco_common::Result;
 
 pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use channel::ChannelTransport;
 pub use client::{
-    BatchSubmitOutcome, HedgeTarget, HedgedOutcome, HedgedStreamOutcome, RetryPolicy, StreamChunk,
-    SubmitOptions, SubmitOutcome, SubmitStream, TransportClient,
+    HedgeTarget, HedgedStreamOutcome, RetryPolicy, StreamChunk, SubmitOptions, SubmitOutcome,
+    SubmitStream, TransportClient,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use netsim::NetProfile;
@@ -92,23 +92,12 @@ pub trait Transport: Send + Sync {
         None
     }
 
-    /// Whether [`Transport::call_stream`] is implemented. Callers use
-    /// this to fall back to a one-shot [`Transport::call`] (served as a
-    /// single-chunk stream) against transports that cannot stream.
-    fn supports_streaming(&self) -> bool {
-        false
-    }
-
     /// Open a streaming call: deliver `request` (a
     /// [`Request::SubmitStream`]) to `endpoint` and return a handle that
     /// yields reply [`Frame`]s incrementally. The call itself does not
     /// block on the wrapper; frames are pulled with
     /// [`FrameStream::next_frame`] under per-frame deadlines.
-    fn call_stream(&self, endpoint: &str, _request: &[u8]) -> Result<Box<dyn FrameStream>> {
-        Err(DiscoError::Exec(format!(
-            "transport cannot stream from endpoint `{endpoint}`"
-        )))
-    }
+    fn call_stream(&self, endpoint: &str, request: &[u8]) -> Result<Box<dyn FrameStream>>;
 }
 
 /// One streamed reply frame with its transfer accounting.

@@ -20,13 +20,14 @@ use disco_algebra::{
 use disco_catalog::histogram::{Bucket, Histogram, HistogramKind};
 use disco_catalog::{AttributeStats, Capabilities, CollectionStats, ExtentStats, StatName};
 use disco_common::wire::{WireDecode, WireEncode, WireReader, WireWriter};
-use disco_common::{DiscoError, QualifiedName, Result, Schema, Value};
+use disco_common::{DiscoError, QualifiedName, Result, Schema, Tuple, Value};
 use disco_costlang::ast::{AttrTerm, CollTerm, CostVar, HeadArg, PathLeaf, PredRhs, RuleHead};
 use disco_costlang::builtins::Builtin;
 use disco_costlang::bytecode::{
     AttrSpec, ChildRef, CollSpec, CompiledBody, Instr, PathSpec, Program,
 };
 use disco_costlang::{CompiledDocument, CompiledRule};
+use disco_sources::wire::encode_subanswer;
 use disco_sources::{BatchAnswer, ExecStats, SubAnswer};
 use disco_wrapper::Registration;
 
@@ -58,6 +59,19 @@ pub enum Frame {
     End(ExecStats),
     /// The stream failed; no further frames follow.
     Error { kind: String, message: String },
+}
+
+impl Frame {
+    /// Wire bytes of a [`Frame::Chunk`] carrying `rows`, written straight
+    /// from a wrapper's row-form answer: the subanswer encodings are
+    /// byte-identical, so the wrapper side never columnarizes and the
+    /// mediator side still decodes straight into columns.
+    pub fn chunk_bytes(schema: &Schema, rows: &[Tuple]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u8(0);
+        encode_subanswer(schema, &ExecStats::default(), rows, &mut w);
+        w.into_bytes()
+    }
 }
 
 impl WireEncode for Frame {
@@ -1333,8 +1347,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_reject_malformed() {
-        use disco_common::{Batch, Tuple};
-        use disco_sources::{BatchAnswer, ExecStats};
+        use disco_common::Batch;
 
         let tuples = vec![
             Tuple::new(vec![Value::Long(1), Value::Long(2)]),
@@ -1345,6 +1358,11 @@ mod tests {
             batch: Batch::from_tuples(2, &tuples),
             stats: ExecStats::default(),
         });
+        // Rows encoded as they stand are the columnar chunk's bytes.
+        assert_eq!(
+            Frame::chunk_bytes(&schema(), &tuples),
+            chunk.to_wire_bytes()
+        );
         let end = Frame::End(ExecStats {
             elapsed_ms: 12.5,
             time_first_ms: 3.25,

@@ -1,4 +1,4 @@
-//! Hedged-submit races over the channel transport: straggler hedges,
+//! Hedged stream-open races over the channel transport: straggler hedges,
 //! failover after failures, and the interaction with circuit breakers —
 //! in particular that a hedge arriving at a half-open endpoint *is* the
 //! breaker's single probe, not an extra one.
@@ -9,8 +9,8 @@ use disco_algebra::{LogicalPlan, PlanBuilder};
 use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Value};
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
 use disco_transport::{
-    BreakerPolicy, BreakerState, ChannelTransport, FaultKind, FaultPlan, HedgeTarget, NetProfile,
-    RetryPolicy, SubmitOptions, TransportClient,
+    BreakerPolicy, BreakerState, ChannelTransport, FaultKind, FaultPlan, HedgeTarget,
+    HedgedStreamOutcome, NetProfile, RetryPolicy, SubmitOptions, TransportClient,
 };
 use disco_wrapper::SourceWrapper;
 
@@ -69,6 +69,20 @@ fn targets() -> Vec<HedgeTarget> {
     ]
 }
 
+/// Rows per chunk: the 50-row answers arrive as several frames, so the
+/// race is decided by the first one.
+const CHUNK_ROWS: u32 = 16;
+
+/// Rows the winning stream delivers when drained to its end frame.
+fn rows(mut h: HedgedStreamOutcome) -> usize {
+    let mut rows = 0;
+    while let Some(chunk) = h.stream.next_chunk().unwrap() {
+        rows += chunk.batch.len();
+    }
+    assert!(h.stream.stats().is_some(), "drained to the end frame");
+    rows
+}
+
 fn one_shot() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 1,
@@ -84,11 +98,16 @@ fn healthy_primary_wins_without_hedging() {
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
     // Generous straggler wait: the primary answers well inside it.
     let h = client
-        .submit_batch_hedged(&targets(), Some(Duration::from_millis(2_000)), 2)
+        .submit_stream_hedged(
+            &targets(),
+            Some(Duration::from_millis(2_000)),
+            2,
+            CHUNK_ROWS,
+        )
         .unwrap();
     assert_eq!(h.winner, 0);
     assert_eq!(h.hedges, 0);
-    assert_eq!(h.outcome.answer.batch.len(), 50);
+    assert_eq!(rows(h), 50);
 }
 
 #[test]
@@ -98,11 +117,11 @@ fn straggling_primary_is_hedged_around() {
     let t = replicated_transport(FaultPlan::always(FaultKind::Delay(500.0)));
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
     let h = client
-        .submit_batch_hedged(&targets(), Some(Duration::from_millis(20)), 2)
+        .submit_stream_hedged(&targets(), Some(Duration::from_millis(20)), 2, CHUNK_ROWS)
         .unwrap();
     assert_eq!(h.winner, 1, "the hedge to rb must win");
     assert_eq!(h.hedges, 1);
-    assert_eq!(h.outcome.answer.batch.len(), 50);
+    assert_eq!(rows(h), 50);
 }
 
 #[test]
@@ -112,7 +131,7 @@ fn exhausted_hedge_allowance_waits_for_the_primary() {
     // Allowance 0: no straggler hedge may launch; the slow primary still
     // answers eventually.
     let h = client
-        .submit_batch_hedged(&targets(), Some(Duration::from_millis(20)), 0)
+        .submit_stream_hedged(&targets(), Some(Duration::from_millis(20)), 0, CHUNK_ROWS)
         .unwrap();
     assert_eq!(h.winner, 0);
     assert_eq!(h.hedges, 0);
@@ -124,10 +143,12 @@ fn failed_primary_fails_over_without_spending_the_allowance() {
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
     // No straggler wait and zero allowance: failover after a *failure*
     // is always permitted.
-    let h = client.submit_batch_hedged(&targets(), None, 0).unwrap();
+    let h = client
+        .submit_stream_hedged(&targets(), None, 0, CHUNK_ROWS)
+        .unwrap();
     assert_eq!(h.winner, 1);
     assert_eq!(h.hedges, 0);
-    assert_eq!(h.outcome.answer.batch.len(), 50);
+    assert_eq!(rows(h), 50);
 }
 
 #[test]
@@ -141,7 +162,9 @@ fn all_replicas_down_is_one_error() {
         );
     }
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
-    let err = client.submit_batch_hedged(&targets(), None, 2).unwrap_err();
+    let err = client
+        .submit_stream_hedged(&targets(), None, 2, CHUNK_ROWS)
+        .unwrap_err();
     assert!(err.is_transient());
 }
 
@@ -170,12 +193,16 @@ fn hedge_to_half_open_endpoint_is_the_single_probe() {
 
     // Trip the breaker on `ra`.
     for _ in 0..3 {
-        assert!(client.submit_batch("ra", &scan("ra")).is_err());
+        assert!(client
+            .submit_stream_opts("ra", &scan("ra"), &SubmitOptions::default(), CHUNK_ROWS)
+            .is_err());
     }
     assert_eq!(client.breaker_state("ra"), Some(BreakerState::Open));
     // Burn the cooldown with fast-rejected calls.
     for _ in 0..2 {
-        assert!(client.submit_batch("ra", &scan("ra")).is_err());
+        assert!(client
+            .submit_stream_opts("ra", &scan("ra"), &SubmitOptions::default(), CHUNK_ROWS)
+            .is_err());
         assert_eq!(client.breaker_state("ra"), Some(BreakerState::Open));
     }
 
@@ -196,9 +223,9 @@ fn hedge_to_half_open_endpoint_is_the_single_probe() {
         },
     ];
     let h = client
-        .submit_batch_hedged(&t2, Some(Duration::from_millis(5)), 2)
+        .submit_stream_hedged(&t2, Some(Duration::from_millis(5)), 2, CHUNK_ROWS)
         .unwrap();
     assert_eq!(h.winner, 1, "the probe submit to ra must win");
-    assert_eq!(h.outcome.answer.batch.len(), 50);
+    assert_eq!(rows(h), 50);
     assert_eq!(client.breaker_state("ra"), Some(BreakerState::Closed));
 }

@@ -1,9 +1,9 @@
-//! Differential suite for the pipelined streaming engine: across
-//! randomized seeded federations — fault-free, fault-injected, and
-//! hedged — a streamed execution must produce answers byte-identical to
-//! the two-phase fetch-then-combine engine, degrade to the same partial
+//! Chunking-invariance suite for the executor: across randomized seeded
+//! federations — fault-free, fault-injected, and hedged — a chunked
+//! (pipelined) execution must produce answers byte-identical to the
+//! whole-answer (fetch-then-combine) one, degrade to the same partial
 //! answers, and fail over to the same replicas. Only the *timing* story
-//! may differ between the engines (first rows surface earlier, and an
+//! may depend on the chunk size (first rows surface earlier, and an
 //! abandoned stream ships fewer bytes), so the comparisons here cover
 //! schema, tuples, completeness, missing collections, per-submit
 //! failure flags and attempts — never `measured_ms` or byte counts.
@@ -78,9 +78,13 @@ fn policy() -> ResiliencePolicy {
     }
 }
 
-/// Build one federation over a `ChannelTransport`. Both engines get the
-/// same data, profiles, and fault schedules; only `streaming` differs.
-fn federation<F: Fn(&str) -> FaultPlan>(seed: u64, faults: F, streaming: bool) -> Mediator {
+/// Rows per chunk on the chunked side: the 10–60-row collections span
+/// several chunks.
+const CHUNKED: Option<u32> = Some(7);
+
+/// Build one federation over a `ChannelTransport`. Both sides get the
+/// same data, profiles, and fault schedules; only `chunk_rows` differs.
+fn federation<F: Fn(&str) -> FaultPlan>(seed: u64, faults: F, chunk_rows: Option<u32>) -> Mediator {
     let mut t = ChannelTransport::new();
     for (endpoint, collection) in ENDPOINTS {
         let mut s = PagedStore::new(*endpoint, CostProfile::relational());
@@ -104,8 +108,7 @@ fn federation<F: Fn(&str) -> FaultPlan>(seed: u64, faults: F, streaming: bool) -
     let mut m = Mediator::new().with_options(MediatorOptions {
         partial_answers: true,
         resilience: policy(),
-        streaming,
-        streaming_chunk_rows: 7,
+        chunk_rows,
         ..MediatorOptions::default()
     });
     m.connect(client).expect("all wrappers register");
@@ -113,31 +116,31 @@ fn federation<F: Fn(&str) -> FaultPlan>(seed: u64, faults: F, streaming: bool) -
     m
 }
 
-/// Assert everything that must be identical between the engines for one
+/// Assert everything that must not depend on the chunk size for one
 /// executed query. Timing fields (`measured_ms`, per-submit wall/comm
 /// times, byte counts) are deliberately not compared.
-fn assert_equivalent(sql: &str, ctx: &str, two_phase: &QueryResult, streamed: &QueryResult) {
-    assert_eq!(two_phase.schema, streamed.schema, "{ctx} `{sql}`: schema");
-    assert_eq!(two_phase.tuples, streamed.tuples, "{ctx} `{sql}`: answer");
+fn assert_equivalent(sql: &str, ctx: &str, whole: &QueryResult, chunked: &QueryResult) {
+    assert_eq!(whole.schema, chunked.schema, "{ctx} `{sql}`: schema");
+    assert_eq!(whole.tuples, chunked.tuples, "{ctx} `{sql}`: answer");
     assert_eq!(
-        two_phase.is_partial(),
-        streamed.is_partial(),
+        whole.is_partial(),
+        chunked.is_partial(),
         "{ctx} `{sql}`: completeness"
     );
     let missing = |r: &QueryResult| -> BTreeSet<String> {
         r.trace.missing.iter().map(|q| q.to_string()).collect()
     };
     assert_eq!(
-        missing(two_phase),
-        missing(streamed),
+        missing(whole),
+        missing(chunked),
         "{ctx} `{sql}`: missing collections"
     );
     assert_eq!(
-        two_phase.trace.submits.len(),
-        streamed.trace.submits.len(),
+        whole.trace.submits.len(),
+        chunked.trace.submits.len(),
         "{ctx} `{sql}`: submit count"
     );
-    for (a, b) in two_phase.trace.submits.iter().zip(&streamed.trace.submits) {
+    for (a, b) in whole.trace.submits.iter().zip(&chunked.trace.submits) {
         assert_eq!(a.wrapper, b.wrapper, "{ctx} `{sql}`: submit target");
         assert_eq!(a.failed, b.failed, "{ctx} `{sql}`: {} failed", a.wrapper);
         assert_eq!(
@@ -154,13 +157,13 @@ fn assert_equivalent(sql: &str, ctx: &str, two_phase: &QueryResult, streamed: &Q
 }
 
 #[test]
-fn fault_free_streamed_answers_are_byte_identical() {
+fn fault_free_chunked_answers_are_byte_identical() {
     for seed in 0..12u64 {
-        let mut two_phase = federation(seed, |_| FaultPlan::none(), false);
-        let mut streamed = federation(seed, |_| FaultPlan::none(), true);
+        let mut whole = federation(seed, |_| FaultPlan::none(), None);
+        let mut chunked = federation(seed, |_| FaultPlan::none(), CHUNKED);
         for sql in QUERIES {
-            let a = two_phase.query(sql).unwrap();
-            let b = streamed.query(sql).unwrap();
+            let a = whole.query(sql).unwrap();
+            let b = chunked.query(sql).unwrap();
             assert!(!a.is_partial(), "seed {seed} `{sql}` degraded faultlessly");
             assert_equivalent(sql, &format!("seed {seed}"), &a, &b);
         }
@@ -169,8 +172,8 @@ fn fault_free_streamed_answers_are_byte_identical() {
 
 /// Seeded fault schedule: windows of unavailability, huge delays
 /// (caught by the simulated deadline) and dropped messages, keyed off
-/// per-endpoint submit sequence numbers — identical in both engines
-/// because streaming submits consume the same sequence numbers.
+/// per-endpoint submit sequence numbers, so both sides meet the same
+/// faults at the same submits.
 fn fault_schedule(seed: u64, endpoint: &str) -> FaultPlan {
     let mut rng = seeded(seed, &format!("stream-eq-fault:{endpoint}"));
     let mut plan = FaultPlan::none();
@@ -188,22 +191,22 @@ fn fault_schedule(seed: u64, endpoint: &str) -> FaultPlan {
 }
 
 #[test]
-fn injected_faults_degrade_both_engines_identically() {
+fn injected_faults_degrade_identically_at_either_chunking() {
     for seed in 0..10u64 {
-        let mut two_phase = federation(seed, |e| fault_schedule(seed, e), false);
-        let mut streamed = federation(seed, |e| fault_schedule(seed, e), true);
+        let mut whole = federation(seed, |e| fault_schedule(seed, e), None);
+        let mut chunked = federation(seed, |e| fault_schedule(seed, e), CHUNKED);
         for (q, sql) in QUERIES.iter().cycle().take(2 * QUERIES.len()).enumerate() {
-            let a = two_phase.query(sql).unwrap();
-            let b = streamed.query(sql).unwrap();
+            let a = whole.query(sql).unwrap();
+            let b = chunked.query(sql).unwrap();
             assert_equivalent(sql, &format!("seed {seed} query {q}"), &a, &b);
         }
     }
 }
 
 #[test]
-fn hedged_failover_matches_two_phase() {
+fn hedged_failover_is_chunking_invariant() {
     // `ra` (the healthier-looking primary) is always down: every submit
-    // of `R` must fail over to `rb` — identically in both engines.
+    // of `R` must fail over to `rb` — identically at either chunking.
     let faults = |e: &str| {
         if e == "ra" {
             FaultPlan::always(FaultKind::Unavailable)
@@ -211,12 +214,12 @@ fn hedged_failover_matches_two_phase() {
             FaultPlan::none()
         }
     };
-    let mut two_phase = federation(99, faults, false);
-    let mut streamed = federation(99, faults, true);
+    let mut whole = federation(99, faults, None);
+    let mut chunked = federation(99, faults, CHUNKED);
     let mut failovers = 0;
     for sql in QUERIES {
-        let a = two_phase.query(sql).unwrap();
-        let b = streamed.query(sql).unwrap();
+        let a = whole.query(sql).unwrap();
+        let b = chunked.query(sql).unwrap();
         assert!(!a.is_partial(), "`{sql}`: replica must cover the outage");
         assert_equivalent(sql, "hedged", &a, &b);
         failovers += b
