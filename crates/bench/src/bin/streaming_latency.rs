@@ -75,7 +75,6 @@ fn federation(chunk_rows: Option<u32>) -> Mediator {
         );
     }
     let mut m = Mediator::new().with_options(MediatorOptions {
-        parallel_submits: true,
         chunk_rows,
         ..MediatorOptions::default()
     });

@@ -1,25 +1,28 @@
-//! E12 — transport scaling: sequential vs parallel submission over the
-//! channel transport's simulated network.
+//! E12 — transport scaling: the executor's scatter-gather fetch against
+//! one-at-a-time submission over the channel transport's simulated
+//! network.
 //!
 //! Sweeps federations of 1–8 wrappers (one collection each, ~10 ms of
 //! real sleep per round trip via `sleep_scale`) and measures the fetch
-//! wall clock of the same union query submitted sequentially and with
-//! the scoped-thread fan-out. Also runs a degraded 4-wrapper federation
-//! with one endpoint permanently unavailable to demonstrate partial
-//! answers, and a replicated straggler federation measuring p50/p99
-//! fetch latency with and without cost-model-driven hedging. Besides
-//! the tables it writes `BENCH_transport.json` (machine-readable,
-//! consumed by CI as an artifact).
+//! wall clock of a union query (every site's request on the wire before
+//! the first reply is awaited) against this bin's own loop submitting
+//! the same site plans one after another. Also runs a degraded 4-wrapper
+//! federation with one endpoint permanently unavailable to demonstrate
+//! partial answers, and a replicated straggler federation measuring
+//! p50/p99 fetch latency with and without cost-model-driven hedging.
+//! Besides the tables it writes `BENCH_transport.json`
+//! (machine-readable, consumed by CI as an artifact).
 //!
 //! ```text
 //! cargo run --release -p disco-bench --bin transport_scaling
 //! ```
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use disco_bench::Table;
 use disco_common::{AttributeDef, DataType, Schema, Value};
-use disco_mediator::{Mediator, MediatorOptions, QueryResult, ResiliencePolicy};
+use disco_mediator::{ExecutionTrace, Mediator, MediatorOptions, ResiliencePolicy};
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
 use disco_transport::{ChannelTransport, FaultKind, FaultPlan, NetProfile, TransportClient};
 use disco_wrapper::SourceWrapper;
@@ -33,7 +36,7 @@ const SLEEP_SCALE: f64 = 0.1;
 
 /// A federation of `n` single-collection wrappers `s0..s{n-1}`, the
 /// wrapper named by `faulty` (if any) permanently unavailable.
-fn federation(n: usize, parallel: bool, faulty: Option<usize>) -> Mediator {
+fn federation(n: usize, faulty: Option<usize>) -> Mediator {
     let mut t = ChannelTransport::new();
     for i in 0..n {
         let schema = Schema::new(vec![
@@ -61,12 +64,9 @@ fn federation(n: usize, parallel: bool, faulty: Option<usize>) -> Mediator {
             faults,
         );
     }
-    let client = TransportClient::new(Box::new(t));
-    let mut m = Mediator::new().with_options(MediatorOptions {
-        parallel_submits: parallel,
-        ..Default::default()
-    });
-    m.connect(client).expect("all wrappers register");
+    let mut m = Mediator::new();
+    m.connect(TransportClient::new(Box::new(t)))
+        .expect("all wrappers register");
     m
 }
 
@@ -78,9 +78,19 @@ fn union_sql(n: usize) -> String {
         .join(" UNION ALL ")
 }
 
-fn run(n: usize, parallel: bool) -> QueryResult {
-    let mut m = federation(n, parallel, None);
-    m.query(&union_sql(n)).expect("query succeeds")
+/// The sequential baseline: the site plans the executor just fetched,
+/// submitted one after another — each round trip waited out before the
+/// next request is sent. Returns the loop's wall clock in ms.
+fn sequential_fetch_ms(m: &Mediator, trace: &ExecutionTrace) -> f64 {
+    let client = m.transport().expect("federation is transport-connected");
+    let started = Instant::now();
+    for site in &trace.submits {
+        let out = client
+            .submit(&site.wrapper, &site.plan)
+            .expect("submit succeeds");
+        assert_eq!(out.answer.tuples.len(), site.tuples);
+    }
+    started.elapsed().as_secs_f64() * 1e3
 }
 
 /// Extra simulated delay on the straggling replica `ra`: `lan()`
@@ -170,7 +180,7 @@ fn main() {
         "wrappers",
         "tuples",
         "seq fetch ms",
-        "par fetch ms",
+        "scatter fetch ms",
         "speedup",
         "predicted par ms",
         "measured par ms",
@@ -178,24 +188,31 @@ fn main() {
     let mut json_rows = String::new();
 
     for n in 1..=MAX_WRAPPERS {
-        let seq = run(n, false);
-        let par = run(n, true);
-        assert_eq!(seq.tuples.len(), n * ROWS_PER_COLLECTION as usize);
-        assert_eq!(par.tuples.len(), seq.tuples.len());
+        let mut m = federation(n, None);
+        let par = m.query(&union_sql(n)).expect("query succeeds");
+        assert_eq!(par.tuples.len(), n * ROWS_PER_COLLECTION as usize);
+        assert_eq!(par.trace.submits.len(), n);
+        let seq_fetch_ms = sequential_fetch_ms(&m, &par.trace);
+        assert_eq!(par.trace.concurrent, n > 1);
+        let speedup = seq_fetch_ms / par.trace.submit_wall_ms.max(1e-9);
         if n > 1 {
-            assert!(par.trace.concurrent, "parallel run must fan out at n={n}");
             assert!(
-                par.trace.submit_wall_ms < seq.trace.submit_wall_ms,
-                "parallel fetch must beat sequential at n={n}: {} !< {}",
+                par.trace.submit_wall_ms < seq_fetch_ms,
+                "scatter-gather fetch must beat sequential at n={n}: {} !< {seq_fetch_ms}",
                 par.trace.submit_wall_ms,
-                seq.trace.submit_wall_ms
             );
         }
-        let speedup = seq.trace.submit_wall_ms / par.trace.submit_wall_ms.max(1e-9);
+        if n == MAX_WRAPPERS {
+            assert!(
+                speedup >= 4.0,
+                "scatter-gather fetch must be at least 4x faster than \
+                 sequential at {n} wrappers: {speedup:.1}x"
+            );
+        }
         t.row(vec![
             n.to_string(),
-            seq.tuples.len().to_string(),
-            format!("{:.2}", seq.trace.submit_wall_ms),
+            par.tuples.len().to_string(),
+            format!("{seq_fetch_ms:.2}"),
             format!("{:.2}", par.trace.submit_wall_ms),
             format!("{speedup:.1}x"),
             format!("{:.2}", par.trace.predicted_parallel_ms()),
@@ -211,9 +228,9 @@ fn main() {
              \"parallel\": {{\"fetch_wall_ms\": {:.3}, \"response_ms\": {:.3}, \
              \"predicted_ms\": {:.3}, \"concurrent\": {}}}, \
              \"speedup\": {:.3}}}",
-            seq.tuples.len(),
-            seq.trace.submit_wall_ms,
-            seq.trace.sequential_ms(),
+            par.tuples.len(),
+            seq_fetch_ms,
+            par.trace.sequential_ms(),
             par.trace.submit_wall_ms,
             par.trace.parallel_ms(),
             par.trace.predicted_parallel_ms(),
@@ -225,13 +242,13 @@ fn main() {
     println!("{}", t.render());
     println!(
         "Sequential fetch pays each simulated round trip in turn; the \
-         scoped-thread fan-out overlaps them, so the wall clock tracks \
-         the slowest wrapper instead of the sum."
+         executor sends every request before it waits on a reply, so its \
+         wall clock tracks the slowest wrapper instead of the sum."
     );
 
     // Degraded federation: 4 wrappers, one permanently down. The query
     // still answers, minus the dead wrapper's collection.
-    let mut degraded = federation(4, true, Some(2));
+    let mut degraded = federation(4, Some(2));
     let r = degraded
         .query(&union_sql(4))
         .expect("partial answer, not error");

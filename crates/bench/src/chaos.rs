@@ -202,7 +202,6 @@ fn federation_with<F: Fn(&str) -> FaultPlan, C: Fn(&str) -> CapabilityProfile>(
         backoff_factor: 2.0,
     });
     let mut m = Mediator::new().with_options(MediatorOptions {
-        parallel_submits: false,
         partial_answers: true,
         resilience: chaos_policy(),
         chunk_rows,

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use disco_common::{AttributeDef, DataType, Schema, Value};
-use disco_mediator::{AdmissionPolicy, Mediator, MediatorOptions, SharedMediator};
+use disco_mediator::{AdmissionPolicy, Mediator, SharedMediator};
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
 use disco_transport::{ChannelTransport, FaultPlan, NetProfile, TransportClient};
 use disco_wrapper::SourceWrapper;
@@ -84,10 +84,7 @@ pub fn federation(sleep_scale: f64) -> Mediator {
         );
     }
     let client = TransportClient::new(Box::new(t));
-    let mut m = Mediator::new().with_options(MediatorOptions {
-        parallel_submits: false,
-        ..Default::default()
-    });
+    let mut m = Mediator::new();
     m.connect(client).expect("all wrappers register");
     m
 }

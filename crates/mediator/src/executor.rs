@@ -1,11 +1,13 @@
 //! Plan execution (steps 4–6 of Figure 2).
 //!
 //! There is one executor. It *opens* every `SubmitRemote` site of the
-//! physical plan — sequentially, or concurrently on scoped threads when
-//! parallel submission is enabled (Figure 2 shows steps 4a/4b issued in
-//! parallel) — and then pulls the answer through a tree of pull-based
+//! physical plan and then pulls the answer through a tree of pull-based
 //! combine operators ([`disco_sources::vstream`]) metered on a
-//! mediator-side virtual clock.
+//! mediator-side virtual clock. Over a transport the open is a
+//! scatter-gather on the calling thread (Figure 2 shows steps 4a/4b
+//! issued side by side): one pass puts every site's request on the
+//! wire, a second pass collects the replies in site order, so the
+//! fetch waits for the slowest site rather than for their sum.
 //!
 //! How much of a subanswer an open waits for is the one setting,
 //! `chunk_rows`:
@@ -13,7 +15,7 @@
 //! * `None` (the default): every site ships its answer as **one chunk**
 //!   and is drained to its end-of-stream stats before the combine tree
 //!   is pulled — the classic fetch-then-combine schedule, with the
-//!   fan-out's wall-clock time measured
+//!   fetch's wall-clock time measured
 //!   ([`ExecutionTrace::submit_wall_ms`]);
 //! * `Some(n)`: sites stream chunks of at most `n` rows which flow
 //!   straight through the operators, so the first rows of the answer
@@ -40,7 +42,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use disco_algebra::{LogicalPlan, PhysicalJoinAlgo, PhysicalPlan};
@@ -49,7 +50,7 @@ use disco_core::{MeasuredNode, NodeCost, RuleRegistry};
 use disco_sources::vstream::{self, BatchStream};
 use disco_sources::{BatchAnswer, ExecStats, VirtualClock};
 use disco_transport::{
-    HedgeTarget, ResiliencePolicy, SubmitOptions, SubmitStream, TransportClient,
+    HedgeTarget, PendingStream, ResiliencePolicy, SubmitOptions, SubmitStream, TransportClient,
 };
 use disco_wrapper::Wrapper;
 
@@ -66,7 +67,12 @@ pub struct SubmitTrace {
     pub bytes: u64,
     /// Communication time charged for this subanswer (ms, simulated).
     pub comm_ms: f64,
-    /// Measured wall-clock time of the submit, retries included (ms).
+    /// Measured wall-clock time of the submit (ms), from its request
+    /// being sent to its answer being received — the whole answer in
+    /// whole-answer mode, the chunks pulled so far in chunked mode.
+    /// Retries are included, and so is any time the reply spent queued
+    /// behind earlier sites: every request goes out before the first
+    /// reply is collected, and replies are collected in site order.
     pub wall_ms: f64,
     /// Transport attempts spent (1 = first try; 0 = never answered).
     pub attempts: u32,
@@ -122,8 +128,9 @@ pub struct ExecutionTrace {
     /// drained, and in chunked mode means its first chunk has arrived.
     /// Combine work is never part of it.
     pub submit_wall_ms: f64,
-    /// Submits were actually fanned out on threads over a transport, so
-    /// [`submit_wall_ms`](Self::submit_wall_ms) reflects real concurrency.
+    /// More than one site was fetched over a transport, so their round
+    /// trips overlapped and [`submit_wall_ms`](Self::submit_wall_ms)
+    /// reflects real concurrency.
     pub concurrent: bool,
     /// Collections whose wrapper stayed down past the retry budget; their
     /// tuples are absent from the result (partial answer). Sorted and
@@ -135,8 +142,11 @@ pub struct ExecutionTrace {
     pub measured: Option<MeasuredNode>,
     /// Straggler-triggered hedges launched across all submits.
     pub hedges: u32,
-    /// The query-level time budget ran out before every submit was
-    /// issued; skipped submits appear in [`missing`](Self::missing).
+    /// The query-level time budget ran out before every subanswer had
+    /// arrived: a site reached with no budget left was never sent, and
+    /// one whose first attempt was cut short by the budget (the cap on
+    /// its deadline) rather than by its own deadline was given up on.
+    /// Both appear in [`missing`](Self::missing).
     /// In chunked mode a budget that expires mid-stream truncates the
     /// affected streams instead: the rows already delivered stay in the
     /// answer and the submit trace records them.
@@ -174,9 +184,9 @@ impl ExecutionTrace {
     }
 
     /// End-to-end time with parallel submission. When submits really ran
-    /// concurrently over a transport this is *measured*: the fetch
-    /// fan-out's wall clock plus mediator CPU. Otherwise it falls back to
-    /// the analytic [`predicted_parallel_ms`](Self::predicted_parallel_ms).
+    /// concurrently over a transport this is *measured*: the fetch's
+    /// wall clock plus mediator CPU. Otherwise it falls back to the
+    /// analytic [`predicted_parallel_ms`](Self::predicted_parallel_ms).
     pub fn parallel_ms(&self) -> f64 {
         if self.concurrent {
             self.submit_wall_ms + self.mediator_ms
@@ -196,7 +206,10 @@ impl ExecutionTrace {
 pub struct QueryResult {
     pub schema: Schema,
     pub tuples: Vec<Tuple>,
-    /// End-to-end simulated response time (ms).
+    /// End-to-end simulated time (ms):
+    /// [`ExecutionTrace::sequential_ms`], the virtual-clock counterpart
+    /// of the estimator's `TotalTime` (which sums its children), so
+    /// predicted and measured compare like with like.
     pub measured_ms: f64,
     /// The optimizer's estimate for the executed plan.
     pub estimated: NodeCost,
@@ -230,7 +243,6 @@ struct SubmitSite<'p> {
 pub struct Executor<'a> {
     backend: Backend<'a>,
     registry: &'a RuleRegistry,
-    parallel: bool,
     partial_answers: bool,
     resilience: Option<ResiliencePolicy>,
     /// Cost predictions per submit site, in submit (collect) order.
@@ -251,7 +263,6 @@ impl<'a> Executor<'a> {
         Executor {
             backend: Backend::Local(wrappers),
             registry,
-            parallel: false,
             partial_answers: false,
             resilience: None,
             predictions: Vec::new(),
@@ -265,19 +276,12 @@ impl<'a> Executor<'a> {
         Executor {
             backend: Backend::Remote(client),
             registry,
-            parallel: false,
             partial_answers: false,
             resilience: None,
             predictions: Vec::new(),
             replicas: BTreeMap::new(),
             adaptive: None,
         }
-    }
-
-    /// Fan submits out on scoped threads (builder style).
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 
     /// Tolerate wrappers that stay down past the retry budget by
@@ -355,11 +359,9 @@ impl<'a> Executor<'a> {
             .map(|ms| started + Duration::from_micros((ms * 1e3) as u64));
         let opened = self.open_all(&sites, budget_deadline, chunk_rows);
         trace.submit_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        // Only a threaded fan-out over a real transport yields a wall
-        // clock that means anything: in-process wrappers have no network,
-        // so their "measured" communication would be zero.
-        trace.concurrent =
-            self.parallel && sites.len() > 1 && matches!(self.backend, Backend::Remote(_));
+        // In-process wrappers have no network to overlap: their
+        // "measured" communication would be zero.
+        trace.concurrent = sites.len() > 1 && matches!(self.backend, Backend::Remote(_));
 
         // Arm the adaptive trip-wire: site streams buffer their chunks
         // and abort the combine when measurements contradict predictions.
@@ -569,95 +571,99 @@ impl<'a> Executor<'a> {
         Ok((schema, tuples, trace))
     }
 
-    /// Open every submit site, in site order, fanning out on scoped
-    /// threads when parallel submission is on. The straggler hedge
-    /// allowance is shared across sites (per-query cap). With
-    /// `chunk_rows = None` an open returns the site's whole answer;
-    /// otherwise a live stream with its first chunk.
+    /// Open every submit site. With `chunk_rows = None` an open returns
+    /// the site's whole answer; otherwise a live stream with its first
+    /// chunk. In-process wrappers execute one after another. Over a
+    /// transport the open is a scatter-gather: every site's first
+    /// attempt is on the wire before any reply is waited for, then the
+    /// replies are collected in site order — retries, hedges and, in
+    /// whole-answer mode, drains and decodes happen while later sites
+    /// are still in flight. Requests are queued in site order, so each
+    /// endpoint sees a reproducible sequence. The straggler hedge
+    /// allowance is shared across sites (per-query cap).
     fn open_all(
         &self,
         sites: &[SubmitSite<'_>],
         budget_deadline: Option<Instant>,
         chunk_rows: Option<u32>,
     ) -> Vec<OpenedSite> {
-        let hedge_budget = AtomicU32::new(
-            self.resilience
-                .as_ref()
-                .map_or(0, |p| p.max_hedges_per_query),
-        );
-        let open = |index: usize, site: &SubmitSite<'_>| match self.backend {
-            Backend::Local(wrappers) => open_local(
-                wrappers,
-                site,
-                self.param("MsgLatency", 100.0),
-                self.param("PerByte", 0.001),
-            ),
-            Backend::Remote(client) => self.open_remote_site(
-                client,
-                site,
-                index,
-                &hedge_budget,
-                budget_deadline,
-                chunk_rows,
-            ),
-        };
-        if self.parallel && sites.len() > 1 {
-            let open = &open;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = sites
+        let client = match self.backend {
+            Backend::Local(wrappers) => {
+                let msg_latency = self.param("MsgLatency", 100.0);
+                let per_byte = self.param("PerByte", 0.001);
+                return sites
                     .iter()
-                    .enumerate()
-                    .map(|(i, site)| s.spawn(move || open(i, site)))
+                    .map(|site| open_local(wrappers, site, msg_latency, per_byte))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| OpenedSite {
-                            outcome: Err(DiscoError::Exec("submit worker thread panicked".into())),
-                            budget_skipped: false,
-                        })
-                    })
-                    .collect()
+            }
+            Backend::Remote(client) => client,
+        };
+        let sent: Vec<SentSite> = sites
+            .iter()
+            .enumerate()
+            .map(|(i, site)| self.send_site(client, site, i, budget_deadline, chunk_rows))
+            .collect();
+        let mut hedge_budget = self
+            .resilience
+            .as_ref()
+            .map_or(0, |p| p.max_hedges_per_query);
+        sent.into_iter()
+            .map(|sent| match sent {
+                SentSite::BudgetSkipped(e) => OpenedSite {
+                    outcome: Err(e),
+                    budget_skipped: true,
+                },
+                SentSite::InFlight {
+                    pending,
+                    straggler_wait,
+                    budget_capped,
+                } => {
+                    let outcome = pending
+                        .and_then(|p| client.finish_stream(p, straggler_wait, hedge_budget))
+                        .and_then(|h| {
+                            hedge_budget = hedge_budget.saturating_sub(h.hedges);
+                            open_source(h.stream, h.hedges, chunk_rows.is_none())
+                        });
+                    // The budget, not the site's own deadline, cut the
+                    // wait short: a policy decision, reported as such.
+                    let budget_skipped = budget_capped
+                        && budget_deadline.is_some_and(|d| Instant::now() >= d)
+                        && outcome.as_ref().is_err_and(|e| e.kind() == "timeout");
+                    OpenedSite {
+                        outcome,
+                        budget_skipped,
+                    }
+                }
             })
-        } else {
-            sites
-                .iter()
-                .enumerate()
-                .map(|(i, site)| open(i, site))
-                .collect()
-        }
+            .collect()
     }
 
-    /// Open one site over the transport. An attached resilience policy
+    /// Put one site's request on the wire. An attached resilience policy
     /// supplies predicted deadlines (capped by the remaining query
     /// budget) and replica targets to hedge to or fail over onto;
-    /// without one this is a plain submit to the site's wrapper. The
-    /// race between replicas is to the *first chunk*.
-    fn open_remote_site(
+    /// without one this is a plain submit to the site's wrapper.
+    fn send_site(
         &self,
         client: &TransportClient,
         site: &SubmitSite<'_>,
         index: usize,
-        hedge_budget: &AtomicU32,
         budget_deadline: Option<Instant>,
         chunk_rows: Option<u32>,
-    ) -> OpenedSite {
+    ) -> SentSite {
         // Query budget: a site reached after the budget ran out is never
         // submitted; remaining time caps the per-attempt deadline.
         let remaining_ms = budget_deadline
             .map(|d| d.saturating_duration_since(Instant::now()).as_secs_f64() * 1e3);
         if remaining_ms.is_some_and(|ms| ms < 1.0) {
-            return OpenedSite {
-                outcome: Err(DiscoError::Timeout(format!(
-                    "query budget exhausted before submit to `{}`",
-                    site.wrapper
-                ))),
-                budget_skipped: true,
-            };
+            return SentSite::BudgetSkipped(DiscoError::Timeout(format!(
+                "query budget exhausted before submit to `{}`",
+                site.wrapper
+            )));
         }
 
         let mut opts = SubmitOptions::default();
-        let mut wait = None;
+        let mut straggler_wait = None;
+        let mut budget_capped = false;
         let mut peers: &[String] = &[];
         if let Some(policy) = &self.resilience {
             let prediction = self.predictions.get(index).copied().flatten();
@@ -669,9 +675,10 @@ impl<'a> Executor<'a> {
             };
             if let Some(rem) = remaining_ms {
                 let cap = rem.ceil().max(1.0) as u64;
+                budget_capped = opts.deadline_ms.is_none_or(|own| cap <= own);
                 opts.deadline_ms = Some(opts.deadline_ms.map_or(cap, |d| d.min(cap)));
             }
-            wait = policy
+            straggler_wait = policy
                 .straggler_wait_ms(prediction.map(|p| p.first_ms))
                 .map(Duration::from_millis);
             if policy.hedge {
@@ -688,22 +695,10 @@ impl<'a> Executor<'a> {
             plan: site.plan.retargeted(peer),
             opts,
         }));
-        let allowance = hedge_budget.load(Ordering::Relaxed);
-
-        let outcome = client
-            .submit_stream_hedged(&targets, wait, allowance, chunk_rows.unwrap_or(u32::MAX))
-            .and_then(|h| {
-                if h.hedges > 0 {
-                    let _ = hedge_budget.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                        Some(v.saturating_sub(h.hedges))
-                    });
-                }
-                let served_by = targets[h.winner].endpoint.clone();
-                open_source(h.stream, served_by, h.hedges, chunk_rows.is_none())
-            });
-        OpenedSite {
-            outcome,
-            budget_skipped: false,
+        SentSite::InFlight {
+            pending: client.begin_stream(targets, chunk_rows.unwrap_or(u32::MAX)),
+            straggler_wait,
+            budget_capped,
         }
     }
 
@@ -1161,12 +1156,30 @@ struct SiteState {
     delivered: Vec<Batch>,
 }
 
+/// One remote site between the scatter and gather passes of
+/// [`Executor::open_all`].
+enum SentSite {
+    /// The query budget ran out before this site was reached: nothing
+    /// was sent.
+    BudgetSkipped(DiscoError),
+    /// The request is on the wire (or `begin_stream` failed, which the
+    /// gather pass reports).
+    InFlight {
+        pending: Result<PendingStream>,
+        straggler_wait: Option<Duration>,
+        /// The remaining query budget, not the site's own deadline, is
+        /// what bounds the first attempt's wait.
+        budget_capped: bool,
+    },
+}
+
 /// The open phase's product for one submit site.
 struct OpenedSite {
     outcome: Result<OpenedSource>,
-    /// The site was never submitted: the query budget ran out first.
-    /// Always degrades to an empty subanswer, even when partial answers
-    /// are off — an exhausted budget is a policy decision, not a fault.
+    /// The query budget ran out on this site: before it was submitted,
+    /// or as the cap on its first attempt's deadline. Always degrades to
+    /// an empty subanswer, even when partial answers are off — an
+    /// exhausted budget is a policy decision, not a fault.
     budget_skipped: bool,
 }
 
@@ -1195,14 +1208,10 @@ enum OpenedSource {
 }
 
 /// Pull the schema-bearing first chunk off a freshly opened stream. In
-/// whole-answer mode keep pulling, here on the fetch worker, through the
+/// whole-answer mode keep pulling, here in the gather pass, through the
 /// end-of-stream stats: a mid-stream failure then fails the whole submit.
-fn open_source(
-    mut stream: SubmitStream,
-    served_by: String,
-    hedges: u32,
-    whole: bool,
-) -> Result<OpenedSource> {
+fn open_source(mut stream: SubmitStream, hedges: u32, whole: bool) -> Result<OpenedSource> {
+    let served_by = stream.endpoint().to_string();
     let first = stream
         .next_chunk()?
         .ok_or_else(|| DiscoError::Exec("stream ended before delivering a schema chunk".into()))?;
@@ -1778,24 +1787,6 @@ mod tests {
         // stays the analytic prediction.
         assert!(!trace.concurrent);
         assert_eq!(trace.parallel_ms(), trace.predicted_parallel_ms());
-    }
-
-    #[test]
-    fn local_parallel_fan_out_matches_sequential_results() {
-        let plan = PhysicalPlan::Union {
-            left: Box::new(submit(80)),
-            right: Box::new(submit(5)),
-        };
-        let w = wrappers();
-        let reg = disco_core::RuleRegistry::with_default_model();
-        let exec = Executor::new(&w, &reg).with_parallel(true);
-        let (_, tuples, trace) = exec.execute(&plan, None, None).unwrap();
-        assert_eq!(tuples.len(), 85);
-        assert_eq!(trace.submits.len(), 2);
-        assert!(trace.submit_wall_ms >= 0.0);
-        // Local backend: measured wall has no network in it, so the
-        // analytic prediction remains authoritative.
-        assert!(!trace.concurrent);
     }
 
     #[test]

@@ -24,11 +24,6 @@ pub struct MediatorOptions {
     /// Abandon estimation of plans worse than the current best (§4.3.2).
     /// On by default.
     pub pruning: bool,
-    /// Issue wrapper subqueries concurrently (Figure 2 shows steps 4a/4b
-    /// in parallel): measured time is dominated by the slowest subquery
-    /// instead of their sum. Over a transport the fan-out is real (scoped
-    /// threads) and its wall clock is measured.
-    pub parallel_submits: bool,
     /// Tolerate transport-connected wrappers that stay down past the
     /// retry budget: their submits contribute empty subanswers and the
     /// affected collections are reported in the trace, instead of the
@@ -69,7 +64,6 @@ impl Default for MediatorOptions {
         MediatorOptions {
             record_history: false,
             pruning: true,
-            parallel_submits: false,
             partial_answers: true,
             enumeration: JoinEnumeration::default(),
             small_query_threshold: OptimizerOptions::default().small_query_threshold,
@@ -665,7 +659,6 @@ impl Mediator {
                 .with_replicas(replicas),
             None => Executor::new(&self.wrappers, &self.registry).with_predictions(predictions),
         }
-        .with_parallel(self.options.parallel_submits)
         .with_partial_answers(self.options.partial_answers)
         .with_adaptive(replanner);
         let span = self.tracer.as_ref().map(|t| t.start("execute"));
@@ -678,15 +671,11 @@ impl Mediator {
         // touched heal over time instead of staying penalized forever.
         self.health.tick();
         let (schema, tuples, trace) = executed?;
-        let measured_ms = if self.options.parallel_submits {
-            trace.parallel_ms()
-        } else {
-            trace.sequential_ms()
-        };
+        let measured_ms = trace.sequential_ms();
         if let Some(t) = &self.tracer {
-            // Submits and the combine phase ran under the virtual clock
-            // (and, over a transport, on fetch workers): attach them
-            // post-hoc with their measured durations.
+            // Submits overlapped on the wire and the combine phase ran
+            // under the virtual clock: attach them post-hoc with their
+            // measured durations.
             let at = t.elapsed_us();
             for sub in &trace.submits {
                 t.record(
@@ -830,7 +819,7 @@ impl AnalyzeReport {
             let _ = writeln!(out);
         }
         if self.result.trace.budget_exhausted {
-            let _ = writeln!(out, "query budget exhausted: remaining submits skipped");
+            let _ = writeln!(out, "query budget exhausted: unanswered submits given up");
         }
         for replan in &self.result.trace.replans {
             let _ = writeln!(out, "{}", replan.render());

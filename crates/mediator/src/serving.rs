@@ -232,6 +232,11 @@ struct CacheEntry {
 /// The cache-validity state: `(history, catalog, capability, health)`.
 type CacheState = (u64, u64, u64, u64);
 
+/// Shapes the plan cache may hold before it starts over empty, so a
+/// workload of ever-new shapes cannot grow it without bound. An evicted
+/// shape costs one re-optimization.
+const MAX_CACHED_PLANS: usize = 4_096;
+
 /// A [`Mediator`] shared by N concurrent sessions. See the module docs
 /// for the shared-state layout and invalidation protocol.
 ///
@@ -428,7 +433,11 @@ impl SharedMediator {
         // negotiation pass: a fused plan is not decomposable back into
         // per-table access choices, but replay re-runs negotiation.
         if let Some(decisions) = plan.decisions.clone() {
-            self.plans.lock().unwrap().insert(
+            let mut plans = self.plans.lock().unwrap();
+            if plans.len() >= MAX_CACHED_PLANS {
+                *plans = HashMap::new();
+            }
+            plans.insert(
                 key,
                 CacheEntry {
                     decisions,
@@ -832,6 +841,30 @@ mod tests {
         assert!(format!("{:?}", p2.physical).contains("42"));
         assert_eq!(sm.cache_stats().hits, 1);
         assert_eq!(sm.cache_stats().misses, 1);
+    }
+
+    #[test]
+    fn caches_stay_bounded_across_many_shapes() {
+        let sm = shared(false);
+        for i in 0..5_000 {
+            // A fresh alias is a fresh shape: plan-cache miss, new memo keys.
+            let sql = format!("SELECT name AS c{i} FROM Employee WHERE id < {i}");
+            assert_eq!(sm.plan(&sql).unwrap().1, PlanSource::CacheMiss);
+        }
+        let est = sm.est_cache.lock().unwrap().0.clone();
+        let inserted = est.cost_lookups() - est.cost_hits();
+        assert!(inserted > disco_core::cache::MAX_ENTRIES, "{inserted}");
+        assert!(est.cost_entries() <= disco_core::cache::MAX_ENTRIES);
+        assert!(sm.plans.lock().unwrap().len() <= MAX_CACHED_PLANS);
+
+        // Bounded, not disabled: a recent shape replays from the plan
+        // cache, and re-optimizing it finds its subtrees still memoized.
+        let recent = "SELECT name AS c4999 FROM Employee WHERE id < 4999";
+        assert_eq!(sm.plan(recent).unwrap().1, PlanSource::CacheHit);
+        sm.clear_plan_cache();
+        let hits = est.cost_hits();
+        assert_eq!(sm.plan(recent).unwrap().1, PlanSource::CacheMiss);
+        assert!(est.cost_hits() > hits);
     }
 
     #[test]

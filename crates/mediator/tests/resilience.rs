@@ -6,7 +6,9 @@ use disco_algebra::{LogicalPlan, PlanBuilder};
 use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Value};
 use disco_mediator::{Mediator, MediatorOptions, ResiliencePolicy};
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
-use disco_transport::{ChannelTransport, FaultKind, FaultPlan, NetProfile, TransportClient};
+use disco_transport::{
+    ChannelTransport, FaultKind, FaultPlan, NetProfile, RetryPolicy, TransportClient,
+};
 use disco_wrapper::SourceWrapper;
 
 fn r_schema() -> Schema {
@@ -119,6 +121,61 @@ fn exhausted_budget_degrades_to_a_partial_answer() {
     // The skipped submit never went out.
     assert_eq!(r.trace.submits[0].attempts, 0);
     assert!(report.render().contains("query budget exhausted"));
+}
+
+#[test]
+fn budget_expiring_on_a_sent_site_is_reported_as_budget_expiry() {
+    // Both sites are sent at once, well inside the 20 ms budget. `fast`
+    // answers immediately; `slow` really sleeps ~200 ms, so what ends
+    // its wait is the budget — the cap on its deadline — not a deadline
+    // of its own.
+    let mut t = ChannelTransport::new();
+    for (wrapper, collection, sleep_scale, faults) in [
+        ("fast", "F", 0.0, FaultPlan::none()),
+        (
+            "slow",
+            "S",
+            0.1,
+            FaultPlan::always(FaultKind::Delay(2_000.0)),
+        ),
+    ] {
+        let mut store = PagedStore::new(wrapper, CostProfile::relational());
+        store
+            .add_collection(
+                collection,
+                CollectionBuilder::new(r_schema())
+                    .rows((0..50i64).map(|i| vec![Value::Long(i), Value::Long(i % 5)])),
+            )
+            .unwrap();
+        t.add_wrapper_with(
+            Box::new(SourceWrapper::new(wrapper, store)),
+            NetProfile::lan().with_sleep_scale(sleep_scale),
+            faults,
+        );
+    }
+    let client = TransportClient::new(Box::new(t)).with_retry(RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    });
+    let mut m = Mediator::new().with_options(MediatorOptions {
+        resilience: ResiliencePolicy {
+            query_budget_ms: Some(20.0),
+            ..ResiliencePolicy::default()
+        },
+        ..MediatorOptions::default()
+    });
+    m.connect(client).unwrap();
+
+    let r = m
+        .query("SELECT v FROM F UNION ALL SELECT v FROM S")
+        .unwrap();
+    assert!(r.trace.budget_exhausted);
+    assert!(r.is_partial());
+    assert_eq!(r.tuples.len(), 50, "the fast site's rows are all there");
+    assert_eq!(r.trace.missing, vec![QualifiedName::new("slow", "S")]);
+    let slow = &r.trace.submits[1];
+    assert_eq!(slow.wrapper, "slow");
+    assert!(slow.failed);
 }
 
 #[test]

@@ -246,9 +246,9 @@ fn history_records_only_successful_submits() {
     assert!(m.history_recorded() <= 1);
 }
 
-/// Four single-collection wrappers behind links that really sleep, so
-/// wall-clock time reflects the simulated network.
-fn sleepy_federation(parallel: bool) -> Mediator {
+/// Four single-collection wrappers behind `lan()` links sleeping
+/// `sleep_scale` wall-clock ms per simulated ms.
+fn sleepy_federation(sleep_scale: f64) -> Mediator {
     let mut t = ChannelTransport::new();
     for i in 0..4 {
         let name = format!("s{i}");
@@ -263,46 +263,57 @@ fn sleepy_federation(parallel: bool) -> Mediator {
             .unwrap();
         t.add_wrapper_with(
             Box::new(SourceWrapper::new(&name, store)),
-            // ~100 ms simulated round trip × 0.15 ≈ 15 ms real sleep.
-            NetProfile::lan().with_sleep_scale(0.15),
+            NetProfile::lan().with_sleep_scale(sleep_scale),
             FaultPlan::none(),
         );
     }
-    let client = TransportClient::new(Box::new(t));
-    let mut m = Mediator::new().with_options(MediatorOptions {
-        parallel_submits: parallel,
-        ..Default::default()
-    });
-    m.connect(client).unwrap();
+    let mut m = Mediator::new();
+    m.connect(TransportClient::new(Box::new(t))).unwrap();
     m
 }
 
+const FOUR_WAY_UNION: &str = "SELECT x FROM C0 UNION ALL SELECT x FROM C1 \
+                              UNION ALL SELECT x FROM C2 UNION ALL SELECT x FROM C3";
+
 #[test]
-fn measured_parallel_wall_clock_beats_sequential() {
-    let sql = "SELECT x FROM C0 UNION ALL SELECT x FROM C1 \
-               UNION ALL SELECT x FROM C2 UNION ALL SELECT x FROM C3";
-    let mut seq = sleepy_federation(false);
-    let mut par = sleepy_federation(true);
-    let s = seq.query(sql).unwrap();
-    let p = par.query(sql).unwrap();
-    assert_eq!(s.tuples.len(), 200);
-    assert_eq!(p.tuples.len(), 200);
+fn round_trips_overlap_on_the_wire() {
+    // ~100 ms simulated round trip × 0.15 ≈ 15 ms of real sleep per site.
+    let r = sleepy_federation(0.15).query(FOUR_WAY_UNION).unwrap();
+    assert_eq!(r.tuples.len(), 200);
+    assert_eq!(r.trace.submits.len(), 4);
+    assert!(r.trace.concurrent);
 
-    // The parallel run really fanned out and measured its wall clock.
-    assert!(p.trace.concurrent);
-    assert!(!s.trace.concurrent);
-    assert_eq!(p.trace.submits.len(), 4);
-
-    // Four ~15 ms sleeps overlap instead of accumulating.
+    // Every request was sent before the first reply was awaited, so the
+    // four sleeps overlap: one after another they would take ≥ 60 ms.
     assert!(
-        p.trace.submit_wall_ms < s.trace.submit_wall_ms,
-        "parallel fetch {} ms !< sequential fetch {} ms",
-        p.trace.submit_wall_ms,
-        s.trace.submit_wall_ms
+        r.trace.submit_wall_ms < 45.0,
+        "fetch took {} ms, the four round trips did not overlap",
+        r.trace.submit_wall_ms
     );
-    // Measured parallel response time never exceeds the sequential
-    // accounting of the same trace.
-    assert!(p.trace.parallel_ms() <= p.trace.sequential_ms());
+    for s in &r.trace.submits {
+        assert_eq!(s.attempts, 1);
+    }
+    // The virtual clock agrees: the slowest subquery bounds the
+    // response time, their sum is the total work.
+    assert!(r.trace.predicted_parallel_ms() < r.trace.sequential_ms());
+    assert!(r.trace.parallel_ms() < r.trace.sequential_ms());
+}
+
+#[test]
+fn measured_ms_is_one_clock() {
+    // `measured_ms` is virtual time only: how long the links really
+    // sleep (and so how long the fetch takes on the wall) cannot move it.
+    let instant = sleepy_federation(0.0).query(FOUR_WAY_UNION).unwrap();
+    let sleepy = sleepy_federation(0.15).query(FOUR_WAY_UNION).unwrap();
+    assert!(sleepy.trace.submit_wall_ms > instant.trace.submit_wall_ms);
+    assert_eq!(
+        instant.measured_ms.to_bits(),
+        sleepy.measured_ms.to_bits(),
+        "{} vs {}",
+        instant.measured_ms,
+        sleepy.measured_ms
+    );
+    assert_eq!(sleepy.measured_ms, sleepy.trace.sequential_ms());
 }
 
 /// A wrapper whose registration fails — connect() must surface it.

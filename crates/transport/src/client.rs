@@ -11,6 +11,13 @@
 //! per-wrapper health recording feeding the estimator's adaptive scope
 //! penalties. Non-transient errors (a wrapper rejecting a malformed
 //! plan, say) are returned immediately — retrying them cannot help.
+//!
+//! A stream open comes in two halves so one thread can overlap the
+//! round trips of many endpoints:
+//! [`begin_stream`](TransportClient::begin_stream) queues the request
+//! and returns, [`finish_stream`](TransportClient::finish_stream) waits
+//! for the first frame and settles retries. A caller that begins every
+//! open before finishing any has all its requests on the wire at once.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -123,6 +130,67 @@ pub struct HedgedStreamOutcome {
     pub hedges: u32,
 }
 
+/// A stream open in flight, between
+/// [`begin_stream`](TransportClient::begin_stream) and
+/// [`finish_stream`](TransportClient::finish_stream). Dropping it
+/// abandons the open and releases the producer.
+pub struct PendingStream(Pending);
+
+enum Pending {
+    /// One endpoint: its first attempt is on the wire.
+    Single(PendingOpen),
+    /// A replica set: the primary's open runs on the first race thread.
+    Race(Race),
+}
+
+/// One endpoint's stream open between [`ClientCore::begin`] and
+/// [`ClientCore::finish`].
+struct PendingOpen {
+    endpoint: String,
+    /// The encoded request; every retry ships the same bytes.
+    request: Vec<u8>,
+    opts: SubmitOptions,
+    /// When `begin` was entered: attempt 1's deadline and the stream's
+    /// wall time both count from here.
+    started: Instant,
+    first: FirstAttempt,
+}
+
+enum FirstAttempt {
+    /// The circuit breaker refused the call: nothing was sent.
+    Refused(DiscoError),
+    /// What `call_stream` returned: on `Ok` the request is queued at the
+    /// endpoint.
+    Sent(Result<Box<dyn FrameStream>>),
+}
+
+/// A replica race in progress: every launched replica's open reports to
+/// `rx` as `(target index, result)`.
+struct Race {
+    targets: Vec<HedgeTarget>,
+    chunk_rows: u32,
+    tx: mpsc::Sender<(usize, Result<SubmitStream>)>,
+    rx: mpsc::Receiver<(usize, Result<SubmitStream>)>,
+    /// When the primary was launched; the first straggler wait counts
+    /// from here.
+    started: Instant,
+}
+
+impl Race {
+    /// Open `targets[idx]` on its own detached thread.
+    fn launch(&self, core: &Arc<ClientCore>, idx: usize) {
+        let t = self.targets[idx].clone();
+        let tx = self.tx.clone();
+        let core = Arc::clone(core);
+        let chunk_rows = self.chunk_rows;
+        std::thread::spawn(move || {
+            let result = core.open_stream(&t.endpoint, &t.plan, &t.opts, chunk_rows);
+            // The race may be over; a closed channel is fine.
+            let _ = tx.send((idx, result));
+        });
+    }
+}
+
 /// A streamed submit in progress. Retries, breaker accounting and the
 /// simulated-time deadline are all settled while opening the stream
 /// (i.e. before the first chunk is surfaced — the only point where a
@@ -226,8 +294,10 @@ impl SubmitStream {
         self.first_frame_comm_ms
     }
 
-    /// Measured wall-clock time from open to the first frame, retries
-    /// included.
+    /// Measured wall-clock time from the request being sent to the first
+    /// frame being taken off the stream, retries included — and, when the
+    /// caller had other opens in flight, the time it spent on those
+    /// before turning to this one.
     pub fn wall_first_ms(&self) -> f64 {
         self.wall_first_ms
     }
@@ -235,6 +305,12 @@ impl SubmitStream {
     /// Attempts spent opening the stream (1 = first try succeeded).
     pub fn attempts(&self) -> u32 {
         self.attempts
+    }
+
+    /// The endpoint serving this stream — the race winner when the open
+    /// was hedged.
+    pub fn endpoint(&self) -> &str {
+        &self.endpoint
     }
 
     /// Request size on the wire.
@@ -393,6 +469,9 @@ impl TransportClient {
     /// A hedge goes through the same breaker acquire/record path as any
     /// submit, so a hedge into a half-open breaker is that breaker's
     /// single probe — hedging cannot bypass it.
+    ///
+    /// This is [`begin_stream`](Self::begin_stream) followed at once by
+    /// [`finish_stream`](Self::finish_stream).
     pub fn submit_stream_hedged(
         &self,
         targets: &[HedgeTarget],
@@ -400,35 +479,72 @@ impl TransportClient {
         hedge_allowance: u32,
         chunk_rows: u32,
     ) -> Result<HedgedStreamOutcome> {
+        let pending = self.begin_stream(targets.to_vec(), chunk_rows)?;
+        self.finish_stream(pending, straggler_wait, hedge_allowance)
+    }
+
+    /// First half of a stream open: put the request to `targets[0]` on
+    /// the wire and return without waiting for any reply. With one
+    /// target the calling thread encodes the plan, acquires the breaker
+    /// and queues the request itself; with replicas the primary's whole
+    /// open runs on the first thread of the race that
+    /// [`finish_stream`](Self::finish_stream) will referee. Failures —
+    /// an open breaker, an unknown endpoint — are reported by
+    /// `finish_stream`; the only error here is an empty target list.
+    pub fn begin_stream(
+        &self,
+        targets: Vec<HedgeTarget>,
+        chunk_rows: u32,
+    ) -> Result<PendingStream> {
         let first = targets
             .first()
             .ok_or_else(|| DiscoError::Exec("hedged submit needs at least one target".into()))?;
         if targets.len() == 1 {
-            return self
-                .submit_stream_opts(&first.endpoint, &first.plan, &first.opts, chunk_rows)
-                .map(|stream| HedgedStreamOutcome {
+            let open = self
+                .core
+                .begin(&first.endpoint, &first.plan, &first.opts, chunk_rows);
+            return Ok(PendingStream(Pending::Single(open)));
+        }
+        let (tx, rx) = mpsc::channel();
+        let race = Race {
+            targets,
+            chunk_rows,
+            tx,
+            rx,
+            started: Instant::now(),
+        };
+        race.launch(&self.core, 0);
+        Ok(PendingStream(Pending::Race(race)))
+    }
+
+    /// Second half of a stream open: wait for the first frame and settle
+    /// retries, hedges and failover (see
+    /// [`submit_stream_hedged`](Self::submit_stream_hedged)). The first
+    /// attempt's deadline and the first straggler wait both count from
+    /// [`begin_stream`](Self::begin_stream): a reply that arrived while
+    /// the caller was finishing other opens is taken at once, and one
+    /// already overdue gets no extra time.
+    pub fn finish_stream(
+        &self,
+        pending: PendingStream,
+        straggler_wait: Option<Duration>,
+        hedge_allowance: u32,
+    ) -> Result<HedgedStreamOutcome> {
+        let race = match pending.0 {
+            Pending::Single(open) => {
+                return self.core.finish(open).map(|stream| HedgedStreamOutcome {
                     stream,
                     winner: 0,
                     hedges: 0,
-                });
-        }
-        let (tx, rx) = mpsc::channel::<(usize, Result<SubmitStream>)>();
-        let mut launched = 0usize;
-        let mut pending = 0usize;
-        let mut hedges = 0u32;
-        let launch = |idx: usize, pending: &mut usize| {
-            let t = targets[idx].clone();
-            let tx = tx.clone();
-            let core = Arc::clone(&self.core);
-            std::thread::spawn(move || {
-                let result = core.open_stream(&t.endpoint, &t.plan, &t.opts, chunk_rows);
-                // The race may be over; a closed channel is fine.
-                let _ = tx.send((idx, result));
-            });
-            *pending += 1;
+                })
+            }
+            Pending::Race(race) => race,
         };
-        launch(launched, &mut pending);
-        launched += 1;
+        let targets = &race.targets;
+        let mut launched = 1usize;
+        let mut pending = 1usize;
+        let mut hedges = 0u32;
+        let mut silent_since = race.started;
         // Loudest error wins the report: a non-transient failure (e.g. a
         // wrapper rejecting the plan) beats timeouts.
         let mut last_err: Option<DiscoError> = None;
@@ -436,8 +552,9 @@ impl TransportClient {
             if pending == 0 {
                 if launched < targets.len() {
                     // Every launched replica failed: fail over.
-                    launch(launched, &mut pending);
+                    race.launch(&self.core, launched);
                     launched += 1;
+                    pending += 1;
                     continue;
                 }
                 return Err(last_err
@@ -445,20 +562,29 @@ impl TransportClient {
             }
             let can_hedge = hedges < hedge_allowance && launched < targets.len();
             let message = match (can_hedge, straggler_wait) {
-                (true, Some(wait)) => match rx.recv_timeout(wait) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Straggler: open a second front at the next
-                        // replica.
-                        note_hedge(&targets[launched].endpoint);
-                        hedges += 1;
-                        launch(launched, &mut pending);
-                        launched += 1;
-                        continue;
+                (true, Some(wait)) => {
+                    match race
+                        .rx
+                        .recv_timeout(wait.saturating_sub(silent_since.elapsed()))
+                    {
+                        Ok(m) => m,
+                        Err(RecvTimeoutError::Timeout) => {
+                            // Straggler: open a second front at the next
+                            // replica.
+                            note_hedge(&targets[launched].endpoint);
+                            hedges += 1;
+                            race.launch(&self.core, launched);
+                            launched += 1;
+                            pending += 1;
+                            silent_since = Instant::now();
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Disconnected) => {
+                            unreachable!("race holds a sender")
+                        }
                     }
-                    Err(RecvTimeoutError::Disconnected) => unreachable!("race holds a sender"),
-                },
-                _ => rx.recv().expect("race holds a sender"),
+                }
+                _ => race.rx.recv().expect("race holds a sender"),
             };
             match message {
                 (winner, Ok(stream)) => {
@@ -473,6 +599,7 @@ impl TransportClient {
                 }
                 (_, Err(e)) => {
                     pending -= 1;
+                    silent_since = Instant::now();
                     let louder = !e.is_transient()
                         || last_err.as_ref().is_none_or(|prev| prev.is_transient());
                     if louder {
@@ -513,8 +640,21 @@ impl ClientCore {
         Some(sim.max(floor))
     }
 
-    /// The reliability loop every submit runs: breaker acquire, then up
-    /// to `max_attempts` tries with full-jitter backoff between them,
+    /// Ask the endpoint's breaker for one call. A refusal is the
+    /// fail-fast path: nothing is sent.
+    fn admit(&self, endpoint: &str) -> Result<()> {
+        if self.acquire(endpoint) {
+            return Ok(());
+        }
+        note_unavailable(endpoint);
+        Err(DiscoError::Unavailable(format!(
+            "circuit breaker open for `{endpoint}`"
+        )))
+    }
+
+    /// The reliability loop every submit runs once [`admit`](Self::admit)
+    /// has let its first attempt through: up to `max_attempts` tries with
+    /// full-jitter backoff (and a fresh breaker acquire) between them,
     /// each outcome recorded into the breaker and the health tracker.
     /// `attempt` makes one try (given its 1-based number) and returns its
     /// product with the simulated communication time health samples.
@@ -524,14 +664,6 @@ impl ClientCore {
         opts: &SubmitOptions,
         mut attempt: impl FnMut(u32) -> Result<(T, f64)>,
     ) -> Result<T> {
-        let breaker_open = || {
-            note_unavailable(endpoint);
-            DiscoError::Unavailable(format!("circuit breaker open for `{endpoint}`"))
-        };
-        if !self.acquire(endpoint) {
-            return Err(breaker_open());
-        }
-
         let mut backoff_ms = self.retry.backoff_base_ms as f64;
         let mut last_err = DiscoError::Exec(format!("no attempts made against `{endpoint}`"));
         for n in 1..=self.retry.max_attempts.max(1) {
@@ -543,8 +675,8 @@ impl ClientCore {
                     )
                     .inc();
                 }
-                // Full jitter: sleep uniform(0, backoff) so parallel
-                // wrapper workers don't retry in lockstep.
+                // Full jitter: sleep uniform(0, backoff) so clients
+                // sharing an endpoint don't retry in lockstep.
                 let sleep_ms = backoff_ms * self.jitter.lock().expect("jitter lock").gen_f64();
                 if sleep_ms >= 0.5 {
                     std::thread::sleep(Duration::from_micros((sleep_ms * 1000.0) as u64));
@@ -567,8 +699,8 @@ impl ClientCore {
                     last_err = e;
                     // The breaker may have opened mid-budget; stop early
                     // rather than hammering a tripped endpoint.
-                    if n < self.retry.max_attempts && !self.acquire(endpoint) {
-                        return Err(breaker_open());
+                    if n < self.retry.max_attempts {
+                        self.admit(endpoint)?;
                     }
                 }
                 // Non-transient errors are the wrapper's final word.
@@ -586,6 +718,7 @@ impl ClientCore {
         let request = Request::Submit(plan.clone()).to_wire_bytes();
         let opts = SubmitOptions::default();
         let deadline = self.attempt_deadline(endpoint, &opts);
+        self.admit(endpoint)?;
         self.with_retries(endpoint, &opts, |attempts| {
             let env = self.transport.call(endpoint, &request, deadline)?;
             match Response::from_wire_bytes(&env.payload)?.into_result()? {
@@ -607,12 +740,7 @@ impl ClientCore {
         })
     }
 
-    /// Open a streaming submit. The retry loop runs only until the first
-    /// frame is delivered: every retry re-issues the whole stream, which
-    /// is safe exactly because no chunk has been surfaced yet. The
-    /// simulated-time deadline is enforced on the first frame (which
-    /// carries the round trip, jitter and any injected delay); later
-    /// frames pay transfer only and ride the per-frame wall deadline.
+    /// Open a streaming submit and wait for its first frame.
     fn open_stream(
         self: &Arc<Self>,
         endpoint: &str,
@@ -620,17 +748,69 @@ impl ClientCore {
         opts: &SubmitOptions,
         chunk_rows: u32,
     ) -> Result<SubmitStream> {
+        self.finish(self.begin(endpoint, plan, opts, chunk_rows))
+    }
+
+    /// First half of a stream open: encode the plan, acquire the breaker
+    /// and queue attempt 1 at the endpoint. Relies on
+    /// [`Transport::call_stream`] returning as soon as the request is
+    /// queued, so a caller can begin any number of opens before it waits
+    /// on one.
+    fn begin(
+        &self,
+        endpoint: &str,
+        plan: &LogicalPlan,
+        opts: &SubmitOptions,
+        chunk_rows: u32,
+    ) -> PendingOpen {
         let started = Instant::now();
         let request = Request::SubmitStream {
             plan: plan.clone(),
             chunk_rows,
         }
         .to_wire_bytes();
-        let deadline = self.attempt_deadline(endpoint, opts);
-        let sim_deadline = self.sim_deadline(endpoint, opts);
-        self.with_retries(endpoint, opts, |attempts| {
-            let mut stream = self.transport.call_stream(endpoint, &request)?;
-            let env = stream.next_frame(deadline)?;
+        let first = match self.admit(endpoint) {
+            Ok(()) => FirstAttempt::Sent(self.transport.call_stream(endpoint, &request)),
+            Err(refused) => FirstAttempt::Refused(refused),
+        };
+        PendingOpen {
+            endpoint: endpoint.to_string(),
+            request,
+            opts: *opts,
+            started,
+            first,
+        }
+    }
+
+    /// Second half of a stream open: wait for attempt 1's first frame
+    /// against what is left of its deadline since [`begin`](Self::begin),
+    /// and on a transient failure run the remaining attempts. The retry
+    /// loop runs only until a first frame is delivered: every retry
+    /// re-issues the whole stream, which is safe exactly because no chunk
+    /// has been surfaced yet. The simulated-time deadline is enforced on
+    /// the first frame (which carries the round trip, jitter and any
+    /// injected delay); later frames pay transfer only and ride the
+    /// per-frame wall deadline.
+    fn finish(self: &Arc<Self>, pending: PendingOpen) -> Result<SubmitStream> {
+        let PendingOpen {
+            endpoint,
+            request,
+            opts,
+            started,
+            first,
+        } = pending;
+        let deadline = self.attempt_deadline(&endpoint, &opts);
+        let sim_deadline = self.sim_deadline(&endpoint, &opts);
+        let mut first = match first {
+            FirstAttempt::Refused(refused) => return Err(refused),
+            FirstAttempt::Sent(sent) => Some(sent),
+        };
+        self.with_retries(&endpoint, &opts, |attempts| {
+            let (mut stream, wait) = match first.take() {
+                Some(sent) => (sent?, deadline.saturating_sub(started.elapsed())),
+                None => (self.transport.call_stream(&endpoint, &request)?, deadline),
+            };
+            let env = stream.next_frame(wait)?;
             if let Some(sim) = sim_deadline.filter(|sim| env.comm_ms > *sim) {
                 return Err(DiscoError::Timeout(format!(
                     "first frame from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
@@ -650,7 +830,7 @@ impl ClientCore {
             };
             let opened = SubmitStream {
                 core: Arc::clone(self),
-                endpoint: endpoint.to_string(),
+                endpoint: endpoint.clone(),
                 source: Some(stream),
                 deadline,
                 buffered: VecDeque::from([StreamChunk {
@@ -943,6 +1123,146 @@ mod tests {
             .unwrap_err();
         assert!(err.is_transient());
         assert_eq!(err.kind(), "timeout");
+    }
+
+    /// A client over endpoint `s` under `faults`, and a handle on the
+    /// transport to read `requests_served` from.
+    fn shared_client(
+        faults: FaultPlan,
+        retry: RetryPolicy,
+    ) -> (TransportClient, Arc<ChannelTransport>) {
+        let mut t = ChannelTransport::new();
+        t.add_wrapper_with(wrapper("s"), NetProfile::lan(), faults);
+        let t = Arc::new(t);
+        let c = TransportClient::new(Box::new(Arc::clone(&t))).with_retry(retry);
+        (c, t)
+    }
+
+    fn target(name: &str) -> Vec<HedgeTarget> {
+        vec![HedgeTarget {
+            endpoint: name.into(),
+            plan: plan(name),
+            opts: SubmitOptions::default(),
+        }]
+    }
+
+    fn attempts(max_attempts: u32, deadline_ms: u64) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            deadline_ms,
+            backoff_base_ms: 1,
+            backoff_factor: 2.0,
+        }
+    }
+
+    #[test]
+    fn open_breaker_at_begin_sends_nothing() {
+        let (c, t) = shared_client(
+            FaultPlan::always(FaultKind::Unavailable),
+            attempts(3, 2_000),
+        );
+        let c = c.with_breaker(BreakerPolicy {
+            failure_threshold: 3,
+            cooldown_calls: 2,
+        });
+        // One full open burns exactly the threshold.
+        assert!(c.submit_stream_hedged(&target("s"), None, 0, 64).is_err());
+        assert_eq!(c.breaker_state("s"), Some(BreakerState::Open));
+        let served = t.requests_served("s");
+        assert_eq!(served, 3);
+
+        let pending = c.begin_stream(target("s"), 64).unwrap();
+        let err = c.finish_stream(pending, None, 0).unwrap_err();
+        assert_eq!(err.kind(), "unavailable");
+        assert!(err.message().contains("circuit breaker"));
+        assert_eq!(t.requests_served("s"), served);
+    }
+
+    #[test]
+    fn dropped_first_attempt_is_retried_inside_finish() {
+        // Fault sequence 0 swallows the attempt `begin` sent; `finish`
+        // sends attempt 2, which consumes sequence 1 and is served.
+        let (c, t) = shared_client(FaultPlan::first_n(FaultKind::Drop, 1), attempts(3, 40));
+        let pending = c.begin_stream(target("s"), 64).unwrap();
+        let mut out = c.finish_stream(pending, None, 0).unwrap();
+        assert_eq!(out.stream.attempts(), 2);
+        assert_eq!(t.requests_served("s"), 2);
+        assert_eq!(drain(&mut out.stream).1, 9);
+    }
+
+    #[test]
+    fn reply_that_arrived_while_the_caller_was_busy_is_taken_at_once() {
+        let (c, t) = shared_client(FaultPlan::none(), attempts(2, 2_000));
+        let pending = c.begin_stream(target("s"), 64).unwrap();
+        // Busy elsewhere: a second request to the same endpoint. Its
+        // worker serves in arrival order, so once this one is answered
+        // the stream's first frame is already waiting.
+        c.submit("s", &plan("s")).unwrap();
+        let mut out = c.finish_stream(pending, None, 0).unwrap();
+        assert_eq!(out.stream.attempts(), 1);
+        assert_eq!(t.requests_served("s"), 2);
+        assert_eq!(drain(&mut out.stream).1, 9);
+    }
+
+    #[test]
+    fn overdue_first_attempt_gets_no_extra_time() {
+        // Links that really sleep. `late` answers after ≥ 500 ms, against
+        // a deadline clamped up to its 101 ms latency floor; one round
+        // trip to `nap` keeps the caller busy for ≥ 150 ms.
+        let mut t = ChannelTransport::new();
+        t.add_wrapper_with(
+            wrapper("late"),
+            NetProfile::lan().with_sleep_scale(1.0),
+            FaultPlan::always(FaultKind::Delay(400.0)),
+        );
+        t.add_wrapper_with(
+            wrapper("nap"),
+            NetProfile::lan().with_sleep_scale(1.5),
+            FaultPlan::none(),
+        );
+        let t = Arc::new(t);
+        let c = TransportClient::new(Box::new(Arc::clone(&t))).with_retry(attempts(1, 50));
+
+        let begun = Instant::now();
+        let pending = c.begin_stream(target("late"), 64).unwrap();
+        // Busy elsewhere (answered or timed out, the time has passed).
+        let _ = c.submit("nap", &plan("nap"));
+        assert!(begun.elapsed() >= Duration::from_millis(150));
+        // The deadline counted from `begin` is gone and no reply is
+        // there: `finish` reports the timeout without waiting again.
+        let finishing = Instant::now();
+        let err = c.finish_stream(pending, None, 0).unwrap_err();
+        assert_eq!(err.kind(), "timeout");
+        assert!(
+            finishing.elapsed() < Duration::from_millis(50),
+            "finish waited {:?} on an overdue attempt",
+            finishing.elapsed()
+        );
+        assert_eq!(t.requests_served("late"), 1);
+    }
+
+    #[test]
+    fn begun_opens_reach_a_shared_endpoint_in_begin_order() {
+        // Run `r` consumes fault sequences 2r and 2r + 1; every even one
+        // fails. The open begun first must always be the one that fails.
+        const RUNS: u64 = 100;
+        let faults = (0..RUNS).fold(FaultPlan::none(), |plan, r| {
+            plan.window(2 * r, 2 * r + 1, FaultKind::Unavailable)
+        });
+        let (c, t) = shared_client(faults, attempts(1, 2_000));
+        let c = c.with_breaker(BreakerPolicy {
+            failure_threshold: u32::MAX,
+            cooldown_calls: 1,
+        });
+        for run in 0..RUNS {
+            let site0 = c.begin_stream(target("s"), 64).unwrap();
+            let site1 = c.begin_stream(target("s"), 64).unwrap();
+            let first = c.finish_stream(site0, None, 0);
+            let second = c.finish_stream(site1, None, 0);
+            assert_eq!(first.unwrap_err().kind(), "unavailable", "run {run}");
+            assert_eq!(second.unwrap().stream.attempts(), 1, "run {run}");
+        }
+        assert_eq!(t.requests_served("s"), 2 * RUNS);
     }
 
     #[test]

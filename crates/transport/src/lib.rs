@@ -39,8 +39,8 @@ use disco_common::Result;
 pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use channel::ChannelTransport;
 pub use client::{
-    HedgeTarget, HedgedStreamOutcome, RetryPolicy, StreamChunk, SubmitOptions, SubmitOutcome,
-    SubmitStream, TransportClient,
+    HedgeTarget, HedgedStreamOutcome, PendingStream, RetryPolicy, StreamChunk, SubmitOptions,
+    SubmitOutcome, SubmitStream, TransportClient,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use netsim::NetProfile;
@@ -65,8 +65,8 @@ pub struct Envelope {
 ///
 /// Implementations deliver an encoded [`Request`] to the named endpoint
 /// and return the encoded [`Response`], or time out. They must be callable
-/// from multiple threads at once — the executor fans submits out
-/// concurrently.
+/// from multiple threads at once — concurrent sessions and hedge races
+/// share one client.
 pub trait Transport: Send + Sync {
     /// Names of the endpoints this transport can reach.
     fn endpoints(&self) -> Vec<String>;
@@ -94,10 +94,33 @@ pub trait Transport: Send + Sync {
 
     /// Open a streaming call: deliver `request` (a
     /// [`Request::SubmitStream`]) to `endpoint` and return a handle that
-    /// yields reply [`Frame`]s incrementally. The call itself does not
-    /// block on the wrapper; frames are pulled with
+    /// yields reply [`Frame`]s incrementally. The contract the executor's
+    /// scatter-gather fetch rests on: the call returns once the request
+    /// is queued at the endpoint and never waits for a reply, so one
+    /// thread can have a request outstanding at every endpoint before it
+    /// blocks on any of them. Frames are pulled with
     /// [`FrameStream::next_frame`] under per-frame deadlines.
     fn call_stream(&self, endpoint: &str, request: &[u8]) -> Result<Box<dyn FrameStream>>;
+}
+
+/// A shared transport is a transport: whoever built it can keep a handle
+/// (to read an endpoint's counters, say) after handing it to a client.
+impl<T: Transport + ?Sized> Transport for std::sync::Arc<T> {
+    fn endpoints(&self) -> Vec<String> {
+        (**self).endpoints()
+    }
+    fn call(&self, endpoint: &str, request: &[u8], deadline: Duration) -> Result<Envelope> {
+        (**self).call(endpoint, request, deadline)
+    }
+    fn latency_floor_ms(&self, endpoint: &str) -> Option<f64> {
+        (**self).latency_floor_ms(endpoint)
+    }
+    fn sleep_scale(&self, endpoint: &str) -> Option<f64> {
+        (**self).sleep_scale(endpoint)
+    }
+    fn call_stream(&self, endpoint: &str, request: &[u8]) -> Result<Box<dyn FrameStream>> {
+        (**self).call_stream(endpoint, request)
+    }
 }
 
 /// One streamed reply frame with its transfer accounting.

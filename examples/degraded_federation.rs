@@ -12,7 +12,7 @@
 //! ```
 
 use disco::common::{AttributeDef, DataType, Schema, Value};
-use disco::mediator::{Mediator, MediatorOptions};
+use disco::mediator::Mediator;
 use disco::sources::{CollectionBuilder, CostProfile, PagedStore};
 use disco::transport::{
     BreakerPolicy, ChannelTransport, FaultKind, FaultPlan, NetProfile, RetryPolicy, TransportClient,
@@ -63,10 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .with_breaker(BreakerPolicy::default());
 
-    let mut mediator = Mediator::new().with_options(MediatorOptions {
-        parallel_submits: true,
-        ..Default::default()
-    });
+    let mut mediator = Mediator::new();
     // Registration happens over the wire; the archive endpoint is only
     // faulty for submitted subqueries, so all three register.
     mediator.connect(client)?;
