@@ -393,39 +393,44 @@ mod tests {
         assert_eq!(t.distinct_keys(), 50);
     }
 
-    // Gated: requires the `proptest` cargo feature (and the proptest
-    // dev-dependency, removed so offline builds succeed — see Cargo.toml).
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn matches_btreemap_model(ops in prop::collection::vec((0i64..200, 0u32..10_000), 0..600)) {
-                use std::collections::BTreeMap;
-                let mut model: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-                let mut tree = BPlusTree::new();
-                for (k, r) in &ops {
-                    model.entry(*k).or_default().push(*r);
-                    tree.insert(Value::Long(*k), *r);
-                }
-                prop_assert_eq!(tree.len(), ops.len());
-                for k in 0i64..200 {
-                    let expect = model.get(&k).cloned().unwrap_or_default();
-                    prop_assert_eq!(tree.lookup(&Value::Long(k)), &expect[..]);
-                }
-                // Range agreement at a few pivots.
-                for pivot in [0i64, 50, 137, 199] {
-                    let mut expect: Vec<u32> = model
-                        .range(..=pivot)
-                        .flat_map(|(_, v)| v.iter().copied())
-                        .collect();
-                    let got = tree.scan(CompareOp::Le, &Value::Long(pivot)).unwrap();
-                    // Both are key-ordered; rid order within a key is insertion order.
-                    prop_assert_eq!(&got, &expect);
-                    expect.clear();
-                }
+    /// Random insert sequences against a `BTreeMap` model: point lookups
+    /// on every key of the domain and `<=` range scans at a few pivots.
+    #[test]
+    fn matches_btreemap_model() {
+        use std::collections::BTreeMap;
+        for seed in 0..64u64 {
+            let mut rng = disco_common::rng::seeded(seed, "btree-model");
+            let ops: Vec<(i64, u32)> = (0..rng.gen_range(0..600usize))
+                .map(|_| {
+                    (
+                        rng.gen_range(0..200i64),
+                        rng.gen_range(0..10_000usize) as u32,
+                    )
+                })
+                .collect();
+            let mut model: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
+            let mut tree = BPlusTree::new();
+            for &(k, r) in &ops {
+                model.entry(k).or_default().push(r);
+                tree.insert(Value::Long(k), r);
+            }
+            assert_eq!(tree.len(), ops.len(), "seed {seed}");
+            for k in 0i64..200 {
+                let expect = model.get(&k).cloned().unwrap_or_default();
+                assert_eq!(
+                    tree.lookup(&Value::Long(k)),
+                    &expect[..],
+                    "seed {seed}, key {k}"
+                );
+            }
+            for pivot in [0i64, 50, 137, 199] {
+                // Both are key-ordered; rid order within a key is insertion order.
+                let expect: Vec<u32> = model
+                    .range(..=pivot)
+                    .flat_map(|(_, v)| v.iter().copied())
+                    .collect();
+                let got = tree.scan(CompareOp::Le, &Value::Long(pivot)).unwrap();
+                assert_eq!(got, expect, "seed {seed}, pivot {pivot}");
             }
         }
     }

@@ -1,10 +1,10 @@
 //! A [`DataSource`] backed by the real disk engine in `disco-store`.
 //!
-//! [`StoreSource`] executes the same plan shapes as [`PagedStore`]
-//! (sequential scans, index selections, index joins, and the in-memory
-//! operator fallbacks from [`exec`]) but its page faults are *performed*,
-//! not simulated: every heap or index page comes through `disco-store`'s
-//! buffer pool, and [`ExecStats::pages_read`] reports the data-page
+//! [`StoreSource`] gives the shared plan walker (`walk`) the same access
+//! paths as [`PagedStore`] (sequential scans, index selections, index
+//! joins) but its page faults are *performed*, not simulated: every heap
+//! or index page comes through `disco-store`'s
+//! buffer pool, and [`ExecStats::pages_read`](crate::ExecStats) reports the data-page
 //! faults that actually happened. CPU and delivery time still accrue on
 //! the virtual clock with the same constants as the simulated engine, and
 //! each fault charges the same 25 ms, so elapsed figures stay comparable
@@ -21,17 +21,16 @@
 //! [`PagedStore`]: crate::store::PagedStore
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use disco_algebra::{CompareOp, LogicalPlan};
-use disco_catalog::{AttributeStats, CollectionStats, ExtentStats};
-use disco_common::{DiscoError, Result, Schema, Tuple, Value};
-use disco_store::{DiskStore, PoolCounters, StoreSession};
+use disco_catalog::{CollectionStats, ExtentStats};
+use disco_common::{Result, Schema, Tuple, Value};
+use disco_store::{DiskStore, PoolCounters, Rid, StoreSession};
 
 use crate::clock::{CostProfile, VirtualClock};
-use crate::exec;
-use crate::source::{DataSource, ExecStats, SubAnswer};
-use crate::store::blocking_root;
+use crate::source::{DataSource, SubAnswer};
+use crate::walk::{self, Leaves};
 
 /// A disk-backed data source.
 #[derive(Debug, Clone)]
@@ -81,210 +80,60 @@ impl StoreSource {
     pub fn pool_counters(&self) -> PoolCounters {
         self.store.counters()
     }
+}
 
-    fn exec(
-        &self,
-        session: &StoreSession<'_>,
-        plan: &LogicalPlan,
-        clock: &mut VirtualClock,
-        scanned: &mut u64,
-    ) -> Result<(Schema, Vec<Tuple>)> {
-        let p = &self.profile;
-        match plan {
-            LogicalPlan::Scan { collection, .. } => {
-                let name = collection.collection.as_str();
-                let c = self.store.collection(name)?;
-                let schema = c.schema().clone();
-                let tuples = session.scan(name)?;
-                clock.charge(tuples.len() as f64 * p.cpu_scan_ms);
-                *scanned += tuples.len() as u64;
-                Ok((schema, tuples))
-            }
-            LogicalPlan::Select { input, predicate } => {
-                // Index access path, identical shape to the simulated
-                // engine: one conjunct straight over an indexed scan.
-                if let LogicalPlan::Scan { collection, .. } = input.as_ref() {
-                    if let [cond] = predicate.conjuncts.as_slice() {
-                        let name = collection.collection.as_str();
-                        let c = self.store.collection(name)?;
-                        if let Some(rids) =
-                            session.index_rids(name, &cond.attribute, cond.op, &cond.value)?
-                        {
-                            clock.charge(p.probe_ms);
-                            let mut out = Vec::with_capacity(rids.len());
-                            for rid in rids {
-                                out.push(session.fetch(name, rid)?);
-                                clock.charge(p.cpu_scan_ms);
-                                *scanned += 1;
-                            }
-                            return Ok((c.schema().clone(), out));
-                        }
-                    }
-                }
-                let (schema, tuples) = self.exec(session, input, clock, scanned)?;
-                clock
-                    .charge(tuples.len() as f64 * predicate.conjuncts.len() as f64 * p.cpu_pred_ms);
-                let out = exec::filter(&schema, &tuples, predicate)?;
-                Ok((schema, out))
-            }
-            LogicalPlan::Project { input, columns } => {
-                let (schema, tuples) = self.exec(session, input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_scan_ms);
-                exec::project(&schema, &tuples, columns)
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let (schema, mut tuples) = self.exec(session, input, clock, scanned)?;
-                let n = tuples.len() as f64;
-                clock.charge(p.sort_factor_ms * n * n.max(2.0).log2());
-                exec::sort(&schema, &mut tuples, keys)?;
-                Ok((schema, tuples))
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
-                // Index join: inner side is an indexed stored collection.
-                if predicate.op == CompareOp::Eq {
-                    if let LogicalPlan::Scan { collection, .. } = right.as_ref() {
-                        let name = collection.collection.as_str();
-                        let c = self.store.collection(name)?;
-                        if c.has_index(&predicate.right_attr) {
-                            let (ls, lt) = self.exec(session, left, clock, scanned)?;
-                            let li = ls.index_of(&predicate.left_attr).ok_or_else(|| {
-                                DiscoError::Exec(format!(
-                                    "unknown join attribute `{}`",
-                                    predicate.left_attr
-                                ))
-                            })?;
-                            let mut out = Vec::new();
-                            for l in &lt {
-                                clock.charge(p.probe_ms);
-                                let Some(v) = l.get(li) else { continue };
-                                let rids = session
-                                    .lookup_rids(name, &predicate.right_attr, v)?
-                                    .unwrap_or_default();
-                                for rid in rids {
-                                    let r = session.fetch(name, rid)?;
-                                    clock.charge(p.cpu_scan_ms);
-                                    *scanned += 1;
-                                    out.push(l.join(&r));
-                                }
-                            }
-                            return Ok((ls.join(c.schema()), out));
-                        }
-                    }
-                }
-                let (ls, lt) = self.exec(session, left, clock, scanned)?;
-                let (rs, rt) = self.exec(session, right, clock, scanned)?;
-                let out_schema = ls.join(&rs);
-                let out = if predicate.op == CompareOp::Eq {
-                    clock.charge((lt.len() + rt.len()) as f64 * p.cpu_hash_ms);
-                    let out = exec::hash_join(&ls, &lt, &rs, &rt, predicate)?;
-                    clock.charge(out.len() as f64 * p.cpu_hash_ms);
-                    out
-                } else {
-                    clock.charge((lt.len() * rt.len()) as f64 * p.cpu_pred_ms);
-                    exec::nested_loop_join(&ls, &lt, &rs, &rt, predicate)?
-                };
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Union { left, right } => {
-                let (ls, mut lt) = self.exec(session, left, clock, scanned)?;
-                let (rs, rt) = self.exec(session, right, clock, scanned)?;
-                if ls.arity() != rs.arity() {
-                    return Err(DiscoError::Exec("union arity mismatch".into()));
-                }
-                clock.charge(rt.len() as f64 * p.cpu_scan_ms);
-                lt.extend(rt);
-                Ok((ls, lt))
-            }
-            LogicalPlan::Dedup { input } => {
-                let (schema, tuples) = self.exec(session, input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                let out = exec::dedup(&tuples);
-                Ok((schema, out))
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let (schema, tuples) = self.exec(session, input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                let out = exec::aggregate(&schema, &tuples, group_by, aggs)?;
-                let out_schema = plan.output_schema()?;
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Submit { .. } => Err(DiscoError::Source(
-                "data sources do not execute `submit` operators".into(),
-            )),
-        }
+/// The disk engine's access paths: one metered session on the shared
+/// pool. Its faults happen for real and are charged once, in
+/// [`Leaves::settle`], from the session's counters.
+struct DiskLeaves<'a> {
+    session: StoreSession<'a>,
+    profile: &'a CostProfile,
+}
+
+impl Leaves for DiskLeaves<'_> {
+    type Rid = Rid;
+    const ENGINE: Option<&'static str> = Some("disk");
+
+    fn schema(&self, collection: &str) -> Result<Schema> {
+        Ok(self
+            .session
+            .store()
+            .collection(collection)?
+            .schema()
+            .clone())
     }
 
-    fn compute_statistics(&self, collection: &str) -> Option<CollectionStats> {
-        let c = self.store.collection(collection).ok()?;
-        let session = self.store.session();
-        let tuples = session.scan(collection).ok()?;
+    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)> {
+        let tuples = self.session.scan(collection)?;
+        clock.charge(tuples.len() as f64 * self.profile.cpu_scan_ms);
         let n = tuples.len() as u64;
-        let mut stats = CollectionStats::new(
-            ExtentStats {
-                count_object: n,
-                total_size: n * c.object_size(),
-                object_size: c.object_size(),
-                count_page: None,
-            }
-            // Real engines know their page count — export it measured.
-            .with_count_page(c.pages()),
-        );
-        for (i, attr) in c.schema().attributes().iter().enumerate() {
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            let mut distinct: std::collections::HashSet<String> = std::collections::HashSet::new();
-            for t in &tuples {
-                let Some(v) = t.get(i) else { continue };
-                if v.is_null() {
-                    continue;
-                }
-                distinct.insert(format!("{v}"));
-                if min
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_lt())
-                    .unwrap_or(true)
-                {
-                    min = Some(v.clone());
-                }
-                if max
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_gt())
-                    .unwrap_or(true)
-                {
-                    max = Some(v.clone());
-                }
-            }
-            let mut a = AttributeStats::new(
-                distinct.len().max(1) as u64,
-                min.unwrap_or(Value::Null),
-                max.unwrap_or(Value::Null),
-            );
-            a.indexed = c.has_index(&attr.name);
-            if let Some(buckets) = self.histogram_buckets {
-                let values: Vec<f64> = tuples
-                    .iter()
-                    .filter_map(|t| t.get(i).and_then(Value::as_f64))
-                    .collect();
-                if !values.is_empty() {
-                    if let Some(h) = disco_catalog::Histogram::equi_depth(&values, buckets) {
-                        a = a.with_histogram(h);
-                    }
-                }
-            }
-            stats = stats.with_attribute(attr.name.clone(), a);
-        }
-        // Clustering is deliberately NOT exported, mirroring the
-        // simulated store: the generic model cannot see it (§5/§7).
-        Some(stats)
+        Ok((tuples, n))
+    }
+
+    fn has_index(&self, collection: &str, attr: &str) -> Result<bool> {
+        Ok(self.session.store().collection(collection)?.has_index(attr))
+    }
+
+    fn index_rids(
+        &mut self,
+        collection: &str,
+        attr: &str,
+        op: CompareOp,
+        value: &Value,
+    ) -> Result<Option<Vec<Rid>>> {
+        self.session.index_rids(collection, attr, op, value)
+    }
+
+    fn fetch(&mut self, collection: &str, rid: Rid, _clock: &mut VirtualClock) -> Result<Tuple> {
+        self.session.fetch(collection, rid)
+    }
+
+    fn settle(&mut self, clock: &mut VirtualClock) -> PoolCounters {
+        let io = self.session.io();
+        // Charge the fault I/O that physically happened (data pages; see
+        // module docs for why index pages are uncharged).
+        clock.charge(io.data_faults as f64 * self.profile.io_ms);
+        io
     }
 }
 
@@ -298,60 +147,38 @@ impl DataSource for StoreSource {
     }
 
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
-        if let Some(cached) = self
+        // The cache only ever holds finished statistics, so a panic
+        // elsewhere cannot leave it half-updated: ignore poisoning.
+        let mut cache = self
             .stats_cache
             .lock()
-            .expect("stats cache")
-            .get(collection)
-        {
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(cached) = cache.get(collection) {
             return Some(cached.clone());
         }
-        let stats = self.compute_statistics(collection)?;
-        self.stats_cache
-            .lock()
-            .expect("stats cache")
-            .insert(collection.to_string(), stats.clone());
+        let c = self.store.collection(collection).ok()?;
+        let tuples = self.store.session().scan(collection).ok()?;
+        let n = tuples.len() as u64;
+        let extent = ExtentStats {
+            count_object: n,
+            total_size: n * c.object_size(),
+            object_size: c.object_size(),
+            // Real engines know their page count — export it measured.
+            count_page: Some(c.pages()),
+        };
+        let indexed = |attr: &str| c.has_index(attr);
+        let buckets = self.histogram_buckets;
+        let stats = walk::attribute_stats(extent, c.schema(), &tuples, indexed, buckets);
+        cache.insert(collection.to_string(), stats.clone());
         Some(stats)
     }
 
     fn execute(&self, plan: &LogicalPlan) -> Result<SubAnswer> {
-        let session = self.store.session();
-        let mut clock = VirtualClock::new();
-        clock.charge(self.profile.overhead_ms);
-        let mut scanned = 0u64;
-        let (schema, tuples) = self.exec(&session, plan, &mut clock, &mut scanned)?;
-        let io = session.io();
-        // Charge the fault I/O that physically happened (data pages; see
-        // module docs for why index pages are uncharged).
-        clock.charge(io.data_faults as f64 * self.profile.io_ms);
-        let produced = clock.now();
-        clock.charge(tuples.len() as f64 * self.profile.output_ms);
-        let elapsed = clock.now();
-        let one = (!tuples.is_empty()) as u64 as f64;
-        let time_first = if blocking_root(plan) {
-            produced + one * self.profile.output_ms
-        } else {
-            self.profile.overhead_ms
-                + (io.data_faults > 0) as u64 as f64 * self.profile.io_ms
-                + one * self.profile.output_ms
+        let leaves = DiskLeaves {
+            session: self.store.session(),
+            profile: &self.profile,
         };
-        if disco_obs::metrics::enabled() {
-            let labels = &[("engine", "disk"), ("source", self.store.name())][..];
-            disco_obs::counter(disco_obs::names::STORE_PAGE_FAULTS, labels).add(io.faults);
-            disco_obs::counter(disco_obs::names::STORE_BUFFER_HITS, labels).add(io.hits);
-            disco_obs::counter(disco_obs::names::STORE_EVICTIONS, labels).add(io.evictions);
-        }
-        Ok(SubAnswer {
-            schema,
-            tuples,
-            stats: ExecStats {
-                elapsed_ms: elapsed,
-                time_first_ms: time_first.min(elapsed),
-                pages_read: io.data_faults,
-                buffer_hits: io.hits,
-                objects_scanned: scanned,
-            },
-        })
+        walk::answer(self.store.name(), &self.profile, plan, leaves)
     }
 }
 

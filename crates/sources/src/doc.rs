@@ -23,13 +23,15 @@
 //! exports to the mediator as wrapper cost rules — a cost shape the
 //! generic page-I/O model cannot express.
 
-use disco_algebra::{CompareOp, LogicalPlan};
-use disco_catalog::{AttributeStats, CollectionStats, ExtentStats};
+use std::convert::Infallible;
+
+use disco_algebra::LogicalPlan;
+use disco_catalog::{CollectionStats, ExtentStats};
 use disco_common::{AttributeDef, DataType, DiscoError, Result, Schema, Tuple, Value};
 
-use crate::clock::VirtualClock;
-use crate::exec;
-use crate::source::{DataSource, ExecStats, SubAnswer};
+use crate::clock::{CostProfile, VirtualClock};
+use crate::source::{DataSource, SubAnswer};
+use crate::walk::{self, Leaves};
 
 /// A nested document value. Objects keep declaration order, which makes
 /// flattening (and therefore every downstream answer) deterministic.
@@ -232,18 +234,10 @@ fn navigate<'a>(doc: &'a DocValue, path: &str) -> Option<&'a DocValue> {
 pub struct DocSource {
     name: String,
     collections: Vec<DocCollection>,
-    /// Cost to open a collection (ms).
-    pub open_ms: f64,
-    /// Cost of one path-navigation step on one document (ms).
-    pub nav_ms: f64,
-    /// Cost to deliver one flattened row (ms).
-    pub output_ms: f64,
-    /// Per-tuple predicate evaluation (ms).
-    pub cpu_pred_ms: f64,
-    /// Per-tuple hashing (join/dedup/aggregate) (ms).
-    pub cpu_hash_ms: f64,
-    /// Sort coefficient: `sort_factor_ms * n * log2 n`.
-    pub sort_factor_ms: f64,
+    /// `overhead_ms` is the cost to open a collection, `cpu_scan_ms` one
+    /// path-navigation step on one document; there are no pages and no
+    /// indexes, so `io_ms` and `probe_ms` are zero.
+    pub(crate) profile: CostProfile,
 }
 
 impl DocSource {
@@ -251,12 +245,16 @@ impl DocSource {
         DocSource {
             name: name.into(),
             collections: Vec::new(),
-            open_ms: 80.0,
-            nav_ms: 0.02,
-            output_ms: 9.0,
-            cpu_pred_ms: 0.05,
-            cpu_hash_ms: 0.02,
-            sort_factor_ms: 0.02,
+            profile: CostProfile {
+                io_ms: 0.0,
+                output_ms: 9.0,
+                cpu_pred_ms: 0.05,
+                cpu_scan_ms: 0.02,
+                cpu_hash_ms: 0.02,
+                probe_ms: 0.0,
+                sort_factor_ms: 0.02,
+                overhead_ms: 80.0,
+            },
         }
     }
 
@@ -328,92 +326,40 @@ impl DocSource {
                  TimeFirst = DocOpen + NavMs * DocDepth + DocOutput;\n\
                  TotalTime = DocOpen + $C.CountObject * (NavMs * DocDepth + DocOutput);\n\
              }}\n",
-            open = self.open_ms,
-            nav = self.nav_ms,
-            output = self.output_ms,
+            open = self.profile.overhead_ms,
+            nav = self.profile.cpu_scan_ms,
+            output = self.profile.output_ms,
         )
     }
+}
 
-    fn exec(
-        &self,
-        plan: &LogicalPlan,
-        clock: &mut VirtualClock,
-        scanned: &mut u64,
-    ) -> Result<(Schema, Vec<Tuple>)> {
-        match plan {
-            LogicalPlan::Scan { collection, .. } => {
-                let c = self.collection(&collection.collection)?;
-                clock.charge(self.open_ms);
-                clock.charge(c.docs.len() as f64 * c.nav_depth() as f64 * self.nav_ms);
-                *scanned += c.docs.len() as u64;
-                Ok((c.schema(), c.flatten()))
-            }
-            LogicalPlan::Select { input, predicate } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(
-                    tuples.len() as f64 * predicate.conjuncts.len() as f64 * self.cpu_pred_ms,
-                );
-                let out = exec::filter(&schema, &tuples, predicate)?;
-                Ok((schema, out))
-            }
-            LogicalPlan::Project { input, columns } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * self.cpu_hash_ms);
-                exec::project(&schema, &tuples, columns)
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let (schema, mut tuples) = self.exec(input, clock, scanned)?;
-                let n = tuples.len() as f64;
-                clock.charge(self.sort_factor_ms * n * n.max(2.0).log2());
-                exec::sort(&schema, &mut tuples, keys)?;
-                Ok((schema, tuples))
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
-                let (ls, lt) = self.exec(left, clock, scanned)?;
-                let (rs, rt) = self.exec(right, clock, scanned)?;
-                let out_schema = ls.join(&rs);
-                let out = if predicate.op == CompareOp::Eq {
-                    clock.charge((lt.len() + rt.len()) as f64 * self.cpu_hash_ms);
-                    exec::hash_join(&ls, &lt, &rs, &rt, predicate)?
-                } else {
-                    clock.charge((lt.len() * rt.len()) as f64 * self.cpu_pred_ms);
-                    exec::nested_loop_join(&ls, &lt, &rs, &rt, predicate)?
-                };
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Union { left, right } => {
-                let (ls, mut lt) = self.exec(left, clock, scanned)?;
-                let (rs, rt) = self.exec(right, clock, scanned)?;
-                if ls.arity() != rs.arity() {
-                    return Err(DiscoError::Exec("union arity mismatch".into()));
-                }
-                lt.extend(rt);
-                Ok((ls, lt))
-            }
-            LogicalPlan::Dedup { input } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * self.cpu_hash_ms);
-                Ok((schema, exec::dedup(&tuples)))
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * self.cpu_hash_ms);
-                let out = exec::aggregate(&schema, &tuples, group_by, aggs)?;
-                Ok((plan.output_schema()?, out))
-            }
-            LogicalPlan::Submit { .. } => Err(DiscoError::Source(
-                "data sources do not execute `submit` operators".into(),
-            )),
+/// The document source's one access path: flatten a collection.
+struct DocLeaves<'a> {
+    source: &'a DocSource,
+    /// The query's start-up opened the first collection; every further
+    /// one scanned pays `overhead_ms` again.
+    opened: bool,
+}
+
+impl Leaves for DocLeaves<'_> {
+    type Rid = Infallible;
+
+    fn schema(&self, collection: &str) -> Result<Schema> {
+        Ok(self.source.collection(collection)?.schema())
+    }
+
+    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)> {
+        let c = self.source.collection(collection)?;
+        let p = &self.source.profile;
+        if std::mem::replace(&mut self.opened, true) {
+            clock.charge(p.overhead_ms);
         }
+        clock.charge(c.docs.len() as f64 * c.nav_depth() as f64 * p.cpu_scan_ms);
+        Ok((c.flatten(), c.docs.len() as u64))
+    }
+
+    fn fetch(&mut self, _: &str, rid: Infallible, _: &mut VirtualClock) -> Result<Tuple> {
+        match rid {}
     }
 }
 
@@ -431,83 +377,37 @@ impl DataSource for DocSource {
 
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
         let c = self.collection(collection).ok()?;
-        let schema = c.schema();
         let tuples = c.flatten();
         let n = tuples.len() as u64;
         let total: u64 = tuples.iter().map(Tuple::width).sum();
-        let mut stats = CollectionStats::new(ExtentStats {
+        let extent = ExtentStats {
             count_object: n,
             total_size: total,
             object_size: (total / n.max(1)).max(1),
             count_page: None,
-        });
-        for (i, attr) in schema.attributes().iter().enumerate() {
-            let mut distinct = std::collections::BTreeSet::new();
-            let (mut min, mut max): (Option<Value>, Option<Value>) = (None, None);
-            for t in &tuples {
-                let Some(v) = t.get(i) else { continue };
-                if *v == Value::Null {
-                    continue;
-                }
-                distinct.insert(format!("{v}"));
-                if min
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_lt())
-                    .unwrap_or(true)
-                {
-                    min = Some(v.clone());
-                }
-                if max
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_gt())
-                    .unwrap_or(true)
-                {
-                    max = Some(v.clone());
-                }
-            }
-            stats = stats.with_attribute(
-                attr.name.clone(),
-                AttributeStats::new(
-                    distinct.len().max(1) as u64,
-                    min.unwrap_or(Value::Null),
-                    max.unwrap_or(Value::Null),
-                ),
-            );
-        }
-        Some(stats)
+        };
+        Some(walk::attribute_stats(
+            extent,
+            &c.schema(),
+            &tuples,
+            |_| false,
+            None,
+        ))
     }
 
     fn execute(&self, plan: &LogicalPlan) -> Result<SubAnswer> {
-        let mut clock = VirtualClock::new();
-        let mut scanned = 0u64;
-        let (schema, tuples) = self.exec(plan, &mut clock, &mut scanned)?;
-        let produced = clock.now();
-        clock.charge(tuples.len() as f64 * self.output_ms);
-        let elapsed = clock.now();
-        let one = (!tuples.is_empty()) as u64 as f64;
-        let time_first = if crate::store::blocking_root(plan) {
-            produced + one * self.output_ms
-        } else {
-            self.open_ms + one * self.output_ms
+        let leaves = DocLeaves {
+            source: self,
+            opened: false,
         };
-        Ok(SubAnswer {
-            schema,
-            tuples,
-            stats: ExecStats {
-                elapsed_ms: elapsed,
-                time_first_ms: time_first.min(elapsed),
-                pages_read: 0,
-                buffer_hits: 0,
-                objects_scanned: scanned,
-            },
-        })
+        walk::answer(&self.name, &self.profile, plan, leaves)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disco_algebra::PlanBuilder;
+    use disco_algebra::{CompareOp, PlanBuilder};
     use disco_common::QualifiedName;
 
     fn orders() -> DocSource {

@@ -5,7 +5,7 @@
 //! batch operators over materialized tuple vectors; cost accounting is the
 //! caller's business.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use disco_algebra::logical::AggExpr;
 use disco_algebra::{AggFunc, CompareOp, JoinPredicate, Predicate, ScalarExpr};
@@ -112,6 +112,13 @@ fn value_key(v: &Value) -> Option<String> {
     }
 }
 
+/// Position of a join attribute in its side's schema.
+pub(crate) fn join_attr(schema: &Schema, attr: &str) -> Result<usize> {
+    schema
+        .index_of(attr)
+        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{attr}`")))
+}
+
 /// Hash equi-join (only `=` predicates).
 pub fn hash_join(
     left_schema: &Schema,
@@ -126,12 +133,8 @@ pub fn hash_join(
             pred.op
         )));
     }
-    let li = left_schema
-        .index_of(&pred.left_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.left_attr)))?;
-    let ri = right_schema
-        .index_of(&pred.right_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.right_attr)))?;
+    let li = join_attr(left_schema, &pred.left_attr)?;
+    let ri = join_attr(right_schema, &pred.right_attr)?;
     let mut table: HashMap<String, Vec<&Tuple>> = HashMap::new();
     for r in right {
         if let Some(k) = r.get(ri).and_then(value_key) {
@@ -160,12 +163,8 @@ pub fn nested_loop_join(
     right: &[Tuple],
     pred: &JoinPredicate,
 ) -> Result<Vec<Tuple>> {
-    let li = left_schema
-        .index_of(&pred.left_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.left_attr)))?;
-    let ri = right_schema
-        .index_of(&pred.right_attr)
-        .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.right_attr)))?;
+    let li = join_attr(left_schema, &pred.left_attr)?;
+    let ri = join_attr(right_schema, &pred.right_attr)?;
     let mut out = Vec::new();
     for l in left {
         for r in right {
@@ -179,22 +178,21 @@ pub fn nested_loop_join(
     Ok(out)
 }
 
+/// Composite grouping key: one [`value_key`] per column, kept apart so
+/// no string content can make two different rows collide. `NULL`s group
+/// together.
+fn row_key<'a>(values: impl IntoIterator<Item = &'a Value>) -> Vec<Option<String>> {
+    values.into_iter().map(value_key).collect()
+}
+
 /// Duplicate elimination (first occurrence wins).
 pub fn dedup(tuples: &[Tuple]) -> Vec<Tuple> {
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut out = Vec::new();
-    for t in tuples {
-        let key: String = t
-            .values()
-            .iter()
-            .map(|v| value_key(v).unwrap_or_else(|| "∅".into()))
-            .collect::<Vec<_>>()
-            .join("|");
-        if seen.insert(key, ()).is_none() {
-            out.push(t.clone());
-        }
-    }
-    out
+    let mut seen = HashSet::new();
+    tuples
+        .iter()
+        .filter(|t| seen.insert(row_key(t.values())))
+        .cloned()
+        .collect()
 }
 
 /// Group and aggregate, returning the output tuples (group keys first,
@@ -272,18 +270,14 @@ pub fn aggregate(
     }
 
     // Group id -> (representative key tuple, accumulators).
-    let mut groups: HashMap<String, (Vec<Value>, Vec<Acc>)> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut groups: HashMap<_, (Vec<Value>, Vec<Acc>)> = HashMap::new();
+    let mut order = Vec::new();
     for t in tuples {
         let key_vals: Vec<Value> = group_idx
             .iter()
             .map(|&i| t.get(i).cloned().unwrap_or(Value::Null))
             .collect();
-        let key: String = key_vals
-            .iter()
-            .map(|v| value_key(v).unwrap_or_else(|| "∅".into()))
-            .collect::<Vec<_>>()
-            .join("|");
+        let key = row_key(&key_vals);
         let entry = groups.entry(key.clone()).or_insert_with(|| {
             order.push(key);
             (key_vals, vec![Acc::new(); aggs.len()])
@@ -479,6 +473,29 @@ mod tests {
         ];
         let out = dedup(&tuples);
         assert_eq!(out.len(), 2);
+    }
+
+    /// Composite keys used to be the per-column keys joined with `|`,
+    /// which made these two rows one group.
+    #[test]
+    fn separator_in_a_string_does_not_merge_keys() {
+        let s = Schema::new(vec![
+            AttributeDef::new("x", DataType::Str),
+            AttributeDef::new("y", DataType::Str),
+        ]);
+        let tuples = vec![
+            Tuple::new(vec![Value::Str("a|s:b".into()), Value::Str("c".into())]),
+            Tuple::new(vec![Value::Str("a".into()), Value::Str("b|s:c".into())]),
+        ];
+        assert_eq!(dedup(&tuples), tuples);
+        let count = AggExpr {
+            name: "n".into(),
+            func: AggFunc::Count,
+            arg: None,
+        };
+        let out = aggregate(&s, &tuples, &["x".to_string(), "y".to_string()], &[count]).unwrap();
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|t| t.get(2) == Some(&Value::Long(1))));
     }
 
     #[test]

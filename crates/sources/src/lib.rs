@@ -16,17 +16,23 @@
 //! * [`buffer`] — an LRU buffer pool charging I/O on faults;
 //! * [`heap`] — paged heap files with uniform or clustered placement;
 //! * [`btree`] — a from-scratch B+-tree used for index scans;
-//! * [`exec`] — in-memory row-at-a-time operator implementations shared
-//!   by the sources and kept as the reference semantics;
+//! * [`exec`] — in-memory row-at-a-time operators: the walker's kernels
+//!   and the reference for `vexec`;
 //! * [`vexec`] — the vectorized kernels: the same operators, one
 //!   columnar batch in, one batch out;
 //! * [`vstream`] — the mediator's combine operator set: pull-based
 //!   streams of chunks over the `vexec` kernels (a whole answer is a
 //!   stream of one chunk);
-//! * [`store`] — the paged store engine ([`PagedStore`]) with
-//!   object-database and relational cost profiles;
-//! * [`disk`] — [`StoreSource`], the same execution paths over the real
-//!   disk-backed engine in `disco-store` (measured page faults);
+//! * `walk` — the one plan walker every operator-executing source runs:
+//!   the `LogicalPlan` walk over `exec` with its charge table, the
+//!   answer epilogue (`ExecStats`) and the attribute-statistics pass;
+//! * [`store`] — [`PagedStore`]'s leaf set (scan, index probe, row fetch
+//!   through a simulated buffer pool), with object-database and
+//!   relational cost profiles;
+//! * [`disk`] — [`StoreSource`]'s leaf set: the same access paths over
+//!   the real disk-backed engine in `disco-store` (measured page faults);
+//! * [`doc`] — [`DocSource`]'s leaf set: the flattening scan over nested
+//!   documents;
 //! * [`flatfile`] — a scan-only flat-file source;
 //! * [`source`] — the [`DataSource`] trait wrappers build on;
 //! * [`wire`] — byte codecs shipping subanswers across the transport
@@ -44,6 +50,7 @@ pub mod source;
 pub mod store;
 pub mod vexec;
 pub mod vstream;
+mod walk;
 pub mod wire;
 
 pub use btree::BPlusTree;

@@ -5,7 +5,7 @@ use disco_catalog::CollectionStats;
 use disco_common::{Batch, Result, Schema, Tuple};
 
 /// Execution accounting for one subquery (the "real costs" the historical
-//  mechanism records).
+/// mechanism records).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecStats {
     /// Total simulated response time (ms).

@@ -12,16 +12,17 @@
 use std::collections::BTreeMap;
 
 use disco_algebra::{CompareOp, LogicalPlan};
-use disco_catalog::{AttributeStats, CollectionStats, ExtentStats};
+use disco_catalog::{CollectionStats, ExtentStats};
 use disco_common::rng::StdRng;
 use disco_common::{rng, DiscoError, Result, Schema, Tuple, Value};
+use disco_store::PoolCounters;
 
 use crate::btree::BPlusTree;
 use crate::buffer::BufferPool;
 use crate::clock::{CostProfile, VirtualClock};
-use crate::exec;
 use crate::heap::{HeapFile, Placement};
-use crate::source::{DataSource, ExecStats, SubAnswer};
+use crate::source::{DataSource, SubAnswer};
+use crate::walk::{self, Leaves};
 
 /// One collection stored in the engine.
 #[derive(Debug, Clone)]
@@ -30,7 +31,6 @@ struct StoredCollection {
     tuples: Vec<Tuple>,
     heap: HeapFile,
     indexes: BTreeMap<String, BPlusTree>,
-    clustered_on: Option<String>,
     object_size: u64,
     /// Offset added to local page numbers so collections share the
     /// buffer pool without collisions.
@@ -167,7 +167,6 @@ impl CollectionBuilder {
             tuples: self.tuples,
             heap,
             indexes,
-            clustered_on: self.cluster_on,
             object_size,
             page_base,
         })
@@ -257,156 +256,71 @@ impl PagedStore {
     pub fn pages_of(&self, collection: &str) -> Result<u64> {
         Ok(self.collection(collection)?.heap.pages())
     }
-
-    fn exec(
-        &self,
-        plan: &LogicalPlan,
-        clock: &mut VirtualClock,
-        buf: &mut BufferPool,
-        scanned: &mut u64,
-    ) -> Result<(Schema, Vec<Tuple>)> {
-        let p = &self.profile;
-        match plan {
-            LogicalPlan::Scan { collection, .. } => {
-                let c = self.collection(&collection.collection)?;
-                // Full sequential read: every page once, in storage order.
-                for page in 0..c.heap.pages() {
-                    buf.access(c.page_base + page, p, clock);
-                }
-                clock.charge(c.tuples.len() as f64 * p.cpu_scan_ms);
-                *scanned += c.tuples.len() as u64;
-                Ok((c.schema.clone(), c.tuples.clone()))
-            }
-            LogicalPlan::Select { input, predicate } => {
-                // Index access path: single-conjunct selection directly
-                // over a stored collection with a matching index.
-                if let LogicalPlan::Scan { collection, .. } = input.as_ref() {
-                    if let [cond] = predicate.conjuncts.as_slice() {
-                        let c = self.collection(&collection.collection)?;
-                        if let Some(tree) = c.indexes.get(&cond.attribute) {
-                            if let Some(rids) = tree.scan(cond.op, &cond.value) {
-                                clock.charge(p.probe_ms);
-                                let mut out = Vec::with_capacity(rids.len());
-                                for rid in rids {
-                                    let page = c.heap.page_of(rid as usize);
-                                    buf.access(c.page_base + page, p, clock);
-                                    clock.charge(p.cpu_scan_ms);
-                                    *scanned += 1;
-                                    out.push(c.tuples[rid as usize].clone());
-                                }
-                                return Ok((c.schema.clone(), out));
-                            }
-                        }
-                    }
-                }
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock
-                    .charge(tuples.len() as f64 * predicate.conjuncts.len() as f64 * p.cpu_pred_ms);
-                let out = exec::filter(&schema, &tuples, predicate)?;
-                Ok((schema, out))
-            }
-            LogicalPlan::Project { input, columns } => {
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_scan_ms);
-                exec::project(&schema, &tuples, columns)
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let (schema, mut tuples) = self.exec(input, clock, buf, scanned)?;
-                let n = tuples.len() as f64;
-                clock.charge(p.sort_factor_ms * n * n.max(2.0).log2());
-                exec::sort(&schema, &mut tuples, keys)?;
-                Ok((schema, tuples))
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
-                // Index join: the inner side is a stored collection with
-                // an index on the join attribute.
-                if predicate.op == CompareOp::Eq {
-                    if let LogicalPlan::Scan { collection, .. } = right.as_ref() {
-                        let c = self.collection(&collection.collection)?;
-                        if let Some(tree) = c.indexes.get(&predicate.right_attr) {
-                            let (ls, lt) = self.exec(left, clock, buf, scanned)?;
-                            let li = ls.index_of(&predicate.left_attr).ok_or_else(|| {
-                                DiscoError::Exec(format!(
-                                    "unknown join attribute `{}`",
-                                    predicate.left_attr
-                                ))
-                            })?;
-                            let mut out = Vec::new();
-                            for l in &lt {
-                                clock.charge(p.probe_ms);
-                                let Some(v) = l.get(li) else { continue };
-                                for &rid in tree.lookup(v) {
-                                    let page = c.heap.page_of(rid as usize);
-                                    buf.access(c.page_base + page, p, clock);
-                                    clock.charge(p.cpu_scan_ms);
-                                    *scanned += 1;
-                                    out.push(l.join(&c.tuples[rid as usize]));
-                                }
-                            }
-                            return Ok((ls.join(&c.schema), out));
-                        }
-                    }
-                }
-                let (ls, lt) = self.exec(left, clock, buf, scanned)?;
-                let (rs, rt) = self.exec(right, clock, buf, scanned)?;
-                let out_schema = ls.join(&rs);
-                let out = if predicate.op == CompareOp::Eq {
-                    clock.charge((lt.len() + rt.len()) as f64 * p.cpu_hash_ms);
-                    let out = exec::hash_join(&ls, &lt, &rs, &rt, predicate)?;
-                    clock.charge(out.len() as f64 * p.cpu_hash_ms);
-                    out
-                } else {
-                    clock.charge((lt.len() * rt.len()) as f64 * p.cpu_pred_ms);
-                    exec::nested_loop_join(&ls, &lt, &rs, &rt, predicate)?
-                };
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Union { left, right } => {
-                let (ls, mut lt) = self.exec(left, clock, buf, scanned)?;
-                let (rs, rt) = self.exec(right, clock, buf, scanned)?;
-                if ls.arity() != rs.arity() {
-                    return Err(DiscoError::Exec("union arity mismatch".into()));
-                }
-                clock.charge(rt.len() as f64 * p.cpu_scan_ms);
-                lt.extend(rt);
-                Ok((ls, lt))
-            }
-            LogicalPlan::Dedup { input } => {
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                let out = exec::dedup(&tuples);
-                Ok((schema, out))
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                let out = exec::aggregate(&schema, &tuples, group_by, aggs)?;
-                let out_schema = plan.output_schema()?;
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Submit { .. } => Err(DiscoError::Source(
-                "data sources do not execute `submit` operators".into(),
-            )),
-        }
-    }
 }
 
-/// Is the root operator blocking (first tuple only after all input
-/// consumed)?
-pub(crate) fn blocking_root(plan: &LogicalPlan) -> bool {
-    matches!(
-        plan,
-        LogicalPlan::Sort { .. } | LogicalPlan::Aggregate { .. } | LogicalPlan::Dedup { .. }
-    )
+/// The simulated engine's access paths: in-memory rows and B+-trees, with
+/// every page touched going through one query's cold [`BufferPool`],
+/// which charges each fault to the clock as it happens.
+struct PagedLeaves<'a> {
+    store: &'a PagedStore,
+    buf: BufferPool,
+}
+
+impl Leaves for PagedLeaves<'_> {
+    type Rid = u32;
+    const ENGINE: Option<&'static str> = Some("simulated");
+
+    fn schema(&self, collection: &str) -> Result<Schema> {
+        Ok(self.store.collection(collection)?.schema.clone())
+    }
+
+    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)> {
+        let c = self.store.collection(collection)?;
+        // Full sequential read: every page once, in storage order.
+        for page in 0..c.heap.pages() {
+            self.buf
+                .access(c.page_base + page, &self.store.profile, clock);
+        }
+        clock.charge(c.tuples.len() as f64 * self.store.profile.cpu_scan_ms);
+        Ok((c.tuples.clone(), c.tuples.len() as u64))
+    }
+
+    fn has_index(&self, collection: &str, attr: &str) -> Result<bool> {
+        Ok(self
+            .store
+            .collection(collection)?
+            .indexes
+            .contains_key(attr))
+    }
+
+    fn index_rids(
+        &mut self,
+        collection: &str,
+        attr: &str,
+        op: CompareOp,
+        value: &Value,
+    ) -> Result<Option<Vec<u32>>> {
+        let c = self.store.collection(collection)?;
+        Ok(c.indexes.get(attr).and_then(|tree| tree.scan(op, value)))
+    }
+
+    fn fetch(&mut self, collection: &str, rid: u32, clock: &mut VirtualClock) -> Result<Tuple> {
+        let c = self.store.collection(collection)?;
+        let page = c.page_base + c.heap.page_of(rid as usize);
+        self.buf.access(page, &self.store.profile, clock);
+        Ok(c.tuples[rid as usize].clone())
+    }
+
+    fn settle(&mut self, _clock: &mut VirtualClock) -> PoolCounters {
+        // Every fault is a data page: the index lives in memory.
+        PoolCounters {
+            hits: self.buf.hits(),
+            faults: self.buf.faults(),
+            data_faults: self.buf.faults(),
+            evictions: self.buf.evictions(),
+            ..PoolCounters::default()
+        }
+    }
 }
 
 impl DataSource for PagedStore {
@@ -424,99 +338,25 @@ impl DataSource for PagedStore {
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
         let c = self.collections.get(collection)?;
         let n = c.tuples.len() as u64;
-        let mut stats = CollectionStats::new(ExtentStats {
+        let extent = ExtentStats {
             count_object: n,
             total_size: n * c.object_size,
             object_size: c.object_size,
             count_page: None,
-        });
-        for (i, attr) in c.schema.attributes().iter().enumerate() {
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            let mut distinct: std::collections::HashSet<String> = std::collections::HashSet::new();
-            for t in &c.tuples {
-                let Some(v) = t.get(i) else { continue };
-                if v.is_null() {
-                    continue;
-                }
-                distinct.insert(format!("{v}"));
-                if min
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_lt())
-                    .unwrap_or(true)
-                {
-                    min = Some(v.clone());
-                }
-                if max
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_gt())
-                    .unwrap_or(true)
-                {
-                    max = Some(v.clone());
-                }
-            }
-            let mut a = AttributeStats::new(
-                distinct.len().max(1) as u64,
-                min.unwrap_or(Value::Null),
-                max.unwrap_or(Value::Null),
-            );
-            a.indexed = c.indexes.contains_key(&attr.name);
-            if let Some(buckets) = self.histogram_buckets {
-                let values: Vec<f64> = c
-                    .tuples
-                    .iter()
-                    .filter_map(|t| t.get(i).and_then(Value::as_f64))
-                    .collect();
-                if !values.is_empty() {
-                    if let Some(h) = disco_catalog::Histogram::equi_depth(&values, buckets) {
-                        a = a.with_histogram(h);
-                    }
-                }
-            }
-            stats = stats.with_attribute(attr.name.clone(), a);
-        }
-        let _ = &c.clustered_on; // clustering is deliberately NOT exported:
-                                 // the generic model cannot see it (§5/§7).
-        Some(stats)
+        };
+        let indexed = |attr: &str| c.indexes.contains_key(attr);
+        let buckets = self.histogram_buckets;
+        Some(walk::attribute_stats(
+            extent, &c.schema, &c.tuples, indexed, buckets,
+        ))
     }
 
     fn execute(&self, plan: &LogicalPlan) -> Result<SubAnswer> {
-        let mut clock = VirtualClock::new();
-        clock.charge(self.profile.overhead_ms);
-        let mut buf = BufferPool::new(self.buffer_capacity);
-        let mut scanned = 0u64;
-        let (schema, tuples) = self.exec(plan, &mut clock, &mut buf, &mut scanned)?;
-        let produced = clock.now();
-        // Deliver results.
-        clock.charge(tuples.len() as f64 * self.profile.output_ms);
-        let elapsed = clock.now();
-        let one = (!tuples.is_empty()) as u64 as f64;
-        let time_first = if blocking_root(plan) {
-            produced + one * self.profile.output_ms
-        } else {
-            // Pipelined approximation: overhead, one page fault if any I/O
-            // happened, one delivery.
-            self.profile.overhead_ms
-                + (buf.faults() > 0) as u64 as f64 * self.profile.io_ms
-                + one * self.profile.output_ms
+        let leaves = PagedLeaves {
+            store: self,
+            buf: BufferPool::new(self.buffer_capacity),
         };
-        if disco_obs::metrics::enabled() {
-            let labels = &[("engine", "simulated"), ("source", self.name.as_str())][..];
-            disco_obs::counter(disco_obs::names::STORE_PAGE_FAULTS, labels).add(buf.faults());
-            disco_obs::counter(disco_obs::names::STORE_BUFFER_HITS, labels).add(buf.hits());
-            disco_obs::counter(disco_obs::names::STORE_EVICTIONS, labels).add(buf.evictions());
-        }
-        Ok(SubAnswer {
-            schema,
-            tuples,
-            stats: ExecStats {
-                elapsed_ms: elapsed,
-                time_first_ms: time_first.min(elapsed),
-                pages_read: buf.faults(),
-                buffer_hits: buf.hits(),
-                objects_scanned: scanned,
-            },
-        })
+        walk::answer(&self.name, &self.profile, plan, leaves)
     }
 }
 

@@ -1,17 +1,19 @@
 //! Randomized differential suite: a disco-store-backed collection must
 //! return *byte-identical* answers to the in-memory simulated source,
 //! for the same seed, across sequential scans, index point lookups,
-//! index range scans, non-indexed (scan + filter) selects, and
-//! projections over selects.
+//! index range scans, non-indexed (scan + filter) selects, projections
+//! and aggregates over selects, and index joins.
 //!
 //! Both engines are built from identical rows, layout knobs, and
 //! placement seed, so they hold the same objects on the same modelled
 //! pages. Answers are compared through the store's own record codec —
 //! tuple-for-tuple byte equality, not just `PartialEq` — and, cold, the
 //! two pagers must report the *same fault count*: the disk engine
-//! replicates the simulated placement number for number.
+//! replicates the simulated placement number for number. Both run the
+//! one plan walker, so they also examine the same objects and, at the
+//! same profile, take the same virtual time.
 
-use disco_algebra::{CompareOp, LogicalPlan, PlanBuilder};
+use disco_algebra::{AggFunc, CompareOp, LogicalPlan, PlanBuilder};
 use disco_common::rng::{seeded, StdRng};
 use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Value};
 use disco_sources::{CollectionBuilder, CostProfile, DataSource, PagedStore, StoreSource};
@@ -110,7 +112,8 @@ fn scan() -> PlanBuilder {
 /// The query mix for one seeded pair: full scan, every comparison the
 /// index serves (point lookups and range scans, including empty and
 /// total ranges), the `Ne` fallback, non-indexed selects on both a Long
-/// and a Str column, and a projection over an index range.
+/// and a Str column, a projection and an aggregate over an index range,
+/// and an index join (a selective left side probing the `id` index).
 fn queries(rng: &mut StdRng, n: usize) -> Vec<(String, LogicalPlan)> {
     let mut qs: Vec<(String, LogicalPlan)> = vec![("scan".into(), scan().build())];
     for op in [
@@ -152,6 +155,28 @@ fn queries(rng: &mut StdRng, n: usize) -> Vec<(String, LogicalPlan)> {
             .project_attrs(&["name", "score"])
             .build(),
     ));
+    let lo = rng.gen_range(0..n as i64);
+    qs.push((
+        format!("count, max(score) by grp over id>={lo}"),
+        scan()
+            .select("id", CompareOp::Ge, lo)
+            .aggregate(
+                &["grp"],
+                vec![
+                    ("n", AggFunc::Count, None),
+                    ("hi", AggFunc::Max, Some("score")),
+                ],
+            )
+            .build(),
+    ));
+    let few = rng.gen_range(1..20i64);
+    qs.push((
+        format!("(id<{few}) index-join T on id"),
+        scan()
+            .select("id", CompareOp::Lt, few)
+            .join(scan(), "id", "id")
+            .build(),
+    ));
     qs
 }
 
@@ -182,6 +207,19 @@ fn disk_engine_answers_are_byte_identical_to_the_simulated_engine() {
             assert_eq!(
                 sim.stats.pages_read, disk.stats.pages_read,
                 "seed {seed}, query `{label}`: fault counts diverge"
+            );
+            assert_eq!(
+                sim.stats.objects_scanned, disk.stats.objects_scanned,
+                "seed {seed}, query `{label}`: objects examined diverge"
+            );
+            // The simulated pool charges each fault as it happens, the
+            // disk engine all of them at the end: the same terms in a
+            // different order.
+            assert!(
+                (sim.stats.elapsed_ms - disk.stats.elapsed_ms).abs() < 1e-6,
+                "seed {seed}, query `{label}`: elapsed {} vs {}",
+                sim.stats.elapsed_ms,
+                disk.stats.elapsed_ms
             );
         }
     }
