@@ -2,7 +2,10 @@
 //! concurrent mediator ([`disco_mediator::SharedMediator`]) with the
 //! cost-driven admission controller gating every query.
 //!
-//! Line protocol (one request per line, UTF-8):
+//! The protocol itself is `disco_bench::serving::serve_connection`; this
+//! file is the accept loop and the smoke driver.
+//!
+//! Line protocol (one request per line, UTF-8, at most 64 KiB):
 //!
 //! * `TENANT <name>` — set the connection's tenant (default `default`);
 //!   reply `OK tenant <name>`.
@@ -11,6 +14,15 @@
 //! * anything else — treated as SQL. Reply `OK <rows> <plan-source>
 //!   <class> <wait-ms>` followed by one `ROW <tab-separated values>`
 //!   line per tuple and a final `END`, or `ERR <message>`.
+//! * a blank line is skipped; a line that is not UTF-8 answers `ERR
+//!   invalid utf-8`; a line over the limit answers `ERR line too long`
+//!   and closes the connection.
+//!
+//! Wire discipline: one reply is one flush of a fixed 64 KiB buffer on a
+//! `TCP_NODELAY` socket, and clients send a request in one write — a
+//! reply or request that leaves in pieces has its second piece held by
+//! Nagle's algorithm until the peer's delayed ACK, 40 ms later
+//! (DESIGN.md §10).
 //!
 //! Modes:
 //!
@@ -18,136 +30,74 @@
 //!   client sends `SHUTDOWN`.
 //! * `federation_server --smoke` — bind an ephemeral port, drive four
 //!   concurrent clients through a short mixed workload over real TCP,
-//!   shut down cleanly, and exit 0 (used by the CI serving smoke job).
+//!   check the median interactive round trip is under 10 ms, shut down
+//!   cleanly, and exit 0 (used by the CI serving smoke job).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{BufRead, BufReader};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use disco_bench::serving::{admission_policy, mixed_sql, shared_federation, tenant_name};
-use disco_mediator::{AdmissionController, SharedMediator};
+use disco_bench::serving::{mixed_sql, send_line, serve_stream, tenant_name, ServerState};
 
-struct Server {
-    mediator: Arc<SharedMediator>,
-    admission: AdmissionController,
-    shutdown: AtomicBool,
-    served: AtomicU64,
+/// Accept loop; returns once `SHUTDOWN` has been seen and all
+/// connection handlers have drained.
+fn run(state: &Arc<ServerState>, listener: TcpListener) {
+    let addr = listener.local_addr().expect("listener has an address");
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    for stream in listener.incoming() {
+        if state.shutdown_requested() {
+            break;
+        }
+        let stream = match stream {
+            Ok(s) => s,
+            Err(_) => continue,
+        };
+        // A long-running server keeps handles of live connections only.
+        handlers.retain(|h| !h.is_finished());
+        let state = Arc::clone(state);
+        handlers.push(std::thread::spawn(move || {
+            let _ = serve_stream(&state, &stream);
+            // The shutdown connection unblocks the accept loop so it
+            // can observe the flag (a no-op while serving normally).
+            if state.shutdown_requested() {
+                let _ = TcpStream::connect(addr);
+            }
+        }));
+    }
+    for h in handlers {
+        let _ = h.join();
+    }
 }
 
-impl Server {
-    fn new(sleep_scale: f64) -> Server {
-        let mediator = shared_federation(sleep_scale);
-        let admission = AdmissionController::new(admission_policy(&mediator));
-        Server {
-            mediator,
-            admission,
-            shutdown: AtomicBool::new(false),
-            served: AtomicU64::new(0),
-        }
-    }
-
-    /// Answer one SQL line: plan (through the shared cache), classify by
-    /// the prediction, admit, execute, render.
-    fn serve_sql(&self, tenant: &str, sql: &str, out: &mut impl Write) -> std::io::Result<()> {
-        let (plan, source) = match self.mediator.plan(sql) {
-            Ok(p) => p,
-            Err(e) => return writeln!(out, "ERR {e}"),
-        };
-        let class = self.admission.policy().classify(plan.estimated.total_time);
-        let permit = self.admission.admit(tenant, class);
-        let served = match self.mediator.execute(plan) {
-            Ok(s) => s,
-            Err(e) => return writeln!(out, "ERR {e}"),
-        };
-        let waited = permit.waited_ms();
-        drop(permit);
-        self.served.fetch_add(1, Ordering::Relaxed);
-        writeln!(
-            out,
-            "OK {} {:?} {} {:.2}",
-            served.result.tuples.len(),
-            source,
-            class.label(),
-            waited
-        )?;
-        for row in &served.result.tuples {
-            let rendered: Vec<String> = row.values().iter().map(|v| format!("{v:?}")).collect();
-            writeln!(out, "ROW {}", rendered.join("\t"))?;
-        }
-        writeln!(out, "END")
-    }
-
-    fn handle_connection(&self, stream: TcpStream) -> std::io::Result<()> {
-        let mut out = stream.try_clone()?;
-        let reader = BufReader::new(stream);
-        let mut tenant = "default".to_string();
-        for line in reader.lines() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix("TENANT ") {
-                tenant = name.trim().to_string();
-                writeln!(out, "OK tenant {tenant}")?;
-            } else if line == "SHUTDOWN" {
-                writeln!(out, "OK bye")?;
-                self.shutdown.store(true, Ordering::SeqCst);
-                return Ok(());
-            } else {
-                self.serve_sql(&tenant, line, &mut out)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Accept loop; returns once `SHUTDOWN` has been seen and all
-    /// connection handlers have drained.
-    fn run(self: &Arc<Self>, listener: TcpListener) {
-        let addr = listener.local_addr().expect("listener has an address");
-        let mut handlers = Vec::new();
-        for stream in listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let server = Arc::clone(self);
-            handlers.push(std::thread::spawn(move || {
-                let _ = server.handle_connection(stream);
-                // The shutdown connection unblocks the accept loop so it
-                // can observe the flag (a no-op while serving normally).
-                if server.shutdown.load(Ordering::SeqCst) {
-                    let _ = TcpStream::connect(addr);
-                }
-            }));
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-    }
+/// A client connection: `TCP_NODELAY`, one write per request.
+fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let out = TcpStream::connect(addr).expect("client connects");
+    out.set_nodelay(true).expect("TCP_NODELAY sets");
+    let reader = BufReader::new(out.try_clone().expect("stream clones"));
+    (out, reader)
 }
 
 /// Smoke client: one tenant, `queries` mixed statements, counting rows
-/// and verifying every reply completes with `END`.
-fn smoke_client(addr: std::net::SocketAddr, client: usize, queries: usize) -> (u64, u64) {
-    let stream = TcpStream::connect(addr).expect("smoke client connects");
-    let mut out = stream.try_clone().expect("stream clones");
-    let mut lines = BufReader::new(stream).lines();
+/// and verifying every reply completes with `END`. Also returns the
+/// round trip (send to `END`) of every interactive query.
+fn smoke_client(addr: SocketAddr, client: usize, queries: usize) -> (u64, u64, Vec<Duration>) {
+    let (mut out, reader) = connect(addr);
+    let mut lines = reader.lines();
     let mut next = || {
         lines
             .next()
             .expect("server keeps the connection open")
             .expect("line reads")
     };
-    writeln!(out, "TENANT {}", tenant_name(client)).unwrap();
+    send_line(&mut out, &format!("TENANT {}", tenant_name(client))).expect("request sends");
     assert!(next().starts_with("OK tenant"), "tenant handshake");
     let (mut ok, mut rows) = (0u64, 0u64);
+    let mut interactive = Vec::new();
     for j in 0..queries {
-        writeln!(out, "{}", mixed_sql(client, j)).unwrap();
+        let sent = Instant::now();
+        send_line(&mut out, &mixed_sql(client, j)).expect("request sends");
         let head = next();
         assert!(head.starts_with("OK "), "query {j} failed: {head}");
         ok += 1;
@@ -159,17 +109,20 @@ fn smoke_client(addr: std::net::SocketAddr, client: usize, queries: usize) -> (u
             assert!(line.starts_with("ROW "), "unexpected body line: {line}");
             rows += 1;
         }
+        if head.contains(" interactive ") {
+            interactive.push(sent.elapsed());
+        }
     }
-    (ok, rows)
+    (ok, rows, interactive)
 }
 
 fn run_smoke() {
-    let server = Arc::new(Server::new(0.0));
+    let state = Arc::new(ServerState::new(0.0));
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
     let addr = listener.local_addr().expect("bound address");
     let accept = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run(listener))
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || run(&state, listener))
     };
 
     const CLIENTS: usize = 4;
@@ -178,30 +131,41 @@ fn run_smoke() {
         .map(|c| std::thread::spawn(move || smoke_client(addr, c, QUERIES)))
         .collect();
     let (mut ok, mut rows) = (0u64, 0u64);
+    let mut interactive = Vec::new();
     for h in clients {
-        let (o, r) = h.join().expect("smoke client joins");
+        let (o, r, i) = h.join().expect("smoke client joins");
         ok += o;
         rows += r;
+        interactive.extend(i);
     }
 
-    let mut shut = TcpStream::connect(addr).expect("shutdown connect");
-    writeln!(shut, "SHUTDOWN").unwrap();
+    let (mut shut, mut reader) = connect(addr);
+    send_line(&mut shut, "SHUTDOWN").expect("request sends");
     let mut reply = String::new();
-    BufReader::new(shut).read_line(&mut reply).unwrap();
+    reader.read_line(&mut reply).expect("reply reads");
     assert_eq!(reply.trim(), "OK bye", "shutdown acknowledged");
     accept.join().expect("accept loop joins");
 
-    let stats = server.mediator.cache_stats();
+    let stats = state.mediator().cache_stats();
     assert_eq!(ok, (CLIENTS * QUERIES) as u64, "every query answered OK");
     assert!(rows > 0, "queries returned rows");
+    assert!(state.served() >= ok, "server counted the served queries");
+    // A segment held back by Nagle's algorithm waits out the peer's
+    // delayed ACK, which the kernel sets at 40 ms: a median round trip
+    // near that means one end of the socket has stopped sending a request
+    // or a reply in one piece.
+    interactive.sort();
+    let median = interactive[interactive.len() / 2];
     assert!(
-        server.served.load(Ordering::Relaxed) >= ok,
-        "server counted the served queries"
+        median < Duration::from_millis(10),
+        "median interactive round trip {median:?}: a reply or request waits for a delayed ACK"
     );
     println!(
         "serving smoke: {CLIENTS} clients x {QUERIES} queries over {addr}, \
-         {rows} rows, plan cache hit rate {:.3}, clean shutdown",
-        stats.hit_rate()
+         {rows} rows, plan cache hit rate {:.3}, median interactive round trip {:.0} us, \
+         clean shutdown",
+        stats.hit_rate(),
+        median.as_secs_f64() * 1e6
     );
 }
 
@@ -214,17 +178,17 @@ fn main() {
                 .get(1)
                 .and_then(|p| p.parse().ok())
                 .expect("usage: federation_server --port <n> | --smoke");
-            let server = Arc::new(Server::new(0.0));
+            let state = Arc::new(ServerState::new(0.0));
             let listener = TcpListener::bind(("127.0.0.1", port)).expect("port binds");
             println!(
                 "federation server listening on {} ({} wrappers behind admission)",
                 listener.local_addr().unwrap(),
                 disco_bench::serving::TABLES
             );
-            server.run(listener);
+            run(&state, listener);
             println!(
                 "federation server shut down after {} queries",
-                server.served.load(Ordering::Relaxed)
+                state.served()
             );
         }
         _ => {

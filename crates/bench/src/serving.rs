@@ -17,11 +17,18 @@
 //! * **analytical** — a two-table equijoin on the non-indexed cluster
 //!   key with a weak value filter; predicted orders of magnitude more
 //!   expensive (full shipping of both sides plus a fanout-20 join).
+//!
+//! The module also holds the server's line protocol
+//! ([`serve_connection`]) over any reader/writer pair, so it is testable
+//! without a socket; `federation_server` adds only the accept loop.
 
+use std::io::{self, BufRead, BufWriter, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use disco_common::{AttributeDef, DataType, Schema, Value};
-use disco_mediator::{AdmissionPolicy, Mediator, SharedMediator};
+use disco_mediator::{AdmissionController, AdmissionPolicy, Mediator, SharedMediator};
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
 use disco_transport::{ChannelTransport, FaultPlan, NetProfile, TransportClient};
 use disco_wrapper::SourceWrapper;
@@ -174,6 +181,155 @@ pub fn warm_plan_cache(shared: &SharedMediator) {
             .plan(&analytical_sql(t, 500))
             .expect("analytical shape plans");
     }
+}
+
+/// Capacity of a connection's reply buffer. Fixed, so the buffer and not
+/// the answer bounds what a reply adds to the server's memory: a reply
+/// larger than this leaves in several writes of about this size.
+pub const REPLY_BUFFER_BYTES: usize = 64 * 1024;
+/// Longest request line accepted, terminator excluded.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
+
+/// What the connections of one server share: the mediator, the admission
+/// controller in front of it, and the shutdown flag the accept loop
+/// watches.
+pub struct ServerState {
+    mediator: Arc<SharedMediator>,
+    admission: AdmissionController,
+    shutdown: AtomicBool,
+    served: AtomicU64,
+}
+
+impl ServerState {
+    /// A server over [`shared_federation`] with [`admission_policy`].
+    pub fn new(sleep_scale: f64) -> ServerState {
+        let mediator = shared_federation(sleep_scale);
+        let admission = AdmissionController::new(admission_policy(&mediator));
+        ServerState {
+            mediator,
+            admission,
+            shutdown: AtomicBool::new(false),
+            served: AtomicU64::new(0),
+        }
+    }
+
+    pub fn mediator(&self) -> &SharedMediator {
+        &self.mediator
+    }
+
+    /// Queries answered with `OK` so far.
+    pub fn served(&self) -> u64 {
+        self.served.load(Ordering::Relaxed)
+    }
+
+    /// Whether a connection has sent `SHUTDOWN`.
+    pub fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Answer one SQL line: plan (through the shared cache), classify by
+    /// the prediction, admit, execute, render.
+    fn serve_sql(&self, tenant: &str, sql: &str, out: &mut impl Write) -> io::Result<()> {
+        let (plan, source) = match self.mediator.plan(sql) {
+            Ok(p) => p,
+            Err(e) => return writeln!(out, "ERR {e}"),
+        };
+        let class = self.admission.policy().classify(plan.estimated.total_time);
+        let permit = self.admission.admit(tenant, class);
+        let served = match self.mediator.execute(plan) {
+            Ok(s) => s,
+            Err(e) => return writeln!(out, "ERR {e}"),
+        };
+        let waited = permit.waited_ms();
+        drop(permit);
+        self.served.fetch_add(1, Ordering::Relaxed);
+        writeln!(
+            out,
+            "OK {} {:?} {} {:.2}",
+            served.result.tuples.len(),
+            source,
+            class.label(),
+            waited
+        )?;
+        for row in &served.result.tuples {
+            out.write_all(b"ROW ")?;
+            for (i, v) in row.values().iter().enumerate() {
+                if i > 0 {
+                    out.write_all(b"\t")?;
+                }
+                write!(out, "{v:?}")?;
+            }
+            out.write_all(b"\n")?;
+        }
+        out.write_all(b"END\n")
+    }
+}
+
+/// Serve one connection's requests until end of input, `SHUTDOWN`, an
+/// over-long line or an I/O error. The protocol is the one in
+/// `federation_server`'s module doc.
+///
+/// Replies go through one [`REPLY_BUFFER_BYTES`] buffer that is flushed
+/// once per request, so a reply that fits leaves in a single write.
+/// Requests are read into one reused buffer of at most
+/// [`MAX_REQUEST_LINE_BYTES`]; a longer line is answered `ERR line too
+/// long` and ends the connection (the rest of it cannot be told from a
+/// new request), a line that is not UTF-8 is answered `ERR invalid utf-8`
+/// and the connection goes on.
+pub fn serve_connection<R: BufRead, W: Write>(
+    state: &ServerState,
+    mut reader: R,
+    writer: W,
+) -> io::Result<()> {
+    let mut out = BufWriter::with_capacity(REPLY_BUFFER_BYTES, writer);
+    let mut line = Vec::new();
+    let mut tenant = "default".to_string();
+    // One byte past the limit tells a line of exactly the limit plus its
+    // terminator from one that is too long.
+    let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    loop {
+        line.clear();
+        if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        if line.len() > MAX_REQUEST_LINE_BYTES && line.last() != Some(&b'\n') {
+            out.write_all(b"ERR line too long\n")?;
+            return out.flush();
+        }
+        match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => continue,
+            Ok("SHUTDOWN") => {
+                out.write_all(b"OK bye\n")?;
+                out.flush()?;
+                state.shutdown.store(true, Ordering::SeqCst);
+                return Ok(());
+            }
+            Ok(request) => {
+                if let Some(name) = request.strip_prefix("TENANT ") {
+                    tenant = name.trim().to_string();
+                    writeln!(out, "OK tenant {tenant}")?;
+                } else {
+                    state.serve_sql(&tenant, request, &mut out)?;
+                }
+            }
+            Err(_) => out.write_all(b"ERR invalid utf-8\n")?,
+        }
+        out.flush()?;
+    }
+}
+
+/// [`serve_connection`] over an accepted socket. `TCP_NODELAY` because a
+/// reply larger than the buffer is several writes, and with Nagle's
+/// algorithm on, each short tail would wait for the client's delayed ACK.
+pub fn serve_stream(state: &ServerState, stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    serve_connection(state, io::BufReader::new(stream), stream)
+}
+
+/// Send one request line as a client should: line and terminator in one
+/// write, so they leave in one segment.
+pub fn send_line(out: &mut impl Write, line: &str) -> io::Result<()> {
+    out.write_all(format!("{line}\n").as_bytes())
 }
 
 #[cfg(test)]

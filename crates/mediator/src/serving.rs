@@ -352,10 +352,17 @@ impl SharedMediator {
     /// Plan a statement through the cache. Returns the plan and where
     /// it came from.
     pub fn plan(&self, sql: &str) -> Result<(OptimizedPlan, PlanSource)> {
+        let (plan, source, _key) = self.plan_keyed(sql)?;
+        Ok((plan, source))
+    }
+
+    /// [`plan`](Self::plan), also returning the statement's cache key
+    /// (`None` when uncacheable) so `query` does not parse twice.
+    fn plan_keyed(&self, sql: &str) -> Result<(OptimizedPlan, PlanSource, Option<String>)> {
         let stmt = parse_statement(sql)?;
         let Some(key) = normalized_key(&stmt) else {
             let m = self.inner.read().unwrap();
-            return Ok((m.plan(sql)?, PlanSource::Uncacheable));
+            return Ok((m.plan(sql)?, PlanSource::Uncacheable, None));
         };
         let mut query = stmt.branches.into_iter().next().expect("one branch");
         query.order_by = stmt.order_by;
@@ -418,7 +425,7 @@ impl SharedMediator {
                 .replay(&analyzed, &decisions)
             {
                 self.note_hit();
-                return Ok((plan, PlanSource::CacheHit));
+                return Ok((plan, PlanSource::CacheHit, Some(key)));
             }
         }
 
@@ -438,7 +445,7 @@ impl SharedMediator {
                 *plans = HashMap::new();
             }
             plans.insert(
-                key,
+                key.clone(),
                 CacheEntry {
                     decisions,
                     history_epoch: state.0,
@@ -448,7 +455,7 @@ impl SharedMediator {
                 },
             );
         }
-        Ok((plan, PlanSource::CacheMiss))
+        Ok((plan, PlanSource::CacheMiss, Some(key)))
     }
 
     /// Execute an already-planned query under the read lock; when the
@@ -512,10 +519,7 @@ impl SharedMediator {
     /// Full query processing for one session: plan through the cache,
     /// execute concurrently.
     pub fn query(&self, sql: &str) -> Result<ServedQuery> {
-        let (optimized, source) = self.plan(sql)?;
-        let key = parse_statement(sql)
-            .ok()
-            .and_then(|stmt| normalized_key(&stmt));
+        let (optimized, source, key) = self.plan_keyed(sql)?;
         self.execute_keyed(optimized, source, key.as_deref())
     }
 }
