@@ -6,12 +6,19 @@
 //! the in-memory tree in `disco-sources`, so both indexes answer every
 //! comparison identically. Leaves chain through `next` for range scans.
 //!
-//! Inserts rewrite the touched page from a decoded copy (read cells,
-//! splice, re-encode): pages stay compact without in-place slot surgery,
-//! and splits pre-allocate the right sibling *before* mutating either
-//! page — the buffer pool's lock is not reentrant. Like the in-memory
-//! tree, deletion is out of scope: stores bulk-load at startup and the
-//! workloads are read-only.
+//! Reads work on the pinned page: routing and point lookups binary-search
+//! the slot directory, ordering one encoded key per probe against the
+//! search value ([`cmp_key`]), and scans append rids straight from the
+//! cell bytes — no cell is decoded into an owned key or rid list.
+//!
+//! An insert splices its cell into the page in place
+//! ([`Page::insert_at`]; a duplicate key grows its cell with
+//! [`Page::replace`]). Only when the cell does not fit is the page
+//! decoded, spliced and rewritten as two — and splits pre-allocate the
+//! right sibling *before* mutating either page, because the buffer
+//! pool's lock is not reentrant. Like the in-memory tree, deletion is
+//! out of scope: stores bulk-load at startup and the workloads are
+//! read-only.
 //!
 //! One key's rid list must fit a single cell (~500 rids); indexing an
 //! attribute with heavier duplication than that is rejected at build
@@ -23,16 +30,92 @@ use disco_algebra::CompareOp;
 use disco_common::{DiscoError, Result, Value};
 
 use crate::buffer::BufferPool;
-use crate::codec::{decode_value, encode_key};
+use crate::codec::{cmp_key, decode_value, encode_key};
 use crate::heap::Rid;
 use crate::page::{Page, PageId, PageKind, HEADER_SIZE, PAGE_SIZE};
 
 /// Per-slot directory overhead when sizing cells against a page.
 const SLOT_COST: usize = 4;
+/// Bytes of one packed rid in a leaf cell.
+const RID_BYTES: usize = 8;
 
 fn cells_fit(cells: &[Vec<u8>]) -> bool {
     let used: usize = cells.iter().map(|c| SLOT_COST + c.len()).sum();
     HEADER_SIZE + used <= PAGE_SIZE
+}
+
+fn corrupt(what: &str) -> DiscoError {
+    DiscoError::Source(format!("store: {what}"))
+}
+
+/// Order cell `i`'s key against `probe`; also returns what follows the
+/// key in the cell (a leaf's rid list, an internal cell's child).
+fn cell_cmp<'p>(page: &'p Page, i: usize, probe: &Value) -> Result<(Ordering, &'p [u8])> {
+    let cell = page
+        .record(i)
+        .ok_or_else(|| corrupt("index page is missing a cell"))?;
+    let mut pos = 0;
+    let ord = cmp_key(cell, &mut pos, probe)?;
+    Ok((ord, &cell[pos..]))
+}
+
+/// Binary search of a tree page's cells, which are in key order:
+/// `Ok(i)` when cell `i` holds `probe`, else `Err(i)` with the index
+/// where it would be inserted.
+fn search(page: &Page, probe: &Value) -> Result<std::result::Result<usize, usize>> {
+    let (mut lo, mut hi) = (0, page.slot_count());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match cell_cmp(page, mid, probe)?.0 {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(Ok(mid)),
+        }
+    }
+    Ok(Err(lo))
+}
+
+/// Route `value` through an internal page exactly like the in-memory
+/// tree: child `i + 1` covers keys `>= cells[i].key`, the page's `aux`
+/// everything below the first separator.
+fn route(page: &Page, value: &Value) -> Result<PageId> {
+    let mut child = page.aux();
+    let (mut lo, mut hi) = (0, page.slot_count());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let (ord, rest) = cell_cmp(page, mid, value)?;
+        if ord == Ordering::Greater {
+            hi = mid;
+        } else {
+            // The last separator at or below `value` wins.
+            child = child_of(rest)?;
+            lo = mid + 1;
+        }
+    }
+    Ok(child)
+}
+
+/// The child pointer of an internal cell (the bytes after its key).
+fn child_of(rest: &[u8]) -> Result<PageId> {
+    rest.first_chunk::<8>()
+        .map(|b| PageId::from_le_bytes(*b))
+        .ok_or_else(|| corrupt("truncated inner cell"))
+}
+
+/// Append the rids of a leaf cell (the bytes after its key) to `out`.
+fn push_rids(list: &[u8], out: &mut Vec<Rid>) -> Result<()> {
+    let (count, rids) = list
+        .split_first_chunk::<2>()
+        .ok_or_else(|| corrupt("truncated leaf cell"))?;
+    let n = u16::from_le_bytes(*count) as usize;
+    if rids.len() < n * RID_BYTES {
+        return Err(corrupt("truncated leaf cell rids"));
+    }
+    out.reserve(n);
+    for raw in rids.chunks_exact(RID_BYTES).take(n) {
+        out.push(Rid::from_bytes(raw)?);
+    }
+    Ok(())
 }
 
 #[derive(Debug, Clone)]
@@ -44,7 +127,7 @@ struct LeafCell {
 
 impl LeafCell {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.key_bytes.len() + 2 + self.rids.len() * 8);
+        let mut out = Vec::with_capacity(self.key_bytes.len() + 2 + self.rids.len() * RID_BYTES);
         out.extend_from_slice(&self.key_bytes);
         out.extend_from_slice(&(self.rids.len() as u16).to_le_bytes());
         for rid in &self.rids {
@@ -56,23 +139,11 @@ impl LeafCell {
     fn decode(bytes: &[u8]) -> Result<LeafCell> {
         let mut pos = 0;
         let key = decode_value(bytes, &mut pos)?;
-        let key_bytes = bytes[..pos].to_vec();
-        let n = bytes
-            .get(pos..pos + 2)
-            .map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")) as usize)
-            .ok_or_else(|| DiscoError::Source("store: truncated leaf cell".into()))?;
-        pos += 2;
-        let mut rids = Vec::with_capacity(n);
-        for _ in 0..n {
-            let raw = bytes
-                .get(pos..pos + 8)
-                .ok_or_else(|| DiscoError::Source("store: truncated leaf cell rids".into()))?;
-            rids.push(Rid::from_bytes(raw)?);
-            pos += 8;
-        }
+        let mut rids = Vec::new();
+        push_rids(&bytes[pos..], &mut rids)?;
         Ok(LeafCell {
             key,
-            key_bytes,
+            key_bytes: bytes[..pos].to_vec(),
             rids,
         })
     }
@@ -87,26 +158,25 @@ struct InnerCell {
 
 impl InnerCell {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.key_bytes.len() + 8);
-        out.extend_from_slice(&self.key_bytes);
-        out.extend_from_slice(&self.child.to_le_bytes());
-        out
+        encode_inner(&self.key_bytes, self.child)
     }
 
     fn decode(bytes: &[u8]) -> Result<InnerCell> {
         let mut pos = 0;
         let key = decode_value(bytes, &mut pos)?;
-        let key_bytes = bytes[..pos].to_vec();
-        let child = bytes
-            .get(pos..pos + 8)
-            .map(|b| PageId::from_le_bytes(b.try_into().expect("8 bytes")))
-            .ok_or_else(|| DiscoError::Source("store: truncated inner cell".into()))?;
         Ok(InnerCell {
             key,
-            key_bytes,
-            child,
+            key_bytes: bytes[..pos].to_vec(),
+            child: child_of(&bytes[pos..])?,
         })
     }
+}
+
+fn encode_inner(key_bytes: &[u8], child: PageId) -> Vec<u8> {
+    let mut out = Vec::with_capacity(key_bytes.len() + 8);
+    out.extend_from_slice(key_bytes);
+    out.extend_from_slice(&child.to_le_bytes());
+    out
 }
 
 /// What an insert into a subtree reports upward.
@@ -163,15 +233,24 @@ impl DiskBTree {
 
     /// Insert one entry.
     pub fn insert(&mut self, value: Value, rid: Rid) -> Result<()> {
-        if let Some((sep_bytes, right)) = self.insert_rec(self.root, self.height, &value, rid)? {
+        self.insert_entry(value, rid, true)
+    }
+
+    /// The first builder — every insert decodes its page, splices and
+    /// rewrites it — kept as the oracle [`DiskBTree::insert`] is tested
+    /// against: both must grow the same tree.
+    #[cfg(test)]
+    fn insert_by_rewrite(&mut self, value: Value, rid: Rid) -> Result<()> {
+        self.insert_entry(value, rid, false)
+    }
+
+    fn insert_entry(&mut self, value: Value, rid: Rid, in_place: bool) -> Result<()> {
+        if let Some((sep_bytes, right)) =
+            self.insert_rec(self.root, self.height, &value, rid, in_place)?
+        {
             let new_root = self.pool.allocate(PageKind::BTreeInternal)?;
             let old_root = self.root;
-            let cell = InnerCell {
-                key: Value::Null, // unused: encode() only reads key_bytes
-                key_bytes: sep_bytes,
-                child: right,
-            }
-            .encode();
+            let cell = encode_inner(&sep_bytes, right);
             self.pool.with_page_mut(new_root, |pg| {
                 pg.set_aux(old_root);
                 assert!(pg.insert_at(0, &cell), "fresh root holds one cell");
@@ -223,33 +302,40 @@ impl DiskBTree {
         })
     }
 
-    fn insert_rec(&mut self, pid: PageId, level: usize, value: &Value, rid: Rid) -> Result<Split> {
+    fn insert_rec(
+        &mut self,
+        pid: PageId,
+        level: usize,
+        value: &Value,
+        rid: Rid,
+        in_place: bool,
+    ) -> Result<Split> {
         if level == 1 {
-            return self.insert_leaf(pid, value, rid);
+            return self.insert_leaf(pid, value, rid, in_place);
         }
-        let (leftmost, mut cells) = self.read_inner(pid)?;
-        // Route exactly like the in-memory tree: child i+1 covers
-        // keys >= cells[i].key.
-        let mut pos = 0;
-        for (i, c) in cells.iter().enumerate() {
-            if value.total_cmp_value(&c.key) != Ordering::Less {
-                pos = i + 1;
-            } else {
-                break;
-            }
-        }
-        let child = if pos == 0 {
-            leftmost
-        } else {
-            cells[pos - 1].child
-        };
-        let Some((sep_bytes, new_right)) = self.insert_rec(child, level - 1, value, rid)? else {
+        let child = route(&*self.pool.pin(pid)?, value)?;
+        let Some((sep_bytes, new_right)) =
+            self.insert_rec(child, level - 1, value, rid, in_place)?
+        else {
             return Ok(None);
         };
         let sep_key = {
             let mut p = 0;
             decode_value(&sep_bytes, &mut p)?
         };
+        if in_place {
+            let cell = encode_inner(&sep_bytes, new_right);
+            let spliced = self.pool.with_page_mut(pid, |pg| {
+                let at = search(pg, &sep_key)?.unwrap_or_else(|i| i);
+                Ok::<_, DiscoError>(pg.insert_at(at, &cell))
+            })??;
+            if spliced {
+                return Ok(None);
+            }
+        }
+        // The separator does not fit (or the oracle is building): decode
+        // the page, splice, and rewrite it — as one page or as two.
+        let (leftmost, mut cells) = self.read_inner(pid)?;
         let at = cells
             .binary_search_by(|c| c.key.total_cmp_value(&sep_key))
             .unwrap_or_else(|i| i);
@@ -270,21 +356,30 @@ impl DiskBTree {
         // right sibling's leftmost. Allocate before touching either page.
         let right_pid = self.pool.allocate(PageKind::BTreeInternal)?;
         let mid = cells.len() / 2;
-        let up = cells[mid].clone();
-        let left_enc: Vec<Vec<u8>> = cells[..mid].iter().map(InnerCell::encode).collect();
-        let right_enc: Vec<Vec<u8>> = cells[mid + 1..].iter().map(InnerCell::encode).collect();
-        self.rewrite(pid, PageKind::BTreeInternal, leftmost, None, &left_enc)?;
-        self.rewrite(
-            right_pid,
-            PageKind::BTreeInternal,
-            up.child,
-            None,
-            &right_enc,
-        )?;
+        let up = cells.swap_remove(mid);
+        let kind = PageKind::BTreeInternal;
+        self.rewrite(pid, kind, leftmost, None, &encoded[..mid])?;
+        self.rewrite(right_pid, kind, up.child, None, &encoded[mid + 1..])?;
         Ok(Some((up.key_bytes, right_pid)))
     }
 
-    fn insert_leaf(&mut self, pid: PageId, value: &Value, rid: Rid) -> Result<Split> {
+    fn insert_leaf(
+        &mut self,
+        pid: PageId,
+        value: &Value,
+        rid: Rid,
+        in_place: bool,
+    ) -> Result<Split> {
+        if in_place {
+            let spliced = self
+                .pool
+                .with_page_mut(pid, |pg| splice_into_leaf(pg, value, rid))??;
+            if spliced {
+                return Ok(None);
+            }
+        }
+        // The cell does not fit (or the oracle is building): decode the
+        // page, splice, and rewrite it — as one page or as two.
         let (mut cells, next) = self.read_leaf(pid)?;
         match cells.binary_search_by(|c| c.key.total_cmp_value(value)) {
             Ok(i) => cells[i].rids.push(rid),
@@ -314,27 +409,17 @@ impl DiskBTree {
         }
         let right_pid = self.pool.allocate(PageKind::BTreeLeaf)?;
         let mid = cells.len() / 2;
-        let sep_bytes = cells[mid].key_bytes.clone();
-        let left_enc: Vec<Vec<u8>> = cells[..mid].iter().map(LeafCell::encode).collect();
-        let right_enc: Vec<Vec<u8>> = cells[mid..].iter().map(LeafCell::encode).collect();
-        self.rewrite(pid, PageKind::BTreeLeaf, 0, Some(right_pid), &left_enc)?;
-        self.rewrite(right_pid, PageKind::BTreeLeaf, 0, next, &right_enc)?;
+        let sep_bytes = cells.swap_remove(mid).key_bytes;
+        let kind = PageKind::BTreeLeaf;
+        self.rewrite(pid, kind, 0, Some(right_pid), &encoded[..mid])?;
+        self.rewrite(right_pid, kind, 0, next, &encoded[mid..])?;
         Ok(Some((sep_bytes, right_pid)))
     }
 
     fn leaf_for(&self, value: &Value) -> Result<PageId> {
         let mut pid = self.root;
         for _ in 1..self.height {
-            let (leftmost, cells) = self.read_inner(pid)?;
-            let mut child = leftmost;
-            for c in &cells {
-                if value.total_cmp_value(&c.key) != Ordering::Less {
-                    child = c.child;
-                } else {
-                    break;
-                }
-            }
-            pid = child;
+            pid = route(&*self.pool.pin(pid)?, value)?;
         }
         Ok(pid)
     }
@@ -342,20 +427,19 @@ impl DiskBTree {
     fn first_leaf(&self) -> Result<PageId> {
         let mut pid = self.root;
         for _ in 1..self.height {
-            let (leftmost, _) = self.read_inner(pid)?;
-            pid = leftmost;
+            pid = self.pool.pin(pid)?.aux();
         }
         Ok(pid)
     }
 
     /// Rids with exactly `value`, in insertion order.
     pub fn lookup(&self, value: &Value) -> Result<Vec<Rid>> {
-        let leaf = self.leaf_for(value)?;
-        let (cells, _) = self.read_leaf(leaf)?;
-        Ok(cells
-            .binary_search_by(|c| c.key.total_cmp_value(value))
-            .map(|i| cells[i].rids.clone())
-            .unwrap_or_default())
+        let page = self.pool.pin(self.leaf_for(value)?)?;
+        let mut out = Vec::new();
+        if let Ok(i) = search(&page, value)? {
+            push_rids(cell_cmp(&page, i, value)?.1, &mut out)?;
+        }
+        Ok(out)
     }
 
     /// Rids matching `op value`, in key order — same contract as the
@@ -363,42 +447,41 @@ impl DiskBTree {
     pub fn scan(&self, op: CompareOp, value: &Value) -> Result<Option<Vec<Rid>>> {
         let mut out = Vec::new();
         match op {
-            CompareOp::Eq => out.extend(self.lookup(value)?),
+            CompareOp::Eq => return self.lookup(value).map(Some),
             CompareOp::Ne => return Ok(None),
             CompareOp::Lt | CompareOp::Le => {
                 let mut leaf = Some(self.first_leaf()?);
                 'walk: while let Some(pid) = leaf {
-                    let (cells, next) = self.read_leaf(pid)?;
-                    for c in &cells {
-                        let ord = c.key.total_cmp_value(value);
+                    let page = self.pool.pin(pid)?;
+                    for i in 0..page.slot_count() {
+                        let (ord, rids) = cell_cmp(&page, i, value)?;
                         let keep = match op {
                             CompareOp::Lt => ord == Ordering::Less,
                             _ => ord != Ordering::Greater,
                         };
-                        if keep {
-                            out.extend_from_slice(&c.rids);
-                        } else {
+                        if !keep {
                             break 'walk;
                         }
+                        push_rids(rids, &mut out)?;
                     }
-                    leaf = next;
+                    leaf = page.next();
                 }
             }
             CompareOp::Gt | CompareOp::Ge => {
                 let mut leaf = Some(self.leaf_for(value)?);
                 while let Some(pid) = leaf {
-                    let (cells, next) = self.read_leaf(pid)?;
-                    for c in &cells {
-                        let ord = c.key.total_cmp_value(value);
+                    let page = self.pool.pin(pid)?;
+                    for i in 0..page.slot_count() {
+                        let (ord, rids) = cell_cmp(&page, i, value)?;
                         let keep = match op {
                             CompareOp::Gt => ord == Ordering::Greater,
                             _ => ord != Ordering::Less,
                         };
                         if keep {
-                            out.extend_from_slice(&c.rids);
+                            push_rids(rids, &mut out)?;
                         }
                     }
-                    leaf = next;
+                    leaf = page.next();
                 }
             }
         }
@@ -410,12 +493,40 @@ impl DiskBTree {
         let mut count = 0;
         let mut leaf = Some(self.first_leaf()?);
         while let Some(pid) = leaf {
-            let (cells, next) = self.read_leaf(pid)?;
-            count += cells.len();
-            leaf = next;
+            let page = self.pool.pin(pid)?;
+            count += page.live_count();
+            leaf = page.next();
         }
         Ok(count)
     }
+}
+
+/// Splice `(value, rid)` into a leaf page in place: a new key becomes a
+/// new cell at its sorted position, a key already present grows its
+/// cell by one rid. `false` (page untouched) when the result would not
+/// fit the page even compacted.
+fn splice_into_leaf(page: &mut Page, value: &Value, rid: Rid) -> Result<bool> {
+    let i = match search(page, value)? {
+        Ok(i) => i,
+        Err(i) => {
+            let mut cell = encode_key(value);
+            cell.extend_from_slice(&1u16.to_le_bytes());
+            cell.extend_from_slice(&rid.to_bytes());
+            return Ok(page.insert_at(i, &cell));
+        }
+    };
+    let (_, list) = cell_cmp(page, i, value)?;
+    let old = page.record(i).expect("search found the cell");
+    let count_at = old.len() - list.len();
+    let count = list
+        .first_chunk::<2>()
+        .map(|n| u16::from_le_bytes(*n))
+        .ok_or_else(|| corrupt("truncated leaf cell"))?;
+    let mut cell = Vec::with_capacity(old.len() + RID_BYTES);
+    cell.extend_from_slice(old);
+    cell[count_at..count_at + 2].copy_from_slice(&(count + 1).to_le_bytes());
+    cell.extend_from_slice(&rid.to_bytes());
+    Ok(page.replace(i, &cell))
 }
 
 #[cfg(test)]
@@ -567,5 +678,156 @@ mod tests {
             }
         }
         assert!(hit_limit, "a ~16 KB rid list cannot fit a 4 KB page");
+    }
+
+    /// One page of a tree, decoded: what the differential test compares.
+    #[derive(Debug, PartialEq)]
+    enum Node {
+        Inner {
+            pid: PageId,
+            leftmost: PageId,
+            cells: Vec<(Vec<u8>, PageId)>,
+        },
+        Leaf {
+            pid: PageId,
+            next: Option<PageId>,
+            cells: Vec<(Vec<u8>, Vec<Rid>)>,
+        },
+    }
+
+    /// Every page of the tree in depth-first order, page ids included:
+    /// equal dumps mean equal height, page count, separators, leaf key
+    /// sets, rid lists and chain order.
+    fn dump(t: &DiskBTree) -> Vec<Node> {
+        fn walk(t: &DiskBTree, pid: PageId, level: usize, out: &mut Vec<Node>) {
+            if level == 1 {
+                let (cells, next) = t.read_leaf(pid).unwrap();
+                let cells = cells.into_iter().map(|c| (c.key_bytes, c.rids)).collect();
+                out.push(Node::Leaf { pid, next, cells });
+                return;
+            }
+            let (leftmost, cells) = t.read_inner(pid).unwrap();
+            let children: Vec<PageId> = std::iter::once(leftmost)
+                .chain(cells.iter().map(|c| c.child))
+                .collect();
+            let cells = cells.into_iter().map(|c| (c.key_bytes, c.child)).collect();
+            out.push(Node::Inner {
+                pid,
+                leftmost,
+                cells,
+            });
+            for child in children {
+                walk(t, child, level - 1, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(t, t.root, t.height, &mut out);
+        out
+    }
+
+    /// Build the same stream with the in-place builder and with the
+    /// rewrite-every-insert oracle; the trees must be the same tree,
+    /// checked along the way (an in-place page carries garbage the
+    /// oracle's never has, so the moment of each split is the risk).
+    fn assert_same_tree(label: &str, entries: &[(Value, Rid)], min_height: usize) {
+        let mut fast = DiskBTree::new(pool()).unwrap();
+        let mut oracle = DiskBTree::new(pool()).unwrap();
+        for (n, (v, r)) in entries.iter().enumerate() {
+            let a = fast.insert(v.clone(), *r);
+            let b = oracle.insert_by_rewrite(v.clone(), *r);
+            assert_eq!(a.is_ok(), b.is_ok(), "{label}: insert {n}: {a:?} vs {b:?}");
+            if a.is_err() {
+                break;
+            }
+            if n % 257 == 0 {
+                assert_eq!(dump(&fast), dump(&oracle), "{label}: after insert {n}");
+            }
+        }
+        assert_eq!(fast.height(), oracle.height(), "{label}");
+        assert_eq!(dump(&fast), dump(&oracle), "{label}");
+        assert!(
+            fast.height() >= min_height,
+            "{label}: height {}",
+            fast.height()
+        );
+    }
+
+    #[test]
+    fn in_place_builder_grows_the_oracles_tree() {
+        let mut r = rng::seeded(rng::DEFAULT_SEED, "btree-oracle");
+        let wide = |i: u64| Value::Str(format!("{i:08}-{}", "k".repeat(60 + (i % 90) as usize)));
+        let sorted: Vec<(Value, Rid)> = (0..6_000)
+            .map(|i| (Value::Long(i), rid(i as u32)))
+            .collect();
+        assert_same_tree("sorted longs", &sorted, 2);
+        let reversed: Vec<(Value, Rid)> = sorted.iter().rev().cloned().collect();
+        assert_same_tree("descending longs", &reversed, 2);
+        let random: Vec<(Value, Rid)> = (0..6_000u32)
+            .map(|n| (Value::Long((r.next_u64() % 1_000_000) as i64), rid(n)))
+            .collect();
+        assert_same_tree("random longs", &random, 2);
+        // ~25 wide cells per page: three levels within a few thousand keys.
+        let strings: Vec<(Value, Rid)> = (0..5_000u32)
+            .map(|n| (wide(r.next_u64() % 100_000), rid(n)))
+            .collect();
+        assert_same_tree("random wide strings", &strings, 3);
+        let sorted_strings: Vec<(Value, Rid)> =
+            (0..5_000u32).map(|n| (wide(n as u64), rid(n))).collect();
+        assert_same_tree("sorted wide strings", &sorted_strings, 3);
+        // Duplicate-heavy: 40 keys share 8 000 rids, so cells keep
+        // growing, leave garbage behind and split on rid lists.
+        let dups: Vec<(Value, Rid)> = (0..8_000u32)
+            .map(|n| (Value::Long((r.next_u64() % 40) as i64), rid(n)))
+            .collect();
+        assert_same_tree("duplicate-heavy", &dups, 2);
+        // One key past what a cell can hold: both builders refuse at the
+        // same insert.
+        let one_key: Vec<(Value, Rid)> = (0..600u32).map(|n| (Value::Long(7), rid(n))).collect();
+        assert_same_tree("one key, too many rids", &one_key, 1);
+        // Every value family in one index.
+        let mixed: Vec<(Value, Rid)> = (0..4_000u32)
+            .map(|n| {
+                let v = match r.next_u64() % 5 {
+                    0 => Value::Null,
+                    1 => Value::Bool(r.next_u64().is_multiple_of(2)),
+                    2 => Value::Long((r.next_u64() % 500) as i64 - 250),
+                    3 => Value::Double((r.next_u64() % 500) as f64 / 3.0 - 80.0),
+                    _ => wide(r.next_u64() % 300),
+                };
+                (v, rid(n))
+            })
+            .collect();
+        assert_same_tree("mixed families", &mixed, 2);
+    }
+
+    #[test]
+    fn hostile_index_pages_are_errors() {
+        // A leaf whose cell is cut short inside its rid list, and an
+        // internal page whose cell has no room for a child pointer.
+        let p = pool();
+        let mut t = DiskBTree::new(p.clone()).unwrap();
+        t.insert(Value::Long(1), rid(1)).unwrap();
+        let mut cell = encode_key(&Value::Long(5));
+        cell.extend_from_slice(&3u16.to_le_bytes());
+        cell.extend_from_slice(&rid(9).to_bytes());
+        p.with_page_mut(t.root, |pg| assert!(pg.insert_at(1, &cell)))
+            .unwrap();
+        assert!(t.lookup(&Value::Long(5)).is_err());
+        assert!(t.scan(CompareOp::Ge, &Value::Long(0)).is_err());
+        assert_eq!(t.lookup(&Value::Long(1)).unwrap(), vec![rid(1)]);
+
+        let inner = p.allocate(PageKind::BTreeInternal).unwrap();
+        p.with_page_mut(inner, |pg| {
+            pg.set_aux(t.root);
+            assert!(pg.insert_at(0, &[0u8])); // a Null key and nothing else
+        })
+        .unwrap();
+        let broken = DiskBTree {
+            pool: p,
+            root: inner,
+            height: 2,
+            len: 1,
+        };
+        assert!(broken.lookup(&Value::Long(1)).is_err());
     }
 }

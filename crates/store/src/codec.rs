@@ -3,8 +3,11 @@
 //! Records are self-describing: a `u16` column count followed by one
 //! tagged value per column (tag byte, then a fixed- or length-prefixed
 //! payload). Keys in B+Tree cells use the same value encoding, compared
-//! after decoding under [`Value::total_cmp_value`] — byte order is *not*
-//! the value order, so cells are never compared as raw bytes.
+//! under [`Value::total_cmp_value`] ([`cmp_key`] does it in place, without
+//! an owned copy of a string key) — byte order is *not* the value order,
+//! so cells are never compared as raw bytes.
+
+use std::cmp::Ordering;
 
 use disco_common::{DiscoError, Result, Tuple, Value};
 
@@ -54,6 +57,33 @@ fn take<'b>(bytes: &'b [u8], pos: &mut usize, n: usize, what: &str) -> Result<&'
     }
 }
 
+/// The string payload that follows a [`TAG_STR`] tag.
+fn take_str<'b>(bytes: &'b [u8], pos: &mut usize) -> Result<&'b str> {
+    let len = u32::from_le_bytes(
+        take(bytes, pos, 4, "string length")?
+            .try_into()
+            .expect("4 bytes"),
+    ) as usize;
+    std::str::from_utf8(take(bytes, pos, len, "string payload")?)
+        .map_err(|_| DiscoError::Source("store: record holds invalid UTF-8".into()))
+}
+
+/// Order the encoded key at `pos` against `probe` exactly as
+/// `decode_value(..)?.total_cmp_value(probe)` would, advancing `pos`
+/// past the key. Allocates nothing: only a string key would need an
+/// owned copy, and a string sorts above every other family.
+pub fn cmp_key(bytes: &[u8], pos: &mut usize, probe: &Value) -> Result<Ordering> {
+    if bytes.get(*pos) == Some(&TAG_STR) {
+        *pos += 1;
+        let key = take_str(bytes, pos)?;
+        return Ok(match probe {
+            Value::Str(p) => key.cmp(p.as_str()),
+            _ => Ordering::Greater,
+        });
+    }
+    Ok(decode_value(bytes, pos)?.total_cmp_value(probe))
+}
+
 /// Decode one value at `pos`, advancing it.
 pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
     let tag = take(bytes, pos, 1, "tag")?[0];
@@ -66,19 +96,7 @@ pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
         TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
             take(bytes, pos, 8, "double")?.try_into().expect("8 bytes"),
         ))),
-        TAG_STR => {
-            let len = u32::from_le_bytes(
-                take(bytes, pos, 4, "string length")?
-                    .try_into()
-                    .expect("4 bytes"),
-            ) as usize;
-            let raw = take(bytes, pos, len, "string payload")?;
-            Value::Str(
-                std::str::from_utf8(raw)
-                    .map_err(|_| DiscoError::Source("store: record holds invalid UTF-8".into()))?
-                    .to_owned(),
-            )
-        }
+        TAG_STR => Value::Str(take_str(bytes, pos)?.to_owned()),
         t => {
             return Err(DiscoError::Source(format!(
                 "store: unknown value tag {t} in record"
@@ -199,58 +217,58 @@ mod tests {
         assert!(decode_tuple(&[1, 0, TAG_STR, 1, 0, 0, 0, 0xFF]).is_err());
     }
 
+    /// Any value the codec can hold, full-range: every bit pattern of
+    /// a double (NaNs and infinities included) and strings of arbitrary
+    /// scalar values, not just ASCII.
+    fn any_value(r: &mut rng::StdRng) -> Value {
+        match r.next_u64() % 5 {
+            0 => Value::Null,
+            1 => Value::Bool(r.next_u64().is_multiple_of(2)),
+            2 => Value::Long(r.next_u64() as i64),
+            3 => Value::Double(f64::from_bits(r.next_u64())),
+            _ => Value::Str(
+                (0..r.next_u64() % 61)
+                    .filter_map(|_| char::from_u32((r.next_u64() % 0x11_0000) as u32))
+                    .collect(),
+            ),
+        }
+    }
+
     #[test]
     fn randomized_round_trip() {
         let mut r = rng::seeded(rng::DEFAULT_SEED, "codec-roundtrip");
-        for _ in 0..500 {
-            let n = (r.next_u64() % 8) as usize;
-            let values: Vec<Value> = (0..n)
-                .map(|_| match r.next_u64() % 5 {
-                    0 => Value::Null,
-                    1 => Value::Bool(r.next_u64().is_multiple_of(2)),
-                    2 => Value::Long(r.next_u64() as i64),
-                    3 => Value::Double(f64::from_bits(r.next_u64() % (1 << 62))),
-                    _ => {
-                        let len = (r.next_u64() % 40) as usize;
-                        Value::Str("x".repeat(len))
-                    }
-                })
-                .collect();
-            let t = Tuple::new(values);
+        for _ in 0..2_000 {
+            let n = r.next_u64() % 12;
+            let t = Tuple::new((0..n).map(|_| any_value(&mut r)).collect());
             let back = decode_tuple(&encode_tuple(&t)).unwrap();
+            assert_eq!(back.values().len(), t.values().len());
             for (a, b) in back.values().iter().zip(t.values()) {
-                assert!(a.total_cmp_value(b).is_eq());
+                assert!(a.total_cmp_value(b).is_eq(), "{a:?} vs {b:?}");
             }
         }
     }
 
-    // Gated: requires the `proptest` cargo feature (and the proptest
-    // dev-dependency, removed so offline builds succeed — see Cargo.toml).
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn value_strategy() -> impl Strategy<Value = Value> {
-            prop_oneof![
-                Just(Value::Null),
-                any::<bool>().prop_map(Value::Bool),
-                any::<i64>().prop_map(Value::Long),
-                any::<f64>().prop_map(Value::Double),
-                ".{0,60}".prop_map(Value::Str),
-            ]
-        }
-
-        proptest! {
-            #[test]
-            fn any_tuple_round_trips(values in prop::collection::vec(value_strategy(), 0..12)) {
-                let t = Tuple::new(values);
-                let back = decode_tuple(&encode_tuple(&t)).unwrap();
-                prop_assert_eq!(back.values().len(), t.values().len());
-                for (a, b) in back.values().iter().zip(t.values()) {
-                    prop_assert!(a.total_cmp_value(b).is_eq());
-                }
+    #[test]
+    fn cmp_key_orders_like_the_decoded_value() {
+        let mut r = rng::seeded(rng::DEFAULT_SEED, "codec-cmp-key");
+        let mut pool = sample_values();
+        pool.extend((0..200).map(|_| any_value(&mut r)));
+        for key in &pool {
+            let mut bytes = encode_key(key);
+            bytes.extend_from_slice(b"payload");
+            for probe in &pool {
+                let mut pos = 0;
+                let got = cmp_key(&bytes, &mut pos, probe).unwrap();
+                assert_eq!(got, key.total_cmp_value(probe), "{key:?} vs {probe:?}");
+                assert_eq!(&bytes[pos..], b"payload");
             }
         }
+        // Truncated and malformed keys are errors.
+        let s = encode_key(&Value::Str("abc".into()));
+        for cut in 0..s.len() {
+            assert!(cmp_key(&s[..cut], &mut 0, &Value::Null).is_err(), "{cut}");
+        }
+        assert!(cmp_key(&[TAG_STR, 1, 0, 0, 0, 0xFF], &mut 0, &Value::Null).is_err());
+        assert!(cmp_key(&[9], &mut 0, &Value::Null).is_err());
     }
 }

@@ -408,7 +408,10 @@ impl StoreSession<'_> {
 
     /// Fetch one row by rid (pins its heap page: one hit or fault).
     pub fn fetch(&self, collection: &str, rid: Rid) -> Result<Tuple> {
-        decode_tuple(&self.store.collection(collection)?.heap.get(rid)?)
+        self.store
+            .collection(collection)?
+            .heap
+            .get(rid, decode_tuple)
     }
 
     /// Rids matching `attr op value` via the index, in key order.

@@ -1,12 +1,14 @@
 //! The on-disk page file.
 //!
 //! A [`PageFile`] is a flat array of [`PAGE_SIZE`] pages over one
-//! `std::fs::File`. Writes seal the page checksum; reads verify it.
+//! `std::fs::File`. Writes seal the page checksum; reads verify it. Each
+//! is one positioned syscall (`pread`/`pwrite` through
+//! `std::os::unix::fs::FileExt`), so the file has no cursor to seek.
 //! Stores usually live in per-process temp files deleted on drop, but a
 //! file can also be created at (or reopened from) an explicit path.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -108,19 +110,16 @@ impl PageFile {
     }
 
     /// Read and validate one page.
-    pub fn read_page(&mut self, id: PageId) -> Result<Page> {
+    pub fn read_page(&self, id: PageId) -> Result<Page> {
         if id >= self.pages {
             return Err(DiscoError::Source(format!(
                 "store: read of unallocated page {id} (file has {})",
                 self.pages
             )));
         }
-        self.file
-            .seek(SeekFrom::Start(id * PAGE_SIZE as u64))
-            .map_err(|e| io_err("seek", e))?;
         let mut buf = Box::new([0u8; PAGE_SIZE]);
         self.file
-            .read_exact(&mut buf[..])
+            .read_exact_at(&mut buf[..], id * PAGE_SIZE as u64)
             .map_err(|e| io_err(&format!("read of page {id}"), e))?;
         let page = Page::from_bytes(buf);
         page.validate()?;
@@ -131,7 +130,7 @@ impl PageFile {
     /// regions from out-of-order eviction) is fine; the skipped range
     /// reads back as zeroes only until its own write-back arrives, and
     /// the pool never reads a page it has not flushed.
-    pub fn write_page(&mut self, id: PageId, page: &Page) -> Result<()> {
+    pub fn write_page(&self, id: PageId, page: &Page) -> Result<()> {
         if id >= self.pages {
             return Err(DiscoError::Source(format!(
                 "store: write of unallocated page {id}"
@@ -140,16 +139,13 @@ impl PageFile {
         let mut sealed = page.clone();
         sealed.seal();
         self.file
-            .seek(SeekFrom::Start(id * PAGE_SIZE as u64))
-            .map_err(|e| io_err("seek", e))?;
-        self.file
-            .write_all(&sealed.bytes()[..])
+            .write_all_at(&sealed.bytes()[..], id * PAGE_SIZE as u64)
             .map_err(|e| io_err(&format!("write of page {id}"), e))?;
         Ok(())
     }
 
     /// Flush file-system buffers.
-    pub fn sync(&mut self) -> Result<()> {
+    pub fn sync(&self) -> Result<()> {
         self.file.sync_data().map_err(|e| io_err("sync", e))
     }
 }
@@ -203,9 +199,7 @@ mod tests {
         p.insert(b"precious bytes").unwrap();
         f.write_page(id, &p).unwrap();
         // Flip a byte on disk behind the page file's back.
-        use std::io::{Seek, SeekFrom, Write};
-        f.file.seek(SeekFrom::Start(100)).unwrap();
-        f.file.write_all(&[0xAB]).unwrap();
+        f.file.write_all_at(&[0xAB], 100).unwrap();
         let err = f.read_page(id).unwrap_err().to_string();
         assert!(err.contains("checksum") || err.contains("magic"), "{err}");
     }
@@ -231,7 +225,7 @@ mod tests {
         f.write_page(id, &p).unwrap();
         f.sync().unwrap();
         drop(f);
-        let mut again = PageFile::open(&dir).unwrap();
+        let again = PageFile::open(&dir).unwrap();
         assert_eq!(again.pages(), 1);
         assert_eq!(
             again.read_page(id).unwrap().record(0).unwrap(),
@@ -239,5 +233,26 @@ mod tests {
         );
         drop(again);
         std::fs::remove_file(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_file_is_an_error_not_a_panic() {
+        let path = std::env::temp_dir().join(format!("disco-store-trunc-{}", std::process::id()));
+        let mut f = PageFile::create(&path).unwrap();
+        let page = Page::new(PageKind::Heap);
+        for _ in 0..2 {
+            let id = f.allocate();
+            f.write_page(id, &page).unwrap();
+        }
+        // Cut the file in the middle of its second page.
+        f.file.set_len(PAGE_SIZE as u64 + 1_000).unwrap();
+        assert!(f.read_page(0).is_ok());
+        let err = f.read_page(1).unwrap_err().to_string();
+        assert!(err.contains("read of page 1"), "{err}");
+        drop(f);
+        // Reopening refuses a length that is not whole pages.
+        let err = PageFile::open(&path).unwrap_err().to_string();
+        assert!(err.contains("whole number of pages"), "{err}");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -128,8 +128,9 @@ impl HeapFile {
         self.pages.get(index as usize).copied()
     }
 
-    /// Fetch one record by rid.
-    pub fn get(&self, rid: Rid) -> Result<Vec<u8>> {
+    /// Read one record by rid: `read` sees the record's bytes on the
+    /// pinned page, so nothing is copied out before it is decoded.
+    pub fn get<T>(&self, rid: Rid, read: impl FnOnce(&[u8]) -> Result<T>) -> Result<T> {
         let Some(&pid) = self.pages.get(rid.page as usize) else {
             return Err(DiscoError::Source(format!(
                 "store: rid page {} out of range ({} pages)",
@@ -138,14 +139,13 @@ impl HeapFile {
             )));
         };
         let page = self.pool.pin(pid)?;
-        page.record(rid.slot as usize)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| {
-                DiscoError::Source(format!(
-                    "store: rid slot {} missing on page {}",
-                    rid.slot, rid.page
-                ))
-            })
+        let record = page.record(rid.slot as usize).ok_or_else(|| {
+            DiscoError::Source(format!(
+                "store: rid slot {} missing on page {}",
+                rid.slot, rid.page
+            ))
+        })?;
+        read(record)
     }
 
     /// Visit every live record in storage order (page by page, slot by
@@ -230,9 +230,14 @@ mod tests {
             .map(|i| b.append(format!("v{i}").as_bytes()).unwrap())
             .collect();
         let heap = b.finish();
-        assert_eq!(heap.get(rids[7]).unwrap(), b"v7");
+        let get = |page, slot| heap.get(Rid { page, slot }, |bytes| Ok(bytes.to_vec()));
+        assert_eq!(get(rids[7].page, rids[7].slot).unwrap(), b"v7");
         assert_eq!(rids[7].page, 2);
-        assert!(heap.get(Rid { page: 99, slot: 0 }).is_err());
+        // Out-of-range pages and slots are errors, not panics.
+        assert!(get(99, 0).is_err());
+        assert!(get(2, 3).is_err());
+        assert!(get(0, u16::MAX).is_err());
+        assert!(get(u32::MAX, u16::MAX).is_err());
     }
 
     #[test]

@@ -21,9 +21,15 @@
 //! live record can start inside the header — and its bytes become
 //! garbage that [`Page::compact`] reclaims.
 //!
-//! The checksum (FNV-1a over bytes 4..4096) is computed when a page is
-//! written to disk and verified when it is read back; in-memory
-//! mutations leave it stale on purpose.
+//! The checksum ([`checksum`]: the FNV-1a xor-multiply step over the
+//! page's little-endian `u32` words in eight independent lanes, folded
+//! into one `u32`) is computed when a page is written to disk and
+//! verified when it is read back; in-memory mutations leave it stale on
+//! purpose.
+//!
+//! A page that passes [`Page::validate`] is still untrusted input to the
+//! accessors: a slot count, offset or length that points outside the
+//! page makes [`Page::record`] return `None`, never panic.
 
 use disco_common::{DiscoError, Result};
 
@@ -97,15 +103,47 @@ impl std::fmt::Debug for Page {
     }
 }
 
-/// FNV-1a over the checksummed region (everything after the checksum
-/// field itself).
+const FNV_BASIS: u32 = 0x811c_9dc5;
+const FNV_PRIME: u32 = 0x0100_0193;
+/// Independent checksum chains. A page fault is bounded by the latency
+/// of one dependent multiply chain; eight of them keep the multiplier
+/// busy (and fill one 256-bit vector where the target has one).
+const LANES: usize = 8;
+
+/// The FNV-1a step on a whole word: xor, then multiply by an odd
+/// constant — a bijection of `h` for any fixed `word`.
+#[inline(always)]
+fn fnv_step(h: u32, word: u32) -> u32 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// Page checksum. The page is read as 1 024 little-endian `u32` words,
+/// word `w` feeding lane `w % 8` through [`fnv_step`]; the eight lane
+/// states are then folded, lane 0 first, through the same step into one
+/// `u32`. Word 0 — the checksum field itself — is absorbed as zero.
+///
+/// Every step is a bijection of the running state, so two pages that
+/// differ in exactly one word always have different checksums (the
+/// guarantee byte-serial FNV-1a32 gives per byte); damage spanning
+/// several words escapes only through a 32-bit collision.
 pub fn checksum(data: &[u8; PAGE_SIZE]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in &data[OFF_MAGIC..] {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+    let mut lanes = [FNV_BASIS; LANES];
+    // Row 0 by hand: its first word is the checksum field.
+    for (w, lane) in lanes.iter_mut().enumerate().skip(OFF_MAGIC / 4) {
+        *lane = fnv_step(*lane, word_at(data, 4 * w));
     }
-    h
+    lanes[0] = fnv_step(lanes[0], 0);
+    for row in (4 * LANES..PAGE_SIZE).step_by(4 * LANES) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            *lane = fnv_step(*lane, word_at(data, row + 4 * l));
+        }
+    }
+    lanes.into_iter().fold(FNV_BASIS, fnv_step)
+}
+
+#[inline(always)]
+fn word_at(data: &[u8; PAGE_SIZE], at: usize) -> u32 {
+    u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
 }
 
 impl Page {
@@ -211,11 +249,13 @@ impl Page {
         self.free_end().saturating_sub(self.dir_end())
     }
 
+    /// Directory entry `idx`, or `None` past the slot count — or past
+    /// the page, when the slot count itself is damaged.
     fn slot(&self, idx: usize) -> Option<(usize, usize)> {
-        if idx >= self.slot_count() {
+        let at = HEADER_SIZE + SLOT_SIZE * idx;
+        if idx >= self.slot_count() || at + SLOT_SIZE > PAGE_SIZE {
             return None;
         }
-        let at = HEADER_SIZE + SLOT_SIZE * idx;
         let off = self.get_u16(at) as usize;
         let len = self.get_u16(at + 2) as usize;
         Some((off, len))
@@ -228,10 +268,13 @@ impl Page {
     }
 
     /// Record bytes of a live slot (`None` for dead or out-of-range
-    /// slots).
+    /// slots, and for a slot whose bytes would not lie inside the page).
     pub fn record(&self, idx: usize) -> Option<&[u8]> {
         let (off, len) = self.slot(idx)?;
-        (off != 0).then(|| &self.data[off..off + len])
+        if off < HEADER_SIZE {
+            return None;
+        }
+        self.data.get(off..off + len)
     }
 
     /// Live `(slot, bytes)` pairs in slot order.
@@ -298,8 +341,9 @@ impl Page {
     }
 
     /// Replace the record at a live slot. Shrinks in place; growth
-    /// allocates fresh space (the old bytes become garbage). Returns
-    /// `false` when the page cannot hold the new record.
+    /// allocates fresh space (the old bytes become garbage, compacted
+    /// away when the gap alone is too small). Returns `false`, leaving
+    /// the page as it was, when it cannot hold the new record.
     pub fn replace(&mut self, idx: usize, bytes: &[u8]) -> bool {
         let Some((off, len)) = self.slot(idx) else {
             return false;
@@ -312,12 +356,18 @@ impl Page {
             self.set_slot(idx, off, bytes.len());
             return true;
         }
-        // Growing: retire the old copy, then compact-and-allocate. Mark
-        // the slot dead first so compaction drops the old bytes.
+        if self.free_space() < bytes.len() {
+            // Only a compaction can make room: would the record fit then?
+            let others: usize = self.records().map(|(_, r)| r.len()).sum::<usize>() - len;
+            if self.dir_end() + others + bytes.len() > PAGE_SIZE {
+                return false;
+            }
+        }
+        // Retire the old copy first so a compaction drops its bytes.
         self.set_slot(idx, 0, 0);
-        let Some(new_off) = self.allocate(bytes.len(), 0) else {
-            return false;
-        };
+        let new_off = self
+            .allocate(bytes.len(), 0)
+            .expect("growth checked against the compacted page");
         self.data[new_off..new_off + bytes.len()].copy_from_slice(bytes);
         self.set_slot(idx, new_off, bytes.len());
         true
@@ -488,13 +538,11 @@ mod tests {
         // Growing the first record must either succeed via compaction of
         // its own old copy, or fail cleanly.
         let grew = p.replace(first, &[3u8; 80]);
-        if grew {
-            assert_eq!(p.record(first).unwrap(), &[3u8; 80]);
-        } else {
-            // Failed growth retires the record (documented trade-off of
-            // the retire-then-allocate scheme; callers split the page).
-            assert!(p.record(first).is_none());
-        }
+        let expect: &[u8] = if grew { &[3u8; 80] } else { &[1u8; 64] };
+        assert_eq!(p.record(first).unwrap(), expect);
+        // A record the page cannot hold even compacted leaves it intact.
+        assert!(!p.replace(first, &[4u8; 400]));
+        assert_eq!(p.record(first).unwrap(), expect);
     }
 
     #[test]
@@ -547,59 +595,137 @@ mod tests {
         assert_eq!(p.aux(), 0);
     }
 
-    // Gated: requires the `proptest` cargo feature (and the proptest
-    // dev-dependency, removed so offline builds succeed — see Cargo.toml).
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
+    fn sealed(fill: u8) -> Page {
+        let mut p = Page::new(PageKind::Heap);
+        while p.insert(&[fill; 56]).is_some() {}
+        p.set_next(Some(fill as u64));
+        p.seal();
+        assert!(p.validate().is_ok());
+        p
+    }
 
-        /// Model: a Vec<Option<Vec<u8>>> mirroring slot contents.
-        #[derive(Debug, Clone)]
-        enum Op {
-            Insert(Vec<u8>),
-            Delete(usize),
-            Compact,
+    #[test]
+    fn checksum_is_the_documented_lane_fold() {
+        // The definition, spelled out scalar and word by word.
+        let p = sealed(0x5A);
+        let words: Vec<u32> = p
+            .bytes()
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        let mut lanes = [FNV_BASIS; LANES];
+        for (w, &word) in words.iter().enumerate() {
+            let word = if w == 0 { 0 } else { word };
+            lanes[w % LANES] = (lanes[w % LANES] ^ word).wrapping_mul(FNV_PRIME);
         }
-
-        fn op_strategy() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                prop::collection::vec(any::<u8>(), 0..300).prop_map(Op::Insert),
-                (0usize..64).prop_map(Op::Delete),
-                Just(Op::Compact),
-            ]
+        let mut h = FNV_BASIS;
+        for lane in lanes {
+            h = (h ^ lane).wrapping_mul(FNV_PRIME);
         }
+        assert_eq!(checksum(p.bytes()), h);
+        assert_eq!(p.get_u32(OFF_CHECKSUM), h);
+    }
 
-        proptest! {
-            #[test]
-            fn slot_directory_survives_insert_delete_compact(ops in prop::collection::vec(op_strategy(), 0..200)) {
-                let mut page = Page::new(PageKind::Heap);
-                let mut model: Vec<Option<Vec<u8>>> = Vec::new();
-                for op in ops {
-                    match op {
-                        Op::Insert(bytes) => {
-                            if let Some(slot) = page.insert(&bytes) {
-                                if slot == model.len() {
-                                    model.push(Some(bytes));
-                                } else {
-                                    prop_assert!(model[slot].is_none(), "reused a live slot");
-                                    model[slot] = Some(bytes);
-                                }
+    #[test]
+    fn every_single_bit_flip_fails_validation() {
+        let p = sealed(0xA7);
+        let mut raw = *p.bytes();
+        for bit in 0..PAGE_SIZE * 8 {
+            raw[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                Page::from_bytes(Box::new(raw)).validate().is_err(),
+                "flip of bit {bit} went undetected"
+            );
+            raw[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(&raw, p.bytes());
+    }
+
+    #[test]
+    fn torn_page_fails_validation() {
+        // A write torn at a sector boundary: the head of one sealed page,
+        // the tail of another.
+        let (a, b) = (sealed(0x11), sealed(0x22));
+        for cut in [512, 2048, PAGE_SIZE - 512] {
+            let mut raw = *b.bytes();
+            raw[..cut].copy_from_slice(&a.bytes()[..cut]);
+            assert!(Page::from_bytes(Box::new(raw)).validate().is_err(), "{cut}");
+        }
+    }
+
+    /// A page whose header and directory were tampered with *and then
+    /// resealed*: the checksum vouches for it, the accessors must not.
+    fn resealed(edit: impl FnOnce(&mut Page)) -> Page {
+        let mut p = Page::new(PageKind::Heap);
+        for i in 0..3u8 {
+            p.insert(&[i; 20]).unwrap();
+        }
+        edit(&mut p);
+        p.seal();
+        assert!(p.validate().is_ok());
+        p
+    }
+
+    #[test]
+    fn hostile_slot_directory_yields_none_not_a_panic() {
+        // Slot count far past the page: entries beyond the page do not
+        // exist, the three real ones still read.
+        let p = resealed(|p| p.put_u16(OFF_SLOTS, u16::MAX));
+        assert_eq!(p.record(1).unwrap(), &[1u8; 20]);
+        assert!(p.record((PAGE_SIZE - HEADER_SIZE) / SLOT_SIZE).is_none());
+        assert!(p.record(u16::MAX as usize - 1).is_none());
+        for i in 0..u16::MAX as usize {
+            let _ = p.record(i);
+        }
+        assert!(p.records().count() <= (PAGE_SIZE - HEADER_SIZE) / SLOT_SIZE);
+        // Offset + length past the page end.
+        let p = resealed(|p| p.set_slot(1, PAGE_SIZE - 4, 20));
+        assert!(p.record(1).is_none());
+        assert_eq!(p.record(2).unwrap(), &[2u8; 20]);
+        // Offset past the page altogether, and maximal length.
+        let p = resealed(|p| p.set_slot(0, u16::MAX as usize, u16::MAX as usize));
+        assert!(p.record(0).is_none());
+        // A "record" inside the header.
+        let p = resealed(|p| p.set_slot(2, OFF_NEXT, 8));
+        assert!(p.record(2).is_none());
+        assert_eq!(p.live_count(), 2);
+    }
+
+    /// Model: a `Vec<Option<Vec<u8>>>` mirroring slot contents.
+    #[test]
+    fn slot_directory_survives_insert_delete_compact() {
+        use disco_common::rng;
+        let mut r = rng::seeded(rng::DEFAULT_SEED, "page-model");
+        for _case in 0..200 {
+            let mut page = Page::new(PageKind::Heap);
+            let mut model: Vec<Option<Vec<u8>>> = Vec::new();
+            for _op in 0..(r.next_u64() % 200) {
+                match r.next_u64() % 8 {
+                    0..=4 => {
+                        let len = (r.next_u64() % 300) as usize;
+                        let bytes: Vec<u8> = (0..len).map(|_| r.next_u64() as u8).collect();
+                        if let Some(slot) = page.insert(&bytes) {
+                            if slot == model.len() {
+                                model.push(Some(bytes));
+                            } else {
+                                assert!(model[slot].is_none(), "reused a live slot");
+                                model[slot] = Some(bytes);
                             }
                         }
-                        Op::Delete(i) => {
-                            let expect = i < model.len() && model[i].is_some();
-                            prop_assert_eq!(page.delete(i), expect);
-                            if expect {
-                                model[i] = None;
-                            }
+                    }
+                    5 | 6 => {
+                        let i = (r.next_u64() % 64) as usize;
+                        let expect = i < model.len() && model[i].is_some();
+                        assert_eq!(page.delete(i), expect);
+                        if expect {
+                            model[i] = None;
                         }
-                        Op::Compact => page.compact(),
                     }
-                    prop_assert_eq!(page.slot_count(), model.len());
-                    for (i, m) in model.iter().enumerate() {
-                        prop_assert_eq!(page.record(i), m.as_deref());
-                    }
+                    _ => page.compact(),
+                }
+                assert_eq!(page.slot_count(), model.len());
+                for (i, m) in model.iter().enumerate() {
+                    assert_eq!(page.record(i), m.as_deref());
                 }
             }
         }
