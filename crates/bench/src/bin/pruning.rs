@@ -1,80 +1,9 @@
 //! E7 — branch-and-bound cost-limit abandonment (§4.3.2).
 //!
-//! Optimizes multi-join queries with and without the cost-limit and
-//! reports the estimation work saved.
-//!
 //! ```text
 //! cargo run --release -p disco-bench --bin pruning
 //! ```
 
-use disco_bench::Table;
-use disco_mediator::{JoinEnumeration, Mediator, MediatorOptions};
-use disco_oo7::{build_store, rules, Oo7Config};
-use disco_wrapper::SourceWrapper;
-
-fn mediator(config: &Oo7Config, pruning: bool) -> Mediator {
-    // Pin the exhaustive permutation enumerator: this experiment isolates
-    // the §4.3.2 cost-limit effect, which the DP path's caches would
-    // partially mask.
-    let mut m = Mediator::new().with_options(MediatorOptions {
-        pruning,
-        enumeration: JoinEnumeration::Permutation,
-        ..Default::default()
-    });
-    m.register(Box::new(
-        SourceWrapper::new("oo7", build_store(config).expect("gen"))
-            .with_cost_rules(rules::yao_rules()),
-    ))
-    .expect("register");
-    m
-}
-
 fn main() {
-    let config = Oo7Config::paper();
-    let queries = [
-        (
-            "2-way",
-            "SELECT a.X, d.Title FROM AtomicParts a, Documents d \
-             WHERE a.DocId = d.DocId AND a.Id < 1000",
-        ),
-        (
-            "3-way",
-            "SELECT a.X, d.Title FROM AtomicParts a, CompositeParts c, Documents d \
-             WHERE a.PartOf = c.Id AND c.DocId = d.DocId AND a.Id < 1000",
-        ),
-        (
-            "4-way",
-            "SELECT a.X FROM AtomicParts a, CompositeParts c, Documents d, AssemblyUses u \
-             WHERE a.PartOf = c.Id AND c.DocId = d.DocId AND u.CompId = c.Id AND a.Id < 500",
-        ),
-    ];
-
-    println!("E7 — optimizer estimation work, with and without cost-limit pruning\n");
-    let mut t = Table::new(&[
-        "query",
-        "plans",
-        "nodes (no pruning)",
-        "nodes (pruning)",
-        "pruned",
-        "saved",
-        "same plan?",
-    ]);
-    for (name, sql) in queries {
-        let m_off = mediator(&config, false);
-        let m_on = mediator(&config, true);
-        let off = m_off.plan(sql).expect("plans");
-        let on = m_on.plan(sql).expect("plans");
-        let saved = 1.0 - on.estimator_nodes as f64 / off.estimator_nodes as f64;
-        t.row(vec![
-            name.into(),
-            off.plans_considered.to_string(),
-            off.estimator_nodes.to_string(),
-            on.estimator_nodes.to_string(),
-            on.plans_pruned.to_string(),
-            format!("{:.0}%", saved * 100.0),
-            (on.estimated.total_time == off.estimated.total_time).to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("Pruning abandons plans mid-estimation without changing the chosen plan.");
+    print!("{}", disco_bench::run_pruning().expect("runs"));
 }

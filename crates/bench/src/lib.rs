@@ -9,6 +9,7 @@ pub mod fig12;
 pub mod historical;
 pub mod micro;
 pub mod plan_quality;
+pub mod pruning;
 pub mod report;
 pub mod serving;
 pub mod setup;
@@ -16,4 +17,5 @@ pub mod store_bench;
 
 pub use fig12::{run_fig12, Fig12Row};
 pub use plan_quality::{run_plan_quality, PlanQualityRow};
+pub use pruning::run_pruning;
 pub use report::{error_stats, Table};

@@ -21,52 +21,32 @@
 //!   the same node signature (e.g. the same join predicate over different
 //!   inputs) share one resolution.
 //!
-//! The cache is internally synchronized (`Mutex`-guarded maps, atomic
-//! hit counters) so a read-only [`crate::Estimator`] can be shared by
-//! value across scoped threads costing independent candidates in
-//! parallel. Values are deterministic, so concurrent duplicate inserts
-//! are benign.
-//!
-//! A cache that outlives one run (the serving layer shares one across
-//! queries) is bounded: a map that reaches [`MAX_ENTRIES`] starts over
-//! empty. Entries are only ever recomputed, never wrong, so forgetting
-//! them costs work and cannot change an estimate.
+//! One run, one thread: a cache is built by the optimization run that
+//! uses it, on the thread that runs it, and is dropped when the run
+//! returns. It is interior-mutable through `RefCell`/`Cell` (so it cannot
+//! cross threads), it never sees a second registry, catalog, health
+//! state or override set, and it is unbounded because it dies with the
+//! run — a 6-table join shape leaves ~250 entries behind.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::cost::NodeCost;
 use crate::pattern::Bindings;
 
-/// Entries either map may hold before it starts a fresh generation.
-/// A 6-table join shape leaves ~250 entries behind, and an entry of
-/// that size retains ~10 KB (subtree fingerprints grow with the
-/// subtree; rule resolutions carry their bindings): measured on the
-/// `plan_cold` profile workload, this cap holds the process's peak RSS
-/// near 70 MB where the unbounded cache took it past 500 MB in twelve
-/// seconds, at the same plan latency.
-pub const MAX_ENTRIES: usize = 4_096;
-
-/// Insert into a bounded memo map, starting over when it is full.
-fn put_bounded<V>(map: &Mutex<HashMap<String, V>>, key: String, value: V) {
-    let mut map = map.lock().expect("cache poisoned");
-    if map.len() >= MAX_ENTRIES {
-        // A new map, not `clear()`: the old table's capacity goes too.
-        *map = HashMap::new();
-    }
-    map.insert(key, value);
-}
-
 /// Caches shared by every estimation of one optimization run.
 #[derive(Debug, Default)]
 pub struct EstimatorCache {
-    cost: Mutex<HashMap<String, NodeCost>>,
-    rules: Mutex<HashMap<String, Vec<(usize, Bindings)>>>,
-    cost_hits: AtomicUsize,
-    rule_hits: AtomicUsize,
-    cost_lookups: AtomicUsize,
-    rule_lookups: AtomicUsize,
+    cost: RefCell<HashMap<String, NodeCost>>,
+    rules: RefCell<HashMap<String, Vec<(usize, Bindings)>>>,
+    cost_hits: Cell<usize>,
+    rule_hits: Cell<usize>,
+    cost_lookups: Cell<usize>,
+    rule_lookups: Cell<usize>,
+}
+
+fn bump(counter: &Cell<usize>) {
+    counter.set(counter.get() + 1);
 }
 
 impl EstimatorCache {
@@ -77,27 +57,22 @@ impl EstimatorCache {
 
     /// Subplan cost memo hits so far.
     pub fn cost_hits(&self) -> usize {
-        self.cost_hits.load(Ordering::Relaxed)
+        self.cost_hits.get()
     }
 
     /// Rule-resolution cache hits so far.
     pub fn rule_hits(&self) -> usize {
-        self.rule_hits.load(Ordering::Relaxed)
+        self.rule_hits.get()
     }
 
     /// Subplan cost memo lookups so far (hits + misses).
     pub fn cost_lookups(&self) -> usize {
-        self.cost_lookups.load(Ordering::Relaxed)
+        self.cost_lookups.get()
     }
 
     /// Rule-resolution cache lookups so far (hits + misses).
     pub fn rule_lookups(&self) -> usize {
-        self.rule_lookups.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct subtrees memoized.
-    pub fn cost_entries(&self) -> usize {
-        self.cost.lock().expect("cache poisoned").len()
+        self.rule_lookups.get()
     }
 
     /// Fold this run's lookup/hit totals into the global metrics
@@ -124,28 +99,28 @@ impl EstimatorCache {
     }
 
     pub(crate) fn cost_get(&self, key: &str) -> Option<NodeCost> {
-        self.cost_lookups.fetch_add(1, Ordering::Relaxed);
-        let got = self.cost.lock().expect("cache poisoned").get(key).copied();
+        bump(&self.cost_lookups);
+        let got = self.cost.borrow().get(key).copied();
         if got.is_some() {
-            self.cost_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.cost_hits);
         }
         got
     }
 
     pub(crate) fn cost_put(&self, key: String, cost: NodeCost) {
-        put_bounded(&self.cost, key, cost);
+        self.cost.borrow_mut().insert(key, cost);
     }
 
     pub(crate) fn rules_get(&self, key: &str) -> Option<Vec<(usize, Bindings)>> {
-        self.rule_lookups.fetch_add(1, Ordering::Relaxed);
-        let got = self.rules.lock().expect("cache poisoned").get(key).cloned();
+        bump(&self.rule_lookups);
+        let got = self.rules.borrow().get(key).cloned();
         if got.is_some() {
-            self.rule_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.rule_hits);
         }
         got
     }
 
     pub(crate) fn rules_put(&self, key: String, resolved: Vec<(usize, Bindings)>) {
-        put_bounded(&self.rules, key, resolved);
+        self.rules.borrow_mut().insert(key, resolved);
     }
 }

@@ -49,10 +49,9 @@ const VAR_ORDER: [CostVar; 5] = [
 ///
 /// Keys are [`CardinalityOverrides::submit_key`] of the submit's wrapper
 /// and subplan, so the same subanswer is recognized no matter where a
-/// candidate join order places it. An estimator carrying overrides must
-/// use a **fresh** [`EstimatorCache`]: memoized costs bake the override
-/// in, so a cache shared across different override sets would replay
-/// stale cardinalities.
+/// candidate join order places it. Memoized costs bake the override in;
+/// an [`EstimatorCache`] lives for one run, so it only ever sees the one
+/// override set of the estimator built beside it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CardinalityOverrides {
     map: std::collections::BTreeMap<String, (f64, f64)>,
@@ -147,8 +146,6 @@ impl<'a> Estimator<'a> {
     /// Replace catalog cardinalities with measured ones at matching
     /// `submit` nodes (builder style). Used by mid-query re-optimization:
     /// candidates are re-priced with the rows that actually arrived.
-    /// Callers must pair overrides with a fresh [`EstimatorCache`] — see
-    /// [`CardinalityOverrides`].
     pub fn with_overrides(mut self, overrides: Option<&'a CardinalityOverrides>) -> Self {
         self.overrides = overrides;
         self
@@ -184,8 +181,9 @@ impl<'a> Estimator<'a> {
     }
 
     /// Like [`Estimator::estimate_report`], but memoizing subplan costs
-    /// and rule resolutions in `cache`. One cache is meant to span all
-    /// candidate estimations of one optimization run: candidates sharing
+    /// and rule resolutions in `cache`. One cache spans all candidate
+    /// estimations of one optimization run and nothing else (build it
+    /// next to the estimator, drop it with the run): candidates sharing
     /// subtrees (per-table access plans, memoized DP prefixes) are then
     /// walked once, and repeated `match_head` unification is skipped.
     /// Cached values are exact, so results are identical to the uncached
@@ -468,9 +466,9 @@ impl<'a> Run<'a> {
 
         // Adaptive wrapper-scope penalty: a submit to a wrapper with
         // observed timeouts or straggling replies gets its time
-        // variables scaled up, so the optimizer routes around it. The
-        // penalty is constant for the duration of one run, so memoized
-        // values stay consistent.
+        // variables scaled up, so the optimizer routes around it. A
+        // memoized value carries the penalty read when it was computed;
+        // the memo dies with its run, so no later run replays it.
         let mut health_penalty = 1.0;
         if let (Some(health), LogicalPlan::Submit { wrapper, .. }) = (self.est.health, plan) {
             health_penalty = health.penalty(wrapper);

@@ -14,7 +14,7 @@ use disco_wrapper::{Registration, Wrapper};
 use crate::adaptive::{AdaptivePolicy, Replanner};
 use crate::analyze::analyze;
 use crate::executor::{submit_sites, ExecutionTrace, Executor, QueryResult, SitePrediction};
-use crate::optimizer::{JoinEnumeration, Objective, OptimizedPlan, Optimizer, OptimizerOptions};
+use crate::optimizer::{Objective, OptimizedPlan, Optimizer, OptimizerOptions};
 
 /// Behaviour switches.
 #[derive(Debug, Clone)]
@@ -30,14 +30,6 @@ pub struct MediatorOptions {
     /// whole query erroring. On by default; only meaningful with a
     /// connected transport (in-process wrappers cannot fail transiently).
     pub partial_answers: bool,
-    /// Join-order search strategy (DP by default; `Permutation` is the
-    /// exhaustive baseline).
-    pub enumeration: JoinEnumeration,
-    /// Queries of at most this many tables bypass the DP and its caches
-    /// in favor of direct enumeration (the measured small-query
-    /// crossover); 0 forces DP at every size. See
-    /// [`OptimizerOptions::small_query_threshold`].
-    pub small_query_threshold: usize,
     /// Cost-model-driven resilience: predicted deadlines, query budgets,
     /// hedged replica submits and adaptive wrapper penalties. Only
     /// meaningful with a connected transport.
@@ -65,8 +57,6 @@ impl Default for MediatorOptions {
             record_history: false,
             pruning: true,
             partial_answers: true,
-            enumeration: JoinEnumeration::default(),
-            small_query_threshold: OptimizerOptions::default().small_query_threshold,
             resilience: ResiliencePolicy::default(),
             chunk_rows: None,
             adaptive: AdaptivePolicy::default(),
@@ -157,8 +147,6 @@ impl Mediator {
     pub(crate) fn optimizer(&self) -> Optimizer<'_> {
         let opts = OptimizerOptions {
             pruning: self.options.pruning,
-            enumeration: self.options.enumeration,
-            small_query_threshold: self.options.small_query_threshold,
             ..Default::default()
         };
         let mut optimizer =

@@ -17,9 +17,9 @@
 //! costings instead of the O(n!) complete plans of the exhaustive
 //! permutation enumerator (kept as [`JoinEnumeration::Permutation`] — the
 //! equivalence oracle and perf baseline). Candidate estimation runs over
-//! two shared caches (subplan cost memo + rule-resolution cache, see
-//! [`disco_core::cache`]), and independent candidates of one DP frontier
-//! are costed concurrently on scoped threads. Beyond
+//! two caches built for the run (subplan cost memo + rule-resolution
+//! cache, see [`disco_core::cache`]); the whole search is one serial walk
+//! on the calling thread. Beyond
 //! [`OptimizerOptions::exhaustive_up_to`] tables, ordering is greedy by
 //! estimated cardinality.
 //!
@@ -28,13 +28,14 @@
 //! of worse candidates midway (§4.3.2); the DP seeds that limit with a
 //! greedy complete plan so even frontier subplans can be abandoned.
 //!
-//! **Small-query fast path.** The DP's fixed costs — cache setup, the
-//! greedy seed plan, scoped-thread fan-out — only pay off once the
+//! **Small-query fast path.** The DP's fixed costs — cache setup and
+//! key hashing, the greedy seed plan — only pay off once the
 //! permutation space is large. `BENCH_optimizer.json` puts the
-//! wall-clock crossover at about five tables (wall_speedup < 1 below
-//! it), so joins of at most [`OptimizerOptions::small_query_threshold`]
-//! tables are routed through direct uncached enumeration even when DP
-//! is selected; [`OptimizedPlan::fast_path`] records when that happened.
+//! wall-clock crossover between six and seven tables (wall_speedup < 1
+//! below it), so joins of at most
+//! [`OptimizerOptions::small_query_threshold`] tables are routed through
+//! direct uncached enumeration even when DP is selected;
+//! [`OptimizedPlan::fast_path`] records when that happened.
 //!
 //! **Objective.** Plans are ranked by [`OptimizerOptions::objective`]:
 //! `TotalTime` (the default — throughput) or `TimeFirst` (latency to the
@@ -101,9 +102,10 @@ pub struct OptimizerOptions {
     pub enumeration: JoinEnumeration,
     /// With [`JoinEnumeration::Dp`], queries of at most this many tables
     /// skip the DP machinery (estimation caches, greedy seed, memo) and
-    /// run direct uncached enumeration instead — the measured wall-clock
-    /// crossover from `BENCH_optimizer.json` (wall_speedup < 1 for
-    /// n ≤ 5). Set to 0 to force DP at every size.
+    /// run direct uncached enumeration instead: `BENCH_optimizer.json`
+    /// has wall_speedup < 1 for n ≤ 6, and 5 is kept because six-table
+    /// plans are a recorded contract (DESIGN.md §5). Set to 0 to force
+    /// DP at every size.
     pub small_query_threshold: usize,
     /// Cost variable that ranks plans (see [`Objective`]).
     pub objective: Objective,
@@ -293,7 +295,6 @@ pub struct Optimizer<'a> {
     options: OptimizerOptions,
     tracer: Option<disco_obs::Tracer>,
     health: Option<&'a HealthTracker>,
-    shared_cache: Option<&'a EstimatorCache>,
 }
 
 /// Convert a physical plan to the logical form the estimator prices.
@@ -358,45 +359,6 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Map `f` over `items` on scoped threads, preserving order. Falls back
-/// to a serial map for tiny inputs or single-core hosts. `f` must be
-/// deterministic: results are reduced sequentially afterwards, so the
-/// outcome is independent of thread scheduling.
-fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(items.len());
-    if threads <= 1 || items.len() < 2 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk_size = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("costing worker panicked"))
-            .collect()
-    })
-}
-
 /// Estimate through the cache when one is in play.
 fn estimate(
     estimator: &Estimator<'_>,
@@ -437,19 +399,7 @@ impl<'a> Optimizer<'a> {
             options,
             tracer: None,
             health: None,
-            shared_cache: None,
         }
-    }
-
-    /// Use an externally-owned estimation cache instead of a fresh
-    /// per-run one, so successive (and concurrent — the cache is
-    /// thread-safe) optimizations amortize one another's subplan
-    /// costings. The caller owns invalidation: cached entries assume a
-    /// fixed registry, catalog, and health state, so the cache must be
-    /// replaced whenever any of those change.
-    pub fn with_cache(mut self, cache: Option<&'a EstimatorCache>) -> Self {
-        self.shared_cache = cache;
-        self
     }
 
     /// Attach a tracer; `optimize` then records `access-plans` and
@@ -493,20 +443,13 @@ impl<'a> Optimizer<'a> {
                 .small_query_threshold
                 .min(self.options.exhaustive_up_to);
         let cache = (matches!(self.options.enumeration, JoinEnumeration::Dp) && !fast_path)
-            .then_some(self.shared_cache.unwrap_or(&cache_store));
+            .then_some(&cache_store);
 
-        // Phase 1: best access variant per table (independent — costed
-        // in parallel).
+        // Phase 1: best access variant per table.
         let span = self.tracer.as_ref().map(|t| t.start("access-plans"));
-        let access_results = parallel_map((0..q.tables.len()).collect::<Vec<_>>(), |t| {
-            self.best_access(q, t, &estimator, cache)
-        });
-        let mut access: Vec<AccessPlan> = Vec::with_capacity(q.tables.len());
-        for result in access_results {
-            let (plan, used) = result?;
-            counters.merge(used);
-            access.push(plan);
-        }
+        let access = (0..n)
+            .map(|t| self.best_access(q, t, &estimator, cache, &mut counters))
+            .collect::<Result<Vec<AccessPlan>>>()?;
         if let Some(s) = span {
             if let Some(t) = &self.tracer {
                 t.event("tables", n);
@@ -531,8 +474,7 @@ impl<'a> Optimizer<'a> {
         let span = self.tracer.as_ref().map(|t| t.start("join-enumeration"));
         let (best_join, best_cost) = if n == 1 {
             let plan = access[0].plan.clone();
-            let (cost, used) = self.cost_full(q, &plan, None, &estimator, cache)?;
-            counters.merge(used);
+            let cost = self.cost_full(q, &plan, None, &estimator, cache, &mut counters)?;
             counters.considered += 1;
             let cost = cost.ok_or_else(|| {
                 DiscoError::Cost("single-table plan was pruned without a limit".into())
@@ -693,7 +635,8 @@ impl<'a> Optimizer<'a> {
         t: usize,
         estimator: &Estimator<'_>,
         cache: Option<&EstimatorCache>,
-    ) -> Result<(AccessPlan, Counters)> {
+        counters: &mut Counters,
+    ) -> Result<AccessPlan> {
         let binding = &q.tables[t];
         // The resolved wrapper comes first so it wins cost ties; declared
         // replica peers compete when health penalties or cost models make
@@ -715,7 +658,6 @@ impl<'a> Optimizer<'a> {
             cols.push(binding.schema.attributes()[0].name.clone());
         }
 
-        let mut used = Counters::default();
         let mut best: Option<(f64, AccessPlan)> = None;
         for wrapper in &candidates {
             let caps = &self
@@ -741,8 +683,8 @@ impl<'a> Optimizer<'a> {
                 let logical = to_logical(&plan.plan);
                 let report = estimate(estimator, cache, &logical, &EstimateOptions::default())?
                     .expect("no cost limit set");
-                used.nodes += report.nodes_visited;
-                used.rules += report.rules_evaluated;
+                counters.nodes += report.nodes_visited;
+                counters.rules += report.rules_evaluated;
                 let cost = self.objective_value(&report.cost);
                 if best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
                     best = Some((
@@ -755,7 +697,7 @@ impl<'a> Optimizer<'a> {
                 }
             }
         }
-        Ok((best.expect("at least one variant").1, used))
+        Ok(best.expect("at least one variant").1)
     }
 
     fn access_variant(
@@ -840,8 +782,8 @@ impl<'a> Optimizer<'a> {
     /// Selinger-style DP over table subsets: the memo holds, per
     /// connected subset, the Pareto-optimal joined prefixes (usually a
     /// single entry). Each frontier extends a memoized prefix by one
-    /// adjacent table; candidates are costed concurrently, and shared
-    /// prefixes are estimated once thanks to the subplan cost memo.
+    /// adjacent table, and shared prefixes are estimated once thanks to
+    /// the subplan cost memo.
     fn dp_orders(
         &self,
         q: &AnalyzedQuery,
@@ -918,17 +860,12 @@ impl<'a> Optimizer<'a> {
             };
             if size < n {
                 // Frontier subplans: price the join subtree alone.
-                let results = parallel_map(cands, |(subset, plan)| {
-                    let opts = EstimateOptions {
-                        cost_limit: limit,
-                        wrapper: None,
-                    };
-                    estimate(estimator, cache, &to_logical(&plan), &opts)
-                        .map(|report| (subset, plan, report))
-                });
-                for result in results {
-                    let (subset, plan, report) = result?;
-                    match report {
+                let opts = EstimateOptions {
+                    cost_limit: limit,
+                    wrapper: None,
+                };
+                for (subset, plan) in cands {
+                    match estimate(estimator, cache, &to_logical(&plan), &opts)? {
                         Some(report) => {
                             counters.nodes += report.nodes_visited;
                             counters.rules += report.rules_evaluated;
@@ -944,14 +881,10 @@ impl<'a> Optimizer<'a> {
                     }
                 }
             } else {
-                // Final layer: complete plans with post-join operators.
-                let results = parallel_map(cands, |(_, plan)| {
-                    self.cost_full(q, &plan, limit, estimator, cache)
-                        .map(|(cost, used)| (plan, cost, used))
-                });
-                for result in results {
-                    let (plan, cost, used) = result?;
-                    counters.merge(used);
+                // Final layer: complete plans with post-join operators,
+                // all priced against the limit this level started with.
+                for (_, plan) in cands {
+                    let cost = self.cost_full(q, &plan, limit, estimator, cache, counters)?;
                     counters.considered += 1;
                     match cost {
                         Some(cost) => {
@@ -1058,8 +991,7 @@ impl<'a> Optimizer<'a> {
             } else {
                 None
             };
-            let (cost, used) = self.cost_full(q, &plan, limit, estimator, cache)?;
-            counters.merge(used);
+            let cost = self.cost_full(q, &plan, limit, estimator, cache, counters)?;
             counters.considered += 1;
             match cost {
                 Some(cost) => {
@@ -1133,8 +1065,7 @@ impl<'a> Optimizer<'a> {
             order.push(next);
         }
         let plan = self.build_join_tree(q, access, &order)?;
-        let (cost, used) = self.cost_full(q, &plan, None, estimator, cache)?;
-        counters.merge(used);
+        let cost = self.cost_full(q, &plan, None, estimator, cache, counters)?;
         counters.considered += 1;
         Ok((plan, cost.expect("no limit set")))
     }
@@ -1215,9 +1146,8 @@ impl<'a> Optimizer<'a> {
         Ok(plan)
     }
 
-    /// Stack the post-join operators and estimate the complete plan.
-    /// Returns the estimate (`None` = abandoned by the limit) plus the
-    /// estimation work performed, so callers can run concurrently.
+    /// Stack the post-join operators and estimate the complete plan
+    /// (`None` = abandoned by the limit).
     fn cost_full(
         &self,
         q: &AnalyzedQuery,
@@ -1225,19 +1155,19 @@ impl<'a> Optimizer<'a> {
         limit: Option<f64>,
         estimator: &Estimator<'_>,
         cache: Option<&EstimatorCache>,
-    ) -> Result<(Option<NodeCost>, Counters)> {
+        counters: &mut Counters,
+    ) -> Result<Option<NodeCost>> {
         let plan = self.finish_plan(q, join_plan.clone())?;
         let opts = EstimateOptions {
             cost_limit: limit,
             wrapper: None,
         };
         let report = estimate(estimator, cache, &to_logical(&plan), &opts)?;
-        let mut used = Counters::default();
         if let Some(r) = &report {
-            used.nodes = r.nodes_visited;
-            used.rules = r.rules_evaluated;
+            counters.nodes += r.nodes_visited;
+            counters.rules += r.rules_evaluated;
         }
-        Ok((report.map(|r| r.cost), used))
+        Ok(report.map(|r| r.cost))
     }
 
     /// Aggregate / project / distinct / sort on top of the join tree.
@@ -1757,21 +1687,12 @@ fn pareto_insert(entries: &mut Vec<DpEntry>, cand: DpEntry) {
     entries.push(cand);
 }
 
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 struct Counters {
     considered: usize,
     pruned: usize,
     nodes: usize,
     rules: usize,
-}
-
-impl Counters {
-    fn merge(&mut self, other: Counters) {
-        self.considered += other.considered;
-        self.pruned += other.pruned;
-        self.nodes += other.nodes;
-        self.rules += other.rules;
-    }
 }
 
 /// One table's chosen access plan with its blended estimate.

@@ -4,7 +4,7 @@
 //! [`SharedMediator`] wraps one [`Mediator`] in an `RwLock` so N
 //! sessions plan and execute concurrently (execution is `&self`; see
 //! [`Mediator::execute_plan_shared`]) and amortize one another's work
-//! through three pieces of cross-session shared state:
+//! through two pieces of cross-session shared state:
 //!
 //! * the **plan cache** — keyed by the normalized query shape
 //!   (constants parameterized away), storing the [`PlanDecisions`] of
@@ -12,16 +12,15 @@
 //!   the decisions against the *incoming* query's constants
 //!   (prepared-statement semantics: always correct, possibly no longer
 //!   optimal for wildly different constants);
-//! * the **estimation cache** — the subplan cost memo / rule-resolution
-//!   cache of `disco_core::cache`, shared across sessions' cache-miss
-//!   optimizations;
 //! * the **health tracker** — already `Arc`-shared with the transport;
 //!   its [`version`](disco_common::HealthTracker::version) feeds
 //!   invalidation.
 //!
-//! Both caches are invalidated by exactly the events that could change
-//! a winning plan: §4.3.1 query-scope historical-rule recordings
-//! (history epoch), administrative catalog/registry mutations
+//! Estimation state is not among them: every cache-miss optimization
+//! builds and drops its own `disco_core::cache`. The plan cache is
+//! invalidated by exactly the events that could change a winning plan:
+//! §4.3.1 query-scope historical-rule recordings (history epoch),
+//! administrative catalog/registry mutations
 //! ([`SharedMediator::with_mediator_mut`], catalog epoch), and
 //! health-penalty shifts (quantized-penalty version). Hit, miss, and
 //! per-reason invalidation counters go to `disco-obs`.
@@ -39,7 +38,6 @@ use std::sync::{Condvar, Mutex, RwLock};
 use std::time::Instant;
 
 use disco_common::{Result, Value};
-use disco_core::EstimatorCache;
 use disco_obs::names;
 
 use crate::analyze::analyze;
@@ -247,9 +245,6 @@ const MAX_CACHED_PLANS: usize = 4_096;
 pub struct SharedMediator {
     inner: RwLock<Mediator>,
     plans: Mutex<HashMap<String, CacheEntry>>,
-    /// Shared estimation cache plus the [`CacheState`] it was built
-    /// against; swapped for a fresh one when any component moves.
-    est_cache: Mutex<(std::sync::Arc<EstimatorCache>, CacheState)>,
     /// Bumped when §4.3.1 history recording added query-scope rules.
     history_epoch: AtomicU64,
     /// Bumped by [`Self::with_mediator_mut`] (registration, refresh,
@@ -266,7 +261,6 @@ impl SharedMediator {
         SharedMediator {
             inner: RwLock::new(mediator),
             plans: Mutex::new(HashMap::new()),
-            est_cache: Mutex::new((std::sync::Arc::new(EstimatorCache::new()), (0, 0, 0, 0))),
             history_epoch: AtomicU64::new(0),
             catalog_epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -340,15 +334,6 @@ impl SharedMediator {
             .set_wrapper_capabilities(wrapper, profile.capabilities())
     }
 
-    /// The estimation cache valid for `state`, replacing a stale one.
-    fn estimation_cache(&self, state: CacheState) -> std::sync::Arc<EstimatorCache> {
-        let mut guard = self.est_cache.lock().unwrap();
-        if guard.1 != state {
-            *guard = (std::sync::Arc::new(EstimatorCache::new()), state);
-        }
-        guard.0.clone()
-    }
-
     /// Plan a statement through the cache. Returns the plan and where
     /// it came from.
     pub fn plan(&self, sql: &str) -> Result<(OptimizedPlan, PlanSource)> {
@@ -377,7 +362,7 @@ impl SharedMediator {
         };
 
         let m = self.inner.read().unwrap();
-        let state = (
+        let state: CacheState = (
             self.history_epoch.load(Ordering::Relaxed),
             self.catalog_epoch.load(Ordering::Relaxed),
             m.catalog().capability_epoch(),
@@ -430,11 +415,9 @@ impl SharedMediator {
         }
 
         self.note_miss();
-        let est_cache = self.estimation_cache(state);
         let plan = m
             .optimizer()
             .with_objective(objective)
-            .with_cache(Some(&est_cache))
             .optimize(&analyzed)?;
         // The optimizer carries the decisions extracted *before* the
         // negotiation pass: a fused plan is not decomposable back into
@@ -851,24 +834,15 @@ mod tests {
     fn caches_stay_bounded_across_many_shapes() {
         let sm = shared(false);
         for i in 0..5_000 {
-            // A fresh alias is a fresh shape: plan-cache miss, new memo keys.
+            // A fresh alias is a fresh shape: plan-cache miss.
             let sql = format!("SELECT name AS c{i} FROM Employee WHERE id < {i}");
             assert_eq!(sm.plan(&sql).unwrap().1, PlanSource::CacheMiss);
         }
-        let est = sm.est_cache.lock().unwrap().0.clone();
-        let inserted = est.cost_lookups() - est.cost_hits();
-        assert!(inserted > disco_core::cache::MAX_ENTRIES, "{inserted}");
-        assert!(est.cost_entries() <= disco_core::cache::MAX_ENTRIES);
         assert!(sm.plans.lock().unwrap().len() <= MAX_CACHED_PLANS);
 
-        // Bounded, not disabled: a recent shape replays from the plan
-        // cache, and re-optimizing it finds its subtrees still memoized.
+        // Bounded, not disabled: a recent shape replays from the cache.
         let recent = "SELECT name AS c4999 FROM Employee WHERE id < 4999";
         assert_eq!(sm.plan(recent).unwrap().1, PlanSource::CacheHit);
-        sm.clear_plan_cache();
-        let hits = est.cost_hits();
-        assert_eq!(sm.plan(recent).unwrap().1, PlanSource::CacheMiss);
-        assert!(est.cost_hits() > hits);
     }
 
     #[test]

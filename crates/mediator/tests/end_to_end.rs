@@ -4,7 +4,11 @@
 
 use disco_catalog::Capabilities;
 use disco_common::{AttributeDef, DataType, Schema, Value};
-use disco_mediator::{JoinEnumeration, Mediator, MediatorOptions};
+use disco_mediator::analyze::analyze;
+use disco_mediator::{
+    parse_query, JoinEnumeration, Mediator, MediatorOptions, OptimizedPlan, Optimizer,
+    OptimizerOptions,
+};
 use disco_sources::{CollectionBuilder, CostProfile, FlatFile, PagedStore};
 use disco_wrapper::SourceWrapper;
 
@@ -69,6 +73,16 @@ fn mediator() -> Mediator {
     ))
     .unwrap();
     m
+}
+
+/// Plan `sql` over the mediator's catalog and rules with explicit
+/// optimizer options (the oracle enumerator and the forced-DP threshold
+/// are optimizer knobs, not mediator ones).
+fn plan_with(m: &Mediator, sql: &str, options: OptimizerOptions) -> OptimizedPlan {
+    let q = analyze(&parse_query(sql).unwrap(), m.catalog()).unwrap();
+    Optimizer::new(m.catalog(), m.registry(), options)
+        .optimize(&q)
+        .unwrap()
 }
 
 #[test]
@@ -208,18 +222,20 @@ fn pruning_reduces_estimation_work() {
     // difference (the default DP path has its own caches and counters).
     let sql = "SELECT e.name FROM Employee e, Dept d, Audit a \
                WHERE e.dept_id = d.dept_id AND e.id = a.emp_id AND e.id < 50";
-    let m3 = mediator().with_options(MediatorOptions {
-        pruning: false,
-        enumeration: JoinEnumeration::Permutation,
-        ..Default::default()
-    });
-    let unpruned = m3.plan(sql).unwrap();
-    let m_pruned = mediator().with_options(MediatorOptions {
-        pruning: true,
-        enumeration: JoinEnumeration::Permutation,
-        ..Default::default()
-    });
-    let pruned = m_pruned.plan(sql).unwrap();
+    let m = mediator();
+    let plan = |pruning| {
+        plan_with(
+            &m,
+            sql,
+            OptimizerOptions {
+                pruning,
+                enumeration: JoinEnumeration::Permutation,
+                ..Default::default()
+            },
+        )
+    };
+    let unpruned = plan(false);
+    let pruned = plan(true);
     // Same chosen plan quality…
     assert!((pruned.estimated.total_time - unpruned.estimated.total_time).abs() < 1e-6);
     // …with plans abandoned and fewer estimator node visits.
@@ -233,26 +249,29 @@ fn default_dp_matches_permutation_oracle_end_to_end() {
                WHERE e.dept_id = d.dept_id AND e.id = a.emp_id AND e.id < 50";
     // Three tables sit under the small-query threshold, so the default
     // configuration takes the uncached fast path…
-    let fast = mediator().plan(sql).unwrap();
+    let m = mediator();
+    let fast = m.plan(sql).unwrap();
     assert!(fast.fast_path);
     assert_eq!(fast.memo_hits, 0);
     // …while threshold 0 exercises the DP proper.
-    let dp = mediator()
-        .with_options(MediatorOptions {
+    let dp = plan_with(
+        &m,
+        sql,
+        OptimizerOptions {
             small_query_threshold: 0,
             ..Default::default()
-        })
-        .plan(sql)
-        .unwrap();
+        },
+    );
     assert!(!dp.fast_path);
-    let oracle = mediator()
-        .with_options(MediatorOptions {
+    let oracle = plan_with(
+        &m,
+        sql,
+        OptimizerOptions {
             pruning: false,
             enumeration: JoinEnumeration::Permutation,
             ..Default::default()
-        })
-        .plan(sql)
-        .unwrap();
+        },
+    );
     assert_eq!(fast.estimated.total_time, oracle.estimated.total_time);
     assert_eq!(dp.estimated.total_time, oracle.estimated.total_time);
     // The memoized DP prices fewer estimator nodes than the exhaustive
