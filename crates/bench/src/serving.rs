@@ -3,10 +3,12 @@
 //! (`BENCH_serving.json`), and the CI serving smoke test.
 //!
 //! The federation spreads [`TABLES`] single-collection wrappers over a
-//! channel transport so concurrent sessions genuinely overlap: each
-//! endpoint has its own worker thread, and `sleep_scale` converts the
-//! simulated communication time into real wall-clock sleeps for the
-//! throughput sweeps (0 for the CPU-bound admission comparison).
+//! channel transport so concurrent sessions genuinely overlap:
+//! `sleep_scale` converts the simulated communication time into real
+//! wall-clock sleeps for the throughput sweeps, which puts a worker
+//! thread behind each endpoint; at 0 (the CPU-bound admission
+//! comparison and `federation_server`) every endpoint is served on the
+//! calling session's thread.
 //!
 //! Two query classes, classified by the cost model's predicted
 //! `TotalTime` (not by annotation — the whole point is that the

@@ -9,17 +9,19 @@
 //! ids: scans return rows in insertion order even though the heap stores
 //! them in placement order, matching the in-memory source byte for byte.
 //!
-//! Queries run under a [`StoreSession`]: a store-wide lock plus a counter
-//! snapshot, so one query's I/O is metered without interference.
+//! Queries run under a [`StoreSession`], which meters the I/O of the
+//! thread it was opened on: any number of sessions, on as many threads,
+//! read through the one pool at once and each sees only its own.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 use disco_algebra::CompareOp;
 use disco_common::{rng, DiscoError, Result, Schema, Tuple, Value};
 
 use crate::btree::DiskBTree;
-use crate::buffer::{BufferPool, PoolCounters};
+use crate::buffer::{thread_io, BufferPool, PoolCounters};
 use crate::codec::{decode_tuple, encode_tuple};
 use crate::file::PageFile;
 use crate::heap::{HeapBuilder, HeapFile, Rid};
@@ -297,7 +299,6 @@ impl DiskStoreBuilder {
             name: Arc::new(self.name),
             pool,
             collections: Arc::new(collections),
-            query_lock: Arc::new(Mutex::new(())),
         })
     }
 }
@@ -309,7 +310,6 @@ pub struct DiskStore {
     name: Arc<String>,
     pool: BufferPool,
     collections: Arc<BTreeMap<String, DiskCollection>>,
-    query_lock: Arc<Mutex<()>>,
 }
 
 impl DiskStore {
@@ -353,23 +353,24 @@ impl DiskStore {
         self.pool.clear_cache()
     }
 
-    /// Open a metered session. Holds the store-wide query lock, so I/O
-    /// deltas observed through it belong to this session alone.
+    /// Open a metered session on the calling thread. Sessions do not
+    /// exclude each other.
     pub fn session(&self) -> StoreSession<'_> {
-        let guard = self.query_lock.lock().expect("query lock");
         StoreSession {
             store: self,
-            start: self.pool.counters(),
-            _guard: guard,
+            start: thread_io(),
+            _on_one_thread: PhantomData,
         }
     }
 }
 
-/// One query's window onto the store.
+/// One query's window onto the store. Its meter is the I/O the thread
+/// that opened it has done since, so it stays on that thread (it is not
+/// `Send`) and reads through one session at a time there.
 pub struct StoreSession<'a> {
     store: &'a DiskStore,
     start: PoolCounters,
-    _guard: MutexGuard<'a, ()>,
+    _on_one_thread: PhantomData<*const ()>,
 }
 
 impl StoreSession<'_> {
@@ -378,9 +379,9 @@ impl StoreSession<'_> {
         self.store
     }
 
-    /// Pool activity since the session opened.
+    /// This session's pool activity since it opened.
     pub fn io(&self) -> PoolCounters {
-        self.store.pool.counters().delta(&self.start)
+        thread_io().delta(&self.start)
     }
 
     /// Full scan in logical (insertion) row order. Pages are read
@@ -594,5 +595,100 @@ mod tests {
             )
             .build();
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn concurrent_sessions_answer_and_meter_like_one_thread_at_a_time() {
+        // The `store_probe` geometry: 70 000 objects at 70 to the page
+        // are 1 000 heap pages, behind 256 frames.
+        const ROWS: i64 = 70_000;
+        const THREADS: usize = 4;
+        const SESSIONS: usize = 200;
+        let schema = Schema::new(vec![
+            AttributeDef::new("id", DataType::Long),
+            AttributeDef::new("v", DataType::Long),
+        ]);
+        let parts = DiskCollectionBuilder::new(schema)
+            .rows((0..ROWS).map(|i| vec![Value::Long(i), Value::Long(i * 7 % 1_000)]))
+            .object_size(56)
+            .index("id");
+        let s = DiskStoreBuilder::new("concurrent")
+            .buffer_capacity(256)
+            .collection("T", parts)
+            .build()
+            .unwrap();
+        assert_eq!(s.pages_of("T").unwrap(), 1_000);
+
+        // One session: an index probe and a fetch for each of 24
+        // consecutive ids — scattered over about as many heap pages.
+        let probe = |s: &DiskStore, lo: i64| -> Result<(Vec<Tuple>, PoolCounters)> {
+            let session = s.session();
+            let mut rows = Vec::new();
+            for id in lo..lo + 24 {
+                let rids = session.lookup_rids("T", "id", &Value::Long(id))?;
+                for rid in rids.expect("indexed") {
+                    rows.push(session.fetch("T", rid)?);
+                }
+            }
+            Ok((rows, session.io()))
+        };
+        let lows: Vec<i64> = {
+            let mut r = rng::seeded(rng::DEFAULT_SEED, "concurrent-sessions");
+            (0..THREADS * SESSIONS)
+                .map(|_| (r.next_u64() % (ROWS as u64 - 24)) as i64)
+                .collect()
+        };
+        let expected: Vec<Vec<Tuple>> = lows.iter().map(|&lo| probe(&s, lo).unwrap().0).collect();
+        for (lo, rows) in lows.iter().zip(&expected) {
+            let ids: Vec<Value> = rows.iter().map(|t| t.get(0).unwrap().clone()).collect();
+            assert_eq!(ids, (*lo..lo + 24).map(Value::Long).collect::<Vec<_>>());
+        }
+
+        // What a session meters, field by field as the pool counts it.
+        let metered =
+            |c: &PoolCounters| [c.hits, c.faults, c.data_faults, c.index_faults, c.evictions];
+        s.clear_cache().unwrap();
+        let before = s.counters();
+        let start = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<[u64; 5]> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (s, lows, expected, start) = (&s, &lows, &expected, &start);
+                    scope.spawn(move || {
+                        let mut mine = [0u64; 5];
+                        start.wait();
+                        // Thread `t` walks the shared list from its own
+                        // offset, so every page is wanted by several
+                        // threads at about the same time.
+                        for k in 0..SESSIONS {
+                            let q = (k * THREADS + t) % lows.len();
+                            let (rows, io) =
+                                probe(s, lows[q]).expect("no session runs out of frames");
+                            assert_eq!(rows, expected[q], "thread {t} query {q}");
+                            assert!(s.pool.resident() <= s.buffer_capacity());
+                            for (sum, part) in mine.iter_mut().zip(metered(&io)) {
+                                *sum += part;
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+
+        // What the sessions metered, summed, is what the pool counted.
+        let pool = s.counters().delta(&before);
+        let summed = per_thread.iter().fold([0u64; 5], |mut sum, mine| {
+            for (sum, part) in sum.iter_mut().zip(mine) {
+                *sum += part;
+            }
+            sum
+        });
+        assert_eq!(summed, metered(&pool));
+        assert!(
+            pool.evictions > 1_000,
+            "{pool:?}: the pool was never under pressure"
+        );
     }
 }

@@ -28,7 +28,9 @@ fn io_err(op: &str, e: std::io::Error) -> DiscoError {
 pub struct PageFile {
     file: File,
     path: PathBuf,
-    pages: u64,
+    /// Atomic so that allocation is `&self` like every other operation:
+    /// the buffer pool shares the file between threads without a lock.
+    pages: AtomicU64,
     delete_on_drop: bool,
 }
 
@@ -46,7 +48,7 @@ impl PageFile {
         Ok(PageFile {
             file,
             path,
-            pages: 0,
+            pages: AtomicU64::new(0),
             delete_on_drop: false,
         })
     }
@@ -85,7 +87,7 @@ impl PageFile {
         Ok(PageFile {
             file,
             path,
-            pages: len / PAGE_SIZE as u64,
+            pages: AtomicU64::new(len / PAGE_SIZE as u64),
             delete_on_drop: false,
         })
     }
@@ -98,32 +100,43 @@ impl PageFile {
     /// Number of allocated pages (some may not have reached disk yet —
     /// the buffer pool owns dirty state).
     pub fn pages(&self) -> u64 {
-        self.pages
+        self.pages.load(Ordering::Relaxed)
     }
 
     /// Allocate the next page id. No disk write happens here; the page
     /// materializes on its first write-back.
-    pub fn allocate(&mut self) -> PageId {
-        let id = self.pages;
-        self.pages += 1;
-        id
+    pub fn allocate(&self) -> PageId {
+        // The count publishes nothing: a page's bytes reach other
+        // threads through the buffer pool's mutex, not through this.
+        self.pages.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// `Ok` if `id` is a page a read may ask for.
+    pub(crate) fn check_allocated(&self, id: PageId) -> Result<()> {
+        let pages = self.pages();
+        if id >= pages {
+            return Err(DiscoError::Source(format!(
+                "store: read of unallocated page {id} (file has {pages})"
+            )));
+        }
+        Ok(())
     }
 
     /// Read and validate one page.
     pub fn read_page(&self, id: PageId) -> Result<Page> {
-        if id >= self.pages {
-            return Err(DiscoError::Source(format!(
-                "store: read of unallocated page {id} (file has {})",
-                self.pages
-            )));
-        }
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        self.file
-            .read_exact_at(&mut buf[..], id * PAGE_SIZE as u64)
-            .map_err(|e| io_err(&format!("read of page {id}"), e))?;
-        let page = Page::from_bytes(buf);
-        page.validate()?;
+        let mut page = Page::zeroed();
+        self.read_page_into(id, &mut page)?;
         Ok(page)
+    }
+
+    /// Read and validate one page into a buffer the caller already has.
+    /// On error the buffer's contents are unspecified.
+    pub fn read_page_into(&self, id: PageId, page: &mut Page) -> Result<()> {
+        self.check_allocated(id)?;
+        self.file
+            .read_exact_at(&mut page.bytes_mut()[..], id * PAGE_SIZE as u64)
+            .map_err(|e| io_err(&format!("read of page {id}"), e))?;
+        page.validate()
     }
 
     /// Seal and write one page. Writing past the current end (sparse
@@ -131,7 +144,7 @@ impl PageFile {
     /// reads back as zeroes only until its own write-back arrives, and
     /// the pool never reads a page it has not flushed.
     pub fn write_page(&self, id: PageId, page: &Page) -> Result<()> {
-        if id >= self.pages {
+        if id >= self.pages() {
             return Err(DiscoError::Source(format!(
                 "store: write of unallocated page {id}"
             )));
@@ -165,7 +178,7 @@ mod tests {
 
     #[test]
     fn write_read_round_trip() {
-        let mut f = PageFile::create_temp("roundtrip").unwrap();
+        let f = PageFile::create_temp("roundtrip").unwrap();
         let a = f.allocate();
         let b = f.allocate();
         let mut pa = Page::new(PageKind::Heap);
@@ -184,7 +197,7 @@ mod tests {
 
     #[test]
     fn unallocated_access_rejected() {
-        let mut f = PageFile::create_temp("bounds").unwrap();
+        let f = PageFile::create_temp("bounds").unwrap();
         assert!(f.read_page(0).is_err());
         assert!(f.write_page(0, &Page::new(PageKind::Heap)).is_err());
         let id = f.allocate();
@@ -193,7 +206,7 @@ mod tests {
 
     #[test]
     fn corruption_detected_on_read() {
-        let mut f = PageFile::create_temp("corrupt").unwrap();
+        let f = PageFile::create_temp("corrupt").unwrap();
         let id = f.allocate();
         let mut p = Page::new(PageKind::Heap);
         p.insert(b"precious bytes").unwrap();
@@ -218,7 +231,7 @@ mod tests {
     #[test]
     fn reopen_preserves_pages() {
         let dir = std::env::temp_dir().join(format!("disco-store-reopen-{}", std::process::id()));
-        let mut f = PageFile::create(&dir).unwrap();
+        let f = PageFile::create(&dir).unwrap();
         let id = f.allocate();
         let mut p = Page::new(PageKind::Heap);
         p.insert(b"persisted").unwrap();
@@ -238,7 +251,7 @@ mod tests {
     #[test]
     fn truncated_file_is_an_error_not_a_panic() {
         let path = std::env::temp_dir().join(format!("disco-store-trunc-{}", std::process::id()));
-        let mut f = PageFile::create(&path).unwrap();
+        let f = PageFile::create(&path).unwrap();
         let page = Page::new(PageKind::Heap);
         for _ in 0..2 {
             let id = f.allocate();

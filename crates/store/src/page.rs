@@ -173,9 +173,22 @@ impl Page {
         self.put_u64(OFF_NEXT, NO_PAGE);
     }
 
+    /// An all-zero buffer for a disk read to fill: not a valid page
+    /// until then.
+    pub(crate) fn zeroed() -> Page {
+        Page {
+            data: Box::new([0u8; PAGE_SIZE]),
+        }
+    }
+
     /// Raw bytes (for writing to disk).
     pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.data
+    }
+
+    /// Raw bytes, for a disk read to overwrite.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.data
     }
 
     /// Stamp the checksum over the current contents (done by the page

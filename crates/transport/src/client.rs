@@ -461,8 +461,8 @@ impl TransportClient {
     /// delivered) first, and its remaining chunks are then consumed from
     /// the single returned stream. A losing replica is not joined — its
     /// detached thread runs on to its own deadline and its late stream
-    /// lands in a dropped channel, which releases its worker (joining it
-    /// would make every race as slow as its slowest replica). An error
+    /// lands in a dropped channel, which releases its producer (joining
+    /// it would make every race as slow as its slowest replica). An error
     /// is returned only when *every* replica failed. A single target is
     /// a plain [`submit_stream_opts`](Self::submit_stream_opts).
     ///

@@ -7,10 +7,11 @@
 //! * [`wire`] — everything crossing mediator ↔ wrapper is encoded to
 //!   bytes: subplans out, registration payloads and subanswers back. No
 //!   shared pointers survive the boundary.
-//! * [`channel`] — [`ChannelTransport`] runs each wrapper on its own
-//!   worker thread behind mpsc channels and models the network per
-//!   endpoint (latency, bandwidth, deterministic jitter) instead of the
-//!   old uniform charge.
+//! * [`channel`] — [`ChannelTransport`] hosts each wrapper behind an
+//!   endpoint that models its network link (latency, bandwidth,
+//!   deterministic jitter) instead of the old uniform charge. An
+//!   endpoint is served on its caller's thread; only one whose link
+//!   really sleeps or drops messages gets a worker thread and a queue.
 //! * [`fault`] — injectable fault schedules (drop / delay / unavailable
 //!   windows) for testing degraded federations.
 //! * [`breaker`] — a deterministic circuit breaker (call-counted, no

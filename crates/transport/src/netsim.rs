@@ -16,9 +16,10 @@ pub struct NetProfile {
     /// Maximum uniform jitter added per call, in milliseconds. Drawn from
     /// the deterministic workspace RNG keyed by endpoint name.
     pub jitter_ms: f64,
-    /// Fraction of the simulated communication time the worker actually
+    /// Fraction of the simulated communication time the endpoint really
     /// sleeps, so wall-clock measurements reflect the model. `0.0` keeps
-    /// tests instant; benches use a small positive value.
+    /// tests instant; benches use a small positive value. An endpoint
+    /// that sleeps is served by a worker thread of its own.
     pub sleep_scale: f64,
 }
 
