@@ -6,39 +6,56 @@
 //! join enumeration the optimizer prices hundreds of candidate plans that
 //! share almost all of their structure: every candidate re-uses the same
 //! per-table access subtrees, and a dynamic-programming frontier extends
-//! one memoized prefix by one table at a time. Two caches exploit that:
+//! one memoized prefix by one table at a time. Two caches exploit that,
+//! both keyed by the run's hash-consing tables (`intern.rs`), which each
+//! estimate fills once, bottom-up, for the plan it prices:
 //!
-//! * a **subplan cost memo** — keyed by a canonical fingerprint of the
-//!   logical subtree plus its wrapper execution context, it returns the
-//!   previously computed [`NodeCost`] without re-walking the subtree.
-//!   Estimates are deterministic and independent of the cost limit in
-//!   effect, so memoized values are exact, not approximations;
-//! * a **rule-resolution cache** — keyed by the *shallow* signature of a
-//!   node (operator kind, per-child base collections, node payload,
-//!   subtree collection set and context), it returns the matched rule
-//!   list with bindings, skipping the repeated `match_head` unification
-//!   that dominates per-node association cost. Two distinct subtrees with
-//!   the same node signature (e.g. the same join predicate over different
-//!   inputs) share one resolution.
+//! * a **subplan cost memo** — indexed by subtree id (wrapper context,
+//!   the node's own fields and its children's ids; equal ids are equal
+//!   subtrees), it returns the previously computed [`NodeCost`] without
+//!   re-walking the subtree. Estimates are deterministic and independent
+//!   of the cost limit in effect, so memoized values are exact, not
+//!   approximations;
+//! * a **rule-resolution cache** — indexed by signature id (operator
+//!   kind, node payload, per-child base collections, subtree collection
+//!   set and context: everything `match_head` observes), it returns the
+//!   matched rule list with bindings, shared rather than copied, skipping
+//!   the repeated unification that dominates per-node association cost.
+//!   Two distinct subtrees with the same signature (e.g. the same join
+//!   predicate over different inputs) share one resolution.
+//!
+//! A fingerprint only picks a bucket; ids are confirmed by comparing
+//! keys, doubles bit for bit, so the caches tell apart exactly the
+//! subplans that differ.
 //!
 //! One run, one thread: a cache is built by the optimization run that
 //! uses it, on the thread that runs it, and is dropped when the run
 //! returns. It is interior-mutable through `RefCell`/`Cell` (so it cannot
 //! cross threads), it never sees a second registry, catalog, health
 //! state or override set, and it is unbounded because it dies with the
-//! run — a 6-table join shape leaves ~250 entries behind.
+//! run — a 6-table join shape leaves a few hundred subtrees behind.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::rc::Rc;
+
+use disco_algebra::LogicalPlan;
 
 use crate::cost::NodeCost;
+use crate::intern::{Interner, Slot, INITIAL_CAPACITY};
 use crate::pattern::Bindings;
 
+/// The rules whose heads matched one signature, by registry id, with
+/// their bindings.
+pub(crate) type Resolution = Rc<[(usize, Bindings)]>;
+
 /// Caches shared by every estimation of one optimization run.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EstimatorCache {
-    cost: RefCell<HashMap<String, NodeCost>>,
-    rules: RefCell<HashMap<String, Vec<(usize, Bindings)>>>,
+    interner: RefCell<Interner>,
+    /// Indexed by subtree id.
+    costs: RefCell<Vec<Option<NodeCost>>>,
+    /// Indexed by signature id.
+    rules: RefCell<Vec<Option<Resolution>>>,
     cost_hits: Cell<usize>,
     rule_hits: Cell<usize>,
     cost_lookups: Cell<usize>,
@@ -47,6 +64,29 @@ pub struct EstimatorCache {
 
 fn bump(counter: &Cell<usize>) {
     counter.set(counter.get() + 1);
+}
+
+/// `slots[id]`, growing the vector to hold it.
+fn slot_mut<T: Default>(slots: &mut Vec<T>, id: u32) -> &mut T {
+    let i = id as usize;
+    if slots.len() <= i {
+        slots.resize_with(i + 1, T::default);
+    }
+    &mut slots[i]
+}
+
+impl Default for EstimatorCache {
+    fn default() -> Self {
+        EstimatorCache {
+            interner: RefCell::default(),
+            costs: RefCell::new(Vec::with_capacity(INITIAL_CAPACITY)),
+            rules: RefCell::new(Vec::with_capacity(INITIAL_CAPACITY)),
+            cost_hits: Cell::default(),
+            rule_hits: Cell::default(),
+            cost_lookups: Cell::default(),
+            rule_lookups: Cell::default(),
+        }
+    }
 }
 
 impl EstimatorCache {
@@ -98,29 +138,51 @@ impl EstimatorCache {
         publish("rules", self.rule_lookups(), self.rule_hits());
     }
 
-    pub(crate) fn cost_get(&self, key: &str) -> Option<NodeCost> {
+    /// Intern `plan`, executing under `ctx`, into this run's tables: one
+    /// slot per node, children first. Returns the root's position.
+    pub(crate) fn intern(
+        &self,
+        plan: &LogicalPlan,
+        ctx: Option<&str>,
+        slots: &mut Vec<Slot>,
+    ) -> usize {
+        self.interner.borrow_mut().intern_plan(plan, ctx, slots)
+    }
+
+    pub(crate) fn cost_get(&self, subtree: u32) -> Option<NodeCost> {
         bump(&self.cost_lookups);
-        let got = self.cost.borrow().get(key).copied();
+        let got = self.costs.borrow().get(subtree as usize).copied().flatten();
         if got.is_some() {
             bump(&self.cost_hits);
         }
         got
     }
 
-    pub(crate) fn cost_put(&self, key: String, cost: NodeCost) {
-        self.cost.borrow_mut().insert(key, cost);
+    pub(crate) fn cost_put(&self, subtree: u32, cost: NodeCost) {
+        *slot_mut(&mut self.costs.borrow_mut(), subtree) = Some(cost);
     }
 
-    pub(crate) fn rules_get(&self, key: &str) -> Option<Vec<(usize, Bindings)>> {
+    pub(crate) fn rules_get(&self, signature: u32) -> Option<Resolution> {
         bump(&self.rule_lookups);
-        let got = self.rules.borrow().get(key).cloned();
+        let got = self
+            .rules
+            .borrow()
+            .get(signature as usize)
+            .cloned()
+            .flatten();
         if got.is_some() {
             bump(&self.rule_hits);
         }
         got
     }
 
-    pub(crate) fn rules_put(&self, key: String, resolved: Vec<(usize, Bindings)>) {
-        self.rules.borrow_mut().insert(key, resolved);
+    pub(crate) fn rules_put(&self, signature: u32, resolved: Resolution) {
+        *slot_mut(&mut self.rules.borrow_mut(), signature) = Some(resolved);
+    }
+
+    /// Distinct subtrees interned so far.
+    #[cfg(test)]
+    pub(crate) fn subtrees(&self) -> usize {
+        self.interner.borrow().subtrees()
     }
 }

@@ -15,6 +15,14 @@
 //! * **cost-limit abandonment** (§4.3.2): when a node's `TotalTime`
 //!   already exceeds the best plan found so far, estimation stops and the
 //!   plan is rejected.
+//!
+//! On the cached path ([`Estimator::estimate_report_cached`]) a run first
+//! interns its plan once, bottom-up, into the [`EstimatorCache`]'s
+//! hash-consing tables; every node visit then finds its memoized cost by
+//! subtree id and its rule resolution by signature id, with no key built
+//! per visit. The uncached path does none of this.
+
+use std::borrow::Cow;
 
 use disco_algebra::{CompareOp, LogicalPlan, SelectPredicate};
 use disco_catalog::{restriction_selectivity, Catalog, CollectionStats};
@@ -23,9 +31,10 @@ use disco_costlang::ast::PathLeaf;
 use disco_costlang::bytecode::{AttrSpec, ChildRef, CollSpec, Instr};
 use disco_costlang::{eval_program, CostVar, EvalEnv};
 
-use crate::cache::EstimatorCache;
+use crate::cache::{EstimatorCache, Resolution};
 use crate::cost::{NodeCost, PartialCost};
 use crate::explain::{Attribution, ExplainNode};
+use crate::intern::{same_plan, Slot};
 use crate::pattern::{match_head, BindingValue, Bindings};
 use crate::registry::{Provenance, RuleRegistry};
 use crate::rules::{RegisteredRule, RuleBody};
@@ -47,14 +56,31 @@ const VAR_ORDER: [CostVar; 5] = [
 /// estimate at the matching `submit` node, and every combine-plan
 /// candidate is re-priced against reality.
 ///
-/// Keys are [`CardinalityOverrides::submit_key`] of the submit's wrapper
-/// and subplan, so the same subanswer is recognized no matter where a
-/// candidate join order places it. Memoized costs bake the override in;
-/// an [`EstimatorCache`] lives for one run, so it only ever sees the one
-/// override set of the estimator built beside it.
+/// A submit site is its wrapper name plus the exact subplan shipped to
+/// it, compared structurally (doubles bit for bit, as the estimator's
+/// memo compares them), so the same subanswer is recognized no matter
+/// where a candidate join order places it. A query has a handful of
+/// sites, so they are kept in a list. Memoized costs bake the override
+/// in; an [`EstimatorCache`] lives for one run, so it only ever sees the
+/// one override set of the estimator built beside it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CardinalityOverrides {
-    map: std::collections::BTreeMap<String, (f64, f64)>,
+    sites: Vec<ObservedSite>,
+}
+
+/// One submit site's observed `(rows, bytes)`.
+#[derive(Debug, Clone, PartialEq)]
+struct ObservedSite {
+    wrapper: String,
+    input: LogicalPlan,
+    rows: f64,
+    bytes: f64,
+}
+
+impl ObservedSite {
+    fn is(&self, wrapper: &str, input: &LogicalPlan) -> bool {
+        self.wrapper == wrapper && same_plan(&self.input, input)
+    }
 }
 
 impl CardinalityOverrides {
@@ -63,31 +89,36 @@ impl CardinalityOverrides {
         Self::default()
     }
 
-    /// The canonical key for a submit site: wrapper name plus the exact
-    /// subplan shipped to it.
-    pub fn submit_key(wrapper: &str, input: &LogicalPlan) -> String {
-        format!("{wrapper}|{input:?}")
-    }
-
-    /// Record an observed `(rows, bytes)` for one submit site.
+    /// Record an observed `(rows, bytes)` for one submit site, replacing
+    /// an earlier observation of the same site.
     pub fn insert(&mut self, wrapper: &str, input: &LogicalPlan, rows: f64, bytes: f64) {
-        self.map
-            .insert(Self::submit_key(wrapper, input), (rows, bytes));
+        match self.sites.iter_mut().find(|s| s.is(wrapper, input)) {
+            Some(site) => (site.rows, site.bytes) = (rows, bytes),
+            None => self.sites.push(ObservedSite {
+                wrapper: wrapper.to_owned(),
+                input: input.clone(),
+                rows,
+                bytes,
+            }),
+        }
     }
 
     /// Look up the observation for a submit site, if any.
     pub fn get(&self, wrapper: &str, input: &LogicalPlan) -> Option<(f64, f64)> {
-        self.map.get(&Self::submit_key(wrapper, input)).copied()
+        self.sites
+            .iter()
+            .find(|s| s.is(wrapper, input))
+            .map(|s| (s.rows, s.bytes))
     }
 
     /// True when no observation has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.sites.is_empty()
     }
 
     /// Number of recorded observations.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.sites.len()
     }
 }
 
@@ -186,8 +217,9 @@ impl<'a> Estimator<'a> {
     /// next to the estimator, drop it with the run): candidates sharing
     /// subtrees (per-table access plans, memoized DP prefixes) are then
     /// walked once, and repeated `match_head` unification is skipped.
-    /// Cached values are exact, so results are identical to the uncached
-    /// path; only the work counters shrink.
+    /// The plan is interned into the cache once, up front; cached values
+    /// are exact, so results are identical to the uncached path; only the
+    /// work counters shrink.
     pub fn estimate_report_cached(
         &self,
         plan: &LogicalPlan,
@@ -207,15 +239,17 @@ impl<'a> Estimator<'a> {
             Some(w) => Some(w.clone()),
             None => infer_wrapper_context(plan),
         };
+        let mut slots = Vec::new();
+        let root = cache.map_or(0, |c| c.intern(plan, ctx.as_deref(), &mut slots));
         let mut run = Run {
             est: *self,
             limit: opts.cost_limit,
             nodes_visited: 0,
             rules_evaluated: 0,
             explain: false,
-            cache,
+            memo: cache.map(|cache| Memo { cache, slots }),
         };
-        match run.node(plan, ctx.as_deref(), true) {
+        match run.node(plan, root, ctx.as_deref(), true) {
             Ok((cost, _)) => Ok(Some(EstimateReport {
                 cost,
                 nodes_visited: run.nodes_visited,
@@ -243,9 +277,9 @@ impl<'a> Estimator<'a> {
             nodes_visited: 0,
             rules_evaluated: 0,
             explain: true,
-            cache: None,
+            memo: None,
         };
-        match run.node(plan, ctx.as_deref(), true) {
+        match run.node(plan, 0, ctx.as_deref(), true) {
             Ok((_, node)) => Ok(Some(node.expect("explain mode builds a node"))),
             Err(EstErr::Pruned) => Ok(None),
             Err(EstErr::Fatal(e)) => Err(e),
@@ -284,59 +318,37 @@ struct Run<'a> {
     explain: bool,
     /// Shared subplan-cost memo and rule-resolution cache, when the
     /// caller opted in (never in explain mode, which needs full nodes).
-    cache: Option<&'a EstimatorCache>,
+    memo: Option<Memo<'a>>,
 }
 
-/// Canonical fingerprint of a whole logical subtree under a wrapper
-/// execution context — the subplan cost memo key. The `Debug` rendering
-/// of a plan covers every cost-relevant field (collections, schemas,
-/// predicates, projections, keys), so equal keys imply equal estimates.
-fn subtree_key(plan: &LogicalPlan, ctx: Option<&str>) -> String {
-    format!("{ctx:?}|{plan:?}")
+/// A cache together with where this run's plan sits in its tables.
+struct Memo<'a> {
+    cache: &'a EstimatorCache,
+    /// One per plan node; [`Run::node`] is handed its node's position.
+    slots: Vec<Slot>,
 }
 
-/// Shallow signature of one node — the rule-resolution cache key. Head
-/// matching ([`match_head`]) inspects only the node's own payload, each
-/// child's base collection, and (for interface-nested rules) the set of
-/// collections the subtree derives from; candidate filtering additionally
-/// depends on the execution context. All of those go into the key, so
-/// different subtrees with equal signatures resolve to the same rules
-/// with the same bindings.
-fn rule_key(plan: &LogicalPlan, ctx: Option<&str>) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = write!(s, "{ctx:?}|{}|", plan.kind());
-    for c in plan.children() {
-        let _ = write!(s, "{:?};", c.base_collection());
-    }
-    let _ = match plan {
-        LogicalPlan::Scan { collection, .. } => write!(s, "|{collection}"),
-        LogicalPlan::Select { predicate, .. } => write!(s, "|{predicate:?}"),
-        LogicalPlan::Project { columns, .. } => write!(s, "|{columns:?}"),
-        LogicalPlan::Sort { keys, .. } => write!(s, "|{keys:?}"),
-        LogicalPlan::Join {
-            predicate, kind, ..
-        } => write!(s, "|{kind:?}:{predicate:?}"),
-        LogicalPlan::Union { .. } | LogicalPlan::Dedup { .. } => Ok(()),
-        LogicalPlan::Aggregate { group_by, aggs, .. } => write!(s, "|{group_by:?}:{aggs:?}"),
-        LogicalPlan::Submit { wrapper, .. } => write!(s, "|{wrapper}"),
-    };
-    let mut colls: Vec<String> = plan.collections().iter().map(|q| q.to_string()).collect();
-    colls.sort();
-    colls.dedup();
-    let _ = write!(s, "|{colls:?}");
-    s
-}
-
-struct Candidate<'a> {
+/// A matched rule and its head bindings: owned when resolved for this
+/// node alone, borrowed from the rule-resolution cache otherwise.
+struct Candidate<'a, 'b> {
     rule: &'a RegisteredRule,
-    bindings: Bindings,
+    bindings: Cow<'b, Bindings>,
 }
 
 impl<'a> Run<'a> {
+    /// Position of child `i` of the node at `at` (meaningless, and
+    /// unused, without a memo).
+    fn child_at(&self, at: usize, i: usize) -> usize {
+        self.memo
+            .as_ref()
+            .map_or(0, |m| m.slots[at].kids[i] as usize)
+    }
+
+    /// Estimate `plan`, the node at position `at` of the interned plan.
     fn node(
         &mut self,
         plan: &LogicalPlan,
+        at: usize,
         ctx: Option<&str>,
         is_root: bool,
     ) -> std::result::Result<(NodeCost, Option<ExplainNode>), EstErr> {
@@ -345,9 +357,9 @@ impl<'a> Run<'a> {
         // Subplan cost memo: an already-estimated subtree returns its
         // cost without re-walking (values are limit-independent; the
         // abandonment check below still applies at this node).
-        let memo_key = self.cache.map(|_| subtree_key(plan, ctx));
-        if let (Some(cache), Some(key)) = (self.cache, &memo_key) {
-            if let Some(cost) = cache.cost_get(key) {
+        let memo = self.memo.as_ref().map(|m| (m.cache, m.slots[at]));
+        if let Some((cache, slot)) = memo {
+            if let Some(cost) = cache.cost_get(slot.node) {
                 if let Some(limit) = self.limit {
                     if (is_root || ctx.is_none()) && cost.total_time > limit {
                         return Err(EstErr::Pruned);
@@ -359,40 +371,36 @@ impl<'a> Run<'a> {
 
         // Context under which children execute: submit switches into the
         // target wrapper.
-        let child_ctx: Option<String> = match plan {
-            LogicalPlan::Submit { wrapper, .. } => Some(wrapper.clone()),
-            _ => ctx.map(str::to_owned),
+        let child_ctx: Option<&str> = match plan {
+            LogicalPlan::Submit { wrapper, .. } => Some(wrapper),
+            _ => ctx,
         };
 
         // Phase 1 (association): gather matching rules, most specific
         // first (the registry keeps them sorted). The rule-resolution
         // cache skips the repeated `match_head` unification for nodes
         // sharing a shallow signature.
-        let candidates: Vec<Candidate<'a>> = match self.cache {
-            Some(cache) => {
-                let key = rule_key(plan, ctx);
-                match cache.rules_get(&key) {
-                    Some(resolved) => resolved
+        let shared: Resolution;
+        let candidates: Vec<Candidate<'a, '_>> = match memo {
+            Some((cache, slot)) => {
+                shared = cache.rules_get(slot.sig).unwrap_or_else(|| {
+                    let fresh: Resolution = self
+                        .resolve_candidates(plan, ctx)
                         .into_iter()
-                        .filter_map(|(id, bindings)| {
-                            self.est
-                                .registry
-                                .rule(id)
-                                .map(|rule| Candidate { rule, bindings })
+                        .map(|c| (c.rule.id, c.bindings.into_owned()))
+                        .collect();
+                    cache.rules_put(slot.sig, Resolution::clone(&fresh));
+                    fresh
+                });
+                shared
+                    .iter()
+                    .filter_map(|(id, bindings)| {
+                        self.est.registry.rule(*id).map(|rule| Candidate {
+                            rule,
+                            bindings: Cow::Borrowed(bindings),
                         })
-                        .collect(),
-                    None => {
-                        let fresh = self.resolve_candidates(plan, ctx);
-                        cache.rules_put(
-                            key,
-                            fresh
-                                .iter()
-                                .map(|c| (c.rule.id, c.bindings.clone()))
-                                .collect(),
-                        );
-                        fresh
-                    }
-                }
+                    })
+                    .collect()
             }
             None => self.resolve_candidates(plan, ctx),
         };
@@ -422,10 +430,11 @@ impl<'a> Run<'a> {
                             cand,
                             var,
                             plan,
+                            at,
                             &child_plans,
                             &mut children,
                             &mut children_explain,
-                            child_ctx.as_deref(),
+                            child_ctx,
                             ctx,
                             &partial,
                         )? {
@@ -500,7 +509,7 @@ impl<'a> Run<'a> {
         if self.explain {
             for (i, cp) in child_plans.iter().enumerate() {
                 if children_explain[i].is_none() {
-                    let (c, e) = self.node(cp, child_ctx.as_deref(), false)?;
+                    let (c, e) = self.node(cp, self.child_at(at, i), child_ctx, false)?;
                     children[i] = Some(c);
                     children_explain[i] = e;
                 }
@@ -526,8 +535,8 @@ impl<'a> Run<'a> {
         // A fully evaluated node's cost does not depend on the limit, so
         // it is memoizable even when a limit is in effect (an abandoned
         // run unwinds through `Err` before reaching this point).
-        if let (Some(cache), Some(key)) = (self.cache, memo_key) {
-            cache.cost_put(key, cost);
+        if let Some((cache, slot)) = memo {
+            cache.cost_put(slot.node, cost);
         }
 
         // Branch-and-bound abandonment (§4.3.2). Checked only where cost
@@ -545,7 +554,11 @@ impl<'a> Run<'a> {
 
     /// Phase-1 association without the cache: provenance filter plus head
     /// unification over the registry's most-specific-first candidates.
-    fn resolve_candidates(&self, plan: &LogicalPlan, ctx: Option<&str>) -> Vec<Candidate<'a>> {
+    fn resolve_candidates(
+        &self,
+        plan: &LogicalPlan,
+        ctx: Option<&str>,
+    ) -> Vec<Candidate<'a, 'static>> {
         self.est
             .registry
             .candidates(plan.kind())
@@ -555,8 +568,10 @@ impl<'a> Run<'a> {
                 Provenance::Wrapper(w) => ctx == Some(w.as_str()),
             })
             .filter_map(|r| {
-                match_head(&r.head, plan, r.declared_in.as_deref())
-                    .map(|bindings| Candidate { rule: r, bindings })
+                match_head(&r.head, plan, r.declared_in.as_deref()).map(|bindings| Candidate {
+                    rule: r,
+                    bindings: Cow::Owned(bindings),
+                })
             })
             .collect()
     }
@@ -566,9 +581,10 @@ impl<'a> Run<'a> {
     #[allow(clippy::too_many_arguments)]
     fn eval_candidate(
         &mut self,
-        cand: &Candidate<'a>,
+        cand: &Candidate<'a, '_>,
         var: CostVar,
         plan: &LogicalPlan,
+        at: usize,
         child_plans: &[&LogicalPlan],
         children: &mut Vec<Option<NodeCost>>,
         children_explain: &mut [Option<ExplainNode>],
@@ -585,7 +601,7 @@ impl<'a> Run<'a> {
         };
         for &i in &needed {
             if children[i].is_none() {
-                let (c, e) = self.node(child_plans[i], child_ctx, false)?;
+                let (c, e) = self.node(child_plans[i], self.child_at(at, i), child_ctx, false)?;
                 children[i] = Some(c);
                 children_explain[i] = e;
             }

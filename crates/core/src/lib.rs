@@ -24,9 +24,18 @@
 //!   fallback, min-combination, required-variable cut-off and
 //!   branch-and-bound cost limits;
 //! * [`cache`] — the subplan cost memo and rule-resolution cache shared
-//!   across all candidate estimations of one optimization run;
+//!   across all candidate estimations of one optimization run, keyed by
+//!   the hash-consed subplans of the private `intern` module;
 //! * [`historical`] — the §4.3.1 extensions: query-scope rules recorded
 //!   from executed subqueries, and parameter adjustment.
+
+// The unit tests reuse the property generators of `tests/support`, which
+// name this crate by its external name.
+#[cfg(test)]
+extern crate self as disco_core;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
 
 pub mod cache;
 pub mod cost;
@@ -34,6 +43,7 @@ pub mod estimator;
 pub mod explain;
 pub mod generic;
 pub mod historical;
+mod intern;
 pub mod params;
 pub mod pattern;
 pub mod registry;

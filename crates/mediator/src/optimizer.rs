@@ -28,11 +28,11 @@
 //! of worse candidates midway (§4.3.2); the DP seeds that limit with a
 //! greedy complete plan so even frontier subplans can be abandoned.
 //!
-//! **Small-query fast path.** The DP's fixed costs — cache setup and
-//! key hashing, the greedy seed plan — only pay off once the
-//! permutation space is large. `BENCH_optimizer.json` puts the
-//! wall-clock crossover between six and seven tables (wall_speedup < 1
-//! below it), so joins of at most
+//! **Small-query fast path.** The DP's fixed costs — interning each
+//! candidate into the caches, the greedy seed plan — only pay off once
+//! there is something to share. `BENCH_optimizer.json` puts the
+//! wall-clock crossover between two and three tables (wall_speedup < 1
+//! at two), and joins of at most
 //! [`OptimizerOptions::small_query_threshold`] tables are routed through
 //! direct uncached enumeration even when DP is selected;
 //! [`OptimizedPlan::fast_path`] records when that happened.
@@ -102,10 +102,10 @@ pub struct OptimizerOptions {
     pub enumeration: JoinEnumeration,
     /// With [`JoinEnumeration::Dp`], queries of at most this many tables
     /// skip the DP machinery (estimation caches, greedy seed, memo) and
-    /// run direct uncached enumeration instead: `BENCH_optimizer.json`
-    /// has wall_speedup < 1 for n ≤ 6, and 5 is kept because six-table
-    /// plans are a recorded contract (DESIGN.md §5). Set to 0 to force
-    /// DP at every size.
+    /// run direct uncached enumeration instead. `BENCH_optimizer.json`
+    /// has wall_speedup < 1 only at two tables; 5 is kept until the DP
+    /// wins at every width and the fast path can go (DESIGN.md §5). Set
+    /// to 0 to force DP at every size.
     pub small_query_threshold: usize,
     /// Cost variable that ranks plans (see [`Objective`]).
     pub objective: Objective,
@@ -433,9 +433,8 @@ impl<'a> Optimizer<'a> {
         let estimator = Estimator::new(self.registry, self.catalog).with_health(self.health);
         let cache_store = EstimatorCache::new();
         let n = q.tables.len();
-        // Small-query fast path: below the measured DP crossover, direct
-        // enumeration wins on wall clock. It runs uncached — the caches'
-        // setup and key hashing are part of the overhead it avoids.
+        // Small-query fast path (see the module docs). It runs uncached:
+        // interning every candidate is part of the overhead it avoids.
         let fast_path = matches!(self.options.enumeration, JoinEnumeration::Dp)
             && n > 1
             && n <= self
@@ -506,11 +505,6 @@ impl<'a> Optimizer<'a> {
             }
             s.finish();
         }
-        // Publish the run's cache counters (cumulative) and hit-rate
-        // gauges to the global registry.
-        if let Some(c) = cache {
-            c.publish_metrics();
-        }
 
         let physical = self.finish_plan(q, best_join)?;
         // Decisions are extracted from the pre-negotiation plan: the
@@ -530,6 +524,12 @@ impl<'a> Optimizer<'a> {
         } else {
             (physical, best_cost, Vec::new())
         };
+        // Publish the whole run — join search and negotiation — to the
+        // global registry: cumulative counters and hit-rate gauges that
+        // agree with the `memo_hits` / `rule_cache_hits` reported below.
+        if let Some(c) = cache {
+            c.publish_metrics();
+        }
         Ok(OptimizedPlan {
             physical,
             estimated: best_cost,

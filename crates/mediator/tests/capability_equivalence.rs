@@ -412,43 +412,37 @@ fn planned_submits_respect_declared_profiles() {
     }
 }
 
-// Gated: requires the `proptest` cargo feature (and the proptest
-// dev-dependency, removed so offline builds succeed — see Cargo.toml).
-#[cfg(feature = "proptest")]
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Generated federations (random seed, random profile per
-        /// endpoint) never plan a forbidden operator into a submit,
-        /// and never trip the wrapper's capability boundary.
-        #[test]
-        fn pushdown_legality(
-            seed in 0u64..10_000,
-            pa in 0usize..CapabilityProfile::ALL.len(),
-            pb in 0usize..CapabilityProfile::ALL.len(),
-            pd in 0usize..CapabilityProfile::ALL.len(),
-            q in 0usize..QUERIES.len(),
-        ) {
-            let mix = [
-                CapabilityProfile::ALL[pa],
-                CapabilityProfile::ALL[pb],
-                CapabilityProfile::ALL[pd],
-            ];
-            let profiles: BTreeMap<&str, CapabilityProfile> =
-                [("alpha", mix[0]), ("beta", mix[1]), ("docs", mix[2])]
-                    .into_iter()
-                    .collect();
-            let mut m = federation(seed, mix, None, FaultPlan::none(), false);
-            let sql = QUERIES[q];
-            let plan = m.plan(sql).unwrap();
-            assert_submits_legal(&plan.physical, &profiles);
-            let r = m.query(sql).unwrap();
-            prop_assert!(!r.is_partial(), "`{sql}` tripped the wrapper boundary");
-        }
+/// Generated federations (random seed, random profile per endpoint,
+/// random query from the mix; 48 cases, deterministic per case) never
+/// plan a forbidden operator into a submit, and never trip the wrapper's
+/// capability boundary.
+#[test]
+fn pushdown_legality() {
+    let profile = |rng: &mut disco_common::rng::StdRng| {
+        CapabilityProfile::ALL[rng.gen_range(0..CapabilityProfile::ALL.len())]
+    };
+    for case in 0..48u64 {
+        let mut rng = seeded(case, "capeq:pushdown-legality");
+        let seed = rng.gen_range(0u64..10_000);
+        let mix = [profile(&mut rng), profile(&mut rng), profile(&mut rng)];
+        let sql = QUERIES[rng.gen_range(0..QUERIES.len())];
+        let profiles: BTreeMap<&str, CapabilityProfile> =
+            [("alpha", mix[0]), ("beta", mix[1]), ("docs", mix[2])]
+                .into_iter()
+                .collect();
+        let mut m = federation(seed, mix, None, FaultPlan::none(), false);
+        let plan = m
+            .plan(sql)
+            .unwrap_or_else(|e| panic!("case {case}: `{sql}`: {e}"));
+        assert_submits_legal(&plan.physical, &profiles);
+        let r = m
+            .query(sql)
+            .unwrap_or_else(|e| panic!("case {case}: `{sql}`: {e}"));
+        assert!(
+            !r.is_partial(),
+            "case {case}, seed {seed}, mix {:?}: `{sql}` tripped the wrapper boundary",
+            mix.map(|p| p.name()),
+        );
     }
 }
 

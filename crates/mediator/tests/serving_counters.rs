@@ -58,35 +58,43 @@ fn chain(first: usize) -> String {
 #[test]
 fn cold_plans_report_and_publish_their_own_run() {
     let sm = SharedMediator::new(mediator());
-    let lookups = disco_obs::counter(names::CACHE_LOOKUPS, &[("cache", "cost")]);
-    let hits = disco_obs::counter(names::CACHE_HITS, &[("cache", "cost")]);
+    let counter = |name, cache| disco_obs::counter(name, &[("cache", cache)]);
+    let counters = [
+        counter(names::CACHE_LOOKUPS, "cost"),
+        counter(names::CACHE_HITS, "cost"),
+        counter(names::CACHE_LOOKUPS, "rules"),
+        counter(names::CACHE_HITS, "rules"),
+    ];
     let (first, second) = (chain(0), chain(1));
 
-    // What one run publishes (its join search; negotiation prices after).
-    let published = || (lookups.get(), hits.get());
+    // What one run publishes: its join search and its negotiation pass.
+    let published = || counters.each_ref().map(|c| c.get());
+    let delta = |before: [u64; 4], after: [u64; 4]| {
+        std::array::from_fn::<u64, 4, _>(|i| after[i] - before[i])
+    };
     let (standalone, standalone_published) = sm.with_mediator(|m| {
         let q = analyze(&parse_query(&second).unwrap(), m.catalog()).unwrap();
         let before = published();
         let plan = Optimizer::new(m.catalog(), m.registry(), OptimizerOptions::default())
             .optimize(&q)
             .unwrap();
-        let after = published();
-        (plan, (after.0 - before.0, after.1 - before.1))
+        (plan, delta(before, published()))
     });
     assert!(!standalone.fast_path);
-    assert!(standalone.memo_hits > 0 && standalone_published.1 > 0);
+    assert!(standalone.memo_hits > 0 && standalone.rule_cache_hits > 0);
+    // The registry agrees with the plan's own counters.
+    let [_, cost_hits, _, rule_hits] = standalone_published;
+    assert_eq!(cost_hits, standalone.memo_hits as u64);
+    assert_eq!(rule_hits, standalone.rule_cache_hits as u64);
 
     assert_eq!(sm.plan(&first).unwrap().1, PlanSource::CacheMiss);
     let before = published();
     let (served, source) = sm.plan(&second).unwrap();
-    let after = published();
+    let served_published = delta(before, published());
     assert_eq!(source, PlanSource::CacheMiss);
 
     assert_eq!(served.memo_hits, standalone.memo_hits);
     assert_eq!(served.rule_cache_hits, standalone.rule_cache_hits);
     assert_eq!(served.estimator_nodes, standalone.estimator_nodes);
-    assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
-        standalone_published
-    );
+    assert_eq!(served_published, standalone_published);
 }
