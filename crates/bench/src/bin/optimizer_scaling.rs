@@ -1,10 +1,11 @@
-//! E11 — join-enumeration scaling: memoized subset DP vs the exhaustive
-//! permutation baseline.
+//! E11 — join-enumeration scaling: the optimizer's memoized subset DP vs
+//! the exhaustive permutation oracle.
 //!
 //! Sweeps chain queries of 2–10 tables over a synthetic catalog with
 //! skewed cardinalities and reports, for each width: complete plans
-//! costed, estimator node visits, cache hits and wall time for both
-//! enumerators, plus the reduction factors. Besides the table it writes
+//! costed, estimator node visits, cache hits and wall time for the
+//! default optimizer and for `Optimizer::optimize_by_permutation`, plus
+//! the reduction factors. Besides the table it writes
 //! `BENCH_optimizer.json` (machine-readable, consumed by CI as an
 //! artifact).
 //!
@@ -20,7 +21,7 @@ use disco_catalog::{AttributeStats, Capabilities, Catalog, CollectionStats, Exte
 use disco_common::{AttributeDef, DataType, Schema, Value};
 use disco_core::RuleRegistry;
 use disco_mediator::analyze::analyze;
-use disco_mediator::{parse_query, JoinEnumeration, OptimizedPlan, Optimizer, OptimizerOptions};
+use disco_mediator::{parse_query, OptimizedPlan, Optimizer, OptimizerOptions};
 
 const MAX_TABLES: usize = 10;
 
@@ -77,12 +78,22 @@ struct Measured {
 const SAMPLES: usize = 31;
 const WARMUP: usize = 3;
 
-fn run(catalog: &Catalog, registry: &RuleRegistry, sql: &str, opts: OptimizerOptions) -> Measured {
+fn run(catalog: &Catalog, registry: &RuleRegistry, sql: &str, oracle: bool) -> Measured {
     let q = analyze(&parse_query(sql).unwrap(), catalog).unwrap();
+    // The oracle runs unpruned: the from-scratch baseline.
+    let opts = OptimizerOptions {
+        pruning: !oracle,
+        ..Default::default()
+    };
     let optimizer = Optimizer::new(catalog, registry, opts);
     let timed = || {
         let start = Instant::now();
-        let plan = optimizer.optimize(&q).expect("optimizes");
+        let plan = if oracle {
+            optimizer.optimize_by_permutation(&q)
+        } else {
+            optimizer.optimize(&q)
+        }
+        .expect("optimizes");
         (plan, start.elapsed().as_secs_f64() * 1e3)
     };
     for _ in 0..WARMUP {
@@ -114,32 +125,8 @@ fn main() {
     for n in 2..=MAX_TABLES {
         let catalog = chain_catalog(n);
         let sql = chain_sql(n);
-        // Widen the optimal-search window to cover the whole sweep so the
-        // greedy fallback never kicks in, and pin the small-query
-        // threshold to 0 so every width measures the DP itself (the
-        // fast path would otherwise hand n ≤ 5 to the baseline's own
-        // algorithm and the speedup column would read 1.0 by fiat).
-        let dp = run(
-            &catalog,
-            &registry,
-            &sql,
-            OptimizerOptions {
-                exhaustive_up_to: MAX_TABLES,
-                small_query_threshold: 0,
-                ..Default::default()
-            },
-        );
-        let perm = run(
-            &catalog,
-            &registry,
-            &sql,
-            OptimizerOptions {
-                pruning: false,
-                exhaustive_up_to: MAX_TABLES,
-                enumeration: JoinEnumeration::Permutation,
-                ..Default::default()
-            },
-        );
+        let dp = run(&catalog, &registry, &sql, false);
+        let perm = run(&catalog, &registry, &sql, true);
         assert_eq!(
             dp.plan.estimated.total_time, perm.plan.estimated.total_time,
             "DP and baseline disagree at n={n}"
@@ -170,8 +157,7 @@ fn main() {
              \"memo_hits\": {}, \"rule_cache_hits\": {}, \"wall_ms\": {:.3}}}, \
              \"permutation\": {{\"plans_considered\": {}, \"estimator_nodes\": {}, \
              \"estimator_rules\": {}, \"wall_ms\": {:.3}}}, \
-             \"node_visit_reduction\": {:.3}, \"wall_speedup\": {:.3}, \
-             \"fast_path\": {}}}",
+             \"node_visit_reduction\": {:.3}, \"wall_speedup\": {:.3}}}",
             dp.plan.plans_considered,
             dp.plan.plans_pruned,
             dp.plan.estimator_nodes,
@@ -185,7 +171,6 @@ fn main() {
             perm.wall_ms,
             node_redux,
             speedup,
-            n <= OptimizerOptions::default().small_query_threshold,
         )
         .expect("write json row");
     }
@@ -195,11 +180,9 @@ fn main() {
          permutation baseline re-estimates every complete plan from scratch."
     );
 
-    let threshold = OptimizerOptions::default().small_query_threshold;
     let json = format!(
         "{{\n  \"bench\": \"optimizer_scaling\",\n  \"workload\": \"chain\",\n  \
-         \"tables\": [2, {MAX_TABLES}],\n  \"fast_path_threshold\": {threshold},\n  \
-         \"rows\": [{json_rows}\n  ]\n}}\n"
+         \"tables\": [2, {MAX_TABLES}],\n  \"rows\": [{json_rows}\n  ]\n}}\n"
     );
     std::fs::write("BENCH_optimizer.json", &json).expect("write BENCH_optimizer.json");
     println!("\nwrote BENCH_optimizer.json");

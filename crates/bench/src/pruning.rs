@@ -1,14 +1,14 @@
 //! Experiment E7 — branch-and-bound cost-limit abandonment (§4.3.2).
 //!
 //! Optimizes multi-join OO7 queries with and without the cost limit and
-//! reports the estimation work saved. The exhaustive permutation
-//! enumerator is pinned: the experiment isolates the cost-limit effect,
-//! which the DP path's caches would partially mask.
+//! reports the estimation work saved. It runs the exhaustive permutation
+//! oracle (`Optimizer::optimize_by_permutation`): the experiment isolates
+//! the cost-limit effect, which the DP's caches would partially mask.
 
 use crate::Table;
 use disco_common::Result;
 use disco_mediator::analyze::analyze;
-use disco_mediator::{parse_query, JoinEnumeration, Mediator, Optimizer, OptimizerOptions};
+use disco_mediator::{parse_query, Mediator, Optimizer, OptimizerOptions};
 use disco_oo7::{build_store, rules, Oo7Config};
 use disco_wrapper::SourceWrapper;
 
@@ -53,10 +53,9 @@ pub fn run_pruning() -> Result<String> {
         let plan = |pruning| {
             let options = OptimizerOptions {
                 pruning,
-                enumeration: JoinEnumeration::Permutation,
                 ..Default::default()
             };
-            Optimizer::new(m.catalog(), m.registry(), options).optimize(&q)
+            Optimizer::new(m.catalog(), m.registry(), options).optimize_by_permutation(&q)
         };
         let (off, on) = (plan(false)?, plan(true)?);
         let saved = 1.0 - on.estimator_nodes as f64 / off.estimator_nodes as f64;

@@ -1,4 +1,4 @@
-//! Mid-query adaptive re-optimization (ROADMAP item 4).
+//! Mid-query adaptive re-optimization.
 //!
 //! The paper's §4.3 feedback loop corrects cost estimates *between*
 //! queries and its §4.3.2 branch-and-bound abandons plans *during
@@ -8,24 +8,26 @@
 //! cardinalities against the optimizer's per-site predictions.
 //! When the relative error crosses [`AdaptivePolicy::error_threshold`]
 //! (outside the [`AdaptivePolicy::min_rows`] dead zone), the
-//! [`Replanner`] re-enumerates left-deep join orders over the combine
-//! plan with the *measured* cardinalities substituted at the submit
-//! leaves ([`disco_core::CardinalityOverrides`]) and switches only when
-//! the predicted win exceeds [`AdaptivePolicy::switch_margin`]. Already
+//! [`Replanner`] runs the optimizer's own join-order search (the subset
+//! DP of the `join_graph` module) over the combine plan, with the
+//! *measured* cardinalities substituted at the submit leaves
+//! ([`disco_core::CardinalityOverrides`]), and switches only when the
+//! predicted win exceeds [`AdaptivePolicy::switch_margin`]. Already
 //! fetched subanswers are never re-fetched: the executor re-drives the
 //! combine from the materialized batches.
 //!
 //! Re-planning is pure mediator-side arithmetic over the memoized
-//! estimator — BENCH_optimizer.json shows enumeration is microseconds at
+//! estimator — BENCH_optimizer.json shows the search is microseconds at
 //! combine-plan sizes — so the cost of *considering* a switch is noise
 //! next to one mis-ordered join.
 
-use disco_algebra::{CompareOp, JoinPredicate, LogicalPlan, PhysicalJoinAlgo, PhysicalPlan};
+use disco_algebra::{JoinPredicate, LogicalPlan, PhysicalPlan};
 use disco_catalog::Catalog;
-use disco_common::HealthTracker;
-use disco_core::{CardinalityOverrides, EstimateOptions, Estimator, EstimatorCache, RuleRegistry};
+use disco_common::{HealthTracker, Schema};
+use disco_core::{CardinalityOverrides, Estimator, EstimatorCache, RuleRegistry};
 
-use crate::optimizer::to_logical;
+use crate::join_graph::{JoinGraph, Leaf, Pricer, Search};
+use crate::optimizer::{to_logical, Objective};
 
 /// Knobs for mid-query re-optimization, carried on
 /// [`MediatorOptions`](crate::mediator::MediatorOptions).
@@ -163,35 +165,16 @@ pub struct ReplanOutcome {
     pub new_plan: Option<PhysicalPlan>,
 }
 
-/// Re-entrant join enumeration over an executed combine plan: decompose
-/// the join tree into opaque leaves (each an already-fetched submit
-/// subtree, possibly fused or filtered), re-enumerate left-deep orders
-/// with measured cardinalities substituted at the submit nodes, and
-/// propose a switch when one clears the margin.
+/// Re-planning over an executed combine plan: decompose the join tree
+/// into opaque leaves (each an already-fetched submit subtree, possibly
+/// fused or filtered), search left-deep orders with measured
+/// cardinalities substituted at the submit nodes, and propose a switch
+/// when one clears the margin.
 pub struct Replanner<'a> {
     registry: &'a RuleRegistry,
     catalog: &'a Catalog,
     health: Option<&'a HealthTracker>,
     policy: AdaptivePolicy,
-}
-
-/// One leaf of the decomposed join tree with its resolved output schema.
-struct Leaf {
-    plan: PhysicalPlan,
-    schema: disco_common::Schema,
-    /// Measured output rows (sum of overrides inside the leaf, else the
-    /// static estimate) — drives the greedy fallback order.
-    rows: f64,
-}
-
-/// A join predicate re-anchored to leaf indices.
-struct Edge {
-    a: usize,
-    a_attr: String,
-    op: CompareOp,
-    b: usize,
-    b_attr: String,
-    used: bool,
 }
 
 /// Mediator-side unary operators stripped off the top of the plan before
@@ -206,11 +189,6 @@ enum Suffix {
         aggs: Vec<disco_algebra::logical::AggExpr>,
     },
 }
-
-/// Beyond this many leaves the order search degrades to greedy
-/// (smallest measured input first) — same spirit as the optimizer's
-/// `exhaustive_up_to` bound, scaled to combine-plan sizes.
-const EXHAUSTIVE_LEAVES: usize = 8;
 
 impl<'a> Replanner<'a> {
     /// Build a replanner over the mediator's catalog/registry/health.
@@ -234,15 +212,36 @@ impl<'a> Replanner<'a> {
     }
 
     /// Compare observations against predictions; when the worst error
-    /// crosses the trigger, re-enumerate the combine plan with corrected
-    /// cardinalities. `None` = nothing crossed the trigger (the dead
-    /// zone and threshold held) or the plan has no reorderable join
-    /// tree. `Some` always carries a [`ReplanEvent`] for the trace; the
-    /// plan inside is `Some` only when the win cleared the margin.
+    /// crosses the trigger, search the combine plan's join orders again
+    /// with corrected cardinalities. `None` = nothing crossed the trigger
+    /// (the dead zone and threshold held). `Some` always carries a
+    /// [`ReplanEvent`] for the trace; the plan inside is `Some` only when
+    /// the plan has a reorderable join tree and the win cleared the
+    /// margin.
     pub fn consider(
         &self,
         plan: &PhysicalPlan,
         observations: &[SiteObservation],
+    ) -> Option<ReplanOutcome> {
+        self.consider_with(plan, observations, false)
+    }
+
+    /// The equivalence oracle: [`Self::consider`] with the join order
+    /// found by sweeping every connected left-deep order of the same
+    /// leaves, under the same overrides and bound. For tests.
+    pub fn consider_by_permutation(
+        &self,
+        plan: &PhysicalPlan,
+        observations: &[SiteObservation],
+    ) -> Option<ReplanOutcome> {
+        self.consider_with(plan, observations, true)
+    }
+
+    fn consider_with(
+        &self,
+        plan: &PhysicalPlan,
+        observations: &[SiteObservation],
+        oracle: bool,
     ) -> Option<ReplanOutcome> {
         if !self.policy.enabled {
             return None;
@@ -272,6 +271,12 @@ impl<'a> Replanner<'a> {
             new_cost_ms: 0.0,
             switched: false,
         };
+        let keep = |event| {
+            Some(ReplanOutcome {
+                event,
+                new_plan: None,
+            })
+        };
 
         // Every observation (failed ones included) corrects its submit
         // leaf: the materialized input *is* that size now.
@@ -279,49 +284,50 @@ impl<'a> Replanner<'a> {
         for o in observations {
             overrides.insert(&o.wrapper, &o.plan, o.observed_rows, o.observed_bytes);
         }
-
-        let (suffix, tree) = split_suffix(plan);
-        let Some((leaves, edges)) = decompose(tree, &overrides, self) else {
-            // Nothing reorderable (single site, undecomposable tree):
-            // record that the trigger fired but the plan stands.
-            return Some(ReplanOutcome {
-                event,
-                new_plan: None,
-            });
-        };
-
         // Overrides bake into memoized costs, so the cache must be fresh
         // for this override set (see `CardinalityOverrides`).
         let cache = EstimatorCache::new();
         let estimator = Estimator::new(self.registry, self.catalog)
             .with_health(self.health)
             .with_overrides(Some(&overrides));
-        let Some(current) = self.price(tree, &estimator, &cache, None) else {
-            return Some(ReplanOutcome {
-                event,
-                new_plan: None,
-            });
+        let mut pricer = Pricer::new(estimator, Some(&cache));
+
+        let (suffix, tree) = split_suffix(plan);
+        // Nothing reorderable (single site, undecomposable tree): record
+        // that the trigger fired but the plan stands.
+        let Some(graph) = decompose(tree, &mut pricer) else {
+            return keep(event);
         };
+        let Ok(Some(current)) = pricer.price(tree, None) else {
+            return keep(event);
+        };
+        let current = current.total_time;
         // The fetches are sunk: every candidate order consumes the same
         // already-materialized subanswers, so the margin is judged on the
         // combine-side cost alone — leaving the identical submit terms in
         // would dilute any join-order win below the margin.
-        let sunk: f64 = leaves
-            .iter()
-            .filter_map(|l| self.price(&l.plan, &estimator, &cache, None))
-            .sum();
+        let sunk: f64 = graph.leaves().map(|l| l.cost.total_time).sum();
         event.old_cost_ms = (current - sunk).max(0.0);
         event.new_cost_ms = event.old_cost_ms;
 
-        let Some(best) = self.search(&leaves, &edges, &estimator, &cache, current) else {
-            // Every candidate priced (or pruned) at or above the current
-            // order: keep the plan.
-            return Some(ReplanOutcome {
-                event,
-                new_plan: None,
-            });
+        // The running plan's corrected cost bounds the search (§4.3.2):
+        // only an order at least as cheap can complete.
+        let mut search = Search {
+            pricer,
+            complete: &Ok,
+            objective: Objective::TotalTime,
+            prune: true,
         };
-        event.new_cost_ms = (best.1 - sunk).max(0.0);
+        let best = if oracle {
+            graph.permutations(&mut search, Some(current))
+        } else {
+            graph.search(&mut search, Some(current))
+        };
+        // A search that errs or abandons every order keeps the plan.
+        let Ok(Some((best, cost))) = best else {
+            return keep(event);
+        };
+        event.new_cost_ms = (cost.total_time - sunk).max(0.0);
 
         if event.new_cost_ms < event.old_cost_ms * (1.0 - self.policy.switch_margin) {
             event.switched = true;
@@ -330,73 +336,12 @@ impl<'a> Replanner<'a> {
                 disco_obs::histogram(disco_obs::names::REPLAN_WIN_MS, &[])
                     .observe(event.old_cost_ms - event.new_cost_ms);
             }
-            let new_plan = apply_suffix(suffix, best.0);
             return Some(ReplanOutcome {
                 event,
-                new_plan: Some(new_plan),
+                new_plan: Some(apply_suffix(suffix, best)),
             });
         }
-        Some(ReplanOutcome {
-            event,
-            new_plan: None,
-        })
-    }
-
-    /// Corrected `TotalTime` of a combine tree (submit leaves priced at
-    /// their measured cardinality; `limit` prunes hopeless candidates —
-    /// §4.3.2 with the current plan as the bound).
-    fn price(
-        &self,
-        tree: &PhysicalPlan,
-        estimator: &Estimator<'_>,
-        cache: &EstimatorCache,
-        limit: Option<f64>,
-    ) -> Option<f64> {
-        let opts = EstimateOptions {
-            cost_limit: limit,
-            wrapper: None,
-        };
-        estimator
-            .estimate_report_cached(&to_logical(tree), &opts, cache)
-            .ok()
-            .flatten()
-            .map(|r| r.cost.total_time)
-    }
-
-    /// Enumerate connected left-deep orders over the leaves (exhaustive
-    /// up to [`EXHAUSTIVE_LEAVES`], greedy smallest-first beyond) and
-    /// return the cheapest rebuilt tree with its corrected cost.
-    fn search(
-        &self,
-        leaves: &[Leaf],
-        edges: &[Edge],
-        estimator: &Estimator<'_>,
-        cache: &EstimatorCache,
-        current: f64,
-    ) -> Option<(PhysicalPlan, f64)> {
-        let n = leaves.len();
-        let orders: Vec<Vec<usize>> = if n <= EXHAUSTIVE_LEAVES {
-            let mut all = Vec::new();
-            let mut prefix = Vec::with_capacity(n);
-            enumerate_connected(n, edges, &mut prefix, &mut all);
-            all
-        } else {
-            greedy_order(leaves, edges).into_iter().collect()
-        };
-        let mut best: Option<(PhysicalPlan, f64)> = None;
-        for order in orders {
-            let Some(tree) = build_tree(leaves, edges, &order) else {
-                continue;
-            };
-            let bound = best.as_ref().map_or(current, |b| b.1.min(current));
-            let Some(cost) = self.price(&tree, estimator, cache, Some(bound)) else {
-                continue; // pruned: already worse than the bound
-            };
-            if best.as_ref().is_none_or(|b| cost < b.1) {
-                best = Some((tree, cost));
-            }
-        }
-        best
+        keep(event)
     }
 }
 
@@ -469,18 +414,15 @@ fn apply_suffix(suffix: Vec<Suffix>, mut tree: PhysicalPlan) -> PhysicalPlan {
     tree
 }
 
-/// Flatten the join tree into leaves (any non-`Join` subtree is opaque —
-/// a submit, a fused multi-table submit, a filtered submit, even a
-/// union) and predicates re-anchored to leaf indices. `None` when the
-/// tree is not a cleanly decomposable inner-equi/theta join tree (an
-/// attribute resolving to zero or several leaves, a join algorithm we
-/// could not rebuild, …) — in that case the plan is left alone, which is
-/// always safe.
-fn decompose(
-    tree: &PhysicalPlan,
-    overrides: &CardinalityOverrides,
-    rp: &Replanner<'_>,
-) -> Option<(Vec<Leaf>, Vec<Edge>)> {
+/// Flatten the join tree into the join graph: non-`Join` subtrees are
+/// opaque leaves (a submit, a fused multi-table submit, a filtered
+/// submit, even a union), each priced once under the overrides, and join
+/// predicates become edges between the leaves owning their attributes.
+/// `None` when the tree is not a cleanly decomposable inner-equi/theta
+/// join tree (an attribute resolving to zero or several leaves, a leaf
+/// the estimator cannot price, …) — in that case the plan is left alone,
+/// which is always safe.
+fn decompose(tree: &PhysicalPlan, pricer: &mut Pricer<'_>) -> Option<JoinGraph> {
     let mut leaf_plans: Vec<&PhysicalPlan> = Vec::new();
     let mut preds: Vec<&JoinPredicate> = Vec::new();
     collect(tree, &mut leaf_plans, &mut preds);
@@ -488,42 +430,29 @@ fn decompose(
         return None;
     }
 
-    let estimator = Estimator::new(rp.registry, rp.catalog)
-        .with_health(rp.health)
-        .with_overrides(Some(overrides));
+    let mut schemas = Vec::with_capacity(leaf_plans.len());
     let mut leaves = Vec::with_capacity(leaf_plans.len());
-    for lp in &leaf_plans {
-        let logical = to_logical(lp);
-        let schema = logical.output_schema().ok()?;
-        // Leaf cardinality under overrides, for the greedy fallback.
-        let rows = estimator
-            .estimate(&logical)
-            .map(|c| c.count_object)
-            .unwrap_or(f64::MAX);
+    for lp in leaf_plans {
+        schemas.push(to_logical(lp).output_schema().ok()?);
+        // One price per leaf: its cost in the search, and its share of
+        // the sunk fetch cost.
+        let cost = pricer.price(lp, None).ok()??;
         leaves.push(Leaf {
-            plan: (*lp).clone(),
-            schema,
-            rows,
+            plan: lp.clone(),
+            cost,
         });
     }
 
-    let mut edges = Vec::with_capacity(preds.len());
+    let mut graph = JoinGraph::new(leaves);
     for p in preds {
-        let a = owner(&leaves, &p.left_attr)?;
-        let b = owner(&leaves, &p.right_attr)?;
+        let a = owner(&schemas, &p.left_attr)?;
+        let b = owner(&schemas, &p.right_attr)?;
         if a == b {
             return None;
         }
-        edges.push(Edge {
-            a,
-            a_attr: p.left_attr.clone(),
-            op: p.op,
-            b,
-            b_attr: p.right_attr.clone(),
-            used: false,
-        });
+        graph.connect(a, b, p.clone());
     }
-    Some((leaves, edges))
+    Some(graph)
 }
 
 /// Collect join-tree leaves and predicates depth-first, left before
@@ -551,10 +480,10 @@ fn collect<'p>(
 /// The unique leaf whose output schema contains `attr` (attributes are
 /// alias-qualified, so ambiguity means the tree is not safely
 /// decomposable).
-fn owner(leaves: &[Leaf], attr: &str) -> Option<usize> {
+fn owner(schemas: &[Schema], attr: &str) -> Option<usize> {
     let mut found = None;
-    for (i, l) in leaves.iter().enumerate() {
-        if l.schema.index_of(attr).is_some() {
+    for (i, schema) in schemas.iter().enumerate() {
+        if schema.index_of(attr).is_some() {
             if found.is_some() {
                 return None;
             }
@@ -562,90 +491,6 @@ fn owner(leaves: &[Leaf], attr: &str) -> Option<usize> {
         }
     }
     found
-}
-
-/// All left-deep orders where each next leaf connects to the prefix by
-/// some edge (the optimizer's connected-subgraph-first constraint).
-fn enumerate_connected(
-    n: usize,
-    edges: &[Edge],
-    prefix: &mut Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if prefix.len() == n {
-        out.push(prefix.clone());
-        return;
-    }
-    for next in 0..n {
-        if prefix.contains(&next) {
-            continue;
-        }
-        if !prefix.is_empty() && !connects(edges, prefix, next) {
-            continue;
-        }
-        prefix.push(next);
-        enumerate_connected(n, edges, prefix, out);
-        prefix.pop();
-    }
-}
-
-fn connects(edges: &[Edge], prefix: &[usize], next: usize) -> bool {
-    edges
-        .iter()
-        .any(|e| (e.a == next && prefix.contains(&e.b)) || (e.b == next && prefix.contains(&e.a)))
-}
-
-/// Greedy connected order by measured leaf cardinality (smallest first).
-fn greedy_order(leaves: &[Leaf], edges: &[Edge]) -> Option<Vec<usize>> {
-    let n = leaves.len();
-    let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let next = (0..n)
-            .filter(|i| !order.contains(i))
-            .filter(|&i| order.is_empty() || connects(edges, &order, i))
-            .min_by(|&a, &b| leaves[a].rows.total_cmp(&leaves[b].rows))?;
-        order.push(next);
-    }
-    Some(order)
-}
-
-/// Rebuild a left-deep join tree over `order`, consuming one connecting
-/// edge per step with the optimizer's orientation rule (left attribute
-/// belongs to the tree; flip the comparison otherwise) and algorithm
-/// rule (equality ⇒ hash, else nested loop).
-fn build_tree(leaves: &[Leaf], edges: &[Edge], order: &[usize]) -> Option<PhysicalPlan> {
-    let mut used: Vec<bool> = edges.iter().map(|e| e.used).collect();
-    let mut in_tree = vec![false; leaves.len()];
-    in_tree[order[0]] = true;
-    let mut tree = leaves[order[0]].plan.clone();
-    for &next in &order[1..] {
-        let (ei, e) = edges.iter().enumerate().find(|(ei, e)| {
-            !used[*ei] && ((e.a == next && in_tree[e.b]) || (e.b == next && in_tree[e.a]))
-        })?;
-        used[ei] = true;
-        let (left_attr, op, right_attr) = if in_tree[e.a] {
-            (e.a_attr.clone(), e.op, e.b_attr.clone())
-        } else {
-            (e.b_attr.clone(), e.op.flipped(), e.a_attr.clone())
-        };
-        let algo = if op == CompareOp::Eq {
-            PhysicalJoinAlgo::Hash
-        } else {
-            PhysicalJoinAlgo::NestedLoop
-        };
-        tree = PhysicalPlan::Join {
-            algo,
-            left: Box::new(tree),
-            right: Box::new(leaves[next].plan.clone()),
-            predicate: JoinPredicate {
-                left_attr,
-                op,
-                right_attr,
-            },
-        };
-        in_tree[next] = true;
-    }
-    Some(tree)
 }
 
 #[cfg(test)]

@@ -57,11 +57,6 @@ pub struct AnalyzedQuery {
     pub limit: Option<u64>,
     /// Raw columns needed from each table (projection pushdown).
     pub needed: Vec<Vec<String>>,
-    /// Join-graph adjacency as bitsets: bit `j` of `adjacency[i]` is set
-    /// when a join condition connects tables `i` and `j`. Lets the
-    /// optimizer's enumerators test connectivity against a table subset
-    /// in O(1) instead of scanning the join list per candidate.
-    pub adjacency: Vec<u64>,
 }
 
 impl AnalyzedQuery {
@@ -69,38 +64,18 @@ impl AnalyzedQuery {
     pub fn is_aggregate(&self) -> bool {
         !self.aggs.is_empty() || !self.group_by.is_empty()
     }
-
-    /// Tables (as a bitset) joined to at least one table of `subset`.
-    pub fn adjacent_to(&self, subset: u64) -> u64 {
-        let mut adj = 0u64;
-        for (i, &m) in self.adjacency.iter().enumerate() {
-            if subset & (1 << i) != 0 {
-                adj |= m;
-            }
-        }
-        adj & !subset
-    }
-}
-
-/// Bitset adjacency over the join conditions; errors beyond 64 tables
-/// (far past anything the optimizer enumerates).
-fn build_adjacency(n_tables: usize, joins: &[JoinCond]) -> Result<Vec<u64>> {
-    if n_tables > 64 {
-        return Err(DiscoError::Unsupported(format!(
-            "queries over more than 64 tables are not supported ({n_tables} given)"
-        )));
-    }
-    let mut adjacency = vec![0u64; n_tables];
-    for j in joins {
-        adjacency[j.left_table] |= 1 << j.right_table;
-        adjacency[j.right_table] |= 1 << j.left_table;
-    }
-    Ok(adjacency)
 }
 
 /// Analyze a parsed query against the catalog.
 pub fn analyze(query: &Query, catalog: &Catalog) -> Result<AnalyzedQuery> {
     // --- FROM: resolve tables -----------------------------------------
+    // The optimizer's join graph keeps one bit per table in a `u64`.
+    if query.from.len() > 64 {
+        return Err(DiscoError::Unsupported(format!(
+            "queries over more than 64 tables are not supported ({} given)",
+            query.from.len()
+        )));
+    }
     let mut tables: Vec<TableBinding> = Vec::with_capacity(query.from.len());
     for t in &query.from {
         let qname = match &t.wrapper {
@@ -311,7 +286,6 @@ pub fn analyze(query: &Query, catalog: &Catalog) -> Result<AnalyzedQuery> {
         }
     }
 
-    let adjacency = build_adjacency(tables.len(), &joins)?;
     Ok(AnalyzedQuery {
         tables,
         selections,
@@ -323,7 +297,6 @@ pub fn analyze(query: &Query, catalog: &Catalog) -> Result<AnalyzedQuery> {
         order_by,
         limit: query.limit,
         needed,
-        adjacency,
     })
 }
 
@@ -484,19 +457,6 @@ mod tests {
         assert!(a.needed[0].contains(&"dept_id".to_string()));
         assert!(a.needed[0].contains(&"salary".to_string()));
         assert_eq!(a.needed[1], vec!["id".to_string()]);
-    }
-
-    #[test]
-    fn adjacency_bitsets_mirror_join_graph() {
-        let a = analyze_str(
-            "SELECT e.name FROM Employee e, Dept d WHERE e.dept_id = d.id AND e.salary > 100",
-        )
-        .unwrap();
-        assert_eq!(a.adjacency, vec![0b10, 0b01]);
-        // Neighbours of {e} are {d} and vice versa; the union has none.
-        assert_eq!(a.adjacent_to(0b01), 0b10);
-        assert_eq!(a.adjacent_to(0b10), 0b01);
-        assert_eq!(a.adjacent_to(0b11), 0);
     }
 
     #[test]

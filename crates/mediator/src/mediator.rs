@@ -326,7 +326,6 @@ impl Mediator {
         let mut rules = 0;
         let mut memo_hits = 0;
         let mut rule_cache_hits = 0;
-        let mut fast_path = false;
         let mut negotiation = Vec::new();
         for query in &stmt.branches {
             let analyzed = {
@@ -353,7 +352,6 @@ impl Mediator {
             rules += plan.estimator_rules;
             memo_hits += plan.memo_hits;
             rule_cache_hits += plan.rule_cache_hits;
-            fast_path |= plan.fast_path;
             negotiation.extend(plan.negotiation);
             branch_plans.push(plan.physical);
         }
@@ -397,7 +395,7 @@ impl Mediator {
             estimator_rules: rules,
             memo_hits,
             rule_cache_hits,
-            fast_path,
+            fast_path: false,
             limit: stmt.limit,
             // Unions are not replayable as one decision set; branches
             // cache individually when queried alone.

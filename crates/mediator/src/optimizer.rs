@@ -9,33 +9,21 @@
 //!   mediator;
 //! * **join orders** — left-deep trees, connected-subgraph-first.
 //!
-//! Join-order search is Selinger-style **dynamic programming over table
-//! subsets** ([`JoinEnumeration::Dp`], the default): a bitset-keyed memo
-//! holds the best joined prefix per subset (a small Pareto set over the
-//! five cost variables, which keeps the search exact even when orders of
-//! one subset differ in cardinality estimates), giving O(2ⁿ·n) candidate
-//! costings instead of the O(n!) complete plans of the exhaustive
-//! permutation enumerator (kept as [`JoinEnumeration::Permutation`] — the
-//! equivalence oracle and perf baseline). Candidate estimation runs over
-//! two caches built for the run (subplan cost memo + rule-resolution
-//! cache, see [`disco_core::cache`]); the whole search is one serial walk
-//! on the calling thread. Beyond
-//! [`OptimizerOptions::exhaustive_up_to`] tables, ordering is greedy by
-//! estimated cardinality.
+//! Join orders come from the one search of the `join_graph` module,
+//! which the adaptive re-planner runs too: Selinger-style dynamic
+//! programming over connected table subsets, greedy beyond twelve
+//! tables. Candidate estimation runs over two caches built for the run
+//! (subplan cost memo + rule-resolution cache, see
+//! [`disco_core::cache`]); the whole search is one serial walk on the
+//! calling thread. [`Optimizer::optimize_by_permutation`] runs the
+//! exhaustive permutation sweep over the same graph instead, uncached:
+//! the equivalence oracle and perf baseline, not an option.
 //!
 //! With [`OptimizerOptions::pruning`] (default on) the best complete
 //! plan's cost becomes the estimator's cost limit, abandoning estimation
-//! of worse candidates midway (§4.3.2); the DP seeds that limit with a
-//! greedy complete plan so even frontier subplans can be abandoned.
-//!
-//! **Small-query fast path.** The DP's fixed costs — interning each
-//! candidate into the caches, the greedy seed plan — only pay off once
-//! there is something to share. `BENCH_optimizer.json` puts the
-//! wall-clock crossover between two and three tables (wall_speedup < 1
-//! at two), and joins of at most
-//! [`OptimizerOptions::small_query_threshold`] tables are routed through
-//! direct uncached enumeration even when DP is selected;
-//! [`OptimizedPlan::fast_path`] records when that happened.
+//! of worse candidates midway (§4.3.2). From three tables on, where the
+//! DP has frontier subplans to abandon, a greedy complete plan seeds that
+//! limit.
 //!
 //! **Objective.** Plans are ranked by [`OptimizerOptions::objective`]:
 //! `TotalTime` (the default — throughput) or `TimeFirst` (latency to the
@@ -48,32 +36,15 @@
 //! compares accumulated *total* time, not time-to-first.
 
 use disco_algebra::{
-    CompareOp, JoinKind, JoinPredicate, LogicalPlan, OperatorKind, PhysicalJoinAlgo, PhysicalPlan,
-    Predicate, ScalarExpr, SelectPredicate,
+    JoinKind, JoinPredicate, LogicalPlan, OperatorKind, PhysicalPlan, Predicate, ScalarExpr,
+    SelectPredicate,
 };
 use disco_catalog::{CapabilityProfile, Catalog};
 use disco_common::{DiscoError, HealthTracker, QualifiedName, Result};
-use disco_core::{
-    EstimateOptions, EstimateReport, Estimator, EstimatorCache, NodeCost, RuleRegistry,
-};
+use disco_core::{Estimator, EstimatorCache, NodeCost, RuleRegistry};
 
 use crate::analyze::AnalyzedQuery;
-
-/// Join-order search strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinEnumeration {
-    /// Subset dynamic programming with memoized prefixes (the default).
-    #[default]
-    Dp,
-    /// Exhaustive left-deep permutation enumeration — the pre-DP
-    /// baseline, kept as the equivalence oracle for tests and the
-    /// speedup baseline for experiments. Runs without the estimation
-    /// caches so its work counters reflect the original cost.
-    Permutation,
-}
-
-/// Hard ceiling on DP table count: the memo is a dense `2^n` vector.
-const DP_MAX_TABLES: usize = 16;
+use crate::join_graph::{JoinGraph, Leaf, Pricer, Search, DP_MAX_LEAVES};
 
 /// Which cost variable ranks complete plans (paper §3: the mediator
 /// cost model exposes several optimization goals, not just one).
@@ -88,25 +59,22 @@ pub enum Objective {
     TimeFirst,
 }
 
+impl Objective {
+    /// The value of this objective on one plan estimate.
+    pub(crate) fn value(self, c: &NodeCost) -> f64 {
+        match self {
+            Objective::TotalTime => c.total_time,
+            Objective::TimeFirst => c.time_first,
+        }
+    }
+}
+
 /// Tuning knobs for one optimization run.
 #[derive(Debug, Clone)]
 pub struct OptimizerOptions {
     /// Abandon plans whose partial cost exceeds the best found so far
     /// (§4.3.2). On by default.
     pub pruning: bool,
-    /// Up to this many tables, search join orders optimally (DP or
-    /// permutation per `enumeration`); beyond, order greedily by
-    /// estimated cardinality.
-    pub exhaustive_up_to: usize,
-    /// Join-order search strategy.
-    pub enumeration: JoinEnumeration,
-    /// With [`JoinEnumeration::Dp`], queries of at most this many tables
-    /// skip the DP machinery (estimation caches, greedy seed, memo) and
-    /// run direct uncached enumeration instead. `BENCH_optimizer.json`
-    /// has wall_speedup < 1 only at two tables; 5 is kept until the DP
-    /// wins at every width and the fast path can go (DESIGN.md §5). Set
-    /// to 0 to force DP at every size.
-    pub small_query_threshold: usize,
     /// Cost variable that ranks plans (see [`Objective`]).
     pub objective: Objective,
     /// Run the capability-negotiation pass after join enumeration
@@ -120,9 +88,6 @@ impl Default for OptimizerOptions {
     fn default() -> Self {
         OptimizerOptions {
             pruning: true,
-            exhaustive_up_to: 12,
-            enumeration: JoinEnumeration::Dp,
-            small_query_threshold: 5,
             objective: Objective::TotalTime,
             negotiation: true,
         }
@@ -138,8 +103,7 @@ pub struct OptimizedPlan {
     /// Complete plans costed.
     pub plans_considered: usize,
     /// Candidates abandoned by the cost limit (only with pruning):
-    /// complete plans under permutation search, complete plans and DP
-    /// frontier subplans under DP search.
+    /// complete plans, and DP frontier subplans.
     pub plans_pruned: usize,
     /// Total estimator node visits across the run (memo hits count one
     /// visit; the subtree walk they skip counts nothing).
@@ -151,9 +115,8 @@ pub struct OptimizedPlan {
     pub memo_hits: usize,
     /// Rule-resolution cache hits across the run.
     pub rule_cache_hits: usize,
-    /// Whether the small-query fast path handled join ordering (DP was
-    /// selected but the table count sat at or below
-    /// [`OptimizerOptions::small_query_threshold`]).
+    /// Always `false`: the small-query fast path that bypassed the DP is
+    /// gone. Kept because `query_profile` reports it.
     pub fast_path: bool,
     /// `LIMIT n` carried from the query: the executor caps the answer
     /// (and, in chunked mode, stops pulling) at `n` rows. Not part of the
@@ -346,41 +309,22 @@ pub fn to_logical(plan: &PhysicalPlan) -> LogicalPlan {
     }
 }
 
-/// Iterate the set bit positions of a mask, ascending.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        if mask == 0 {
-            None
-        } else {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            Some(i)
-        }
-    })
-}
-
-/// Estimate through the cache when one is in play.
-fn estimate(
-    estimator: &Estimator<'_>,
-    cache: Option<&EstimatorCache>,
-    logical: &LogicalPlan,
-    opts: &EstimateOptions,
-) -> Result<Option<EstimateReport>> {
-    match cache {
-        Some(c) => estimator.estimate_report_cached(logical, opts, c),
-        None => estimator.estimate_report(logical, opts),
+/// The join graph of `q` over its chosen access plans: one edge per join
+/// condition, over alias-qualified names.
+fn join_graph(q: &AnalyzedQuery, access: Vec<Leaf>) -> JoinGraph {
+    let mut graph = JoinGraph::new(access);
+    for j in &q.joins {
+        let predicate = JoinPredicate {
+            left_attr: format!("{}.{}", q.tables[j.left_table].alias, j.left_attr),
+            op: j.op,
+            right_attr: format!("{}.{}", q.tables[j.right_table].alias, j.right_attr),
+        };
+        graph.connect(j.left_table, j.right_table, predicate);
     }
+    graph
 }
 
 impl<'a> Optimizer<'a> {
-    /// The value of the configured objective on one plan estimate.
-    fn objective_value(&self, c: &NodeCost) -> f64 {
-        match self.options.objective {
-            Objective::TotalTime => c.total_time,
-            Objective::TimeFirst => c.time_first,
-        }
-    }
-
     /// §4.3.2 pruning is sound only when the objective matches the
     /// estimator's abandon check, which accumulates total time.
     fn pruning_on(&self) -> bool {
@@ -426,29 +370,32 @@ impl<'a> Optimizer<'a> {
 
     /// Optimize an analyzed query into a physical plan.
     pub fn optimize(&self, q: &AnalyzedQuery) -> Result<OptimizedPlan> {
+        self.run(q, false)
+    }
+
+    /// The equivalence oracle: [`Self::optimize`] with the join order
+    /// found by sweeping every connected left-deep order of the same join
+    /// graph, uncached (so its work counters are the from-scratch cost),
+    /// with `pruning` honoured. For tests and experiments.
+    pub fn optimize_by_permutation(&self, q: &AnalyzedQuery) -> Result<OptimizedPlan> {
+        self.run(q, true)
+    }
+
+    fn run(&self, q: &AnalyzedQuery, oracle: bool) -> Result<OptimizedPlan> {
         if q.tables.is_empty() {
             return Err(DiscoError::Plan("query has no tables".into()));
         }
-        let mut counters = Counters::default();
         let estimator = Estimator::new(self.registry, self.catalog).with_health(self.health);
         let cache_store = EstimatorCache::new();
+        let cache = (!oracle).then_some(&cache_store);
+        let mut pricer = Pricer::new(estimator, cache);
         let n = q.tables.len();
-        // Small-query fast path (see the module docs). It runs uncached:
-        // interning every candidate is part of the overhead it avoids.
-        let fast_path = matches!(self.options.enumeration, JoinEnumeration::Dp)
-            && n > 1
-            && n <= self
-                .options
-                .small_query_threshold
-                .min(self.options.exhaustive_up_to);
-        let cache = (matches!(self.options.enumeration, JoinEnumeration::Dp) && !fast_path)
-            .then_some(&cache_store);
 
         // Phase 1: best access variant per table.
         let span = self.tracer.as_ref().map(|t| t.start("access-plans"));
         let access = (0..n)
-            .map(|t| self.best_access(q, t, &estimator, cache, &mut counters))
-            .collect::<Result<Vec<AccessPlan>>>()?;
+            .map(|t| self.best_access(q, t, &mut pricer))
+            .collect::<Result<Vec<Leaf>>>()?;
         if let Some(s) = span {
             if let Some(t) = &self.tracer {
                 t.event("tables", n);
@@ -457,49 +404,48 @@ impl<'a> Optimizer<'a> {
         }
 
         // Phase 2: join order.
-        let strategy = if n == 1 {
-            "single-table"
-        } else if fast_path {
-            "fast-path"
-        } else {
-            match self.options.enumeration {
-                JoinEnumeration::Dp if n <= self.options.exhaustive_up_to.min(DP_MAX_TABLES) => {
-                    "dp"
-                }
-                JoinEnumeration::Permutation if n <= self.options.exhaustive_up_to => "permutation",
-                _ => "greedy",
-            }
+        let strategy = match n {
+            _ if oracle => "permutation",
+            1 => "single-table",
+            _ if n <= DP_MAX_LEAVES => "dp",
+            _ => "greedy",
         };
         let span = self.tracer.as_ref().map(|t| t.start("join-enumeration"));
-        let (best_join, best_cost) = if n == 1 {
-            let plan = access[0].plan.clone();
-            let cost = self.cost_full(q, &plan, None, &estimator, cache, &mut counters)?;
-            counters.considered += 1;
-            let cost = cost.ok_or_else(|| {
-                DiscoError::Cost("single-table plan was pruned without a limit".into())
-            })?;
-            (plan, cost)
-        } else if fast_path {
-            self.enumerate_orders(q, &access, &estimator, cache, &mut counters)?
-        } else {
-            match self.options.enumeration {
-                JoinEnumeration::Dp if n <= self.options.exhaustive_up_to.min(DP_MAX_TABLES) => {
-                    self.dp_orders(q, &access, &estimator, cache, &mut counters)?
-                }
-                JoinEnumeration::Permutation if n <= self.options.exhaustive_up_to => {
-                    self.enumerate_orders(q, &access, &estimator, cache, &mut counters)?
-                }
-                _ => self.greedy_order(q, &access, &estimator, cache, &mut counters)?,
-            }
+        let graph = join_graph(q, access);
+        graph.check(|t| q.tables[t].alias.clone())?;
+        let complete = |tree| self.finish_plan(q, tree);
+        let mut search = Search {
+            pricer,
+            complete: &complete,
+            objective: self.options.objective,
+            prune: self.pruning_on(),
         };
+        let best = if oracle {
+            graph.permutations(&mut search, None)?
+        } else if search.prune && (3..=DP_MAX_LEAVES).contains(&n) {
+            // §4.3.2 seed: a greedy complete plan bounds the cost limit
+            // so even frontier subplans can be abandoned. The greedy plan
+            // is itself in the DP's search space, so the bound is
+            // attainable; it is a bound only, and an exact tie goes to
+            // the DP's own plan.
+            let order = graph.greedy().expect("checked connected");
+            let seed = search.consider(graph.tree(&order)?, None)?;
+            let bound = seed.as_ref().map(|(_, c)| search.objective.value(c));
+            graph.search(&mut search, bound)?.or(seed)
+        } else {
+            graph.search(&mut search, None)?
+        };
+        let (best_join, best_cost) =
+            best.ok_or_else(|| DiscoError::Plan("no join order found".into()))?;
+        let mut pricer = search.pricer;
 
         if let Some(s) = span {
             if let Some(t) = &self.tracer {
                 t.event("strategy", strategy);
-                t.event("plans_considered", counters.considered);
-                t.event("plans_pruned", counters.pruned);
-                t.event("estimator_nodes", counters.nodes);
-                t.event("estimator_rules", counters.rules);
+                t.event("plans_considered", pricer.counters.considered);
+                t.event("plans_pruned", pricer.counters.pruned);
+                t.event("estimator_nodes", pricer.counters.nodes);
+                t.event("estimator_rules", pricer.counters.rules);
                 t.event("memo_hits", cache.map_or(0, |c| c.cost_hits()));
                 t.event("rule_cache_hits", cache.map_or(0, |c| c.rule_hits()));
             }
@@ -512,15 +458,7 @@ impl<'a> Optimizer<'a> {
         // which the replay path rebuilds by re-running negotiation.
         let decisions = PlanDecisions::of(q, &physical);
         let (physical, best_cost, negotiation) = if self.options.negotiation {
-            self.negotiate(
-                q,
-                physical,
-                best_cost,
-                decisions.as_ref(),
-                &estimator,
-                cache,
-                &mut counters,
-            )?
+            self.negotiate(q, physical, best_cost, decisions.as_ref(), &mut pricer)?
         } else {
             (physical, best_cost, Vec::new())
         };
@@ -530,6 +468,7 @@ impl<'a> Optimizer<'a> {
         if let Some(c) = cache {
             c.publish_metrics();
         }
+        let counters = pricer.counters;
         Ok(OptimizedPlan {
             physical,
             estimated: best_cost,
@@ -539,7 +478,7 @@ impl<'a> Optimizer<'a> {
             estimator_rules: counters.rules,
             memo_hits: cache.map_or(0, |c| c.cost_hits()),
             rule_cache_hits: cache.map_or(0, |c| c.rule_hits()),
-            fast_path,
+            fast_path: false,
             limit: q.limit,
             decisions,
             negotiation,
@@ -561,7 +500,7 @@ impl<'a> Optimizer<'a> {
                 "cached decisions do not match query shape".into(),
             ));
         }
-        let mut access: Vec<AccessPlan> = Vec::with_capacity(n);
+        let mut access: Vec<Leaf> = Vec::with_capacity(n);
         for (t, d) in decisions.access.iter().enumerate() {
             let binding = &q.tables[t];
             let sels: Vec<&SelectPredicate> = q
@@ -582,42 +521,33 @@ impl<'a> Optimizer<'a> {
                 &sels,
                 (d.push_select && !sels.is_empty(), d.push_project),
             )?;
-            access.push(plan);
+            access.push(Leaf {
+                plan,
+                cost: NodeCost::ZERO,
+            });
         }
-        let join = if n == 1 {
-            access[0].plan.clone()
-        } else {
-            self.build_join_tree(q, &access, &decisions.order)?
-        };
+        let join = join_graph(q, access).tree(&decisions.order)?;
         let physical = self.finish_plan(q, join)?;
         let estimator = Estimator::new(self.registry, self.catalog).with_health(self.health);
-        let report = estimator
-            .estimate_report(&to_logical(&physical), &EstimateOptions::default())?
+        let mut pricer = Pricer::new(estimator, None);
+        let cost = pricer
+            .price(&physical, None)?
             .ok_or_else(|| DiscoError::Cost("replay estimate abandoned without a limit".into()))?;
         // Negotiation is deterministic given catalog + registry + health,
         // so replaying the cached decisions re-derives the same pushdown
         // split the original optimization chose.
-        let mut counters = Counters::default();
         let (physical, estimated, negotiation) = if self.options.negotiation {
-            self.negotiate(
-                q,
-                physical,
-                report.cost,
-                Some(decisions),
-                &estimator,
-                None,
-                &mut counters,
-            )?
+            self.negotiate(q, physical, cost, Some(decisions), &mut pricer)?
         } else {
-            (physical, report.cost, Vec::new())
+            (physical, cost, Vec::new())
         };
         Ok(OptimizedPlan {
             physical,
             estimated,
             plans_considered: 0,
             plans_pruned: 0,
-            estimator_nodes: report.nodes_visited + counters.nodes,
-            estimator_rules: report.rules_evaluated + counters.rules,
+            estimator_nodes: pricer.counters.nodes,
+            estimator_rules: pricer.counters.rules,
             memo_hits: 0,
             rule_cache_hits: 0,
             fast_path: false,
@@ -629,14 +559,7 @@ impl<'a> Optimizer<'a> {
 
     /// Enumerate pushdown variants (and replica wrappers) for one table
     /// and keep the cheapest.
-    fn best_access(
-        &self,
-        q: &AnalyzedQuery,
-        t: usize,
-        estimator: &Estimator<'_>,
-        cache: Option<&EstimatorCache>,
-        counters: &mut Counters,
-    ) -> Result<AccessPlan> {
+    fn best_access(&self, q: &AnalyzedQuery, t: usize, pricer: &mut Pricer<'_>) -> Result<Leaf> {
         let binding = &q.tables[t];
         // The resolved wrapper comes first so it wins cost ties; declared
         // replica peers compete when health penalties or cost models make
@@ -658,7 +581,7 @@ impl<'a> Optimizer<'a> {
             cols.push(binding.schema.attributes()[0].name.clone());
         }
 
-        let mut best: Option<(f64, AccessPlan)> = None;
+        let mut best: Option<(f64, Leaf)> = None;
         for wrapper in &candidates {
             let caps = &self
                 .catalog
@@ -680,20 +603,10 @@ impl<'a> Optimizer<'a> {
             for (push_select, push_project) in variants {
                 let plan =
                     self.access_variant(q, t, wrapper, &cols, &sels, (push_select, push_project))?;
-                let logical = to_logical(&plan.plan);
-                let report = estimate(estimator, cache, &logical, &EstimateOptions::default())?
-                    .expect("no cost limit set");
-                counters.nodes += report.nodes_visited;
-                counters.rules += report.rules_evaluated;
-                let cost = self.objective_value(&report.cost);
-                if best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
-                    best = Some((
-                        cost,
-                        AccessPlan {
-                            cost: report.cost,
-                            ..plan
-                        },
-                    ));
+                let cost = pricer.price(&plan, None)?.expect("no cost limit set");
+                let value = self.options.objective.value(&cost);
+                if best.as_ref().is_none_or(|(v, _)| value < *v) {
+                    best = Some((value, Leaf { plan, cost }));
                 }
             }
         }
@@ -708,7 +621,7 @@ impl<'a> Optimizer<'a> {
         cols: &[String],
         sels: &[&SelectPredicate],
         (push_select, push_project): (bool, bool),
-    ) -> Result<AccessPlan> {
+    ) -> Result<PhysicalPlan> {
         let binding = &q.tables[t];
         let qname = if wrapper == binding.qname.wrapper {
             binding.qname.clone()
@@ -772,402 +685,7 @@ impl<'a> Optimizer<'a> {
                 columns: rename,
             };
         }
-        Ok(AccessPlan {
-            table: t,
-            plan: phys,
-            cost: NodeCost::ZERO,
-        })
-    }
-
-    /// Selinger-style DP over table subsets: the memo holds, per
-    /// connected subset, the Pareto-optimal joined prefixes (usually a
-    /// single entry). Each frontier extends a memoized prefix by one
-    /// adjacent table, and shared prefixes are estimated once thanks to
-    /// the subplan cost memo.
-    fn dp_orders(
-        &self,
-        q: &AnalyzedQuery,
-        access: &[AccessPlan],
-        estimator: &Estimator<'_>,
-        cache: Option<&EstimatorCache>,
-        counters: &mut Counters,
-    ) -> Result<(PhysicalPlan, NodeCost)> {
-        let n = access.len();
-        let full: u64 = (1u64 << n) - 1;
-
-        // The join graph must connect every table (left-deep trees over
-        // cross products are rejected, as in the permutation path) and
-        // must be acyclic (residual join conditions are unsupported).
-        let mut reach: u64 = 1;
-        loop {
-            let grown = reach | q.adjacent_to(reach);
-            if grown == reach {
-                break;
-            }
-            reach = grown;
-        }
-        if reach != full {
-            let missing = bits(full & !reach).next().expect("unreached table");
-            return Err(DiscoError::Unsupported(format!(
-                "query requires a cross product involving `{}`; add a join condition",
-                q.tables[missing].alias
-            )));
-        }
-        if q.joins.len() > n - 1 {
-            return Err(DiscoError::Unsupported(
-                "cyclic join graphs are not supported yet".into(),
-            ));
-        }
-
-        // §4.3.2 seed: a greedy complete plan bounds the cost limit so
-        // frontier subplans can already be abandoned. The greedy plan is
-        // itself in the DP's search space, so the bound is attainable.
-        let mut best: Option<(f64, PhysicalPlan, NodeCost)> = None;
-        if self.pruning_on() {
-            let (plan, cost) = self.greedy_order(q, access, estimator, cache, counters)?;
-            best = Some((self.objective_value(&cost), plan, cost));
-        }
-
-        let mut memo: Vec<Vec<DpEntry>> = vec![Vec::new(); full as usize + 1];
-        for (t, a) in access.iter().enumerate() {
-            memo[1usize << t].push(DpEntry {
-                plan: a.plan.clone(),
-                cost: a.cost,
-            });
-        }
-
-        for size in 2..=n {
-            // Extend every memoized prefix of size-1 by one adjacent
-            // table (connected-subgraph-first: non-adjacent extensions
-            // would be cross products).
-            let mut cands: Vec<(u64, PhysicalPlan)> = Vec::new();
-            for (prev, entries) in memo.iter().enumerate().skip(1) {
-                let prev_mask = prev as u64;
-                if prev_mask.count_ones() as usize != size - 1 || entries.is_empty() {
-                    continue;
-                }
-                for t in bits(q.adjacent_to(prev_mask)) {
-                    for entry in entries {
-                        let plan = self.extend_join(q, entry.plan.clone(), prev_mask, t, access)?;
-                        cands.push((prev_mask | (1 << t), plan));
-                    }
-                }
-            }
-            let limit = if self.pruning_on() {
-                best.as_ref().map(|(c, _, _)| *c)
-            } else {
-                None
-            };
-            if size < n {
-                // Frontier subplans: price the join subtree alone.
-                let opts = EstimateOptions {
-                    cost_limit: limit,
-                    wrapper: None,
-                };
-                for (subset, plan) in cands {
-                    match estimate(estimator, cache, &to_logical(&plan), &opts)? {
-                        Some(report) => {
-                            counters.nodes += report.nodes_visited;
-                            counters.rules += report.rules_evaluated;
-                            pareto_insert(
-                                &mut memo[subset as usize],
-                                DpEntry {
-                                    plan,
-                                    cost: report.cost,
-                                },
-                            );
-                        }
-                        None => counters.pruned += 1,
-                    }
-                }
-            } else {
-                // Final layer: complete plans with post-join operators,
-                // all priced against the limit this level started with.
-                for (_, plan) in cands {
-                    let cost = self.cost_full(q, &plan, limit, estimator, cache, counters)?;
-                    counters.considered += 1;
-                    match cost {
-                        Some(cost) => {
-                            let v = self.objective_value(&cost);
-                            if best.as_ref().map(|(c, _, _)| v < *c).unwrap_or(true) {
-                                best = Some((v, plan, cost));
-                            }
-                        }
-                        None => counters.pruned += 1,
-                    }
-                }
-            }
-        }
-        let (_, plan, cost) = best.ok_or_else(|| DiscoError::Plan("no join order found".into()))?;
-        Ok((plan, cost))
-    }
-
-    /// Join `next`'s access plan onto `tree` using the (unique, the
-    /// graph being acyclic) condition connecting `next` to `tree_mask` —
-    /// the same edge choice and orientation as [`Self::build_join_tree`].
-    fn extend_join(
-        &self,
-        q: &AnalyzedQuery,
-        tree: PhysicalPlan,
-        tree_mask: u64,
-        next: usize,
-        access: &[AccessPlan],
-    ) -> Result<PhysicalPlan> {
-        let j = q
-            .joins
-            .iter()
-            .find(|j| {
-                (j.left_table == next && tree_mask >> j.right_table & 1 == 1)
-                    || (j.right_table == next && tree_mask >> j.left_table & 1 == 1)
-            })
-            .ok_or_else(|| DiscoError::Plan("adjacent table lost its join condition".into()))?;
-        let (left_attr, op, right_attr) = if tree_mask >> j.left_table & 1 == 1 {
-            (
-                format!("{}.{}", q.tables[j.left_table].alias, j.left_attr),
-                j.op,
-                format!("{}.{}", q.tables[j.right_table].alias, j.right_attr),
-            )
-        } else {
-            (
-                format!("{}.{}", q.tables[j.right_table].alias, j.right_attr),
-                j.op.flipped(),
-                format!("{}.{}", q.tables[j.left_table].alias, j.left_attr),
-            )
-        };
-        let algo = if op == CompareOp::Eq {
-            PhysicalJoinAlgo::Hash
-        } else {
-            PhysicalJoinAlgo::NestedLoop
-        };
-        Ok(PhysicalPlan::Join {
-            algo,
-            left: Box::new(tree),
-            right: Box::new(access[next].plan.clone()),
-            predicate: JoinPredicate {
-                left_attr,
-                op,
-                right_attr,
-            },
-        })
-    }
-
-    /// Exhaustive left-deep join-order enumeration with a
-    /// connected-subgraph-first constraint — the permutation oracle.
-    fn enumerate_orders(
-        &self,
-        q: &AnalyzedQuery,
-        access: &[AccessPlan],
-        estimator: &Estimator<'_>,
-        cache: Option<&EstimatorCache>,
-        counters: &mut Counters,
-    ) -> Result<(PhysicalPlan, NodeCost)> {
-        let n = access.len();
-        let mut best: Option<(f64, PhysicalPlan, NodeCost)> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        self.recurse_orders(
-            q, access, &mut order, 0, &mut best, estimator, cache, counters,
-        )?;
-        let (_, plan, cost) = best.ok_or_else(|| DiscoError::Plan("no join order found".into()))?;
-        Ok((plan, cost))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse_orders(
-        &self,
-        q: &AnalyzedQuery,
-        access: &[AccessPlan],
-        order: &mut Vec<usize>,
-        used_mask: u64,
-        best: &mut Option<(f64, PhysicalPlan, NodeCost)>,
-        estimator: &Estimator<'_>,
-        cache: Option<&EstimatorCache>,
-        counters: &mut Counters,
-    ) -> Result<()> {
-        let n = access.len();
-        if order.len() == n {
-            let plan = self.build_join_tree(q, access, order)?;
-            let limit = if self.pruning_on() {
-                best.as_ref().map(|(c, _, _)| *c)
-            } else {
-                None
-            };
-            let cost = self.cost_full(q, &plan, limit, estimator, cache, counters)?;
-            counters.considered += 1;
-            match cost {
-                Some(cost) => {
-                    let v = self.objective_value(&cost);
-                    if best.as_ref().map(|(c, _, _)| v < *c).unwrap_or(true) {
-                        *best = Some((v, plan, cost));
-                    }
-                }
-                None => counters.pruned += 1,
-            }
-            return Ok(());
-        }
-        // Prefer tables connected to the current prefix (O(1) bitset
-        // adjacency); allow cross products only when nothing is
-        // connected.
-        let unused = !used_mask & ((1u64 << n) - 1);
-        let connected = if order.is_empty() {
-            0
-        } else {
-            q.adjacent_to(used_mask)
-        };
-        let candidates = if connected == 0 { unused } else { connected };
-        for i in bits(candidates) {
-            order.push(i);
-            self.recurse_orders(
-                q,
-                access,
-                order,
-                used_mask | 1 << i,
-                best,
-                estimator,
-                cache,
-                counters,
-            )?;
-            order.pop();
-        }
-        Ok(())
-    }
-
-    /// Greedy order for many-table queries: smallest estimated access
-    /// cardinality first (reusing the access-phase estimates), then
-    /// connected tables.
-    fn greedy_order(
-        &self,
-        q: &AnalyzedQuery,
-        access: &[AccessPlan],
-        estimator: &Estimator<'_>,
-        cache: Option<&EstimatorCache>,
-        counters: &mut Counters,
-    ) -> Result<(PhysicalPlan, NodeCost)> {
-        let n = access.len();
-        let mut order = Vec::with_capacity(n);
-        let mut used_mask = 0u64;
-        for _ in 0..n {
-            let unused = !used_mask & ((1u64 << n) - 1);
-            let connected = if order.is_empty() {
-                unused
-            } else {
-                q.adjacent_to(used_mask)
-            };
-            let candidates = if connected == 0 { unused } else { connected };
-            let next = bits(candidates)
-                .min_by(|&a, &b| {
-                    access[a]
-                        .cost
-                        .count_object
-                        .total_cmp(&access[b].cost.count_object)
-                })
-                .expect("tables remain");
-            used_mask |= 1 << next;
-            order.push(next);
-        }
-        let plan = self.build_join_tree(q, access, &order)?;
-        let cost = self.cost_full(q, &plan, None, estimator, cache, counters)?;
-        counters.considered += 1;
-        Ok((plan, cost.expect("no limit set")))
-    }
-
-    /// Left-deep join tree over the given table order.
-    fn build_join_tree(
-        &self,
-        q: &AnalyzedQuery,
-        access: &[AccessPlan],
-        order: &[usize],
-    ) -> Result<PhysicalPlan> {
-        let mut in_tree: u64 = 1 << order[0];
-        let mut plan = access[order[0]].plan.clone();
-        let mut applied = vec![false; q.joins.len()];
-        for &next in &order[1..] {
-            // Find a join condition connecting `next` to the tree.
-            let found = q.joins.iter().enumerate().find(|(ji, j)| {
-                !applied[*ji]
-                    && ((j.left_table == next && in_tree >> j.right_table & 1 == 1)
-                        || (j.right_table == next && in_tree >> j.left_table & 1 == 1))
-            });
-            let right = access[next].plan.clone();
-            plan = match found {
-                Some((ji, j)) => {
-                    applied[ji] = true;
-                    // Qualified names on both sides; flip so the left
-                    // attribute belongs to the tree.
-                    let (left_attr, op, right_attr) = if in_tree >> j.left_table & 1 == 1 {
-                        (
-                            format!("{}.{}", q.tables[j.left_table].alias, j.left_attr),
-                            j.op,
-                            format!("{}.{}", q.tables[j.right_table].alias, j.right_attr),
-                        )
-                    } else {
-                        (
-                            format!("{}.{}", q.tables[j.right_table].alias, j.right_attr),
-                            j.op.flipped(),
-                            format!("{}.{}", q.tables[j.left_table].alias, j.left_attr),
-                        )
-                    };
-                    let algo = if op == CompareOp::Eq {
-                        PhysicalJoinAlgo::Hash
-                    } else {
-                        PhysicalJoinAlgo::NestedLoop
-                    };
-                    PhysicalPlan::Join {
-                        algo,
-                        left: Box::new(plan),
-                        right: Box::new(right),
-                        predicate: JoinPredicate {
-                            left_attr,
-                            op,
-                            right_attr,
-                        },
-                    }
-                }
-                None => {
-                    // Cross product via an always-true nested loop is not
-                    // expressible with JoinPredicate; emulate with a
-                    // self-comparing predicate only when a join truly is
-                    // missing.
-                    return Err(DiscoError::Unsupported(format!(
-                        "query requires a cross product involving `{}`; add a join condition",
-                        q.tables[next].alias
-                    )));
-                }
-            };
-            in_tree |= 1 << next;
-        }
-        // Residual join conditions (cycles in the join graph) become
-        // mediator filters comparing two columns — not expressible as
-        // SelectPredicate; reject for now.
-        if applied.iter().zip(&q.joins).any(|(a, _)| !a) && q.joins.len() > order.len() - 1 {
-            return Err(DiscoError::Unsupported(
-                "cyclic join graphs are not supported yet".into(),
-            ));
-        }
-        Ok(plan)
-    }
-
-    /// Stack the post-join operators and estimate the complete plan
-    /// (`None` = abandoned by the limit).
-    fn cost_full(
-        &self,
-        q: &AnalyzedQuery,
-        join_plan: &PhysicalPlan,
-        limit: Option<f64>,
-        estimator: &Estimator<'_>,
-        cache: Option<&EstimatorCache>,
-        counters: &mut Counters,
-    ) -> Result<Option<NodeCost>> {
-        let plan = self.finish_plan(q, join_plan.clone())?;
-        let opts = EstimateOptions {
-            cost_limit: limit,
-            wrapper: None,
-        };
-        let report = estimate(estimator, cache, &to_logical(&plan), &opts)?;
-        if let Some(r) = &report {
-            counters.nodes += r.nodes_visited;
-            counters.rules += r.rules_evaluated;
-        }
-        Ok(report.map(|r| r.cost))
+        Ok(phys)
     }
 
     /// Aggregate / project / distinct / sort on top of the join tree.
@@ -1210,42 +728,24 @@ impl<'a> Optimizer<'a> {
     /// rules make source-side joins expensive keeps them in the combine
     /// plan. The returned notes record every pushed/lifted decision and
     /// why; EXPLAIN renders them.
-    #[allow(clippy::too_many_arguments)]
     fn negotiate(
         &self,
         q: &AnalyzedQuery,
-        plan: PhysicalPlan,
-        cost: NodeCost,
+        mut plan: PhysicalPlan,
+        mut cost: NodeCost,
         decisions: Option<&PlanDecisions>,
-        estimator: &Estimator<'_>,
-        cache: Option<&EstimatorCache>,
-        counters: &mut Counters,
+        pricer: &mut Pricer<'_>,
     ) -> Result<(PhysicalPlan, NodeCost, Vec<String>)> {
-        let mut plan = plan;
-        let mut cost = cost;
-        let price = |cand: &PhysicalPlan, counters: &mut Counters| -> Result<NodeCost> {
-            let report = estimate(
-                estimator,
-                cache,
-                &to_logical(cand),
-                &EstimateOptions::default(),
-            )?
-            .expect("no cost limit set");
-            counters.nodes += report.nodes_visited;
-            counters.rules += report.rules_evaluated;
-            Ok(report.cost)
-        };
+        let value = |c: &NodeCost| self.options.objective.value(c);
         // Join fusion: price every variant and adopt the cheapest one
         // that is no worse than the mediator-side plan. Taking the min
         // over both orientations keeps the outcome independent of how
         // the enumerator tie-broke commuted join orders.
         let mut best: Option<(PhysicalPlan, NodeCost)> = None;
         for cand in fusion_variants(&plan, self.catalog) {
-            let c = price(&cand, counters)?;
-            let admissible = self.objective_value(&c) <= self.objective_value(&cost);
-            let improves = best
-                .as_ref()
-                .is_none_or(|(_, b)| self.objective_value(&c) < self.objective_value(b));
+            let c = pricer.price(&cand, None)?.expect("no cost limit set");
+            let admissible = value(&c) <= value(&cost);
+            let improves = best.as_ref().is_none_or(|(_, b)| value(&c) < value(b));
             if admissible && improves {
                 best = Some((cand, c));
             }
@@ -1257,8 +757,8 @@ impl<'a> Optimizer<'a> {
         if q.is_aggregate() {
             let (pushed, changed) = push_aggregate(&plan, self.catalog);
             if changed {
-                let c = price(&pushed, counters)?;
-                if self.objective_value(&c) <= self.objective_value(&cost) {
+                let c = pricer.price(&pushed, None)?.expect("no cost limit set");
+                if value(&c) <= value(&cost) {
                     plan = pushed;
                     cost = c;
                 }
@@ -1427,10 +927,10 @@ const FUSION_VARIANT_CAP: usize = 16;
 /// homed on one relational wrapper fuse into a single submit. The
 /// unchanged plan is not among the variants.
 fn fusion_variants(plan: &PhysicalPlan, catalog: &Catalog) -> Vec<PhysicalPlan> {
-    let mut out = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
+    // At most FUSION_VARIANT_CAP candidates: a linear scan dedups them.
+    let mut out: Vec<PhysicalPlan> = Vec::new();
     for (cand, changed) in fusion_variants_node(plan, catalog) {
-        if changed && seen.insert(format!("{cand:?}")) {
+        if changed && !out.contains(&cand) {
             out.push(cand);
         }
     }
@@ -1658,52 +1158,6 @@ fn push_aggregate(plan: &PhysicalPlan, catalog: &Catalog) -> (PhysicalPlan, bool
     }
 }
 
-/// One memoized joined prefix.
-#[derive(Debug, Clone)]
-struct DpEntry {
-    plan: PhysicalPlan,
-    cost: NodeCost,
-}
-
-/// `a` is at least as good as `b` on every cost variable.
-fn dominates(a: &NodeCost, b: &NodeCost) -> bool {
-    a.total_time <= b.total_time
-        && a.time_first <= b.time_first
-        && a.time_next <= b.time_next
-        && a.count_object <= b.count_object
-        && a.total_size <= b.total_size
-}
-
-/// Keep `entries` a Pareto set: drop the candidate if an existing entry
-/// dominates it (ties keep the earlier entry, so insertion order — which
-/// is deterministic — breaks ties), else insert it and drop the entries
-/// it dominates. Parent costs are monotone in child cost vectors, so a
-/// dominated prefix can never complete into a better plan.
-fn pareto_insert(entries: &mut Vec<DpEntry>, cand: DpEntry) {
-    if entries.iter().any(|e| dominates(&e.cost, &cand.cost)) {
-        return;
-    }
-    entries.retain(|e| !dominates(&cand.cost, &e.cost));
-    entries.push(cand);
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    considered: usize,
-    pruned: usize,
-    nodes: usize,
-    rules: usize,
-}
-
-/// One table's chosen access plan with its blended estimate.
-#[derive(Debug, Clone)]
-struct AccessPlan {
-    #[allow(dead_code)]
-    table: usize,
-    plan: PhysicalPlan,
-    cost: NodeCost,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1831,19 +1285,36 @@ mod tests {
 
     #[test]
     fn greedy_path_used_beyond_threshold() {
-        let cat = catalog();
+        // A chain of DP_MAX_LEAVES + 1 tables: too wide for the DP.
+        let n = DP_MAX_LEAVES + 1;
+        let mut cat = Catalog::new();
+        cat.register_wrapper("a", Capabilities::full()).unwrap();
+        for t in 0..n {
+            cat.register_collection(
+                "a",
+                format!("C{t}"),
+                Schema::new(vec![
+                    AttributeDef::new("id", DataType::Long),
+                    AttributeDef::new("nxt", DataType::Long),
+                ]),
+                CollectionStats::new(ExtentStats::of(100 + 10 * t as u64, 16)),
+            )
+            .unwrap();
+        }
+        let from: Vec<String> = (0..n).map(|t| format!("C{t} c{t}")).collect();
+        let on: Vec<String> = (1..n)
+            .map(|t| format!("c{}.nxt = c{t}.id", t - 1))
+            .collect();
+        let sql = format!(
+            "SELECT c0.id FROM {} WHERE {}",
+            from.join(", "),
+            on.join(" AND ")
+        );
         let reg = RuleRegistry::with_default_model();
-        let q = analyze(
-            &parse_query("SELECT b.id FROM Big b, Small s WHERE b.k = s.sid AND b.id < 10")
-                .unwrap(),
-            &cat,
-        )
-        .unwrap();
-        let opts = OptimizerOptions {
-            exhaustive_up_to: 1,
-            ..Default::default()
-        };
-        let out = Optimizer::new(&cat, &reg, opts).optimize(&q).unwrap();
+        let q = analyze(&parse_query(&sql).unwrap(), &cat).unwrap();
+        let out = Optimizer::new(&cat, &reg, OptimizerOptions::default())
+            .optimize(&q)
+            .unwrap();
         // Greedy considers exactly one complete plan.
         assert_eq!(out.plans_considered, 1);
     }
@@ -1865,27 +1336,19 @@ mod tests {
             &cat,
         )
         .unwrap();
-        // Threshold 0 forces the DP even at two tables.
-        let dp = Optimizer::new(
-            &cat,
-            &reg,
-            OptimizerOptions {
-                small_query_threshold: 0,
-                ..Default::default()
-            },
-        )
-        .optimize(&q)
-        .unwrap();
+        // The DP runs at every width, two tables included.
+        let dp = Optimizer::new(&cat, &reg, OptimizerOptions::default())
+            .optimize(&q)
+            .unwrap();
         let oracle = Optimizer::new(
             &cat,
             &reg,
             OptimizerOptions {
                 pruning: false,
-                enumeration: JoinEnumeration::Permutation,
                 ..Default::default()
             },
         )
-        .optimize(&q)
+        .optimize_by_permutation(&q)
         .unwrap();
         assert_eq!(dp.estimated.total_time, oracle.estimated.total_time);
         assert!(dp.memo_hits > 0, "DP run should hit the subplan memo");
@@ -2081,18 +1544,10 @@ mod tests {
         let cat = star_catalog();
         let reg = RuleRegistry::with_default_model();
         let q = analyze(&parse_query(STAR_SQL).unwrap(), &cat).unwrap();
-        // DP enumeration with pruning enabled (threshold 0 keeps the
-        // five-table star on the DP rather than the fast path).
-        let out = Optimizer::new(
-            &cat,
-            &reg,
-            OptimizerOptions {
-                small_query_threshold: 0,
-                ..Default::default()
-            },
-        )
-        .optimize(&q)
-        .unwrap();
+        // DP enumeration with pruning enabled.
+        let out = Optimizer::new(&cat, &reg, OptimizerOptions::default())
+            .optimize(&q)
+            .unwrap();
         assert!(
             out.plans_pruned > 0,
             "cost-limit pruning abandoned no candidates: {out:?}"
@@ -2103,11 +1558,10 @@ mod tests {
             &reg,
             OptimizerOptions {
                 pruning: false,
-                enumeration: JoinEnumeration::Permutation,
                 ..Default::default()
             },
         )
-        .optimize(&q)
+        .optimize_by_permutation(&q)
         .unwrap();
         assert_eq!(out.estimated.total_time, oracle.estimated.total_time);
     }
@@ -2117,26 +1571,18 @@ mod tests {
         let cat = star_catalog();
         let reg = RuleRegistry::with_default_model();
         let q = analyze(&parse_query(STAR_SQL).unwrap(), &cat).unwrap();
-        let dp = Optimizer::new(
-            &cat,
-            &reg,
-            OptimizerOptions {
-                small_query_threshold: 0,
-                ..Default::default()
-            },
-        )
-        .optimize(&q)
-        .unwrap();
+        let dp = Optimizer::new(&cat, &reg, OptimizerOptions::default())
+            .optimize(&q)
+            .unwrap();
         let perm = Optimizer::new(
             &cat,
             &reg,
             OptimizerOptions {
                 pruning: false,
-                enumeration: JoinEnumeration::Permutation,
                 ..Default::default()
             },
         )
-        .optimize(&q)
+        .optimize_by_permutation(&q)
         .unwrap();
         assert!(
             dp.estimator_nodes * 2 <= perm.estimator_nodes,
@@ -2169,37 +1615,5 @@ mod tests {
         // metric; both searched the same space.
         assert!(tf.estimated.time_first <= tt.estimated.time_first + 1e-9);
         assert!(tt.estimated.total_time <= tf.estimated.total_time + 1e-9);
-    }
-
-    #[test]
-    fn small_query_fast_path_matches_dp_and_runs_uncached() {
-        let cat = star_catalog();
-        let reg = RuleRegistry::with_default_model();
-        let q = analyze(&parse_query(STAR_SQL).unwrap(), &cat).unwrap();
-        // Five tables sits exactly at the default threshold: the fast
-        // path handles ordering and skips the estimation caches.
-        let fast = Optimizer::new(&cat, &reg, OptimizerOptions::default())
-            .optimize(&q)
-            .unwrap();
-        assert!(fast.fast_path);
-        assert_eq!(fast.memo_hits, 0, "fast path runs uncached");
-        assert_eq!(fast.rule_cache_hits, 0, "fast path runs uncached");
-        // The plan chosen must be exactly as good as the DP's.
-        let dp = Optimizer::new(
-            &cat,
-            &reg,
-            OptimizerOptions {
-                small_query_threshold: 0,
-                ..Default::default()
-            },
-        )
-        .optimize(&q)
-        .unwrap();
-        assert!(!dp.fast_path);
-        assert_eq!(fast.estimated.total_time, dp.estimated.total_time);
-        // One table past the threshold the DP takes over again.
-        let opts = OptimizerOptions::default();
-        assert!(!matches!(opts.enumeration, JoinEnumeration::Permutation));
-        assert_eq!(opts.small_query_threshold, 5);
     }
 }

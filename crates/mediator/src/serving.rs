@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, LockResult, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use disco_common::{Result, Value};
@@ -45,6 +45,15 @@ use crate::executor::QueryResult;
 use crate::mediator::Mediator;
 use crate::optimizer::{Objective, OptimizedPlan, PlanDecisions};
 use crate::sql::{parse_statement, Condition, SqlExpr, Statement};
+
+/// Every lock in this module is taken through here, so a panic in one
+/// session's mediator-side work (say, inside a
+/// [`SharedMediator::with_mediator_mut`] closure) does not poison the
+/// lock for every later session. Such a mutation has already invalidated
+/// the plan cache; the other locks guard state updated in single steps.
+fn unpoison<G>(r: LockResult<G>) -> G {
+    r.unwrap_or_else(PoisonError::into_inner)
+}
 
 // ---------------------------------------------------------------------
 // Cache-key normalization
@@ -271,17 +280,20 @@ impl SharedMediator {
 
     /// Read access to the wrapped mediator.
     pub fn with_mediator<R>(&self, f: impl FnOnce(&Mediator) -> R) -> R {
-        f(&self.inner.read().unwrap())
+        let m = unpoison(self.inner.read());
+        f(&m)
     }
 
     /// Exclusive access to the wrapped mediator for administrative
     /// mutation (register, refresh, registry edits). Always bumps the
     /// catalog epoch, invalidating every cached plan — mutations are
-    /// rare and correctness beats precision here.
+    /// rare and correctness beats precision here. The bump comes before
+    /// `f` runs, so a mutation that panics halfway invalidates too, and
+    /// the next session plans against whatever `f` left.
     pub fn with_mediator_mut<R>(&self, f: impl FnOnce(&mut Mediator) -> R) -> R {
-        let r = f(&mut self.inner.write().unwrap());
+        let mut m = unpoison(self.inner.write());
         self.catalog_epoch.fetch_add(1, Ordering::Relaxed);
-        r
+        f(&mut m)
     }
 
     /// Plan cache counters.
@@ -295,7 +307,7 @@ impl SharedMediator {
 
     /// Drop every cached plan (tests; administrative).
     pub fn clear_plan_cache(&self) {
-        self.plans.lock().unwrap().clear();
+        unpoison(self.plans.lock()).clear();
     }
 
     fn note_hit(&self) {
@@ -328,10 +340,7 @@ impl SharedMediator {
         wrapper: &str,
         profile: disco_catalog::CapabilityProfile,
     ) -> Result<()> {
-        self.inner
-            .write()
-            .unwrap()
-            .set_wrapper_capabilities(wrapper, profile.capabilities())
+        unpoison(self.inner.write()).set_wrapper_capabilities(wrapper, profile.capabilities())
     }
 
     /// Plan a statement through the cache. Returns the plan and where
@@ -346,7 +355,7 @@ impl SharedMediator {
     fn plan_keyed(&self, sql: &str) -> Result<(OptimizedPlan, PlanSource, Option<String>)> {
         let stmt = parse_statement(sql)?;
         let Some(key) = normalized_key(&stmt) else {
-            let m = self.inner.read().unwrap();
+            let m = unpoison(self.inner.read());
             return Ok((m.plan(sql)?, PlanSource::Uncacheable, None));
         };
         let mut query = stmt.branches.into_iter().next().expect("one branch");
@@ -361,7 +370,7 @@ impl SharedMediator {
             Objective::TotalTime
         };
 
-        let m = self.inner.read().unwrap();
+        let m = unpoison(self.inner.read());
         let state: CacheState = (
             self.history_epoch.load(Ordering::Relaxed),
             self.catalog_epoch.load(Ordering::Relaxed),
@@ -371,7 +380,7 @@ impl SharedMediator {
         let analyzed = analyze(&query, m.catalog())?;
 
         let cached = {
-            let mut plans = self.plans.lock().unwrap();
+            let mut plans = unpoison(self.plans.lock());
             match plans.get(&key) {
                 Some(e)
                     if (
@@ -423,7 +432,7 @@ impl SharedMediator {
         // negotiation pass: a fused plan is not decomposable back into
         // per-table access choices, but replay re-runs negotiation.
         if let Some(decisions) = plan.decisions.clone() {
-            let mut plans = self.plans.lock().unwrap();
+            let mut plans = unpoison(self.plans.lock());
             if plans.len() >= MAX_CACHED_PLANS {
                 *plans = HashMap::new();
             }
@@ -464,7 +473,7 @@ impl SharedMediator {
     ) -> Result<ServedQuery> {
         let predicted_ms = optimized.estimated.total_time;
         let (result, wants_history) = {
-            let m = self.inner.read().unwrap();
+            let m = unpoison(self.inner.read());
             let result = m.execute_plan_shared(optimized)?;
             let wants =
                 m.options().record_history && result.trace.submits.iter().any(|s| s.complete);
@@ -477,17 +486,13 @@ impl SharedMediator {
         // never cached — it was corrected for *this* query's constants.
         if result.trace.replans.iter().any(|r| r.switched) {
             if let Some(key) = key {
-                if self.plans.lock().unwrap().remove(key).is_some() && disco_obs::enabled() {
+                if unpoison(self.plans.lock()).remove(key).is_some() && disco_obs::enabled() {
                     disco_obs::counter(disco_obs::names::PLAN_CACHE_REPLAN_BYPASS, &[]).inc();
                 }
             }
         }
         if wants_history {
-            let recorded = self
-                .inner
-                .write()
-                .unwrap()
-                .record_trace_history(&result.trace);
+            let recorded = unpoison(self.inner.write()).record_trace_history(&result.trace);
             if recorded > 0 {
                 self.history_epoch.fetch_add(1, Ordering::Relaxed);
             }
@@ -640,7 +645,7 @@ impl AdmissionController {
     /// permit holds the slot until dropped.
     pub fn admit(&self, tenant: &str, class: QueryClass) -> AdmissionPermit<'_> {
         let start = Instant::now();
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoison(self.state.lock());
         match class {
             QueryClass::Interactive => {
                 loop {
@@ -650,7 +655,7 @@ impl AdmissionController {
                     {
                         break;
                     }
-                    st = self.cv.wait(st).unwrap();
+                    st = unpoison(self.cv.wait(st));
                 }
                 if st.queues.values().any(|q| !q.is_empty()) {
                     self.bypasses.fetch_add(1, Ordering::Relaxed);
@@ -674,7 +679,7 @@ impl AdmissionController {
                     {
                         break;
                     }
-                    st = self.cv.wait(st).unwrap();
+                    st = unpoison(self.cv.wait(st));
                 }
                 st.queues.get_mut(tenant).expect("queued").pop_front();
                 st.analytical_inflight += 1;
@@ -702,7 +707,7 @@ impl AdmissionController {
     }
 
     fn release(&self, tenant: &str, class: QueryClass) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoison(self.state.lock());
         match class {
             QueryClass::Interactive => st.interactive_inflight -= 1,
             QueryClass::Analytical => st.analytical_inflight -= 1,
@@ -884,6 +889,23 @@ mod tests {
         sm.with_mediator_mut(|_| ());
         let (_, s) = sm.plan(sql).unwrap();
         assert_eq!(s, PlanSource::CacheMiss);
+    }
+
+    #[test]
+    fn a_panicking_admin_closure_leaves_the_next_tenant_served() {
+        let sm = shared(false);
+        let sql = "SELECT name FROM Employee WHERE id < 3";
+        let want = sm.query(sql).unwrap().result.tuples;
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sm.with_mediator_mut(|_| panic!("administrative bug"))
+        }));
+        assert!(crashed.is_err());
+        // The write lock was poisoned mid-mutation; the next session still
+        // plans afresh (the epoch moved) and answers correctly.
+        let served = sm.query(sql).unwrap();
+        assert_eq!(served.source, PlanSource::CacheMiss);
+        assert_eq!(served.result.tuples, want);
+        assert_eq!(sm.cache_stats().invalidations, 1);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! DP-vs-permutation equivalence: on randomized acyclic join queries the
-//! memoized subset-DP enumerator must choose a plan with exactly the cost
-//! of the best plan found by the exhaustive permutation oracle. The
-//! permutation path is the pre-DP implementation, kept precisely so this
-//! property can be asserted; cost estimates are deterministic, so the
-//! comparison is exact (bitwise f64 equality, no tolerance).
+//! memoized subset-DP search — the optimizer's only join-order search,
+//! run here under its default options — must choose a plan with exactly
+//! the cost of the best plan found by the exhaustive permutation oracle
+//! ([`Optimizer::optimize_by_permutation`]). The permutation sweep is the
+//! pre-DP implementation, kept precisely so this property can be
+//! asserted; cost estimates are deterministic, so the comparison is exact
+//! (bitwise f64 equality, no tolerance).
 
 use disco_catalog::{AttributeStats, Capabilities, Catalog, CollectionStats, ExtentStats};
 use disco_common::rng::{seeded, StdRng};
 use disco_common::{AttributeDef, DataType, Schema, Value};
 use disco_core::RuleRegistry;
 use disco_mediator::analyze::analyze;
-use disco_mediator::{parse_query, JoinEnumeration, Optimizer, OptimizerOptions};
+use disco_mediator::{parse_query, Optimizer, OptimizerOptions};
 
 /// One random query: a spanning tree over `n` tables with random
 /// cardinalities, random wrapper capabilities and random selections.
@@ -85,9 +87,7 @@ fn dp_cost_equals_permutation_oracle_on_random_queries() {
         let case = random_case(&mut rng);
         let q = analyze(&parse_query(&case.sql).unwrap(), &case.catalog).unwrap();
 
-        // Threshold 0 keeps every case on the DP (the fast path would
-        // otherwise delegate small cases to the oracle's own algorithm,
-        // making the comparison vacuous). Negotiation off on both sides:
+        // Negotiation off on both sides:
         // the post-enumeration rewrite's benefit is not monotone in
         // enumerated cost, so equal-cost join trees may negotiate to
         // different final costs — the property under test is the
@@ -96,7 +96,6 @@ fn dp_cost_equals_permutation_oracle_on_random_queries() {
             &case.catalog,
             &registry,
             OptimizerOptions {
-                small_query_threshold: 0,
                 negotiation: false,
                 ..Default::default()
             },
@@ -108,12 +107,11 @@ fn dp_cost_equals_permutation_oracle_on_random_queries() {
             &registry,
             OptimizerOptions {
                 pruning: false,
-                enumeration: JoinEnumeration::Permutation,
                 negotiation: false,
                 ..Default::default()
             },
         )
-        .optimize(&q)
+        .optimize_by_permutation(&q)
         .unwrap_or_else(|e| panic!("oracle failed on seed {seed} ({}): {e}", case.sql));
 
         assert_eq!(
@@ -145,7 +143,6 @@ fn dp_with_pruning_off_still_matches_oracle() {
             &registry,
             OptimizerOptions {
                 pruning: false,
-                small_query_threshold: 0,
                 negotiation: false,
                 ..Default::default()
             },
@@ -157,12 +154,11 @@ fn dp_with_pruning_off_still_matches_oracle() {
             &registry,
             OptimizerOptions {
                 pruning: false,
-                enumeration: JoinEnumeration::Permutation,
                 negotiation: false,
                 ..Default::default()
             },
         )
-        .optimize(&q)
+        .optimize_by_permutation(&q)
         .unwrap();
         assert_eq!(
             dp.estimated.total_time, oracle.estimated.total_time,

@@ -6,8 +6,7 @@ use disco_catalog::Capabilities;
 use disco_common::{AttributeDef, DataType, Schema, Value};
 use disco_mediator::analyze::analyze;
 use disco_mediator::{
-    parse_query, JoinEnumeration, Mediator, MediatorOptions, OptimizedPlan, Optimizer,
-    OptimizerOptions,
+    parse_query, Mediator, MediatorOptions, OptimizedPlan, Optimizer, OptimizerOptions,
 };
 use disco_sources::{CollectionBuilder, CostProfile, FlatFile, PagedStore};
 use disco_wrapper::SourceWrapper;
@@ -75,13 +74,13 @@ fn mediator() -> Mediator {
     m
 }
 
-/// Plan `sql` over the mediator's catalog and rules with explicit
-/// optimizer options (the oracle enumerator and the forced-DP threshold
-/// are optimizer knobs, not mediator ones).
-fn plan_with(m: &Mediator, sql: &str, options: OptimizerOptions) -> OptimizedPlan {
+/// Plan `sql` over the mediator's catalog and rules with the permutation
+/// oracle and explicit optimizer options (the oracle is an optimizer
+/// entry point, not a mediator one).
+fn plan_by_permutation(m: &Mediator, sql: &str, options: OptimizerOptions) -> OptimizedPlan {
     let q = analyze(&parse_query(sql).unwrap(), m.catalog()).unwrap();
     Optimizer::new(m.catalog(), m.registry(), options)
-        .optimize(&q)
+        .optimize_by_permutation(&q)
         .unwrap()
 }
 
@@ -218,18 +217,17 @@ fn explain_renders_plan() {
 
 #[test]
 fn pruning_reduces_estimation_work() {
-    // Pin the exhaustive permutation enumerator so pruning is the only
-    // difference (the default DP path has its own caches and counters).
+    // The exhaustive permutation oracle, so pruning is the only
+    // difference (the DP has its own caches and counters).
     let sql = "SELECT e.name FROM Employee e, Dept d, Audit a \
                WHERE e.dept_id = d.dept_id AND e.id = a.emp_id AND e.id < 50";
     let m = mediator();
     let plan = |pruning| {
-        plan_with(
+        plan_by_permutation(
             &m,
             sql,
             OptimizerOptions {
                 pruning,
-                enumeration: JoinEnumeration::Permutation,
                 ..Default::default()
             },
         )
@@ -247,32 +245,18 @@ fn pruning_reduces_estimation_work() {
 fn default_dp_matches_permutation_oracle_end_to_end() {
     let sql = "SELECT e.name FROM Employee e, Dept d, Audit a \
                WHERE e.dept_id = d.dept_id AND e.id = a.emp_id AND e.id < 50";
-    // Three tables sit under the small-query threshold, so the default
-    // configuration takes the uncached fast path…
+    // The mediator plans every join with the DP, three tables included.
     let m = mediator();
-    let fast = m.plan(sql).unwrap();
-    assert!(fast.fast_path);
-    assert_eq!(fast.memo_hits, 0);
-    // …while threshold 0 exercises the DP proper.
-    let dp = plan_with(
-        &m,
-        sql,
-        OptimizerOptions {
-            small_query_threshold: 0,
-            ..Default::default()
-        },
-    );
+    let dp = m.plan(sql).unwrap();
     assert!(!dp.fast_path);
-    let oracle = plan_with(
+    let oracle = plan_by_permutation(
         &m,
         sql,
         OptimizerOptions {
             pruning: false,
-            enumeration: JoinEnumeration::Permutation,
             ..Default::default()
         },
     );
-    assert_eq!(fast.estimated.total_time, oracle.estimated.total_time);
     assert_eq!(dp.estimated.total_time, oracle.estimated.total_time);
     // The memoized DP prices fewer estimator nodes than the exhaustive
     // permutation sweep.
