@@ -1,26 +1,9 @@
-//! Micro-benches of the simulated source substrate: B+-tree
-//! operations and subplan execution.
+//! Micro-bench of the simulated source substrate: subplan execution.
 
 use disco_bench::micro::Micro;
 
-use disco_algebra::CompareOp;
-use disco_common::Value;
 use disco_oo7::{index_scan_selectivity, Oo7Config};
-use disco_sources::{BPlusTree, DataSource};
-
-fn bench_btree(c: &mut Micro) {
-    let tree = BPlusTree::build((0..100_000i64).map(|i| (Value::Long(i), i as u32)));
-    c.bench_function("btree_lookup", |b| {
-        let mut k = 0i64;
-        b.iter(|| {
-            k = (k + 7_919) % 100_000;
-            tree.lookup(&Value::Long(k)).len()
-        })
-    });
-    c.bench_function("btree_range_1pct", |b| {
-        b.iter(|| tree.scan(CompareOp::Lt, &Value::Long(1_000)).unwrap().len())
-    });
-}
+use disco_sources::DataSource;
 
 fn bench_index_scan(c: &mut Micro) {
     let config = Oo7Config::small();
@@ -33,6 +16,5 @@ fn bench_index_scan(c: &mut Micro) {
 
 fn main() {
     let mut c = Micro::from_args();
-    bench_btree(&mut c);
     bench_index_scan(&mut c);
 }

@@ -234,6 +234,7 @@ enum Backend<'a> {
 
 /// One `SubmitRemote` site, in combine-phase order. (The expected schema
 /// stays on the plan node; the combine phase checks it there.)
+#[derive(Clone, Copy)]
 struct SubmitSite<'p> {
     wrapper: &'p str,
     plan: &'p LogicalPlan,
@@ -986,14 +987,6 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Key identifying one submit site: a re-planned combine order permutes
-/// submit sites but never changes their `(wrapper, subplan)` pairs, so
-/// the key re-associates already-shipped subanswers with their sites
-/// under any order.
-fn pool_key(wrapper: &str, plan: &LogicalPlan) -> String {
-    format!("{wrapper}|{plan:?}")
-}
-
 /// Submit sites of a plan in fetch order (depth-first, left before
 /// right): `(wrapper, subplan)` pairs. The mediator aligns per-site
 /// cost predictions with this order.
@@ -1298,92 +1291,124 @@ enum SiteMode {
     Empty { served: bool },
 }
 
+/// What one pull from a submit site yielded.
+enum Pulled {
+    /// A chunk of the answer; its bytes, wall and communication time are
+    /// already on the site state, its rows are the caller's to count.
+    Rows(Batch),
+    /// The one empty chunk of a site whose open failed (tolerated) or
+    /// was budget-skipped.
+    Placeholder,
+    /// No more chunks. `settled`: the stream reached its true end, so
+    /// the delivered row count is the site's final cardinality.
+    End { settled: bool },
+}
+
+/// Pull one step from a submit site, keeping its [`SiteState`] current:
+/// budget truncation (stop pulling, keep the rows already delivered),
+/// byte and communication accounting, the `End(stats)` settlement and
+/// tolerated mid-stream faults.
+fn pull_site(
+    mode: &mut SiteMode,
+    state: &RefCell<SiteState>,
+    budget_deadline: Option<Instant>,
+    partial: bool,
+) -> Result<Pulled> {
+    match mode {
+        SiteMode::Empty { served } => {
+            if std::mem::replace(served, true) {
+                Ok(Pulled::End { settled: false })
+            } else {
+                Ok(Pulled::Placeholder)
+            }
+        }
+        SiteMode::Whole { source, truth } => match source.next_batch()? {
+            Some(b) => Ok(Pulled::Rows(b)),
+            None => {
+                if *truth {
+                    state.borrow_mut().complete = true;
+                }
+                Ok(Pulled::End { settled: *truth })
+            }
+        },
+        SiteMode::Remote {
+            stream,
+            pending,
+            done,
+        } => {
+            if *done {
+                return Ok(Pulled::End { settled: false });
+            }
+            if let Some(b) = pending.take() {
+                state.borrow_mut().bytes += b.byte_width();
+                return Ok(Pulled::Rows(b));
+            }
+            // The query budget expired mid-stream: truncate here,
+            // keeping the rows already delivered downstream.
+            if budget_deadline.is_some_and(|d| Instant::now() >= d) {
+                *done = true;
+                let mut st = state.borrow_mut();
+                st.failed = true;
+                st.budget_skipped = true;
+                st.comm_ms = stream.comm_ms();
+                return Ok(Pulled::End { settled: false });
+            }
+            let before = Instant::now();
+            match stream.next_chunk() {
+                Ok(Some(chunk)) => {
+                    let mut st = state.borrow_mut();
+                    st.wall_ms += before.elapsed().as_secs_f64() * 1e3;
+                    st.bytes += chunk.batch.byte_width();
+                    st.comm_ms = stream.comm_ms();
+                    Ok(Pulled::Rows(chunk.batch))
+                }
+                Ok(None) => {
+                    *done = true;
+                    let mut st = state.borrow_mut();
+                    st.wall_ms += before.elapsed().as_secs_f64() * 1e3;
+                    st.comm_ms = stream.comm_ms();
+                    if let Some(stats) = stream.stats() {
+                        st.stats = stats;
+                        st.pages = Some(stats.pages_read);
+                        st.first_ms = Some(stats.time_first_ms + stream.first_frame_comm_ms());
+                        st.complete = true;
+                    }
+                    Ok(Pulled::End { settled: true })
+                }
+                Err(e) if partial && e.is_transient() => {
+                    // The stream died after delivering rows: degrade to
+                    // a partial answer with what already arrived.
+                    *done = true;
+                    let mut st = state.borrow_mut();
+                    st.failed = true;
+                    st.comm_ms = stream.comm_ms();
+                    Ok(Pulled::End { settled: false })
+                }
+                Err(e) => Err(e),
+            }
+        }
+    }
+}
+
 /// Drain one abandoned site to completion, appending whatever is still
-/// in flight to its delivered buffer — the same budget-truncation and
-/// tolerated-fault rules as [`SiteStream::next_batch`], minus the
-/// downstream delivery and the (already fired) trigger.
+/// in flight to its delivered buffer — [`SiteStream::next_batch`]'s
+/// pull, minus the downstream delivery and the (already fired) trigger.
 fn drain_site(
-    mode: &Rc<RefCell<SiteMode>>,
-    state: &Rc<RefCell<SiteState>>,
+    mode: &RefCell<SiteMode>,
+    state: &RefCell<SiteState>,
     budget_deadline: Option<Instant>,
     partial: bool,
 ) -> Result<()> {
     let mut mode = mode.borrow_mut();
     loop {
-        match &mut *mode {
-            SiteMode::Empty { served } => {
-                *served = true;
-                return Ok(());
+        match pull_site(&mut mode, state, budget_deadline, partial)? {
+            Pulled::Rows(b) => {
+                let mut st = state.borrow_mut();
+                st.tuples += b.len();
+                st.delivered.push(b);
             }
-            SiteMode::Whole { source, truth } => match source.next_batch()? {
-                Some(b) => {
-                    let mut st = state.borrow_mut();
-                    st.tuples += b.len();
-                    st.delivered.push(b);
-                }
-                None => {
-                    if *truth {
-                        state.borrow_mut().complete = true;
-                    }
-                    return Ok(());
-                }
-            },
-            SiteMode::Remote {
-                stream,
-                pending,
-                done,
-            } => {
-                if *done {
-                    return Ok(());
-                }
-                if let Some(b) = pending.take() {
-                    let mut st = state.borrow_mut();
-                    st.tuples += b.len();
-                    st.bytes += b.byte_width();
-                    st.delivered.push(b);
-                    continue;
-                }
-                if budget_deadline.is_some_and(|d| Instant::now() >= d) {
-                    *done = true;
-                    let mut st = state.borrow_mut();
-                    st.failed = true;
-                    st.budget_skipped = true;
-                    st.comm_ms = stream.comm_ms();
-                    return Ok(());
-                }
-                let before = Instant::now();
-                match stream.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        let mut st = state.borrow_mut();
-                        st.wall_ms += before.elapsed().as_secs_f64() * 1e3;
-                        st.tuples += chunk.batch.len();
-                        st.bytes += chunk.batch.byte_width();
-                        st.comm_ms = stream.comm_ms();
-                        st.delivered.push(chunk.batch);
-                    }
-                    Ok(None) => {
-                        *done = true;
-                        let mut st = state.borrow_mut();
-                        st.wall_ms += before.elapsed().as_secs_f64() * 1e3;
-                        st.comm_ms = stream.comm_ms();
-                        if let Some(stats) = stream.stats() {
-                            st.stats = stats;
-                            st.pages = Some(stats.pages_read);
-                            st.first_ms = Some(stats.time_first_ms + stream.first_frame_comm_ms());
-                            st.complete = true;
-                        }
-                        return Ok(());
-                    }
-                    Err(e) if partial && e.is_transient() => {
-                        *done = true;
-                        let mut st = state.borrow_mut();
-                        st.failed = true;
-                        st.comm_ms = stream.comm_ms();
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
+            Pulled::Placeholder => {}
+            Pulled::End { .. } => return Ok(()),
         }
     }
 }
@@ -1401,18 +1426,19 @@ struct ReplaySnap {
     complete: bool,
 }
 
-/// Materialized subanswers keyed by submit site for the re-drive: the
-/// re-planned order permutes sites, the pool hands each one the
-/// subanswer its wrapper already shipped. Duplicate sites (same wrapper
-/// and subplan submitted twice) consume distinct entries in
-/// first-in-first-out order.
-struct ReplayPool {
-    entries: Vec<(String, Option<(OpenedSite, ReplaySnap)>)>,
+/// Materialized subanswers by submit site for the re-drive: a re-planned
+/// combine order permutes submit sites but never changes their
+/// `(wrapper, subplan)` pairs, so the pool hands each site of the new
+/// order the subanswer its wrapper already shipped. Duplicate sites
+/// (same wrapper and subplan submitted twice) consume distinct entries
+/// in first-in-first-out order.
+struct ReplayPool<'p> {
+    entries: Vec<(SubmitSite<'p>, Option<(OpenedSite, ReplaySnap)>)>,
 }
 
-impl ReplayPool {
+impl<'p> ReplayPool<'p> {
     fn new(
-        sites: &[SubmitSite<'_>],
+        sites: &[SubmitSite<'p>],
         states: &[Rc<RefCell<SiteState>>],
         schemas: &[Schema],
     ) -> Result<Self> {
@@ -1446,16 +1472,15 @@ impl ReplayPool {
                 bytes: st.bytes,
                 complete: st.complete,
             };
-            entries.push((pool_key(site.wrapper, site.plan), Some((opened, snap))));
+            entries.push((*site, Some((opened, snap))));
         }
         Ok(ReplayPool { entries })
     }
 
     fn take(&mut self, wrapper: &str, plan: &LogicalPlan) -> Result<(OpenedSite, ReplaySnap)> {
-        let key = pool_key(wrapper, plan);
         self.entries
             .iter_mut()
-            .find(|(k, e)| *k == key && e.is_some())
+            .find(|(site, e)| site.wrapper == wrapper && site.plan == plan && e.is_some())
             .and_then(|(_, e)| e.take())
             .ok_or_else(|| {
                 DiscoError::Exec(format!(
@@ -1510,89 +1535,23 @@ impl BatchStream for SiteStream {
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let mode = Rc::clone(&self.mode);
-        let mut mode = mode.borrow_mut();
-        match &mut *mode {
-            SiteMode::Empty { served } => {
-                if *served {
-                    return Ok(None);
-                }
-                *served = true;
-                Ok(Some(Batch::empty(self.schema.arity())))
+        let pulled = pull_site(
+            &mut self.mode.borrow_mut(),
+            &self.state,
+            self.budget_deadline,
+            self.partial,
+        )?;
+        match pulled {
+            Pulled::Rows(b) => {
+                self.deliver(&b, &mut self.state.borrow_mut())?;
+                Ok(Some(b))
             }
-            SiteMode::Whole { source, truth } => match source.next_batch()? {
-                None => {
-                    let mut st = self.state.borrow_mut();
-                    if *truth {
-                        st.complete = true;
-                        self.finish(&st)?;
-                    }
-                    Ok(None)
+            Pulled::Placeholder => Ok(Some(Batch::empty(self.schema.arity()))),
+            Pulled::End { settled } => {
+                if settled {
+                    self.finish(&self.state.borrow())?;
                 }
-                Some(b) => {
-                    self.deliver(&b, &mut self.state.borrow_mut())?;
-                    Ok(Some(b))
-                }
-            },
-            SiteMode::Remote {
-                stream,
-                pending,
-                done,
-            } => {
-                if *done {
-                    return Ok(None);
-                }
-                if let Some(b) = pending.take() {
-                    let mut st = self.state.borrow_mut();
-                    st.bytes += b.byte_width();
-                    self.deliver(&b, &mut st)?;
-                    return Ok(Some(b));
-                }
-                // The query budget expired mid-stream: truncate here,
-                // keeping the rows already delivered downstream.
-                if self.budget_deadline.is_some_and(|d| Instant::now() >= d) {
-                    *done = true;
-                    let mut st = self.state.borrow_mut();
-                    st.failed = true;
-                    st.budget_skipped = true;
-                    st.comm_ms = stream.comm_ms();
-                    return Ok(None);
-                }
-                let before = Instant::now();
-                match stream.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        let mut st = self.state.borrow_mut();
-                        st.wall_ms += before.elapsed().as_secs_f64() * 1e3;
-                        st.bytes += chunk.batch.byte_width();
-                        st.comm_ms = stream.comm_ms();
-                        self.deliver(&chunk.batch, &mut st)?;
-                        Ok(Some(chunk.batch))
-                    }
-                    Ok(None) => {
-                        *done = true;
-                        let mut st = self.state.borrow_mut();
-                        st.wall_ms += before.elapsed().as_secs_f64() * 1e3;
-                        st.comm_ms = stream.comm_ms();
-                        if let Some(stats) = stream.stats() {
-                            st.stats = stats;
-                            st.pages = Some(stats.pages_read);
-                            st.first_ms = Some(stats.time_first_ms + stream.first_frame_comm_ms());
-                            st.complete = true;
-                        }
-                        self.finish(&st)?;
-                        Ok(None)
-                    }
-                    Err(e) if self.partial && e.is_transient() => {
-                        // The stream died after delivering rows: degrade
-                        // to a partial answer with what already arrived.
-                        *done = true;
-                        let mut st = self.state.borrow_mut();
-                        st.failed = true;
-                        st.comm_ms = stream.comm_ms();
-                        Ok(None)
-                    }
-                    Err(e) => Err(e),
-                }
+                Ok(None)
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Seeded randomized round-trip tests for the metrics/trace JSON
-//! encodings, always on (the shrinking proptest variants live in
-//! `prop_roundtrip.rs` behind the `proptest` feature).
+//! encodings, through the registry (`prop_roundtrip.rs` builds the
+//! snapshots directly, over arbitrary text).
 
 use disco_common::rng::{seeded, StdRng};
 use disco_obs::metrics::{MetricsRegistry, MetricsSnapshot};

@@ -1,4 +1,4 @@
-//! LRU buffer pool.
+//! The page model's LRU buffer pool (used by `store` only).
 //!
 //! Page accesses go through the pool; a miss charges one `io_ms` to the
 //! clock and may evict the least recently used resident page. Running a
@@ -71,7 +71,8 @@ impl BufferPool {
     }
 
     /// Currently resident page count.
-    pub fn resident(&self) -> usize {
+    #[cfg(test)]
+    fn resident(&self) -> usize {
         self.resident.len()
     }
 }

@@ -13,9 +13,6 @@
 //! Modules:
 //!
 //! * [`clock`] — virtual time and per-source cost profiles;
-//! * [`buffer`] — an LRU buffer pool charging I/O on faults;
-//! * [`heap`] — paged heap files with uniform or clustered placement;
-//! * [`btree`] — a from-scratch B+-tree used for index scans;
 //! * [`exec`] — in-memory row-at-a-time operators: the walker's kernels
 //!   and the reference for `vexec`;
 //! * [`vexec`] — the vectorized kernels: the same operators, one
@@ -26,9 +23,10 @@
 //! * `walk` — the one plan walker every operator-executing source runs:
 //!   the `LogicalPlan` walk over `exec` with its charge table, the
 //!   answer epilogue (`ExecStats`) and the attribute-statistics pass;
-//! * [`store`] — [`PagedStore`]'s leaf set (scan, index probe, row fetch
-//!   through a simulated buffer pool), with object-database and
-//!   relational cost profiles;
+//! * [`store`] — the page model: [`PagedStore`]'s leaf set (scan, index
+//!   probe, row fetch) over in-memory rows, counting faults through a
+//!   simulated LRU pool on the pages `disco-store`'s collection builder
+//!   lays them out on;
 //! * [`disk`] — [`StoreSource`]'s leaf set: the same access paths over
 //!   the real disk-backed engine in `disco-store` (measured page faults);
 //! * [`doc`] — [`DocSource`]'s leaf set: the flattening scan over nested
@@ -38,14 +36,12 @@
 //! * [`wire`] — byte codecs shipping subanswers across the transport
 //!   boundary.
 
-pub mod btree;
-pub mod buffer;
+mod buffer;
 pub mod clock;
 pub mod disk;
 pub mod doc;
 pub mod exec;
 pub mod flatfile;
-pub mod heap;
 pub mod source;
 pub mod store;
 pub mod vexec;
@@ -53,12 +49,9 @@ pub mod vstream;
 mod walk;
 pub mod wire;
 
-pub use btree::BPlusTree;
-pub use buffer::BufferPool;
 pub use clock::{CostProfile, VirtualClock};
 pub use disk::StoreSource;
 pub use doc::{DocField, DocSource, DocValue, PathKind};
 pub use flatfile::FlatFile;
-pub use heap::{HeapFile, Placement};
 pub use source::{BatchAnswer, DataSource, ExecStats, SubAnswer};
 pub use store::{CollectionBuilder, PagedStore};

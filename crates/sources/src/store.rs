@@ -1,176 +1,77 @@
-//! The paged store engine — the simulated object-database / relational
+//! The page model — the simulated object-database / relational
 //! substrate.
 //!
-//! A [`PagedStore`] holds collections laid out on simulated pages
-//! ([`HeapFile`]), optionally indexed ([`BPlusTree`]) and optionally
-//! clustered. Executing a subplan really performs the page accesses
-//! through a cold LRU [`BufferPool`] and charges the source's
-//! [`CostProfile`] to a [`VirtualClock`] — the "Experiment" series of
-//! Figure 12 is the elapsed time this engine reports for index scans at
-//! varying selectivity.
+//! A [`PagedStore`] keeps its rows in memory and counts faults on the
+//! modelled pages `disco-store`'s one collection builder lays them out
+//! on ([`CollectionBuilder`], the same type as
+//! `disco_store::DiskCollectionBuilder`), uniformly at random or
+//! clustered. Executing a subplan performs the page accesses through a
+//! cold LRU pool and charges the source's [`CostProfile`] to a
+//! [`VirtualClock`] — the "Experiment" series of Figure 12 is the
+//! elapsed time this model reports for index scans at varying
+//! selectivity. Its indexes are sorted in memory and charged no I/O.
 
 use std::collections::BTreeMap;
 
 use disco_algebra::{CompareOp, LogicalPlan};
 use disco_catalog::{CollectionStats, ExtentStats};
-use disco_common::rng::StdRng;
 use disco_common::{rng, DiscoError, Result, Schema, Tuple, Value};
-use disco_store::PoolCounters;
+use disco_store::{Layout, PoolCounters, DEFAULT_FRAMES};
 
-use crate::btree::BPlusTree;
 use crate::buffer::BufferPool;
 use crate::clock::{CostProfile, VirtualClock};
-use crate::heap::{HeapFile, Placement};
 use crate::source::{DataSource, SubAnswer};
 use crate::walk::{self, Leaves};
+
+pub use disco_store::DiskCollectionBuilder as CollectionBuilder;
+
+/// An index of the model: `(key, rid)` pairs stably sorted by
+/// [`Value::total_cmp_value`], so equal keys keep row order — the order
+/// `disco-store`'s B+-tree returns them in.
+#[derive(Debug, Clone)]
+struct SortedIndex(Vec<(Value, u32)>);
+
+impl SortedIndex {
+    /// Index column `column` of `tuples`; a missing field is `Null`.
+    fn build(tuples: &[Tuple], column: usize) -> SortedIndex {
+        let mut entries: Vec<(Value, u32)> = tuples
+            .iter()
+            .enumerate()
+            .map(|(rid, t)| (t.get(column).cloned().unwrap_or(Value::Null), rid as u32))
+            .collect();
+        entries.sort_by(|(a, _), (b, _)| a.total_cmp_value(b));
+        SortedIndex(entries)
+    }
+
+    /// Rids matching `op value`, in key order. `None` for `Ne`, which
+    /// an index does not serve.
+    fn scan(&self, op: CompareOp, value: &Value) -> Option<Vec<u32>> {
+        let entries = &self.0;
+        let lt = entries.partition_point(|(k, _)| k.total_cmp_value(value).is_lt());
+        let le = entries.partition_point(|(k, _)| k.total_cmp_value(value).is_le());
+        let range = match op {
+            CompareOp::Eq => lt..le,
+            CompareOp::Lt => 0..lt,
+            CompareOp::Le => 0..le,
+            CompareOp::Gt => le..entries.len(),
+            CompareOp::Ge => lt..entries.len(),
+            CompareOp::Ne => return None,
+        };
+        Some(entries[range].iter().map(|&(_, rid)| rid).collect())
+    }
+}
 
 /// One collection stored in the engine.
 #[derive(Debug, Clone)]
 struct StoredCollection {
     schema: Schema,
     tuples: Vec<Tuple>,
-    heap: HeapFile,
-    indexes: BTreeMap<String, BPlusTree>,
+    layout: Layout,
+    indexes: BTreeMap<String, SortedIndex>,
     object_size: u64,
     /// Offset added to local page numbers so collections share the
     /// buffer pool without collisions.
     page_base: u64,
-}
-
-/// Builder for loading one collection into a [`PagedStore`].
-#[derive(Debug, Clone)]
-pub struct CollectionBuilder {
-    schema: Schema,
-    tuples: Vec<Tuple>,
-    object_size: Option<u64>,
-    page_size: u64,
-    fill_factor: f64,
-    cluster_on: Option<String>,
-    indexes: Vec<String>,
-}
-
-impl CollectionBuilder {
-    /// Start a collection with the given schema.
-    pub fn new(schema: Schema) -> Self {
-        CollectionBuilder {
-            schema,
-            tuples: Vec::new(),
-            object_size: None,
-            page_size: 4_096,
-            fill_factor: 0.96,
-            cluster_on: None,
-            indexes: Vec::new(),
-        }
-    }
-
-    /// Add one row.
-    pub fn row(mut self, values: Vec<Value>) -> Self {
-        self.tuples.push(Tuple::new(values));
-        self
-    }
-
-    /// Add many rows.
-    pub fn rows(mut self, rows: impl IntoIterator<Item = Vec<Value>>) -> Self {
-        self.tuples.extend(rows.into_iter().map(Tuple::new));
-        self
-    }
-
-    /// Logical on-disk object size in bytes (defaults to the average
-    /// tuple width). The OO7 `AtomicParts` are 56 bytes.
-    pub fn object_size(mut self, bytes: u64) -> Self {
-        self.object_size = Some(bytes);
-        self
-    }
-
-    /// Page size in bytes (default 4096).
-    pub fn page_size(mut self, bytes: u64) -> Self {
-        self.page_size = bytes;
-        self
-    }
-
-    /// Page fill factor (default 0.96, the OO7 setup).
-    pub fn fill_factor(mut self, f: f64) -> Self {
-        self.fill_factor = f;
-        self
-    }
-
-    /// Cluster storage on an attribute's order instead of uniform random
-    /// placement.
-    pub fn cluster_on(mut self, attr: impl Into<String>) -> Self {
-        self.cluster_on = Some(attr.into());
-        self
-    }
-
-    /// Build a B+-tree index on an attribute.
-    pub fn index(mut self, attr: impl Into<String>) -> Self {
-        self.indexes.push(attr.into());
-        self
-    }
-
-    fn build(self, page_base: u64, rng_source: &mut StdRng) -> Result<StoredCollection> {
-        let n = self.tuples.len();
-        let object_size = self.object_size.unwrap_or_else(|| {
-            let total: u64 = self.tuples.iter().map(Tuple::width).sum();
-            (total / n.max(1) as u64).max(1)
-        });
-        // Clustering rank: position of each object in the cluster key order.
-        let rank = match &self.cluster_on {
-            None => None,
-            Some(attr) => {
-                let idx = self.schema.index_of(attr).ok_or_else(|| {
-                    DiscoError::Source(format!("cannot cluster on unknown attribute `{attr}`"))
-                })?;
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(|&a, &b| {
-                    let (x, y) = (self.tuples[a].get(idx), self.tuples[b].get(idx));
-                    match (x, y) {
-                        (Some(x), Some(y)) => x.total_cmp_value(y),
-                        _ => std::cmp::Ordering::Equal,
-                    }
-                });
-                let mut rank = vec![0usize; n];
-                for (pos, &obj) in order.iter().enumerate() {
-                    rank[obj] = pos;
-                }
-                Some(rank)
-            }
-        };
-        let placement = if self.cluster_on.is_some() {
-            Placement::Clustered
-        } else {
-            Placement::Random
-        };
-        let heap = HeapFile::layout(
-            n,
-            object_size,
-            self.page_size,
-            self.fill_factor,
-            placement,
-            rank,
-            rng_source,
-        );
-        let mut indexes = BTreeMap::new();
-        for attr in &self.indexes {
-            let idx = self.schema.index_of(attr).ok_or_else(|| {
-                DiscoError::Source(format!("cannot index unknown attribute `{attr}`"))
-            })?;
-            let tree = BPlusTree::build(
-                self.tuples
-                    .iter()
-                    .enumerate()
-                    .map(|(rid, t)| (t.get(idx).cloned().unwrap_or(Value::Null), rid as u32)),
-            );
-            indexes.insert(attr.clone(), tree);
-        }
-        Ok(StoredCollection {
-            schema: self.schema,
-            tuples: self.tuples,
-            heap,
-            indexes,
-            object_size,
-            page_base,
-        })
-    }
 }
 
 /// A simulated paged data source.
@@ -178,7 +79,6 @@ impl CollectionBuilder {
 pub struct PagedStore {
     name: String,
     profile: CostProfile,
-    buffer_capacity: usize,
     collections: BTreeMap<String, StoredCollection>,
     seed: u64,
     next_page_base: u64,
@@ -186,14 +86,13 @@ pub struct PagedStore {
 }
 
 impl PagedStore {
-    /// New store with a cost profile. The default buffer pool holds 2048
-    /// pages — large enough that a query faults each distinct page once
-    /// (the regime Yao's formula models).
+    /// New store with a cost profile. Each query runs against a cold
+    /// pool of [`DEFAULT_FRAMES`] pages — large enough that it faults
+    /// each distinct page once (the regime Yao's formula models).
     pub fn new(name: impl Into<String>, profile: CostProfile) -> Self {
         PagedStore {
             name: name.into(),
             profile,
-            buffer_capacity: 2_048,
             collections: BTreeMap::new(),
             seed: rng::DEFAULT_SEED,
             next_page_base: 0,
@@ -207,12 +106,6 @@ impl PagedStore {
     /// `selectivity(A, V)` functions may consult.
     pub fn with_histograms(mut self, buckets: usize) -> Self {
         self.histogram_buckets = Some(buckets.max(1));
-        self
-    }
-
-    /// Override the buffer pool capacity (pages).
-    pub fn with_buffer_capacity(mut self, pages: usize) -> Self {
-        self.buffer_capacity = pages;
         self
     }
 
@@ -239,10 +132,25 @@ impl PagedStore {
                 "collection `{name}` already loaded"
             )));
         }
-        let mut r = rng::seeded(self.seed, &format!("{}::{name}", self.name));
-        let built = builder.build(self.next_page_base, &mut r)?;
-        self.next_page_base += built.heap.pages().max(1);
-        self.collections.insert(name, built);
+        let placed = builder.place(self.seed, &self.name, &name)?;
+        let indexes = placed
+            .indexes
+            .iter()
+            .map(|(attr, column)| (attr.clone(), SortedIndex::build(&placed.tuples, *column)))
+            .collect();
+        let page_base = self.next_page_base;
+        self.next_page_base += placed.layout.pages().max(1);
+        self.collections.insert(
+            name,
+            StoredCollection {
+                schema: placed.schema,
+                tuples: placed.tuples,
+                layout: placed.layout,
+                indexes,
+                object_size: placed.object_size,
+                page_base,
+            },
+        );
         Ok(())
     }
 
@@ -254,13 +162,13 @@ impl PagedStore {
 
     /// Pages of a collection (diagnostics, experiment reporting).
     pub fn pages_of(&self, collection: &str) -> Result<u64> {
-        Ok(self.collection(collection)?.heap.pages())
+        Ok(self.collection(collection)?.layout.pages())
     }
 }
 
-/// The simulated engine's access paths: in-memory rows and B+-trees, with
-/// every page touched going through one query's cold [`BufferPool`],
-/// which charges each fault to the clock as it happens.
+/// The page model's access paths: in-memory rows and indexes, with every
+/// page touched going through one query's cold LRU pool, which charges
+/// each fault to the clock as it happens.
 struct PagedLeaves<'a> {
     store: &'a PagedStore,
     buf: BufferPool,
@@ -277,7 +185,7 @@ impl Leaves for PagedLeaves<'_> {
     fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)> {
         let c = self.store.collection(collection)?;
         // Full sequential read: every page once, in storage order.
-        for page in 0..c.heap.pages() {
+        for page in 0..c.layout.pages() {
             self.buf
                 .access(c.page_base + page, &self.store.profile, clock);
         }
@@ -301,12 +209,12 @@ impl Leaves for PagedLeaves<'_> {
         value: &Value,
     ) -> Result<Option<Vec<u32>>> {
         let c = self.store.collection(collection)?;
-        Ok(c.indexes.get(attr).and_then(|tree| tree.scan(op, value)))
+        Ok(c.indexes.get(attr).and_then(|index| index.scan(op, value)))
     }
 
     fn fetch(&mut self, collection: &str, rid: u32, clock: &mut VirtualClock) -> Result<Tuple> {
         let c = self.store.collection(collection)?;
-        let page = c.page_base + c.heap.page_of(rid as usize);
+        let page = c.page_base + c.layout.page_of(rid as usize);
         self.buf.access(page, &self.store.profile, clock);
         Ok(c.tuples[rid as usize].clone())
     }
@@ -354,7 +262,7 @@ impl DataSource for PagedStore {
     fn execute(&self, plan: &LogicalPlan) -> Result<SubAnswer> {
         let leaves = PagedLeaves {
             store: self,
-            buf: BufferPool::new(self.buffer_capacity),
+            buf: BufferPool::new(DEFAULT_FRAMES),
         };
         walk::answer(&self.name, &self.profile, plan, leaves)
     }
@@ -561,6 +469,83 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(e.kind(), "source");
+    }
+
+    /// The index against a brute-force filter: every comparison, probes
+    /// of every type (mixed-type keys follow the total order), unique and
+    /// duplicate-heavy keys, equal keys in rid order.
+    #[test]
+    fn sorted_index_matches_filter_oracle() {
+        let mut r = rng::seeded(rng::DEFAULT_SEED, "sorted-index-oracle");
+        let unique: Vec<Value> = rng::permutation(&mut r, 2_000)
+            .into_iter()
+            .map(|i| Value::Long(i as i64))
+            .collect();
+        let domain: Vec<Value> = (0..10i64)
+            .map(Value::Long)
+            .chain((0..10).map(|i| Value::Double(i as f64 + 0.5)))
+            .chain((0..10).map(|i| Value::Str(format!("k{i}"))))
+            .chain([Value::Null])
+            .collect();
+        let duplicated: Vec<Value> = (0..2_000)
+            .map(|_| domain[r.gen_range(0..domain.len())].clone())
+            .collect();
+        let probes = [
+            Value::Long(-1),
+            Value::Long(5),
+            Value::Long(1_000),
+            Value::Long(5_000),
+            Value::Double(4.5),
+            Value::Double(-0.5),
+            Value::Str("k3".into()),
+            Value::Str(String::new()),
+            Value::Null,
+        ];
+        for keys in [&unique, &duplicated] {
+            let tuples: Vec<Tuple> = keys.iter().map(|k| Tuple::new(vec![k.clone()])).collect();
+            let index = SortedIndex::build(&tuples, 0);
+            for probe in &probes {
+                for op in [
+                    CompareOp::Eq,
+                    CompareOp::Ne,
+                    CompareOp::Lt,
+                    CompareOp::Le,
+                    CompareOp::Gt,
+                    CompareOp::Ge,
+                ] {
+                    let expect = (op != CompareOp::Ne).then(|| {
+                        let mut rids: Vec<u32> = (0..keys.len() as u32)
+                            .filter(|&rid| {
+                                let ord = keys[rid as usize].total_cmp_value(probe);
+                                match op {
+                                    CompareOp::Eq => ord.is_eq(),
+                                    CompareOp::Lt => ord.is_lt(),
+                                    CompareOp::Le => ord.is_le(),
+                                    CompareOp::Gt => ord.is_gt(),
+                                    _ => ord.is_ge(),
+                                }
+                            })
+                            .collect();
+                        rids.sort_by(|&a, &b| {
+                            keys[a as usize]
+                                .total_cmp_value(&keys[b as usize])
+                                .then(a.cmp(&b))
+                        });
+                        rids
+                    });
+                    assert_eq!(index.scan(op, probe), expect, "{op:?} {probe:?}");
+                }
+            }
+        }
+        // Equal keys come back in rid order.
+        let tuples: Vec<Tuple> = duplicated
+            .iter()
+            .map(|k| Tuple::new(vec![k.clone()]))
+            .collect();
+        let rids = SortedIndex::build(&tuples, 0)
+            .scan(CompareOp::Eq, &Value::Long(5))
+            .unwrap();
+        assert!(rids.len() > 1 && rids.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Leaf cells hold `key · u16 rid-count · rids`; internal cells hold
 //! `key · u64 child`, with the leftmost child in the page's `aux` field.
 //! Keys order under [`Value::total_cmp_value`] — the same total order as
-//! the in-memory tree in `disco-sources`, so both indexes answer every
-//! comparison identically. Leaves chain through `next` for range scans.
+//! the sorted in-memory index of the page model in `disco-sources`, so
+//! both indexes answer every comparison identically. Leaves chain
+//! through `next` for range scans.
 //!
 //! Reads work on the pinned page: routing and point lookups binary-search
 //! the slot directory, ordering one encoded key per probe against the
@@ -16,9 +17,8 @@
 //! [`Page::replace`]). Only when the cell does not fit is the page
 //! decoded, spliced and rewritten as two — and splits pre-allocate the
 //! right sibling *before* mutating either page, because the buffer
-//! pool's lock is not reentrant. Like the in-memory tree, deletion is
-//! out of scope: stores bulk-load at startup and the workloads are
-//! read-only.
+//! pool's lock is not reentrant. Deletion is out of scope: stores
+//! bulk-load at startup and the workloads are read-only.
 //!
 //! One key's rid list must fit a single cell (~500 rids); indexing an
 //! attribute with heavier duplication than that is rejected at build
@@ -75,9 +75,9 @@ fn search(page: &Page, probe: &Value) -> Result<std::result::Result<usize, usize
     Ok(Err(lo))
 }
 
-/// Route `value` through an internal page exactly like the in-memory
-/// tree: child `i + 1` covers keys `>= cells[i].key`, the page's `aux`
-/// everything below the first separator.
+/// Route `value` through an internal page: child `i + 1` covers keys
+/// `>= cells[i].key`, the page's `aux` everything below the first
+/// separator.
 fn route(page: &Page, value: &Value) -> Result<PageId> {
     let mut child = page.aux();
     let (mut lo, mut hi) = (0, page.slot_count());
@@ -204,7 +204,7 @@ impl DiskBTree {
     }
 
     /// Build from `(value, rid)` pairs in iteration order (rid lists per
-    /// key keep that order, matching the in-memory tree).
+    /// key keep that order, as the page model's sorted index does).
     pub fn build(
         pool: BufferPool,
         entries: impl IntoIterator<Item = (Value, Rid)>,
@@ -443,7 +443,7 @@ impl DiskBTree {
     }
 
     /// Rids matching `op value`, in key order — same contract as the
-    /// in-memory tree: `Ne` returns `None` (an index gives no benefit).
+    /// page model's sorted index: `Ne` returns `None` (an index gives no benefit).
     pub fn scan(&self, op: CompareOp, value: &Value) -> Result<Option<Vec<Rid>>> {
         let mut out = Vec::new();
         match op {
@@ -591,8 +591,8 @@ mod tests {
 
     #[test]
     fn matches_in_memory_scan_semantics() {
-        // Differential check against disco-sources' in-memory tree over
-        // the same entries, for every comparison operator.
+        // Differential check against sort-and-filter over the same
+        // entries, for every comparison operator.
         let mut r = rng::seeded(rng::DEFAULT_SEED, "btree-diff");
         let values: Vec<i64> = (0..600).map(|_| (r.next_u64() % 97) as i64).collect();
         let mut disk = DiskBTree::new(pool()).unwrap();
@@ -661,6 +661,85 @@ mod tests {
         assert_eq!(t.len(), 5);
         assert_eq!(t.distinct_keys().unwrap(), 5);
         assert_eq!(t.lookup(&Value::Str("s".into())).unwrap(), vec![rid(2)]);
+    }
+
+    fn long_tree(n: u32) -> DiskBTree {
+        DiskBTree::build(pool(), (0..n).map(|i| (Value::Long(i as i64), rid(i)))).unwrap()
+    }
+
+    #[test]
+    fn lookup_finds_inserted() {
+        let t = long_tree(10_000);
+        assert_eq!(t.len(), 10_000);
+        assert!(t.height() > 1);
+        assert_eq!(t.lookup(&Value::Long(1234)).unwrap(), vec![rid(1234)]);
+        assert!(t.lookup(&Value::Long(-5)).unwrap().is_empty());
+        assert!(t.lookup(&Value::Long(10_000)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn duplicate_keys_accumulate_rids() {
+        let t = DiskBTree::build(
+            pool(),
+            (0..100u32).map(|i| (Value::Long((i % 10) as i64), rid(i))),
+        )
+        .unwrap();
+        let rids = t.lookup(&Value::Long(3)).unwrap();
+        assert_eq!(rids, (0..10).map(|k| rid(k * 10 + 3)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn range_scans() {
+        let t = long_tree(1_000);
+        let count = |op, v: i64| t.scan(op, &Value::Long(v)).unwrap().map(|r| r.len());
+        assert_eq!(count(CompareOp::Le, 99), Some(100));
+        assert_eq!(count(CompareOp::Lt, 99), Some(99));
+        assert_eq!(count(CompareOp::Ge, 990), Some(10));
+        assert_eq!(count(CompareOp::Gt, 990), Some(9));
+        assert_eq!(
+            t.scan(CompareOp::Eq, &Value::Long(5)).unwrap(),
+            Some(vec![rid(5)])
+        );
+        assert_eq!(count(CompareOp::Ne, 5), None);
+    }
+
+    #[test]
+    fn range_scan_returns_key_order() {
+        let t = DiskBTree::build(
+            pool(),
+            (0..1_000u32).rev().map(|i| (Value::Long(i as i64), rid(i))),
+        )
+        .unwrap();
+        let all = t.scan(CompareOp::Ge, &Value::Long(0)).unwrap().unwrap();
+        assert_eq!(all, (0..1_000).map(rid).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn string_keys() {
+        let t = DiskBTree::build(
+            pool(),
+            ["delta", "alpha", "charlie", "bravo"]
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (Value::Str((*s).into()), rid(i as u32))),
+        )
+        .unwrap();
+        assert_eq!(
+            t.lookup(&Value::Str("charlie".into())).unwrap(),
+            vec![rid(2)]
+        );
+        let le = t.scan(CompareOp::Le, &Value::Str("bravo".into())).unwrap();
+        assert_eq!(le, Some(vec![rid(1), rid(3)]));
+    }
+
+    #[test]
+    fn distinct_key_count() {
+        let t = DiskBTree::build(
+            pool(),
+            (0..500u32).map(|i| (Value::Long((i % 50) as i64), rid(i))),
+        )
+        .unwrap();
+        assert_eq!(t.distinct_keys().unwrap(), 50);
     }
 
     #[test]

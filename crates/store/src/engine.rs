@@ -1,13 +1,15 @@
 //! The storage engine: named collections over one page file + buffer
 //! pool, bulk-loaded once and then read-only.
 //!
-//! Loading reproduces the *exact* page placement of the simulated store
-//! in `disco-sources` — same seed derivation (`"{store}::{collection}"`),
-//! same permutation draw, same objects-per-page formula — so measured
-//! page faults are comparable number-for-number with the simulated pager
-//! and with Yao's prediction. Tuples keep their logical (insertion) row
-//! ids: scans return rows in insertion order even though the heap stores
-//! them in placement order, matching the in-memory source byte for byte.
+//! [`DiskCollectionBuilder`] is the one collection builder, and
+//! [`DiskCollectionBuilder::place`] the one layout step: the seed
+//! derivation (`"{store}::{collection}"`), the permutation draw or
+//! cluster rank, and objects-per-page. The page model in
+//! `disco-sources` loads the same [`PlacedCollection`] into memory, so
+//! its fault counts and this engine's measured ones agree by
+//! construction, and both follow Yao's prediction. Tuples keep their
+//! logical (insertion) row ids: scans return rows in insertion order
+//! even though the heap stores them in placement order.
 //!
 //! Queries run under a [`StoreSession`], which meters the I/O of the
 //! thread it was opened on: any number of sessions, on as many threads,
@@ -24,16 +26,12 @@ use crate::btree::DiskBTree;
 use crate::buffer::{thread_io, BufferPool, PoolCounters};
 use crate::codec::{decode_tuple, encode_tuple};
 use crate::file::PageFile;
-use crate::heap::{HeapBuilder, HeapFile, Rid};
+use crate::heap::{HeapBuilder, HeapFile, Layout, Rid};
 
-/// How objects are assigned to pages (mirrors `disco-sources`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Placement {
-    /// Uniform random placement — Yao's independence assumption.
-    Random,
-    /// Storage follows an attribute's order (the §7 effect).
-    Clustered,
-}
+/// Buffer pool frames of a store unless configured otherwise: enough
+/// that a cold query faults each distinct page it touches once — the
+/// regime Yao's formula models.
+pub const DEFAULT_FRAMES: usize = 2_048;
 
 /// One loaded collection.
 #[derive(Debug)]
@@ -41,7 +39,6 @@ pub struct DiskCollection {
     schema: Schema,
     heap: HeapFile,
     indexes: BTreeMap<String, DiskBTree>,
-    clustered_on: Option<String>,
     object_size: u64,
     /// Logical row id → rid, in insertion order.
     rids: Vec<Rid>,
@@ -50,6 +47,63 @@ pub struct DiskCollection {
 }
 
 impl DiskCollection {
+    /// Write a placed collection's records onto their modelled pages and
+    /// build its indexes.
+    fn load(placed: PlacedCollection, pool: &BufferPool) -> Result<DiskCollection> {
+        let PlacedCollection {
+            schema,
+            tuples,
+            object_size,
+            layout,
+            indexes: indexed,
+        } = placed;
+        let per_page = layout.per_page();
+        let mut builder = HeapBuilder::new(pool.clone(), Some(per_page));
+        let mut rids = vec![Rid { page: 0, slot: 0 }; tuples.len()];
+        for (pos, row) in layout.storage_order().into_iter().enumerate() {
+            let rid = builder.append(&encode_tuple(&tuples[row]))?;
+            // Every record must land on its *modelled* page: a byte
+            // spill can leave the total page count intact while moving
+            // the boundaries, which would silently break the placement
+            // the page model counts faults on.
+            if rid.page as usize != pos / per_page {
+                return Err(DiscoError::Source(format!(
+                    "store: record at storage position {pos} spilled to \
+                     page {} (modelled page {}) — object_size smaller \
+                     than the encoded rows",
+                    rid.page,
+                    pos / per_page
+                )));
+            }
+            rids[row] = rid;
+        }
+        let heap = builder.finish();
+        let mut indexes = BTreeMap::new();
+        for (attr, column) in indexed {
+            let tree = DiskBTree::build(
+                pool.clone(),
+                tuples
+                    .iter()
+                    .enumerate()
+                    .map(|(row, t)| (t.get(column).cloned().unwrap_or(Value::Null), rids[row])),
+            )?;
+            indexes.insert(attr, tree);
+        }
+        let row_of = rids
+            .iter()
+            .enumerate()
+            .map(|(row, &rid)| (rid, row as u32))
+            .collect();
+        Ok(DiskCollection {
+            schema,
+            heap,
+            indexes,
+            object_size,
+            rids,
+            row_of,
+        })
+    }
+
     /// The collection's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -70,19 +124,14 @@ impl DiskCollection {
         self.object_size
     }
 
-    /// Attribute the storage order follows, if clustered.
-    pub fn clustered_on(&self) -> Option<&str> {
-        self.clustered_on.as_deref()
-    }
-
     /// Is `attr` indexed?
     pub fn has_index(&self, attr: &str) -> bool {
         self.indexes.contains_key(attr)
     }
 }
 
-/// Builder for one collection (same knobs as the simulated store's
-/// `CollectionBuilder`).
+/// Builder for one collection, of a [`DiskStore`] or of the page model
+/// in `disco-sources` (which re-exports it as `CollectionBuilder`).
 #[derive(Debug, Clone)]
 pub struct DiskCollectionBuilder {
     schema: Schema,
@@ -92,6 +141,22 @@ pub struct DiskCollectionBuilder {
     fill_factor: f64,
     cluster_on: Option<String>,
     indexes: Vec<String>,
+}
+
+/// A collection with its layout decided: what [`DiskStoreBuilder`]
+/// writes to disk and what the page model keeps in memory.
+#[derive(Debug)]
+pub struct PlacedCollection {
+    /// The collection's schema.
+    pub schema: Schema,
+    /// Rows in logical (insertion) order.
+    pub tuples: Vec<Tuple>,
+    /// Modelled object size in bytes.
+    pub object_size: u64,
+    /// The modelled page of every row.
+    pub layout: Layout,
+    /// Indexed attributes, each with its column.
+    pub indexes: Vec<(String, usize)>,
 }
 
 impl DiskCollectionBuilder {
@@ -121,7 +186,8 @@ impl DiskCollectionBuilder {
     }
 
     /// Modelled object size in bytes (defaults to the average tuple
-    /// width). Controls objects-per-page, not the stored record bytes.
+    /// width; the OO7 `AtomicParts` are 56 bytes). Controls
+    /// objects-per-page, not the stored record bytes.
     pub fn object_size(mut self, bytes: u64) -> Self {
         self.object_size = Some(bytes);
         self
@@ -147,21 +213,26 @@ impl DiskCollectionBuilder {
         self
     }
 
-    /// Build an on-disk B+-tree index on an attribute.
+    /// Index an attribute: an on-disk B+-tree in a [`DiskStore`], a
+    /// sorted in-memory index in the page model.
     pub fn index(mut self, attr: impl Into<String>) -> Self {
         self.indexes.push(attr.into());
         self
     }
 
-    fn build(self, pool: &BufferPool, rng_source: &mut rng::StdRng) -> Result<DiskCollection> {
+    /// The layout step, for collection `collection` of store `store`
+    /// under placement seed `seed`: storage follows a permutation drawn
+    /// from the `"{store}::{collection}"` stream, or the rank of each row
+    /// under the cluster key, cut into pages of `⌊page_size ·
+    /// fill_factor / object_size⌋` objects.
+    pub fn place(self, seed: u64, store: &str, collection: &str) -> Result<PlacedCollection> {
         let n = self.tuples.len();
         let object_size = self.object_size.unwrap_or_else(|| {
             let total: u64 = self.tuples.iter().map(Tuple::width).sum();
             (total / n.max(1) as u64).max(1)
         });
-        // Storage rank, exactly as the simulated heap computes it.
         let rank: Vec<usize> = match &self.cluster_on {
-            None => rng::permutation(rng_source, n),
+            None => rng::permutation(&mut rng::seeded(seed, &format!("{store}::{collection}")), n),
             Some(attr) => {
                 let idx = self.schema.index_of(attr).ok_or_else(|| {
                     DiscoError::Source(format!("cannot cluster on unknown attribute `{attr}`"))
@@ -181,60 +252,22 @@ impl DiskCollectionBuilder {
                 rank
             }
         };
-        let usable = (self.page_size as f64 * self.fill_factor.clamp(0.01, 1.0)) as u64;
-        let per_page = (usable / object_size.max(1)).max(1) as usize;
-        // Invert the rank: storage position → logical row.
-        let mut storage = vec![0usize; n];
-        for (obj, &pos) in rank.iter().enumerate() {
-            storage[pos] = obj;
-        }
-        let mut builder = HeapBuilder::new(pool.clone(), Some(per_page));
-        let mut rids = vec![Rid { page: 0, slot: 0 }; n];
-        for (pos, &row) in storage.iter().enumerate() {
-            let rid = builder.append(&encode_tuple(&self.tuples[row]))?;
-            // Every record must land on its *modelled* page: a byte
-            // spill can leave the total page count intact while moving
-            // the boundaries, which would silently break placement
-            // equivalence with the simulated store.
-            if rid.page as usize != pos / per_page {
-                return Err(DiscoError::Source(format!(
-                    "store: record at storage position {pos} spilled to \
-                     page {} (modelled page {}) — object_size smaller \
-                     than the encoded rows",
-                    rid.page,
-                    pos / per_page
-                )));
-            }
-            rids[row] = rid;
-        }
-        let heap = builder.finish();
-        let mut indexes = BTreeMap::new();
-        for attr in &self.indexes {
-            let idx = self.schema.index_of(attr).ok_or_else(|| {
-                DiscoError::Source(format!("cannot index unknown attribute `{attr}`"))
-            })?;
-            let tree = DiskBTree::build(
-                pool.clone(),
-                self.tuples
-                    .iter()
-                    .enumerate()
-                    .map(|(row, t)| (t.get(idx).cloned().unwrap_or(Value::Null), rids[row])),
-            )?;
-            indexes.insert(attr.clone(), tree);
-        }
-        let row_of = rids
-            .iter()
-            .enumerate()
-            .map(|(row, &rid)| (rid, row as u32))
-            .collect();
-        Ok(DiskCollection {
+        let indexes = self
+            .indexes
+            .into_iter()
+            .map(|attr| {
+                let column = self.schema.index_of(&attr).ok_or_else(|| {
+                    DiscoError::Source(format!("cannot index unknown attribute `{attr}`"))
+                })?;
+                Ok((attr, column))
+            })
+            .collect::<Result<_>>()?;
+        Ok(PlacedCollection {
+            layout: Layout::new(rank, object_size, self.page_size, self.fill_factor),
             schema: self.schema,
-            heap,
-            indexes,
-            clustered_on: self.cluster_on,
+            tuples: self.tuples,
             object_size,
-            rids,
-            row_of,
+            indexes,
         })
     }
 }
@@ -249,13 +282,11 @@ pub struct DiskStoreBuilder {
 }
 
 impl DiskStoreBuilder {
-    /// Start a store. Default pool: 2048 frames, same as the simulated
-    /// store (each distinct page faults once per cold query — the regime
-    /// Yao models).
+    /// Start a store with a pool of [`DEFAULT_FRAMES`] frames.
     pub fn new(name: impl Into<String>) -> Self {
         DiskStoreBuilder {
             name: name.into(),
-            buffer_capacity: 2_048,
+            buffer_capacity: DEFAULT_FRAMES,
             seed: rng::DEFAULT_SEED,
             collections: Vec::new(),
         }
@@ -291,8 +322,8 @@ impl DiskStoreBuilder {
                     "collection `{name}` already loaded"
                 )));
             }
-            let mut r = rng::seeded(self.seed, &format!("{}::{name}", self.name));
-            collections.insert(name, builder.build(&pool, &mut r)?);
+            let placed = builder.place(self.seed, &self.name, &name)?;
+            collections.insert(name, DiskCollection::load(placed, &pool)?);
         }
         pool.clear_cache()?;
         Ok(DiskStore {
@@ -417,7 +448,7 @@ impl StoreSession<'_> {
 
     /// Rids matching `attr op value` via the index, in key order.
     /// `None` when the attribute has no index or the operator defeats
-    /// one (`Ne`) — same contract as the in-memory tree.
+    /// one (`Ne`) — same contract as the page model's sorted index.
     pub fn index_rids(
         &self,
         collection: &str,

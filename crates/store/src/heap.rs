@@ -5,6 +5,12 @@
 //! storage order with an optional per-page record cap, which lets callers
 //! reproduce a target fill factor (e.g. OO7's 96 %) even when the encoded
 //! records are smaller than the modelled object size.
+//!
+//! Which page each record lands on is a [`Layout`]: a storage order —
+//! uniformly random, the independence assumption behind Yao's formula,
+//! or clustered on an attribute, the behaviour the paper says "can not
+//! be easily captured by a calibrating model" (§7) — cut into pages of
+//! a fixed number of objects.
 
 use std::sync::Arc;
 
@@ -12,6 +18,55 @@ use disco_common::{DiscoError, Result};
 
 use crate::buffer::BufferPool;
 use crate::page::{PageId, PageKind};
+
+/// Which modelled page each object of a collection lives on. The page
+/// model in `disco-sources` counts faults on these pages; the engine
+/// writes every record onto its page.
+#[derive(Debug, Clone)]
+pub struct Layout {
+    /// `rank[row]` = storage position of logical row `row`.
+    rank: Vec<usize>,
+    per_page: usize,
+}
+
+impl Layout {
+    /// Store objects in `rank` order, `⌊page_size · fill_factor /
+    /// object_size⌋` to a page (at least one).
+    pub(crate) fn new(
+        rank: Vec<usize>,
+        object_size: u64,
+        page_size: u64,
+        fill_factor: f64,
+    ) -> Layout {
+        let usable = (page_size as f64 * fill_factor.clamp(0.01, 1.0)) as u64;
+        let per_page = (usable / object_size.max(1)).max(1) as usize;
+        Layout { rank, per_page }
+    }
+
+    /// Page of logical row `row`.
+    pub fn page_of(&self, row: usize) -> u64 {
+        (self.rank[row] / self.per_page) as u64
+    }
+
+    /// Total number of pages.
+    pub fn pages(&self) -> u64 {
+        self.rank.len().div_ceil(self.per_page) as u64
+    }
+
+    /// Objects stored per page.
+    pub(crate) fn per_page(&self) -> usize {
+        self.per_page
+    }
+
+    /// Logical rows in storage order.
+    pub(crate) fn storage_order(&self) -> Vec<usize> {
+        let mut storage = vec![0usize; self.rank.len()];
+        for (row, &pos) in self.rank.iter().enumerate() {
+            storage[pos] = row;
+        }
+        storage
+    }
+}
 
 /// A record id: which page of the heap file, which slot on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -176,6 +231,7 @@ impl HeapFile {
 mod tests {
     use super::*;
     use crate::file::PageFile;
+    use disco_common::rng;
 
     fn pool() -> BufferPool {
         BufferPool::new(PageFile::create_temp("heap").unwrap(), 64)
@@ -244,6 +300,70 @@ mod tests {
     fn oversized_record_rejected() {
         let mut b = HeapBuilder::new(pool(), None);
         assert!(b.append(&vec![0u8; 5000]).is_err());
+    }
+
+    fn random_layout(n: usize, object_size: u64, page_size: u64, fill: f64, seed: u64) -> Layout {
+        let rank = rng::permutation(&mut rng::seeded(seed, "heap"), n);
+        Layout::new(rank, object_size, page_size, fill)
+    }
+
+    #[test]
+    fn oo7_layout_dimensions() {
+        // 70 000 × 56 B, 4096-byte pages at 96% fill → 70/page, 1000 pages.
+        let l = random_layout(70_000, 56, 4_096, 0.96, 1);
+        assert_eq!(l.per_page(), 70);
+        assert_eq!(l.pages(), 1_000);
+        assert!((0..70_000).all(|row| l.page_of(row) < 1_000));
+    }
+
+    #[test]
+    fn every_page_gets_at_most_per_page_objects() {
+        let l = random_layout(1_000, 100, 1_000, 1.0, 2);
+        assert_eq!(l.per_page(), 10);
+        let mut counts = vec![0usize; l.pages() as usize];
+        for row in 0..1_000 {
+            counts[l.page_of(row) as usize] += 1;
+        }
+        assert!(counts.iter().all(|&c| c <= 10));
+        assert_eq!(counts.iter().sum::<usize>(), 1_000);
+    }
+
+    #[test]
+    fn clustered_layout_is_contiguous() {
+        // Identity rank: objects 0..9 on page 0, 10..19 on page 1, …
+        let l = Layout::new((0..100).collect(), 100, 1_000, 1.0);
+        for row in 0..100 {
+            assert_eq!(l.page_of(row), (row / 10) as u64);
+        }
+        assert_eq!(l.storage_order(), (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn clustered_with_explicit_rank() {
+        // Reverse order: object 0 has the highest rank.
+        let l = Layout::new((0..20).rev().collect(), 100, 1_000, 1.0);
+        assert_eq!(l.page_of(19), 0);
+        assert_eq!(l.page_of(0), 1);
+        assert_eq!(l.storage_order(), (0..20).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn random_layout_spreads_consecutive_objects() {
+        let l = random_layout(7_000, 56, 4_096, 0.96, 5);
+        // Consecutive ids should mostly land on different pages.
+        let same = (1..7_000)
+            .filter(|&row| l.page_of(row) == l.page_of(row - 1))
+            .count();
+        assert!(same < 700, "too much accidental clustering: {same}");
+    }
+
+    #[test]
+    fn degenerate_sizes() {
+        assert_eq!(random_layout(0, 56, 4_096, 0.96, 6).pages(), 0);
+        // Oversized objects still get one slot per page.
+        let l = random_layout(3, 10_000, 4_096, 0.96, 6);
+        assert_eq!(l.per_page(), 1);
+        assert_eq!(l.pages(), 3);
     }
 
     #[test]

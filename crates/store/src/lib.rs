@@ -5,13 +5,13 @@
 //! a buffer pool with pin/unpin, dirty tracking, and LRU eviction — all
 //! over `std::fs::File`, no external dependencies.
 //!
-//! The simulated pager in `disco-sources` *charges* a virtual clock for
-//! page faults it never performs; this crate performs them, so Yao's
+//! The page model in `disco-sources` *charges* a virtual clock for page
+//! faults it never performs; this crate performs them, so Yao's
 //! `pages_touched` prediction (the paper's Figure 12 experiment) can be
-//! validated against page fetches that actually happened. Load-time
-//! placement reproduces the simulated layout bit-for-bit — same seed
-//! stream, same objects-per-page formula — making fault counts directly
-//! comparable across the two engines.
+//! validated against page fetches that actually happened. Both pagers
+//! take their layout from this crate's one collection builder
+//! ([`DiskCollectionBuilder::place`]), so their fault counts are
+//! comparable number for number.
 //!
 //! Layering, bottom up:
 //!
@@ -21,9 +21,9 @@
 //! | [`codec`]| tuple ⇄ record bytes, index key encoding |
 //! | [`file`] | page-granular `File` I/O with checksum validation |
 //! | [`buffer`] | frame cache, pin/unpin, LRU eviction, fault counters |
-//! | [`heap`] | unordered record files, bulk append, rid addressing |
+//! | [`heap`] | unordered record files, bulk append, rid addressing, page layout |
 //! | [`btree`] | on-disk B+-tree with leaf-chained range scans |
-//! | [`engine`] | named collections, bulk load, metered sessions |
+//! | [`engine`] | the collection builder and its layout step, bulk load, metered sessions |
 
 pub mod btree;
 pub mod buffer;
@@ -36,8 +36,9 @@ pub mod page;
 pub use btree::DiskBTree;
 pub use buffer::{BufferPool, PageRef, PoolCounters};
 pub use engine::{
-    DiskCollection, DiskCollectionBuilder, DiskStore, DiskStoreBuilder, Placement, StoreSession,
+    DiskCollection, DiskCollectionBuilder, DiskStore, DiskStoreBuilder, PlacedCollection,
+    StoreSession, DEFAULT_FRAMES,
 };
 pub use file::PageFile;
-pub use heap::{HeapBuilder, HeapFile, Rid};
+pub use heap::{HeapBuilder, HeapFile, Layout, Rid};
 pub use page::{Page, PageId, PageKind, HEADER_SIZE, NO_PAGE, PAGE_SIZE};

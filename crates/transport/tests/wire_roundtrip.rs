@@ -3,9 +3,8 @@
 //! request/response envelopes must survive encode → decode byte-for-byte,
 //! and arbitrary corruption of valid streams must never panic.
 //!
-//! These always run (the generator is the workspace's seeded PRNG); the
-//! proptest variants in `prop_wire.rs` add shrinking when the `proptest`
-//! feature and dev-dependency are available.
+//! The generator is the workspace's seeded PRNG; `prop_wire.rs` covers
+//! the whole value domain and arbitrary byte soup.
 
 use disco_algebra::{AggFunc, CompareOp, LogicalPlan, PlanBuilder};
 use disco_common::rng::StdRng;

@@ -4,21 +4,21 @@
 //! index range scans, non-indexed (scan + filter) selects, projections
 //! and aggregates over selects, and index joins.
 //!
-//! Both engines are built from identical rows, layout knobs, and
-//! placement seed, so they hold the same objects on the same modelled
-//! pages. Answers are compared through the store's own record codec —
-//! tuple-for-tuple byte equality, not just `PartialEq` — and, cold, the
-//! two pagers must report the *same fault count*: the disk engine
-//! replicates the simulated placement number for number. Both run the
-//! one plan walker, so they also examine the same objects and, at the
-//! same profile, take the same virtual time.
+//! Both engines load one collection builder under one placement seed,
+//! and take their layout from its one layout step, so they hold the
+//! same objects on the same modelled pages. Answers are compared through
+//! the store's own record codec — tuple-for-tuple byte equality, not
+//! just `PartialEq` — and, cold, the two pagers must report the *same
+//! fault count*: the engine faults exactly the pages the model counts.
+//! Both run the one plan walker, so they also examine the same objects
+//! and, at the same profile, take the same virtual time.
 
 use disco_algebra::{AggFunc, CompareOp, LogicalPlan, PlanBuilder};
 use disco_common::rng::{seeded, StdRng};
 use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Value};
 use disco_sources::{CollectionBuilder, CostProfile, DataSource, PagedStore, StoreSource};
 use disco_store::codec::encode_tuple;
-use disco_store::{DiskCollectionBuilder, DiskStoreBuilder};
+use disco_store::DiskStoreBuilder;
 
 const SEEDS: u64 = 15;
 
@@ -60,9 +60,9 @@ struct Pair {
     n: usize,
 }
 
-/// Build the simulated and disk-backed twins from one seed. Both use
-/// store name `s`, collection `T`, and the same placement seed, so the
-/// object→page map is identical.
+/// Build the page model and the disk engine from one builder and one
+/// seed. Both use store name `s` and collection `T`, so the object→page
+/// map is identical.
 fn build_pair(seed: u64) -> Pair {
     let mut rng = seeded(seed, "store-equivalence");
     let n = rng.gen_range(60..400usize);
@@ -78,24 +78,19 @@ fn build_pair(seed: u64) -> Pair {
         .unwrap_or(0);
     let object_size = rng.gen_range(24..120u64).max(encoded_max);
 
-    let mut sim_builder = CollectionBuilder::new(schema())
-        .rows(data.clone())
-        .object_size(object_size)
-        .index("id");
-    let mut disk_builder = DiskCollectionBuilder::new(schema())
+    let mut builder = CollectionBuilder::new(schema())
         .rows(data)
         .object_size(object_size)
         .index("id");
     if clustered {
-        sim_builder = sim_builder.cluster_on("id");
-        disk_builder = disk_builder.cluster_on("id");
+        builder = builder.cluster_on("id");
     }
 
     let mut sim = PagedStore::new("s", CostProfile::object_store()).with_seed(seed);
-    sim.add_collection("T", sim_builder).unwrap();
+    sim.add_collection("T", builder.clone()).unwrap();
     let disk = DiskStoreBuilder::new("s")
         .seed(seed)
-        .collection("T", disk_builder)
+        .collection("T", builder)
         .build()
         .unwrap();
     Pair {
