@@ -28,6 +28,12 @@
 //! keys, doubles bit for bit, so the caches tell apart exactly the
 //! subplans that differ.
 //!
+//! Callers that build candidates themselves never hand the estimator a
+//! tree: [`EstimatorCache::intern`] enters a plan once, and
+//! [`EstimatorCache::intern_node`] stacks one node over interned
+//! [`SubtreeId`]s, which [`crate::Estimator::estimate_subtree`] then
+//! prices, reading every memoized input instead of walking it.
+//!
 //! One run, one thread: a cache is built by the optimization run that
 //! uses it, on the thread that runs it, and is dropped when the run
 //! returns. It is interior-mutable through `RefCell`/`Cell` (so it cannot
@@ -35,13 +41,14 @@
 //! state or override set, and it is unbounded because it dies with the
 //! run — a 6-table join shape leaves a few hundred subtrees behind.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, Ref, RefCell};
 use std::rc::Rc;
 
 use disco_algebra::LogicalPlan;
 
 use crate::cost::NodeCost;
-use crate::intern::{Interner, Slot, INITIAL_CAPACITY};
+use crate::estimator::{infer_wrapper_context, CardinalityOverrides, EstimateOptions};
+use crate::intern::{Interner, Payload, SubtreeId, INITIAL_CAPACITY};
 use crate::pattern::Bindings;
 
 /// The rules whose heads matched one signature, by registry id, with
@@ -56,6 +63,9 @@ pub struct EstimatorCache {
     costs: RefCell<Vec<Option<NodeCost>>>,
     /// Indexed by signature id.
     rules: RefCell<Vec<Option<Resolution>>>,
+    /// The run's observed submit sites: each site's input, interned under
+    /// its wrapper, with the observed `(rows, bytes)`.
+    sites: OnceCell<Vec<(SubtreeId, f64, f64)>>,
     cost_hits: Cell<usize>,
     rule_hits: Cell<usize>,
     cost_lookups: Cell<usize>,
@@ -81,6 +91,7 @@ impl Default for EstimatorCache {
             interner: RefCell::default(),
             costs: RefCell::new(Vec::with_capacity(INITIAL_CAPACITY)),
             rules: RefCell::new(Vec::with_capacity(INITIAL_CAPACITY)),
+            sites: OnceCell::new(),
             cost_hits: Cell::default(),
             rule_hits: Cell::default(),
             cost_lookups: Cell::default(),
@@ -138,15 +149,53 @@ impl EstimatorCache {
         publish("rules", self.rule_lookups(), self.rule_hits());
     }
 
-    /// Intern `plan`, executing under `ctx`, into this run's tables: one
-    /// slot per node, children first. Returns the root's position.
-    pub(crate) fn intern(
+    /// Intern `plan` into this run's tables, under the wrapper context
+    /// [`crate::Estimator::estimate_report`] would price it in (`opts`'s
+    /// wrapper, or the one inferred from the plan).
+    pub fn intern(&self, plan: &LogicalPlan, opts: &EstimateOptions) -> SubtreeId {
+        let inferred;
+        let ctx = match &opts.wrapper {
+            Some(w) => Some(w.as_str()),
+            None => {
+                inferred = infer_wrapper_context(plan);
+                inferred.as_deref()
+            }
+        };
+        self.interner.borrow_mut().intern_plan(plan, ctx)
+    }
+
+    /// Intern one node executing under `ctx` over already interned
+    /// `inputs`, which execute under the context the node gives them (a
+    /// submit's wrapper, `ctx` otherwise).
+    pub fn intern_node(
         &self,
-        plan: &LogicalPlan,
         ctx: Option<&str>,
-        slots: &mut Vec<Slot>,
-    ) -> usize {
-        self.interner.borrow_mut().intern_plan(plan, ctx, slots)
+        payload: Payload<'_>,
+        inputs: &[SubtreeId],
+    ) -> SubtreeId {
+        self.interner.borrow_mut().intern_node(ctx, payload, inputs)
+    }
+
+    pub(crate) fn interner(&self) -> Ref<'_, Interner> {
+        self.interner.borrow()
+    }
+
+    /// The observed submit sites of `overrides`, interned on first use:
+    /// one cache only ever sees one override set.
+    pub(crate) fn sites(
+        &self,
+        overrides: Option<&CardinalityOverrides>,
+    ) -> &[(SubtreeId, f64, f64)] {
+        self.sites.get_or_init(|| {
+            let mut interner = self.interner.borrow_mut();
+            overrides
+                .into_iter()
+                .flat_map(|ov| ov.sites())
+                .map(|(wrapper, input, rows, bytes)| {
+                    (interner.intern_plan(input, Some(wrapper)), rows, bytes)
+                })
+                .collect()
+        })
     }
 
     pub(crate) fn cost_get(&self, subtree: u32) -> Option<NodeCost> {

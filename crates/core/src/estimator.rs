@@ -16,11 +16,17 @@
 //!   already exceeds the best plan found so far, estimation stops and the
 //!   plan is rejected.
 //!
-//! On the cached path ([`Estimator::estimate_report_cached`]) a run first
-//! interns its plan once, bottom-up, into the [`EstimatorCache`]'s
-//! hash-consing tables; every node visit then finds its memoized cost by
-//! subtree id and its rule resolution by signature id, with no key built
-//! per visit. The uncached path does none of this.
+//! There is one evaluator and two entry points. The uncached one
+//! ([`Estimator::estimate_report`], and EXPLAIN) walks a plan tree. The
+//! cached one prices a [`SubtreeId`] of an [`EstimatorCache`]
+//! ([`Estimator::estimate_subtree`]): every node visit finds its memoized
+//! cost by subtree id and its rule resolution by signature id, and reads
+//! its inputs' facts from the cache's tables, with no key built and no
+//! subtree walked per visit. [`Estimator::estimate_report_cached`] interns
+//! a tree once, bottom-up, and takes that path; a caller that builds its
+//! candidates as interned nodes (the join-order search) never has a tree
+//! to hand over. Both entry points read a node only through a
+//! [`NodeView`], so association and every formula see the same facts.
 
 use std::borrow::Cow;
 
@@ -34,8 +40,8 @@ use disco_costlang::{eval_program, CostVar, EvalEnv};
 use crate::cache::{EstimatorCache, Resolution};
 use crate::cost::{NodeCost, PartialCost};
 use crate::explain::{Attribution, ExplainNode};
-use crate::intern::{same_plan, Slot};
-use crate::pattern::{match_head, BindingValue, Bindings};
+use crate::intern::{same_plan, NodeView, SubtreeId};
+use crate::pattern::{match_node, BindingValue, Bindings, Subject};
 use crate::registry::{Provenance, RuleRegistry};
 use crate::rules::{RegisteredRule, RuleBody};
 use crate::yao::yao_pages;
@@ -109,6 +115,13 @@ impl CardinalityOverrides {
             .iter()
             .find(|s| s.is(wrapper, input))
             .map(|s| (s.rows, s.bytes))
+    }
+
+    /// Every site: wrapper, shipped input and observed `(rows, bytes)`.
+    pub(crate) fn sites(&self) -> impl Iterator<Item = (&str, &LogicalPlan, f64, f64)> {
+        self.sites
+            .iter()
+            .map(|s| (s.wrapper.as_str(), &s.input, s.rows, s.bytes))
     }
 
     /// True when no observation has been recorded.
@@ -208,7 +221,8 @@ impl<'a> Estimator<'a> {
         plan: &LogicalPlan,
         opts: &EstimateOptions,
     ) -> Result<Option<EstimateReport>> {
-        self.run_report(plan, opts, None)
+        let ctx = context(plan, opts);
+        Run::new(*self, opts.cost_limit, false, None).report(NodeView::of(plan), ctx.as_deref())
     }
 
     /// Like [`Estimator::estimate_report`], but memoizing subplan costs
@@ -217,47 +231,34 @@ impl<'a> Estimator<'a> {
     /// next to the estimator, drop it with the run): candidates sharing
     /// subtrees (per-table access plans, memoized DP prefixes) are then
     /// walked once, and repeated `match_head` unification is skipped.
-    /// The plan is interned into the cache once, up front; cached values
-    /// are exact, so results are identical to the uncached path; only the
-    /// work counters shrink.
+    /// The plan is interned into the cache once, up front, and priced by
+    /// [`Estimator::estimate_subtree`]; cached values are exact, so
+    /// results are identical to the uncached path; only the work counters
+    /// shrink.
     pub fn estimate_report_cached(
         &self,
         plan: &LogicalPlan,
         opts: &EstimateOptions,
         cache: &EstimatorCache,
     ) -> Result<Option<EstimateReport>> {
-        self.run_report(plan, opts, Some(cache))
+        self.estimate_subtree(cache.intern(plan, opts), opts.cost_limit, cache)
     }
 
-    fn run_report(
+    /// Price the subtree `id` of `cache`, in the context it was interned
+    /// under, abandoning it past `limit`. A node whose cost is memoized is
+    /// one visit; a new node stacked on memoized inputs is evaluated alone.
+    /// The counters and the cost equal those of
+    /// [`Estimator::estimate_report_cached`] on the same subtree as a tree.
+    pub fn estimate_subtree(
         &self,
-        plan: &LogicalPlan,
-        opts: &EstimateOptions,
-        cache: Option<&EstimatorCache>,
+        id: SubtreeId,
+        limit: Option<f64>,
+        cache: &EstimatorCache,
     ) -> Result<Option<EstimateReport>> {
-        let ctx = match &opts.wrapper {
-            Some(w) => Some(w.clone()),
-            None => infer_wrapper_context(plan),
-        };
-        let mut slots = Vec::new();
-        let root = cache.map_or(0, |c| c.intern(plan, ctx.as_deref(), &mut slots));
-        let mut run = Run {
-            est: *self,
-            limit: opts.cost_limit,
-            nodes_visited: 0,
-            rules_evaluated: 0,
-            explain: false,
-            memo: cache.map(|cache| Memo { cache, slots }),
-        };
-        match run.node(plan, root, ctx.as_deref(), true) {
-            Ok((cost, _)) => Ok(Some(EstimateReport {
-                cost,
-                nodes_visited: run.nodes_visited,
-                rules_evaluated: run.rules_evaluated,
-            })),
-            Err(EstErr::Pruned) => Ok(None),
-            Err(EstErr::Fatal(e)) => Err(e),
-        }
+        let sites = cache.sites(self.overrides);
+        let interner = cache.interner();
+        let root = NodeView::interned(&interner, id);
+        Run::new(*self, limit, false, Some(Memo { cache, sites })).report(root, root.context())
     }
 
     /// Estimate with a full per-node, per-variable rule attribution — the
@@ -267,19 +268,9 @@ impl<'a> Estimator<'a> {
         plan: &LogicalPlan,
         opts: &EstimateOptions,
     ) -> Result<Option<ExplainNode>> {
-        let ctx = match &opts.wrapper {
-            Some(w) => Some(w.clone()),
-            None => infer_wrapper_context(plan),
-        };
-        let mut run = Run {
-            est: *self,
-            limit: opts.cost_limit,
-            nodes_visited: 0,
-            rules_evaluated: 0,
-            explain: true,
-            memo: None,
-        };
-        match run.node(plan, 0, ctx.as_deref(), true) {
+        let ctx = context(plan, opts);
+        let mut run = Run::new(*self, opts.cost_limit, true, None);
+        match run.node(NodeView::of(plan), ctx.as_deref(), true) {
             Ok((_, node)) => Ok(Some(node.expect("explain mode builds a node"))),
             Err(EstErr::Pruned) => Ok(None),
             Err(EstErr::Fatal(e)) => Err(e),
@@ -287,10 +278,19 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// The wrapper context a plan is priced under: the forced one, or the
+/// inferred one.
+fn context(plan: &LogicalPlan, opts: &EstimateOptions) -> Option<String> {
+    match &opts.wrapper {
+        Some(w) => Some(w.clone()),
+        None => infer_wrapper_context(plan),
+    }
+}
+
 /// Infer the wrapper context of a plan with no explicit `submit` nodes:
 /// if every scanned collection belongs to one wrapper, the plan is a
 /// subplan of that wrapper; otherwise it is mediator-level.
-fn infer_wrapper_context(plan: &LogicalPlan) -> Option<String> {
+pub(crate) fn infer_wrapper_context(plan: &LogicalPlan) -> Option<String> {
     fn has_submit(p: &LogicalPlan) -> bool {
         matches!(p, LogicalPlan::Submit { .. }) || p.children().iter().any(|c| has_submit(c))
     }
@@ -316,16 +316,16 @@ struct Run<'a> {
     nodes_visited: usize,
     rules_evaluated: usize,
     explain: bool,
-    /// Shared subplan-cost memo and rule-resolution cache, when the
-    /// caller opted in (never in explain mode, which needs full nodes).
+    /// Shared subplan-cost memo and rule-resolution cache, on the
+    /// interned entry point (never in explain mode, which needs full
+    /// nodes).
     memo: Option<Memo<'a>>,
 }
 
-/// A cache together with where this run's plan sits in its tables.
+/// The cache an interned run reads and fills, and its observed sites.
 struct Memo<'a> {
     cache: &'a EstimatorCache,
-    /// One per plan node; [`Run::node`] is handed its node's position.
-    slots: Vec<Slot>,
+    sites: &'a [(SubtreeId, f64, f64)],
 }
 
 /// A matched rule and its head bindings: owned when resolved for this
@@ -336,20 +336,51 @@ struct Candidate<'a, 'b> {
 }
 
 impl<'a> Run<'a> {
-    /// Position of child `i` of the node at `at` (meaningless, and
-    /// unused, without a memo).
-    fn child_at(&self, at: usize, i: usize) -> usize {
-        self.memo
-            .as_ref()
-            .map_or(0, |m| m.slots[at].kids[i] as usize)
+    fn new(est: Estimator<'a>, limit: Option<f64>, explain: bool, memo: Option<Memo<'a>>) -> Self {
+        Run {
+            est,
+            limit,
+            nodes_visited: 0,
+            rules_evaluated: 0,
+            explain,
+            memo,
+        }
     }
 
-    /// Estimate `plan`, the node at position `at` of the interned plan.
-    fn node(
+    fn report(mut self, root: NodeView<'_>, ctx: Option<&str>) -> Result<Option<EstimateReport>> {
+        match self.node(root, ctx, true) {
+            Ok((cost, _)) => Ok(Some(EstimateReport {
+                cost,
+                nodes_visited: self.nodes_visited,
+                rules_evaluated: self.rules_evaluated,
+            })),
+            Err(EstErr::Pruned) => Ok(None),
+            Err(EstErr::Fatal(e)) => Err(e),
+        }
+    }
+
+    /// The observed `(rows, bytes)` of a submit node's site, if any.
+    fn observed(&self, node: NodeView<'_>) -> Option<(f64, f64)> {
+        let ov = self.est.overrides?;
+        let wrapper = node.submit_to()?;
+        match (node.plan(), &self.memo) {
+            (Some(LogicalPlan::Submit { input, .. }), _) => ov.get(wrapper, input),
+            (_, Some(memo)) => {
+                let (input, _) = node.input(0)?.ids()?;
+                memo.sites
+                    .iter()
+                    .find(|(site, _, _)| site.0 == input)
+                    .map(|&(_, rows, bytes)| (rows, bytes))
+            }
+            _ => None,
+        }
+    }
+
+    /// Estimate `node`, executing under `ctx`.
+    fn node<'v>(
         &mut self,
-        plan: &LogicalPlan,
-        at: usize,
-        ctx: Option<&str>,
+        node: NodeView<'v>,
+        ctx: Option<&'v str>,
         is_root: bool,
     ) -> std::result::Result<(NodeCost, Option<ExplainNode>), EstErr> {
         self.nodes_visited += 1;
@@ -357,9 +388,12 @@ impl<'a> Run<'a> {
         // Subplan cost memo: an already-estimated subtree returns its
         // cost without re-walking (values are limit-independent; the
         // abandonment check below still applies at this node).
-        let memo = self.memo.as_ref().map(|m| (m.cache, m.slots[at]));
-        if let Some((cache, slot)) = memo {
-            if let Some(cost) = cache.cost_get(slot.node) {
+        let memo = match (&self.memo, node.ids()) {
+            (Some(m), Some(ids)) => Some((m.cache, ids)),
+            _ => None,
+        };
+        if let Some((cache, (subtree, _))) = memo {
+            if let Some(cost) = cache.cost_get(subtree) {
                 if let Some(limit) = self.limit {
                     if (is_root || ctx.is_none()) && cost.total_time > limit {
                         return Err(EstErr::Pruned);
@@ -371,10 +405,7 @@ impl<'a> Run<'a> {
 
         // Context under which children execute: submit switches into the
         // target wrapper.
-        let child_ctx: Option<&str> = match plan {
-            LogicalPlan::Submit { wrapper, .. } => Some(wrapper),
-            _ => ctx,
-        };
+        let child_ctx = node.submit_to().or(ctx);
 
         // Phase 1 (association): gather matching rules, most specific
         // first (the registry keeps them sorted). The rule-resolution
@@ -382,14 +413,14 @@ impl<'a> Run<'a> {
         // sharing a shallow signature.
         let shared: Resolution;
         let candidates: Vec<Candidate<'a, '_>> = match memo {
-            Some((cache, slot)) => {
-                shared = cache.rules_get(slot.sig).unwrap_or_else(|| {
+            Some((cache, (_, sig))) => {
+                shared = cache.rules_get(sig).unwrap_or_else(|| {
                     let fresh: Resolution = self
-                        .resolve_candidates(plan, ctx)
+                        .resolve_candidates(node, ctx)
                         .into_iter()
                         .map(|c| (c.rule.id, c.bindings.into_owned()))
                         .collect();
-                    cache.rules_put(slot.sig, Resolution::clone(&fresh));
+                    cache.rules_put(sig, Resolution::clone(&fresh));
                     fresh
                 });
                 shared
@@ -402,12 +433,12 @@ impl<'a> Run<'a> {
                     })
                     .collect()
             }
-            None => self.resolve_candidates(plan, ctx),
+            None => self.resolve_candidates(node, ctx),
         };
 
-        let child_plans = plan.children();
-        let mut children: Vec<Option<NodeCost>> = vec![None; child_plans.len()];
-        let mut children_explain: Vec<Option<ExplainNode>> = vec![None; child_plans.len()];
+        let arity = (0..2).take_while(|&i| node.input(i).is_some()).count();
+        let mut children: Vec<Option<NodeCost>> = vec![None; arity];
+        let mut children_explain: Vec<Option<ExplainNode>> = vec![None; arity];
         let mut attributions: Vec<Attribution> = Vec::new();
 
         // Phase 2 (evaluation), per variable with per-variable fallback.
@@ -429,9 +460,7 @@ impl<'a> Run<'a> {
                         if let Some(v) = self.eval_candidate(
                             cand,
                             var,
-                            plan,
-                            at,
-                            &child_plans,
+                            node,
                             &mut children,
                             &mut children_explain,
                             child_ctx,
@@ -466,7 +495,7 @@ impl<'a> Run<'a> {
             let Some(v) = value else {
                 return Err(EstErr::Fatal(DiscoError::Cost(format!(
                     "no applicable formula computes {var} for operator `{}`",
-                    plan.kind()
+                    node.kind()
                 ))));
             };
             partial.set(var, v);
@@ -479,7 +508,7 @@ impl<'a> Run<'a> {
         // memoized value carries the penalty read when it was computed;
         // the memo dies with its run, so no later run replays it.
         let mut health_penalty = 1.0;
-        if let (Some(health), LogicalPlan::Submit { wrapper, .. }) = (self.est.health, plan) {
+        if let (Some(health), Some(wrapper)) = (self.est.health, node.submit_to()) {
             health_penalty = health.penalty(wrapper);
             if health_penalty > 1.0 {
                 cost.time_first *= health_penalty;
@@ -493,13 +522,10 @@ impl<'a> Run<'a> {
         // replace the estimate — ancestor joins are then priced against
         // reality. Time variables are left alone: the fetch is sunk cost,
         // identical under every candidate combine order.
-        let mut observed = None;
-        if let (Some(ov), LogicalPlan::Submit { wrapper, input }) = (self.est.overrides, plan) {
-            if let Some((rows, bytes)) = ov.get(wrapper, input) {
-                cost.count_object = rows;
-                cost.total_size = bytes;
-                observed = Some(rows);
-            }
+        let observed = self.observed(node);
+        if let Some((rows, bytes)) = observed {
+            cost.count_object = rows;
+            cost.total_size = bytes;
         }
 
         // Explain mode reports the whole plan: visit the children the
@@ -507,9 +533,10 @@ impl<'a> Run<'a> {
         // node's (no winning rule reads them) — they are shown so the
         // tree is complete for EXPLAIN / EXPLAIN ANALYZE.
         if self.explain {
-            for (i, cp) in child_plans.iter().enumerate() {
+            for i in 0..arity {
                 if children_explain[i].is_none() {
-                    let (c, e) = self.node(cp, self.child_at(at, i), child_ctx, false)?;
+                    let child = node.input(i).expect("counted input");
+                    let (c, e) = self.node(child, child_ctx, false)?;
                     children[i] = Some(c);
                     children_explain[i] = e;
                 }
@@ -518,11 +545,13 @@ impl<'a> Run<'a> {
 
         let explain_node = self.explain.then(|| ExplainNode {
             operator: {
-                let mut op = describe_node(plan);
+                let mut op = node
+                    .plan()
+                    .map_or_else(|| node.kind().to_string(), describe_node);
                 if health_penalty > 1.0 {
                     op = format!("{op} [health ×{health_penalty:.2}]");
                 }
-                if let Some(rows) = observed {
+                if let Some((rows, _)) = observed {
                     op = format!("{op} [observed {rows:.0} rows]");
                 }
                 op
@@ -535,8 +564,8 @@ impl<'a> Run<'a> {
         // A fully evaluated node's cost does not depend on the limit, so
         // it is memoizable even when a limit is in effect (an abandoned
         // run unwinds through `Err` before reaching this point).
-        if let Some((cache, slot)) = memo {
-            cache.cost_put(slot.node, cost);
+        if let Some((cache, (subtree, _))) = memo {
+            cache.cost_put(subtree, cost);
         }
 
         // Branch-and-bound abandonment (§4.3.2). Checked only where cost
@@ -556,19 +585,20 @@ impl<'a> Run<'a> {
     /// unification over the registry's most-specific-first candidates.
     fn resolve_candidates(
         &self,
-        plan: &LogicalPlan,
+        node: NodeView<'_>,
         ctx: Option<&str>,
     ) -> Vec<Candidate<'a, 'static>> {
+        let subject = Subject::of(node);
         self.est
             .registry
-            .candidates(plan.kind())
+            .candidates(subject.kind())
             .filter(|r| match &r.provenance {
                 Provenance::Default => true,
                 Provenance::Local => ctx.is_none(),
                 Provenance::Wrapper(w) => ctx == Some(w.as_str()),
             })
             .filter_map(|r| {
-                match_head(&r.head, plan, r.declared_in.as_deref()).map(|bindings| Candidate {
+                match_node(&r.head, &subject, r.declared_in.as_deref()).map(|bindings| Candidate {
                     rule: r,
                     bindings: Cow::Owned(bindings),
                 })
@@ -579,16 +609,14 @@ impl<'a> Run<'a> {
     /// Evaluate one candidate rule for one variable. `Ok(None)` = formula
     /// inapplicable (evaluation failed) — the caller falls back.
     #[allow(clippy::too_many_arguments)]
-    fn eval_candidate(
+    fn eval_candidate<'v>(
         &mut self,
         cand: &Candidate<'a, '_>,
         var: CostVar,
-        plan: &LogicalPlan,
-        at: usize,
-        child_plans: &[&LogicalPlan],
-        children: &mut Vec<Option<NodeCost>>,
+        node: NodeView<'v>,
+        children: &mut [Option<NodeCost>],
         children_explain: &mut [Option<ExplainNode>],
-        child_ctx: Option<&str>,
+        child_ctx: Option<&'v str>,
         ctx: Option<&str>,
         partial: &PartialCost,
     ) -> std::result::Result<Option<f64>, EstErr> {
@@ -596,12 +624,13 @@ impl<'a> Run<'a> {
         // "if no variables required from a child node, the recursive call
         // to the child is cut").
         let needed = match &cand.rule.body {
-            RuleBody::Native(_) => (0..child_plans.len()).collect::<Vec<_>>(),
-            RuleBody::Compiled(body) => children_needed(body, &cand.bindings, plan),
+            RuleBody::Native(_) => (0..children.len()).collect::<Vec<_>>(),
+            RuleBody::Compiled(body) => children_needed(body, &cand.bindings, node),
         };
         for &i in &needed {
             if children[i].is_none() {
-                let (c, e) = self.node(child_plans[i], self.child_at(at, i), child_ctx, false)?;
+                let child = node.input(i).expect("needed input exists");
+                let (c, e) = self.node(child, child_ctx, false)?;
                 children[i] = Some(c);
                 children_explain[i] = e;
             }
@@ -619,7 +648,7 @@ impl<'a> Run<'a> {
                     .map(|c| c.unwrap_or(NodeCost::ZERO))
                     .collect();
                 let nctx = NativeCtx {
-                    node: plan,
+                    node,
                     children: &forced,
                     catalog: self.est.catalog,
                     registry: self.est.registry,
@@ -631,7 +660,7 @@ impl<'a> Run<'a> {
             RuleBody::Compiled(body) => {
                 let env = RuleEnv {
                     bindings: &cand.bindings,
-                    node: plan,
+                    node,
                     children,
                     catalog: self.est.catalog,
                     registry: self.est.registry,
@@ -674,7 +703,7 @@ fn describe_rule(rule: &RegisteredRule) -> String {
 fn children_needed(
     body: &disco_costlang::CompiledBody,
     bindings: &Bindings,
-    plan: &LogicalPlan,
+    node: NodeView<'_>,
 ) -> Vec<usize> {
     let mut needed = Vec::new();
     let mut push = |i: usize| {
@@ -696,17 +725,22 @@ fn children_needed(
                 }
             }
             CollSpec::Named(n) => {
-                if let Some(i) = plan
-                    .children()
-                    .iter()
-                    .position(|c| c.base_collection().is_some_and(|q| q.collection == *n))
-                {
+                if let Some(i) = input_deriving_from(node, n) {
                     push(i);
                 }
             }
         }
     }
     needed
+}
+
+/// The first input of `node` whose base collection is named `name`.
+fn input_deriving_from(node: NodeView<'_>, name: &str) -> Option<usize> {
+    (0..2).find(|&i| {
+        node.input(i)
+            .and_then(|c| c.base_collection())
+            .is_some_and(|q| q.collection == name)
+    })
 }
 
 fn child_slot(c: ChildRef) -> usize {
@@ -719,7 +753,7 @@ fn child_slot(c: ChildRef) -> usize {
 /// Context handed to native formulas (the generic model).
 pub struct NativeCtx<'a> {
     /// The node being estimated.
-    pub node: &'a LogicalPlan,
+    pub node: NodeView<'a>,
     /// Costs of all children (forced before native evaluation).
     pub children: &'a [NodeCost],
     /// The mediator catalog.
@@ -764,8 +798,13 @@ impl NativeCtx<'_> {
     }
 
     /// Statistics of the base collection a subtree derives from.
-    pub fn base_stats(&self, plan: &LogicalPlan) -> Option<&CollectionStats> {
-        plan.base_collection().and_then(|q| self.stats(q))
+    pub fn base_stats(&self, node: NodeView<'_>) -> Option<&CollectionStats> {
+        node.base_collection().and_then(|q| self.stats(q))
+    }
+
+    /// Statistics of the base collection input `i` derives from.
+    pub fn input_stats(&self, i: usize) -> Option<&CollectionStats> {
+        self.node.input(i).and_then(|c| self.base_stats(c))
     }
 
     /// Cost of child `i`.
@@ -777,7 +816,7 @@ impl NativeCtx<'_> {
 /// `EvalEnv` implementation backing compiled wrapper rules.
 struct RuleEnv<'a> {
     bindings: &'a Bindings,
-    node: &'a LogicalPlan,
+    node: NodeView<'a>,
     children: &'a [Option<NodeCost>],
     catalog: &'a Catalog,
     registry: &'a RuleRegistry,
@@ -813,8 +852,7 @@ impl RuleEnv<'_> {
                 let i = child_slot(*c);
                 let coll = self
                     .node
-                    .children()
-                    .get(i)
+                    .input(i)
                     .and_then(|p| p.base_collection())
                     .cloned();
                 (Some(i), coll)
@@ -827,12 +865,7 @@ impl RuleEnv<'_> {
             },
             CollSpec::Named(n) => {
                 let coll = self.lookup_named(n);
-                let child = self
-                    .node
-                    .children()
-                    .iter()
-                    .position(|c| c.base_collection().is_some_and(|q| q.collection == *n));
-                (child, coll)
+                (input_deriving_from(self.node, n), coll)
             }
         }
     }

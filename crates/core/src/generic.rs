@@ -22,12 +22,13 @@
 
 use std::sync::Arc;
 
-use disco_algebra::{CompareOp, LogicalPlan, OperatorKind, Predicate};
+use disco_algebra::{CompareOp, OperatorKind, Predicate};
 use disco_catalog::{join_selectivity, predicate_selectivity};
 use disco_costlang::ast::{AttrTerm, CollTerm, HeadArg, RuleHead};
 use disco_costlang::CostVar;
 
 use crate::estimator::NativeCtx;
+use crate::intern::Payload;
 use crate::registry::{Provenance, RuleRegistry};
 use crate::rules::NativeFormula;
 use crate::scope::Scope;
@@ -101,9 +102,9 @@ fn fallback_selectivity(pred: &Predicate) -> f64 {
         .product()
 }
 
-/// Selectivity of a selection node given its input subtree.
-fn selection_selectivity(ctx: &NativeCtx<'_>, input: &LogicalPlan, pred: &Predicate) -> f64 {
-    match ctx.base_stats(input) {
+/// Selectivity of a selection node over its input.
+fn selection_selectivity(ctx: &NativeCtx<'_>, pred: &Predicate) -> f64 {
+    match ctx.input_stats(0) {
         Some(stats) => predicate_selectivity(stats, pred),
         None => fallback_selectivity(pred),
     }
@@ -114,12 +115,13 @@ fn sort_cost(ctx: &NativeCtx<'_>, n: f64) -> f64 {
     ctx.param_or("SortFactor", 0.02) * n * n.max(2.0).log2()
 }
 
-/// Average object width of a subresult, falling back to base statistics.
-fn width_of(ctx: &NativeCtx<'_>, plan: &LogicalPlan, cost: &crate::cost::NodeCost) -> f64 {
+/// Average object width of input `i`, falling back to base statistics.
+fn width_of(ctx: &NativeCtx<'_>, i: usize) -> f64 {
+    let cost = ctx.child(i);
     if cost.count_object >= 1.0 && cost.total_size > 0.0 {
         cost.total_size / cost.count_object
     } else {
-        ctx.base_stats(plan)
+        ctx.input_stats(i)
             .map(|s| s.extent.object_size as f64)
             .unwrap_or(100.0)
     }
@@ -134,44 +136,35 @@ pub struct GenericModel {
 impl GenericModel {
     /// Output cardinality.
     fn count(&self, ctx: &NativeCtx<'_>) -> Option<f64> {
-        match ctx.node {
-            LogicalPlan::Scan { .. } => Some(ctx.base_stats(ctx.node)?.extent.count_object as f64),
-            LogicalPlan::Select { input, predicate } => {
-                let sel = selection_selectivity(ctx, input, predicate);
+        match ctx.node.payload() {
+            Payload::Scan { .. } => Some(ctx.base_stats(ctx.node)?.extent.count_object as f64),
+            Payload::Select(predicate) => {
+                let sel = selection_selectivity(ctx, &predicate);
                 Some(ctx.child(0).count_object * sel)
             }
-            LogicalPlan::Project { .. } | LogicalPlan::Sort { .. } | LogicalPlan::Submit { .. } => {
+            Payload::Project(_) | Payload::Sort(_) | Payload::Submit(_) => {
                 Some(ctx.child(0).count_object)
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
+            Payload::Join(predicate, _) => {
                 let (l, r) = (ctx.child(0), ctx.child(1));
-                let jsel = match (ctx.base_stats(left), ctx.base_stats(right)) {
-                    (Some(ls), Some(rs)) => join_selectivity(ls, rs, predicate),
+                let jsel = match (ctx.input_stats(0), ctx.input_stats(1)) {
+                    (Some(ls), Some(rs)) => join_selectivity(ls, rs, &predicate),
                     // Without statistics assume a key-foreign-key join.
                     _ => 1.0 / l.count_object.max(r.count_object).max(1.0),
                 };
                 Some(l.count_object * r.count_object * jsel)
             }
-            LogicalPlan::Union { .. } => {
-                Some(ctx.child(0).count_object + ctx.child(1).count_object)
-            }
-            LogicalPlan::Dedup { .. } => {
+            Payload::Union => Some(ctx.child(0).count_object + ctx.child(1).count_object),
+            Payload::Dedup => {
                 let n = ctx.child(0).count_object;
                 Some((n * ctx.param_or("DedupSel", 0.5)).min(n).max(n.min(1.0)))
             }
-            LogicalPlan::Aggregate {
-                input, group_by, ..
-            } => {
+            Payload::Aggregate(group_by, _) => {
                 let n = ctx.child(0).count_object;
                 if group_by.is_empty() {
                     return Some(n.min(1.0));
                 }
-                match ctx.base_stats(input) {
+                match ctx.input_stats(0) {
                     Some(stats) => {
                         let groups: f64 = group_by
                             .iter()
@@ -187,31 +180,21 @@ impl GenericModel {
 
     /// Output size in bytes, given the (possibly overridden) cardinality.
     fn size(&self, ctx: &NativeCtx<'_>, count: f64) -> Option<f64> {
-        match ctx.node {
-            LogicalPlan::Scan { .. } => Some(ctx.base_stats(ctx.node)?.extent.total_size as f64),
-            LogicalPlan::Project { input, columns } => {
+        match ctx.node.payload() {
+            Payload::Scan { .. } => Some(ctx.base_stats(ctx.node)?.extent.total_size as f64),
+            Payload::Project(columns) => {
                 // Width scales with the kept fraction of attributes.
-                let child = ctx.child(0);
-                let in_arity = input.output_schema().map(|s| s.arity()).unwrap_or(1).max(1);
+                let in_arity = ctx.node.input(0).map_or(1, |c| c.output_arity()).max(1);
                 let ratio = columns.len() as f64 / in_arity as f64;
-                Some(count * width_of(ctx, input, &child) * ratio.min(1.0))
+                Some(count * width_of(ctx, 0) * ratio.min(1.0))
             }
-            LogicalPlan::Join { left, right, .. } => {
-                let wl = width_of(ctx, left, &ctx.child(0));
-                let wr = width_of(ctx, right, &ctx.child(1));
-                Some(count * (wl + wr))
-            }
-            LogicalPlan::Union { left, .. } => {
-                let w = width_of(ctx, left, &ctx.child(0));
-                Some(count * w)
-            }
-            LogicalPlan::Select { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Dedup { input }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Submit { input, .. } => {
-                Some(count * width_of(ctx, input, &ctx.child(0)))
-            }
+            Payload::Join(..) => Some(count * (width_of(ctx, 0) + width_of(ctx, 1))),
+            Payload::Union => Some(count * width_of(ctx, 0)),
+            Payload::Select(_)
+            | Payload::Sort(_)
+            | Payload::Dedup
+            | Payload::Aggregate(..)
+            | Payload::Submit(_) => Some(count * width_of(ctx, 0)),
         }
     }
 
@@ -230,20 +213,21 @@ impl GenericModel {
         let cpu_scan = ctx.param_or("CpuScan", 0.01);
         let cpu_hash = ctx.param_or("CpuHash", 0.02);
         let deliver = count * output;
-        let (tf, tt) = match ctx.node {
-            LogicalPlan::Scan { .. } => {
+        let (tf, tt) = match ctx.node.payload() {
+            Payload::Scan { .. } => {
                 let stats = ctx.base_stats(ctx.node)?;
                 let pages = stats.extent.count_pages(ctx.page_size() as u64) as f64;
                 let n = stats.extent.count_object as f64;
                 (overhead, overhead + pages * io + n * cpu_scan + deliver)
             }
-            LogicalPlan::Select { input, predicate } => {
+            Payload::Select(predicate) => {
                 let child = ctx.child(0);
                 // Index path: selection directly over a base scan with an
                 // index on the (single) restricted attribute.
-                let indexed_attr = match (input.as_ref(), predicate.conjuncts.as_slice()) {
-                    (LogicalPlan::Scan { .. }, [c]) => ctx
-                        .base_stats(input)
+                let over_scan = ctx.node.input(0).is_some_and(|c| c.is_scan());
+                let indexed_attr = match predicate.conjuncts.as_slice() {
+                    [c] if over_scan => ctx
+                        .input_stats(0)
                         .is_some_and(|s| s.attribute(&c.attribute).indexed),
                     _ => false,
                 };
@@ -258,21 +242,19 @@ impl GenericModel {
                     )
                 }
             }
-            LogicalPlan::Project { .. } => {
+            Payload::Project(_) => {
                 let child = ctx.child(0);
                 (
                     child.time_first + cpu_hash,
                     internal_time(ctx, &child) + child.count_object * cpu_hash + deliver,
                 )
             }
-            LogicalPlan::Sort { .. } => {
+            Payload::Sort(_) => {
                 let child = ctx.child(0);
                 let tt = internal_time(ctx, &child) + sort_cost(ctx, child.count_object) + deliver;
                 (tt, tt) // blocking
             }
-            LogicalPlan::Join {
-                right, predicate, ..
-            } => {
+            Payload::Join(predicate, _) => {
                 let (l, r) = (ctx.child(0), ctx.child(1));
                 let (nl, nr) = (l.count_object, r.count_object);
                 let (il, ir) = (internal_time(ctx, &l), internal_time(ctx, &r));
@@ -283,9 +265,9 @@ impl GenericModel {
                 // Index join when the inner input is a base scan with an
                 // index on the join attribute (§2.3: "when an index is
                 // existing, the index join formula is selected").
-                let right_indexed = matches!(right.as_ref(), LogicalPlan::Scan { .. })
+                let right_indexed = ctx.node.input(1).is_some_and(|c| c.is_scan())
                     && ctx
-                        .base_stats(right)
+                        .input_stats(1)
                         .is_some_and(|s| s.attribute(&predicate.right_attr).indexed);
                 if right_indexed {
                     let probe = ctx.param_or("IdxProbe", 2.0);
@@ -294,26 +276,26 @@ impl GenericModel {
                 }
                 (l.time_first + r.time_first, best + deliver)
             }
-            LogicalPlan::Union { .. } => {
+            Payload::Union => {
                 let (l, r) = (ctx.child(0), ctx.child(1));
                 (
                     l.time_first.min(r.time_first),
                     internal_time(ctx, &l) + internal_time(ctx, &r) + deliver,
                 )
             }
-            LogicalPlan::Dedup { .. } => {
+            Payload::Dedup => {
                 let child = ctx.child(0);
                 (
                     child.time_first + cpu_hash,
                     internal_time(ctx, &child) + child.count_object * cpu_hash + deliver,
                 )
             }
-            LogicalPlan::Aggregate { .. } => {
+            Payload::Aggregate(..) => {
                 let child = ctx.child(0);
                 let tt = internal_time(ctx, &child) + child.count_object * cpu_hash + deliver;
                 (tt, tt) // blocking
             }
-            LogicalPlan::Submit { .. } => {
+            Payload::Submit(_) => {
                 // Delivery already happened at the subplan root; submit
                 // adds the uniform communication cost.
                 let child = ctx.child(0);
@@ -392,20 +374,20 @@ impl NativeFormula for LocalModel {
         }
         let cpu = ctx.param_or("CpuHash", 0.02);
         let cpu_pred = ctx.param_or("CpuPred", 0.05);
-        let (tf, tt) = match ctx.node {
-            LogicalPlan::Select { .. } | LogicalPlan::Project { .. } => {
+        let (tf, tt) = match ctx.node.payload() {
+            Payload::Select(_) | Payload::Project(_) => {
                 let c = ctx.child(0);
                 (
                     c.time_first + cpu_pred,
                     c.total_time + c.count_object * cpu_pred,
                 )
             }
-            LogicalPlan::Sort { .. } => {
+            Payload::Sort(_) => {
                 let c = ctx.child(0);
                 let tt = c.total_time + sort_cost(ctx, c.count_object);
                 (tt, tt)
             }
-            LogicalPlan::Join { .. } => {
+            Payload::Join(..) => {
                 // Hash join: build on the smaller input, probe the larger.
                 let (l, r) = (ctx.child(0), ctx.child(1));
                 let build = l.count_object.min(r.count_object);
@@ -413,11 +395,11 @@ impl NativeFormula for LocalModel {
                 let tt = l.total_time + r.total_time + (build + probe) * cpu + count * cpu;
                 (l.time_first + r.time_first, tt)
             }
-            LogicalPlan::Union { .. } => {
+            Payload::Union => {
                 let (l, r) = (ctx.child(0), ctx.child(1));
                 (l.time_first.min(r.time_first), l.total_time + r.total_time)
             }
-            LogicalPlan::Dedup { .. } | LogicalPlan::Aggregate { .. } => {
+            Payload::Dedup | Payload::Aggregate(..) => {
                 let c = ctx.child(0);
                 (c.time_first + cpu, c.total_time + c.count_object * cpu)
             }
@@ -443,7 +425,7 @@ mod tests {
     use super::*;
     use crate::cost::NodeCost;
     use crate::estimator::Estimator;
-    use disco_algebra::PlanBuilder;
+    use disco_algebra::{LogicalPlan, PlanBuilder};
     use disco_catalog::{AttributeStats, Capabilities, Catalog, CollectionStats, ExtentStats};
     use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Value};
 

@@ -1,23 +1,33 @@
 //! Hash-consing of logical subplans: the keys of the estimator's per-run
-//! caches.
+//! caches, and the facts the estimator reads of each interned subtree.
 //!
-//! An estimate on the cached path interns its plan once, bottom-up
-//! (children before parents, like the §4.2 evaluation phase), and gets
-//! back one [`Slot`] per node. A node's *subtree id* is determined by
-//! three things: its wrapper execution context, its shallow [`Payload`]
-//! (operator kind plus the node's own fields — collection and schema,
-//! predicate, columns, keys, join kind, aggregates, wrapper) and its
-//! children's subtree ids. Equal ids therefore mean structurally equal
-//! subtrees under equal contexts, by induction, and the subplan cost memo
-//! is a vector indexed by subtree id.
+//! A plan enters a run's tables in one of two ways. [`Interner::intern_plan`]
+//! walks a whole tree bottom-up (children before parents, like the §4.2
+//! evaluation phase). [`Interner::intern_node`] adds one node over children
+//! that are interned already: the join-order search builds every candidate
+//! that way, one `Join` over a memoized prefix and a leaf, so no candidate
+//! is ever a tree. Either way a node's *subtree id* is determined by three
+//! things: its wrapper execution context, its shallow [`Payload`] (operator
+//! kind plus the node's own fields — collection and schema, predicate,
+//! columns, keys, join kind, aggregates, wrapper) and its children's
+//! subtree ids. Equal ids therefore mean structurally equal subtrees under
+//! equal contexts, by induction, and the subplan cost memo is a vector
+//! indexed by subtree id.
 //!
-//! The same pass gives each node a *signature id*: what rule association
+//! Each subtree also gets a *signature id*: what rule association
 //! ([`crate::pattern::match_head`]) can observe of the node — context,
 //! kind, payload (a scan's collection only), each child's base collection
 //! and the set of collections the subtree reads. Nodes with equal
-//! signatures resolve to the same rules with the same bindings. Base
-//! collections and collection sets are derived during the pass, from the
-//! children's, so no node walks its subtree again.
+//! signatures resolve to the same rules with the same bindings.
+//!
+//! Stored per subtree id are the *child facts*: what a formula reads of a
+//! node when the node is somebody's input — its base collection, the set
+//! of collections it reads and the arity of its output (its stored
+//! payload says whether it is a bare `Scan`). They are derived once, from
+//! the children's, so no node walks its subtree again. A [`NodeView`] is the estimator's one way of
+//! reading a node: over an interned id it reads these facts, over a plain
+//! tree (the uncached entry point) it derives the same facts from the
+//! child plans.
 //!
 //! A 64-bit fingerprint only picks the bucket. Membership is decided by
 //! equality of the stored key, and a payload's equality compares
@@ -32,7 +42,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 
 use disco_algebra::logical::AggExpr;
-use disco_algebra::{JoinKind, JoinPredicate, LogicalPlan, Predicate, ScalarExpr};
+use disco_algebra::{JoinKind, JoinPredicate, LogicalPlan, OperatorKind, Predicate, ScalarExpr};
 use disco_common::{QualifiedName, Schema, Value};
 
 /// The absent id: no child, no base collection, no context.
@@ -41,7 +51,7 @@ const NONE: u32 = u32::MAX;
 /// A node's own fields, without its children. Borrowed from the plan
 /// while it is interned, owned once stored.
 #[derive(Debug, Clone)]
-enum Payload<'p> {
+pub enum Payload<'p> {
     Scan {
         collection: Cow<'p, QualifiedName>,
         schema: Cow<'p, Schema>,
@@ -57,7 +67,8 @@ enum Payload<'p> {
 }
 
 impl<'p> Payload<'p> {
-    fn of(plan: &'p LogicalPlan) -> Self {
+    /// The fields of `plan`'s root, borrowed.
+    pub fn of(plan: &'p LogicalPlan) -> Self {
         match plan {
             LogicalPlan::Scan { collection, schema } => Payload::Scan {
                 collection: Cow::Borrowed(collection),
@@ -75,6 +86,59 @@ impl<'p> Payload<'p> {
                 Payload::Aggregate(Cow::Borrowed(group_by), Cow::Borrowed(aggs))
             }
             LogicalPlan::Submit { wrapper, .. } => Payload::Submit(Cow::Borrowed(wrapper)),
+        }
+    }
+
+    /// The operator.
+    pub fn kind(&self) -> OperatorKind {
+        match self {
+            Payload::Scan { .. } => OperatorKind::Scan,
+            Payload::Select(_) => OperatorKind::Select,
+            Payload::Project(_) => OperatorKind::Project,
+            Payload::Sort(_) => OperatorKind::Sort,
+            Payload::Join(..) => OperatorKind::Join,
+            Payload::Union => OperatorKind::Union,
+            Payload::Dedup => OperatorKind::Dedup,
+            Payload::Aggregate(..) => OperatorKind::Aggregate,
+            Payload::Submit(_) => OperatorKind::Submit,
+        }
+    }
+
+    /// The same fields, borrowed from `self`.
+    fn reborrow(&self) -> Payload<'_> {
+        fn b<B: ToOwned + ?Sized>(c: &B) -> Cow<'_, B> {
+            Cow::Borrowed(c)
+        }
+        match self {
+            Payload::Scan { collection, schema } => Payload::Scan {
+                collection: b(collection),
+                schema: b(schema),
+            },
+            Payload::Select(p) => Payload::Select(b(p)),
+            Payload::Project(c) => Payload::Project(b(c)),
+            Payload::Sort(k) => Payload::Sort(b(k)),
+            Payload::Join(p, kind) => Payload::Join(b(p), *kind),
+            Payload::Union => Payload::Union,
+            Payload::Dedup => Payload::Dedup,
+            Payload::Aggregate(g, a) => Payload::Aggregate(b(g), b(a)),
+            Payload::Submit(w) => Payload::Submit(b(w)),
+        }
+    }
+
+    /// Arity of the node's output, given its inputs' (`input(0)`,
+    /// `input(1)`): the structure of `LogicalPlan::output_schema`, without
+    /// its validation.
+    fn output_arity(&self, input: impl Fn(usize) -> usize) -> usize {
+        match self {
+            Payload::Scan { schema, .. } => schema.arity(),
+            Payload::Project(columns) => columns.len(),
+            Payload::Join(..) => input(0) + input(1),
+            Payload::Aggregate(group_by, aggs) => group_by.len() + aggs.len(),
+            Payload::Select(_)
+            | Payload::Sort(_)
+            | Payload::Union
+            | Payload::Dedup
+            | Payload::Submit(_) => input(0),
         }
     }
 
@@ -242,6 +306,14 @@ fn inputs(plan: &LogicalPlan) -> Inputs<'_> {
     }
 }
 
+/// Input `i` of `plan`, if it has one.
+fn input(plan: &LogicalPlan, i: usize) -> Option<&LogicalPlan> {
+    match (inputs(plan), i) {
+        (Inputs::One(x), 0) | (Inputs::Two(x, _), 0) | (Inputs::Two(_, x), 1) => Some(x),
+        _ => None,
+    }
+}
+
 /// Structural equality of two whole plans, with the memo's bit-exact
 /// payload comparison.
 pub(crate) fn same_plan(a: &LogicalPlan, b: &LogicalPlan) -> bool {
@@ -329,6 +401,12 @@ fn intern_key<K: Copy + Eq + Hash>(ids: &mut Ids<K>, key: K) -> u32 {
     *ids.entry(key).or_insert(next)
 }
 
+/// A subtree interned in one [`crate::EstimatorCache`]: equal ids are
+/// structurally equal subtrees executing under equal contexts. Meaningful
+/// only to the cache that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SubtreeId(pub(crate) u32);
+
 /// Subtree key: context, payload and children, all as ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct NodeKey {
@@ -355,17 +433,6 @@ struct SigKey {
     colls: u32,
 }
 
-/// Where one node of an interned plan sits in the run's tables.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Slot {
-    /// Subtree id: the subplan cost memo's index.
-    pub node: u32,
-    /// Signature id: the rule-resolution cache's index.
-    pub sig: u32,
-    /// Positions of the children's slots; post-order puts them first.
-    pub kids: [u32; 2],
-}
-
 /// Ids a payload implies, worked out once, when it is first stored.
 #[derive(Debug, Clone, Copy)]
 struct Implied {
@@ -378,33 +445,41 @@ struct Implied {
     submit_to: u32,
 }
 
-/// What the bottom-up pass knows of an interned subtree.
-#[derive(Clone, Copy)]
+/// What the tables know of one subtree, indexed by its id.
+#[derive(Debug, Clone, Copy)]
 struct Facts {
-    pos: u32,
-    node: u32,
+    key: NodeKey,
+    /// Signature id: the rule-resolution cache's index.
+    sig: u32,
     /// The single base collection the subtree reads, if it is a linear
     /// pipeline over one scan (`LogicalPlan::base_collection`).
     base: u32,
     /// Id of the set of collections the subtree reads.
     colls: u32,
+    /// Arity of the subtree's output.
+    arity: u32,
 }
 
 /// The hash-consing tables of one run.
 #[derive(Debug)]
 pub(crate) struct Interner {
     /// Wrapper names, as execution contexts.
-    names: Ids<Box<str>>,
-    collections: Ids<QualifiedName>,
+    names: Ids<Rc<str>>,
+    name_list: Vec<Rc<str>>,
+    collections: Ids<Rc<QualifiedName>>,
+    collection_list: Vec<Rc<QualifiedName>>,
     /// Collection sets: sorted, duplicate-free collection ids.
     sets: Ids<Rc<[u32]>>,
     set_list: Vec<Rc<[u32]>>,
     /// The union of two sets, by their ids (not a dense numbering).
     unions: Ids<[u32; 2]>,
-    payloads: Ids<Payload<'static>>,
+    payloads: Ids<Rc<Payload<'static>>>,
     /// Indexed by payload id.
+    payload_list: Vec<Rc<Payload<'static>>>,
     implied: Vec<Implied>,
     nodes: Ids<NodeKey>,
+    /// Indexed by subtree id.
+    facts: Vec<Facts>,
     sigs: Ids<SigKey>,
     /// Scratch for set unions.
     merged: Vec<u32>,
@@ -422,13 +497,17 @@ impl Default for Interner {
     fn default() -> Self {
         Interner {
             names: Ids::default(),
+            name_list: Vec::new(),
             collections: Ids::default(),
+            collection_list: Vec::new(),
             sets: sized(),
             set_list: Vec::with_capacity(INITIAL_CAPACITY),
             unions: sized(),
             payloads: sized(),
+            payload_list: Vec::with_capacity(INITIAL_CAPACITY),
             implied: Vec::with_capacity(INITIAL_CAPACITY),
             nodes: sized(),
+            facts: Vec::with_capacity(INITIAL_CAPACITY),
             sigs: sized(),
             merged: Vec::new(),
         }
@@ -436,17 +515,45 @@ impl Default for Interner {
 }
 
 impl Interner {
-    /// Intern `plan`, executing under `ctx`, bottom-up: one slot per node
-    /// is appended to `slots`, children first. Returns the root's
-    /// position.
-    pub(crate) fn intern_plan(
-        &mut self,
-        plan: &LogicalPlan,
-        ctx: Option<&str>,
-        slots: &mut Vec<Slot>,
-    ) -> usize {
+    /// Intern `plan`, executing under `ctx`, bottom-up. Returns the root's
+    /// subtree id.
+    pub(crate) fn intern_plan(&mut self, plan: &LogicalPlan, ctx: Option<&str>) -> SubtreeId {
         let ctx = ctx.map_or(NONE, |w| self.name(w));
-        self.walk(plan, ctx, slots).pos as usize
+        SubtreeId(self.walk(plan, ctx))
+    }
+
+    /// Intern one node, executing under `ctx`, over already interned
+    /// inputs (none for a scan, one or two otherwise). Each input must
+    /// execute under the context the node gives its inputs: a submit's
+    /// wrapper, `ctx` otherwise.
+    pub(crate) fn intern_node(
+        &mut self,
+        ctx: Option<&str>,
+        payload: Payload<'_>,
+        inputs: &[SubtreeId],
+    ) -> SubtreeId {
+        debug_assert_eq!(
+            inputs.len(),
+            match payload.kind() {
+                OperatorKind::Scan => 0,
+                OperatorKind::Join | OperatorKind::Union => 2,
+                _ => 1,
+            }
+        );
+        let ctx = ctx.map_or(NONE, |w| self.name(w));
+        let (payload, implied) = self.payload(payload);
+        let mut kids = [NONE; 2];
+        for (kid, input) in kids.iter_mut().zip(inputs) {
+            *kid = input.0;
+        }
+        debug_assert!(kids.iter().filter(|&&k| k != NONE).all(|&k| {
+            let child_ctx = match implied.submit_to {
+                NONE => ctx,
+                wrapper => wrapper,
+            };
+            self.facts[k as usize].key.ctx == child_ctx
+        }));
+        SubtreeId(self.node(ctx, payload, implied, kids))
     }
 
     /// Distinct subtrees interned so far.
@@ -455,66 +562,69 @@ impl Interner {
         self.nodes.len()
     }
 
-    fn walk(&mut self, plan: &LogicalPlan, ctx: u32, slots: &mut Vec<Slot>) -> Facts {
+    fn walk(&mut self, plan: &LogicalPlan, ctx: u32) -> u32 {
         let (payload, implied) = self.payload(Payload::of(plan));
         let child_ctx = match implied.submit_to {
             NONE => ctx,
             wrapper => wrapper,
         };
-        let (kids, base, colls) = match inputs(plan) {
-            Inputs::Leaf => ([None, None], implied.collection, implied.set),
-            Inputs::One(input) => {
-                let f = self.walk(input, child_ctx, slots);
-                ([Some(f), None], f.base, f.colls)
-            }
-            Inputs::Two(left, right) => {
-                let l = self.walk(left, child_ctx, slots);
-                let r = self.walk(right, child_ctx, slots);
-                ([Some(l), Some(r)], NONE, self.union(l.colls, r.colls))
-            }
+        let kids = match inputs(plan) {
+            Inputs::Leaf => [NONE, NONE],
+            Inputs::One(input) => [self.walk(input, child_ctx), NONE],
+            Inputs::Two(left, right) => [self.walk(left, child_ctx), self.walk(right, child_ctx)],
         };
-        let of = |pick: fn(Facts) -> u32| kids.map(|k| k.map_or(NONE, pick));
+        self.node(ctx, payload, implied, kids)
+    }
 
-        let node = intern_key(
-            &mut self.nodes,
-            NodeKey {
-                ctx,
-                payload,
-                kids: of(|f| f.node),
-            },
-        );
-        let head = match plan {
-            LogicalPlan::Scan { .. } => Head::Scan(base),
+    /// The subtree id of `payload` over `kids`, storing its facts, derived
+    /// from the children's, when it is new.
+    fn node(&mut self, ctx: u32, payload: u32, implied: Implied, kids: [u32; 2]) -> u32 {
+        let key = NodeKey { ctx, payload, kids };
+        if let Some(&id) = self.nodes.get(&key) {
+            return id;
+        }
+        let kid = kids.map(|k| (k != NONE).then(|| self.facts[k as usize]));
+        let (base, colls) = match kid {
+            [None, _] => (implied.collection, implied.set),
+            [Some(k), None] => (k.base, k.colls),
+            [Some(l), Some(r)] => (NONE, self.union(l.colls, r.colls)),
+        };
+        let own = &self.payload_list[payload as usize];
+        let arity = own.output_arity(|i| kid[i].map_or(0, |k| k.arity as usize)) as u32;
+        let head = match **own {
+            Payload::Scan { .. } => Head::Scan(base),
             _ => Head::Payload(payload),
         };
+        let bases = kid.map(|k| k.map_or(NONE, |k| k.base));
         let sig = intern_key(
             &mut self.sigs,
             SigKey {
                 ctx,
                 head,
-                bases: of(|f| f.base),
+                bases,
                 colls,
             },
         );
-        slots.push(Slot {
-            node,
+        let id = self.facts.len() as u32;
+        self.nodes.insert(key, id);
+        self.facts.push(Facts {
+            key,
             sig,
-            kids: of(|f| f.pos),
-        });
-        Facts {
-            pos: slots.len() as u32 - 1,
-            node,
             base,
             colls,
-        }
+            arity,
+        });
+        id
     }
 
     fn name(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.names.get(name) {
             return id;
         }
-        let id = self.names.len() as u32;
-        self.names.insert(name.into(), id);
+        let id = self.name_list.len() as u32;
+        let name: Rc<str> = name.into();
+        self.name_list.push(Rc::clone(&name));
+        self.names.insert(name, id);
         id
     }
 
@@ -522,8 +632,10 @@ impl Interner {
         if let Some(&id) = self.collections.get(q) {
             return id;
         }
-        let id = self.collections.len() as u32;
-        self.collections.insert(q.clone(), id);
+        let id = self.collection_list.len() as u32;
+        let q = Rc::new(q.clone());
+        self.collection_list.push(Rc::clone(&q));
+        self.collections.insert(q, id);
         id
     }
 
@@ -561,7 +673,7 @@ impl Interner {
     fn payload(&mut self, payload: Payload<'_>) -> (u32, Implied) {
         // Stored payloads are `'static`; a map is covariant in its keys,
         // so the borrowed one can be looked up without being cloned.
-        let stored: &Ids<Payload<'_>> = &self.payloads;
+        let stored: &Ids<Rc<Payload<'_>>> = &self.payloads;
         if let Some(&id) = stored.get(&payload) {
             return (id, self.implied[id as usize]);
         }
@@ -578,10 +690,152 @@ impl Interner {
             Payload::Submit(wrapper) => implied.submit_to = self.name(wrapper),
             _ => {}
         }
-        let id = self.payloads.len() as u32;
-        self.payloads.insert(payload.into_owned(), id);
+        let id = self.payload_list.len() as u32;
+        let payload = Rc::new(payload.into_owned());
+        self.payload_list.push(Rc::clone(&payload));
+        self.payloads.insert(payload, id);
         self.implied.push(implied);
         (id, implied)
+    }
+}
+
+/// One plan node as the estimator reads it: its own fields
+/// ([`NodeView::payload`]), and through [`NodeView::input`] the facts of
+/// each input that formulas observe — base collection, output arity, bare
+/// scan or not. Over an interned subtree every fact is a table lookup;
+/// over a plain tree the same facts are derived from the child plans.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'v>(Origin<'v>);
+
+#[derive(Debug, Clone, Copy)]
+enum Origin<'v> {
+    Tree(&'v LogicalPlan),
+    Interned(&'v Interner, u32),
+}
+
+impl<'v> NodeView<'v> {
+    /// The root of `plan`.
+    pub fn of(plan: &'v LogicalPlan) -> Self {
+        NodeView(Origin::Tree(plan))
+    }
+
+    pub(crate) fn interned(interner: &'v Interner, id: SubtreeId) -> Self {
+        NodeView(Origin::Interned(interner, id.0))
+    }
+
+    fn facts(interner: &'v Interner, id: u32) -> &'v Facts {
+        &interner.facts[id as usize]
+    }
+
+    /// The node's own fields.
+    pub fn payload(&self) -> Payload<'v> {
+        match self.0 {
+            Origin::Tree(plan) => Payload::of(plan),
+            Origin::Interned(t, id) => {
+                let payload: &'v Payload<'static> =
+                    &t.payload_list[Self::facts(t, id).key.payload as usize];
+                payload.reborrow()
+            }
+        }
+    }
+
+    /// The operator.
+    pub fn kind(&self) -> OperatorKind {
+        self.payload().kind()
+    }
+
+    /// Input `i` (0 the input or left, 1 the right), if the node has it.
+    pub fn input(&self, i: usize) -> Option<NodeView<'v>> {
+        match self.0 {
+            Origin::Tree(plan) => input(plan, i).map(NodeView::of),
+            Origin::Interned(t, id) => match Self::facts(t, id).key.kids.get(i) {
+                Some(&kid) if kid != NONE => Some(NodeView(Origin::Interned(t, kid))),
+                _ => None,
+            },
+        }
+    }
+
+    /// The single base collection the subtree reads, if it is a linear
+    /// pipeline over one scan.
+    pub fn base_collection(&self) -> Option<&'v QualifiedName> {
+        match self.0 {
+            Origin::Tree(plan) => plan.base_collection(),
+            Origin::Interned(t, id) => match Self::facts(t, id).base {
+                NONE => None,
+                base => Some(&t.collection_list[base as usize]),
+            },
+        }
+    }
+
+    /// Whether the subtree reads a collection named `collection` (in any
+    /// wrapper).
+    pub fn reads(&self, collection: &str) -> bool {
+        match self.0 {
+            Origin::Tree(plan) => plan
+                .collections()
+                .iter()
+                .any(|c| c.collection == collection),
+            Origin::Interned(t, id) => t.set_list[Self::facts(t, id).colls as usize]
+                .iter()
+                .any(|&c| t.collection_list[c as usize].collection == collection),
+        }
+    }
+
+    /// Arity of the node's output, counted over the operators' structure
+    /// (a projection's columns, a join's two sides), without validating
+    /// attribute names.
+    pub fn output_arity(&self) -> usize {
+        match self.0 {
+            Origin::Tree(plan) => Payload::of(plan)
+                .output_arity(|i| input(plan, i).map_or(0, |c| NodeView::of(c).output_arity())),
+            Origin::Interned(t, id) => Self::facts(t, id).arity as usize,
+        }
+    }
+
+    /// The wrapper a submit ships its input to.
+    pub fn submit_to(&self) -> Option<&'v str> {
+        match self.0 {
+            Origin::Tree(LogicalPlan::Submit { wrapper, .. }) => Some(wrapper),
+            Origin::Tree(_) => None,
+            Origin::Interned(t, id) => {
+                match &*t.payload_list[Self::facts(t, id).key.payload as usize] {
+                    Payload::Submit(wrapper) => Some(wrapper),
+                    _ => None,
+                }
+            }
+        }
+    }
+
+    /// Whether the node is a bare `Scan`.
+    pub fn is_scan(&self) -> bool {
+        matches!(self.payload(), Payload::Scan { .. })
+    }
+
+    /// The plan node, on the tree entry point.
+    pub(crate) fn plan(&self) -> Option<&'v LogicalPlan> {
+        match self.0 {
+            Origin::Tree(plan) => Some(plan),
+            Origin::Interned(..) => None,
+        }
+    }
+
+    /// Subtree and signature id, on the interned entry point.
+    pub(crate) fn ids(&self) -> Option<(u32, u32)> {
+        match self.0 {
+            Origin::Tree(_) => None,
+            Origin::Interned(t, id) => Some((id, Self::facts(t, id).sig)),
+        }
+    }
+
+    /// The execution context an interned subtree was interned under.
+    pub(crate) fn context(&self) -> Option<&'v str> {
+        match self.0 {
+            Origin::Tree(_) => None,
+            Origin::Interned(t, id) => match Self::facts(t, id).key.ctx {
+                NONE => None,
+                ctx => Some(&t.name_list[ctx as usize]),
+            },
+        }
     }
 }
 
@@ -624,10 +878,8 @@ mod tests {
     }
 
     /// Subtree id of `plan`'s root, executing under `ctx`.
-    fn id(interner: &mut Interner, plan: &LogicalPlan, ctx: Option<&str>) -> u32 {
-        let mut slots = Vec::new();
-        let root = interner.intern_plan(plan, ctx, &mut slots);
-        slots[root].node
+    fn id(interner: &mut Interner, plan: &LogicalPlan, ctx: Option<&str>) -> SubtreeId {
+        interner.intern_plan(plan, ctx)
     }
 
     /// Run `check` with real fingerprints, then with every fingerprint in
@@ -710,6 +962,55 @@ mod tests {
         assert_eq!(cache.cost_hits(), hits + 1, "the root hit its one entry");
         assert_eq!(second.as_ref().map(|r| r.nodes_visited), Some(1));
         assert_eq!(second.map(|r| r.cost), first.map(|r| r.cost));
+    }
+
+    #[test]
+    fn a_node_stacked_on_interned_inputs_is_the_tree_interned_whole() {
+        let plan = t(&["a", "b"])
+            .select("a", CompareOp::Lt, 0.5)
+            .submit("w")
+            .join(
+                t(&["a", "b", "c"]).project_attrs(&["c"]).submit("w"),
+                "a",
+                "c",
+            )
+            .dedup()
+            .build();
+        let LogicalPlan::Dedup { input: join } = &plan else {
+            unreachable!("dedup on top")
+        };
+        let LogicalPlan::Join { left, right, .. } = &**join else {
+            unreachable!("a join below")
+        };
+        in_both_bucketings(|| {
+            let mut interner = Interner::default();
+            let inputs = [left, right].map(|p| interner.intern_plan(p, None));
+            let stacked = interner.intern_node(None, Payload::of(join), &inputs);
+            let top = interner.intern_node(None, Payload::of(&plan), &[stacked]);
+            assert_eq!(top, id(&mut interner, &plan, None));
+
+            // Both entry points read the same facts of every input.
+            let facts = |v: NodeView<'_>| {
+                (
+                    v.kind(),
+                    v.base_collection().cloned(),
+                    v.output_arity(),
+                    v.is_scan(),
+                    v.submit_to().map(str::to_owned),
+                    v.reads("T"),
+                )
+            };
+            let mut pairs = vec![(NodeView::interned(&interner, top), NodeView::of(&plan))];
+            while let Some((by_id, by_tree)) = pairs.pop() {
+                assert_eq!(facts(by_id), facts(by_tree));
+                for i in 0..2 {
+                    match (by_id.input(i), by_tree.input(i)) {
+                        (Some(a), Some(b)) => pairs.push((a, b)),
+                        (a, b) => assert_eq!(a.is_none(), b.is_none()),
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   branch-and-bound cost limits;
 //! * [`cache`] — the subplan cost memo and rule-resolution cache shared
 //!   across all candidate estimations of one optimization run, keyed by
-//!   the hash-consed subplans of the private `intern` module;
+//!   the hash-consed subplans ([`SubtreeId`]) of the private `intern`
+//!   module, which also stores what a formula reads of each subtree;
 //! * [`historical`] — the §4.3.1 extensions: query-scope rules recorded
 //!   from executed subqueries, and parameter adjustment.
 
@@ -57,6 +58,7 @@ pub use disco_costlang::CostVar;
 pub use estimator::{CardinalityOverrides, EstimateOptions, EstimateReport, Estimator};
 pub use explain::{relative_error, AnalyzeNode, Attribution, ExplainNode, Measured, MeasuredNode};
 pub use historical::{fit_param, HistoryRecorder, ParamAdjuster};
+pub use intern::{NodeView, Payload, SubtreeId};
 pub use params::Params;
 pub use pattern::{BindingValue, Bindings};
 pub use registry::{Provenance, RuleRegistry};

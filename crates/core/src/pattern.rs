@@ -9,11 +9,16 @@
 //! child node (for cost-variable paths like `$C.TotalTime`) and the input's
 //! base collection (for statistic paths like `$C.salary.Min`) — the paper's
 //! "`c` represents the result of the scan and matches `C`".
+//!
+//! A node is read through a [`NodeView`], so a plan tree and a subtree
+//! interned in an estimator cache are matched by the same code.
 
-use disco_algebra::{LogicalPlan, SelectPredicate};
+use disco_algebra::{LogicalPlan, OperatorKind, SelectPredicate};
 use disco_common::{QualifiedName, Value};
 use disco_costlang::ast::{AttrTerm, CollTerm, HeadArg, PredRhs, RuleHead};
 use disco_costlang::bytecode::ChildRef;
+
+use crate::intern::{NodeView, Payload};
 
 /// What a head variable was bound to.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,85 +82,68 @@ pub fn match_head(
     node: &LogicalPlan,
     declared_in: Option<&str>,
 ) -> Option<Bindings> {
+    match_node(head, &Subject::of(NodeView::of(node)), declared_in)
+}
+
+/// A node as head unification reads it: its own fields and each input's
+/// base collection, read once for every rule tried against it.
+pub(crate) struct Subject<'v> {
+    node: NodeView<'v>,
+    payload: Payload<'v>,
+    bases: [Option<&'v QualifiedName>; 2],
+}
+
+impl<'v> Subject<'v> {
+    pub(crate) fn of(node: NodeView<'v>) -> Self {
+        Subject {
+            node,
+            payload: node.payload(),
+            bases: [0, 1].map(|i| node.input(i).and_then(|c| c.base_collection())),
+        }
+    }
+
+    pub(crate) fn kind(&self) -> OperatorKind {
+        self.payload.kind()
+    }
+}
+
+/// [`match_head`] over a node as the estimator reads it.
+pub(crate) fn match_node(
+    head: &RuleHead,
+    node: &Subject<'_>,
+    declared_in: Option<&str>,
+) -> Option<Bindings> {
     if head.op != node.kind() {
         return None;
     }
     let mut b = Bindings::default();
-    let matched = match node {
-        LogicalPlan::Scan { collection, .. } => {
-            match_coll(&head.args[0], None, Some(collection), &mut b)
+    let [left, right] = node.bases;
+    let input = |b: &mut Bindings| match_coll(&head.args[0], Some(ChildRef::Input), left, b);
+    let both = |b: &mut Bindings| {
+        match_coll(&head.args[0], Some(ChildRef::Left), left, b)
+            && match_coll(&head.args[1], Some(ChildRef::Right), right, b)
+    };
+    let matched = match &node.payload {
+        Payload::Scan { collection, .. } => {
+            match_coll(&head.args[0], None, Some(&**collection), &mut b)
         }
-        LogicalPlan::Select { input, predicate } => {
-            match_coll(
-                &head.args[0],
-                Some(ChildRef::Input),
-                input.base_collection(),
-                &mut b,
-            ) && match_select_pred(&head.args[1], predicate, &mut b)
+        Payload::Select(predicate) => {
+            input(&mut b) && match_select_pred(&head.args[1], predicate, &mut b)
         }
-        LogicalPlan::Project { input, columns } => {
-            match_coll(
-                &head.args[0],
-                Some(ChildRef::Input),
-                input.base_collection(),
-                &mut b,
-            ) && match_project(&head.args[1], columns, &mut b)
+        Payload::Project(columns) => input(&mut b) && match_project(&head.args[1], columns, &mut b),
+        Payload::Sort(keys) => input(&mut b) && match_sort(&head.args[1], keys, &mut b),
+        Payload::Join(predicate, _) => {
+            both(&mut b) && match_join_pred(&head.args[2], predicate, &mut b)
         }
-        LogicalPlan::Sort { input, keys } => {
-            match_coll(
-                &head.args[0],
-                Some(ChildRef::Input),
-                input.base_collection(),
-                &mut b,
-            ) && match_sort(&head.args[1], keys, &mut b)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            predicate,
-            ..
-        } => {
-            match_coll(
-                &head.args[0],
-                Some(ChildRef::Left),
-                left.base_collection(),
-                &mut b,
-            ) && match_coll(
-                &head.args[1],
-                Some(ChildRef::Right),
-                right.base_collection(),
-                &mut b,
-            ) && match_join_pred(&head.args[2], predicate, &mut b)
-        }
-        LogicalPlan::Union { left, right } => {
-            match_coll(
-                &head.args[0],
-                Some(ChildRef::Left),
-                left.base_collection(),
-                &mut b,
-            ) && match_coll(
-                &head.args[1],
-                Some(ChildRef::Right),
-                right.base_collection(),
-                &mut b,
-            )
-        }
-        LogicalPlan::Dedup { input }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Submit { input, .. } => match_coll(
-            &head.args[0],
-            Some(ChildRef::Input),
-            input.base_collection(),
-            &mut b,
-        ),
+        Payload::Union => both(&mut b),
+        Payload::Dedup | Payload::Aggregate(..) | Payload::Submit(_) => input(&mut b),
     };
     if !matched {
         return None;
     }
     // Interface-nested rules are implicitly restricted to their collection.
     if let Some(d) = declared_in {
-        let derives = node.collections().iter().any(|c| c.collection == d);
-        if !derives {
+        if !node.node.reads(d) {
             return None;
         }
     }

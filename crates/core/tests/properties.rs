@@ -3,9 +3,12 @@
 
 mod support;
 
-use disco_algebra::PlanBuilder;
+use disco_algebra::{AggFunc, LogicalPlan, PlanBuilder};
 use disco_common::rng::seeded;
-use disco_core::{EstimateOptions, Estimator, RuleRegistry};
+use disco_core::{
+    CardinalityOverrides, EstimateOptions, Estimator, EstimatorCache, NodeCost, Payload,
+    RuleRegistry,
+};
 use support::{catalog, coin, random_plan};
 
 const CASES: u64 = 256;
@@ -119,4 +122,97 @@ fn cached_estimates_equal_uncached() {
 #[test]
 fn shared_cache_prices_each_plan_alone() {
     support::shared_cache_prices_each_plan_alone(CASES);
+}
+
+/// The monotonicity the join search's Pareto pruning rests on: a
+/// mediator operator over a submit whose observed `(rows, bytes)` rise
+/// never gets a lower `TotalTime`, `TimeFirst` or `CountObject`. (Its
+/// `TimeNext` may fall, and so may an aggregate's `TotalSize`; no ranking
+/// reads them.) Each case is priced through both estimator entry points:
+/// the plan tree, and the operator interned as one node over the
+/// submits' ids, as the join search builds its candidates. Both agree bit
+/// for bit.
+#[test]
+fn mediator_operators_are_monotone_in_their_input() {
+    let reg = RuleRegistry::with_default_model();
+    let mut rose = 0;
+    for seed in 0..4 * CASES {
+        let mut rng = seeded(seed, "monotone-parent");
+        let count = rng.gen_range(1u64..50_000);
+        let cat = catalog(count, (count / 5).max(1), coin(&mut rng));
+        let input = random_plan(&mut rng);
+        let site = PlanBuilder::from_plan(input.clone()).submit("w");
+        // The other join input: the same site one time in four, so both
+        // sides rise together.
+        let other = if rng.gen_range(0usize..4) == 0 {
+            site.clone()
+        } else {
+            PlanBuilder::from_plan(random_plan(&mut rng)).submit("w")
+        };
+        let op = rng.gen_range(0usize..6);
+        let plan = match op {
+            0 => site.join(other, "a", "a"),
+            1 => site.sort_asc(&["a"]),
+            2 => site.dedup(),
+            3 => site.project_attrs(&["a"]),
+            4 => site.aggregate(&["a"], vec![("n", AggFunc::Count, None)]),
+            _ => site.aggregate(&[], vec![("n", AggFunc::Count, None)]),
+        }
+        .build();
+
+        let base = Estimator::new(&reg, &cat)
+            .estimate(&LogicalPlan::Submit {
+                wrapper: "w".into(),
+                input: Box::new(input.clone()),
+            })
+            .unwrap();
+        let rows = base.count_object * rng.gen_range(0.01f64..4.0);
+        let bytes = base.total_size * rng.gen_range(0.01f64..4.0);
+        let (more_rows, more_bytes) = (
+            rows * rng.gen_range(1.0f64..50.0),
+            bytes * rng.gen_range(1.0f64..50.0),
+        );
+        let priced = |rows: f64, bytes: f64| {
+            let mut overrides = CardinalityOverrides::new();
+            overrides.insert("w", &input, rows, bytes);
+            let est = Estimator::new(&reg, &cat).with_overrides(Some(&overrides));
+            let by_tree = est.estimate(&plan).unwrap();
+            (by_tree, by_id(&est, &plan))
+        };
+        let (low, low_id) = priced(rows, bytes);
+        let (high, high_id) = priced(more_rows, more_bytes);
+        let bits = |c: &NodeCost| disco_costlang::CostVar::ALL.map(|v| c.get(v).to_bits());
+        assert_eq!(bits(&low_id), bits(&low), "seed {seed}: {plan:?}");
+        assert_eq!(bits(&high_id), bits(&high), "seed {seed}: {plan:?}");
+        for (what, l, h) in [
+            ("TotalTime", low.total_time, high.total_time),
+            ("TimeFirst", low.time_first, high.time_first),
+            ("CountObject", low.count_object, high.count_object),
+        ] {
+            assert!(
+                h >= l,
+                "seed {seed}: {what} fell from {l} to {h} for {plan:?}"
+            );
+        }
+        rose += (high.total_time > low.total_time) as u64;
+    }
+    // The observations reach the operator, on both entry points.
+    assert!(rose >= 2 * CASES, "{rose} of {} cases rose", 4 * CASES);
+}
+
+/// `plan`'s root interned as one node over its inputs, themselves
+/// interned as trees, and priced by id.
+fn by_id(est: &Estimator<'_>, plan: &LogicalPlan) -> NodeCost {
+    let cache = EstimatorCache::new();
+    let opts = EstimateOptions::default();
+    let inputs: Vec<_> = plan
+        .children()
+        .into_iter()
+        .map(|c| cache.intern(c, &opts))
+        .collect();
+    let root = cache.intern_node(None, Payload::of(plan), &inputs);
+    est.estimate_subtree(root, None, &cache)
+        .unwrap()
+        .expect("no limit")
+        .cost
 }

@@ -1,18 +1,16 @@
-// Gated: requires the `proptest` cargo feature (and the proptest
-// dev-dependency, removed so offline builds succeed — see Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property test: the bytecode VM computes exactly what a direct AST
-//! interpreter computes, for arbitrary generated rule bodies.
+//! interpreter computes, for generated rule bodies. Seeded loops on
+//! `disco_common::rng`, deterministic per seed.
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
-
+use disco_common::rng::{seeded, StdRng};
 use disco_common::Value;
 use disco_costlang::ast::{BinOp, CostVar, Expr, PathLeaf, Stmt};
 use disco_costlang::bytecode::{AttrSpec, CollSpec};
 use disco_costlang::{compile_body, eval_program, EvalEnv};
+
+const CASES: u64 = 512;
 
 /// Fixed environment both evaluators see.
 struct FixedEnv;
@@ -147,115 +145,154 @@ fn run_ref(body: &[Stmt]) -> Option<Vec<(CostVar, f64)>> {
     Some(outputs)
 }
 
-fn ident() -> impl Strategy<Value = String> {
-    prop::sample::select(vec!["x".to_string(), "y".to_string(), "z".to_string()])
+fn pick<T: Clone>(rng: &mut StdRng, items: &[T]) -> T {
+    items[rng.gen_range(0..items.len())].clone()
 }
 
-fn expr(defined: Vec<String>) -> impl Strategy<Value = Expr> {
-    let mut leaves = vec![
-        (0.0f64..1000.0).prop_map(Expr::Num).boxed(),
-        prop::sample::select(vec!["p0", "p1", "p2"])
-            .prop_map(|s| Expr::Ident(s.to_string()))
-            .boxed(),
-        prop::sample::select(vec!["V", "W"])
-            .prop_map(|s| Expr::Var(s.to_string()))
-            .boxed(),
-        prop::sample::select(CostVar::ALL.to_vec())
-            .prop_map(|v| Expr::Ident(v.name().to_string()))
-            .boxed(),
-    ];
-    if !defined.is_empty() {
-        leaves.push(prop::sample::select(defined).prop_map(Expr::Ident).boxed());
+const LOCALS: [&str; 3] = ["x", "y", "z"];
+const BIN_OPS: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+
+/// A leaf: a number, a parameter, a head binding, a self variable or
+/// one of the locals `defined` so far.
+fn leaf(rng: &mut StdRng, defined: &[&str]) -> Expr {
+    match rng.gen_range(0..4 + usize::from(!defined.is_empty())) {
+        0 => Expr::Num(rng.gen_range(0.0..1000.0)),
+        1 => Expr::Ident(pick(rng, &["p0", "p1", "p2"]).to_string()),
+        2 => Expr::Var(pick(rng, &["V", "W"]).to_string()),
+        3 => Expr::Ident(pick(rng, &CostVar::ALL).name().to_string()),
+        _ => Expr::Ident(pick(rng, defined).to_string()),
     }
-    let leaf = prop::strategy::Union::new(leaves);
-    leaf.prop_recursive(3, 16, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| Expr::Neg(Box::new(e))),
-            (
-                prop::sample::select(vec![BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div]),
-                inner.clone(),
-                inner.clone()
-            )
-                .prop_map(|(op, l, r)| Expr::Bin(op, Box::new(l), Box::new(r))),
-            (
-                prop::sample::select(vec!["min", "max"]),
-                inner.clone(),
-                inner.clone()
-            )
-                .prop_map(|(f, a, b)| Expr::Call(f.to_string(), vec![a, b])),
-            (
-                prop::sample::select(vec!["exp", "abs", "ceil", "floor"]),
-                inner.clone()
-            )
-                .prop_map(|(f, a)| Expr::Call(f.to_string(), vec![a])),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Call("extfn".to_string(), vec![a, b])),
-        ]
-    })
 }
 
-fn body() -> impl Strategy<Value = Vec<Stmt>> {
-    // Build statements sequentially so later expressions may reference
-    // earlier locals.
-    (ident(), ident(), ident()).prop_flat_map(|(n1, n2, n3)| {
-        (
-            expr(vec![]),
-            expr(vec![n1.clone()]),
-            expr(vec![n1.clone(), n2.clone()]),
-            prop::sample::select(CostVar::ALL.to_vec()),
-            prop::sample::select(CostVar::ALL.to_vec()),
+/// An expression at most `depth` operators deep: negation, arithmetic,
+/// `min`/`max`, one-argument builtins and an external function.
+fn expr(rng: &mut StdRng, defined: &[&str], depth: usize) -> Expr {
+    if depth == 0 || rng.gen_range(0..3usize) == 0 {
+        return leaf(rng, defined);
+    }
+    let sub = |rng: &mut StdRng| Box::new(expr(rng, defined, depth - 1));
+    match rng.gen_range(0..5usize) {
+        0 => Expr::Neg(sub(rng)),
+        1 => {
+            let op = pick(rng, &BIN_OPS);
+            Expr::Bin(op, sub(rng), sub(rng))
+        }
+        2 => {
+            let f = pick(rng, &["min", "max"]).to_string();
+            Expr::Call(f, vec![*sub(rng), *sub(rng)])
+        }
+        3 => {
+            let f = pick(rng, &["exp", "abs", "ceil", "floor"]).to_string();
+            Expr::Call(f, vec![*sub(rng)])
+        }
+        _ => Expr::Call("extfn".to_string(), vec![*sub(rng), *sub(rng)]),
+    }
+}
+
+/// Statements built in order, so later expressions may read earlier
+/// locals.
+fn body(rng: &mut StdRng) -> Vec<Stmt> {
+    let (n1, n2, n3) = (pick(rng, &LOCALS), pick(rng, &LOCALS), pick(rng, &LOCALS));
+    let e1 = expr(rng, &[], 3);
+    let e2 = expr(rng, &[n1], 3);
+    let e3 = expr(rng, &[n1, n2], 3);
+    let (v1, v2) = (pick(rng, &CostVar::ALL), pick(rng, &CostVar::ALL));
+    vec![
+        Stmt::Let {
+            name: n1.to_string(),
+            expr: e1,
+        },
+        Stmt::Assign { var: v1, expr: e2 },
+        Stmt::Let {
+            name: n2.to_string(),
+            expr: e3.clone(),
+        },
+        Stmt::Assign { var: v2, expr: e3 },
+        Stmt::Let {
+            name: n3.to_string(),
+            expr: Expr::Num(1.0),
+        },
+    ]
+}
+
+/// Bodies that once diverged: a local shadowing a variable assigned
+/// twice.
+fn regressions() -> Vec<Vec<Stmt>> {
+    let let_x = |expr| Stmt::Let {
+        name: "x".into(),
+        expr,
+    };
+    let minus_v = || {
+        Expr::Bin(
+            BinOp::Add,
+            Box::new(Expr::Neg(Box::new(Expr::Var("V".into())))),
+            Box::new(Expr::Num(0.0)),
         )
-            .prop_map(move |(e1, e2, e3, v1, v2)| {
-                vec![
-                    Stmt::Let {
-                        name: n1.clone(),
-                        expr: e1,
-                    },
-                    Stmt::Assign { var: v1, expr: e2 },
-                    Stmt::Let {
-                        name: n2.clone(),
-                        expr: e3.clone(),
-                    },
-                    Stmt::Assign { var: v2, expr: e3 },
-                    Stmt::Let {
-                        name: n3.clone(),
-                        expr: Expr::Num(1.0),
-                    },
-                ]
-            })
-    })
+    };
+    vec![
+        vec![
+            let_x(Expr::Num(0.0)),
+            Stmt::Assign {
+                var: CostVar::TimeFirst,
+                expr: Expr::Num(0.0),
+            },
+            let_x(minus_v()),
+            Stmt::Assign {
+                var: CostVar::TimeFirst,
+                expr: minus_v(),
+            },
+            let_x(Expr::Num(1.0)),
+        ],
+        vec![
+            let_x(Expr::Num(0.0)),
+            Stmt::Assign {
+                var: CostVar::TimeNext,
+                expr: Expr::Num(407.6101084759291),
+            },
+            let_x(Expr::Num(0.0)),
+            Stmt::Assign {
+                var: CostVar::TimeNext,
+                expr: Expr::Num(0.0),
+            },
+            let_x(Expr::Num(1.0)),
+        ],
+    ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn vm_matches_reference_interpreter(body in body()) {
-        let compiled =
-            compile_body(&body, &disco_costlang::compile::HeadVars::of(&["V", "W"])).unwrap();
-        let vm = eval_program(&compiled.program, &FixedEnv);
-        let reference = run_ref(&body);
-        match (vm, reference) {
-            (Ok(locals), Some(expected)) => {
-                // Last assignment per variable wins (matches output_slot).
-                let mut last: HashMap<CostVar, f64> = HashMap::new();
-                for (var, v) in expected {
-                    last.insert(var, v);
-                }
-                for (var, want) in last {
-                    let slot = compiled.output_slot(var).unwrap();
-                    let got = locals[slot as usize].as_f64().unwrap();
-                    // NaN == NaN for this comparison; exact bits otherwise.
-                    prop_assert!(
-                        got == want || (got.is_nan() && want.is_nan()),
-                        "{var}: vm {got} != ref {want}"
-                    );
-                }
+fn check(body: &[Stmt]) {
+    let compiled = compile_body(body, &disco_costlang::compile::HeadVars::of(&["V", "W"])).unwrap();
+    let vm = eval_program(&compiled.program, &FixedEnv);
+    let reference = run_ref(body);
+    match (vm, reference) {
+        (Ok(locals), Some(expected)) => {
+            // Last assignment per variable wins (matches output_slot).
+            let mut last: HashMap<CostVar, f64> = HashMap::new();
+            for (var, v) in expected {
+                last.insert(var, v);
             }
-            (Err(_), None) => {} // both fail (division by zero)
-            (vm, reference) => {
-                prop_assert!(false, "divergence: vm {vm:?} vs ref {reference:?}");
+            for (var, want) in last {
+                let slot = compiled.output_slot(var).unwrap();
+                let got = locals[slot as usize].as_f64().unwrap();
+                // NaN == NaN for this comparison; exact bits otherwise.
+                assert!(
+                    got == want || (got.is_nan() && want.is_nan()),
+                    "{var}: vm {got} != ref {want} for {body:?}"
+                );
             }
         }
+        (Err(_), None) => {} // both fail (division by zero)
+        (vm, reference) => {
+            panic!("divergence: vm {vm:?} vs ref {reference:?} for {body:?}");
+        }
+    }
+}
+
+#[test]
+fn vm_matches_reference_interpreter() {
+    for body in regressions() {
+        check(&body);
+    }
+    for seed in 0..CASES {
+        check(&body(&mut seeded(seed, "vm-reference")));
     }
 }

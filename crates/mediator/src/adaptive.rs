@@ -26,7 +26,7 @@ use disco_catalog::Catalog;
 use disco_common::{HealthTracker, Schema};
 use disco_core::{CardinalityOverrides, Estimator, EstimatorCache, RuleRegistry};
 
-use crate::join_graph::{JoinGraph, Leaf, Pricer, Search};
+use crate::join_graph::{JoinGraph, Post, Pricer, Search};
 use crate::optimizer::{to_logical, Objective};
 
 /// Knobs for mid-query re-optimization, carried on
@@ -177,19 +177,6 @@ pub struct Replanner<'a> {
     policy: AdaptivePolicy,
 }
 
-/// Mediator-side unary operators stripped off the top of the plan before
-/// the join tree, reapplied verbatim over the re-ordered tree.
-enum Suffix {
-    Filter(disco_algebra::Predicate),
-    Project(Vec<(String, disco_algebra::ScalarExpr)>),
-    Sort(Vec<(String, bool)>),
-    Dedup,
-    Aggregate {
-        group_by: Vec<String>,
-        aggs: Vec<disco_algebra::logical::AggExpr>,
-    },
-}
-
 impl<'a> Replanner<'a> {
     /// Build a replanner over the mediator's catalog/registry/health.
     pub fn new(
@@ -314,7 +301,7 @@ impl<'a> Replanner<'a> {
         // only an order at least as cheap can complete.
         let mut search = Search {
             pricer,
-            complete: &Ok,
+            finish: &[],
             objective: Objective::TotalTime,
             prune: true,
         };
@@ -338,7 +325,7 @@ impl<'a> Replanner<'a> {
             }
             return Some(ReplanOutcome {
                 event,
-                new_plan: Some(apply_suffix(suffix, best)),
+                new_plan: Some(apply_suffix(&suffix, best)),
             });
         }
         keep(event)
@@ -346,26 +333,27 @@ impl<'a> Replanner<'a> {
 }
 
 /// Strip mediator-side unary operators off the top of the plan until the
-/// join tree (or whatever else) is exposed, outermost first.
-fn split_suffix(plan: &PhysicalPlan) -> (Vec<Suffix>, &PhysicalPlan) {
+/// join tree (or whatever else) is exposed, outermost first. They are
+/// reapplied verbatim over the re-ordered tree.
+fn split_suffix(plan: &PhysicalPlan) -> (Vec<Post>, &PhysicalPlan) {
     let mut suffix = Vec::new();
     let mut cur = plan;
     loop {
         match cur {
             PhysicalPlan::Filter { input, predicate } => {
-                suffix.push(Suffix::Filter(predicate.clone()));
+                suffix.push(Post::Filter(predicate.clone()));
                 cur = input;
             }
             PhysicalPlan::Project { input, columns } => {
-                suffix.push(Suffix::Project(columns.clone()));
+                suffix.push(Post::Project(columns.clone()));
                 cur = input;
             }
             PhysicalPlan::Sort { input, keys } => {
-                suffix.push(Suffix::Sort(keys.clone()));
+                suffix.push(Post::Sort(keys.clone()));
                 cur = input;
             }
             PhysicalPlan::Dedup { input } => {
-                suffix.push(Suffix::Dedup);
+                suffix.push(Post::Dedup);
                 cur = input;
             }
             PhysicalPlan::Aggregate {
@@ -373,7 +361,7 @@ fn split_suffix(plan: &PhysicalPlan) -> (Vec<Suffix>, &PhysicalPlan) {
                 group_by,
                 aggs,
             } => {
-                suffix.push(Suffix::Aggregate {
+                suffix.push(Post::Aggregate {
                     group_by: group_by.clone(),
                     aggs: aggs.clone(),
                 });
@@ -386,32 +374,8 @@ fn split_suffix(plan: &PhysicalPlan) -> (Vec<Suffix>, &PhysicalPlan) {
 
 /// Reapply stripped operators (innermost last in `suffix`, so rebuild in
 /// reverse).
-fn apply_suffix(suffix: Vec<Suffix>, mut tree: PhysicalPlan) -> PhysicalPlan {
-    for s in suffix.into_iter().rev() {
-        tree = match s {
-            Suffix::Filter(predicate) => PhysicalPlan::Filter {
-                input: Box::new(tree),
-                predicate,
-            },
-            Suffix::Project(columns) => PhysicalPlan::Project {
-                input: Box::new(tree),
-                columns,
-            },
-            Suffix::Sort(keys) => PhysicalPlan::Sort {
-                input: Box::new(tree),
-                keys,
-            },
-            Suffix::Dedup => PhysicalPlan::Dedup {
-                input: Box::new(tree),
-            },
-            Suffix::Aggregate { group_by, aggs } => PhysicalPlan::Aggregate {
-                input: Box::new(tree),
-                group_by,
-                aggs,
-            },
-        };
-    }
-    tree
+fn apply_suffix(suffix: &[Post], tree: PhysicalPlan) -> PhysicalPlan {
+    suffix.iter().rev().fold(tree, |tree, op| op.over(tree))
 }
 
 /// Flatten the join tree into the join graph: non-`Join` subtrees are
@@ -436,11 +400,7 @@ fn decompose(tree: &PhysicalPlan, pricer: &mut Pricer<'_>) -> Option<JoinGraph> 
         schemas.push(to_logical(lp).output_schema().ok()?);
         // One price per leaf: its cost in the search, and its share of
         // the sunk fetch cost.
-        let cost = pricer.price(lp, None).ok()??;
-        leaves.push(Leaf {
-            plan: lp.clone(),
-            cost,
-        });
+        leaves.push(pricer.leaf(lp.clone()).ok()?);
     }
 
     let mut graph = JoinGraph::new(leaves);
@@ -527,5 +487,109 @@ mod tests {
         let line = e.render();
         assert!(line.starts_with("re-optimized: predicted 1000 rows, observed 800k"));
         assert!(line.contains("switched join order"));
+    }
+
+    /// E18 through the audited search: the re-planner's DP candidates,
+    /// priced by id under the measured cardinalities, equal their
+    /// materialized trees priced by the uncached tree entry point.
+    #[test]
+    fn e18_replan_candidates_equal_their_trees() {
+        use disco_common::{AttributeDef, DataType, Value};
+        use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
+        use disco_wrapper::SourceWrapper;
+
+        use crate::join_graph::audit;
+        use crate::Mediator;
+
+        let long = |attrs: &[&str]| {
+            Schema::new(
+                attrs
+                    .iter()
+                    .map(|a| AttributeDef::new(*a, DataType::Long))
+                    .collect(),
+            )
+        };
+        // `crates/bench/src/bin/adaptive_skew.rs`'s chain
+        // `A(x,p) ⋈ B(x,y) ⋈ S(y,k)`, `S` skewed.
+        let mut a = PagedStore::new("a", CostProfile::relational());
+        a.add_collection(
+            "A",
+            CollectionBuilder::new(long(&["x", "p"]))
+                .rows((0..4_000i64).map(|i| vec![Value::Long(i), Value::Long(i % 5)]))
+                .index("p"),
+        )
+        .unwrap();
+        let mut b = PagedStore::new("b", CostProfile::relational());
+        b.add_collection(
+            "B",
+            CollectionBuilder::new(long(&["x", "y"])).rows((0..2_000i64).map(|i| {
+                if i < 1_000 {
+                    vec![Value::Long(100_000 + i), Value::Long(0)]
+                } else {
+                    let x = i - 1_000;
+                    let y = if x == 7 { 0 } else { 4 + (x % 96) };
+                    vec![Value::Long(x), Value::Long(y)]
+                }
+            })),
+        )
+        .unwrap();
+        let mut s = PagedStore::new("s", CostProfile::relational());
+        s.add_collection(
+            "S",
+            CollectionBuilder::new(long(&["y", "k"]))
+                .rows((0..8_000i64).map(|i| {
+                    if i < 7_000 {
+                        vec![Value::Long(0), Value::Long(0)]
+                    } else {
+                        vec![Value::Long(4 + (i % 96)), Value::Long(i - 7_000 + 1)]
+                    }
+                }))
+                .index("k"),
+        )
+        .unwrap();
+        let mut m = Mediator::new();
+        for (name, store) in [("a", a), ("b", b), ("s", s)] {
+            m.register(Box::new(SourceWrapper::new(name, store)))
+                .unwrap();
+        }
+        let sql = "SELECT a.x, b.y, s.k FROM A a, B b, S s \
+                   WHERE a.p = 2 AND a.x = b.x AND b.y = s.y AND s.k = 0";
+        let plan = m.plan(sql).unwrap().physical;
+        let r = m.query(sql).unwrap();
+        let estimator = Estimator::new(m.registry(), m.catalog()).with_health(Some(m.health()));
+        let observations: Vec<SiteObservation> = r
+            .trace
+            .submits
+            .iter()
+            .map(|s| SiteObservation {
+                wrapper: s.wrapper.clone(),
+                plan: s.plan.clone(),
+                predicted_rows: estimator
+                    .estimate(&LogicalPlan::Submit {
+                        wrapper: s.wrapper.clone(),
+                        input: Box::new(s.plan.clone()),
+                    })
+                    .ok()
+                    .map(|c| c.count_object),
+                observed_rows: s.tuples as f64,
+                observed_bytes: s.bytes as f64,
+                failed: s.failed,
+            })
+            .collect();
+        let replanner = Replanner::new(
+            m.registry(),
+            m.catalog(),
+            Some(m.health()),
+            AdaptivePolicy::enabled(),
+        );
+        let (outcome, records) = audit::record(|| replanner.consider(&plan, &observations));
+        assert!(outcome.is_some_and(|o| o.event.switched), "E18 re-plans");
+        assert!(!records.is_empty());
+        for (by_id, by_tree) in records {
+            let bits = |c: Option<disco_core::NodeCost>| {
+                c.map(|c| disco_costlang::CostVar::ALL.map(|v| c.get(v).to_bits()))
+            };
+            assert_eq!(bits(by_id), bits(by_tree));
+        }
     }
 }

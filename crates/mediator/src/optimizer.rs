@@ -14,8 +14,9 @@
 //! programming over connected table subsets, greedy beyond twelve
 //! tables. Candidate estimation runs over two caches built for the run
 //! (subplan cost memo + rule-resolution cache, see
-//! [`disco_core::cache`]); the whole search is one serial walk on the
-//! calling thread. [`Optimizer::optimize_by_permutation`] runs the
+//! [`disco_core::cache`]), and the search hands the estimator interned
+//! ids, never a candidate tree; the whole search is one serial walk on
+//! the calling thread. [`Optimizer::optimize_by_permutation`] runs the
 //! exhaustive permutation sweep over the same graph instead, uncached:
 //! the equivalence oracle and perf baseline, not an option.
 //!
@@ -44,7 +45,7 @@ use disco_common::{DiscoError, HealthTracker, QualifiedName, Result};
 use disco_core::{Estimator, EstimatorCache, NodeCost, RuleRegistry};
 
 use crate::analyze::AnalyzedQuery;
-use crate::join_graph::{JoinGraph, Leaf, Pricer, Search, DP_MAX_LEAVES};
+use crate::join_graph::{JoinGraph, Leaf, Post, Pricer, Search, DP_MAX_LEAVES};
 
 /// Which cost variable ranks complete plans (paper §3: the mediator
 /// cost model exposes several optimization goals, not just one).
@@ -413,10 +414,10 @@ impl<'a> Optimizer<'a> {
         let span = self.tracer.as_ref().map(|t| t.start("join-enumeration"));
         let graph = join_graph(q, access);
         graph.check(|t| q.tables[t].alias.clone())?;
-        let complete = |tree| self.finish_plan(q, tree);
+        let finish = self.finish_ops(q);
         let mut search = Search {
             pricer,
-            complete: &complete,
+            finish: &finish,
             objective: self.options.objective,
             prune: self.pruning_on(),
         };
@@ -429,9 +430,14 @@ impl<'a> Optimizer<'a> {
             // attainable; it is a bound only, and an exact tie goes to
             // the DP's own plan.
             let order = graph.greedy().expect("checked connected");
-            let seed = search.consider(graph.tree(&order)?, None)?;
-            let bound = seed.as_ref().map(|(_, c)| search.objective.value(c));
-            graph.search(&mut search, bound)?.or(seed)
+            let seed = graph.price_order(&mut search, &order, None)?;
+            let bound = seed.as_ref().map(|c| search.objective.value(c));
+            match graph.search(&mut search, bound)? {
+                Some(best) => Some(best),
+                None => seed
+                    .map(|cost| Ok((graph.tree(&order)?, cost)))
+                    .transpose()?,
+            }
         } else {
             graph.search(&mut search, None)?
         };
@@ -452,7 +458,7 @@ impl<'a> Optimizer<'a> {
             s.finish();
         }
 
-        let physical = self.finish_plan(q, best_join)?;
+        let physical = self.finish_plan(q, best_join);
         // Decisions are extracted from the pre-negotiation plan: the
         // negotiation pass may fuse leaves into multi-table submits,
         // which the replay path rebuilds by re-running negotiation.
@@ -524,10 +530,11 @@ impl<'a> Optimizer<'a> {
             access.push(Leaf {
                 plan,
                 cost: NodeCost::ZERO,
+                id: None,
             });
         }
         let join = join_graph(q, access).tree(&decisions.order)?;
-        let physical = self.finish_plan(q, join)?;
+        let physical = self.finish_plan(q, join);
         let estimator = Estimator::new(self.registry, self.catalog).with_health(self.health);
         let mut pricer = Pricer::new(estimator, None);
         let cost = pricer
@@ -603,10 +610,10 @@ impl<'a> Optimizer<'a> {
             for (push_select, push_project) in variants {
                 let plan =
                     self.access_variant(q, t, wrapper, &cols, &sels, (push_select, push_project))?;
-                let cost = pricer.price(&plan, None)?.expect("no cost limit set");
-                let value = self.options.objective.value(&cost);
+                let leaf = pricer.leaf(plan)?;
+                let value = self.options.objective.value(&leaf.cost);
                 if best.as_ref().is_none_or(|(v, _)| value < *v) {
-                    best = Some((value, Leaf { plan, cost }));
+                    best = Some((value, leaf));
                 }
             }
         }
@@ -688,31 +695,31 @@ impl<'a> Optimizer<'a> {
         Ok(phys)
     }
 
-    /// Aggregate / project / distinct / sort on top of the join tree.
-    fn finish_plan(&self, q: &AnalyzedQuery, mut plan: PhysicalPlan) -> Result<PhysicalPlan> {
+    /// Aggregate / project / distinct / sort on top of the join tree,
+    /// innermost first.
+    fn finish_ops(&self, q: &AnalyzedQuery) -> Vec<Post> {
+        let mut ops = Vec::with_capacity(4);
         if q.is_aggregate() {
-            plan = PhysicalPlan::Aggregate {
-                input: Box::new(plan),
+            ops.push(Post::Aggregate {
                 group_by: q.group_by.clone(),
                 aggs: q.aggs.clone(),
-            };
+            });
         }
-        plan = PhysicalPlan::Project {
-            input: Box::new(plan),
-            columns: q.output.clone(),
-        };
+        ops.push(Post::Project(q.output.clone()));
         if q.distinct {
-            plan = PhysicalPlan::Dedup {
-                input: Box::new(plan),
-            };
+            ops.push(Post::Dedup);
         }
         if !q.order_by.is_empty() {
-            plan = PhysicalPlan::Sort {
-                input: Box::new(plan),
-                keys: q.order_by.clone(),
-            };
+            ops.push(Post::Sort(q.order_by.clone()));
         }
-        Ok(plan)
+        ops
+    }
+
+    /// The join tree with [`Self::finish_ops`] stacked on top.
+    fn finish_plan(&self, q: &AnalyzedQuery, plan: PhysicalPlan) -> PhysicalPlan {
+        self.finish_ops(q)
+            .iter()
+            .fold(plan, |plan, op| op.over(plan))
     }
 
     /// Capability-driven pushdown negotiation (the post-plan rewrite).
