@@ -41,6 +41,7 @@
 //! state or override set, and it is unbounded because it dies with the
 //! run — a 6-table join shape leaves a few hundred subtrees behind.
 
+use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, Ref, RefCell};
 use std::rc::Rc;
 
@@ -174,6 +175,14 @@ impl EstimatorCache {
         inputs: &[SubtreeId],
     ) -> SubtreeId {
         self.interner.borrow_mut().intern_node(ctx, payload, inputs)
+    }
+
+    /// Intern `Submit(wrapper, input)` executing under no context, as a
+    /// mediator-level submit is priced.
+    pub fn intern_submit(&self, wrapper: &str, input: &LogicalPlan) -> SubtreeId {
+        let mut interner = self.interner.borrow_mut();
+        let input = interner.intern_plan(input, Some(wrapper));
+        interner.intern_node(None, Payload::Submit(Cow::Borrowed(wrapper)), &[input])
     }
 
     pub(crate) fn interner(&self) -> Ref<'_, Interner> {

@@ -16,7 +16,7 @@
 //!   already exceeds the best plan found so far, estimation stops and the
 //!   plan is rejected.
 //!
-//! There is one evaluator and two entry points. The uncached one
+//! There is one evaluator and three entry points. The uncached one
 //! ([`Estimator::estimate_report`], and EXPLAIN) walks a plan tree. The
 //! cached one prices a [`SubtreeId`] of an [`EstimatorCache`]
 //! ([`Estimator::estimate_subtree`]): every node visit finds its memoized
@@ -25,23 +25,31 @@
 //! subtree walked per visit. [`Estimator::estimate_report_cached`] interns
 //! a tree once, bottom-up, and takes that path; a caller that builds its
 //! candidates as interned nodes (the join-order search) never has a tree
-//! to hand over. Both entry points read a node only through a
+//! to hand over. The bound one ([`Estimator::evaluate_bound`]) splits the
+//! two phases across plans: [`Estimator::associate`] runs the top-down
+//! association of one plan and keeps it as an [`Association`], and a
+//! later plan of the same shape with other constants — a plan-cache hit
+//! — is priced by the bottom-up evaluation alone, each node reading its
+//! candidates by pre-order position. That is sound only when no
+//! applicable head that binds a constant can match, which `associate`
+//! checks. All three entry points read a node only through a
 //! [`NodeView`], so association and every formula see the same facts.
 
 use std::borrow::Cow;
 
-use disco_algebra::{CompareOp, LogicalPlan, SelectPredicate};
+use disco_algebra::{CompareOp, LogicalPlan, OperatorKind, SelectPredicate};
 use disco_catalog::{restriction_selectivity, Catalog, CollectionStats};
 use disco_common::{DiscoError, HealthTracker, QualifiedName, Result, Value};
-use disco_costlang::ast::PathLeaf;
+use disco_costlang::ast::{HeadArg, PathLeaf, RuleHead};
 use disco_costlang::bytecode::{AttrSpec, ChildRef, CollSpec, Instr};
 use disco_costlang::{eval_program, CostVar, EvalEnv};
 
 use crate::cache::{EstimatorCache, Resolution};
 use crate::cost::{NodeCost, PartialCost};
 use crate::explain::{Attribution, ExplainNode};
-use crate::intern::{same_plan, NodeView, SubtreeId};
-use crate::pattern::{match_node, BindingValue, Bindings, Subject};
+use crate::intern::{same_plan, NodeView, Payload, SubtreeId};
+use crate::params::Params;
+use crate::pattern::{match_node, may_match_some_constant, BindingValue, Bindings, Subject};
 use crate::registry::{Provenance, RuleRegistry};
 use crate::rules::{RegisteredRule, RuleBody};
 use crate::yao::yao_pages;
@@ -156,6 +164,103 @@ pub struct EstimateReport {
     pub rules_evaluated: usize,
 }
 
+/// The §4.2 association of one plan, kept so that a plan of the same
+/// shape with other constants is priced by evaluation alone: per node, in
+/// pre-order, the rules whose heads matched it, most specific first, with
+/// their bindings. [`Estimator::associate`] builds one only when no
+/// applicable head that binds a constant can match, so it holds for every
+/// constant;
+/// [`Estimator::evaluate_bound`] evaluates a plan over it.
+#[derive(Debug, Clone)]
+pub struct Association {
+    /// The wrapper context the plan's root executes under.
+    context: Option<String>,
+    nodes: Vec<Associated>,
+    /// Pre-order positions of the submits, in depth-first order.
+    submits: Vec<u32>,
+}
+
+/// One node's association.
+#[derive(Debug, Clone)]
+struct Associated {
+    rules: Box<[(usize, Bindings)]>,
+    /// Pre-order position of input 1; 0 when the node has none.
+    right: u32,
+    /// A selection with compiled candidates: what their heads captured of
+    /// the predicate is re-read from the evaluated node. (Native formulas
+    /// read the node itself, never their bindings.)
+    rebind: bool,
+}
+
+impl Association {
+    /// Pre-order position of input 1 of the node at `at`.
+    pub(crate) fn right(&self, at: u32) -> u32 {
+        self.nodes[at as usize].right
+    }
+
+    /// Number of submits in the plan.
+    pub fn submits(&self) -> usize {
+        self.submits.len()
+    }
+
+    /// The cached candidates of the node at `at`, which is `node`.
+    fn candidates<'a, 'b>(
+        &'b self,
+        at: u32,
+        node: NodeView<'_>,
+        registry: &'a RuleRegistry,
+    ) -> Vec<Candidate<'a, 'b>> {
+        let entry = &self.nodes[at as usize];
+        let predicate = match node.payload() {
+            Payload::Select(p) if entry.rebind => Some(p),
+            _ => None,
+        };
+        entry
+            .rules
+            .iter()
+            .filter_map(|(id, bindings)| {
+                let rule = registry.rule(*id)?;
+                let bindings = match (&predicate, &rule.body) {
+                    (Some(p), RuleBody::Compiled(_)) => Cow::Owned(bindings.rebound(p)),
+                    _ => Cow::Borrowed(bindings),
+                };
+                Some(Candidate { rule, bindings })
+            })
+            .collect()
+    }
+
+    /// The node at pre-order position `target` of `plan`, a plan of this
+    /// shape.
+    fn nth<'p>(&self, mut plan: &'p LogicalPlan, target: u32) -> &'p LogicalPlan {
+        let mut at = 0;
+        while at != target {
+            let right = self.right(at);
+            let i = if right != 0 && target >= right {
+                at = right;
+                1
+            } else {
+                at += 1;
+                0
+            };
+            plan = NodeView::of(plan)
+                .input(i)
+                .and_then(|c| c.plan())
+                .expect("a plan of the associated shape");
+        }
+        plan
+    }
+}
+
+/// What [`Estimator::evaluate_bound`] computes: the plan's estimate and
+/// each submit's cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundEstimate {
+    pub report: EstimateReport,
+    /// Each submit's cost, in depth-first order (left before right);
+    /// `None` where a submit had to be priced alone and that failed.
+    pub submits: Vec<Option<NodeCost>>,
+}
+
 /// The estimator: a rule registry plus the catalog it resolves statistics
 /// from, optionally consulting a health tracker for adaptive
 /// wrapper-scope penalties.
@@ -261,6 +366,103 @@ impl<'a> Estimator<'a> {
         Run::new(*self, limit, false, Some(Memo { cache, sites })).report(root, root.context())
     }
 
+    /// The top-down §4.2 association of `plan`: per node, the rules whose
+    /// heads match it. `None` when some node has an applicable rule whose
+    /// head binds a constant (a structured selection predicate such as
+    /// `salary = $V` or `salary = 77`) and matches the node for some value
+    /// of it, since which rules match, and what they bind, then changes
+    /// with the constants. A head naming another collection or attribute
+    /// matches for no value, and does not count.
+    pub fn associate(&self, plan: &LogicalPlan) -> Option<Association> {
+        let context = infer_wrapper_context(plan);
+        let mut assoc = Association {
+            context: context.clone(),
+            nodes: Vec::new(),
+            submits: Vec::new(),
+        };
+        self.associate_node(plan, context.as_deref(), &mut assoc)
+            .then_some(assoc)
+    }
+
+    fn associate_node(
+        &self,
+        plan: &LogicalPlan,
+        ctx: Option<&str>,
+        assoc: &mut Association,
+    ) -> bool {
+        let node = NodeView::of(plan);
+        let kind = node.kind();
+        let subject = Subject::of(node);
+        if applicable(self.registry, kind, ctx).any(|r| {
+            binds_constant(&r.head)
+                && may_match_some_constant(&r.head, &subject, r.declared_in.as_deref())
+        }) {
+            return false;
+        }
+        let rules: Box<[(usize, Bindings)]> = resolve(self.registry, node, ctx)
+            .into_iter()
+            .map(|c| (c.rule.id, c.bindings.into_owned()))
+            .collect();
+        let rebind = kind == OperatorKind::Select
+            && rules.iter().any(|(id, _)| {
+                self.registry
+                    .rule(*id)
+                    .is_some_and(|r| matches!(r.body, RuleBody::Compiled(_)))
+            });
+        let at = assoc.nodes.len() as u32;
+        if node.submit_to().is_some() {
+            assoc.submits.push(at);
+        }
+        assoc.nodes.push(Associated {
+            rules,
+            right: 0,
+            rebind,
+        });
+        let child_ctx = node.submit_to().or(ctx);
+        if let Some(left) = node.input(0).and_then(|c| c.plan()) {
+            if !self.associate_node(left, child_ctx, assoc) {
+                return false;
+            }
+        }
+        if let Some(right) = node.input(1).and_then(|c| c.plan()) {
+            assoc.nodes[at as usize].right = assoc.nodes.len() as u32;
+            return self.associate_node(right, child_ctx, assoc);
+        }
+        true
+    }
+
+    /// The third entry point: price `plan` over `assoc`, the association
+    /// of a plan of the same shape ([`Estimator::associate`]), running
+    /// the bottom-up evaluation phase alone. Every node reads its
+    /// candidates by position, so no head is unified and no binding
+    /// built, except that a compiled rule's predicate capture on a
+    /// selection is re-read from this plan's predicate. Health penalties
+    /// and overrides apply as on the other entry points, and the cost
+    /// equals [`Estimator::estimate`]'s bit for bit.
+    ///
+    /// Each submit's cost comes from the same evaluation; a submit the
+    /// §4.2 cut-off left unevaluated is priced alone, as the submit its
+    /// wrapper receives.
+    pub fn evaluate_bound(&self, plan: &LogicalPlan, assoc: &Association) -> Result<BoundEstimate> {
+        let mut run = Run::new(*self, None, false, None);
+        let report = run
+            .report(NodeView::bound(plan, assoc, 0), assoc.context.as_deref())?
+            .ok_or_else(|| DiscoError::Cost("estimation pruned without a cost limit".into()))?;
+        let submits = assoc
+            .submits
+            .iter()
+            .map(|&at| match run.submits.iter().find(|(p, _)| *p == at) {
+                Some(&(_, cost)) => Some(cost),
+                None => {
+                    let alone = NodeView::bound(assoc.nth(plan, at), assoc, at);
+                    let mut run = Run::new(*self, None, false, None);
+                    run.report(alone, None).ok().flatten().map(|r| r.cost)
+                }
+            })
+            .collect();
+        Ok(BoundEstimate { report, submits })
+    }
+
     /// Estimate with a full per-node, per-variable rule attribution — the
     /// observable form of the scope-hierarchy blending.
     pub fn explain(
@@ -320,6 +522,9 @@ struct Run<'a> {
     /// interned entry point (never in explain mode, which needs full
     /// nodes).
     memo: Option<Memo<'a>>,
+    /// On the bound entry point: each evaluated submit's pre-order
+    /// position and cost.
+    submits: Vec<(u32, NodeCost)>,
 }
 
 /// The cache an interned run reads and fills, and its observed sites.
@@ -344,10 +549,11 @@ impl<'a> Run<'a> {
             rules_evaluated: 0,
             explain,
             memo,
+            submits: Vec::new(),
         }
     }
 
-    fn report(mut self, root: NodeView<'_>, ctx: Option<&str>) -> Result<Option<EstimateReport>> {
+    fn report(&mut self, root: NodeView<'_>, ctx: Option<&str>) -> Result<Option<EstimateReport>> {
         match self.node(root, ctx, true) {
             Ok((cost, _)) => Ok(Some(EstimateReport {
                 cost,
@@ -410,13 +616,14 @@ impl<'a> Run<'a> {
         // Phase 1 (association): gather matching rules, most specific
         // first (the registry keeps them sorted). The rule-resolution
         // cache skips the repeated `match_head` unification for nodes
-        // sharing a shallow signature.
+        // sharing a shallow signature; the bound entry point reads the
+        // association cached for the node's position instead.
         let shared: Resolution;
-        let candidates: Vec<Candidate<'a, '_>> = match memo {
-            Some((cache, (_, sig))) => {
+        let candidates: Vec<Candidate<'a, '_>> = match (memo, node.association()) {
+            (None, Some((assoc, at))) => assoc.candidates(at, node, self.est.registry),
+            (Some((cache, (_, sig))), _) => {
                 shared = cache.rules_get(sig).unwrap_or_else(|| {
-                    let fresh: Resolution = self
-                        .resolve_candidates(node, ctx)
+                    let fresh: Resolution = resolve(self.est.registry, node, ctx)
                         .into_iter()
                         .map(|c| (c.rule.id, c.bindings.into_owned()))
                         .collect();
@@ -433,12 +640,14 @@ impl<'a> Run<'a> {
                     })
                     .collect()
             }
-            None => self.resolve_candidates(node, ctx),
+            (None, None) => resolve(self.est.registry, node, ctx),
         };
 
         let arity = (0..2).take_while(|&i| node.input(i).is_some()).count();
-        let mut children: Vec<Option<NodeCost>> = vec![None; arity];
-        let mut children_explain: Vec<Option<ExplainNode>> = vec![None; arity];
+        let mut children_store: [Option<NodeCost>; 2] = [None; 2];
+        let mut explain_store: [Option<ExplainNode>; 2] = [None, None];
+        let children = &mut children_store[..arity];
+        let children_explain = &mut explain_store[..arity];
         let mut attributions: Vec<Attribution> = Vec::new();
 
         // Phase 2 (evaluation), per variable with per-variable fallback.
@@ -450,7 +659,9 @@ impl<'a> Run<'a> {
                 // One specificity class: equal (scope, specificity).
                 let key = (candidates[i].rule.scope, candidates[i].rule.specificity);
                 let mut j = i;
-                let mut class_values: Vec<f64> = Vec::new();
+                // "All formulas are invoked and the lowest value is
+                // assigned to the variable" (§4.2 step 3).
+                let mut class_min: Option<f64> = None;
                 let mut class_rules: Vec<String> = Vec::new();
                 while j < candidates.len()
                     && (candidates[j].rule.scope, candidates[j].rule.specificity) == key
@@ -461,13 +672,13 @@ impl<'a> Run<'a> {
                             cand,
                             var,
                             node,
-                            &mut children,
-                            &mut children_explain,
+                            children,
+                            children_explain,
                             child_ctx,
                             ctx,
                             &partial,
                         )? {
-                            class_values.push(v);
+                            class_min = Some(class_min.map_or(v, |m| m.min(v)));
                             if self.explain {
                                 class_rules.push(describe_rule(cand.rule));
                             }
@@ -475,10 +686,8 @@ impl<'a> Run<'a> {
                     }
                     j += 1;
                 }
-                if !class_values.is_empty() {
-                    // "All formulas are invoked and the lowest value is
-                    // assigned to the variable" (§4.2 step 3).
-                    value = class_values.iter().copied().reduce(f64::min);
+                if class_min.is_some() {
+                    value = class_min;
                     if self.explain {
                         attributions.push(Attribution {
                             var,
@@ -543,6 +752,12 @@ impl<'a> Run<'a> {
             }
         }
 
+        if let Some((_, at)) = node.association() {
+            if node.submit_to().is_some() {
+                self.submits.push((at, cost));
+            }
+        }
+
         let explain_node = self.explain.then(|| ExplainNode {
             operator: {
                 let mut op = node
@@ -558,7 +773,7 @@ impl<'a> Run<'a> {
             },
             cost,
             attributions,
-            children: children_explain.into_iter().flatten().collect(),
+            children: explain_store.into_iter().flatten().collect(),
         });
 
         // A fully evaluated node's cost does not depend on the limit, so
@@ -581,31 +796,6 @@ impl<'a> Run<'a> {
         Ok((cost, explain_node))
     }
 
-    /// Phase-1 association without the cache: provenance filter plus head
-    /// unification over the registry's most-specific-first candidates.
-    fn resolve_candidates(
-        &self,
-        node: NodeView<'_>,
-        ctx: Option<&str>,
-    ) -> Vec<Candidate<'a, 'static>> {
-        let subject = Subject::of(node);
-        self.est
-            .registry
-            .candidates(subject.kind())
-            .filter(|r| match &r.provenance {
-                Provenance::Default => true,
-                Provenance::Local => ctx.is_none(),
-                Provenance::Wrapper(w) => ctx == Some(w.as_str()),
-            })
-            .filter_map(|r| {
-                match_node(&r.head, &subject, r.declared_in.as_deref()).map(|bindings| Candidate {
-                    rule: r,
-                    bindings: Cow::Owned(bindings),
-                })
-            })
-            .collect()
-    }
-
     /// Evaluate one candidate rule for one variable. `Ok(None)` = formula
     /// inapplicable (evaluation failed) — the caller falls back.
     #[allow(clippy::too_many_arguments)]
@@ -624,10 +814,10 @@ impl<'a> Run<'a> {
         // "if no variables required from a child node, the recursive call
         // to the child is cut").
         let needed = match &cand.rule.body {
-            RuleBody::Native(_) => (0..children.len()).collect::<Vec<_>>(),
+            RuleBody::Native(_) => Needed::all(children.len()),
             RuleBody::Compiled(body) => children_needed(body, &cand.bindings, node),
         };
-        for &i in &needed {
+        for &i in needed.as_slice() {
             if children[i].is_none() {
                 let child = node.input(i).expect("needed input exists");
                 let (c, e) = self.node(child, child_ctx, false)?;
@@ -643,16 +833,17 @@ impl<'a> Run<'a> {
         };
         match &cand.rule.body {
             RuleBody::Native(native) => {
-                let forced: Vec<NodeCost> = children
-                    .iter()
-                    .map(|c| c.unwrap_or(NodeCost::ZERO))
-                    .collect();
+                let mut forced = [NodeCost::ZERO; 2];
+                for (f, c) in forced.iter_mut().zip(children.iter()) {
+                    *f = c.unwrap_or(NodeCost::ZERO);
+                }
                 let nctx = NativeCtx {
                     node,
-                    children: &forced,
+                    children: &forced[..children.len()],
                     catalog: self.est.catalog,
                     registry: self.est.registry,
                     wrapper: ctx,
+                    wrapper_params: ctx.and_then(|w| self.est.registry.wrapper_params(w)),
                     partial,
                 };
                 Ok(native.eval(var, &nctx))
@@ -680,6 +871,47 @@ impl<'a> Run<'a> {
     }
 }
 
+/// The rules that may price a node of `kind` executing under `ctx`, most
+/// specific first: those whose provenance applies there.
+fn applicable<'r: 'c, 'c>(
+    registry: &'r RuleRegistry,
+    kind: OperatorKind,
+    ctx: Option<&'c str>,
+) -> impl Iterator<Item = &'r RegisteredRule> + 'c {
+    registry
+        .candidates(kind)
+        .filter(move |r| match &r.provenance {
+            Provenance::Default => true,
+            Provenance::Local => ctx.is_none(),
+            Provenance::Wrapper(w) => ctx == Some(w.as_str()),
+        })
+}
+
+/// Phase-1 association: head unification over the applicable rules.
+fn resolve<'a>(
+    registry: &'a RuleRegistry,
+    node: NodeView<'_>,
+    ctx: Option<&str>,
+) -> Vec<Candidate<'a, 'static>> {
+    let subject = Subject::of(node);
+    applicable(registry, subject.kind(), ctx)
+        .filter_map(|r| {
+            match_node(&r.head, &subject, r.declared_in.as_deref()).map(|bindings| Candidate {
+                rule: r,
+                bindings: Cow::Owned(bindings),
+            })
+        })
+        .collect()
+}
+
+/// Whether a head binds a constant of the node it matches: a selection
+/// head with a structured predicate, whose right-hand side either binds
+/// the constant (`salary = $V`) or must equal it (`salary = 77`). Which
+/// such rules match, and what they bind, changes with the constant.
+fn binds_constant(head: &RuleHead) -> bool {
+    head.op == OperatorKind::Select && head.args.iter().any(|a| matches!(a, HeadArg::Pred { .. }))
+}
+
 /// Human-readable node description (first line of the plan display).
 fn describe_node(plan: &LogicalPlan) -> String {
     disco_algebra::display::explain_logical(plan)
@@ -699,18 +931,44 @@ fn describe_rule(rule: &RegisteredRule) -> String {
     format!("{who}: {}", disco_costlang::print_head(&rule.head))
 }
 
-/// Child indexes whose *cost variables* a compiled body reads.
+/// Child indexes to force before a formula runs, in the order they are
+/// forced: at most the node's two inputs, so no allocation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Needed {
+    slots: [usize; 2],
+    len: usize,
+}
+
+impl Needed {
+    /// Every input of a node with `arity` inputs, left first.
+    fn all(arity: usize) -> Self {
+        Needed {
+            slots: [0, 1],
+            len: arity.min(2),
+        }
+    }
+
+    fn push(&mut self, i: usize) {
+        if !self.as_slice().contains(&i) {
+            self.slots[self.len] = i;
+            self.len += 1;
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.slots[..self.len]
+    }
+}
+
+/// Child indexes whose *cost variables* a compiled body reads, in the
+/// order the body first reads them.
 fn children_needed(
     body: &disco_costlang::CompiledBody,
     bindings: &Bindings,
     node: NodeView<'_>,
-) -> Vec<usize> {
-    let mut needed = Vec::new();
-    let mut push = |i: usize| {
-        if !needed.contains(&i) {
-            needed.push(i);
-        }
-    };
+) -> Needed {
+    let mut needed = Needed::default();
+    let mut push = |i: usize| needed.push(i);
     for instr in &body.program.instrs {
         let Instr::LoadPath(p) = instr else { continue };
         let path = &body.program.paths[*p as usize];
@@ -762,6 +1020,9 @@ pub struct NativeCtx<'a> {
     pub registry: &'a RuleRegistry,
     /// Wrapper execution context of the node, if any.
     pub wrapper: Option<&'a str>,
+    /// The parameters that wrapper registered, looked up once per formula
+    /// rather than once per parameter.
+    pub wrapper_params: Option<&'a Params>,
     /// Variables of this node already computed.
     pub partial: &'a PartialCost,
 }
@@ -771,12 +1032,8 @@ impl NativeCtx<'_> {
     /// defaults — a wrapper exporting just `let IO = 12;` thereby
     /// re-calibrates the generic model for its own operations.
     pub fn param(&self, name: &str) -> Option<f64> {
-        if let Some(w) = self.wrapper {
-            if let Some(p) = self.registry.wrapper_params(w) {
-                if let Some(v) = p.get_f64(name) {
-                    return Some(v);
-                }
-            }
+        if let Some(v) = self.wrapper_params.and_then(|p| p.get_f64(name)) {
+            return Some(v);
         }
         self.registry.params().get_f64(name)
     }

@@ -24,10 +24,12 @@
 //! node when the node is somebody's input — its base collection, the set
 //! of collections it reads and the arity of its output (its stored
 //! payload says whether it is a bare `Scan`). They are derived once, from
-//! the children's, so no node walks its subtree again. A [`NodeView`] is the estimator's one way of
-//! reading a node: over an interned id it reads these facts, over a plain
-//! tree (the uncached entry point) it derives the same facts from the
-//! child plans.
+//! the children's, so no node walks its subtree again. A [`NodeView`] is
+//! the estimator's one way of reading a node: over an interned id it
+//! reads these facts, over a plain tree (the uncached entry point) it
+//! derives the same facts from the child plans, and over a tree bound to
+//! a cached association (the bound entry point) it does the same and
+//! also knows the node's pre-order position in that association.
 //!
 //! A 64-bit fingerprint only picks the bucket. Membership is decided by
 //! equality of the stored key, and a payload's equality compares
@@ -44,6 +46,8 @@ use std::rc::Rc;
 use disco_algebra::logical::AggExpr;
 use disco_algebra::{JoinKind, JoinPredicate, LogicalPlan, OperatorKind, Predicate, ScalarExpr};
 use disco_common::{QualifiedName, Schema, Value};
+
+use crate::estimator::Association;
 
 /// The absent id: no child, no base collection, no context.
 const NONE: u32 = u32::MAX;
@@ -711,6 +715,9 @@ pub struct NodeView<'v>(Origin<'v>);
 enum Origin<'v> {
     Tree(&'v LogicalPlan),
     Interned(&'v Interner, u32),
+    /// A plan node and its pre-order position in the cached association
+    /// of a plan of the same shape.
+    Bound(&'v LogicalPlan, &'v Association, u32),
 }
 
 impl<'v> NodeView<'v> {
@@ -723,6 +730,12 @@ impl<'v> NodeView<'v> {
         NodeView(Origin::Interned(interner, id.0))
     }
 
+    /// `plan`, the node at pre-order position `at` of the shape `assoc`
+    /// was made for.
+    pub(crate) fn bound(plan: &'v LogicalPlan, assoc: &'v Association, at: u32) -> Self {
+        NodeView(Origin::Bound(plan, assoc, at))
+    }
+
     fn facts(interner: &'v Interner, id: u32) -> &'v Facts {
         &interner.facts[id as usize]
     }
@@ -730,7 +743,7 @@ impl<'v> NodeView<'v> {
     /// The node's own fields.
     pub fn payload(&self) -> Payload<'v> {
         match self.0 {
-            Origin::Tree(plan) => Payload::of(plan),
+            Origin::Tree(plan) | Origin::Bound(plan, ..) => Payload::of(plan),
             Origin::Interned(t, id) => {
                 let payload: &'v Payload<'static> =
                     &t.payload_list[Self::facts(t, id).key.payload as usize];
@@ -748,6 +761,11 @@ impl<'v> NodeView<'v> {
     pub fn input(&self, i: usize) -> Option<NodeView<'v>> {
         match self.0 {
             Origin::Tree(plan) => input(plan, i).map(NodeView::of),
+            Origin::Bound(plan, assoc, at) => {
+                let child = input(plan, i)?;
+                let at = if i == 0 { at + 1 } else { assoc.right(at) };
+                Some(NodeView(Origin::Bound(child, assoc, at)))
+            }
             Origin::Interned(t, id) => match Self::facts(t, id).key.kids.get(i) {
                 Some(&kid) if kid != NONE => Some(NodeView(Origin::Interned(t, kid))),
                 _ => None,
@@ -759,7 +777,7 @@ impl<'v> NodeView<'v> {
     /// pipeline over one scan.
     pub fn base_collection(&self) -> Option<&'v QualifiedName> {
         match self.0 {
-            Origin::Tree(plan) => plan.base_collection(),
+            Origin::Tree(plan) | Origin::Bound(plan, ..) => plan.base_collection(),
             Origin::Interned(t, id) => match Self::facts(t, id).base {
                 NONE => None,
                 base => Some(&t.collection_list[base as usize]),
@@ -771,7 +789,7 @@ impl<'v> NodeView<'v> {
     /// wrapper).
     pub fn reads(&self, collection: &str) -> bool {
         match self.0 {
-            Origin::Tree(plan) => plan
+            Origin::Tree(plan) | Origin::Bound(plan, ..) => plan
                 .collections()
                 .iter()
                 .any(|c| c.collection == collection),
@@ -786,7 +804,7 @@ impl<'v> NodeView<'v> {
     /// attribute names.
     pub fn output_arity(&self) -> usize {
         match self.0 {
-            Origin::Tree(plan) => Payload::of(plan)
+            Origin::Tree(plan) | Origin::Bound(plan, ..) => Payload::of(plan)
                 .output_arity(|i| input(plan, i).map_or(0, |c| NodeView::of(c).output_arity())),
             Origin::Interned(t, id) => Self::facts(t, id).arity as usize,
         }
@@ -795,8 +813,9 @@ impl<'v> NodeView<'v> {
     /// The wrapper a submit ships its input to.
     pub fn submit_to(&self) -> Option<&'v str> {
         match self.0 {
-            Origin::Tree(LogicalPlan::Submit { wrapper, .. }) => Some(wrapper),
-            Origin::Tree(_) => None,
+            Origin::Tree(LogicalPlan::Submit { wrapper, .. })
+            | Origin::Bound(LogicalPlan::Submit { wrapper, .. }, ..) => Some(wrapper),
+            Origin::Tree(_) | Origin::Bound(..) => None,
             Origin::Interned(t, id) => {
                 match &*t.payload_list[Self::facts(t, id).key.payload as usize] {
                     Payload::Submit(wrapper) => Some(wrapper),
@@ -814,7 +833,7 @@ impl<'v> NodeView<'v> {
     /// The plan node, on the tree entry point.
     pub(crate) fn plan(&self) -> Option<&'v LogicalPlan> {
         match self.0 {
-            Origin::Tree(plan) => Some(plan),
+            Origin::Tree(plan) | Origin::Bound(plan, ..) => Some(plan),
             Origin::Interned(..) => None,
         }
     }
@@ -822,15 +841,24 @@ impl<'v> NodeView<'v> {
     /// Subtree and signature id, on the interned entry point.
     pub(crate) fn ids(&self) -> Option<(u32, u32)> {
         match self.0 {
-            Origin::Tree(_) => None,
             Origin::Interned(t, id) => Some((id, Self::facts(t, id).sig)),
+            Origin::Tree(_) | Origin::Bound(..) => None,
+        }
+    }
+
+    /// The cached association and the node's position in it, on the
+    /// bound entry point.
+    pub(crate) fn association(&self) -> Option<(&'v Association, u32)> {
+        match self.0 {
+            Origin::Bound(_, assoc, at) => Some((assoc, at)),
+            Origin::Tree(_) | Origin::Interned(..) => None,
         }
     }
 
     /// The execution context an interned subtree was interned under.
     pub(crate) fn context(&self) -> Option<&'v str> {
         match self.0 {
-            Origin::Tree(_) => None,
+            Origin::Tree(_) | Origin::Bound(..) => None,
             Origin::Interned(t, id) => match Self::facts(t, id).key.ctx {
                 NONE => None,
                 ctx => Some(&t.name_list[ctx as usize]),

@@ -55,7 +55,9 @@ pub mod yao;
 pub use cache::EstimatorCache;
 pub use cost::NodeCost;
 pub use disco_costlang::CostVar;
-pub use estimator::{CardinalityOverrides, EstimateOptions, EstimateReport, Estimator};
+pub use estimator::{
+    Association, BoundEstimate, CardinalityOverrides, EstimateOptions, EstimateReport, Estimator,
+};
 pub use explain::{relative_error, AnalyzeNode, Attribution, ExplainNode, Measured, MeasuredNode};
 pub use historical::{fit_param, HistoryRecorder, ParamAdjuster};
 pub use intern::{NodeView, Payload, SubtreeId};

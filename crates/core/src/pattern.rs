@@ -60,6 +60,31 @@ impl Bindings {
             .find(|v| matches!(v, BindingValue::Coll { .. }))
     }
 
+    /// These bindings, made against a selection, with what an `AnyPred`
+    /// argument captured re-read from `predicate`: the bindings the same
+    /// head yields against the same selection with other constants.
+    pub(crate) fn rebound(&self, predicate: &disco_algebra::Predicate) -> Bindings {
+        let shown = predicate.to_string();
+        let entries = self
+            .entries
+            .iter()
+            .map(|(name, value)| {
+                let value = match value {
+                    BindingValue::Pred(_) => BindingValue::Pred(shown.clone()),
+                    other => other.clone(),
+                };
+                (name.clone(), value)
+            })
+            .collect();
+        Bindings {
+            entries,
+            matched_pred: match predicate.conjuncts.as_slice() {
+                [c] => Some(c.clone()),
+                _ => None,
+            },
+        }
+    }
+
     fn bind(&mut self, name: &str, value: BindingValue) -> bool {
         match self.get(name) {
             // Repeated variables must unify to equal values.
@@ -148,6 +173,46 @@ pub(crate) fn match_node(
         }
     }
     Some(b)
+}
+
+/// Whether `head` can match `node` for some value of the node's
+/// constants: [`match_node`] with the right-hand side of a structured
+/// selection predicate matching any value. The rest of a head (its
+/// collections, attributes and comparison) reads the plan's shape, so it
+/// matches for every constant or for none.
+pub(crate) fn may_match_some_constant(
+    head: &RuleHead,
+    node: &Subject<'_>,
+    declared_in: Option<&str>,
+) -> bool {
+    let Payload::Select(predicate) = &node.payload else {
+        return match_node(head, node, declared_in).is_some();
+    };
+    if head.op != OperatorKind::Select
+        || !match_coll(
+            &head.args[0],
+            Some(ChildRef::Input),
+            node.bases[0],
+            &mut Bindings::default(),
+        )
+        || declared_in.is_some_and(|d| !node.node.reads(d))
+    {
+        return false;
+    }
+    match &head.args[1] {
+        HeadArg::AnyPred(_) => true,
+        HeadArg::Pred { left, op, .. } => match predicate.conjuncts.as_slice() {
+            [c] => {
+                c.op == *op
+                    && match left {
+                        AttrTerm::Named(a) => *a == c.attribute,
+                        AttrTerm::Var(_) => true,
+                    }
+            }
+            _ => false,
+        },
+        _ => false,
+    }
 }
 
 fn match_coll(

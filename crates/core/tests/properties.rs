@@ -3,13 +3,15 @@
 
 mod support;
 
-use disco_algebra::{AggFunc, LogicalPlan, PlanBuilder};
-use disco_common::rng::seeded;
+use disco_algebra::{AggFunc, CompareOp, LogicalPlan, PlanBuilder};
+use disco_common::rng::{seeded, StdRng};
+use disco_common::{QualifiedName, Value};
 use disco_core::{
-    CardinalityOverrides, EstimateOptions, Estimator, EstimatorCache, NodeCost, Payload,
-    RuleRegistry,
+    CardinalityOverrides, EstimateOptions, Estimator, EstimatorCache, ExplainNode, NodeCost,
+    Payload, RuleRegistry, Scope,
 };
-use support::{catalog, coin, random_plan};
+use disco_costlang::CostVar;
+use support::{catalog, coin, random_mediator_plan, random_plan};
 
 const CASES: u64 = 256;
 
@@ -215,4 +217,223 @@ fn by_id(est: &Estimator<'_>, plan: &LogicalPlan) -> NodeCost {
         .unwrap()
         .expect("no limit")
         .cost
+}
+
+/// §4.2: each variable of a node takes its value from the most specific
+/// scope that has a matching rule defining it, and equally specific
+/// rules tie to the minimum. Random rule sets over the wrapper,
+/// collection, predicate and query scopes (the default model below them
+/// all) each define a random subset of the five variables with
+/// constants; the query-scope head names one constant, so it matches one
+/// plan in three. Checked on the selection a wrapper receives, both on
+/// its value and on the scope EXPLAIN attributes it to.
+#[test]
+fn the_most_specific_scope_wins_per_variable() {
+    const HEADS: [(Scope, &str); 4] = [
+        (Scope::Wrapper, "select($C, $P)"),
+        (Scope::Collection, "select(T, $P)"),
+        (Scope::Predicate, "select(T, a < $V)"),
+        (Scope::Query, "select(T, a < 1)"),
+    ];
+    let cat = catalog(5_000, 1_000, true);
+    let mut from_scope = [0usize; 4];
+    for seed in 0..CASES {
+        let mut rng = seeded(seed, "most-specific-scope");
+        let mut text = String::new();
+        // Per scope and variable, the values its rules define.
+        let mut defined: Vec<(Scope, CostVar, f64)> = Vec::new();
+        for (scope, head) in HEADS {
+            for _ in 0..rng.gen_range(0usize..3) {
+                let mut body = String::new();
+                for var in CostVar::ALL {
+                    if coin(&mut rng) {
+                        let v = rng.gen_range(1u64..4_000) as f64 / 4.0;
+                        body.push_str(&format!("{} = {v}; ", var.name()));
+                        defined.push((scope, var, v));
+                    }
+                }
+                if !body.is_empty() {
+                    text.push_str(&format!("rule {head} {{ {body}}}\n"));
+                }
+            }
+        }
+        let mut reg = RuleRegistry::with_default_model();
+        let doc = disco_costlang::compile_document(&disco_costlang::parse_document(&text).unwrap())
+            .unwrap();
+        reg.register_document("w", &doc).unwrap();
+
+        let k = rng.gen_range(0i64..3);
+        let plan = PlanBuilder::scan(QualifiedName::new("w", "T"), support::schema())
+            .select("a", CompareOp::Lt, k)
+            .submit("w")
+            .build();
+        let est = Estimator::new(&reg, &cat);
+        let root = est
+            .explain(&plan, &EstimateOptions::default())
+            .unwrap()
+            .unwrap();
+        let select = &root.children[0];
+        let matches = |scope: Scope| scope != Scope::Query || k == 1;
+        for var in CostVar::ALL {
+            let winner = defined
+                .iter()
+                .filter(|(scope, v, _)| *v == var && matches(*scope))
+                .map(|(scope, ..)| *scope)
+                .max();
+            let got = attribution(select, var);
+            match winner {
+                Some(scope) => {
+                    let want = defined
+                        .iter()
+                        .filter(|(s, v, _)| *s == scope && *v == var)
+                        .map(|(.., x)| *x)
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(got, (scope, want), "seed {seed}: {var} from\n{text}");
+                    assert_eq!(select.cost.get(var), want, "seed {seed}: {var}");
+                    from_scope[HEADS.iter().position(|(s, _)| *s == scope).unwrap()] += 1;
+                }
+                None => assert_eq!(got.0, Scope::Default, "seed {seed}: {var} from\n{text}"),
+            }
+        }
+    }
+    // Every scope wins some variable somewhere.
+    assert!(from_scope.iter().all(|&n| n > 0), "{from_scope:?}");
+}
+
+/// The scope and value EXPLAIN attributes `var` of `node` to.
+fn attribution(node: &ExplainNode, var: CostVar) -> (Scope, f64) {
+    let a = node
+        .attributions
+        .iter()
+        .find(|a| a.var == var)
+        .expect("every variable is attributed");
+    (a.scope, a.value)
+}
+
+/// `plan` with every selection constant replaced by a fresh one.
+fn with_other_constants(plan: &LogicalPlan, rng: &mut StdRng) -> LogicalPlan {
+    let mut plan = plan.clone();
+    fn walk(p: &mut LogicalPlan, rng: &mut StdRng) {
+        if let LogicalPlan::Select { predicate, .. } = p {
+            for c in &mut predicate.conjuncts {
+                c.value = Value::Long(rng.gen_range(-10i64..3_000));
+            }
+        }
+        match p {
+            LogicalPlan::Scan { .. } => {}
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Dedup { input }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Submit { input, .. } => walk(input, rng),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right } => {
+                walk(left, rng);
+                walk(right, rng);
+            }
+        }
+    }
+    walk(&mut plan, rng);
+    plan
+}
+
+/// Caching the association is sound: associating one plan and
+/// evaluating another of the same shape, with other constants, prices
+/// the other plan exactly as estimating it does, submit costs included.
+/// The registry mixes the default model with compiled wrapper rules that
+/// capture the selection predicate, which the bound path re-reads from
+/// the evaluated plan.
+#[test]
+fn bound_evaluation_equals_estimation_for_any_constants() {
+    let mut reg = RuleRegistry::with_default_model();
+    let doc = disco_costlang::compile_document(
+        &disco_costlang::parse_document(
+            "rule select($C, $P) { TotalTime = $C.TotalTime + 7; }\n\
+             rule scan(T) { TimeFirst = 3; }",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    reg.register_document("w", &doc).unwrap();
+    for seed in 0..CASES {
+        let mut rng = seeded(seed, "bound-equals-estimate");
+        let shape = if coin(&mut rng) {
+            random_plan(&mut rng)
+        } else {
+            random_mediator_plan(&mut rng)
+        };
+        let count = rng.gen_range(1u64..50_000);
+        let cat = catalog(count, (count / 5).max(1), coin(&mut rng));
+        let est = Estimator::new(&reg, &cat);
+        let assoc = est.associate(&shape).expect("no head binds a constant");
+        for plan in [shape.clone(), with_other_constants(&shape, &mut rng)] {
+            let bound = est.evaluate_bound(&plan, &assoc).unwrap();
+            let want = est.estimate(&plan).unwrap();
+            let bits = |c: &NodeCost| CostVar::ALL.map(|v| c.get(v).to_bits());
+            assert_eq!(
+                bits(&bound.report.cost),
+                bits(&want),
+                "seed {seed}: {plan:?}"
+            );
+            assert_eq!(bound.submits.len(), assoc.submits(), "seed {seed}");
+            for (got, submit) in bound.submits.iter().zip(submits(&plan)) {
+                let alone = est.estimate(submit).unwrap();
+                assert_eq!(got.map(|c| bits(&c)), Some(bits(&alone)), "seed {seed}");
+            }
+        }
+    }
+}
+
+/// The submits of `plan`, depth first.
+fn submits(plan: &LogicalPlan) -> Vec<&LogicalPlan> {
+    match plan {
+        LogicalPlan::Submit { .. } => vec![plan],
+        p => p.children().into_iter().flat_map(submits).collect(),
+    }
+}
+
+/// A head that binds a constant makes the association depend on it.
+#[test]
+fn no_association_when_a_head_binds_a_constant() {
+    let cat = catalog(5_000, 1_000, true);
+    let plan = PlanBuilder::scan(QualifiedName::new("w", "T"), support::schema())
+        .select("a", CompareOp::Lt, 5i64)
+        .submit("w")
+        .build();
+    for rule in [
+        "select(T, a < $V)",
+        "select(T, a < 5)",
+        "select($C, $A < $V)",
+    ] {
+        let mut reg = RuleRegistry::with_default_model();
+        let text = format!("rule {rule} {{ TotalTime = 1; }}");
+        let doc = disco_costlang::compile_document(&disco_costlang::parse_document(&text).unwrap())
+            .unwrap();
+        reg.register_document("w", &doc).unwrap();
+        assert!(
+            Estimator::new(&reg, &cat).associate(&plan).is_none(),
+            "{rule}"
+        );
+    }
+    // A head naming another collection, attribute or comparison matches
+    // the selection for no constant, so it leaves the association alone.
+    for rule in [
+        "select(U, a < $V)",
+        "select(T, b < $V)",
+        "select(T, a > $V)",
+        "",
+    ] {
+        let mut reg = RuleRegistry::with_default_model();
+        if !rule.is_empty() {
+            let text = format!("rule {rule} {{ TotalTime = 1; }}");
+            let doc =
+                disco_costlang::compile_document(&disco_costlang::parse_document(&text).unwrap())
+                    .unwrap();
+            reg.register_document("w", &doc).unwrap();
+        }
+        assert!(
+            Estimator::new(&reg, &cat).associate(&plan).is_some(),
+            "{rule}"
+        );
+    }
 }

@@ -28,7 +28,7 @@ pub fn catalog(count: u64, distinct: u64, indexed: bool) -> Catalog {
     c
 }
 
-fn schema() -> Schema {
+pub fn schema() -> Schema {
     Schema::new(vec![
         AttributeDef::new("a", DataType::Long),
         AttributeDef::new("b", DataType::Long),
@@ -80,7 +80,7 @@ pub fn random_plan(rng: &mut StdRng) -> LogicalPlan {
 /// A random plan with mediator-level nodes (where the cost limit is
 /// checked below the root too): a submitted linear plan, or a join of
 /// two of them, under an optional sort or dedup.
-fn random_mediator_plan(rng: &mut StdRng) -> LogicalPlan {
+pub fn random_mediator_plan(rng: &mut StdRng) -> LogicalPlan {
     let mut b = random_steps(rng).submit("w");
     if coin(rng) {
         // One time in four both sides are the same subtree, so the

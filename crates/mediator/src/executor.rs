@@ -113,6 +113,17 @@ pub struct SitePrediction {
     pub rows: f64,
 }
 
+impl SitePrediction {
+    /// The prediction a submit's estimate makes.
+    pub fn of(cost: &NodeCost) -> Self {
+        SitePrediction {
+            total_ms: cost.total_time,
+            first_ms: cost.time_first,
+            rows: cost.count_object,
+        }
+    }
+}
+
 /// Accounting for one query execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionTrace {

@@ -43,13 +43,15 @@ use std::borrow::Cow;
 
 use disco_algebra::logical::AggExpr;
 use disco_algebra::{
-    CompareOp, JoinKind, JoinPredicate, PhysicalJoinAlgo, PhysicalPlan, Predicate, ScalarExpr,
+    CompareOp, JoinKind, JoinPredicate, LogicalPlan, PhysicalJoinAlgo, PhysicalPlan, Predicate,
+    ScalarExpr,
 };
 use disco_common::{DiscoError, Result};
 use disco_core::{
     EstimateOptions, EstimateReport, Estimator, EstimatorCache, NodeCost, Payload, SubtreeId,
 };
 
+use crate::executor::{submit_sites, SitePrediction};
 use crate::optimizer::{to_logical, Objective};
 
 /// Up to this many leaves join orders are searched exactly by the DP;
@@ -137,6 +139,32 @@ impl<'a> Pricer<'a> {
         self.counters.nodes += r.nodes_visited;
         self.counters.rules += r.rules_evaluated;
         Some(r.cost)
+    }
+
+    /// Each submit of `plan`, in fetch order, priced as the submit its
+    /// wrapper receives: what the run computed for it already, read from
+    /// the memo, or (a submit the §4.2 cut-off skipped, or no cache)
+    /// priced alone. Work here is not counted: the plan is chosen.
+    pub(crate) fn predictions(&self, plan: &PhysicalPlan) -> Vec<Option<SitePrediction>> {
+        submit_sites(plan)
+            .into_iter()
+            .map(|(wrapper, input)| {
+                let report = match self.cache {
+                    Some(c) => {
+                        let id = c.intern_submit(wrapper, input);
+                        self.estimator.estimate_subtree(id, None, c)
+                    }
+                    None => self.estimator.estimate_report(
+                        &LogicalPlan::Submit {
+                            wrapper: wrapper.to_owned(),
+                            input: Box::new(input.clone()),
+                        },
+                        &EstimateOptions::default(),
+                    ),
+                };
+                report.ok().flatten().map(|r| SitePrediction::of(&r.cost))
+            })
+            .collect()
     }
 
     /// Intern one mediator-level node over interned inputs. Every

@@ -13,7 +13,7 @@ use disco_wrapper::{Registration, Wrapper};
 
 use crate::adaptive::{AdaptivePolicy, Replanner};
 use crate::analyze::analyze;
-use crate::executor::{submit_sites, ExecutionTrace, Executor, QueryResult, SitePrediction};
+use crate::executor::{submit_sites, ExecutionTrace, Executor, QueryResult};
 use crate::optimizer::{Objective, OptimizedPlan, Optimizer, OptimizerOptions};
 
 /// Behaviour switches.
@@ -327,6 +327,7 @@ impl Mediator {
         let mut memo_hits = 0;
         let mut rule_cache_hits = 0;
         let mut negotiation = Vec::new();
+        let mut predictions = Vec::new();
         for query in &stmt.branches {
             let analyzed = {
                 let _s = self.tracer.as_ref().map(|t| t.start("analyze"));
@@ -353,6 +354,8 @@ impl Mediator {
             memo_hits += plan.memo_hits;
             rule_cache_hits += plan.rule_cache_hits;
             negotiation.extend(plan.negotiation);
+            // The union's submits are the branches', in branch order.
+            predictions.extend(plan.predictions);
             branch_plans.push(plan.physical);
         }
         let mut iter = branch_plans.into_iter();
@@ -401,6 +404,7 @@ impl Mediator {
             // cache individually when queried alone.
             decisions: None,
             negotiation,
+            predictions,
         })
     }
 
@@ -458,6 +462,13 @@ impl Mediator {
     /// run's report.
     pub fn explain_analyze(&mut self, sql: &str) -> Result<AnalyzeReport> {
         let optimized = self.plan(sql)?;
+        self.explain_analyze_plan(optimized)
+    }
+
+    /// [`Self::explain_analyze`] of a plan optimized already, such as one
+    /// a plan cache served: the report depends on the plan alone, not on
+    /// how it was arrived at.
+    pub fn explain_analyze_plan(&mut self, optimized: OptimizedPlan) -> Result<AnalyzeReport> {
         let physical = optimized.physical.clone();
         let logical = crate::optimizer::to_logical(&optimized.physical);
         let predicted = self
@@ -548,28 +559,6 @@ impl Mediator {
         Some(disco_core::yao::yao_pages_exact(n, m, k) * miss)
     }
 
-    /// Per-site cost predictions (`TotalTime`, `TimeFirst`) for the
-    /// plan's submits, in fetch order: each site priced as the
-    /// `Submit` the wrapper will receive. Sites whose estimation fails
-    /// get `None` and fall back to flat deadlines.
-    fn site_predictions(&self, plan: &PhysicalPlan) -> Vec<Option<SitePrediction>> {
-        let estimator = self.estimator();
-        submit_sites(plan)
-            .into_iter()
-            .map(|(wrapper, subplan)| {
-                let submit = LogicalPlan::Submit {
-                    wrapper: wrapper.to_string(),
-                    input: Box::new(subplan.clone()),
-                };
-                estimator.estimate(&submit).ok().map(|cost| SitePrediction {
-                    total_ms: cost.total_time,
-                    first_ms: cost.time_first,
-                    rows: cost.count_object,
-                })
-            })
-            .collect()
-    }
-
     /// Failover replica lists for the plan's submit wrappers: declared
     /// peers serving *every* collection of the site's subplan, ordered
     /// healthiest first (declared order breaks ties).
@@ -614,14 +603,15 @@ impl Mediator {
     /// takes the write lock.
     pub fn execute_plan_shared(&self, optimized: OptimizedPlan) -> Result<QueryResult> {
         let resilience = &self.options.resilience;
-        // Predictions matter over a transport when the policy can use
-        // them, and on either backend when adaptive re-optimization
-        // needs predicted cardinalities to compare measurements against.
+        // The plan carries its submits' predictions, priced with it. They
+        // matter over a transport when the policy can use them, and on
+        // either backend when adaptive re-optimization needs predicted
+        // cardinalities to compare measurements against.
         let adaptive = self.options.adaptive.enabled;
         let predictions = if adaptive
             || (self.transport.is_some() && (resilience.predicted_deadlines || resilience.hedge))
         {
-            self.site_predictions(&optimized.physical)
+            optimized.predictions
         } else {
             Vec::new()
         };

@@ -41,10 +41,11 @@ use disco_algebra::{
     SelectPredicate,
 };
 use disco_catalog::{CapabilityProfile, Catalog};
-use disco_common::{DiscoError, HealthTracker, QualifiedName, Result};
-use disco_core::{Estimator, EstimatorCache, NodeCost, RuleRegistry};
+use disco_common::{DiscoError, HealthTracker, QualifiedName, Result, Value};
+use disco_core::{Association, Estimator, EstimatorCache, NodeCost, RuleRegistry};
 
 use crate::analyze::AnalyzedQuery;
+use crate::executor::SitePrediction;
 use crate::join_graph::{JoinGraph, Leaf, Post, Pricer, Search, DP_MAX_LEAVES};
 
 /// Which cost variable ranks complete plans (paper §3: the mediator
@@ -132,6 +133,11 @@ pub struct OptimizedPlan {
     /// operator: what was pushed into which wrapper, what was lifted
     /// into the mediator's combine plan, and why. Rendered by EXPLAIN.
     pub negotiation: Vec<String>,
+    /// Each submit's own estimate, in fetch order (depth-first, left
+    /// before right), from the same pricing that produced
+    /// [`estimated`](Self::estimated): the executor's per-site
+    /// predictions. `None` where pricing a submit failed.
+    pub predictions: Vec<Option<SitePrediction>>,
 }
 
 /// The constant-free residue of one optimization run: which wrapper
@@ -250,6 +256,69 @@ fn leaf_decision(q: &AnalyzedQuery, leaf: &PhysicalPlan) -> Option<(usize, Acces
             push_project,
         },
     ))
+}
+
+/// A cached shape priced once: the plan [`Optimizer::replay`] builds for
+/// it, that plan's logical form (what the estimator prices), the §4.2
+/// association of the logical form, and where each restriction constant
+/// sits in both. Both plans hold markers where the constants go. Built by
+/// [`Optimizer::template`]; [`Optimizer::bind`] turns it into the plan of
+/// one statement.
+#[derive(Debug)]
+pub(crate) struct BoundPlan {
+    physical: PhysicalPlan,
+    logical: LogicalPlan,
+    association: Association,
+    /// For each select conjunct, the restriction it holds (its index in
+    /// `normalized_key` order), in the order [`visit_physical_conjuncts`]
+    /// meets the conjuncts of `physical`. [`visit_logical_conjuncts`]
+    /// meets those of `logical` in the same order: `to_logical` keeps
+    /// every node and the order of its inputs, a filter becoming a
+    /// selection.
+    slots: Vec<usize>,
+    negotiation: Vec<String>,
+    decisions: PlanDecisions,
+}
+
+/// Visit every select conjunct of `plan`, depth first, a node before its
+/// inputs and left before right.
+fn visit_logical_conjuncts(plan: &mut LogicalPlan, f: &mut impl FnMut(&mut SelectPredicate)) {
+    match plan {
+        LogicalPlan::Scan { .. } => {}
+        LogicalPlan::Select { input, predicate } => {
+            predicate.conjuncts.iter_mut().for_each(&mut *f);
+            visit_logical_conjuncts(input, f);
+        }
+        LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Dedup { input }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Submit { input, .. } => visit_logical_conjuncts(input, f),
+        LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right } => {
+            visit_logical_conjuncts(left, f);
+            visit_logical_conjuncts(right, f);
+        }
+    }
+}
+
+/// [`visit_logical_conjuncts`] over a physical plan: its mediator-side
+/// filters and the subplans it submits.
+fn visit_physical_conjuncts(plan: &mut PhysicalPlan, f: &mut impl FnMut(&mut SelectPredicate)) {
+    match plan {
+        PhysicalPlan::SubmitRemote { plan, .. } => visit_logical_conjuncts(plan, f),
+        PhysicalPlan::Filter { input, predicate } => {
+            predicate.conjuncts.iter_mut().for_each(&mut *f);
+            visit_physical_conjuncts(input, f);
+        }
+        PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Dedup { input }
+        | PhysicalPlan::Aggregate { input, .. } => visit_physical_conjuncts(input, f),
+        PhysicalPlan::Join { left, right, .. } | PhysicalPlan::Union { left, right } => {
+            visit_physical_conjuncts(left, f);
+            visit_physical_conjuncts(right, f);
+        }
+    }
 }
 
 /// Cost-based optimizer over a catalog and rule registry.
@@ -386,7 +455,7 @@ impl<'a> Optimizer<'a> {
         if q.tables.is_empty() {
             return Err(DiscoError::Plan("query has no tables".into()));
         }
-        let estimator = Estimator::new(self.registry, self.catalog).with_health(self.health);
+        let estimator = self.estimator();
         let cache_store = EstimatorCache::new();
         let cache = (!oracle).then_some(&cache_store);
         let mut pricer = Pricer::new(estimator, cache);
@@ -474,6 +543,9 @@ impl<'a> Optimizer<'a> {
         if let Some(c) = cache {
             c.publish_metrics();
         }
+        let memo_hits = cache.map_or(0, |c| c.cost_hits());
+        let rule_cache_hits = cache.map_or(0, |c| c.rule_hits());
+        let predictions = pricer.predictions(&physical);
         let counters = pricer.counters;
         Ok(OptimizedPlan {
             physical,
@@ -482,12 +554,13 @@ impl<'a> Optimizer<'a> {
             plans_pruned: counters.pruned,
             estimator_nodes: counters.nodes,
             estimator_rules: counters.rules,
-            memo_hits: cache.map_or(0, |c| c.cost_hits()),
-            rule_cache_hits: cache.map_or(0, |c| c.rule_hits()),
+            memo_hits,
+            rule_cache_hits,
             fast_path: false,
             limit: q.limit,
             decisions,
             negotiation,
+            predictions,
         })
     }
 
@@ -500,6 +573,42 @@ impl<'a> Optimizer<'a> {
     /// when the decisions no longer fit the query or catalog; callers
     /// fall back to [`Self::optimize`].
     pub fn replay(&self, q: &AnalyzedQuery, decisions: &PlanDecisions) -> Result<OptimizedPlan> {
+        let physical = self.rebuild(q, decisions)?;
+        let cache = EstimatorCache::new();
+        let mut pricer = Pricer::new(self.estimator(), Some(&cache));
+        let cost = pricer
+            .price(&physical, None)?
+            .ok_or_else(|| DiscoError::Cost("replay estimate abandoned without a limit".into()))?;
+        // Negotiation is deterministic given catalog + registry + health,
+        // so replaying the cached decisions re-derives the same pushdown
+        // split the original optimization chose.
+        let (physical, estimated, negotiation) = if self.options.negotiation {
+            self.negotiate(q, physical, cost, Some(decisions), &mut pricer)?
+        } else {
+            (physical, cost, Vec::new())
+        };
+        let predictions = pricer.predictions(&physical);
+        Ok(OptimizedPlan {
+            physical,
+            estimated,
+            plans_considered: 0,
+            plans_pruned: 0,
+            estimator_nodes: pricer.counters.nodes,
+            estimator_rules: pricer.counters.rules,
+            memo_hits: 0,
+            rule_cache_hits: 0,
+            fast_path: false,
+            limit: q.limit,
+            decisions: Some(decisions.clone()),
+            negotiation,
+            predictions,
+        })
+    }
+
+    /// The plan [`Self::replay`] prices, before negotiation: the decided
+    /// access variant per table, the decided join order, the post-join
+    /// operators on top.
+    fn rebuild(&self, q: &AnalyzedQuery, decisions: &PlanDecisions) -> Result<PhysicalPlan> {
         let n = q.tables.len();
         if decisions.access.len() != n || decisions.order.len() != n || n == 0 {
             return Err(DiscoError::Plan(
@@ -534,34 +643,114 @@ impl<'a> Optimizer<'a> {
             });
         }
         let join = join_graph(q, access).tree(&decisions.order)?;
-        let physical = self.finish_plan(q, join);
-        let estimator = Estimator::new(self.registry, self.catalog).with_health(self.health);
-        let mut pricer = Pricer::new(estimator, None);
-        let cost = pricer
-            .price(&physical, None)?
-            .ok_or_else(|| DiscoError::Cost("replay estimate abandoned without a limit".into()))?;
-        // Negotiation is deterministic given catalog + registry + health,
-        // so replaying the cached decisions re-derives the same pushdown
-        // split the original optimization chose.
-        let (physical, estimated, negotiation) = if self.options.negotiation {
-            self.negotiate(q, physical, cost, Some(decisions), &mut pricer)?
-        } else {
-            (physical, cost, Vec::new())
+        Ok(self.finish_plan(q, join))
+    }
+
+    /// Price the shape of `q` once, for every later query of that shape:
+    /// the plan [`Self::replay`] builds from `decisions`, with each
+    /// restriction constant replaced by a marker naming its parameter
+    /// slot, and the §4.2 association of its logical form. `None` when the
+    /// shape must keep replaying, because the association or the plan
+    /// would change with the constants: some node has a rule whose head
+    /// binds a constant and can match it ([`Estimator::associate`]), or
+    /// negotiation has a choice to make — a same-wrapper join to fuse or
+    /// an aggregate to push, each adopted by cost. Nothing else read here
+    /// (the access and join decisions, negotiation's eligibility and
+    /// notes, the association of a head that binds no constant) looks at
+    /// a constant, so the marked plan serves every statement of the shape.
+    pub(crate) fn template(
+        &self,
+        q: &AnalyzedQuery,
+        decisions: &PlanDecisions,
+    ) -> Result<Option<BoundPlan>> {
+        let mut marked = q.clone();
+        for (i, (_, p)) in marked.selections.iter_mut().enumerate() {
+            p.value = Value::Long(i as i64);
+        }
+        let mut physical = self.rebuild(&marked, decisions)?;
+        if self.options.negotiation
+            && (!fusion_variants(&physical, self.catalog).is_empty()
+                || (q.is_aggregate() && push_aggregate(&physical, self.catalog).1))
+        {
+            return Ok(None);
+        }
+        let logical = to_logical(&physical);
+        let Some(association) = self.estimator().associate(&logical) else {
+            return Ok(None);
         };
+        let mut slots = Vec::new();
+        visit_physical_conjuncts(&mut physical, &mut |c| match c.value {
+            Value::Long(i) => slots.push(i as usize),
+            _ => unreachable!("every conjunct holds a marker"),
+        });
+        let negotiation = if self.options.negotiation {
+            self.negotiation_notes(q, Some(decisions), &physical)
+        } else {
+            Vec::new()
+        };
+        Ok(Some(BoundPlan {
+            physical,
+            logical,
+            association,
+            slots,
+            negotiation,
+            decisions: decisions.clone(),
+        }))
+    }
+
+    /// The plan of `template`'s shape for the restriction constants
+    /// `constants` (in `normalized_key` order) and `limit`: the constants
+    /// written into copies of the template, the copy priced by the §4.2
+    /// evaluation phase alone over the cached association. Equal, bit for
+    /// bit, to what [`Self::replay`] returns for the same statement.
+    pub(crate) fn bind(
+        &self,
+        template: &BoundPlan,
+        constants: &[&Value],
+        limit: Option<u64>,
+    ) -> Result<OptimizedPlan> {
+        if template.slots.iter().any(|&i| i >= constants.len()) {
+            return Err(DiscoError::Plan(
+                "statement constants do not fit the cached plan".into(),
+            ));
+        }
+        let mut physical = template.physical.clone();
+        let mut at = template.slots.iter();
+        visit_physical_conjuncts(&mut physical, &mut |c| {
+            c.value = constants[*at.next().expect("one slot per conjunct")].clone();
+        });
+        let mut logical = template.logical.clone();
+        let mut at = template.slots.iter();
+        visit_logical_conjuncts(&mut logical, &mut |c| {
+            c.value = constants[*at.next().expect("one slot per conjunct")].clone();
+        });
+        let bound = self
+            .estimator()
+            .evaluate_bound(&logical, &template.association)?;
         Ok(OptimizedPlan {
             physical,
-            estimated,
+            estimated: bound.report.cost,
             plans_considered: 0,
             plans_pruned: 0,
-            estimator_nodes: pricer.counters.nodes,
-            estimator_rules: pricer.counters.rules,
+            estimator_nodes: bound.report.nodes_visited,
+            estimator_rules: bound.report.rules_evaluated,
             memo_hits: 0,
             rule_cache_hits: 0,
             fast_path: false,
-            limit: q.limit,
-            decisions: Some(decisions.clone()),
-            negotiation,
+            limit,
+            decisions: Some(template.decisions.clone()),
+            negotiation: template.negotiation.clone(),
+            predictions: bound
+                .submits
+                .iter()
+                .map(|c| c.as_ref().map(SitePrediction::of))
+                .collect(),
         })
+    }
+
+    /// The estimator every pricing of this optimizer uses.
+    fn estimator(&self) -> Estimator<'a> {
+        Estimator::new(self.registry, self.catalog).with_health(self.health)
     }
 
     /// Enumerate pushdown variants (and replica wrappers) for one table

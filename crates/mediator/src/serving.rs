@@ -1,5 +1,5 @@
-//! Multi-tenant serving layer: a shared concurrent mediator with a
-//! decision-replay plan cache and cost-driven admission control.
+//! Multi-tenant serving layer: a shared concurrent mediator with a plan
+//! cache of priced templates and cost-driven admission control.
 //!
 //! [`SharedMediator`] wraps one [`Mediator`] in an `RwLock` so N
 //! sessions plan and execute concurrently (execution is `&self`; see
@@ -7,11 +7,26 @@
 //! through two pieces of cross-session shared state:
 //!
 //! * the **plan cache** — keyed by the normalized query shape
-//!   (constants parameterized away), storing the [`PlanDecisions`] of
-//!   the winning plan rather than the plan itself, so a hit replays
-//!   the decisions against the *incoming* query's constants
-//!   (prepared-statement semantics: always correct, possibly no longer
-//!   optimal for wildly different constants);
+//!   (constants parameterized away). A miss stores the [`PlanDecisions`]
+//!   of the winning plan, not the plan: a shape that is never asked for
+//!   again costs no more than that. The shape's first hit prices it once,
+//!   into a template (`Optimizer::template`): the plan the decisions
+//!   rebuild, each restriction constant marked as a parameter slot in
+//!   `normalized_key` order, and the §4.2 association of every node (the
+//!   matched rules, most specific first). Every later hit parses the
+//!   statement, renders its key, binds the new constants into a copy of
+//!   the template and runs the bottom-up evaluation phase alone
+//!   (`disco_core::Estimator::evaluate_bound`): no analysis, no access
+//!   variants, no join tree, no negotiation, and the predictions the
+//!   executor reads come from the same evaluation. Two kinds of shape
+//!   keep replaying their decisions against the *incoming* query on every
+//!   hit instead, because their association or their plan changes with
+//!   the constants: a node with an applicable rule whose head binds a
+//!   constant and matches the node for some value of it (a predicate- or
+//!   query-scope selection rule, §4.3.1 history included), and a plan whose negotiation has a choice to make (a
+//!   same-wrapper join to fuse, an aggregate to push). Either way a hit
+//!   has prepared-statement semantics: always correct, possibly no longer
+//!   optimal for wildly different constants;
 //! * the **health tracker** — already `Arc`-shared with the transport;
 //!   its [`version`](disco_common::HealthTracker::version) feeds
 //!   invalidation.
@@ -34,17 +49,17 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, LockResult, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use disco_common::{Result, Value};
 use disco_obs::names;
 
-use crate::analyze::analyze;
+use crate::analyze::{analyze, AnalyzedQuery};
 use crate::executor::QueryResult;
 use crate::mediator::Mediator;
-use crate::optimizer::{Objective, OptimizedPlan, PlanDecisions};
-use crate::sql::{parse_statement, Condition, SqlExpr, Statement};
+use crate::optimizer::{BoundPlan, Objective, OptimizedPlan, Optimizer, PlanDecisions};
+use crate::sql::{parse_statement, Condition, Query, SqlExpr, Statement};
 
 /// Every lock in this module is taken through here, so a panic in one
 /// session's mediator-side work (say, inside a
@@ -203,6 +218,9 @@ pub enum PlanSource {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     pub hits: u64,
+    /// Hits served by binding constants into a priced template; the
+    /// other hits replayed decisions.
+    pub bound: u64,
     pub misses: u64,
     pub invalidations: u64,
 }
@@ -228,8 +246,22 @@ pub struct ServedQuery {
     pub predicted_ms: f64,
 }
 
+/// What the plan cache holds for one shape.
+#[derive(Clone)]
+enum Cached {
+    /// The winning plan's decisions, as the miss that optimized it left
+    /// them: the first hit turns them into one of the other two.
+    Decisions(Arc<PlanDecisions>),
+    /// The shape priced once: a hit binds its constants and evaluates.
+    Template(Arc<BoundPlan>),
+    /// Decisions of a shape whose association or negotiation changes
+    /// with the constants (see [`Optimizer::template`]): every hit
+    /// replays them.
+    Replay(Arc<PlanDecisions>),
+}
+
 struct CacheEntry {
-    decisions: PlanDecisions,
+    plan: Cached,
     history_epoch: u64,
     catalog_epoch: u64,
     capability_epoch: u64,
@@ -260,6 +292,7 @@ pub struct SharedMediator {
     /// registry edits — anything that may change catalog or rules).
     catalog_epoch: AtomicU64,
     hits: AtomicU64,
+    bound: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
 }
@@ -273,6 +306,7 @@ impl SharedMediator {
             history_epoch: AtomicU64::new(0),
             catalog_epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
+            bound: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
@@ -300,6 +334,7 @@ impl SharedMediator {
     pub fn cache_stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
+            bound: self.bound.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
         }
@@ -361,14 +396,6 @@ impl SharedMediator {
         let mut query = stmt.branches.into_iter().next().expect("one branch");
         query.order_by = stmt.order_by;
         query.limit = stmt.limit;
-        // Same objective rule as `Mediator::plan`: a LIMIT ranks plans
-        // by `TimeFirst`. The key's ` LIMIT ?` marker keeps the two
-        // objectives' entries apart.
-        let objective = if stmt.limit.is_some() {
-            Objective::TimeFirst
-        } else {
-            Objective::TotalTime
-        };
 
         let m = unpoison(self.inner.read());
         let state: CacheState = (
@@ -377,8 +404,6 @@ impl SharedMediator {
             m.catalog().capability_epoch(),
             m.health().version(),
         );
-        let analyzed = analyze(&query, m.catalog())?;
-
         let cached = {
             let mut plans = unpoison(self.plans.lock());
             match plans.get(&key) {
@@ -390,7 +415,7 @@ impl SharedMediator {
                         e.health_version,
                     ) == state =>
                 {
-                    Some(e.decisions.clone())
+                    Some(e.plan.clone())
                 }
                 Some(e) => {
                     let reason = if e.catalog_epoch != state.1 {
@@ -409,25 +434,62 @@ impl SharedMediator {
                 None => None,
             }
         };
-        if let Some(decisions) = cached {
-            // A replay failure (e.g. the decisions' wrapper vanished
-            // between the epoch bump and here) falls through to a full
-            // optimization rather than failing the query.
-            if let Ok(plan) = m
-                .optimizer()
-                .with_objective(objective)
-                .replay(&analyzed, &decisions)
-            {
-                self.note_hit();
+
+        // A template hit binds the statement's constants and evaluates:
+        // no analysis, no access variants, no join tree, no negotiation.
+        if let Some(Cached::Template(template)) = &cached {
+            if let Some(plan) = self.bind(&m, template, &query) {
                 return Ok((plan, PlanSource::CacheHit, Some(key)));
             }
         }
 
+        // Same objective rule as `Mediator::plan`: a LIMIT ranks plans
+        // by `TimeFirst`. The key's ` LIMIT ?` marker keeps the two
+        // objectives' entries apart.
+        let objective = if query.limit.is_some() {
+            Objective::TimeFirst
+        } else {
+            Objective::TotalTime
+        };
+        let optimizer = m.optimizer().with_objective(objective);
+        let analyzed = analyze(&query, m.catalog())?;
+        match cached {
+            // The first hit prices the shape once, for every later one,
+            // unless its plan or association changes with the constants.
+            Some(Cached::Decisions(decisions)) => {
+                let upgrade = match optimizer.template(&analyzed, &decisions) {
+                    Ok(Some(template)) => Some(Cached::Template(Arc::new(template))),
+                    Ok(None) => Some(Cached::Replay(Arc::clone(&decisions))),
+                    Err(_) => None,
+                };
+                if let Some(upgrade) = upgrade {
+                    let mut plans = unpoison(self.plans.lock());
+                    if let Some(e) = plans.get_mut(&key) {
+                        if matches!(&e.plan, Cached::Decisions(d) if Arc::ptr_eq(d, &decisions)) {
+                            e.plan = upgrade.clone();
+                        }
+                    }
+                    drop(plans);
+                    if let Cached::Template(template) = &upgrade {
+                        if let Some(plan) = self.bind(&m, template, &query) {
+                            return Ok((plan, PlanSource::CacheHit, Some(key)));
+                        }
+                    }
+                }
+                if let Some(plan) = self.replay(&optimizer, &analyzed, &decisions) {
+                    return Ok((plan, PlanSource::CacheHit, Some(key)));
+                }
+            }
+            Some(Cached::Replay(decisions)) => {
+                if let Some(plan) = self.replay(&optimizer, &analyzed, &decisions) {
+                    return Ok((plan, PlanSource::CacheHit, Some(key)));
+                }
+            }
+            Some(Cached::Template(_)) | None => {}
+        }
+
         self.note_miss();
-        let plan = m
-            .optimizer()
-            .with_objective(objective)
-            .optimize(&analyzed)?;
+        let plan = optimizer.optimize(&analyzed)?;
         // The optimizer carries the decisions extracted *before* the
         // negotiation pass: a fused plan is not decomposable back into
         // per-table access choices, but replay re-runs negotiation.
@@ -439,7 +501,7 @@ impl SharedMediator {
             plans.insert(
                 key.clone(),
                 CacheEntry {
-                    decisions,
+                    plan: Cached::Decisions(Arc::new(decisions)),
                     history_epoch: state.0,
                     catalog_epoch: state.1,
                     capability_epoch: state.2,
@@ -448,6 +510,38 @@ impl SharedMediator {
             );
         }
         Ok((plan, PlanSource::CacheMiss, Some(key)))
+    }
+
+    /// The plan of a template hit: `query`'s restriction constants, in
+    /// `normalized_key` order, bound into `template`. `None` when binding
+    /// fails, and the caller optimizes afresh.
+    fn bind(&self, m: &Mediator, template: &BoundPlan, query: &Query) -> Option<OptimizedPlan> {
+        let constants: Vec<&Value> = query
+            .where_
+            .iter()
+            .filter_map(|c| match c {
+                Condition::Restriction { value, .. } => Some(value),
+                Condition::ColCompare { .. } => None,
+            })
+            .collect();
+        let plan = m.optimizer().bind(template, &constants, query.limit).ok()?;
+        self.note_hit();
+        self.bound.fetch_add(1, Ordering::Relaxed);
+        Some(plan)
+    }
+
+    /// A hit replaying `decisions`. `None` when the replay fails (say,
+    /// the decisions' wrapper vanished between the epoch bump and here),
+    /// and the caller optimizes afresh rather than failing the query.
+    fn replay(
+        &self,
+        optimizer: &Optimizer<'_>,
+        analyzed: &AnalyzedQuery,
+        decisions: &PlanDecisions,
+    ) -> Option<OptimizedPlan> {
+        let plan = optimizer.replay(analyzed, decisions).ok()?;
+        self.note_hit();
+        Some(plan)
     }
 
     /// Execute an already-planned query under the read lock; when the
@@ -579,9 +673,13 @@ impl AdmissionPolicy {
 struct AdmState {
     analytical_inflight: usize,
     interactive_inflight: usize,
+    /// Interactive queries blocked on the in-flight caps.
+    interactive_waiting: usize,
     tenant_inflight: BTreeMap<String, usize>,
     /// FIFO ticket queue per tenant (analytical only).
     queues: BTreeMap<String, VecDeque<u64>>,
+    /// The condition variable each queued analytical ticket waits on.
+    wakers: BTreeMap<u64, Arc<Condvar>>,
     /// Serve sequence when each tenant last got an analytical slot —
     /// the recency component of the fairness order.
     last_served: BTreeMap<String, u64>,
@@ -591,10 +689,18 @@ struct AdmState {
 
 /// Admission scheduler: blocking [`admit`](AdmissionController::admit)
 /// returns an RAII permit whose drop releases the slot.
+///
+/// A change wakes only a waiter it can admit. Each queued analytical
+/// query waits on its own condition variable, and a free analytical slot
+/// wakes the one query the fair order picks for it; interactive queries
+/// share one, signalled only while one of them waits. Waking every
+/// waiter on every release would put the whole analytical queue back on
+/// a run queue to find no slot, preempting the interactive queries the
+/// bypass lane is there to keep fast.
 pub struct AdmissionController {
     policy: AdmissionPolicy,
     state: Mutex<AdmState>,
-    cv: Condvar,
+    interactive_cv: Condvar,
     bypasses: AtomicU64,
 }
 
@@ -603,7 +709,7 @@ impl AdmissionController {
         AdmissionController {
             policy,
             state: Mutex::new(AdmState::default()),
-            cv: Condvar::new(),
+            interactive_cv: Condvar::new(),
             bypasses: AtomicU64::new(0),
         }
     }
@@ -641,6 +747,23 @@ impl AdmissionController {
             .map(|(t, _)| t.as_str())
     }
 
+    /// Wake the analytical query that runs next, if a slot is free for
+    /// it. Called after every change that can let one run, and by a woken
+    /// waiter that may not, so the wake-up reaches the one that may.
+    fn wake_next_analytical(&self, st: &AdmState) {
+        if st.analytical_inflight >= self.policy.max_concurrent {
+            return;
+        }
+        let next = self
+            .chosen_tenant(st)
+            .and_then(|t| st.queues.get(t))
+            .and_then(|q| q.front())
+            .and_then(|ticket| st.wakers.get(ticket));
+        if let Some(waker) = next {
+            waker.notify_one();
+        }
+    }
+
     /// Block until `tenant` may run a `class` query; the returned
     /// permit holds the slot until dropped.
     pub fn admit(&self, tenant: &str, class: QueryClass) -> AdmissionPermit<'_> {
@@ -655,7 +778,9 @@ impl AdmissionController {
                     {
                         break;
                     }
-                    st = unpoison(self.cv.wait(st));
+                    st.interactive_waiting += 1;
+                    st = unpoison(self.interactive_cv.wait(st));
+                    st.interactive_waiting -= 1;
                 }
                 if st.queues.values().any(|q| !q.is_empty()) {
                     self.bypasses.fetch_add(1, Ordering::Relaxed);
@@ -672,6 +797,8 @@ impl AdmissionController {
                     .entry(tenant.to_string())
                     .or_default()
                     .push_back(ticket);
+                let waker = Arc::new(Condvar::new());
+                st.wakers.insert(ticket, Arc::clone(&waker));
                 loop {
                     if st.analytical_inflight < self.policy.max_concurrent
                         && st.queues.get(tenant).and_then(|q| q.front()) == Some(&ticket)
@@ -679,18 +806,20 @@ impl AdmissionController {
                     {
                         break;
                     }
-                    st = unpoison(self.cv.wait(st));
+                    self.wake_next_analytical(&st);
+                    st = unpoison(waker.wait(st));
                 }
+                st.wakers.remove(&ticket);
                 st.queues.get_mut(tenant).expect("queued").pop_front();
                 st.analytical_inflight += 1;
                 let seq = st.serve_seq;
                 st.serve_seq += 1;
                 st.last_served.insert(tenant.to_string(), seq);
-                // Another tenant's front may have become the chosen one.
-                self.cv.notify_all();
             }
         }
         *st.tenant_inflight.entry(tenant.to_string()).or_default() += 1;
+        // Another tenant's front may have become the chosen one.
+        self.wake_next_analytical(&st);
         drop(st);
         let waited_ms = start.elapsed().as_secs_f64() * 1000.0;
         if disco_obs::enabled() {
@@ -718,8 +847,12 @@ impl AdmissionController {
                 st.tenant_inflight.remove(tenant);
             }
         }
+        self.wake_next_analytical(&st);
+        let wake_interactive = st.interactive_waiting > 0;
         drop(st);
-        self.cv.notify_all();
+        if wake_interactive {
+            self.interactive_cv.notify_all();
+        }
     }
 }
 
@@ -1032,6 +1165,62 @@ mod tests {
         rx.recv_timeout(std::time::Duration::from_secs(5))
             .expect("capped tenant never admitted after release");
         waiter.join().unwrap();
+    }
+
+    /// Every wake-up goes to one chosen waiter, so a lost one would leave
+    /// a query queued behind free slots: a mixed crowd with per-tenant
+    /// caps must drain, and never exceed a cap on the way.
+    #[test]
+    fn targeted_wake_ups_drain_every_queue_within_the_caps() {
+        use std::sync::atomic::AtomicUsize;
+        let policy = AdmissionPolicy {
+            max_concurrent: 2,
+            interactive_reserved: 2,
+            per_tenant_inflight: 2,
+            ..Default::default()
+        };
+        let ctl = Arc::new(AdmissionController::new(policy.clone()));
+        let analytical = Arc::new(AtomicUsize::new(0));
+        let total = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        let clients = 16;
+        for c in 0..clients {
+            let (ctl, analytical, total, tx) = (
+                Arc::clone(&ctl),
+                Arc::clone(&analytical),
+                Arc::clone(&total),
+                tx.clone(),
+            );
+            let policy = policy.clone();
+            std::thread::spawn(move || {
+                let tenant = format!("t{}", c % 4);
+                let class = if c % 4 == 3 {
+                    QueryClass::Interactive
+                } else {
+                    QueryClass::Analytical
+                };
+                for _ in 0..50 {
+                    let _permit = ctl.admit(&tenant, class);
+                    let all = total.fetch_add(1, Ordering::SeqCst) + 1;
+                    assert!(all <= policy.max_concurrent + policy.interactive_reserved);
+                    if class == QueryClass::Analytical {
+                        let n = analytical.fetch_add(1, Ordering::SeqCst) + 1;
+                        assert!(n <= policy.max_concurrent);
+                        std::thread::yield_now();
+                        analytical.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    total.fetch_sub(1, Ordering::SeqCst);
+                }
+                tx.send(()).unwrap();
+            });
+        }
+        for _ in 0..clients {
+            rx.recv_timeout(std::time::Duration::from_secs(30)).expect(
+                "a client never finished: a queued query was never woken, or a cap was exceeded",
+            );
+        }
+        let st = ctl.state.lock().unwrap();
+        assert!(st.wakers.is_empty() && st.queues.values().all(|q| q.is_empty()));
     }
 
     #[test]

@@ -499,3 +499,36 @@ fn warm_cache_regime_scales_the_page_prediction() {
         "re-running warm must fault less: cold {cold_measured}, warm {warm_measured}"
     );
 }
+
+/// EXPLAIN ANALYZE reports on the plan, not on how it was arrived at: a
+/// plan-cache hit bound from a priced template and a cold miss of the
+/// same statement, each run on its own fresh federation, render the same
+/// report.
+#[test]
+fn a_template_hit_and_a_cold_miss_explain_alike() {
+    let federation = || {
+        let mut t = ChannelTransport::new();
+        t.add_wrapper(Box::new(SourceWrapper::new("hr", hr_store())));
+        let mut m = Mediator::new();
+        m.connect(TransportClient::new(Box::new(t))).unwrap();
+        m
+    };
+    for c in [3, 41, 77] {
+        let sql = format!("SELECT name FROM Employee WHERE id < {c}");
+        let cold = federation().explain_analyze(&sql).unwrap();
+
+        let shared = disco_mediator::SharedMediator::new(federation());
+        // The miss caches decisions, the first hit prices the template.
+        for _ in 0..2 {
+            shared.plan(&sql).unwrap();
+        }
+        let bound = shared.cache_stats().bound;
+        let (plan, source) = shared.plan(&sql).unwrap();
+        assert_eq!(source, disco_mediator::PlanSource::CacheHit);
+        assert_eq!(shared.cache_stats().bound, bound + 1, "a template hit");
+        let hit = shared
+            .with_mediator_mut(|m| m.explain_analyze_plan(plan))
+            .unwrap();
+        assert_eq!(hit.render(), cold.render(), "{sql}");
+    }
+}
