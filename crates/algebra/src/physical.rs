@@ -37,16 +37,14 @@ impl fmt::Display for ScanAlgo {
     }
 }
 
-/// Join algorithm implemented by the mediator executor.
-///
-/// These are the three cases of the paper's generic model for binary
-/// operators: index join, nested loops, sort-merge (§2.3). A hash join is
-/// added as the modern default for equi-joins; it participates in the same
-/// local-scope costing mechanism.
+/// Join algorithm implemented by the mediator executor: a hash join for
+/// equi-joins, nested loops otherwise. The paper's generic model for
+/// binary operators (§2.3) also prices index and sort-merge joins; those
+/// formulas cost joins a wrapper runs, and the mediator has no operator
+/// for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhysicalJoinAlgo {
     NestedLoop,
-    SortMerge,
     Hash,
 }
 
@@ -54,7 +52,6 @@ impl fmt::Display for PhysicalJoinAlgo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PhysicalJoinAlgo::NestedLoop => f.write_str("nested-loop"),
-            PhysicalJoinAlgo::SortMerge => f.write_str("sort-merge"),
             PhysicalJoinAlgo::Hash => f.write_str("hash"),
         }
     }
@@ -208,7 +205,7 @@ mod tests {
 
     #[test]
     fn algo_display() {
-        assert_eq!(PhysicalJoinAlgo::SortMerge.to_string(), "sort-merge");
+        assert_eq!(PhysicalJoinAlgo::NestedLoop.to_string(), "nested-loop");
         assert_eq!(ScanAlgo::Index.to_string(), "index");
     }
 }

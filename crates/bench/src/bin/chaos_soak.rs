@@ -42,6 +42,7 @@ fn main() {
         "partial",
         "failovers",
         "hedges",
+        "hedge wins",
         "mismatches",
         "deterministic",
         "digest",
@@ -95,6 +96,7 @@ fn main() {
             rep.partial.to_string(),
             rep.failovers.to_string(),
             rep.hedges.to_string(),
+            rep.hedge_wins.to_string(),
             rep.mismatches.len().to_string(),
             deterministic.to_string(),
             rep.digest.clone(),
@@ -114,7 +116,7 @@ fn main() {
         write!(
             json_rows,
             "\n    {{\"seed\": {seed}, \"profiles\": {{{profiles_json}}}, \"queries\": {}, \"complete\": {}, \
-             \"partial\": {}, \"failovers\": {}, \"hedges\": {}, \
+             \"partial\": {}, \"failovers\": {}, \"hedges\": {}, \"hedge_wins\": {}, \
              \"mismatches\": {}, \"deterministic\": {deterministic}, \
              \"digest\": \"{}\", \"concurrent\": {{\"sessions\": {}, \
              \"queries\": {}, \"complete\": {}, \"partial\": {}, \
@@ -128,6 +130,7 @@ fn main() {
             rep.partial,
             rep.failovers,
             rep.hedges,
+            rep.hedge_wins,
             rep.mismatches.len(),
             rep.digest,
             conc.sessions,

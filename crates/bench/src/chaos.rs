@@ -20,10 +20,12 @@
 //!   are sequential, so no wall-clock race decides an outcome;
 //! * delay faults are caught by *simulated* deadlines
 //!   (`ResiliencePolicy::sim_deadlines`), not elapsed time;
-//! * the straggler wait is set far beyond any test runtime, so hedging
-//!   only fires as failover after a hard failure — never on a timer;
+//! * straggler hedges are refereed on simulated first-frame times: a
+//!   delayed primary is hedged to its replica, and the earlier first
+//!   frame wins, the same way on every run;
 //! * fault schedules key off per-endpoint submit sequence numbers and
-//!   are generated from `seeded(seed, "chaos:<endpoint>")`.
+//!   are generated from `seeded(seed, "chaos:<endpoint>")`, and the
+//!   query stream is drawn from `seeded(seed, "chaos:queries")`.
 //!
 //! Running the same seed twice must therefore produce byte-identical
 //! transcripts; [`SeedReport::digest`] makes that checkable. A failing
@@ -38,6 +40,7 @@ use disco_common::rng::seeded;
 use disco_common::{AttributeDef, DataType, Schema, Value};
 use disco_mediator::{
     AdaptivePolicy, Mediator, MediatorOptions, QueryResult, ResiliencePolicy, SharedMediator,
+    SubmitTrace,
 };
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
 use disco_transport::{
@@ -55,7 +58,7 @@ const ENDPOINTS: &[(&str, &str)] = &[
     ("ub", "U"),
 ];
 
-/// The query mix cycled by the soak: scans, selections, two-way joins
+/// The query mix the soak draws from: scans, selections, two-way joins
 /// across wrappers, and unions.
 pub const QUERIES: &[&str] = &[
     "SELECT v FROM R",
@@ -140,16 +143,15 @@ fn rows_for(collection: &str) -> Vec<Vec<Value>> {
 }
 
 /// The resilience posture under chaos: predicted deadlines enforced in
-/// simulated time (delay faults become deterministic timeouts), hedging
-/// restricted to failover (the straggler timer can never fire inside a
-/// test run), and a tight wall-clock ceiling so drop faults stay cheap.
+/// simulated time (delay faults become deterministic timeouts, or
+/// straggler hedges when the hedge threshold comes first), and a tight
+/// wall-clock ceiling so drop faults stay cheap.
 fn chaos_policy() -> ResiliencePolicy {
     ResiliencePolicy {
         predicted_deadlines: true,
         sim_deadlines: true,
         time_scale: 0.02,
         max_deadline_ms: 50.0,
-        min_straggler_wait_ms: 30_000.0,
         ..ResiliencePolicy::default()
     }
 }
@@ -233,6 +235,11 @@ fn fault_schedule(seed: u64, endpoint: &str) -> FaultPlan {
     plan
 }
 
+/// The submit was answered by a replica other than its planned wrapper.
+fn served_by_replica(s: &SubmitTrace) -> bool {
+    !s.failed && !s.served_by.is_empty() && s.served_by != s.wrapper
+}
+
 /// Order-insensitive digest of an answer's tuples.
 fn answer_key(r: &QueryResult) -> String {
     let mut rows: Vec<String> = r.tuples.iter().map(|t| format!("{t:?}")).collect();
@@ -260,10 +267,13 @@ pub struct SeedReport {
     pub complete: usize,
     /// Queries degraded to (oracle-correct) partial answers.
     pub partial: usize,
-    /// Submits served by a replica other than the planned wrapper.
+    /// Submits served by a replica other than the planned wrapper after
+    /// a failure, with no straggler hedge.
     pub failovers: u64,
-    /// Straggler hedges spent (expected 0: failover-only hedging).
+    /// Straggler hedges spent.
     pub hedges: u64,
+    /// Submits served by a replica after a straggler hedge.
+    pub hedge_wins: u64,
     /// Mid-query re-plans considered (only the adaptive soak produces
     /// them; answers must stay oracle-identical regardless).
     pub replans: u64,
@@ -338,14 +348,16 @@ fn run_seed_with(
         partial: 0,
         failovers: 0,
         hedges: 0,
+        hedge_wins: 0,
         replans: 0,
         mismatches: Vec::new(),
         digest: String::new(),
     };
     let mut transcript = String::new();
+    let mut picks = seeded(seed, "chaos:queries");
 
     for q in 0..queries {
-        let idx = q % QUERIES.len();
+        let idx = picks.gen_range(0..QUERIES.len());
         let sql = QUERIES[idx];
         let r = match m.query(sql) {
             Ok(r) => r,
@@ -389,8 +401,10 @@ fn run_seed_with(
         } else {
             report.complete += 1;
         }
-        for s in &r.trace.submits {
-            if !s.failed && !s.served_by.is_empty() && s.served_by != s.wrapper {
+        for s in r.trace.submits.iter().filter(|s| served_by_replica(s)) {
+            if s.hedges > 0 {
+                report.hedge_wins += 1;
+            } else {
                 report.failovers += 1;
             }
         }
@@ -530,14 +544,12 @@ pub fn run_seed_concurrent(
                         } else {
                             complete += 1;
                         }
-                        for sub in &r.trace.submits {
-                            if !sub.failed
-                                && !sub.served_by.is_empty()
-                                && sub.served_by != sub.wrapper
-                            {
-                                failovers += 1;
-                            }
-                        }
+                        failovers += r
+                            .trace
+                            .submits
+                            .iter()
+                            .filter(|sub| served_by_replica(sub) && sub.hedges == 0)
+                            .count() as u64;
                     }
                     (complete, partial, failovers, mismatches)
                 })

@@ -5,9 +5,9 @@
 //! linear operators (filter, project, union pass-through, limit)
 //! transform each chunk as it arrives, joins materialize only their
 //! build side, and the inherently blocking operators (sort, dedup,
-//! aggregate, sort-merge join) drain their input before emitting a
-//! single output chunk. A whole answer is simply a stream of one chunk,
-//! which every operator passes through without copying it.
+//! aggregate) drain their input before emitting a single output chunk.
+//! A whole answer is simply a stream of one chunk, which every operator
+//! passes through without copying it.
 //!
 //! Chunking contract: for every operator, the concatenation of its
 //! output chunks is byte-identical to the one-shot `vexec` kernel over
@@ -341,69 +341,6 @@ impl BatchStream for NestedLoopStream {
                 )?))
             }
         }
-    }
-}
-
-/// Streaming sort-merge join: inherently blocking — both sides drain
-/// before the single output chunk, charged as the sort-based algorithm
-/// it models (sorts plus a merge pass).
-pub struct SortMergeStream {
-    left: Box<dyn BatchStream>,
-    right: Box<dyn BatchStream>,
-    predicate: JoinPredicate,
-    schema: Schema,
-    meter: Meter,
-    sort_factor: f64,
-    cpu_pred: f64,
-    done: bool,
-}
-
-impl SortMergeStream {
-    pub fn new(
-        left: Box<dyn BatchStream>,
-        right: Box<dyn BatchStream>,
-        predicate: JoinPredicate,
-        meter: Meter,
-        sort_factor: f64,
-        cpu_pred: f64,
-    ) -> Self {
-        let schema = left.schema().join(right.schema());
-        SortMergeStream {
-            left,
-            right,
-            predicate,
-            schema,
-            meter,
-            sort_factor,
-            cpu_pred,
-            done: false,
-        }
-    }
-}
-
-impl BatchStream for SortMergeStream {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let lb = drain(self.left.as_mut())?;
-        let rb = drain(self.right.as_mut())?;
-        let sf = self.sort_factor;
-        let (nl, nr) = (lb.len() as f64, rb.len() as f64);
-        (self.meter)(sf * nl * nl.max(2.0).log2() + sf * nr * nr.max(2.0).log2());
-        (self.meter)((nl + nr) * self.cpu_pred);
-        Ok(Some(vexec::hash_join(
-            self.left.schema(),
-            &lb,
-            self.right.schema(),
-            &rb,
-            &self.predicate,
-        )?))
     }
 }
 
@@ -756,7 +693,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_and_sortmerge_match_one_shot() {
+    fn nested_loop_matches_one_shot() {
         let lt = JoinPredicate {
             left_attr: "id".into(),
             op: CompareOp::Lt,
@@ -766,13 +703,6 @@ mod tests {
         let streamed = drain(&mut s).unwrap();
         let one_shot =
             vexec::nested_loop_join(&schema(), &batch(6), &schema(), &batch(5), &lt).unwrap();
-        assert_eq!(streamed.to_tuples(), one_shot.to_tuples());
-
-        let eq = JoinPredicate::equi("grp", "grp");
-        let mut s =
-            SortMergeStream::new(source(6, 2), source(5, 2), eq.clone(), no_meter(), 0.0, 0.0);
-        let streamed = drain(&mut s).unwrap();
-        let one_shot = vexec::hash_join(&schema(), &batch(6), &schema(), &batch(5), &eq).unwrap();
         assert_eq!(streamed.to_tuples(), one_shot.to_tuples());
     }
 

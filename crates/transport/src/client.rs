@@ -6,8 +6,7 @@
 //! full-jitter exponential backoff for *transient* failures (timeouts,
 //! unavailability), a per-endpoint circuit breaker so a dead wrapper
 //! fails fast instead of burning a full retry budget on every submit,
-//! hedged submits racing replica endpoints
-//! ([`submit_stream_hedged`](TransportClient::submit_stream_hedged)), and
+//! straggler hedges and failover across replica endpoints, and
 //! per-wrapper health recording feeding the estimator's adaptive scope
 //! penalties. Non-transient errors (a wrapper rejecting a malformed
 //! plan, say) are returned immediately — retrying them cannot help.
@@ -16,11 +15,12 @@
 //! round trips of many endpoints:
 //! [`begin_stream`](TransportClient::begin_stream) queues the request
 //! and returns, [`finish_stream`](TransportClient::finish_stream) waits
-//! for the first frame and settles retries. A caller that begins every
-//! open before finishing any has all its requests on the wire at once.
+//! for the first frame and settles retries, hedges and failover. A
+//! caller that begins every open before finishing any has all its
+//! requests on the wire at once. The client spawns no thread: a hedge
+//! race is refereed on the caller's thread, in simulated time.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -28,12 +28,13 @@ use disco_algebra::LogicalPlan;
 use disco_common::rng::{seeded, StdRng, DEFAULT_SEED};
 use disco_common::wire::{WireDecode, WireEncode, WireWriter};
 use disco_common::{Batch, DiscoError, HealthTracker, Result, Schema};
-use disco_sources::{ExecStats, SubAnswer};
+use disco_obs::names;
+use disco_sources::{BatchAnswer, ExecStats, SubAnswer};
 use disco_wrapper::Registration;
 
 use crate::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 use crate::wire::{decode_frame, encode_plan, Frame, Request, Response};
-use crate::{FrameStream, Transport};
+use crate::{FrameEnvelope, FrameStream, Transport};
 
 /// Retry tuning for one submit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +79,7 @@ pub struct SubmitOptions {
     pub predicted_total_ms: Option<f64>,
 }
 
-/// One endpoint in a hedged submit race: where to send, the plan
+/// One endpoint a stream open may be served by: where to send, the plan
 /// retargeted at that replica, and its per-call options.
 #[derive(Debug, Clone)]
 pub struct HedgeTarget {
@@ -118,13 +119,12 @@ pub struct StreamChunk {
     pub comm_ms: f64,
 }
 
-/// Result of a hedged streaming submit race (see
-/// [`TransportClient::submit_stream_hedged`]).
+/// Result of a stream open (see [`TransportClient::finish_stream`]).
 #[derive(Debug)]
 pub struct HedgedStreamOutcome {
-    /// The winning replica's open stream, first chunk already buffered.
+    /// The serving replica's open stream, first chunk already buffered.
     pub stream: SubmitStream,
-    /// Index into the target list of the replica that answered first.
+    /// Index into the target list of the replica that serves the stream.
     pub winner: usize,
     /// Straggler-triggered hedges launched.
     pub hedges: u32,
@@ -134,13 +134,12 @@ pub struct HedgedStreamOutcome {
 /// [`begin_stream`](TransportClient::begin_stream) and
 /// [`finish_stream`](TransportClient::finish_stream). Dropping it
 /// abandons the open and releases the producer.
-pub struct PendingStream(Pending);
-
-enum Pending {
-    /// One endpoint: its first attempt is on the wire.
-    Single(PendingOpen),
-    /// A replica set: the primary's open runs on the first race thread.
-    Race(Race),
+pub struct PendingStream {
+    /// The primary first, then the replicas to hedge or fail over to.
+    targets: Vec<HedgeTarget>,
+    chunk_rows: u32,
+    /// `targets[0]`'s open: its first attempt is on the wire.
+    primary: PendingOpen,
 }
 
 /// One endpoint's stream open between [`ClientCore::begin`] and
@@ -150,10 +149,13 @@ struct PendingOpen {
     /// The encoded request; every retry ships the same bytes.
     request: Vec<u8>,
     opts: SubmitOptions,
-    /// When `begin` was entered: attempt 1's deadline and the stream's
-    /// wall time both count from here.
+    /// When `begin` was entered: attempt 1's deadline, the straggler
+    /// bound and the stream's wall time all count from here.
     started: Instant,
     first: FirstAttempt,
+    /// Attempt 1's first frame, or the failed wait for it, once a
+    /// straggler wait has taken it off the wire.
+    reply: Option<Result<FrameEnvelope>>,
 }
 
 enum FirstAttempt {
@@ -164,30 +166,21 @@ enum FirstAttempt {
     Sent(Result<Box<dyn FrameStream>>),
 }
 
-/// A replica race in progress: every launched replica's open reports to
-/// `rx` as `(target index, result)`.
-struct Race {
-    targets: Vec<HedgeTarget>,
-    chunk_rows: u32,
-    tx: mpsc::Sender<(usize, Result<SubmitStream>)>,
-    rx: mpsc::Receiver<(usize, Result<SubmitStream>)>,
-    /// When the primary was launched; the first straggler wait counts
-    /// from here.
-    started: Instant,
+/// What a straggler wait found of attempt 1's first frame: in hand with
+/// its simulated time, not yet (the wait ran out at the straggler
+/// bound), or failed (refused, not sent, or no frame by its deadline).
+enum FirstFrame {
+    Landed(f64),
+    Silent,
+    Failed,
 }
 
-impl Race {
-    /// Open `targets[idx]` on its own detached thread.
-    fn launch(&self, core: &Arc<ClientCore>, idx: usize) {
-        let t = self.targets[idx].clone();
-        let tx = self.tx.clone();
-        let core = Arc::clone(core);
-        let chunk_rows = self.chunk_rows;
-        std::thread::spawn(move || {
-            let result = core.open_stream(&t.endpoint, &t.plan, &t.opts, chunk_rows);
-            // The race may be over; a closed channel is fine.
-            let _ = tx.send((idx, result));
-        });
+impl FirstFrame {
+    fn landed_ms(&self) -> Option<f64> {
+        match self {
+            FirstFrame::Landed(ms) => Some(*ms),
+            _ => None,
+        }
     }
 }
 
@@ -326,10 +319,12 @@ impl SubmitStream {
 
 /// Reliability-aware client over any [`Transport`].
 ///
-/// All state lives behind an `Arc`: hedged-submit races detach the
-/// threads of losing replicas instead of joining them (a join would
-/// re-serialize the race and erase the latency win), so those threads
-/// must be able to outlive the call — and, briefly, the client.
+/// The state lives behind an `Arc` for one reason: every open
+/// [`SubmitStream`] holds a handle on it, because a stream that fails
+/// mid-flight records that failure into its endpoint's breaker and
+/// health tracker long after the call that opened it returned, and the
+/// executor's operator tree owns its streams without borrowing the
+/// client.
 pub struct TransportClient {
     core: Arc<ClientCore>,
 }
@@ -340,7 +335,7 @@ struct ClientCore {
     retry: RetryPolicy,
     breaker_policy: BreakerPolicy,
     breakers: Mutex<BTreeMap<String, CircuitBreaker>>,
-    health: Mutex<Option<Arc<HealthTracker>>>,
+    health: Option<Arc<HealthTracker>>,
     jitter: Mutex<StdRng>,
 }
 
@@ -353,16 +348,16 @@ impl TransportClient {
                 retry: RetryPolicy::default(),
                 breaker_policy: BreakerPolicy::default(),
                 breakers: Mutex::new(BTreeMap::new()),
-                health: Mutex::new(None),
+                health: None,
                 jitter: Mutex::new(seeded(DEFAULT_SEED, "transport:retry-jitter")),
             }),
         }
     }
 
-    /// Exclusive access for the policy builders, which run before the
-    /// client is shared with any race thread.
+    /// Exclusive access for the builders, which run before any stream
+    /// holds the core.
     fn core_mut(&mut self) -> &mut ClientCore {
-        Arc::get_mut(&mut self.core).expect("configure the client before submitting through it")
+        Arc::get_mut(&mut self.core).expect("configure the client while no stream is open")
     }
 
     /// Override the retry policy (builder style).
@@ -381,8 +376,8 @@ impl TransportClient {
     /// (builder style). The mediator shares the same tracker with its
     /// estimator, closing the loop from observed failures back into
     /// wrapper-scope cost penalties.
-    pub fn with_health(self, health: Arc<HealthTracker>) -> Self {
-        *self.core.health.lock().expect("health lock") = Some(health);
+    pub fn with_health(mut self, health: Arc<HealthTracker>) -> Self {
+        self.core_mut().health = Some(health);
         self
     }
 
@@ -394,7 +389,7 @@ impl TransportClient {
 
     /// The shared health tracker, if one was attached.
     pub fn health(&self) -> Option<Arc<HealthTracker>> {
-        self.core.health.lock().expect("health lock").clone()
+        self.core.health.clone()
     }
 
     /// Endpoints reachable through the underlying transport.
@@ -432,65 +427,19 @@ impl TransportClient {
     /// Submit a subplan one-shot — the whole subanswer in a single
     /// reply, decoded to rows — with deadlines, retries and circuit
     /// breaking. The executor streams instead
-    /// ([`submit_stream_hedged`](Self::submit_stream_hedged)); this is
-    /// the plain RPC for tools and tests.
+    /// ([`begin_stream`](Self::begin_stream)); this is the plain RPC for
+    /// tools and tests.
     pub fn submit(&self, endpoint: &str, plan: &LogicalPlan) -> Result<SubmitOutcome> {
         self.core.submit(endpoint, plan)
     }
 
-    /// Open a streaming submit: deadlines, retries and circuit breaking
-    /// apply up to (and including) the first delivered chunk — the last
-    /// point where a retry cannot duplicate rows — after which chunks
-    /// are pulled incrementally from the returned [`SubmitStream`].
-    pub fn submit_stream_opts(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-        chunk_rows: u32,
-    ) -> Result<SubmitStream> {
-        self.core.open_stream(endpoint, plan, opts, chunk_rows)
-    }
-
-    /// Race a streaming submit across replica endpoints: send to
-    /// `targets[0]`, hedge to the next replica whenever the outstanding
-    /// opens have been silent for `straggler_wait` (at most
-    /// `hedge_allowance` hedges), and fail over to the next replica
-    /// immediately when a launched one fails. The race is to the *first
-    /// chunk*: the winner is the replica whose stream opens (first frame
-    /// delivered) first, and its remaining chunks are then consumed from
-    /// the single returned stream. A losing replica is not joined — its
-    /// detached thread runs on to its own deadline and its late stream
-    /// lands in a dropped channel, which releases its producer (joining
-    /// it would make every race as slow as its slowest replica). An error
-    /// is returned only when *every* replica failed. A single target is
-    /// a plain [`submit_stream_opts`](Self::submit_stream_opts).
-    ///
-    /// A hedge goes through the same breaker acquire/record path as any
-    /// submit, so a hedge into a half-open breaker is that breaker's
-    /// single probe — hedging cannot bypass it.
-    ///
-    /// This is [`begin_stream`](Self::begin_stream) followed at once by
-    /// [`finish_stream`](Self::finish_stream).
-    pub fn submit_stream_hedged(
-        &self,
-        targets: &[HedgeTarget],
-        straggler_wait: Option<Duration>,
-        hedge_allowance: u32,
-        chunk_rows: u32,
-    ) -> Result<HedgedStreamOutcome> {
-        let pending = self.begin_stream(targets.to_vec(), chunk_rows)?;
-        self.finish_stream(pending, straggler_wait, hedge_allowance)
-    }
-
-    /// First half of a stream open: put the request to `targets[0]` on
-    /// the wire and return without waiting for any reply. With one
-    /// target the calling thread encodes the plan, acquires the breaker
-    /// and queues the request itself; with replicas the primary's whole
-    /// open runs on the first thread of the race that
-    /// [`finish_stream`](Self::finish_stream) will referee. Failures —
-    /// an open breaker, an unknown endpoint — are reported by
-    /// `finish_stream`; the only error here is an empty target list.
+    /// First half of a stream open: encode the plan to `targets[0]`,
+    /// acquire its breaker and queue the request, on the calling thread,
+    /// without waiting for any reply. The other targets are replicas
+    /// that [`finish_stream`](Self::finish_stream) may hedge or fail
+    /// over to. Failures — an open breaker, an unknown endpoint — are
+    /// reported by `finish_stream`; the only error here is an empty
+    /// target list.
     pub fn begin_stream(
         &self,
         targets: Vec<HedgeTarget>,
@@ -498,115 +447,127 @@ impl TransportClient {
     ) -> Result<PendingStream> {
         let first = targets
             .first()
-            .ok_or_else(|| DiscoError::Exec("hedged submit needs at least one target".into()))?;
-        if targets.len() == 1 {
-            let open = self
-                .core
-                .begin(&first.endpoint, &first.plan, &first.opts, chunk_rows);
-            return Ok(PendingStream(Pending::Single(open)));
-        }
-        let (tx, rx) = mpsc::channel();
-        let race = Race {
+            .ok_or_else(|| DiscoError::Exec("a stream open needs at least one target".into()))?;
+        let primary = self.core.begin(first, chunk_rows);
+        Ok(PendingStream {
             targets,
             chunk_rows,
-            tx,
-            rx,
-            started: Instant::now(),
-        };
-        race.launch(&self.core, 0);
-        Ok(PendingStream(Pending::Race(race)))
+            primary,
+        })
     }
 
     /// Second half of a stream open: wait for the first frame and settle
-    /// retries, hedges and failover (see
-    /// [`submit_stream_hedged`](Self::submit_stream_hedged)). The first
-    /// attempt's deadline and the first straggler wait both count from
-    /// [`begin_stream`](Self::begin_stream): a reply that arrived while
-    /// the caller was finishing other opens is taken at once, and one
-    /// already overdue gets no extra time.
+    /// retries, hedges and failover, on the calling thread. With replicas
+    /// left, a `straggler_ms` threshold (simulated ms, typically
+    /// `straggler_factor × predicted TimeFirst`) and an unspent
+    /// `hedge_allowance`, the primary's first frame is awaited for the
+    /// threshold at the endpoint's sleep scale (up to the attempt
+    /// deadline when it does not really sleep); a wait cut short there
+    /// records nothing. A frame later than the threshold in simulated
+    /// time, or none by then, opens the next replica as a hedge, through
+    /// its breaker like any open (into a half-open breaker, the hedge is
+    /// the single probe). The primary's frame lands at its `comm_ms`, the
+    /// hedge's at the threshold plus its own: the earlier one is settled
+    /// and serves the stream, the other is settled only if that fails,
+    /// and is otherwise dropped. A failed replica fails over to the next
+    /// at once without spending the allowance; an error is returned only
+    /// when every replica failed. Attempt 1's deadline and the straggler
+    /// bound count from [`begin_stream`](Self::begin_stream), so a reply
+    /// that arrived while the caller was busy is taken at once.
     pub fn finish_stream(
         &self,
         pending: PendingStream,
-        straggler_wait: Option<Duration>,
+        straggler_ms: Option<f64>,
         hedge_allowance: u32,
     ) -> Result<HedgedStreamOutcome> {
-        let race = match pending.0 {
-            Pending::Single(open) => {
-                return self.core.finish(open).map(|stream| HedgedStreamOutcome {
-                    stream,
-                    winner: 0,
-                    hedges: 0,
-                })
-            }
-            Pending::Race(race) => race,
-        };
-        let targets = &race.targets;
-        let mut launched = 1usize;
-        let mut pending = 1usize;
+        let PendingStream {
+            targets,
+            chunk_rows,
+            primary,
+        } = pending;
+        let core = &self.core;
         let mut hedges = 0u32;
-        let mut silent_since = race.started;
         // Loudest error wins the report: a non-transient failure (e.g. a
         // wrapper rejecting the plan) beats timeouts.
         let mut last_err: Option<DiscoError> = None;
+        let mut current = (0usize, primary);
+        let mut next = 1usize;
         loop {
-            if pending == 0 {
-                if launched < targets.len() {
-                    // Every launched replica failed: fail over.
-                    race.launch(&self.core, launched);
-                    launched += 1;
-                    pending += 1;
-                    continue;
-                }
-                return Err(last_err
-                    .unwrap_or_else(|| DiscoError::Exec("hedged submit made no attempts".into())));
-            }
-            let can_hedge = hedges < hedge_allowance && launched < targets.len();
-            let message = match (can_hedge, straggler_wait) {
-                (true, Some(wait)) => {
-                    match race
-                        .rx
-                        .recv_timeout(wait.saturating_sub(silent_since.elapsed()))
-                    {
-                        Ok(m) => m,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Straggler: open a second front at the next
-                            // replica.
-                            note_hedge(&targets[launched].endpoint);
-                            hedges += 1;
-                            race.launch(&self.core, launched);
-                            launched += 1;
-                            pending += 1;
-                            silent_since = Instant::now();
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            unreachable!("race holds a sender")
-                        }
+            // The opens to settle, earliest first.
+            let (mut first, mut second) = (current, None);
+            let mut hedge = None;
+            let threshold =
+                straggler_ms.filter(|_| hedges < hedge_allowance && next < targets.len());
+            if let Some(threshold) = threshold {
+                let primary = &mut first.1;
+                let bound = core.straggler_bound(&primary.endpoint, threshold);
+                let late = match core.wait_first(primary, bound) {
+                    // Past a simulated deadline no later than the
+                    // threshold, the attempt timed out before it could
+                    // straggle.
+                    FirstFrame::Landed(ms) => {
+                        ms > threshold
+                            && core
+                                .sim_deadline(&primary.endpoint, &primary.opts)
+                                .is_none_or(|d| d > threshold)
                     }
-                }
-                _ => race.rx.recv().expect("race holds a sender"),
-            };
-            match message {
-                (winner, Ok(stream)) => {
-                    if winner > 0 {
-                        note_hedge_win(&targets[winner].endpoint);
-                    }
-                    return Ok(HedgedStreamOutcome {
-                        stream,
-                        winner,
-                        hedges,
+                    FirstFrame::Silent => true,
+                    FirstFrame::Failed => false,
+                };
+                if late {
+                    count(
+                        names::TRANSPORT_HEDGES,
+                        &[("wrapper", &targets[next].endpoint)],
+                    );
+                    hedges += 1;
+                    let mut opened = core.begin(&targets[next], chunk_rows);
+                    let hedge_at = core
+                        .wait_first(&mut opened, None)
+                        .landed_ms()
+                        .map(|ms| threshold + ms);
+                    let primary_at = core.wait_first(primary, Some(Duration::ZERO)).landed_ms();
+                    let hedged = (next, opened);
+                    let hedge_first = hedge_at.is_some_and(|h| primary_at.is_none_or(|p| h < p));
+                    second = Some(if hedge_first {
+                        std::mem::replace(&mut first, hedged)
+                    } else {
+                        hedged
                     });
+                    hedge = Some(next);
+                    next += 1;
                 }
-                (_, Err(e)) => {
-                    pending -= 1;
-                    silent_since = Instant::now();
-                    let louder = !e.is_transient()
-                        || last_err.as_ref().is_none_or(|prev| prev.is_transient());
-                    if louder {
-                        last_err = Some(e);
+            }
+            let mut ranked = std::iter::once(first).chain(second);
+            while let Some((winner, open)) = ranked.next() {
+                match core.finish(open) {
+                    Ok(stream) => {
+                        ranked.for_each(|(_, loser)| core.abandon(loser));
+                        if hedge == Some(winner) {
+                            let wrapper = &targets[winner].endpoint;
+                            count(names::TRANSPORT_HEDGE_WINS, &[("wrapper", wrapper)]);
+                        }
+                        return Ok(HedgedStreamOutcome {
+                            stream,
+                            winner,
+                            hedges,
+                        });
+                    }
+                    Err(e) => {
+                        let louder = !e.is_transient()
+                            || last_err.as_ref().is_none_or(|prev| prev.is_transient());
+                        if louder {
+                            last_err = Some(e);
+                        }
                     }
                 }
             }
+            // Every open so far failed: fail over.
+            let Some(target) = targets.get(next) else {
+                return Err(last_err
+                    .unwrap_or_else(|| DiscoError::Exec("stream open made no attempts".into())));
+            };
+            current = (next, core.begin(target, chunk_rows));
+            next += 1;
         }
     }
 }
@@ -640,13 +601,23 @@ impl ClientCore {
         Some(sim.max(floor))
     }
 
+    /// The wall-clock bound on a straggler wait of `threshold_ms`
+    /// simulated milliseconds, converted at the endpoint's sleep scale.
+    /// `None` when the endpoint does not really sleep: its first frame
+    /// comes back at once, and its simulated time decides the race.
+    fn straggler_bound(&self, endpoint: &str, threshold_ms: f64) -> Option<Duration> {
+        let scale = self.transport.sleep_scale(endpoint).filter(|s| *s > 0.0)?;
+        Duration::try_from_secs_f64(threshold_ms * scale / 1e3).ok()
+    }
+
     /// Ask the endpoint's breaker for one call. A refusal is the
     /// fail-fast path: nothing is sent.
     fn admit(&self, endpoint: &str) -> Result<()> {
         if self.acquire(endpoint) {
             return Ok(());
         }
-        note_unavailable(endpoint);
+        // The wrapper is unreachable: an open breaker, or a spent budget.
+        count(names::WRAPPER_UNAVAILABLE, &[("wrapper", endpoint)]);
         Err(DiscoError::Unavailable(format!(
             "circuit breaker open for `{endpoint}`"
         )))
@@ -655,7 +626,7 @@ impl ClientCore {
     /// The reliability loop every submit runs once [`admit`](Self::admit)
     /// has let its first attempt through: up to `max_attempts` tries with
     /// full-jitter backoff (and a fresh breaker acquire) between them,
-    /// each outcome recorded into the breaker and the health tracker.
+    /// each outcome recorded by [`note_outcome`](Self::note_outcome).
     /// `attempt` makes one try (given its 1-based number) and returns its
     /// product with the simulated communication time health samples.
     fn with_retries<T>(
@@ -668,13 +639,7 @@ impl ClientCore {
         let mut last_err = DiscoError::Exec(format!("no attempts made against `{endpoint}`"));
         for n in 1..=self.retry.max_attempts.max(1) {
             if n > 1 {
-                if disco_obs::enabled() {
-                    disco_obs::counter(
-                        disco_obs::names::TRANSPORT_RETRIES,
-                        &[("wrapper", endpoint)],
-                    )
-                    .inc();
-                }
+                count(names::TRANSPORT_RETRIES, &[("wrapper", endpoint)]);
                 // Full jitter: sleep uniform(0, backoff) so clients
                 // sharing an endpoint don't retry in lockstep.
                 let sleep_ms = backoff_ms * self.jitter.lock().expect("jitter lock").gen_f64();
@@ -683,19 +648,11 @@ impl ClientCore {
                 }
                 backoff_ms *= self.retry.backoff_factor;
             }
-            match attempt(n) {
-                Ok((out, comm_ms)) => {
-                    self.record(endpoint, true);
-                    self.note_health(endpoint, true, comm_ms, opts);
-                    note_deadline(endpoint, "met");
-                    return Ok(out);
-                }
+            let outcome = attempt(n);
+            self.note_outcome(endpoint, opts, &outcome);
+            match outcome {
+                Ok((out, _)) => return Ok(out),
                 Err(e) if e.is_transient() => {
-                    self.record(endpoint, false);
-                    self.note_health(endpoint, false, 0.0, opts);
-                    if e.kind() == "timeout" {
-                        note_deadline(endpoint, "missed");
-                    }
                     last_err = e;
                     // The breaker may have opened mid-budget; stop early
                     // rather than hammering a tripped endpoint.
@@ -708,8 +665,35 @@ impl ClientCore {
             }
         }
         // Retry budget exhausted: the wrapper never answered.
-        note_unavailable(endpoint);
+        // The wrapper is unreachable: an open breaker, or a spent budget.
+        count(names::WRAPPER_UNAVAILABLE, &[("wrapper", endpoint)]);
         Err(last_err)
+    }
+
+    /// Record one attempt's outcome into the breaker and the health
+    /// tracker: a success with its simulated communication time, or a
+    /// transient failure. A non-transient error judges the plan, not the
+    /// wrapper's health, and is not recorded.
+    fn note_outcome<T>(&self, endpoint: &str, opts: &SubmitOptions, outcome: &Result<(T, f64)>) {
+        match outcome {
+            Ok((_, comm_ms)) => {
+                self.record(endpoint, true);
+                self.note_health(endpoint, true, *comm_ms, opts);
+                count(
+                    names::SUBMIT_DEADLINES,
+                    &[("wrapper", endpoint), ("outcome", "met")],
+                );
+            }
+            Err(e) if e.is_transient() => {
+                self.record(endpoint, false);
+                self.note_health(endpoint, false, 0.0, opts);
+                if e.kind() == "timeout" {
+                    let labels = [("wrapper", endpoint), ("outcome", "missed")];
+                    count(names::SUBMIT_DEADLINES, &labels);
+                }
+            }
+            Err(_) => {}
+        }
     }
 
     /// One-shot submit: every retry ships the same request bytes.
@@ -740,32 +724,16 @@ impl ClientCore {
         })
     }
 
-    /// Open a streaming submit and wait for its first frame.
-    fn open_stream(
-        self: &Arc<Self>,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-        chunk_rows: u32,
-    ) -> Result<SubmitStream> {
-        self.finish(self.begin(endpoint, plan, opts, chunk_rows))
-    }
-
     /// First half of a stream open: encode the plan, acquire the breaker
     /// and queue attempt 1 at the endpoint. Relies on
     /// [`Transport::call_stream`] returning as soon as the request is
     /// queued, so a caller can begin any number of opens before it waits
     /// on one.
-    fn begin(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-        chunk_rows: u32,
-    ) -> PendingOpen {
+    fn begin(&self, target: &HedgeTarget, chunk_rows: u32) -> PendingOpen {
         let started = Instant::now();
+        let endpoint = &target.endpoint;
         let request = Request::SubmitStream {
-            plan: plan.clone(),
+            plan: target.plan.clone(),
             chunk_rows,
         }
         .to_wire_bytes();
@@ -774,23 +742,48 @@ impl ClientCore {
             Err(refused) => FirstAttempt::Refused(refused),
         };
         PendingOpen {
-            endpoint: endpoint.to_string(),
+            endpoint: endpoint.clone(),
             request,
-            opts: *opts,
+            opts: target.opts,
             started,
             first,
+            reply: None,
+        }
+    }
+
+    /// Wait for attempt 1's first frame until `bound` after `begin` (or,
+    /// with no bound or a later one, until the attempt's deadline), and
+    /// keep what arrived for [`finish`](Self::finish). A wait that runs
+    /// out at the bound rather than at the deadline leaves the attempt
+    /// pending and records nothing.
+    fn wait_first(&self, open: &mut PendingOpen, bound: Option<Duration>) -> FirstFrame {
+        if open.reply.is_none() {
+            let FirstAttempt::Sent(Ok(stream)) = &mut open.first else {
+                return FirstFrame::Failed;
+            };
+            let deadline = self.attempt_deadline(&open.endpoint, &open.opts);
+            let until = bound.map_or(deadline, |b| b.min(deadline));
+            let got = stream.next_frame(until.saturating_sub(open.started.elapsed()));
+            if until < deadline && got.as_ref().is_err_and(|e| e.kind() == "timeout") {
+                return FirstFrame::Silent;
+            }
+            open.reply = Some(got);
+        }
+        match &open.reply {
+            Some(Ok(env)) => FirstFrame::Landed(env.comm_ms),
+            _ => FirstFrame::Failed,
         }
     }
 
     /// Second half of a stream open: wait for attempt 1's first frame
-    /// against what is left of its deadline since [`begin`](Self::begin),
-    /// and on a transient failure run the remaining attempts. The retry
-    /// loop runs only until a first frame is delivered: every retry
-    /// re-issues the whole stream, which is safe exactly because no chunk
-    /// has been surfaced yet. The simulated-time deadline is enforced on
-    /// the first frame (which carries the round trip, jitter and any
-    /// injected delay); later frames pay transfer only and ride the
-    /// per-frame wall deadline.
+    /// against what is left of its deadline since [`begin`](Self::begin)
+    /// (unless a straggler wait already took it), and on a transient
+    /// failure run the remaining attempts. The retry loop runs only until
+    /// a first frame is delivered: every retry re-issues the whole
+    /// stream, which is safe exactly because no chunk has been surfaced
+    /// yet. The simulated-time deadline is enforced on the first frame
+    /// (see [`first_chunk`](Self::first_chunk)); later frames pay
+    /// transfer only and ride the per-frame wall deadline.
     fn finish(self: &Arc<Self>, pending: PendingOpen) -> Result<SubmitStream> {
         let PendingOpen {
             endpoint,
@@ -798,9 +791,9 @@ impl ClientCore {
             opts,
             started,
             first,
+            mut reply,
         } = pending;
         let deadline = self.attempt_deadline(&endpoint, &opts);
-        let sim_deadline = self.sim_deadline(&endpoint, &opts);
         let mut first = match first {
             FirstAttempt::Refused(refused) => return Err(refused),
             FirstAttempt::Sent(sent) => Some(sent),
@@ -810,24 +803,11 @@ impl ClientCore {
                 Some(sent) => (sent?, deadline.saturating_sub(started.elapsed())),
                 None => (self.transport.call_stream(&endpoint, &request)?, deadline),
             };
-            let env = stream.next_frame(wait)?;
-            if let Some(sim) = sim_deadline.filter(|sim| env.comm_ms > *sim) {
-                return Err(DiscoError::Timeout(format!(
-                    "first frame from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
-                    env.comm_ms
-                )));
-            }
-            let first = match decode_frame(&env.payload)? {
-                Frame::Chunk(a) => a,
-                Frame::End(_) => {
-                    return Err(DiscoError::Exec(format!(
-                        "stream from `{endpoint}` ended before delivering a schema chunk"
-                    )))
-                }
-                Frame::Error { kind, message } => {
-                    return Err(DiscoError::from_kind(&kind, message))
-                }
+            let env = match reply.take() {
+                Some(reply) => reply?,
+                None => stream.next_frame(wait)?,
             };
+            let first = self.first_chunk(&endpoint, &opts, &env)?;
             let opened = SubmitStream {
                 core: Arc::clone(self),
                 endpoint: endpoint.clone(),
@@ -851,10 +831,52 @@ impl ClientCore {
         })
     }
 
+    /// Check an attempt's first frame: within the simulated deadline (it
+    /// carries the round trip, jitter and any injected delay) and
+    /// carrying the schema-bearing chunk.
+    fn first_chunk(
+        &self,
+        endpoint: &str,
+        opts: &SubmitOptions,
+        env: &FrameEnvelope,
+    ) -> Result<BatchAnswer> {
+        if let Some(sim) = self
+            .sim_deadline(endpoint, opts)
+            .filter(|sim| env.comm_ms > *sim)
+        {
+            return Err(DiscoError::Timeout(format!(
+                "first frame from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
+                env.comm_ms
+            )));
+        }
+        match decode_frame(&env.payload)? {
+            Frame::Chunk(a) => Ok(a),
+            Frame::End(_) => Err(DiscoError::Exec(format!(
+                "stream from `{endpoint}` ended before delivering a schema chunk"
+            ))),
+            Frame::Error { kind, message } => Err(DiscoError::from_kind(&kind, message)),
+        }
+    }
+
+    /// Drop a race's loser, releasing its producer. With its first frame
+    /// in hand, its attempt is recorded as it would have settled (a
+    /// straggler still feeds its breaker and health tracker); a loser
+    /// still silent was neither answered nor failed, and records nothing.
+    fn abandon(&self, open: PendingOpen) {
+        let Some(reply) = open.reply else {
+            return;
+        };
+        let outcome = reply.and_then(|env| {
+            self.first_chunk(&open.endpoint, &open.opts, &env)
+                .map(|_| ((), env.comm_ms))
+        });
+        self.note_outcome(&open.endpoint, &open.opts, &outcome);
+    }
+
     /// Record one attempt outcome into the shared health tracker and
     /// refresh the wrapper's penalty gauge.
     fn note_health(&self, endpoint: &str, success: bool, comm_ms: f64, opts: &SubmitOptions) {
-        let Some(health) = self.health.lock().expect("health lock").clone() else {
+        let Some(health) = &self.health else {
             return;
         };
         if success {
@@ -863,7 +885,7 @@ impl ClientCore {
             health.record_failure(endpoint);
         }
         if disco_obs::enabled() {
-            disco_obs::gauge(disco_obs::names::WRAPPER_PENALTY, &[("wrapper", endpoint)])
+            disco_obs::gauge(names::WRAPPER_PENALTY, &[("wrapper", endpoint)])
                 .set(health.penalty(endpoint));
         }
     }
@@ -894,44 +916,10 @@ impl ClientCore {
     }
 }
 
-/// Count a hedge launched at a replica endpoint.
-fn note_hedge(endpoint: &str) {
+/// Bump a per-wrapper transport counter, when metrics are on.
+fn count(name: &str, labels: &[(&str, &str)]) {
     if disco_obs::enabled() {
-        disco_obs::counter(disco_obs::names::TRANSPORT_HEDGES, &[("wrapper", endpoint)]).inc();
-    }
-}
-
-/// Count a hedge that answered before the primary.
-fn note_hedge_win(endpoint: &str) {
-    if disco_obs::enabled() {
-        disco_obs::counter(
-            disco_obs::names::TRANSPORT_HEDGE_WINS,
-            &[("wrapper", endpoint)],
-        )
-        .inc();
-    }
-}
-
-/// Count a per-submit deadline outcome (`met` or `missed`).
-fn note_deadline(endpoint: &str, outcome: &str) {
-    if disco_obs::enabled() {
-        disco_obs::counter(
-            disco_obs::names::SUBMIT_DEADLINES,
-            &[("wrapper", endpoint), ("outcome", outcome)],
-        )
-        .inc();
-    }
-}
-
-/// Count a submit that found its wrapper unreachable: retry budget
-/// exhausted or rejected by an open breaker.
-fn note_unavailable(endpoint: &str) {
-    if disco_obs::enabled() {
-        disco_obs::counter(
-            disco_obs::names::WRAPPER_UNAVAILABLE,
-            &[("wrapper", endpoint)],
-        )
-        .inc();
+        disco_obs::counter(name, labels).inc();
     }
 }
 
@@ -946,7 +934,7 @@ fn note_transition(endpoint: &str, before: BreakerState, after: BreakerState) {
         BreakerState::Open => "open",
     };
     disco_obs::counter(
-        disco_obs::names::BREAKER_TRANSITIONS,
+        names::BREAKER_TRANSITIONS,
         &[("wrapper", endpoint), ("to", to)],
     )
     .inc();
@@ -1069,6 +1057,16 @@ mod tests {
         assert_eq!(reg.collections[0].0, "T");
     }
 
+    /// Begin and finish a one-target stream open back to back.
+    fn open(
+        c: &TransportClient,
+        targets: Vec<HedgeTarget>,
+        chunk_rows: u32,
+    ) -> Result<SubmitStream> {
+        let pending = c.begin_stream(targets, chunk_rows)?;
+        c.finish_stream(pending, None, 0).map(|out| out.stream)
+    }
+
     /// Drain a stream, returning (chunks, rows, total comm).
     fn drain(stream: &mut SubmitStream) -> (usize, usize, f64) {
         let mut chunks = 0;
@@ -1084,9 +1082,7 @@ mod tests {
     fn streamed_submit_matches_one_shot_answer() {
         let c = client(FaultPlan::none());
         let one_shot = c.submit("s", &plan("s")).unwrap();
-        let mut stream = c
-            .submit_stream_opts("s", &plan("s"), &SubmitOptions::default(), 4)
-            .unwrap();
+        let mut stream = open(&c, target("s"), 4).unwrap();
         let mut batches = Vec::new();
         let mut schema = None;
         while let Some(chunk) = stream.next_chunk().unwrap() {
@@ -1107,9 +1103,7 @@ mod tests {
     #[test]
     fn stream_open_retries_transient_drops() {
         let c = client(FaultPlan::first_n(FaultKind::Drop, 2));
-        let mut stream = c
-            .submit_stream_opts("s", &plan("s"), &SubmitOptions::default(), 64)
-            .unwrap();
+        let mut stream = open(&c, target("s"), 64).unwrap();
         assert_eq!(stream.attempts(), 3);
         let (_, rows, _) = drain(&mut stream);
         assert_eq!(rows, 9);
@@ -1118,9 +1112,7 @@ mod tests {
     #[test]
     fn stream_open_fails_like_a_submit_when_budget_exhausts() {
         let c = client(FaultPlan::always(FaultKind::Drop));
-        let err = c
-            .submit_stream_opts("s", &plan("s"), &SubmitOptions::default(), 64)
-            .unwrap_err();
+        let err = open(&c, target("s"), 64).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(err.kind(), "timeout");
     }
@@ -1166,7 +1158,7 @@ mod tests {
             cooldown_calls: 2,
         });
         // One full open burns exactly the threshold.
-        assert!(c.submit_stream_hedged(&target("s"), None, 0, 64).is_err());
+        assert!(open(&c, target("s"), 64).is_err());
         assert_eq!(c.breaker_state("s"), Some(BreakerState::Open));
         let served = t.requests_served("s");
         assert_eq!(served, 3);
@@ -1292,7 +1284,8 @@ mod tests {
                 opts: SubmitOptions::default(),
             },
         ];
-        let mut out = c.submit_stream_hedged(&targets, None, 2, 64).unwrap();
+        let pending = c.begin_stream(targets, 64).unwrap();
+        let mut out = c.finish_stream(pending, None, 2).unwrap();
         assert_eq!(out.winner, 1);
         assert_eq!(out.hedges, 0); // failover, not a straggler hedge
         let (_, rows, _) = drain(&mut out.stream);

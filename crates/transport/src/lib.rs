@@ -17,9 +17,10 @@
 //! * [`breaker`] — a deterministic circuit breaker (call-counted, no
 //!   wall-clock dependence).
 //! * [`client`] — [`TransportClient`] drives a [`Transport`] with
-//!   per-submit deadlines, bounded retries with exponential backoff and
-//!   per-endpoint circuit breaking; it is what the mediator's executor
-//!   talks to.
+//!   per-submit deadlines, bounded retries with exponential backoff,
+//!   per-endpoint circuit breaking and straggler hedges to replicas
+//!   (refereed in simulated time, on the caller's thread); it is what
+//!   the mediator's executor talks to.
 //!
 //! Everything is deterministic: jitter comes from the workspace RNG
 //! ([`disco_common::rng`]) keyed per endpoint, faults are scheduled by
@@ -66,8 +67,7 @@ pub struct Envelope {
 ///
 /// Implementations deliver an encoded [`Request`] to the named endpoint
 /// and return the encoded [`Response`], or time out. They must be callable
-/// from multiple threads at once — concurrent sessions and hedge races
-/// share one client.
+/// from multiple threads at once — concurrent sessions share one client.
 pub trait Transport: Send + Sync {
     /// Names of the endpoints this transport can reach.
     fn endpoints(&self) -> Vec<String>;

@@ -12,10 +12,11 @@
 //! * **Query budgets** — `query_budget_ms` bounds a whole query; when
 //!   the budget runs out mid-execution the remaining submits are
 //!   skipped and the query degrades to a partial answer.
-//! * **Hedged submits** — once a submit has been outstanding for
-//!   `straggler_factor × predicted TimeFirst × time_scale`, a hedge is
-//!   launched at the next replica (first success wins, at most
-//!   `max_hedges_per_query` hedges per query).
+//! * **Hedged submits** — once a submit's first frame is later than
+//!   `straggler_factor × predicted TimeFirst` simulated milliseconds, a
+//!   hedge is launched at the next replica (the earlier first frame in
+//!   simulated time wins, at most `max_hedges_per_query` hedges per
+//!   query).
 //! * **Adaptive penalties** — the embedded [`HealthPolicy`] tunes the
 //!   per-wrapper failure/latency EWMAs the estimator consults as a
 //!   wrapper-scope penalty.
@@ -54,7 +55,8 @@ pub struct ResiliencePolicy {
     pub hedge: bool,
     /// Straggler threshold factor over predicted `TimeFirst`.
     pub straggler_factor: f64,
-    /// Lower clamp on the wall-clock straggler wait, in milliseconds.
+    /// Lower clamp on the straggler threshold, in wall-clock
+    /// milliseconds (converted to simulated time at `time_scale`).
     pub min_straggler_wait_ms: f64,
     /// Hedges (straggler-triggered extra submits) allowed per query.
     /// Failover after a *failed* replica is always allowed and does not
@@ -123,21 +125,23 @@ impl ResiliencePolicy {
         Some((self.deadline_factor * pred).max(floor))
     }
 
-    /// Wall-clock straggler wait before hedging, when enabled.
-    pub fn straggler_wait_ms(&self, predicted_first_ms: Option<f64>) -> Option<u64> {
+    /// Simulated-time straggler threshold before hedging, when enabled:
+    /// `straggler_factor × predicted TimeFirst`, floored at
+    /// `min_straggler_wait_ms / time_scale` so the wall and simulated
+    /// clamps agree (as in [`sim_deadline_ms`](Self::sim_deadline_ms)).
+    pub fn straggler_threshold_ms(&self, predicted_first_ms: Option<f64>) -> Option<f64> {
         if !self.hedge {
             return None;
         }
-        let first = predicted_first_ms.filter(|p| p.is_finite() && *p > 0.0);
-        let ms = match first {
-            Some(first) => {
-                (self.straggler_factor * first * self.time_scale).max(self.min_straggler_wait_ms)
-            }
-            // No prediction: fall back to the minimum wait so hedging
-            // still guards against total silence.
-            None => self.min_straggler_wait_ms,
+        let floor = if self.time_scale > 0.0 {
+            self.min_straggler_wait_ms / self.time_scale
+        } else {
+            self.min_straggler_wait_ms
         };
-        Some(ms.ceil().max(1.0) as u64)
+        // No prediction: fall back to the floor so hedging still guards
+        // against total silence.
+        let first = predicted_first_ms.filter(|p| p.is_finite() && *p > 0.0);
+        Some(first.map_or(floor, |first| (self.straggler_factor * first).max(floor)))
     }
 }
 
@@ -196,13 +200,13 @@ mod tests {
             time_scale: 1.0,
             ..ResiliencePolicy::default()
         };
-        assert_eq!(p.straggler_wait_ms(Some(40.0)), Some(120));
-        assert_eq!(p.straggler_wait_ms(Some(0.5)), Some(5));
-        assert_eq!(p.straggler_wait_ms(None), Some(5));
+        assert_eq!(p.straggler_threshold_ms(Some(40.0)), Some(120.0));
+        assert_eq!(p.straggler_threshold_ms(Some(0.5)), Some(5.0));
+        assert_eq!(p.straggler_threshold_ms(None), Some(5.0));
         let off = ResiliencePolicy {
             hedge: false,
             ..ResiliencePolicy::default()
         };
-        assert_eq!(off.straggler_wait_ms(Some(40.0)), None);
+        assert_eq!(off.straggler_threshold_ms(Some(40.0)), None);
     }
 }

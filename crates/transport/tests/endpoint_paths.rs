@@ -12,8 +12,8 @@ use disco_common::wire::WireEncode;
 use disco_common::{AttributeDef, DataType, QualifiedName, Result, Schema, Value};
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore, SubAnswer};
 use disco_transport::{
-    decode_frame, BreakerState, ChannelTransport, FaultKind, FaultPlan, Frame, NetProfile, Request,
-    SubmitOptions, Transport, TransportClient,
+    decode_frame, BreakerState, ChannelTransport, FaultKind, FaultPlan, Frame, HedgeTarget,
+    NetProfile, Request, SubmitOptions, SubmitStream, Transport, TransportClient,
 };
 use disco_wrapper::{Registration, SourceWrapper, Wrapper};
 
@@ -97,6 +97,21 @@ fn below(wrapper: &str, bound: i64) -> LogicalPlan {
         .select("id", CompareOp::Lt, bound)
         .submit(wrapper)
         .build()
+}
+
+/// Open a stream of `plan` at endpoint `s`: begin and finish back to back.
+fn open_stream(
+    client: &TransportClient,
+    plan: LogicalPlan,
+    chunk_rows: u32,
+) -> Result<SubmitStream> {
+    let target = HedgeTarget {
+        endpoint: "s".into(),
+        plan,
+        opts: SubmitOptions::default(),
+    };
+    let pending = client.begin_stream(vec![target], chunk_rows)?;
+    client.finish_stream(pending, None, 0).map(|out| out.stream)
 }
 
 /// One step of the script: what was sent, and everything that came back.
@@ -249,9 +264,7 @@ fn a_panicking_wrapper_is_an_error_reply_on_either_path() {
         // not a failure of the link, so the breaker does not count it…
         assert_eq!(served(), 1, "{path}");
         assert_eq!(client.breaker_state("s"), Some(BreakerState::Closed));
-        let err = client
-            .submit_stream_opts("s", &below("s", MARK), &SubmitOptions::default(), 3)
-            .unwrap_err();
+        let err = open_stream(&client, below("s", MARK), 3).unwrap_err();
         assert_eq!(err.kind(), "exec", "{path}: {err}");
         assert_eq!(served(), 2, "{path}");
         assert_eq!(client.breaker_state("s"), Some(BreakerState::Closed));
@@ -259,9 +272,7 @@ fn a_panicking_wrapper_is_an_error_reply_on_either_path() {
         // …and the endpoint is still there for the next query.
         let out = client.submit("s", &below("s", 9)).unwrap();
         assert_eq!(out.answer.tuples.len(), 9, "{path}");
-        let mut stream = client
-            .submit_stream_opts("s", &below("s", 9), &SubmitOptions::default(), 4)
-            .unwrap();
+        let mut stream = open_stream(&client, below("s", 9), 4).unwrap();
         let mut rows = 0;
         while let Some(chunk) = stream.next_chunk().unwrap() {
             rows += chunk.batch.len();

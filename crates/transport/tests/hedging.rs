@@ -3,9 +3,8 @@
 //! in particular that a hedge arriving at a half-open endpoint *is* the
 //! breaker's single probe, not an extra one.
 
-use std::time::Duration;
-
 use disco_algebra::{LogicalPlan, PlanBuilder};
+use disco_common::Result;
 use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Value};
 use disco_sources::{CollectionBuilder, CostProfile, PagedStore};
 use disco_transport::{
@@ -30,7 +29,8 @@ fn replica_store(wrapper: &str) -> PagedStore {
 }
 
 /// Two replicas of `R` behind links that really sleep (~10 ms per
-/// simulated round trip), `ra` under the given fault plan.
+/// simulated round trip: 0.1 wall ms per simulated ms), `ra` under the
+/// given fault plan.
 fn replicated_transport(ra_faults: FaultPlan) -> ChannelTransport {
     let mut t = ChannelTransport::new();
     t.add_wrapper_with(
@@ -54,24 +54,33 @@ fn scan(wrapper: &str) -> LogicalPlan {
     PlanBuilder::scan(QualifiedName::new(wrapper, "R"), schema).build()
 }
 
+fn target(endpoint: &str) -> HedgeTarget {
+    HedgeTarget {
+        endpoint: endpoint.into(),
+        plan: scan("ra").retargeted(endpoint),
+        opts: SubmitOptions::default(),
+    }
+}
+
 fn targets() -> Vec<HedgeTarget> {
-    vec![
-        HedgeTarget {
-            endpoint: "ra".into(),
-            plan: scan("ra"),
-            opts: SubmitOptions::default(),
-        },
-        HedgeTarget {
-            endpoint: "rb".into(),
-            plan: scan("ra").retargeted("rb"),
-            opts: SubmitOptions::default(),
-        },
-    ]
+    vec![target("ra"), target("rb")]
 }
 
 /// Rows per chunk: the 50-row answers arrive as several frames, so the
 /// race is decided by the first one.
 const CHUNK_ROWS: u32 = 16;
+
+/// Begin and finish one stream open back to back. `straggler_ms` is the
+/// hedge threshold in simulated milliseconds.
+fn open(
+    client: &TransportClient,
+    targets: Vec<HedgeTarget>,
+    straggler_ms: Option<f64>,
+    hedge_allowance: u32,
+) -> Result<HedgedStreamOutcome> {
+    let pending = client.begin_stream(targets, CHUNK_ROWS)?;
+    client.finish_stream(pending, straggler_ms, hedge_allowance)
+}
 
 /// Rows the winning stream delivers when drained to its end frame.
 fn rows(mut h: HedgedStreamOutcome) -> usize {
@@ -96,15 +105,9 @@ fn one_shot() -> RetryPolicy {
 fn healthy_primary_wins_without_hedging() {
     let t = replicated_transport(FaultPlan::none());
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
-    // Generous straggler wait: the primary answers well inside it.
-    let h = client
-        .submit_stream_hedged(
-            &targets(),
-            Some(Duration::from_millis(2_000)),
-            2,
-            CHUNK_ROWS,
-        )
-        .unwrap();
+    // Generous straggler threshold (≈ 2 s of real sleep): the primary
+    // answers well inside it.
+    let h = open(&client, targets(), Some(20_000.0), 2).unwrap();
     assert_eq!(h.winner, 0);
     assert_eq!(h.hedges, 0);
     assert_eq!(rows(h), 50);
@@ -113,12 +116,11 @@ fn healthy_primary_wins_without_hedging() {
 #[test]
 fn straggling_primary_is_hedged_around() {
     // ~500 simulated ms of extra delay on `ra` ≈ 50 ms of real sleep;
-    // `rb` answers in ~10 ms. Hedge after 20 ms: `rb` wins the race.
+    // `rb` answers in ~10 ms. Hedge after 200 simulated ms (20 ms): `rb`
+    // wins the race.
     let t = replicated_transport(FaultPlan::always(FaultKind::Delay(500.0)));
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
-    let h = client
-        .submit_stream_hedged(&targets(), Some(Duration::from_millis(20)), 2, CHUNK_ROWS)
-        .unwrap();
+    let h = open(&client, targets(), Some(200.0), 2).unwrap();
     assert_eq!(h.winner, 1, "the hedge to rb must win");
     assert_eq!(h.hedges, 1);
     assert_eq!(rows(h), 50);
@@ -130,9 +132,7 @@ fn exhausted_hedge_allowance_waits_for_the_primary() {
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
     // Allowance 0: no straggler hedge may launch; the slow primary still
     // answers eventually.
-    let h = client
-        .submit_stream_hedged(&targets(), Some(Duration::from_millis(20)), 0, CHUNK_ROWS)
-        .unwrap();
+    let h = open(&client, targets(), Some(200.0), 0).unwrap();
     assert_eq!(h.winner, 0);
     assert_eq!(h.hedges, 0);
 }
@@ -143,9 +143,7 @@ fn failed_primary_fails_over_without_spending_the_allowance() {
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
     // No straggler wait and zero allowance: failover after a *failure*
     // is always permitted.
-    let h = client
-        .submit_stream_hedged(&targets(), None, 0, CHUNK_ROWS)
-        .unwrap();
+    let h = open(&client, targets(), None, 0).unwrap();
     assert_eq!(h.winner, 1);
     assert_eq!(h.hedges, 0);
     assert_eq!(rows(h), 50);
@@ -162,9 +160,7 @@ fn all_replicas_down_is_one_error() {
         );
     }
     let client = TransportClient::new(Box::new(t)).with_retry(one_shot());
-    let err = client
-        .submit_stream_hedged(&targets(), None, 2, CHUNK_ROWS)
-        .unwrap_err();
+    let err = open(&client, targets(), None, 2).unwrap_err();
     assert!(err.is_transient());
 }
 
@@ -193,16 +189,12 @@ fn hedge_to_half_open_endpoint_is_the_single_probe() {
 
     // Trip the breaker on `ra`.
     for _ in 0..3 {
-        assert!(client
-            .submit_stream_opts("ra", &scan("ra"), &SubmitOptions::default(), CHUNK_ROWS)
-            .is_err());
+        assert!(open(&client, vec![target("ra")], None, 0).is_err());
     }
     assert_eq!(client.breaker_state("ra"), Some(BreakerState::Open));
     // Burn the cooldown with fast-rejected calls.
     for _ in 0..2 {
-        assert!(client
-            .submit_stream_opts("ra", &scan("ra"), &SubmitOptions::default(), CHUNK_ROWS)
-            .is_err());
+        assert!(open(&client, vec![target("ra")], None, 0).is_err());
         assert_eq!(client.breaker_state("ra"), Some(BreakerState::Open));
     }
 
@@ -210,21 +202,8 @@ fn hedge_to_half_open_endpoint_is_the_single_probe() {
     // the hedge reaches `ra` exactly once, as the breaker's half-open
     // probe. `ra` has recovered, so the probe succeeds and the breaker
     // closes — the hedge IS the probe, not a bypass of it.
-    let t2 = vec![
-        HedgeTarget {
-            endpoint: "rb".into(),
-            plan: scan("ra").retargeted("rb"),
-            opts: SubmitOptions::default(),
-        },
-        HedgeTarget {
-            endpoint: "ra".into(),
-            plan: scan("ra"),
-            opts: SubmitOptions::default(),
-        },
-    ];
-    let h = client
-        .submit_stream_hedged(&t2, Some(Duration::from_millis(5)), 2, CHUNK_ROWS)
-        .unwrap();
+    // Threshold 50 simulated ms ≈ 5 ms of real sleep.
+    let h = open(&client, vec![target("rb"), target("ra")], Some(50.0), 2).unwrap();
     assert_eq!(h.winner, 1, "the probe submit to ra must win");
     assert_eq!(rows(h), 50);
     assert_eq!(client.breaker_state("ra"), Some(BreakerState::Closed));

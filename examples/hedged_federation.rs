@@ -3,7 +3,7 @@
 //!
 //! `R` is served by two replica wrappers. The primary `ra` keeps
 //! missing its predicted deadline, so: (1) each query still answers in
-//! full, served by `rb` through hedged failover; (2) the health
+//! full, served by `rb` through a straggler hedge; (2) the health
 //! tracker's wrapper-scope penalty makes the optimizer plan straight to
 //! `rb`; (3) once `ra` heals and the penalty decays, the plan flips
 //! back — all visible in EXPLAIN ANALYZE.
@@ -72,8 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         planned_wrapper(&mediator, sql)
     );
 
-    // The delayed primary misses its predicted deadline; the declared
-    // replica absorbs the submit and the answer stays complete.
+    // The delayed primary straggles past its hedge threshold: the hedge
+    // to the declared replica lands first (in simulated time) and the
+    // answer stays complete. The primary's late frame, past its
+    // predicted deadline, is recorded as a failure.
     let report = mediator.explain_analyze(sql)?;
     let r = &report.result;
     assert!(!r.is_partial());

@@ -64,16 +64,14 @@ fn rows_for(seed: u64, collection: &str) -> Vec<Vec<Value>> {
 }
 
 /// The deterministic resilience posture of the chaos harness: simulated
-/// deadlines catch delay faults, the straggler timer can never fire
-/// inside a test run (hedging is failover-only), and there is no query
-/// budget.
+/// deadlines catch delay faults, straggler hedges are refereed on
+/// simulated first-frame times, and there is no query budget.
 fn policy() -> ResiliencePolicy {
     ResiliencePolicy {
         predicted_deadlines: true,
         sim_deadlines: true,
         time_scale: 0.02,
         max_deadline_ms: 50.0,
-        min_straggler_wait_ms: 30_000.0,
         ..ResiliencePolicy::default()
     }
 }
@@ -140,6 +138,10 @@ fn assert_equivalent(sql: &str, ctx: &str, whole: &QueryResult, chunked: &QueryR
         chunked.trace.submits.len(),
         "{ctx} `{sql}`: submit count"
     );
+    assert_eq!(
+        whole.trace.hedges, chunked.trace.hedges,
+        "{ctx} `{sql}`: hedges"
+    );
     for (a, b) in whole.trace.submits.iter().zip(&chunked.trace.submits) {
         assert_eq!(a.wrapper, b.wrapper, "{ctx} `{sql}`: submit target");
         assert_eq!(a.failed, b.failed, "{ctx} `{sql}`: {} failed", a.wrapper);
@@ -192,15 +194,22 @@ fn fault_schedule(seed: u64, endpoint: &str) -> FaultPlan {
 
 #[test]
 fn injected_faults_degrade_identically_at_either_chunking() {
+    let mut hedged_seeds = 0;
     for seed in 0..10u64 {
         let mut whole = federation(seed, |e| fault_schedule(seed, e), None);
         let mut chunked = federation(seed, |e| fault_schedule(seed, e), CHUNKED);
+        let mut hedges = 0;
         for (q, sql) in QUERIES.iter().cycle().take(2 * QUERIES.len()).enumerate() {
             let a = whole.query(sql).unwrap();
             let b = chunked.query(sql).unwrap();
             assert_equivalent(sql, &format!("seed {seed} query {q}"), &a, &b);
+            hedges += b.trace.hedges;
         }
+        hedged_seeds += usize::from(hedges > 0);
     }
+    // Delay faults on `R`'s replicas must be hedged around, so the
+    // comparison covers straggler hedges, not only failover.
+    assert!(hedged_seeds > 0, "no seed ever hedged a straggler");
 }
 
 #[test]
