@@ -1,12 +1,10 @@
-//! E13 — combine-phase scaling: the vectorized columnar engine vs the
-//! row-at-a-time reference operators.
+//! E13 — combine-phase scaling of the vectorized columnar engine.
 //!
-//! Both paths start from the same pre-encoded subanswer wire bytes —
-//! exactly what the mediator holds after a fetch — so decoding is part
-//! of the measurement: the row path decodes into `SubAnswer` tuples and
-//! runs `exec::*`, the batch path decodes straight into `BatchAnswer`
-//! columns and runs `vexec::*`, materializing tuples only at the final
-//! answer boundary (`Batch::to_tuples`), mirroring the executor.
+//! Every input starts as pre-encoded subanswer wire bytes — exactly what
+//! the mediator holds after a fetch — so decoding is part of the
+//! measurement: each subanswer decodes straight into columns and runs
+//! `vexec::*`, materializing tuples only at the final answer boundary
+//! (`Batch::to_tuples`), mirroring the executor.
 //!
 //! Two workloads, swept from 1 k to 1 M rows:
 //!
@@ -15,11 +13,9 @@
 //! * **join3** — a three-way hash join `A(id,tag,v) ⋈ B(aid,bid) ⋈
 //!   C(cid,w)` with fan-out ≈ 1 (output cardinality equals the input).
 //!
-//! At sizes up to 10 k both paths' outputs are asserted exactly equal
-//! (same tuples, same order); above that, lengths must match and an
-//! evenly-strided positional sample of ~1 k tuples (plus both ends) is
-//! compared. At 100 k the join speedup is asserted to meet the ≥ 3×
-//! target. Besides the table it writes
+//! The join's output cardinality is asserted at every size, and the
+//! per-batch metrics instrumentation is asserted to cost under 5 % of
+//! the join's wall clock at 100 k rows. Besides the table it writes
 //! `BENCH_executor.json` (machine-readable, consumed by CI as an
 //! artifact).
 //!
@@ -34,18 +30,10 @@ use disco_algebra::{CompareOp, JoinPredicate, Predicate, ScalarExpr, SelectPredi
 use disco_bench::Table;
 use disco_common::rng::seeded;
 use disco_common::wire::{WireDecode, WireEncode};
-use disco_common::{AttributeDef, DataType, Schema, Tuple, Value};
-use disco_sources::{exec, vexec, BatchAnswer, ExecStats, SubAnswer};
+use disco_common::{AttributeDef, Batch, DataType, Schema, Tuple, Value};
+use disco_sources::{vexec, ExecStats, SubAnswer};
 
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
-
-/// Sizes at which the two paths' outputs are compared tuple-for-tuple.
-const EQUIVALENCE_UP_TO: usize = 10_000;
-
-/// The acceptance target: batch/row wall-clock ratio on the three-way
-/// join at this input size.
-const JOIN_TARGET_ROWS: usize = 100_000;
-const JOIN_TARGET_SPEEDUP: f64 = 3.0;
 
 const UNION_PARTS: usize = 8;
 
@@ -60,14 +48,10 @@ const OVERHEAD_LIMIT: f64 = 0.05;
 const OVERHEAD_PAIRS: usize = 5;
 const OVERHEAD_REPS: usize = 3;
 
-/// Tuples compared per workload when the input is too large for the
-/// full equality assert (an evenly-strided sample plus both ends).
-const EQUIVALENCE_SAMPLE: usize = 1_000;
-
 fn answer_bytes(schema: &Schema, tuples: Vec<Tuple>) -> Vec<u8> {
     SubAnswer {
         schema: schema.clone(),
-        tuples,
+        batch: Batch::from_tuples(schema.arity(), &tuples),
         stats: ExecStats::default(),
     }
     .to_wire_bytes()
@@ -177,30 +161,15 @@ fn union_columns() -> Vec<(String, ScalarExpr)> {
     ]
 }
 
-/// Row path for the union workload: decode each part, filter, project,
-/// append.
-fn union_rows(schema: &Schema, parts: &[Vec<u8>]) -> Vec<Tuple> {
-    let pred = union_predicate();
-    let columns = union_columns();
-    let mut out = Vec::new();
-    for bytes in parts {
-        let answer = SubAnswer::from_wire_bytes(bytes).expect("decodes");
-        let kept = exec::filter(schema, &answer.tuples, &pred).expect("filters");
-        let (_, projected) = exec::project(schema, &kept, &columns).expect("projects");
-        out.extend(projected);
-    }
-    out
-}
-
-/// Batch path for the union workload: decode into columns, filter via
-/// selection vectors, project by column re-slicing, concatenate, and
-/// materialize once at the end.
+/// The union workload: decode into columns, filter via selection
+/// vectors, project by column re-slicing, concatenate, and materialize
+/// once at the end.
 fn union_batches(schema: &Schema, parts: &[Vec<u8>]) -> Vec<Tuple> {
     let pred = union_predicate();
     let columns = union_columns();
-    let mut combined: Option<disco_common::Batch> = None;
+    let mut combined: Option<Batch> = None;
     for bytes in parts {
-        let answer = BatchAnswer::from_wire_bytes(bytes).expect("decodes");
+        let answer = SubAnswer::from_wire_bytes(bytes).expect("decodes");
         let kept = vexec::filter(schema, &answer.batch, &pred).expect("filters");
         let (_, projected) = vexec::project(schema, &kept, &columns).expect("projects");
         combined = Some(match combined {
@@ -211,36 +180,12 @@ fn union_batches(schema: &Schema, parts: &[Vec<u8>]) -> Vec<Tuple> {
     combined.expect("at least one part").to_tuples()
 }
 
-/// Row path for the three-way join.
-fn join_rows(inp: &JoinInputs) -> Vec<Tuple> {
+/// The three-way join: row-id gathers instead of tuple concatenation,
+/// one materialization at the end.
+fn join_batches(inp: &JoinInputs) -> Vec<Tuple> {
     let a = SubAnswer::from_wire_bytes(&inp.a).expect("decodes");
     let b = SubAnswer::from_wire_bytes(&inp.b).expect("decodes");
     let c = SubAnswer::from_wire_bytes(&inp.c).expect("decodes");
-    let ab = exec::hash_join(
-        &inp.a_schema,
-        &a.tuples,
-        &inp.b_schema,
-        &b.tuples,
-        &JoinPredicate::equi("id", "aid"),
-    )
-    .expect("joins");
-    let ab_schema = inp.a_schema.join(&inp.b_schema);
-    exec::hash_join(
-        &ab_schema,
-        &ab,
-        &inp.c_schema,
-        &c.tuples,
-        &JoinPredicate::equi("bid", "cid"),
-    )
-    .expect("joins")
-}
-
-/// Batch path for the three-way join: row-id gathers instead of tuple
-/// concatenation, one materialization at the end.
-fn join_batches(inp: &JoinInputs) -> Vec<Tuple> {
-    let a = BatchAnswer::from_wire_bytes(&inp.a).expect("decodes");
-    let b = BatchAnswer::from_wire_bytes(&inp.b).expect("decodes");
-    let c = BatchAnswer::from_wire_bytes(&inp.c).expect("decodes");
     let ab = vexec::hash_join(
         &inp.a_schema,
         &a.batch,
@@ -262,8 +207,8 @@ fn join_batches(inp: &JoinInputs) -> Vec<Tuple> {
 }
 
 /// Best-of-k wall time (ms) and the run's output. Never fewer than two
-/// repetitions: best-of-1 at the large sizes is noise-prone enough to
-/// flake the asserted speedup target on a loaded host.
+/// repetitions: best-of-1 at the large sizes is noise-prone on a loaded
+/// host.
 fn measure(n: usize, mut f: impl FnMut() -> Vec<Tuple>) -> (f64, Vec<Tuple>) {
     let reps = (300_000 / n.max(1)).clamp(2, 5);
     let mut best = f64::INFINITY;
@@ -311,82 +256,29 @@ fn instrumentation_overhead() -> (f64, f64) {
     (median(&mut off), median(&mut on))
 }
 
-/// Equivalence check for outputs too large to compare in full: both
-/// paths are deterministic and order-preserving, so after the length
-/// check an evenly-strided sample (plus the first and last tuple) is
-/// compared positionally.
-fn assert_sampled_equal(workload: &str, n: usize, row_out: &[Tuple], batch_out: &[Tuple]) {
-    assert_eq!(
-        row_out.len(),
-        batch_out.len(),
-        "row and batch cardinality diverge: {workload} at {n} rows"
-    );
-    let len = row_out.len();
-    if len == 0 {
-        return;
-    }
-    let stride = (len / EQUIVALENCE_SAMPLE).max(1);
-    for i in (0..len).step_by(stride).chain([0, len - 1]) {
-        assert_eq!(
-            row_out[i], batch_out[i],
-            "row and batch outputs diverge at tuple {i}: {workload} at {n} rows"
-        );
-    }
-}
-
 fn main() {
-    println!("E13 — combine-phase scaling: vectorized batches vs row-at-a-time\n");
-    let mut t = Table::new(&[
-        "workload",
-        "rows",
-        "out rows",
-        "ms (row)",
-        "ms (batch)",
-        "speedup",
-        "equal",
-    ]);
+    println!("E13 — combine-phase scaling: vectorized batches\n");
+    let mut t = Table::new(&["workload", "rows", "out rows", "ms"]);
     let mut json_rows = String::new();
-    let mut join_target_speedup = None;
     for &n in &SIZES {
         for workload in ["union", "join3"] {
-            let (row_ms, batch_ms, row_out, batch_out) = match workload {
+            let (ms, out) = match workload {
                 "union" => {
                     let (schema, parts) = union_parts(n);
-                    let (row_ms, row_out) = measure(n, || union_rows(&schema, &parts));
-                    let (batch_ms, batch_out) = measure(n, || union_batches(&schema, &parts));
-                    (row_ms, batch_ms, row_out, batch_out)
+                    measure(n, || union_batches(&schema, &parts))
                 }
                 _ => {
                     let inputs = join_inputs(n);
-                    let (row_ms, row_out) = measure(n, || join_rows(&inputs));
-                    let (batch_ms, batch_out) = measure(n, || join_batches(&inputs));
-                    (row_ms, batch_ms, row_out, batch_out)
+                    let (ms, out) = measure(n, || join_batches(&inputs));
+                    assert_eq!(out.len(), n, "every probe of join3 matches once");
+                    (ms, out)
                 }
             };
-            let speedup = row_ms / batch_ms.max(1e-9);
-            let full = n <= EQUIVALENCE_UP_TO;
-            if full {
-                assert_eq!(
-                    row_out, batch_out,
-                    "row and batch outputs diverge: {workload} at {n} rows"
-                );
-            } else {
-                // Full comparison would dwarf the measurement; a
-                // strided positional sample still catches real
-                // divergence anywhere in the output.
-                assert_sampled_equal(workload, n, &row_out, &batch_out);
-            }
-            if workload == "join3" && n == JOIN_TARGET_ROWS {
-                join_target_speedup = Some(speedup);
-            }
             t.row(vec![
                 workload.to_string(),
                 n.to_string(),
-                row_out.len().to_string(),
-                format!("{row_ms:.2}"),
-                format!("{batch_ms:.2}"),
-                format!("{speedup:.1}x"),
-                if full { "full" } else { "sampled" }.to_string(),
+                out.len().to_string(),
+                format!("{ms:.2}"),
             ]);
             if !json_rows.is_empty() {
                 json_rows.push(',');
@@ -394,25 +286,13 @@ fn main() {
             write!(
                 json_rows,
                 "\n    {{\"workload\": \"{workload}\", \"rows\": {n}, \
-                 \"output_rows\": {}, \"row_ms\": {row_ms:.3}, \
-                 \"batch_ms\": {batch_ms:.3}, \"speedup\": {speedup:.3}, \
-                 \"equivalence\": \"{}\"}}",
-                row_out.len(),
-                if full { "full" } else { "sampled" },
+                 \"output_rows\": {}, \"batch_ms\": {ms:.3}}}",
+                out.len(),
             )
             .expect("write json row");
         }
     }
     println!("{}", t.render());
-    let target = join_target_speedup.expect("join measured at the target size");
-    println!(
-        "three-way join at {JOIN_TARGET_ROWS} rows: {target:.1}x \
-         (target ≥ {JOIN_TARGET_SPEEDUP:.0}x)"
-    );
-    assert!(
-        target >= JOIN_TARGET_SPEEDUP,
-        "join speedup at {JOIN_TARGET_ROWS} rows fell below the target: {target:.2}x"
-    );
 
     let (off_ms, on_ms) = instrumentation_overhead();
     let overhead = on_ms / off_ms.max(1e-9) - 1.0;
@@ -434,8 +314,6 @@ fn main() {
         "{{\n  \"bench\": \"executor_scaling\",\n  \
          \"workloads\": [\"union\", \"join3\"],\n  \
          \"rows\": [1000, 1000000],\n  \
-         \"join_speedup_at_100k\": {target:.3},\n  \
-         \"join_speedup_target\": {JOIN_TARGET_SPEEDUP},\n  \
          \"instrumentation_pairs\": {OVERHEAD_PAIRS},\n  \
          \"instrumentation_off_ms\": {off_ms:.3},\n  \
          \"instrumentation_on_ms\": {on_ms:.3},\n  \

@@ -88,7 +88,7 @@ fn main() {
         yao_pairs.push((b, measured));
         t.row(vec![
             name.clone(),
-            ans.tuples.len().to_string(),
+            ans.batch.len().to_string(),
             format!("{measured:.1}"),
             format!("{g:.1}"),
             format!("{b:.1}"),

@@ -92,7 +92,7 @@ fn main() {
             let plan = PlanBuilder::scan(QualifiedName::new("s", "T"), schema.clone())
                 .select("v", op, v)
                 .build();
-            let actual = store.execute(&plan).expect("runs").tuples.len() as f64;
+            let actual = store.execute(&plan).expect("runs").batch.len() as f64;
             let u = est_u.estimate(&plan).expect("est").count_object;
             let h = est_h.estimate(&plan).expect("est").count_object;
             if actual > 0.0 {

@@ -88,7 +88,7 @@ fn sequential_fetch_ms(m: &Mediator, trace: &ExecutionTrace) -> f64 {
         let out = client
             .submit(&site.wrapper, &site.plan)
             .expect("submit succeeds");
-        assert_eq!(out.answer.tuples.len(), site.tuples);
+        assert_eq!(out.answer.batch.len(), site.tuples);
     }
     started.elapsed().as_secs_f64() * 1e3
 }

@@ -58,7 +58,7 @@ pub fn run_fig12(config: &Oo7Config, selectivities: &[f64]) -> Result<Vec<Fig12R
         let predicted_pages = disco_core::yao::yao_pages_exact(
             config.atomic_parts as u64,
             config.atomic_pages(),
-            answer.tuples.len() as u64,
+            answer.batch.len() as u64,
         );
         rows.push(Fig12Row {
             selectivity: sel,
@@ -71,7 +71,7 @@ pub fn run_fig12(config: &Oo7Config, selectivities: &[f64]) -> Result<Vec<Fig12R
                 predicted_pages,
                 answer.stats.pages_read as f64,
             ),
-            objects: answer.tuples.len(),
+            objects: answer.batch.len(),
         });
     }
     Ok(rows)

@@ -38,12 +38,8 @@ pub fn run_history(config: &Oo7Config, selectivities: &[f64]) -> Result<Vec<Hist
             time_first: answer.stats.time_first_ms,
             time_next: 0.0,
             total_time: answer.stats.elapsed_ms,
-            count_object: answer.tuples.len() as f64,
-            total_size: answer
-                .tuples
-                .iter()
-                .map(disco_common::Tuple::width)
-                .sum::<u64>() as f64,
+            count_object: answer.batch.len() as f64,
+            total_size: answer.batch.byte_width() as f64,
         };
         recorder.record(&mut env.registry, "oo7", &plan, measured)?;
 

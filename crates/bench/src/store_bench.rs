@@ -109,7 +109,7 @@ pub fn run_yao_validation(env: &StoreEnv, selectivities: &[f64]) -> Result<Vec<Y
         let k = (sel.clamp(0.0, 1.0) * env.objects as f64).round() as i64;
         env.source.clear_cache()?;
         let answer = env.source.execute(&index_select(k))?;
-        let objects = answer.tuples.len() as u64;
+        let objects = answer.batch.len() as u64;
         let predicted = yao_pages_exact(env.objects, env.pages, objects);
         rows.push(YaoRow {
             selectivity: sel,
@@ -213,7 +213,7 @@ pub fn run_crossover(
                 wall = wall.min(start.elapsed().as_secs_f64() * 1e3);
                 model = answer.stats.elapsed_ms;
                 pages = answer.stats.pages_read;
-                objects = answer.tuples.len() as u64;
+                objects = answer.batch.len() as u64;
             }
             Ok((wall, model, pages, objects))
         };
@@ -267,7 +267,7 @@ pub fn run_clustered_divergence(
         let k = (sel.clamp(0.0, 1.0) * env.objects as f64).round() as i64;
         env.source.clear_cache()?;
         let answer = env.source.execute(&index_select(k))?;
-        let objects = answer.tuples.len() as u64;
+        let objects = answer.batch.len() as u64;
         let predicted = yao_pages_exact(env.objects, env.pages, objects);
         rows.push(ClusteredRow {
             selectivity: sel,

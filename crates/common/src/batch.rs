@@ -1,10 +1,11 @@
-//! Columnar batches for the mediator's combine phase.
+//! Columnar batches: how sources hold rows, how subanswers ship and how
+//! the mediator combines them.
 //!
 //! The row representation ([`Tuple`]) keeps every cell as a heap
-//! [`Value`] — convenient at the wrapper boundary but slow for the
-//! mediator's local composition operators, where a select touches one
-//! column and a join clones whole rows. A [`Batch`] stores the same
-//! rows column-major:
+//! [`Value`] — convenient for loading a source and for the final
+//! answer, but slow for operators, where a select touches one column
+//! and a join clones whole rows. A [`Batch`] stores the same rows
+//! column-major:
 //!
 //! * numbers and booleans live in flat `Vec<i64>` / `Vec<f64>` /
 //!   `Vec<bool>` vectors;
@@ -13,8 +14,7 @@
 //!   codes and gathers never copy string bytes;
 //! * nulls are tracked in a validity [`Bitmap`]; a column with mixed
 //!   type families degrades to an exact [`Value`] vector
-//!   ([`ColumnData::Any`]) so batch results stay bit-identical to the
-//!   row-at-a-time operators.
+//!   ([`ColumnData::Any`]) so no cell is ever coerced.
 //!
 //! Columns are shared via `Arc`: projection to attributes is a
 //! re-slice, and union of same-typed batches extends vectors without
@@ -223,12 +223,24 @@ impl<'a> ValueRef<'a> {
     }
 }
 
-/// A hashable equality key over cell values, with the same equivalence
-/// classes as the row operators' string keys: numbers collapse across
+/// The same text as [`Value`]'s `Display`, which formats through this.
+impl std::fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ValueRef::Null => f.write_str("null"),
+            ValueRef::Bool(b) => write!(f, "{b}"),
+            ValueRef::Long(v) => write!(f, "{v}"),
+            ValueRef::Double(v) => write!(f, "{v}"),
+            ValueRef::Str(s) => write!(f, "\"{s}\""),
+        }
+    }
+}
+
+/// A hashable equality key over cell values: numbers collapse across
 /// `Long`/`Double` through their `f64` bits (with `-0.0` normalized to
 /// `0.0`, and `NaN`s equal when their bits are), and `Null` has no key.
-/// Unlike the row path's joined strings, composite keys built from
-/// `Key`s cannot collide across separator bytes.
+/// Composite keys are vectors of `Key`s, so no string content can make
+/// two of them collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Key<'a> {
     /// Normalized `f64` bit pattern of a number.
@@ -264,8 +276,7 @@ pub enum ColumnData {
         codes: Vec<u32>,
     },
     /// Exact fallback for columns mixing type families (or all-null
-    /// columns): plain [`Value`]s, so nothing is coerced and results
-    /// stay identical to the row path.
+    /// columns): plain [`Value`]s, so nothing is coerced.
     Any(Vec<Value>),
 }
 
@@ -401,11 +412,10 @@ impl Column {
             ColumnData::Double(v) => (v.len() as u64 - nulls) * 8 + nulls,
             ColumnData::Bool(v) => v.len() as u64,
             ColumnData::Str { dict, codes } => {
-                let lens: Vec<u64> = dict.iter().map(|s| s.len() as u64).collect();
                 let mut total = nulls;
                 for (row, &c) in codes.iter().enumerate() {
                     if self.is_valid(row) {
-                        total += lens[c as usize];
+                        total += dict[c as usize].len() as u64;
                     }
                 }
                 total
@@ -433,6 +443,8 @@ pub struct ColumnBuilder {
     validity: Bitmap,
     any_invalid: bool,
     len: usize,
+    /// Rows to reserve for when the first value fixes the kind.
+    cap: usize,
 }
 
 #[derive(Debug)]
@@ -459,19 +471,28 @@ impl Default for ColumnBuilder {
 impl ColumnBuilder {
     /// An empty builder.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// A builder with row capacity reserved once the kind is known: the
+    /// storage is allocated once, at its final size, when the first
+    /// value fixes its kind.
+    pub fn with_capacity(cap: usize) -> Self {
         ColumnBuilder {
             kind: BuilderKind::Untyped,
             validity: Bitmap::new(),
             any_invalid: false,
             len: 0,
+            cap,
         }
     }
 
-    /// A builder with row capacity reserved once the kind is known.
-    pub fn with_capacity(_cap: usize) -> Self {
-        // Capacity is reserved lazily when the first value fixes the
-        // storage kind; the hint is accepted for API symmetry.
-        Self::new()
+    /// Storage for the first typed value: the `len` rows pushed so far
+    /// (all null) as `fill`, with room for the reserved capacity.
+    fn typed_storage<T: Clone>(&self, fill: T) -> Vec<T> {
+        let mut v = Vec::with_capacity(self.cap.max(self.len + 1));
+        v.resize(self.len, fill);
+        v
     }
 
     /// Rows pushed so far.
@@ -503,7 +524,7 @@ impl ColumnBuilder {
     pub fn push_long(&mut self, n: i64) {
         match &mut self.kind {
             BuilderKind::Untyped => {
-                let mut v = vec![0i64; self.len];
+                let mut v = self.typed_storage(0);
                 v.push(n);
                 self.kind = BuilderKind::Long(v);
             }
@@ -523,7 +544,7 @@ impl ColumnBuilder {
     pub fn push_double(&mut self, d: f64) {
         match &mut self.kind {
             BuilderKind::Untyped => {
-                let mut v = vec![0.0f64; self.len];
+                let mut v = self.typed_storage(0.0);
                 v.push(d);
                 self.kind = BuilderKind::Double(v);
             }
@@ -543,7 +564,7 @@ impl ColumnBuilder {
     pub fn push_bool(&mut self, b: bool) {
         match &mut self.kind {
             BuilderKind::Untyped => {
-                let mut v = vec![false; self.len];
+                let mut v = self.typed_storage(false);
                 v.push(b);
                 self.kind = BuilderKind::Bool(v);
             }
@@ -567,7 +588,7 @@ impl ColumnBuilder {
             BuilderKind::Untyped => {
                 self.kind = BuilderKind::Str {
                     dict: Vec::new(),
-                    codes: vec![0; self.len],
+                    codes: self.typed_storage(0),
                     interner: HashMap::new(),
                 };
                 self.push_str(s);
@@ -1038,6 +1059,27 @@ mod tests {
         assert!(matches!(col.data(), ColumnData::Long(_)));
         assert_eq!(col.value(0), Value::Null);
         assert_eq!(col.value(2), Value::Long(7));
+    }
+
+    #[test]
+    fn reserved_builder_allocates_its_storage_once() {
+        // The decoder knows an answer's row count up front: the storage
+        // the first value creates must hold every row, so the column is
+        // never regrown on the way (nor its cells changed by the reserve).
+        let cells = [Value::Null, Value::Long(3), Value::Str("x".into())];
+        for first in &cells[1..] {
+            let mut b = ColumnBuilder::with_capacity(1000);
+            b.push_null();
+            b.push_value(first.clone());
+            let reserved = match &b.kind {
+                BuilderKind::Long(v) => v.capacity(),
+                BuilderKind::Str { codes, .. } => codes.capacity(),
+                other => panic!("unexpected builder kind {other:?}"),
+            };
+            assert!(reserved >= 1000, "reserved {reserved} rows");
+            let col = b.finish();
+            assert_eq!(col, Column::from_values(vec![Value::Null, first.clone()]));
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::batch::ValueRef;
+
 /// Elementary types of the exported IDL interfaces (paper §3.1).
 ///
 /// The paper's IDL subset has built-in elementary types; complex types
@@ -169,13 +171,7 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Long(v) => write!(f, "{v}"),
-            Value::Double(v) => write!(f, "{v}"),
-            Value::Str(s) => write!(f, "\"{s}\""),
-        }
+        ValueRef::from_value(self).fmt(f)
     }
 }
 

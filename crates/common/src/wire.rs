@@ -13,6 +13,9 @@
 //! variant. Malformed input decodes to [`DiscoError::Parse`], never a
 //! panic — transport payloads are as untrusted as query text.
 
+use std::ops::Range;
+
+use crate::batch::{Batch, ColumnData, ValueRef};
 use crate::error::{DiscoError, Result};
 use crate::schema::{AttributeDef, QualifiedName, Schema};
 use crate::tuple::Tuple;
@@ -84,7 +87,75 @@ impl WireWriter {
     pub fn put_len(&mut self, n: usize) {
         self.put_u32(n as u32);
     }
+
+    /// Write rows `rows` of `batch` exactly as the [`Tuple`] encoder
+    /// writes those rows — per row its arity, then one tagged cell per
+    /// column — reading each cell from its column.
+    pub fn put_batch_rows(&mut self, batch: &Batch, rows: Range<usize>) {
+        let columns = batch.columns();
+        // When every cell is a non-null number or bool, every row has
+        // the same width, and each column is written down its own
+        // stride in one typed loop.
+        let widths: Option<Vec<usize>> = columns
+            .iter()
+            .map(|c| match (c.data(), c.validity()) {
+                (ColumnData::Long(_) | ColumnData::Double(_), None) => Some(9),
+                (ColumnData::Bool(_), None) => Some(2),
+                _ => None,
+            })
+            .collect();
+        let Some(widths) = widths else {
+            for row in rows {
+                self.put_len(columns.len());
+                for column in columns {
+                    column.value_ref(row).encode(self);
+                }
+            }
+            return;
+        };
+        let width = 4 + widths.iter().sum::<usize>();
+        let start = self.buf.len();
+        self.buf.resize(start + rows.len() * width, 0);
+        let out = &mut self.buf[start..];
+        let arity = (columns.len() as u32).to_le_bytes();
+        for row in out.chunks_exact_mut(width) {
+            row[..4].copy_from_slice(&arity);
+        }
+        let mut at = 4;
+        for (column, w) in columns.iter().zip(widths) {
+            let cells = out.chunks_exact_mut(width).map(|row| &mut row[at..at + w]);
+            match column.data() {
+                ColumnData::Long(v) => {
+                    for (cell, x) in cells.zip(&v[rows.clone()]) {
+                        cell[0] = TAG_LONG;
+                        cell[1..].copy_from_slice(&x.to_le_bytes());
+                    }
+                }
+                ColumnData::Double(v) => {
+                    for (cell, x) in cells.zip(&v[rows.clone()]) {
+                        cell[0] = TAG_DOUBLE;
+                        cell[1..].copy_from_slice(&x.to_bits().to_le_bytes());
+                    }
+                }
+                ColumnData::Bool(v) => {
+                    for (cell, &x) in cells.zip(&v[rows.clone()]) {
+                        cell[0] = TAG_BOOL;
+                        cell[1] = u8::from(x);
+                    }
+                }
+                _ => unreachable!("only fixed-width columns take this path"),
+            }
+            at += w;
+        }
+    }
 }
+
+/// A cell's tag byte on the wire, one per [`Value`] variant.
+const TAG_NULL: u8 = 0;
+const TAG_BOOL: u8 = 1;
+const TAG_LONG: u8 = 2;
+const TAG_DOUBLE: u8 = 3;
+const TAG_STR: u8 = 4;
 
 /// Cursor over received bytes; every accessor bounds-checks.
 #[derive(Debug)]
@@ -239,38 +310,46 @@ impl WireDecode for DataType {
     }
 }
 
-impl WireEncode for Value {
+/// A cell is written from its borrowed view, so a column encodes
+/// without materializing a [`Value`]; `Value` encodes through this.
+impl WireEncode for ValueRef<'_> {
     fn encode(&self, w: &mut WireWriter) {
-        match self {
-            Value::Null => w.put_u8(0),
-            Value::Bool(b) => {
-                w.put_u8(1);
-                w.put_bool(*b);
+        match *self {
+            ValueRef::Null => w.put_u8(TAG_NULL),
+            ValueRef::Bool(b) => {
+                w.put_u8(TAG_BOOL);
+                w.put_bool(b);
             }
-            Value::Long(v) => {
-                w.put_u8(2);
-                w.put_i64(*v);
+            ValueRef::Long(v) => {
+                w.put_u8(TAG_LONG);
+                w.put_i64(v);
             }
-            Value::Double(v) => {
-                w.put_u8(3);
-                w.put_f64(*v);
+            ValueRef::Double(v) => {
+                w.put_u8(TAG_DOUBLE);
+                w.put_f64(v);
             }
-            Value::Str(s) => {
-                w.put_u8(4);
+            ValueRef::Str(s) => {
+                w.put_u8(TAG_STR);
                 w.put_str(s);
             }
         }
     }
 }
 
+impl WireEncode for Value {
+    fn encode(&self, w: &mut WireWriter) {
+        ValueRef::from_value(self).encode(w);
+    }
+}
+
 impl WireDecode for Value {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(match r.get_u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(r.get_bool()?),
-            2 => Value::Long(r.get_i64()?),
-            3 => Value::Double(r.get_f64()?),
-            4 => Value::Str(r.get_str()?),
+            TAG_NULL => Value::Null,
+            TAG_BOOL => Value::Bool(r.get_bool()?),
+            TAG_LONG => Value::Long(r.get_i64()?),
+            TAG_DOUBLE => Value::Double(r.get_f64()?),
+            TAG_STR => Value::Str(r.get_str()?),
             t => return Err(DiscoError::Parse(format!("wire: unknown Value tag {t}"))),
         })
     }

@@ -48,7 +48,7 @@ use disco_algebra::{LogicalPlan, PhysicalJoinAlgo, PhysicalPlan};
 use disco_common::{Batch, DiscoError, QualifiedName, Result, Schema, Tuple};
 use disco_core::{MeasuredNode, NodeCost, RuleRegistry};
 use disco_sources::vstream::{self, BatchStream};
-use disco_sources::{BatchAnswer, ExecStats, VirtualClock};
+use disco_sources::{ExecStats, SubAnswer, VirtualClock};
 use disco_transport::{
     HedgeTarget, PendingStream, ResiliencePolicy, SubmitOptions, SubmitStream, TransportClient,
 };
@@ -623,6 +623,7 @@ impl<'a> Executor<'a> {
             .map(|sent| match sent {
                 SentSite::BudgetSkipped(e) => OpenedSite {
                     outcome: Err(e),
+                    hedges: 0,
                     budget_skipped: true,
                 },
                 SentSite::InFlight {
@@ -630,12 +631,13 @@ impl<'a> Executor<'a> {
                     straggler_ms,
                     budget_capped,
                 } => {
+                    // The open spends the shared allowance as it hedges,
+                    // so a hedge is charged whether or not the site's
+                    // open then succeeds.
+                    let allowance = hedge_budget;
                     let outcome = pending
-                        .and_then(|p| client.finish_stream(*p, straggler_ms, hedge_budget))
-                        .and_then(|h| {
-                            hedge_budget = hedge_budget.saturating_sub(h.hedges);
-                            open_source(h.stream, h.hedges, chunk_rows.is_none())
-                        });
+                        .and_then(|p| client.finish_stream(*p, straggler_ms, &mut hedge_budget))
+                        .and_then(|h| open_source(h.stream, chunk_rows.is_none()));
                     // The budget, not the site's own deadline, cut the
                     // wait short: a policy decision, reported as such.
                     let budget_skipped = budget_capped
@@ -643,6 +645,7 @@ impl<'a> Executor<'a> {
                         && outcome.as_ref().is_err_and(|e| e.kind() == "timeout");
                     OpenedSite {
                         outcome,
+                        hedges: allowance - hedge_budget,
                         budget_skipped,
                     }
                 }
@@ -734,7 +737,10 @@ impl<'a> Executor<'a> {
                     .next()
                     .ok_or_else(|| DiscoError::Exec("submit site without a fetch".into()))?;
                 let budget_skipped = next.budget_skipped;
-                let state = Rc::new(RefCell::new(SiteState::default()));
+                let state = Rc::new(RefCell::new(SiteState {
+                    hedges: next.hedges,
+                    ..SiteState::default()
+                }));
                 if ctx.trigger.is_some() {
                     // Predictions align with submit order, which is also
                     // the order sites are pushed into the context.
@@ -752,7 +758,6 @@ impl<'a> Executor<'a> {
                         first,
                         schema,
                         served_by,
-                        hedges,
                     }) => {
                         // A wrapper returning a different shape than it
                         // registered would silently misalign downstream
@@ -770,7 +775,6 @@ impl<'a> Executor<'a> {
                             st.wall_ms = stream.wall_first_ms();
                             st.comm_ms = stream.comm_ms();
                             st.served_by = served_by;
-                            st.hedges = hedges;
                         }
                         (
                             schema,
@@ -787,7 +791,6 @@ impl<'a> Executor<'a> {
                         wall_ms,
                         attempts,
                         served_by,
-                        hedges,
                     }) => {
                         if answer.schema.arity() != expected_schema.arity() {
                             return Err(DiscoError::Exec(format!(
@@ -805,7 +808,6 @@ impl<'a> Executor<'a> {
                             st.wall_ms = wall_ms;
                             st.attempts = attempts;
                             st.served_by = served_by;
-                            st.hedges = hedges;
                             // Nothing arrives before the whole reply, so
                             // first-row time pays the full comm.
                             st.first_ms = Some(answer.stats.time_first_ms + comm_ms);
@@ -1173,6 +1175,8 @@ enum SentSite {
 /// The open phase's product for one submit site.
 struct OpenedSite {
     outcome: Result<OpenedSource>,
+    /// Straggler-triggered hedges the open launched, on either outcome.
+    hedges: u32,
     /// The query budget ran out on this site: before it was submitted,
     /// or as the cap on its first attempt's deadline. Always degrades to
     /// an empty subanswer, even when partial answers are off — an
@@ -1188,26 +1192,24 @@ enum OpenedSource {
         first: Batch,
         schema: Schema,
         served_by: String,
-        hedges: u32,
     },
     /// A whole answer — an in-process wrapper's (it has no streaming
     /// interface), a stream drained at open in whole-answer mode, or a
     /// re-plan's replayed subanswer — served to the pipeline in chunks
     /// of the execution's chunk size.
     Whole {
-        answer: BatchAnswer,
+        answer: SubAnswer,
         comm_ms: f64,
         wall_ms: f64,
         attempts: u32,
         served_by: String,
-        hedges: u32,
     },
 }
 
 /// Pull the schema-bearing first chunk off a freshly opened stream. In
 /// whole-answer mode keep pulling, here in the gather pass, through the
 /// end-of-stream stats: a mid-stream failure then fails the whole submit.
-fn open_source(mut stream: SubmitStream, hedges: u32, whole: bool) -> Result<OpenedSource> {
+fn open_source(mut stream: SubmitStream, whole: bool) -> Result<OpenedSource> {
     let served_by = stream.endpoint().to_string();
     let first = stream
         .next_chunk()?
@@ -1218,7 +1220,6 @@ fn open_source(mut stream: SubmitStream, hedges: u32, whole: bool) -> Result<Ope
             first: first.batch,
             stream,
             served_by,
-            hedges,
         });
     }
     let draining = Instant::now();
@@ -1230,7 +1231,7 @@ fn open_source(mut stream: SubmitStream, hedges: u32, whole: bool) -> Result<Ope
         .stats()
         .ok_or_else(|| DiscoError::Exec("stream ended without its stats frame".into()))?;
     Ok(OpenedSource::Whole {
-        answer: BatchAnswer {
+        answer: SubAnswer {
             batch: vstream::concat_chunks(chunks, first.schema.arity())?,
             schema: first.schema,
             stats,
@@ -1239,7 +1240,6 @@ fn open_source(mut stream: SubmitStream, hedges: u32, whole: bool) -> Result<Ope
         wall_ms: stream.wall_first_ms() + draining.elapsed().as_secs_f64() * 1e3,
         attempts: stream.attempts(),
         served_by,
-        hedges,
     })
 }
 
@@ -1256,19 +1256,16 @@ fn open_local(
         .get(site.wrapper)
         .ok_or_else(|| DiscoError::Exec(format!("wrapper `{}` is not registered", site.wrapper)))
         .and_then(|w| w.execute(site.plan))
-        .map(|answer| {
-            let bytes: u64 = answer.tuples.iter().map(Tuple::width).sum();
-            OpenedSource::Whole {
-                comm_ms: msg_latency + bytes as f64 * per_byte,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                attempts: 1,
-                served_by: site.wrapper.to_string(),
-                hedges: 0,
-                answer: BatchAnswer::from(answer),
-            }
+        .map(|answer| OpenedSource::Whole {
+            comm_ms: msg_latency + answer.batch.byte_width() as f64 * per_byte,
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            attempts: 1,
+            served_by: site.wrapper.to_string(),
+            answer,
         });
     OpenedSite {
         outcome,
+        hedges: 0,
         budget_skipped: false,
     }
 }
@@ -1454,7 +1451,7 @@ impl<'p> ReplayPool<'p> {
             let batch = vstream::concat_chunks(delivered, schema.arity())?;
             let opened = OpenedSite {
                 outcome: Ok(OpenedSource::Whole {
-                    answer: BatchAnswer {
+                    answer: SubAnswer {
                         schema: schema.clone(),
                         batch,
                         stats: st.stats,
@@ -1463,8 +1460,8 @@ impl<'p> ReplayPool<'p> {
                     wall_ms: st.wall_ms,
                     attempts: st.attempts,
                     served_by: st.served_by.clone(),
-                    hedges: st.hedges,
                 }),
+                hedges: st.hedges,
                 budget_skipped: st.budget_skipped,
             };
             let snap = ReplaySnap {

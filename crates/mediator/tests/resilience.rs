@@ -291,3 +291,66 @@ fn repeated_timeouts_shift_the_plan_to_the_replica_and_decay_back() {
     assert!(flipped_back, "penalty never decayed back to ra");
     assert_eq!(m.health().penalty("ra"), 1.0);
 }
+
+#[test]
+fn hedges_that_fail_are_charged_to_the_query_cap() {
+    // Two sites, each replicated: the primaries `ha` and `ka` really
+    // sleep ~1 s and time out at the 400 ms attempt deadline, their
+    // replicas `hb` and `kb` are down. The first site's straggler hedge
+    // spends the query's one hedge and fails with its primary; the
+    // second site may then only fail over, not hedge.
+    let mut t = ChannelTransport::new();
+    for (wrapper, faults) in [
+        ("ha", FaultPlan::always(FaultKind::Delay(10_000.0))),
+        ("hb", FaultPlan::always(FaultKind::Unavailable)),
+        ("ka", FaultPlan::always(FaultKind::Delay(10_000.0))),
+        ("kb", FaultPlan::always(FaultKind::Unavailable)),
+    ] {
+        let collection = if wrapper.starts_with('h') { "H" } else { "K" };
+        let mut store = PagedStore::new(wrapper, CostProfile::relational());
+        store
+            .add_collection(
+                collection,
+                CollectionBuilder::new(r_schema())
+                    .rows((0..50i64).map(|i| vec![Value::Long(i), Value::Long(i % 5)])),
+            )
+            .unwrap();
+        t.add_wrapper_with(
+            Box::new(SourceWrapper::new(wrapper, store)),
+            NetProfile::lan().with_sleep_scale(0.1),
+            faults,
+        );
+    }
+    let client = TransportClient::new(Box::new(t)).with_retry(RetryPolicy {
+        max_attempts: 1,
+        deadline_ms: 400,
+        ..RetryPolicy::default()
+    });
+    let mut m = Mediator::new().with_options(MediatorOptions {
+        resilience: ResiliencePolicy {
+            time_scale: 0.1,
+            max_hedges_per_query: 1,
+            ..ResiliencePolicy::default()
+        },
+        ..MediatorOptions::default()
+    });
+    m.connect(client).unwrap();
+    m.declare_replicas("H", &["ha", "hb"]).unwrap();
+    m.declare_replicas("K", &["ka", "kb"]).unwrap();
+
+    let hedges_to = |replica: &str| {
+        disco_obs::counter(disco_obs::names::TRANSPORT_HEDGES, &[("wrapper", replica)]).get()
+    };
+    let r = m
+        .query("SELECT v FROM H UNION ALL SELECT v FROM K")
+        .unwrap();
+    assert!(r.is_partial(), "every replica of both sites failed");
+    let opened = hedges_to("hb") + hedges_to("kb");
+    assert_eq!(opened, 1, "the cap allows one hedge per query");
+    assert_eq!(r.trace.hedges, 1, "the trace reports the failed hedge");
+    let [h, k] = &r.trace.submits[..] else {
+        panic!("two submits, got {:?}", r.trace.submits);
+    };
+    assert!(h.failed && k.failed);
+    assert_eq!((h.hedges, k.hedges), (1, 0));
+}

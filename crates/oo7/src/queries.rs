@@ -105,7 +105,7 @@ mod tests {
             let plan = index_scan_selectivity("oo7", &config, sel);
             let ans = store.execute(&plan).unwrap();
             assert_eq!(
-                ans.tuples.len(),
+                ans.batch.len(),
                 (sel * 7_000.0).round() as usize,
                 "sel={sel}"
             );
@@ -119,7 +119,7 @@ mod tests {
         let ans = store
             .execute(&Oo7Query::ExactMatch { id: 42 }.plan("oo7", &config))
             .unwrap();
-        assert_eq!(ans.tuples.len(), 1);
+        assert_eq!(ans.batch.len(), 1);
     }
 
     #[test]
@@ -129,11 +129,11 @@ mod tests {
         let docs = store
             .execute(&Oo7Query::DocumentsOfComposites.plan("oo7", &config))
             .unwrap();
-        assert_eq!(docs.tuples.len(), 350);
+        assert_eq!(docs.batch.len(), 350);
         let awd = store
             .execute(&Oo7Query::AtomicWithDocuments.plan("oo7", &config))
             .unwrap();
-        assert_eq!(awd.tuples.len(), 100);
+        assert_eq!(awd.batch.len(), 100);
     }
 
     #[test]
@@ -143,11 +143,10 @@ mod tests {
         let ans = store
             .execute(&Oo7Query::PartsPerBuildDate.plan("oo7", &config))
             .unwrap();
-        assert!(ans.tuples.len() <= 1_000);
-        let total: i64 = ans
-            .tuples
-            .iter()
-            .map(|t| t.get(1).unwrap().as_i64().unwrap())
+        assert!(ans.batch.len() <= 1_000);
+        let counts = ans.batch.column(1);
+        let total: i64 = (0..counts.len())
+            .map(|row| counts.value(row).as_i64().unwrap())
             .sum();
         assert_eq!(total, 7_000);
     }

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use disco_algebra::{CompareOp, LogicalPlan};
 use disco_catalog::{CollectionStats, ExtentStats};
-use disco_common::{Result, Schema, Tuple, Value};
+use disco_common::{Batch, Result, Schema, Tuple, Value};
 use disco_store::{DiskStore, PoolCounters, Rid, StoreSession};
 
 use crate::clock::{CostProfile, VirtualClock};
@@ -88,6 +88,19 @@ impl StoreSource {
 struct DiskLeaves<'a> {
     session: StoreSession<'a>,
     profile: &'a CostProfile,
+    /// Rows fetched since the last gather, as the heap decoded them.
+    fetched: Vec<Tuple>,
+}
+
+impl DiskLeaves<'_> {
+    fn arity(&self, collection: &str) -> Result<usize> {
+        Ok(self
+            .session
+            .store()
+            .collection(collection)?
+            .schema()
+            .arity())
+    }
 }
 
 impl Leaves for DiskLeaves<'_> {
@@ -103,11 +116,11 @@ impl Leaves for DiskLeaves<'_> {
             .clone())
     }
 
-    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)> {
+    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Batch, u64)> {
         let tuples = self.session.scan(collection)?;
         clock.charge(tuples.len() as f64 * self.profile.cpu_scan_ms);
-        let n = tuples.len() as u64;
-        Ok((tuples, n))
+        let batch = Batch::from_tuples(self.arity(collection)?, &tuples);
+        Ok((batch, tuples.len() as u64))
     }
 
     fn has_index(&self, collection: &str, attr: &str) -> Result<bool> {
@@ -124,8 +137,14 @@ impl Leaves for DiskLeaves<'_> {
         self.session.index_rids(collection, attr, op, value)
     }
 
-    fn fetch(&mut self, collection: &str, rid: Rid, _clock: &mut VirtualClock) -> Result<Tuple> {
-        self.session.fetch(collection, rid)
+    fn fetch(&mut self, collection: &str, rid: Rid, _clock: &mut VirtualClock) -> Result<()> {
+        self.fetched.push(self.session.fetch(collection, rid)?);
+        Ok(())
+    }
+
+    fn gather(&mut self, collection: &str) -> Result<Batch> {
+        let rows = std::mem::take(&mut self.fetched);
+        Ok(Batch::from_tuples(self.arity(collection)?, &rows))
     }
 
     fn settle(&mut self, clock: &mut VirtualClock) -> PoolCounters {
@@ -158,7 +177,8 @@ impl DataSource for StoreSource {
         }
         let c = self.store.collection(collection).ok()?;
         let tuples = self.store.session().scan(collection).ok()?;
-        let n = tuples.len() as u64;
+        let batch = Batch::from_tuples(c.schema().arity(), &tuples);
+        let n = batch.len() as u64;
         let extent = ExtentStats {
             count_object: n,
             total_size: n * c.object_size(),
@@ -168,7 +188,7 @@ impl DataSource for StoreSource {
         };
         let indexed = |attr: &str| c.has_index(attr);
         let buckets = self.histogram_buckets;
-        let stats = walk::attribute_stats(extent, c.schema(), &tuples, indexed, buckets);
+        let stats = walk::attribute_stats(extent, c.schema(), &batch, indexed, buckets);
         cache.insert(collection.to_string(), stats.clone());
         Some(stats)
     }
@@ -177,6 +197,7 @@ impl DataSource for StoreSource {
         let leaves = DiskLeaves {
             session: self.store.session(),
             profile: &self.profile,
+            fetched: Vec::new(),
         };
         walk::answer(self.store.name(), &self.profile, plan, leaves)
     }
@@ -220,7 +241,7 @@ mod tests {
         s.clear_cache().unwrap();
         let plan = scan().build();
         let a = s.execute(&plan).unwrap();
-        assert_eq!(a.tuples.len(), 700);
+        assert_eq!(a.batch.len(), 700);
         // 700 × 56 B at 96 % fill → 70 per page → 10 pages, all faulted.
         assert_eq!(a.stats.pages_read, 10);
         assert_eq!(a.stats.objects_scanned, 700);
@@ -228,7 +249,7 @@ mod tests {
         let b = s.execute(&plan).unwrap();
         assert_eq!(b.stats.pages_read, 0);
         assert!(b.stats.buffer_hits >= 10);
-        assert_eq!(b.tuples, a.tuples);
+        assert_eq!(b.batch, a.batch);
     }
 
     #[test]
@@ -237,9 +258,9 @@ mod tests {
         s.clear_cache().unwrap();
         let plan = scan().select("id", CompareOp::Eq, 123i64).build();
         let a = s.execute(&plan).unwrap();
-        assert_eq!(a.tuples.len(), 1);
+        assert_eq!(a.batch.len(), 1);
         assert_eq!(a.stats.pages_read, 1);
-        assert_eq!(a.tuples[0].get(0), Some(&Value::Long(123)));
+        assert_eq!(a.batch.value_ref(0, 0), disco_common::ValueRef::Long(123));
     }
 
     #[test]

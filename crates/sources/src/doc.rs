@@ -4,10 +4,9 @@
 //! the wrapper exposes them to the mediator through a *flattening
 //! boundary*: each collection declares a set of path expressions
 //! ([`DocField`]) that project the documents onto a flat relational
-//! schema at the `Scan` boundary, after which the ordinary row
-//! operators (and hence the columnar combine engine upstream) apply
-//! unchanged. Three path semantics cover the paper-adjacent predicate
-//! classes:
+//! schema at the `Scan` boundary — straight into columns — after which
+//! the ordinary operator kernels (the mediator's own) apply unchanged.
+//! Three path semantics cover the paper-adjacent predicate classes:
 //!
 //! * `Scalar` — `a.b.c = k`: the value at the path, `Null` when any
 //!   step is missing;
@@ -24,10 +23,13 @@
 //! generic page-I/O model cannot express.
 
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use disco_algebra::LogicalPlan;
 use disco_catalog::{CollectionStats, ExtentStats};
-use disco_common::{AttributeDef, DataType, DiscoError, Result, Schema, Tuple, Value};
+use disco_common::{
+    AttributeDef, Batch, ColumnBuilder, DataType, DiscoError, Result, Schema, ValueRef,
+};
 
 use crate::clock::{CostProfile, VirtualClock};
 use crate::source::{DataSource, SubAnswer};
@@ -57,15 +59,15 @@ impl DocValue {
         DocValue::Array(items.into_iter().collect())
     }
 
-    /// Scalar conversion for the flat boundary; composites and `Null`
-    /// flatten to [`Value::Null`].
-    fn to_scalar(&self) -> Value {
+    /// Scalar view for the flat boundary; composites and `Null`
+    /// flatten to a null cell.
+    fn scalar(&self) -> ValueRef<'_> {
         match self {
-            DocValue::Bool(b) => Value::Bool(*b),
-            DocValue::Long(n) => Value::Long(*n),
-            DocValue::Double(d) => Value::Double(*d),
-            DocValue::Str(s) => Value::Str(s.clone()),
-            DocValue::Null | DocValue::Array(_) | DocValue::Object(_) => Value::Null,
+            DocValue::Bool(b) => ValueRef::Bool(*b),
+            DocValue::Long(n) => ValueRef::Long(*n),
+            DocValue::Double(d) => ValueRef::Double(*d),
+            DocValue::Str(s) => ValueRef::Str(s),
+            DocValue::Null | DocValue::Array(_) | DocValue::Object(_) => ValueRef::Null,
         }
     }
 }
@@ -172,31 +174,38 @@ impl DocCollection {
         self.fields.iter().map(DocField::depth).sum()
     }
 
-    /// Flatten every document through the declared paths.
-    fn flatten(&self) -> Vec<Tuple> {
-        let mut out = Vec::new();
+    /// Flatten every document through the declared paths, straight
+    /// into one column per path.
+    fn flatten(&self) -> Batch {
+        let mut columns: Vec<ColumnBuilder> =
+            self.fields.iter().map(|_| ColumnBuilder::new()).collect();
+        let mut push = |row: &[ValueRef<'_>]| {
+            for (column, &v) in columns.iter_mut().zip(row) {
+                column.push_ref(v);
+            }
+        };
         let unnest = self
             .fields
             .iter()
             .position(|f| matches!(f.kind, PathKind::Unnest(_)));
         for doc in &self.docs {
-            let base: Vec<Value> = self
+            let mut row: Vec<ValueRef<'_>> = self
                 .fields
                 .iter()
                 .map(|f| match &f.kind {
                     PathKind::Scalar(_) => {
-                        navigate(doc, &f.path).map_or(Value::Null, DocValue::to_scalar)
+                        navigate(doc, &f.path).map_or(ValueRef::Null, DocValue::scalar)
                     }
-                    PathKind::Exists => Value::Bool(!matches!(
+                    PathKind::Exists => ValueRef::Bool(!matches!(
                         navigate(doc, &f.path),
                         None | Some(DocValue::Null)
                     )),
                     // Placeholder; replaced per element below.
-                    PathKind::Unnest(_) => Value::Null,
+                    PathKind::Unnest(_) => ValueRef::Null,
                 })
                 .collect();
             match unnest {
-                None => out.push(Tuple::new(base)),
+                None => push(&row),
                 Some(u) => {
                     // One row per array element; no array (or an empty
                     // one) contributes no rows.
@@ -204,14 +213,14 @@ impl DocCollection {
                         continue;
                     };
                     for item in items {
-                        let mut row = base.clone();
-                        row[u] = item.to_scalar();
-                        out.push(Tuple::new(row));
+                        row[u] = item.scalar();
+                        push(&row);
                     }
                 }
             }
         }
-        out
+        let columns = columns.into_iter().map(|c| Arc::new(c.finish())).collect();
+        Batch::from_columns(columns).expect("every row fills every column")
     }
 }
 
@@ -348,7 +357,7 @@ impl Leaves for DocLeaves<'_> {
         Ok(self.source.collection(collection)?.schema())
     }
 
-    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)> {
+    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Batch, u64)> {
         let c = self.source.collection(collection)?;
         let p = &self.source.profile;
         if std::mem::replace(&mut self.opened, true) {
@@ -358,8 +367,13 @@ impl Leaves for DocLeaves<'_> {
         Ok((c.flatten(), c.docs.len() as u64))
     }
 
-    fn fetch(&mut self, _: &str, rid: Infallible, _: &mut VirtualClock) -> Result<Tuple> {
+    fn fetch(&mut self, _: &str, rid: Infallible, _: &mut VirtualClock) -> Result<()> {
         match rid {}
+    }
+
+    fn gather(&mut self, collection: &str) -> Result<Batch> {
+        // Nothing is ever fetched: documents have no index.
+        Ok(Batch::empty(self.schema(collection)?.arity()))
     }
 }
 
@@ -377,9 +391,9 @@ impl DataSource for DocSource {
 
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
         let c = self.collection(collection).ok()?;
-        let tuples = c.flatten();
-        let n = tuples.len() as u64;
-        let total: u64 = tuples.iter().map(Tuple::width).sum();
+        let batch = c.flatten();
+        let n = batch.len() as u64;
+        let total = batch.byte_width();
         let extent = ExtentStats {
             count_object: n,
             total_size: total,
@@ -389,7 +403,7 @@ impl DataSource for DocSource {
         Some(walk::attribute_stats(
             extent,
             &c.schema(),
-            &tuples,
+            &batch,
             |_| false,
             None,
         ))
@@ -408,7 +422,7 @@ impl DataSource for DocSource {
 mod tests {
     use super::*;
     use disco_algebra::{CompareOp, PlanBuilder};
-    use disco_common::QualifiedName;
+    use disco_common::{QualifiedName, Value};
 
     fn orders() -> DocSource {
         let mut s = DocSource::new("docs");
@@ -477,12 +491,12 @@ mod tests {
     fn scalar_paths_flatten_with_nulls_for_missing() {
         let s = orders();
         let a = s.execute(&scan(&s, "Orders").build()).unwrap();
-        assert_eq!(a.tuples.len(), 20);
+        assert_eq!(a.batch.len(), 20);
         // Deep path resolved.
-        assert_eq!(a.tuples[0].get(1), Some(&Value::Long(10_000)));
+        assert_eq!(a.batch.tuple_at(0).get(1), Some(&Value::Long(10_000)));
         // Existence column reflects the null discount on odd ids.
-        assert_eq!(a.tuples[0].get(2), Some(&Value::Bool(true)));
-        assert_eq!(a.tuples[1].get(2), Some(&Value::Bool(false)));
+        assert_eq!(a.batch.tuple_at(0).get(2), Some(&Value::Bool(true)));
+        assert_eq!(a.batch.tuple_at(1).get(2), Some(&Value::Bool(false)));
         assert_eq!(a.stats.objects_scanned, 20);
         assert!(a.stats.elapsed_ms > 0.0);
     }
@@ -492,7 +506,7 @@ mod tests {
         let s = orders();
         let a = s.execute(&scan(&s, "OrderTags").build()).unwrap();
         // i % 4 tags per doc: 20/4 * (0+1+2+3) = 30 rows.
-        assert_eq!(a.tuples.len(), 30);
+        assert_eq!(a.batch.len(), 30);
         // Array containment as equality on the unnested column.
         let contains = s
             .execute(
@@ -501,8 +515,8 @@ mod tests {
                     .build(),
             )
             .unwrap();
-        assert_eq!(contains.tuples.len(), 5);
-        for t in &contains.tuples {
+        assert_eq!(contains.batch.len(), 5);
+        for t in &contains.batch.to_tuples() {
             assert_eq!(t.get(1), Some(&Value::Str("t2".into())));
         }
     }
@@ -517,8 +531,8 @@ mod tests {
                     .build(),
             )
             .unwrap();
-        assert!(!a.tuples.is_empty());
-        for t in &a.tuples {
+        assert!(!a.batch.is_empty());
+        for t in &a.batch.to_tuples() {
             assert_eq!(t.get(1), Some(&Value::Long(10_001)));
         }
         let g = s
@@ -528,7 +542,7 @@ mod tests {
                     .build(),
             )
             .unwrap();
-        assert_eq!(g.tuples.len(), 3);
+        assert_eq!(g.batch.len(), 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use disco_algebra::LogicalPlan;
 use disco_catalog::{CollectionStats, ExtentStats};
-use disco_common::{DiscoError, Result, Schema, Tuple, Value};
+use disco_common::{Batch, DiscoError, Result, Schema, Tuple, Value};
 
 use crate::source::{DataSource, ExecStats, SubAnswer};
 
@@ -17,7 +17,8 @@ pub struct FlatFile {
     name: String,
     collection: String,
     schema: Schema,
-    lines: Vec<Tuple>,
+    /// The parsed lines, column-major.
+    lines: Batch,
     /// Average encoded line width in bytes.
     line_width: u64,
     /// Cost to open the file (ms).
@@ -34,9 +35,9 @@ impl FlatFile {
         schema: Schema,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Self {
-        let lines: Vec<Tuple> = rows.into_iter().map(Tuple::new).collect();
-        let total: u64 = lines.iter().map(Tuple::width).sum();
-        let line_width = (total / lines.len().max(1) as u64).max(1);
+        let rows: Vec<Tuple> = rows.into_iter().map(Tuple::new).collect();
+        let lines = Batch::from_tuples(schema.arity(), &rows);
+        let line_width = (lines.byte_width() / lines.len().max(1) as u64).max(1);
         FlatFile {
             name: name.into(),
             collection: collection.into(),
@@ -98,7 +99,7 @@ impl DataSource for FlatFile {
         let elapsed = self.open_ms + self.lines.len() as f64 * self.parse_ms;
         Ok(SubAnswer {
             schema: self.schema.clone(),
-            tuples: self.lines.clone(),
+            batch: self.lines.clone(),
             stats: ExecStats {
                 elapsed_ms: elapsed,
                 time_first_ms: self.open_ms + self.parse_ms.min(elapsed),
@@ -142,7 +143,7 @@ mod tests {
     fn scan_parses_every_line() {
         let f = file();
         let ans = f.execute(&scan().build()).unwrap();
-        assert_eq!(ans.tuples.len(), 100);
+        assert_eq!(ans.batch.len(), 100);
         assert!((ans.stats.elapsed_ms - (50.0 + 100.0 * 0.8)).abs() < 1e-9);
         assert_eq!(ans.stats.pages_read, 0);
     }

@@ -2,7 +2,7 @@
 
 use disco_algebra::LogicalPlan;
 use disco_catalog::CollectionStats;
-use disco_common::{Batch, Result, Schema, Tuple};
+use disco_common::{Batch, Result, Schema};
 
 /// Execution accounting for one subquery (the "real costs" the historical
 /// mechanism records).
@@ -20,45 +20,14 @@ pub struct ExecStats {
     pub objects_scanned: u64,
 }
 
-/// A subanswer returned by a source: tuples plus the measured execution
-/// statistics.
+/// A subanswer returned by a source: its rows, column-major, plus the
+/// measured execution statistics. Sources produce it from their columns
+/// and the transport ships and decodes it without building a row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubAnswer {
     pub schema: Schema,
-    pub tuples: Vec<Tuple>,
-    pub stats: ExecStats,
-}
-
-/// A subanswer in columnar form: what the mediator's vectorized combine
-/// phase consumes. Produced either by columnarizing a [`SubAnswer`] or
-/// by decoding wire bytes straight into columns (see
-/// [`crate::wire`]), so fetched rows are never built as [`Tuple`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchAnswer {
-    pub schema: Schema,
     pub batch: Batch,
     pub stats: ExecStats,
-}
-
-impl BatchAnswer {
-    /// Materialize back into a row-at-a-time [`SubAnswer`].
-    pub fn into_sub_answer(self) -> SubAnswer {
-        SubAnswer {
-            tuples: self.batch.to_tuples(),
-            schema: self.schema,
-            stats: self.stats,
-        }
-    }
-}
-
-impl From<SubAnswer> for BatchAnswer {
-    fn from(a: SubAnswer) -> Self {
-        BatchAnswer {
-            batch: Batch::from_tuples(a.schema.arity(), &a.tuples),
-            schema: a.schema,
-            stats: a.stats,
-        }
-    }
 }
 
 /// A data source a wrapper can be built over.

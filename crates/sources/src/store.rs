@@ -1,21 +1,22 @@
 //! The page model — the simulated object-database / relational
 //! substrate.
 //!
-//! A [`PagedStore`] keeps its rows in memory and counts faults on the
-//! modelled pages `disco-store`'s one collection builder lays them out
-//! on ([`CollectionBuilder`], the same type as
-//! `disco_store::DiskCollectionBuilder`), uniformly at random or
-//! clustered. Executing a subplan performs the page accesses through a
+//! A [`PagedStore`] keeps each collection in memory as one column
+//! [`Batch`] and counts faults on the modelled pages `disco-store`'s one
+//! collection builder lays them out on ([`CollectionBuilder`], the same
+//! type as `disco_store::DiskCollectionBuilder`), uniformly at random
+//! or clustered. Executing a subplan performs the page accesses through a
 //! cold LRU pool and charges the source's [`CostProfile`] to a
 //! [`VirtualClock`] — the "Experiment" series of Figure 12 is the
 //! elapsed time this model reports for index scans at varying
 //! selectivity. Its indexes are sorted in memory and charged no I/O.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use disco_algebra::{CompareOp, LogicalPlan};
 use disco_catalog::{CollectionStats, ExtentStats};
-use disco_common::{rng, DiscoError, Result, Schema, Tuple, Value};
+use disco_common::{rng, Batch, Column, DiscoError, Result, Schema, Value, ValueRef};
 use disco_store::{Layout, PoolCounters, DEFAULT_FRAMES};
 
 use crate::buffer::BufferPool;
@@ -25,39 +26,43 @@ use crate::walk::{self, Leaves};
 
 pub use disco_store::DiskCollectionBuilder as CollectionBuilder;
 
-/// An index of the model: `(key, rid)` pairs stably sorted by
-/// [`Value::total_cmp_value`], so equal keys keep row order — the order
-/// `disco-store`'s B+-tree returns them in.
+/// An index of the model: a column's rids stably sorted by
+/// [`ValueRef::total_cmp_ref`], so equal keys keep row order — the order
+/// `disco-store`'s B+-tree returns them in. The keys are read from the
+/// indexed column itself, not copied.
 #[derive(Debug, Clone)]
-struct SortedIndex(Vec<(Value, u32)>);
+struct SortedIndex {
+    key: Arc<Column>,
+    rids: Vec<u32>,
+}
 
 impl SortedIndex {
-    /// Index column `column` of `tuples`; a missing field is `Null`.
-    fn build(tuples: &[Tuple], column: usize) -> SortedIndex {
-        let mut entries: Vec<(Value, u32)> = tuples
-            .iter()
-            .enumerate()
-            .map(|(rid, t)| (t.get(column).cloned().unwrap_or(Value::Null), rid as u32))
-            .collect();
-        entries.sort_by(|(a, _), (b, _)| a.total_cmp_value(b));
-        SortedIndex(entries)
+    /// Index `key`, one of a collection's columns.
+    fn build(key: Arc<Column>) -> SortedIndex {
+        let mut rids: Vec<u32> = (0..key.len() as u32).collect();
+        rids.sort_by(|&a, &b| {
+            key.value_ref(a as usize)
+                .total_cmp_ref(key.value_ref(b as usize))
+        });
+        SortedIndex { key, rids }
     }
 
     /// Rids matching `op value`, in key order. `None` for `Ne`, which
     /// an index does not serve.
     fn scan(&self, op: CompareOp, value: &Value) -> Option<Vec<u32>> {
-        let entries = &self.0;
-        let lt = entries.partition_point(|(k, _)| k.total_cmp_value(value).is_lt());
-        let le = entries.partition_point(|(k, _)| k.total_cmp_value(value).is_le());
+        let (rids, value) = (&self.rids, ValueRef::from_value(value));
+        let key = |rid: &u32| self.key.value_ref(*rid as usize).total_cmp_ref(value);
+        let lt = rids.partition_point(|rid| key(rid).is_lt());
+        let le = rids.partition_point(|rid| key(rid).is_le());
         let range = match op {
             CompareOp::Eq => lt..le,
             CompareOp::Lt => 0..lt,
             CompareOp::Le => 0..le,
-            CompareOp::Gt => le..entries.len(),
-            CompareOp::Ge => lt..entries.len(),
+            CompareOp::Gt => le..rids.len(),
+            CompareOp::Ge => lt..rids.len(),
             CompareOp::Ne => return None,
         };
-        Some(entries[range].iter().map(|&(_, rid)| rid).collect())
+        Some(rids[range].to_vec())
     }
 }
 
@@ -65,7 +70,8 @@ impl SortedIndex {
 #[derive(Debug, Clone)]
 struct StoredCollection {
     schema: Schema,
-    tuples: Vec<Tuple>,
+    /// The rows, column-major, in logical (load) order.
+    batch: Batch,
     layout: Layout,
     indexes: BTreeMap<String, SortedIndex>,
     object_size: u64,
@@ -133,10 +139,15 @@ impl PagedStore {
             )));
         }
         let placed = builder.place(self.seed, &self.name, &name)?;
+        // Columnarized once; the loaded rows are dropped with `placed`.
+        let batch = Batch::from_tuples(placed.schema.arity(), &placed.tuples);
         let indexes = placed
             .indexes
             .iter()
-            .map(|(attr, column)| (attr.clone(), SortedIndex::build(&placed.tuples, *column)))
+            .map(|(attr, column)| {
+                let key = Arc::clone(batch.column(*column));
+                (attr.clone(), SortedIndex::build(key))
+            })
             .collect();
         let page_base = self.next_page_base;
         self.next_page_base += placed.layout.pages().max(1);
@@ -144,7 +155,7 @@ impl PagedStore {
             name,
             StoredCollection {
                 schema: placed.schema,
-                tuples: placed.tuples,
+                batch,
                 layout: placed.layout,
                 indexes,
                 object_size: placed.object_size,
@@ -166,12 +177,14 @@ impl PagedStore {
     }
 }
 
-/// The page model's access paths: in-memory rows and indexes, with every
-/// page touched going through one query's cold LRU pool, which charges
-/// each fault to the clock as it happens.
+/// The page model's access paths: in-memory columns and indexes, with
+/// every page touched going through one query's cold LRU pool, which
+/// charges each fault to the clock as it happens.
 struct PagedLeaves<'a> {
     store: &'a PagedStore,
     buf: BufferPool,
+    /// Rids fetched since the last gather.
+    fetched: Vec<u32>,
 }
 
 impl Leaves for PagedLeaves<'_> {
@@ -182,15 +195,15 @@ impl Leaves for PagedLeaves<'_> {
         Ok(self.store.collection(collection)?.schema.clone())
     }
 
-    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)> {
+    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Batch, u64)> {
         let c = self.store.collection(collection)?;
         // Full sequential read: every page once, in storage order.
         for page in 0..c.layout.pages() {
             self.buf
                 .access(c.page_base + page, &self.store.profile, clock);
         }
-        clock.charge(c.tuples.len() as f64 * self.store.profile.cpu_scan_ms);
-        Ok((c.tuples.clone(), c.tuples.len() as u64))
+        clock.charge(c.batch.len() as f64 * self.store.profile.cpu_scan_ms);
+        Ok((c.batch.clone(), c.batch.len() as u64))
     }
 
     fn has_index(&self, collection: &str, attr: &str) -> Result<bool> {
@@ -212,11 +225,17 @@ impl Leaves for PagedLeaves<'_> {
         Ok(c.indexes.get(attr).and_then(|index| index.scan(op, value)))
     }
 
-    fn fetch(&mut self, collection: &str, rid: u32, clock: &mut VirtualClock) -> Result<Tuple> {
+    fn fetch(&mut self, collection: &str, rid: u32, clock: &mut VirtualClock) -> Result<()> {
         let c = self.store.collection(collection)?;
         let page = c.page_base + c.layout.page_of(rid as usize);
         self.buf.access(page, &self.store.profile, clock);
-        Ok(c.tuples[rid as usize].clone())
+        self.fetched.push(rid);
+        Ok(())
+    }
+
+    fn gather(&mut self, collection: &str) -> Result<Batch> {
+        let c = self.store.collection(collection)?;
+        Ok(c.batch.take(&std::mem::take(&mut self.fetched)))
     }
 
     fn settle(&mut self, _clock: &mut VirtualClock) -> PoolCounters {
@@ -245,7 +264,7 @@ impl DataSource for PagedStore {
 
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
         let c = self.collections.get(collection)?;
-        let n = c.tuples.len() as u64;
+        let n = c.batch.len() as u64;
         let extent = ExtentStats {
             count_object: n,
             total_size: n * c.object_size,
@@ -255,7 +274,7 @@ impl DataSource for PagedStore {
         let indexed = |attr: &str| c.indexes.contains_key(attr);
         let buckets = self.histogram_buckets;
         Some(walk::attribute_stats(
-            extent, &c.schema, &c.tuples, indexed, buckets,
+            extent, &c.schema, &c.batch, indexed, buckets,
         ))
     }
 
@@ -263,6 +282,7 @@ impl DataSource for PagedStore {
         let leaves = PagedLeaves {
             store: self,
             buf: BufferPool::new(DEFAULT_FRAMES),
+            fetched: Vec::new(),
         };
         walk::answer(&self.name, &self.profile, plan, leaves)
     }
@@ -306,7 +326,7 @@ mod tests {
     fn full_scan_costs_pages_plus_delivery() {
         let s = small_store(false);
         let ans = s.execute(&scan().build()).unwrap();
-        assert_eq!(ans.tuples.len(), 7_000);
+        assert_eq!(ans.batch.len(), 7_000);
         assert_eq!(ans.stats.pages_read, 100);
         let p = CostProfile::object_store();
         let expected = p.overhead_ms + 100.0 * p.io_ms + 7_000.0 * (p.cpu_scan_ms + p.output_ms);
@@ -319,7 +339,7 @@ mod tests {
         // 10% selectivity: k = 700 objects over 100 pages.
         let plan = scan().select("Id", CompareOp::Lt, 700i64).build();
         let ans = s.execute(&plan).unwrap();
-        assert_eq!(ans.tuples.len(), 700);
+        assert_eq!(ans.batch.len(), 700);
         // Yao expectation: 100 * (1 - (1 - 1/100 ... )) ≈ 99.9 pages.
         let expect = disco_core_yao(7_000, 100, 700);
         let got = ans.stats.pages_read as f64;
@@ -346,13 +366,13 @@ mod tests {
         let s = small_store(true);
         let plan = scan().select("Id", CompareOp::Lt, 700i64).build();
         let ans = s.execute(&plan).unwrap();
-        assert_eq!(ans.tuples.len(), 700);
+        assert_eq!(ans.batch.len(), 700);
         // 700 consecutive keys at 70/page = 10 pages.
         assert_eq!(ans.stats.pages_read, 10);
         // Same answer as unclustered; the cost difference is exactly the
         // extra page faults (≈90 pages × 25 ms).
         let unc = small_store(false).execute(&plan).unwrap();
-        assert_eq!(unc.tuples.len(), 700);
+        assert_eq!(unc.batch.len(), 700);
         assert!(unc.stats.pages_read > 80);
         let delta_pages = (unc.stats.pages_read - ans.stats.pages_read) as f64;
         let delta_ms = unc.stats.elapsed_ms - ans.stats.elapsed_ms;
@@ -367,7 +387,7 @@ mod tests {
         let s = small_store(false);
         let plan = scan().select("BuildDate", CompareOp::Eq, 7i64).build();
         let ans = s.execute(&plan).unwrap();
-        assert_eq!(ans.tuples.len(), 70);
+        assert_eq!(ans.batch.len(), 70);
         assert_eq!(ans.stats.pages_read, 100); // full scan underneath
     }
 
@@ -394,7 +414,7 @@ mod tests {
         let left = scan().select("Id", CompareOp::Lt, 10i64);
         let plan = left.join(scan(), "Id", "Id").build();
         let ans = s.execute(&plan).unwrap();
-        assert_eq!(ans.tuples.len(), 10);
+        assert_eq!(ans.batch.len(), 10);
         assert_eq!(ans.schema.arity(), 4);
     }
 
@@ -411,7 +431,7 @@ mod tests {
             .build();
         let ans = s.execute(&plan).unwrap();
         // BuildDate = Id%100 for Id<5: 5 × 5 pairs where equal → 5.
-        assert_eq!(ans.tuples.len(), 5);
+        assert_eq!(ans.batch.len(), 5);
     }
 
     #[test]
@@ -424,12 +444,12 @@ mod tests {
             )
             .build();
         let ans = s.execute(&plan).unwrap();
-        assert_eq!(ans.tuples.len(), 100);
+        assert_eq!(ans.batch.len(), 100);
         // Blocking root: first tuple arrives near the end.
         assert!(ans.stats.time_first_ms > ans.stats.elapsed_ms * 0.5);
 
         let sorted = s.execute(&scan().sort_asc(&["BuildDate"]).build()).unwrap();
-        assert_eq!(sorted.tuples.len(), 7_000);
+        assert_eq!(sorted.batch.len(), 7_000);
         assert!(sorted.stats.time_first_ms > 0.0);
     }
 
@@ -501,9 +521,10 @@ mod tests {
             Value::Str(String::new()),
             Value::Null,
         ];
+        let index_of =
+            |keys: &[Value]| SortedIndex::build(Arc::new(Column::from_values(keys.to_vec())));
         for keys in [&unique, &duplicated] {
-            let tuples: Vec<Tuple> = keys.iter().map(|k| Tuple::new(vec![k.clone()])).collect();
-            let index = SortedIndex::build(&tuples, 0);
+            let index = index_of(keys);
             for probe in &probes {
                 for op in [
                     CompareOp::Eq,
@@ -538,11 +559,7 @@ mod tests {
             }
         }
         // Equal keys come back in rid order.
-        let tuples: Vec<Tuple> = duplicated
-            .iter()
-            .map(|k| Tuple::new(vec![k.clone()]))
-            .collect();
-        let rids = SortedIndex::build(&tuples, 0)
+        let rids = index_of(&duplicated)
             .scan(CompareOp::Eq, &Value::Long(5))
             .unwrap();
         assert!(rids.len() > 1 && rids.windows(2).all(|w| w[0] < w[1]));

@@ -1,10 +1,13 @@
 //! Vectorized operator kernels over columnar [`Batch`]es — one batch
-//! in, one batch out; the mediator drives them chunk by chunk through
-//! the [`crate::vstream`] operators.
+//! in, one batch out. They are the one operator set of the system: the
+//! wrappers' plan walker runs them over a source's columns, and the
+//! mediator drives them chunk by chunk through the [`crate::vstream`]
+//! operators.
 //!
-//! Each function mirrors its row-at-a-time counterpart in [`crate::exec`]
-//! — same signatures modulo `Batch` for `Vec<Tuple>`, same error
-//! messages, and bit-identical results in the same order — but works
+//! Their semantics are those of the row-at-a-time reference operators
+//! kept under `crates/sources/tests/support/exec.rs` (same error
+//! messages, bit-identical results in the same order), which the unit
+//! tests below and `tests/batch_equivalence.rs` hold them to. They work
 //! column-major:
 //!
 //! * **select** builds a selection vector (surviving row ids) per
@@ -16,14 +19,9 @@
 //!   not formatted strings) into a table that owns its keys
 //!   ([`HashJoinBuild`]: built once, probed per chunk) and emits row-id
 //!   pairs, gathering output columns instead of cloning rows;
-//! * **aggregate / dedup** group on `Key` vectors;
+//! * **aggregate / dedup** group on structured `Key` vectors, so no
+//!   string content can merge two groups;
 //! * **sort** permutes row ids and gathers once.
-//!
-//! One documented divergence: the row operators key composite
-//! (dedup/group) values by joining per-cell strings with `|`, which can
-//! collide when string cells contain the separator; the columnar path
-//! keys on structured `Vec<Option<Key>>`, which cannot. Equivalence
-//! holds on any data free of such engineered collisions.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,10 +29,9 @@ use std::sync::Arc;
 use disco_algebra::logical::AggExpr;
 use disco_algebra::{AggFunc, CompareOp, JoinPredicate, Predicate, ScalarExpr, SelectPredicate};
 use disco_common::{
-    Batch, Column, ColumnBuilder, ColumnData, DiscoError, Key, Result, Schema, Value, ValueRef,
+    AttributeDef, Batch, Column, ColumnBuilder, ColumnData, DataType, DiscoError, Key, Result,
+    Schema, Value, ValueRef,
 };
-
-use crate::exec::project_schema;
 
 /// Record one operator's output in the global metrics registry
 /// (`vexec_rows_total` / `vexec_batches_total`, labelled by operator).
@@ -137,7 +134,7 @@ fn apply_conjunct(col: &Column, conjunct: &SelectPredicate, sel: &[u32]) -> Vec<
     }
 }
 
-/// Filter a batch by a conjunctive predicate (vectorized `exec::filter`).
+/// Filter a batch by a conjunctive predicate.
 pub fn filter(schema: &Schema, batch: &Batch, pred: &Predicate) -> Result<Batch> {
     let resolved: Vec<(usize, &SelectPredicate)> = pred
         .conjuncts
@@ -164,12 +161,12 @@ pub fn filter(schema: &Schema, batch: &Batch, pred: &Predicate) -> Result<Batch>
     Ok(batch.take(&sel))
 }
 
-/// Project a batch to named expressions (vectorized `exec::project`).
+/// Project a batch to named expressions.
 ///
 /// Attribute columns are `Arc` re-slices; constant columns are built
 /// once; arithmetic columns evaluate [`ScalarExpr`] per row against a
 /// materialized scratch tuple so the semantics (including error cases)
-/// match the row path exactly.
+/// match the row reference exactly.
 pub fn project(
     schema: &Schema,
     batch: &Batch,
@@ -177,7 +174,7 @@ pub fn project(
 ) -> Result<(Schema, Batch)> {
     let out_schema = project_schema(schema, columns);
     if batch.is_empty() {
-        // The row path evaluates nothing on empty input, so unknown
+        // The row reference evaluates nothing on empty input, so unknown
         // attributes are not an error here either.
         return Ok((out_schema, Batch::empty(columns.len())));
     }
@@ -221,6 +218,23 @@ pub fn project(
         .collect();
     observe("project", batch.len());
     Ok((out_schema, Batch::from_columns(columns)?))
+}
+
+/// Output schema of a projection: type inference on a representative
+/// plan node.
+pub fn project_schema(schema: &Schema, columns: &[(String, ScalarExpr)]) -> Schema {
+    let attrs = columns
+        .iter()
+        .map(|(name, e)| {
+            let ty = match e {
+                ScalarExpr::Attr(a) => schema.attribute(a).map(|d| d.ty).unwrap_or(DataType::Str),
+                ScalarExpr::Const(v) => v.data_type().unwrap_or(DataType::Str),
+                ScalarExpr::Binary { .. } => DataType::Double,
+            };
+            AttributeDef::new(name.clone(), ty)
+        })
+        .collect();
+    Schema::new(attrs)
 }
 
 /// Key column view used by the joins: precomputes dictionary keys so
@@ -322,7 +336,8 @@ fn for_each_join_key(
     }
 }
 
-fn join_attr(schema: &Schema, attr: &str) -> Result<usize> {
+/// Position of a join attribute in its side's schema.
+pub(crate) fn join_attr(schema: &Schema, attr: &str) -> Result<usize> {
     schema
         .index_of(attr)
         .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{attr}`")))
@@ -378,7 +393,7 @@ impl HashJoinBuild {
     }
 
     /// Join one probe (left) batch against the built side. Output rows
-    /// appear in the same order as the row path: probe order outer,
+    /// appear in the same order as the row reference: probe order outer,
     /// build insertion order inner.
     pub fn probe(&self, left_schema: &Schema, left: &Batch) -> Result<Batch> {
         let li = join_attr(left_schema, &self.left_attr)?;
@@ -401,7 +416,7 @@ impl HashJoinBuild {
     }
 }
 
-/// One-shot hash equi-join (vectorized `exec::hash_join`): build on
+/// One-shot hash equi-join: build on
 /// `right`, probe with `left`.
 pub fn hash_join(
     left_schema: &Schema,
@@ -413,8 +428,7 @@ pub fn hash_join(
     HashJoinBuild::new(right_schema, right.clone(), pred)?.probe(left_schema, left)
 }
 
-/// Nested-loop join for arbitrary comparison predicates (vectorized
-/// `exec::nested_loop_join`).
+/// Nested-loop join for arbitrary comparison predicates.
 pub fn nested_loop_join(
     left_schema: &Schema,
     left: &Batch,
@@ -440,8 +454,7 @@ pub fn nested_loop_join(
     left.take(&lids).hstack(&right.take(&rids))
 }
 
-/// Duplicate elimination, first occurrence wins (vectorized
-/// `exec::dedup`).
+/// Duplicate elimination, first occurrence wins.
 pub fn dedup(batch: &Batch) -> Batch {
     let per_col: Vec<Vec<Option<Key<'_>>>> = batch.columns().iter().map(|c| keys_of(c)).collect();
     let mut seen: HashMap<Vec<Option<Key<'_>>>, ()> = HashMap::new();
@@ -456,8 +469,7 @@ pub fn dedup(batch: &Batch) -> Batch {
     batch.take(&sel)
 }
 
-/// Stable multi-key sort via a row-id permutation (vectorized
-/// `exec::sort`).
+/// Stable multi-key sort via a row-id permutation.
 pub fn sort(schema: &Schema, batch: &Batch, keys: &[(String, bool)]) -> Result<Batch> {
     let resolved: Vec<(usize, bool)> = keys
         .iter()
@@ -486,7 +498,7 @@ pub fn sort(schema: &Schema, batch: &Batch, keys: &[(String, bool)]) -> Result<B
     Ok(batch.take(&sel))
 }
 
-/// Group and aggregate (vectorized `exec::aggregate`): group keys
+/// Group and aggregate: group keys
 /// first, then aggregates, groups in first-appearance order.
 pub fn aggregate(
     schema: &Schema,
@@ -513,7 +525,7 @@ pub fn aggregate(
         })
         .collect::<Result<_>>()?;
 
-    // Same accumulator as the row path, fed from borrowed cell views.
+    // Same accumulator as the row reference, fed from borrowed cell views.
     #[derive(Clone)]
     struct Acc {
         count: u64,

@@ -191,7 +191,7 @@ impl ProjectStream {
     ) -> Result<Self> {
         // The empty-batch path computes the output schema without
         // touching any data (and without erroring on unknown
-        // attributes, exactly like the row engine on empty input).
+        // attributes, exactly like the kernel on empty input).
         let empty = Batch::empty(input.schema().arity());
         let (schema, _) = vexec::project(input.schema(), &empty, &columns)?;
         Ok(ProjectStream {

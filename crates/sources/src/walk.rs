@@ -4,22 +4,25 @@
 //! and [`DocSource`](crate::DocSource) differ only in how they reach
 //! their data, which each states as a [`Leaves`] implementation. What is
 //! above the leaves exists once, here: the [`LogicalPlan`] walk over the
-//! [`exec`] kernels with its charge table, the epilogue that prices
+//! [`vexec`] kernels with its charge table, the epilogue that prices
 //! delivery and fills [`ExecStats`] ([`answer`]), and the
-//! attribute-statistics pass ([`attribute_stats`]). The order of the
-//! clock's f64 additions is part of the contract: committed virtual-clock
-//! numbers are reproduced bit for bit.
+//! attribute-statistics pass ([`attribute_stats`]). Everything here is
+//! columnar: leaves hand out [`Batch`]es, the kernels are the mediator's
+//! own, and the answer ships as the batch the walk produced. The charge
+//! table reads only row counts, and the order of the clock's f64
+//! additions is part of the contract: committed virtual-clock numbers
+//! are reproduced bit for bit.
 
 use std::fmt::Write;
 
 use disco_algebra::{CompareOp, LogicalPlan};
 use disco_catalog::{AttributeStats, CollectionStats, ExtentStats, Histogram};
-use disco_common::{DiscoError, Result, Schema, Tuple, Value};
+use disco_common::{Batch, DiscoError, Result, Schema, Value, ValueRef};
 use disco_store::PoolCounters;
 
 use crate::clock::{CostProfile, VirtualClock};
-use crate::exec;
 use crate::source::{ExecStats, SubAnswer};
+use crate::vexec;
 
 /// A source's access paths: all the walker needs from it.
 pub(crate) trait Leaves {
@@ -35,7 +38,7 @@ pub(crate) trait Leaves {
     /// Full scan in logical row order, charged by the leaf (pages and
     /// objects in a store, path navigation in documents): the rows and
     /// the number of objects examined.
-    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Vec<Tuple>, u64)>;
+    fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Batch, u64)>;
 
     /// Is `attr` indexed? Asked before an index join's outer side runs.
     fn has_index(&self, _collection: &str, _attr: &str) -> Result<bool> {
@@ -54,13 +57,13 @@ pub(crate) trait Leaves {
         Ok(None)
     }
 
-    /// One row by rid. A simulated pool charges its fault here, in line.
-    fn fetch(
-        &mut self,
-        collection: &str,
-        rid: Self::Rid,
-        clock: &mut VirtualClock,
-    ) -> Result<Tuple>;
+    /// Fetch one row by rid, to be handed out by the next
+    /// [`Leaves::gather`]. A simulated pool charges its fault here, in
+    /// line.
+    fn fetch(&mut self, collection: &str, rid: Self::Rid, clock: &mut VirtualClock) -> Result<()>;
+
+    /// The rows fetched since the last gather, in fetch order.
+    fn gather(&mut self, collection: &str) -> Result<Batch>;
 
     /// The query's buffer-pool activity, asked once after the walk. A
     /// pool that faults for real charges that I/O here.
@@ -88,22 +91,22 @@ struct Walk<'a, L> {
 
 impl<L: Leaves> Walk<'_, L> {
     /// Fetch one object an index pointed at.
-    fn fetch(&mut self, collection: &str, rid: L::Rid) -> Result<Tuple> {
-        let t = self.leaves.fetch(collection, rid, &mut self.clock)?;
+    fn fetch(&mut self, collection: &str, rid: L::Rid) -> Result<()> {
+        self.leaves.fetch(collection, rid, &mut self.clock)?;
         self.clock.charge(self.p.cpu_scan_ms);
         self.scanned += 1;
-        Ok(t)
+        Ok(())
     }
 
-    fn exec(&mut self, plan: &LogicalPlan) -> Result<(Schema, Vec<Tuple>)> {
+    fn exec(&mut self, plan: &LogicalPlan) -> Result<(Schema, Batch)> {
         let p = self.p;
         match plan {
             LogicalPlan::Scan { collection, .. } => {
                 let name = collection.collection.as_str();
                 let schema = self.leaves.schema(name)?;
-                let (tuples, examined) = self.leaves.scan(name, &mut self.clock)?;
+                let (batch, examined) = self.leaves.scan(name, &mut self.clock)?;
                 self.scanned += examined;
-                Ok((schema, tuples))
+                Ok((schema, batch))
             }
             LogicalPlan::Select { input, predicate } => {
                 // Index access path: single-conjunct selection directly
@@ -116,30 +119,29 @@ impl<L: Leaves> Walk<'_, L> {
                         self.leaves.index_rids(name, &c.attribute, c.op, &c.value)?
                     {
                         self.clock.charge(p.probe_ms);
-                        let mut out = Vec::with_capacity(rids.len());
                         for rid in rids {
-                            out.push(self.fetch(name, rid)?);
+                            self.fetch(name, rid)?;
                         }
-                        return Ok((self.leaves.schema(name)?, out));
+                        return Ok((self.leaves.schema(name)?, self.leaves.gather(name)?));
                     }
                 }
-                let (schema, tuples) = self.exec(input)?;
-                let tests = tuples.len() as f64 * predicate.conjuncts.len() as f64;
+                let (schema, batch) = self.exec(input)?;
+                let tests = batch.len() as f64 * predicate.conjuncts.len() as f64;
                 self.clock.charge(tests * p.cpu_pred_ms);
-                let out = exec::filter(&schema, &tuples, predicate)?;
+                let out = vexec::filter(&schema, &batch, predicate)?;
                 Ok((schema, out))
             }
             LogicalPlan::Project { input, columns } => {
-                let (schema, tuples) = self.exec(input)?;
-                self.clock.charge(tuples.len() as f64 * p.cpu_scan_ms);
-                exec::project(&schema, &tuples, columns)
+                let (schema, batch) = self.exec(input)?;
+                self.clock.charge(batch.len() as f64 * p.cpu_scan_ms);
+                vexec::project(&schema, &batch, columns)
             }
             LogicalPlan::Sort { input, keys } => {
-                let (schema, mut tuples) = self.exec(input)?;
-                let n = tuples.len() as f64;
+                let (schema, batch) = self.exec(input)?;
+                let n = batch.len() as f64;
                 self.clock.charge(p.sort_factor_ms * n * n.max(2.0).log2());
-                exec::sort(&schema, &mut tuples, keys)?;
-                Ok((schema, tuples))
+                let out = vexec::sort(&schema, &batch, keys)?;
+                Ok((schema, out))
             }
             LogicalPlan::Join {
                 left,
@@ -148,64 +150,68 @@ impl<L: Leaves> Walk<'_, L> {
                 ..
             } => {
                 // Index join: the inner side is a stored collection with
-                // an index on the join attribute.
+                // an index on the join attribute. Each outer row probes
+                // the index; the (outer row, inner row) pairs are then
+                // gathered once on each side.
                 if let (CompareOp::Eq, LogicalPlan::Scan { collection, .. }) =
                     (predicate.op, right.as_ref())
                 {
                     let (name, attr) = (collection.collection.as_str(), &predicate.right_attr);
                     if self.leaves.has_index(name, attr)? {
-                        let (ls, lt) = self.exec(left)?;
-                        let li = exec::join_attr(&ls, &predicate.left_attr)?;
-                        let mut out = Vec::new();
-                        for l in &lt {
+                        let (ls, lb) = self.exec(left)?;
+                        let key = lb.column(vexec::join_attr(&ls, &predicate.left_attr)?);
+                        let mut outer: Vec<u32> = Vec::new();
+                        for row in 0..lb.len() {
                             self.clock.charge(p.probe_ms);
-                            let Some(v) = l.get(li) else { continue };
-                            let rids = self.leaves.index_rids(name, attr, CompareOp::Eq, v)?;
+                            let v = key.value(row);
+                            let rids = self.leaves.index_rids(name, attr, CompareOp::Eq, &v)?;
                             for rid in rids.unwrap_or_default() {
-                                out.push(l.join(&self.fetch(name, rid)?));
+                                self.fetch(name, rid)?;
+                                outer.push(row as u32);
                             }
                         }
+                        let inner = self.leaves.gather(name)?;
+                        let out = lb.take(&outer).hstack(&inner)?;
                         return Ok((ls.join(&self.leaves.schema(name)?), out));
                     }
                 }
-                let (ls, lt) = self.exec(left)?;
-                let (rs, rt) = self.exec(right)?;
+                let (ls, lb) = self.exec(left)?;
+                let (rs, rb) = self.exec(right)?;
                 let out = if predicate.op == CompareOp::Eq {
                     self.clock
-                        .charge((lt.len() + rt.len()) as f64 * p.cpu_hash_ms);
-                    let out = exec::hash_join(&ls, &lt, &rs, &rt, predicate)?;
+                        .charge((lb.len() + rb.len()) as f64 * p.cpu_hash_ms);
+                    let out = vexec::hash_join(&ls, &lb, &rs, &rb, predicate)?;
                     self.clock.charge(out.len() as f64 * p.cpu_hash_ms);
                     out
                 } else {
                     self.clock
-                        .charge((lt.len() * rt.len()) as f64 * p.cpu_pred_ms);
-                    exec::nested_loop_join(&ls, &lt, &rs, &rt, predicate)?
+                        .charge((lb.len() * rb.len()) as f64 * p.cpu_pred_ms);
+                    vexec::nested_loop_join(&ls, &lb, &rs, &rb, predicate)?
                 };
                 Ok((ls.join(&rs), out))
             }
             LogicalPlan::Union { left, right } => {
-                let (ls, mut lt) = self.exec(left)?;
-                let (rs, rt) = self.exec(right)?;
+                let (ls, lb) = self.exec(left)?;
+                let (rs, rb) = self.exec(right)?;
                 if ls.arity() != rs.arity() {
                     return Err(DiscoError::Exec("union arity mismatch".into()));
                 }
-                self.clock.charge(rt.len() as f64 * p.cpu_scan_ms);
-                lt.extend(rt);
-                Ok((ls, lt))
+                self.clock.charge(rb.len() as f64 * p.cpu_scan_ms);
+                Ok((ls, vexec::union(&lb, &rb)?))
             }
             LogicalPlan::Dedup { input } => {
-                let (schema, tuples) = self.exec(input)?;
-                self.clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                Ok((schema, exec::dedup(&tuples)))
+                let (schema, batch) = self.exec(input)?;
+                self.clock.charge(batch.len() as f64 * p.cpu_hash_ms);
+                Ok((schema, vexec::dedup(&batch)))
             }
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
             } => {
-                let (schema, tuples) = self.exec(input)?;
-                self.clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                let out = exec::aggregate(&schema, &tuples, group_by, aggs)?;
+                let (schema, batch) = self.exec(input)?;
+                self.clock.charge(batch.len() as f64 * p.cpu_hash_ms);
+                let out = vexec::aggregate(&schema, &batch, group_by, aggs)?;
                 Ok((plan.output_schema()?, out))
             }
             LogicalPlan::Submit { .. } => Err(DiscoError::Source(
@@ -230,13 +236,13 @@ pub(crate) fn answer<L: Leaves>(
         scanned: 0,
     };
     walk.clock.charge(p.overhead_ms);
-    let (schema, tuples) = walk.exec(plan)?;
+    let (schema, batch) = walk.exec(plan)?;
     let io = walk.leaves.settle(&mut walk.clock);
     let produced = walk.clock.now();
     // Deliver results.
-    walk.clock.charge(tuples.len() as f64 * p.output_ms);
+    walk.clock.charge(batch.len() as f64 * p.output_ms);
     let elapsed = walk.clock.now();
-    let one = (!tuples.is_empty()) as u64 as f64;
+    let one = (!batch.is_empty()) as u64 as f64;
     let time_first = if blocking_root(plan) {
         produced + one * p.output_ms
     } else {
@@ -252,7 +258,7 @@ pub(crate) fn answer<L: Leaves>(
     }
     Ok(SubAnswer {
         schema,
-        tuples,
+        batch,
         stats: ExecStats {
             elapsed_ms: elapsed,
             time_first_ms: time_first.min(elapsed),
@@ -264,20 +270,23 @@ pub(crate) fn answer<L: Leaves>(
 }
 
 /// A collection's statistics: the source's own `extent` plus, per
-/// attribute and computed from the rows, distinct count, min, max,
+/// attribute and computed from the columns, distinct count, min, max,
 /// whether it is `indexed`, and an equi-depth histogram over numeric
 /// values when `histogram_buckets` asks for one. Clustering is
 /// deliberately not exported: the generic model cannot see it (§5/§7).
 pub(crate) fn attribute_stats(
     extent: ExtentStats,
     schema: &Schema,
-    tuples: &[Tuple],
+    batch: &Batch,
     indexed: impl Fn(&str) -> bool,
     histogram_buckets: Option<usize>,
 ) -> CollectionStats {
     let mut stats = CollectionStats::new(extent);
     for (i, attr) in schema.attributes().iter().enumerate() {
-        let (mut min, mut max): (Option<&Value>, Option<&Value>) = (None, None);
+        let column = batch.columns().get(i);
+        let cells =
+            || (0..batch.len()).map(|row| column.map_or(ValueRef::Null, |c| c.value_ref(row)));
+        let (mut min, mut max): (Option<ValueRef<'_>>, Option<ValueRef<'_>>) = (None, None);
         // Values are distinct when their text is. Every text is written
         // into one buffer and the spans are sorted: two allocations per
         // attribute, freed alike in every process. A hash set of one
@@ -286,17 +295,14 @@ pub(crate) fn attribute_stats(
         // the OS, so the resident set would differ from run to run.
         let mut text = String::new();
         let mut spans: Vec<(usize, usize)> = Vec::new();
-        for v in tuples.iter().filter_map(|t| t.get(i)) {
-            if v.is_null() {
-                continue;
-            }
+        for v in cells().filter(|v| !v.is_null()) {
             let start = text.len();
             write!(text, "{v}").expect("writing to a String cannot fail");
             spans.push((start, text.len()));
-            if min.is_none_or(|m| v.total_cmp_value(m).is_lt()) {
+            if min.is_none_or(|m| v.total_cmp_ref(m).is_lt()) {
                 min = Some(v);
             }
-            if max.is_none_or(|m| v.total_cmp_value(m).is_gt()) {
+            if max.is_none_or(|m| v.total_cmp_ref(m).is_gt()) {
                 max = Some(v);
             }
         }
@@ -305,15 +311,12 @@ pub(crate) fn attribute_stats(
         spans.dedup_by(|a, b| span(a) == span(b));
         let mut a = AttributeStats::new(
             spans.len().max(1) as u64,
-            min.cloned().unwrap_or(Value::Null),
-            max.cloned().unwrap_or(Value::Null),
+            min.map_or(Value::Null, ValueRef::to_value),
+            max.map_or(Value::Null, ValueRef::to_value),
         );
         a.indexed = indexed(&attr.name);
         if let Some(buckets) = histogram_buckets {
-            let values: Vec<f64> = tuples
-                .iter()
-                .filter_map(|t| t.get(i).and_then(Value::as_f64))
-                .collect();
+            let values: Vec<f64> = cells().filter_map(ValueRef::as_f64).collect();
             if let Some(h) = Histogram::equi_depth(&values, buckets) {
                 a = a.with_histogram(h);
             }
@@ -329,7 +332,8 @@ mod tests {
     use crate::source::DataSource;
     use crate::{CollectionBuilder, DocField, DocSource, DocValue, PagedStore, StoreSource};
     use disco_algebra::{AggFunc, JoinKind, JoinPredicate, PlanBuilder};
-    use disco_common::{AttributeDef, DataType, QualifiedName};
+    use disco_common::rng::{self, StdRng};
+    use disco_common::{AttributeDef, DataType, QualifiedName, Tuple};
     use disco_store::{DiskCollectionBuilder, DiskStoreBuilder};
 
     /// Rows of `T(id, g = id % 7)`. In the stores they are 56-byte
@@ -588,7 +592,7 @@ mod tests {
             for (op, plan, work, out) in table {
                 let a = (kind.run)(&plan);
                 let at = format!("{} {op}", kind.label);
-                assert_eq!(a.tuples.len(), out, "{at}: rows");
+                assert_eq!(a.batch.len(), out, "{at}: rows");
                 assert_eq!(a.stats.pages_read, work.pages, "{at}: pages_read");
                 assert_eq!(
                     a.stats.objects_scanned, work.scanned,
@@ -634,14 +638,14 @@ mod tests {
             Value::Str("true".into()),
         ];
         let tuples: Vec<Tuple> = column.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
-        let extent = ExtentStats {
-            count_object: tuples.len() as u64,
-            total_size: 0,
-            object_size: 0,
-            count_page: None,
-        };
+        let n = tuples.len();
         let schema = Schema::new(vec![AttributeDef::new("x", DataType::Str)]);
-        let stats = attribute_stats(extent, &schema, &tuples, |_| false, None);
+        let batch = Batch::from_tuples(1, &tuples);
+        let stats = attribute_stats(extent(n), &schema, &batch, |_| false, None);
+        assert_eq!(
+            stats,
+            row_attribute_stats(extent(n), &schema, &tuples, |_| false, None)
+        );
         let texts: std::collections::HashSet<String> = column
             .iter()
             .filter(|v| !v.is_null())
@@ -649,5 +653,144 @@ mod tests {
             .collect();
         assert_eq!(texts.len(), 8);
         assert_eq!(stats.attribute("x").count_distinct, 8);
+    }
+
+    fn extent(n: usize) -> ExtentStats {
+        ExtentStats {
+            count_object: n as u64,
+            total_size: 0,
+            object_size: 0,
+            count_page: None,
+        }
+    }
+
+    /// The statistics pass as it read rows, before sources held columns:
+    /// the reference the column pass must equal.
+    fn row_attribute_stats(
+        extent: ExtentStats,
+        schema: &Schema,
+        tuples: &[Tuple],
+        indexed: impl Fn(&str) -> bool,
+        histogram_buckets: Option<usize>,
+    ) -> CollectionStats {
+        let mut stats = CollectionStats::new(extent);
+        for (i, attr) in schema.attributes().iter().enumerate() {
+            let (mut min, mut max): (Option<&Value>, Option<&Value>) = (None, None);
+            let mut texts: Vec<String> = Vec::new();
+            for v in tuples.iter().filter_map(|t| t.get(i)) {
+                if v.is_null() {
+                    continue;
+                }
+                texts.push(v.to_string());
+                if min.is_none_or(|m| v.total_cmp_value(m).is_lt()) {
+                    min = Some(v);
+                }
+                if max.is_none_or(|m| v.total_cmp_value(m).is_gt()) {
+                    max = Some(v);
+                }
+            }
+            texts.sort_unstable();
+            texts.dedup();
+            let mut a = AttributeStats::new(
+                texts.len().max(1) as u64,
+                min.cloned().unwrap_or(Value::Null),
+                max.cloned().unwrap_or(Value::Null),
+            );
+            a.indexed = indexed(&attr.name);
+            if let Some(buckets) = histogram_buckets {
+                let values: Vec<f64> = tuples
+                    .iter()
+                    .filter_map(|t| t.get(i).and_then(Value::as_f64))
+                    .collect();
+                if let Some(h) = Histogram::equi_depth(&values, buckets) {
+                    a = a.with_histogram(h);
+                }
+            }
+            stats = stats.with_attribute(attr.name.clone(), a);
+        }
+        stats
+    }
+
+    /// Statistics as text, with a double's bits spelled out: a NaN bound
+    /// equals itself here, and `-0.0` differs from `0.0`.
+    fn exact(stats: &CollectionStats) -> String {
+        let bits = |v: &Value| match v {
+            Value::Double(d) => format!("{:#x}", d.to_bits()),
+            v => format!("{v:?}"),
+        };
+        let mut out = format!("{stats:?}");
+        for (name, a) in &stats.attributes {
+            write!(out, " {name}: {}..{}", bits(&a.min), bits(&a.max)).unwrap();
+        }
+        out
+    }
+
+    /// One random cell of a column kind: 0 long, 1 double (with NaNs and
+    /// both zeroes), 2 bool, 3 dictionary string, 4 any of those; one in
+    /// six is null.
+    fn random_cell(r: &mut StdRng, kind: usize) -> Value {
+        if r.gen_range(0..6i64) == 0 {
+            return Value::Null;
+        }
+        match kind {
+            0 => Value::Long(r.gen_range(-30..30i64)),
+            1 => [
+                Value::Double(f64::NAN),
+                Value::Double(-f64::NAN),
+                Value::Double(0.0),
+                Value::Double(-0.0),
+                Value::Double(r.gen_range(-30..30i64) as f64 / 4.0),
+            ][r.gen_range(0..5usize)]
+            .clone(),
+            2 => Value::Bool(r.gen_range(0..2i64) == 1),
+            3 => Value::Str(["1", "a", "true", "-0", "NaN", ""][r.gen_range(0..6usize)].into()),
+            _ => {
+                let kind = r.gen_range(0..4usize);
+                random_cell(r, kind)
+            }
+        }
+    }
+
+    /// Column statistics equal the row statistics — distinct count, min,
+    /// max and histogram — on random columns of every kind: registration
+    /// statistics drive every plan.
+    #[test]
+    fn column_statistics_equal_row_statistics() {
+        for seed in 0..40 {
+            let mut r = rng::seeded(seed, "walk:attribute-stats");
+            let kinds: Vec<usize> = (0..r.gen_range(1..5usize))
+                .map(|_| r.gen_range(0..5usize))
+                .collect();
+            let schema = Schema::new(
+                (0..kinds.len())
+                    .map(|i| AttributeDef::new(format!("c{i}"), DataType::Str))
+                    .collect(),
+            );
+            let tuples: Vec<Tuple> = (0..r.gen_range(0..120usize))
+                .map(|_| Tuple::new(kinds.iter().map(|&k| random_cell(&mut r, k)).collect()))
+                .collect();
+            let batch = Batch::from_tuples(kinds.len(), &tuples);
+            let indexed = |a: &str| a == "c0";
+            for buckets in [None, Some(1), Some(4)] {
+                let n = tuples.len();
+                assert_eq!(
+                    exact(&attribute_stats(
+                        extent(n),
+                        &schema,
+                        &batch,
+                        indexed,
+                        buckets
+                    )),
+                    exact(&row_attribute_stats(
+                        extent(n),
+                        &schema,
+                        &tuples,
+                        indexed,
+                        buckets
+                    )),
+                    "seed {seed} kinds {kinds:?} buckets {buckets:?}"
+                );
+            }
+        }
     }
 }

@@ -1,15 +1,18 @@
 //! Randomized row/batch equivalence: every vectorized operator in
 //! [`disco_sources::vexec`] must produce exactly the tuples — same
 //! values, same order — as its row-at-a-time reference in
-//! [`disco_sources::exec`], across random schemas, random data with
-//! nulls and mixed types, and random operator parameters.
+//! `support/exec.rs`, across random schemas, random data with nulls and
+//! mixed types, and random operator parameters.
 
 use disco_algebra::logical::AggExpr;
 use disco_algebra::{AggFunc, CompareOp, JoinPredicate, Predicate, ScalarExpr, SelectPredicate};
 use disco_common::rng::{seeded, StdRng};
-use disco_common::wire::{WireDecode, WireEncode};
+use disco_common::wire::{WireDecode, WireEncode, WireReader, WireWriter};
 use disco_common::{AttributeDef, Batch, DataType, Schema, Tuple, Value};
-use disco_sources::{exec, vexec, BatchAnswer, ExecStats, SubAnswer};
+use disco_sources::{vexec, ExecStats, SubAnswer};
+
+#[path = "support/exec.rs"]
+mod exec;
 
 const SEEDS: u64 = 25;
 
@@ -123,15 +126,31 @@ fn wire_round_trip_matches_row_decode() {
     for seed in 0..SEEDS {
         let mut rng = seeded(seed, "batch-wire");
         let case = random_case(&mut rng, "a");
-        let bytes = SubAnswer {
+        let answer = SubAnswer {
             schema: case.schema.clone(),
-            tuples: case.tuples.clone(),
+            batch: case.batch.clone(),
             stats: ExecStats::default(),
+        };
+        let bytes = answer.to_wire_bytes();
+        // The reference: rows encoded one tuple at a time, then decoded
+        // one tuple at a time.
+        let mut w = WireWriter::new();
+        case.schema.encode(&mut w);
+        ExecStats::default().encode(&mut w);
+        w.put_len(case.tuples.len());
+        for t in &case.tuples {
+            t.encode(&mut w);
         }
-        .to_wire_bytes();
-        let rows = SubAnswer::from_wire_bytes(&bytes).unwrap();
-        let batch = BatchAnswer::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(batch.batch.to_tuples(), rows.tuples, "seed {seed}");
+        assert_eq!(bytes, w.into_bytes(), "seed {seed}");
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(Schema::decode(&mut r).unwrap(), case.schema);
+        assert_eq!(ExecStats::decode(&mut r).unwrap(), ExecStats::default());
+        let rows: Vec<Tuple> = (0..r.get_len().unwrap())
+            .map(|_| Tuple::decode(&mut r).unwrap())
+            .collect();
+        r.expect_end().unwrap();
+        let batch = SubAnswer::from_wire_bytes(&bytes).unwrap();
+        assert_eq!(batch.batch.to_tuples(), rows, "seed {seed}");
         assert_eq!(batch.to_wire_bytes(), bytes, "seed {seed}");
     }
 }

@@ -146,8 +146,8 @@ impl Endpoint {
 }
 
 /// The reply to one streaming call, one encoded frame per `next`: chunks
-/// that are slices of the wrapper's rows, encoded as they stand — always
-/// at least one, so an empty answer still ships its schema — then
+/// that are row ranges of the wrapper's answer, encoded from its columns
+/// — always at least one, so an empty answer still ships its schema — then
 /// `End(stats)`; or a lone `Error`. A frame is encoded when it is asked
 /// for, so frames nobody pulls cost nothing.
 enum Frames {
@@ -172,9 +172,9 @@ impl Iterator for Frames {
                 from,
                 chunk_rows,
             } => {
-                let until = (from + chunk_rows).min(answer.tuples.len());
-                let payload = Frame::chunk_bytes(&answer.schema, &answer.tuples[from..until]);
-                *self = if until < answer.tuples.len() {
+                let until = (from + chunk_rows).min(answer.batch.len());
+                let payload = Frame::chunk_bytes(&answer.schema, &answer.batch, from..until);
+                *self = if until < answer.batch.len() {
                     Frames::Chunks {
                         answer,
                         from: until,
@@ -624,7 +624,7 @@ mod tests {
             .into_result()
             .unwrap();
         match resp {
-            Response::Answer(a) => assert_eq!(a.tuples.len(), 7),
+            Response::Answer(a) => assert_eq!(a.batch.len(), 7),
             other => panic!("expected answer, got {other:?}"),
         }
         assert_eq!(t.requests_served("s"), 2);

@@ -29,7 +29,7 @@ use disco_common::rng::{seeded, StdRng, DEFAULT_SEED};
 use disco_common::wire::{WireDecode, WireEncode, WireWriter};
 use disco_common::{Batch, DiscoError, HealthTracker, Result, Schema};
 use disco_obs::names;
-use disco_sources::{BatchAnswer, ExecStats, SubAnswer};
+use disco_sources::{ExecStats, SubAnswer};
 use disco_wrapper::Registration;
 
 use crate::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
@@ -473,12 +473,15 @@ impl TransportClient {
     /// at once without spending the allowance; an error is returned only
     /// when every replica failed. Attempt 1's deadline and the straggler
     /// bound count from [`begin_stream`](Self::begin_stream), so a reply
-    /// that arrived while the caller was busy is taken at once.
+    /// that arrived while the caller was busy is taken at once. Each hedge
+    /// is deducted from `hedge_allowance` as it opens, so the caller's
+    /// allowance shows every hedge spent, whether the open then succeeds
+    /// or fails.
     pub fn finish_stream(
         &self,
         pending: PendingStream,
         straggler_ms: Option<f64>,
-        hedge_allowance: u32,
+        hedge_allowance: &mut u32,
     ) -> Result<HedgedStreamOutcome> {
         let PendingStream {
             targets,
@@ -496,8 +499,7 @@ impl TransportClient {
             // The opens to settle, earliest first.
             let (mut first, mut second) = (current, None);
             let mut hedge = None;
-            let threshold =
-                straggler_ms.filter(|_| hedges < hedge_allowance && next < targets.len());
+            let threshold = straggler_ms.filter(|_| *hedge_allowance > 0 && next < targets.len());
             if let Some(threshold) = threshold {
                 let primary = &mut first.1;
                 let bound = core.straggler_bound(&primary.endpoint, threshold);
@@ -520,6 +522,7 @@ impl TransportClient {
                         &[("wrapper", &targets[next].endpoint)],
                     );
                     hedges += 1;
+                    *hedge_allowance -= 1;
                     let mut opened = core.begin(&targets[next], chunk_rows);
                     let hedge_at = core
                         .wait_first(&mut opened, None)
@@ -839,7 +842,7 @@ impl ClientCore {
         endpoint: &str,
         opts: &SubmitOptions,
         env: &FrameEnvelope,
-    ) -> Result<BatchAnswer> {
+    ) -> Result<SubAnswer> {
         if let Some(sim) = self
             .sim_deadline(endpoint, opts)
             .filter(|sim| env.comm_ms > *sim)
@@ -1000,7 +1003,7 @@ mod tests {
     fn healthy_submit_reports_accounting() {
         let c = client(FaultPlan::none());
         let out = c.submit("s", &plan("s")).unwrap();
-        assert_eq!(out.answer.tuples.len(), 9);
+        assert_eq!(out.answer.batch.len(), 9);
         assert_eq!(out.attempts, 1);
         assert!(out.comm_ms >= 100.0);
         assert!(out.request_bytes > 0 && out.response_bytes > 0);
@@ -1012,7 +1015,7 @@ mod tests {
         let c = client(FaultPlan::first_n(FaultKind::Drop, 2));
         let out = c.submit("s", &plan("s")).unwrap();
         assert_eq!(out.attempts, 3);
-        assert_eq!(out.answer.tuples.len(), 9);
+        assert_eq!(out.answer.batch.len(), 9);
     }
 
     #[test]
@@ -1064,7 +1067,7 @@ mod tests {
         chunk_rows: u32,
     ) -> Result<SubmitStream> {
         let pending = c.begin_stream(targets, chunk_rows)?;
-        c.finish_stream(pending, None, 0).map(|out| out.stream)
+        c.finish_stream(pending, None, &mut 0).map(|out| out.stream)
     }
 
     /// Drain a stream, returning (chunks, rows, total comm).
@@ -1092,7 +1095,7 @@ mod tests {
         let parts: Vec<&Batch> = batches.iter().collect();
         let reassembled = Batch::concat(&parts).unwrap();
         assert_eq!(schema.unwrap(), one_shot.answer.schema);
-        assert_eq!(reassembled.to_tuples(), one_shot.answer.tuples);
+        assert_eq!(reassembled, one_shot.answer.batch);
         assert_eq!(stream.stats(), Some(one_shot.answer.stats));
         assert_eq!(stream.attempts(), 1);
         assert!(stream.first_frame_comm_ms() >= 100.0);
@@ -1164,7 +1167,7 @@ mod tests {
         assert_eq!(served, 3);
 
         let pending = c.begin_stream(target("s"), 64).unwrap();
-        let err = c.finish_stream(pending, None, 0).unwrap_err();
+        let err = c.finish_stream(pending, None, &mut 0).unwrap_err();
         assert_eq!(err.kind(), "unavailable");
         assert!(err.message().contains("circuit breaker"));
         assert_eq!(t.requests_served("s"), served);
@@ -1176,7 +1179,7 @@ mod tests {
         // sends attempt 2, which consumes sequence 1 and is served.
         let (c, t) = shared_client(FaultPlan::first_n(FaultKind::Drop, 1), attempts(3, 40));
         let pending = c.begin_stream(target("s"), 64).unwrap();
-        let mut out = c.finish_stream(pending, None, 0).unwrap();
+        let mut out = c.finish_stream(pending, None, &mut 0).unwrap();
         assert_eq!(out.stream.attempts(), 2);
         assert_eq!(t.requests_served("s"), 2);
         assert_eq!(drain(&mut out.stream).1, 9);
@@ -1190,7 +1193,7 @@ mod tests {
         // worker serves in arrival order, so once this one is answered
         // the stream's first frame is already waiting.
         c.submit("s", &plan("s")).unwrap();
-        let mut out = c.finish_stream(pending, None, 0).unwrap();
+        let mut out = c.finish_stream(pending, None, &mut 0).unwrap();
         assert_eq!(out.stream.attempts(), 1);
         assert_eq!(t.requests_served("s"), 2);
         assert_eq!(drain(&mut out.stream).1, 9);
@@ -1223,7 +1226,7 @@ mod tests {
         // The deadline counted from `begin` is gone and no reply is
         // there: `finish` reports the timeout without waiting again.
         let finishing = Instant::now();
-        let err = c.finish_stream(pending, None, 0).unwrap_err();
+        let err = c.finish_stream(pending, None, &mut 0).unwrap_err();
         assert_eq!(err.kind(), "timeout");
         assert!(
             finishing.elapsed() < Duration::from_millis(50),
@@ -1249,8 +1252,8 @@ mod tests {
         for run in 0..RUNS {
             let site0 = c.begin_stream(target("s"), 64).unwrap();
             let site1 = c.begin_stream(target("s"), 64).unwrap();
-            let first = c.finish_stream(site0, None, 0);
-            let second = c.finish_stream(site1, None, 0);
+            let first = c.finish_stream(site0, None, &mut 0);
+            let second = c.finish_stream(site1, None, &mut 0);
             assert_eq!(first.unwrap_err().kind(), "unavailable", "run {run}");
             assert_eq!(second.unwrap().stream.attempts(), 1, "run {run}");
         }
@@ -1285,7 +1288,7 @@ mod tests {
             },
         ];
         let pending = c.begin_stream(targets, 64).unwrap();
-        let mut out = c.finish_stream(pending, None, 2).unwrap();
+        let mut out = c.finish_stream(pending, None, &mut 2).unwrap();
         assert_eq!(out.winner, 1);
         assert_eq!(out.hedges, 0); // failover, not a straggler hedge
         let (_, rows, _) = drain(&mut out.stream);

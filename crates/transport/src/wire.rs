@@ -20,7 +20,7 @@ use disco_algebra::{
 use disco_catalog::histogram::{Bucket, Histogram, HistogramKind};
 use disco_catalog::{AttributeStats, Capabilities, CollectionStats, ExtentStats, StatName};
 use disco_common::wire::{WireDecode, WireEncode, WireReader, WireWriter};
-use disco_common::{DiscoError, QualifiedName, Result, Schema, Tuple, Value};
+use disco_common::{Batch, DiscoError, QualifiedName, Result, Schema, Value};
 use disco_costlang::ast::{AttrTerm, CollTerm, CostVar, HeadArg, PathLeaf, PredRhs, RuleHead};
 use disco_costlang::builtins::Builtin;
 use disco_costlang::bytecode::{
@@ -28,7 +28,7 @@ use disco_costlang::bytecode::{
 };
 use disco_costlang::{CompiledDocument, CompiledRule};
 use disco_sources::wire::encode_subanswer;
-use disco_sources::{BatchAnswer, ExecStats, SubAnswer};
+use disco_sources::{ExecStats, SubAnswer};
 use disco_wrapper::Registration;
 
 /// A request delivered to a wrapper endpoint.
@@ -53,7 +53,7 @@ pub enum Request {
 pub enum Frame {
     /// One incremental slice of the subanswer. The embedded stats are
     /// zeroed; the authoritative stats arrive with [`Frame::End`].
-    Chunk(BatchAnswer),
+    Chunk(SubAnswer),
     /// Normal end of stream, carrying the wrapper's execution stats for
     /// the whole subanswer.
     End(ExecStats),
@@ -62,14 +62,14 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Wire bytes of a [`Frame::Chunk`] carrying `rows`, written straight
-    /// from a wrapper's row-form answer: the subanswer encodings are
-    /// byte-identical, so the wrapper side never columnarizes and the
-    /// mediator side still decodes straight into columns.
-    pub fn chunk_bytes(schema: &Schema, rows: &[Tuple]) -> Vec<u8> {
+    /// Wire bytes of a [`Frame::Chunk`] carrying rows `rows` of a
+    /// wrapper's answer, written straight from its columns: the slice is
+    /// never copied out, and the mediator decodes it straight back into
+    /// columns.
+    pub fn chunk_bytes(schema: &Schema, batch: &Batch, rows: std::ops::Range<usize>) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_u8(0);
-        encode_subanswer(schema, &ExecStats::default(), rows, &mut w);
+        encode_subanswer(schema, &ExecStats::default(), batch, rows, &mut w);
         w.into_bytes()
     }
 }
@@ -101,7 +101,7 @@ impl WireEncode for Frame {
 impl WireDecode for Frame {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(match r.get_u8()? {
-            0 => Frame::Chunk(BatchAnswer::decode(r)?),
+            0 => Frame::Chunk(SubAnswer::decode(r)?),
             1 => Frame::End(ExecStats {
                 elapsed_ms: r.get_f64()?,
                 time_first_ms: r.get_f64()?,
@@ -1199,16 +1199,14 @@ impl WireDecode for Response {
     }
 }
 
-/// Decode a submit reply straight into a columnar [`BatchAnswer`],
-/// bypassing [`Response`]'s row materialization: the payload bytes go
-/// from the receive buffer into column vectors without ever building a
-/// `Tuple`. Error replies surface as the [`DiscoError`] they carry,
-/// exactly like `Response::into_result`.
-pub fn decode_answer_batch(payload: &[u8]) -> Result<BatchAnswer> {
+/// Decode a submit reply into its [`SubAnswer`]: the payload bytes go
+/// from the receive buffer into column vectors. Error replies surface as
+/// the [`DiscoError`] they carry, exactly like `Response::into_result`.
+pub fn decode_answer_batch(payload: &[u8]) -> Result<SubAnswer> {
     let mut r = WireReader::new(payload);
     match r.get_u8()? {
         1 => {
-            let answer = BatchAnswer::decode(&mut r)?;
+            let answer = SubAnswer::decode(&mut r)?;
             r.expect_end()?;
             Ok(answer)
         }
@@ -1347,20 +1345,21 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_reject_malformed() {
-        use disco_common::Batch;
+        use disco_common::Tuple;
 
         let tuples = vec![
             Tuple::new(vec![Value::Long(1), Value::Long(2)]),
             Tuple::new(vec![Value::Long(3), Value::Null]),
         ];
-        let chunk = Frame::Chunk(BatchAnswer {
+        let batch = Batch::from_tuples(2, &tuples);
+        let chunk = Frame::Chunk(SubAnswer {
             schema: schema(),
-            batch: Batch::from_tuples(2, &tuples),
+            batch: batch.clone(),
             stats: ExecStats::default(),
         });
-        // Rows encoded as they stand are the columnar chunk's bytes.
+        // A chunk of every row is the whole chunk's bytes.
         assert_eq!(
-            Frame::chunk_bytes(&schema(), &tuples),
+            Frame::chunk_bytes(&schema(), &batch, 0..batch.len()),
             chunk.to_wire_bytes()
         );
         let end = Frame::End(ExecStats {

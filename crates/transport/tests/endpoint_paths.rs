@@ -111,7 +111,9 @@ fn open_stream(
         opts: SubmitOptions::default(),
     };
     let pending = client.begin_stream(vec![target], chunk_rows)?;
-    client.finish_stream(pending, None, 0).map(|out| out.stream)
+    client
+        .finish_stream(pending, None, &mut 0)
+        .map(|out| out.stream)
 }
 
 /// One step of the script: what was sent, and everything that came back.
@@ -271,7 +273,7 @@ fn a_panicking_wrapper_is_an_error_reply_on_either_path() {
 
         // …and the endpoint is still there for the next query.
         let out = client.submit("s", &below("s", 9)).unwrap();
-        assert_eq!(out.answer.tuples.len(), 9, "{path}");
+        assert_eq!(out.answer.batch.len(), 9, "{path}");
         let mut stream = open_stream(&client, below("s", 9), 4).unwrap();
         let mut rows = 0;
         while let Some(chunk) = stream.next_chunk().unwrap() {

@@ -76,10 +76,10 @@ fn open(
     client: &TransportClient,
     targets: Vec<HedgeTarget>,
     straggler_ms: Option<f64>,
-    hedge_allowance: u32,
+    mut hedge_allowance: u32,
 ) -> Result<HedgedStreamOutcome> {
     let pending = client.begin_stream(targets, CHUNK_ROWS)?;
-    client.finish_stream(pending, straggler_ms, hedge_allowance)
+    client.finish_stream(pending, straggler_ms, &mut hedge_allowance)
 }
 
 /// Rows the winning stream delivers when drained to its end frame.

@@ -1,17 +1,18 @@
 //! Property tests for the transport wire format: encode → decode is the
 //! identity for values, schemas, subanswers, and plans over the whole
 //! value domain (any `i64`, any normal `f64`, any Unicode text), and
-//! arbitrary byte soup never panics the decoders. Seeded loops on
+//! arbitrary byte soup never panics the decoders, and a chunk encoded
+//! from columns is the row encoding byte for byte. Seeded loops on
 //! `disco_common::rng`, deterministic per seed; `wire_roundtrip.rs` adds
 //! typed rows, registrations and corrupted valid streams.
 
 use disco_algebra::{CompareOp, LogicalPlan, PlanBuilder};
 use disco_common::rng::{seeded, StdRng};
 use disco_common::wire::{WireDecode, WireEncode, WireReader, WireWriter};
-use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Tuple, Value};
+use disco_common::{AttributeDef, Batch, DataType, QualifiedName, Schema, Tuple, Value};
 use disco_sources::{ExecStats, SubAnswer};
 use disco_transport::wire::{decode_plan, encode_plan};
-use disco_transport::{Request, Response};
+use disco_transport::{Frame, Request, Response};
 
 const CASES: usize = 256;
 
@@ -74,18 +75,12 @@ fn any_schema(rng: &mut StdRng) -> Schema {
 
 fn any_subanswer(rng: &mut StdRng) -> SubAnswer {
     let schema = any_schema(rng);
-    let tuples = (0..rng.gen_range(0..12usize))
-        .map(|_| {
-            Tuple::new(
-                (0..rng.gen_range(0..6usize))
-                    .map(|_| any_value(rng))
-                    .collect(),
-            )
-        })
+    let tuples: Vec<Tuple> = (0..rng.gen_range(0..12usize))
+        .map(|_| Tuple::new((0..schema.arity()).map(|_| any_value(rng)).collect()))
         .collect();
     SubAnswer {
+        batch: Batch::from_tuples(schema.arity(), &tuples),
         schema,
-        tuples,
         stats: ExecStats {
             elapsed_ms: rng.gen_range(0.0..1.0e6),
             time_first_ms: rng.gen_range(0.0..1.0e5),
@@ -94,6 +89,46 @@ fn any_subanswer(rng: &mut StdRng) -> SubAnswer {
             objects_scanned: rng.next_u64() >> 32,
         },
     }
+}
+
+/// One cell of a column kind: 0 long, 1 double (NaNs of both signs,
+/// both zeroes), 2 bool, 3 string from a small dictionary, 4 any of
+/// those; in a nullable column, one in five is null.
+fn column_cell(rng: &mut StdRng, kind: usize, nullable: bool) -> Value {
+    if nullable && rng.gen_range(0..5usize) == 0 {
+        return Value::Null;
+    }
+    match kind {
+        0 => Value::Long(rng.next_u64() as i64 >> rng.gen_range(0..64u64)),
+        1 => [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::from_bits(rng.next_u64()),
+        ][rng.gen_range(0..5usize)]
+        .into(),
+        2 => Value::Bool(rng.gen_range(0..2usize) == 1),
+        3 => Value::Str(["", "a", "ß", "日本", "a|b"][rng.gen_range(0..5usize)].into()),
+        _ => {
+            let kind = rng.gen_range(0..4usize);
+            column_cell(rng, kind, nullable)
+        }
+    }
+}
+
+/// The row encoding of a chunk frame, one tuple at a time: the
+/// reference the column encoder must reproduce.
+fn row_chunk_bytes(schema: &Schema, rows: &[Tuple]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u8(0);
+    schema.encode(&mut w);
+    ExecStats::default().encode(&mut w);
+    w.put_len(rows.len());
+    for t in rows {
+        t.encode(&mut w);
+    }
+    w.into_bytes()
 }
 
 /// A structurally random plan of at most `depth` operator levels.
@@ -180,6 +215,50 @@ fn responses_round_trip() {
             resp,
             Response::from_wire_bytes(&resp.to_wire_bytes()).unwrap()
         );
+    });
+}
+
+/// A chunk frame written from a batch's columns is the row encoder's
+/// bytes for the same rows, for every row range, and the cells' widths
+/// add up as the rows' do. Columns with and without nulls, so both the
+/// per-cell and the fixed-width stride paths are held.
+#[test]
+fn chunk_bytes_are_the_row_encoding() {
+    for_cases("column-encoder", |rng| {
+        let kinds: Vec<(usize, bool)> = (0..rng.gen_range(0..5usize))
+            .map(|_| (rng.gen_range(0..5usize), rng.gen_range(0..2usize) == 0))
+            .collect();
+        let schema = Schema::new(
+            (0..kinds.len())
+                .map(|i| AttributeDef::new(format!("c{i}"), DataType::Str))
+                .collect(),
+        );
+        let rows: Vec<Tuple> = (0..rng.gen_range(0..40usize))
+            .map(|_| {
+                let cells = kinds
+                    .iter()
+                    .map(|&(k, nullable)| column_cell(rng, k, nullable));
+                Tuple::new(cells.collect())
+            })
+            .collect();
+        let batch = Batch::from_tuples(kinds.len(), &rows);
+        for _ in 0..4 {
+            let from = rng.gen_range(0..=rows.len());
+            let until = rng.gen_range(from..=rows.len());
+            assert_eq!(
+                Frame::chunk_bytes(&schema, &batch, from..until),
+                row_chunk_bytes(&schema, &rows[from..until]),
+                "kinds {kinds:?} rows {from}..{until}"
+            );
+        }
+        let cells: u64 = batch
+            .columns()
+            .iter()
+            .flat_map(|c| (0..c.len()).map(|row| c.value_ref(row).width()))
+            .sum();
+        let tuples: u64 = rows.iter().map(Tuple::width).sum();
+        assert_eq!(cells, tuples, "kinds {kinds:?}");
+        assert_eq!(batch.byte_width(), tuples, "kinds {kinds:?}");
     });
 }
 

@@ -9,7 +9,7 @@
 use disco_algebra::{AggFunc, CompareOp, LogicalPlan, PlanBuilder};
 use disco_common::rng::StdRng;
 use disco_common::wire::{WireDecode, WireEncode, WireReader, WireWriter};
-use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Tuple, Value};
+use disco_common::{AttributeDef, Batch, DataType, QualifiedName, Schema, Tuple, Value};
 use disco_sources::{ExecStats, SubAnswer};
 use disco_transport::wire::{decode_plan, encode_plan};
 use disco_transport::{Request, Response};
@@ -110,8 +110,8 @@ fn rand_subanswer(rng: &mut StdRng) -> SubAnswer {
         .map(|_| Tuple::new(types.iter().map(|t| rand_value(rng, *t)).collect()))
         .collect();
     SubAnswer {
+        batch: Batch::from_tuples(schema.arity(), &tuples),
         schema,
-        tuples,
         stats: ExecStats {
             elapsed_ms: rng.gen_range(0.0..1.0e4),
             time_first_ms: rng.gen_range(0.0..1.0e3),

@@ -267,7 +267,7 @@ mod tests {
         let direct = w
             .execute(&scan().select("Id", CompareOp::Lt, 10i64).build())
             .unwrap();
-        assert_eq!(direct.tuples.len(), 10);
+        assert_eq!(direct.batch.len(), 10);
         let submitted = w
             .execute(
                 &scan()
@@ -276,7 +276,7 @@ mod tests {
                     .build(),
             )
             .unwrap();
-        assert_eq!(submitted.tuples.len(), 10);
+        assert_eq!(submitted.batch.len(), 10);
         // Misrouted submit is rejected.
         let wrong = w.execute(&scan().submit("elsewhere").build());
         assert!(wrong.is_err());

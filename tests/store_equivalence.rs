@@ -193,8 +193,8 @@ fn disk_engine_answers_are_byte_identical_to_the_simulated_engine() {
                 "seed {seed}, query `{label}`: schemas diverge"
             );
             assert_eq!(
-                tuple_bytes(&sim.tuples),
-                tuple_bytes(&disk.tuples),
+                tuple_bytes(&sim.batch.to_tuples()),
+                tuple_bytes(&disk.batch.to_tuples()),
                 "seed {seed}, query `{label}`: answers diverge"
             );
             // Identical placement, cold pools on both sides: the real
@@ -227,7 +227,10 @@ fn warm_disk_answers_match_cold_answers() {
     pair.disk.clear_cache().unwrap();
     let cold = pair.disk.execute(&plan).unwrap();
     let warm = pair.disk.execute(&plan).unwrap();
-    assert_eq!(tuple_bytes(&cold.tuples), tuple_bytes(&warm.tuples));
+    assert_eq!(
+        tuple_bytes(&cold.batch.to_tuples()),
+        tuple_bytes(&warm.batch.to_tuples())
+    );
     assert!(cold.stats.pages_read > 0);
     assert_eq!(warm.stats.pages_read, 0, "everything resident second time");
     assert!(warm.stats.buffer_hits > 0);
