@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use disco_common::{DiscoError, Result, Schema, Tuple, Value};
+use disco_common::{DiscoError, Result, Schema, Tuple, Value, ValueRef};
 
 /// Aggregate functions of the paper's aggregate operator (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,17 +102,29 @@ impl ScalarExpr {
     /// Arithmetic is numeric: non-numeric operands are an [`DiscoError::Exec`]
     /// error, as is division by zero.
     pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<Value> {
+        self.eval_cells(schema, &|i| {
+            tuple.get(i).map_or(ValueRef::Null, ValueRef::from_value)
+        })
+    }
+
+    /// [`Self::eval`] over a row read cell by cell: `cell(i)` is the row's
+    /// value of attribute `i`, so a columnar row needs no [`Tuple`].
+    pub fn eval_cells<'a>(
+        &self,
+        schema: &Schema,
+        cell: &dyn Fn(usize) -> ValueRef<'a>,
+    ) -> Result<Value> {
         match self {
             ScalarExpr::Attr(name) => {
                 let idx = schema
                     .index_of(name)
                     .ok_or_else(|| DiscoError::Exec(format!("unknown attribute `{name}`")))?;
-                Ok(tuple.get(idx).cloned().unwrap_or(Value::Null))
+                Ok(cell(idx).to_value())
             }
             ScalarExpr::Const(v) => Ok(v.clone()),
             ScalarExpr::Binary { op, left, right } => {
-                let l = left.eval(schema, tuple)?;
-                let r = right.eval(schema, tuple)?;
+                let l = left.eval_cells(schema, cell)?;
+                let r = right.eval_cells(schema, cell)?;
                 if l.is_null() || r.is_null() {
                     return Ok(Value::Null);
                 }

@@ -107,7 +107,7 @@ impl FromIterator<bool> for Bitmap {
 }
 
 // ---------------------------------------------------------------------------
-// Cell views: ValueRef and Key
+// Cell views: ValueRef
 // ---------------------------------------------------------------------------
 
 /// A borrowed view of one cell — what [`Value`] is to a row, `ValueRef`
@@ -210,17 +210,6 @@ impl<'a> ValueRef<'a> {
             ValueRef::Str(s) => s.len() as u64,
         }
     }
-
-    /// Normalized equality key (`None` for `Null`) — see [`Key`].
-    pub fn key(self) -> Option<Key<'a>> {
-        match self {
-            ValueRef::Null => None,
-            ValueRef::Bool(b) => Some(Key::Bool(b)),
-            ValueRef::Long(n) => Some(Key::num(n as f64)),
-            ValueRef::Double(d) => Some(Key::num(d)),
-            ValueRef::Str(s) => Some(Key::Str(s)),
-        }
-    }
 }
 
 /// The same text as [`Value`]'s `Display`, which formats through this.
@@ -233,28 +222,6 @@ impl std::fmt::Display for ValueRef<'_> {
             ValueRef::Double(v) => write!(f, "{v}"),
             ValueRef::Str(s) => write!(f, "\"{s}\""),
         }
-    }
-}
-
-/// A hashable equality key over cell values: numbers collapse across
-/// `Long`/`Double` through their `f64` bits (with `-0.0` normalized to
-/// `0.0`, and `NaN`s equal when their bits are), and `Null` has no key.
-/// Composite keys are vectors of `Key`s, so no string content can make
-/// two of them collide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Key<'a> {
-    /// Normalized `f64` bit pattern of a number.
-    Num(u64),
-    Bool(bool),
-    Str(&'a str),
-}
-
-impl Key<'_> {
-    /// Key for a numeric value, collapsing `-0.0` into `0.0` so the two
-    /// zeroes join and group together, as they do in the row operators.
-    pub fn num(f: f64) -> Self {
-        let f = if f == 0.0 { 0.0 } else { f };
-        Key::Num(f.to_bits())
     }
 }
 
@@ -365,11 +332,6 @@ impl Column {
     /// Owned cell at `row`.
     pub fn value(&self, row: usize) -> Value {
         self.value_ref(row).to_value()
-    }
-
-    /// Equality key of the cell at `row` (`None` for null).
-    pub fn key_at(&self, row: usize) -> Option<Key<'_>> {
-        self.value_ref(row).key()
     }
 
     /// Gather the rows named by `sel` (in order) into a new column.
@@ -1158,14 +1120,6 @@ mod tests {
             vec![Tuple::new(vec![Value::Long(1), Value::Str("z".into())])]
         );
         assert!(l.hstack(&Batch::empty(1)).is_err());
-    }
-
-    #[test]
-    fn keys_collapse_long_and_double() {
-        assert_eq!(ValueRef::Long(2).key(), ValueRef::Double(2.0).key());
-        assert_eq!(ValueRef::Double(0.0).key(), ValueRef::Double(-0.0).key());
-        assert_eq!(ValueRef::Null.key(), None);
-        assert_ne!(ValueRef::Str("1").key(), ValueRef::Long(1).key());
     }
 
     #[test]

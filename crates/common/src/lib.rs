@@ -30,7 +30,7 @@ pub mod tuple;
 pub mod value;
 pub mod wire;
 
-pub use batch::{Batch, Bitmap, Column, ColumnBuilder, ColumnData, Key, ValueRef};
+pub use batch::{Batch, Bitmap, Column, ColumnBuilder, ColumnData, ValueRef};
 pub use error::{DiscoError, Result};
 pub use health::{HealthPolicy, HealthSnapshot, HealthTracker};
 pub use schema::{AttributeDef, QualifiedName, Schema, WrapperId};

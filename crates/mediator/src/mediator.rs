@@ -21,9 +21,6 @@ use crate::optimizer::{Objective, OptimizedPlan, Optimizer, OptimizerOptions};
 pub struct MediatorOptions {
     /// Record executed subqueries as query-scope rules (§4.3.1).
     pub record_history: bool,
-    /// Abandon estimation of plans worse than the current best (§4.3.2).
-    /// On by default.
-    pub pruning: bool,
     /// Tolerate transport-connected wrappers that stay down past the
     /// retry budget: their submits contribute empty subanswers and the
     /// affected collections are reported in the trace, instead of the
@@ -55,7 +52,6 @@ impl Default for MediatorOptions {
     fn default() -> Self {
         MediatorOptions {
             record_history: false,
-            pruning: true,
             partial_answers: true,
             resilience: ResiliencePolicy::default(),
             chunk_rows: None,
@@ -139,18 +135,15 @@ impl Mediator {
         &self.options
     }
 
-    /// An optimizer over the current catalog/registry with this
-    /// mediator's options and health tracker applied (the same one
+    /// An optimizer over the current catalog/registry with the default
+    /// options and this mediator's health tracker applied (the same one
     /// [`Self::plan`] uses for single-branch statements). The default
     /// `TotalTime` objective; callers planning a `LIMIT` query chain
     /// [`Optimizer::with_objective`] to rank by `TimeFirst` instead.
     pub(crate) fn optimizer(&self) -> Optimizer<'_> {
-        let opts = OptimizerOptions {
-            pruning: self.options.pruning,
-            ..Default::default()
-        };
         let mut optimizer =
-            Optimizer::new(&self.catalog, &self.registry, opts).with_health(Some(&self.health));
+            Optimizer::new(&self.catalog, &self.registry, OptimizerOptions::default())
+                .with_health(Some(&self.health));
         if let Some(t) = &self.tracer {
             optimizer = optimizer.with_tracer(t.clone());
         }

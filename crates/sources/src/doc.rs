@@ -4,8 +4,9 @@
 //! the wrapper exposes them to the mediator through a *flattening
 //! boundary*: each collection declares a set of path expressions
 //! ([`DocField`]) that project the documents onto a flat relational
-//! schema at the `Scan` boundary — straight into columns — after which
-//! the ordinary operator kernels (the mediator's own) apply unchanged.
+//! schema — straight into columns, once, when the collection is added —
+//! and every `Scan` shares those columns, after which the ordinary
+//! operator kernels (the mediator's own) apply unchanged.
 //! Three path semantics cover the paper-adjacent predicate classes:
 //!
 //! * `Scalar` — `a.b.c = k`: the value at the path, `Null` when any
@@ -150,12 +151,14 @@ impl DocField {
     }
 }
 
-/// One document collection with its flattening declaration.
+/// One document collection with its flattening declaration, and the
+/// columns its documents flattened into once, when it was added.
 #[derive(Debug, Clone)]
 struct DocCollection {
     name: String,
     fields: Vec<DocField>,
-    docs: Vec<DocValue>,
+    doc_count: usize,
+    flat: Batch,
 }
 
 impl DocCollection {
@@ -173,55 +176,52 @@ impl DocCollection {
     fn nav_depth(&self) -> usize {
         self.fields.iter().map(DocField::depth).sum()
     }
+}
 
-    /// Flatten every document through the declared paths, straight
-    /// into one column per path.
-    fn flatten(&self) -> Batch {
-        let mut columns: Vec<ColumnBuilder> =
-            self.fields.iter().map(|_| ColumnBuilder::new()).collect();
-        let mut push = |row: &[ValueRef<'_>]| {
-            for (column, &v) in columns.iter_mut().zip(row) {
-                column.push_ref(v);
-            }
-        };
-        let unnest = self
-            .fields
+/// Flatten every document through the declared paths, straight into
+/// one column per path.
+fn flatten(fields: &[DocField], docs: &[DocValue]) -> Batch {
+    let mut columns: Vec<ColumnBuilder> = fields.iter().map(|_| ColumnBuilder::new()).collect();
+    let mut push = |row: &[ValueRef<'_>]| {
+        for (column, &v) in columns.iter_mut().zip(row) {
+            column.push_ref(v);
+        }
+    };
+    let unnest = fields
+        .iter()
+        .position(|f| matches!(f.kind, PathKind::Unnest(_)));
+    for doc in docs {
+        let mut row: Vec<ValueRef<'_>> = fields
             .iter()
-            .position(|f| matches!(f.kind, PathKind::Unnest(_)));
-        for doc in &self.docs {
-            let mut row: Vec<ValueRef<'_>> = self
-                .fields
-                .iter()
-                .map(|f| match &f.kind {
-                    PathKind::Scalar(_) => {
-                        navigate(doc, &f.path).map_or(ValueRef::Null, DocValue::scalar)
-                    }
-                    PathKind::Exists => ValueRef::Bool(!matches!(
-                        navigate(doc, &f.path),
-                        None | Some(DocValue::Null)
-                    )),
-                    // Placeholder; replaced per element below.
-                    PathKind::Unnest(_) => ValueRef::Null,
-                })
-                .collect();
-            match unnest {
-                None => push(&row),
-                Some(u) => {
-                    // One row per array element; no array (or an empty
-                    // one) contributes no rows.
-                    let Some(DocValue::Array(items)) = navigate(doc, &self.fields[u].path) else {
-                        continue;
-                    };
-                    for item in items {
-                        row[u] = item.scalar();
-                        push(&row);
-                    }
+            .map(|f| match &f.kind {
+                PathKind::Scalar(_) => {
+                    navigate(doc, &f.path).map_or(ValueRef::Null, DocValue::scalar)
+                }
+                PathKind::Exists => ValueRef::Bool(!matches!(
+                    navigate(doc, &f.path),
+                    None | Some(DocValue::Null)
+                )),
+                // Placeholder; replaced per element below.
+                PathKind::Unnest(_) => ValueRef::Null,
+            })
+            .collect();
+        match unnest {
+            None => push(&row),
+            Some(u) => {
+                // One row per array element; no array (or an empty
+                // one) contributes no rows.
+                let Some(DocValue::Array(items)) = navigate(doc, &fields[u].path) else {
+                    continue;
+                };
+                for item in items {
+                    row[u] = item.scalar();
+                    push(&row);
                 }
             }
         }
-        let columns = columns.into_iter().map(|c| Arc::new(c.finish())).collect();
-        Batch::from_columns(columns).expect("every row fills every column")
     }
+    let columns = columns.into_iter().map(|c| Arc::new(c.finish())).collect();
+    Batch::from_columns(columns).expect("every row fills every column")
 }
 
 /// Descend a dotted path through object fields. Arrays and scalars met
@@ -303,7 +303,13 @@ impl DocSource {
                 "duplicate document collection `{name}`"
             )));
         }
-        self.collections.push(DocCollection { name, fields, docs });
+        let flat = flatten(&fields, &docs);
+        self.collections.push(DocCollection {
+            name,
+            fields,
+            doc_count: docs.len(),
+            flat,
+        });
         Ok(())
     }
 
@@ -363,8 +369,8 @@ impl Leaves for DocLeaves<'_> {
         if std::mem::replace(&mut self.opened, true) {
             clock.charge(p.overhead_ms);
         }
-        clock.charge(c.docs.len() as f64 * c.nav_depth() as f64 * p.cpu_scan_ms);
-        Ok((c.flatten(), c.docs.len() as u64))
+        clock.charge(c.doc_count as f64 * c.nav_depth() as f64 * p.cpu_scan_ms);
+        Ok((c.flat.clone(), c.doc_count as u64))
     }
 
     fn fetch(&mut self, _: &str, rid: Infallible, _: &mut VirtualClock) -> Result<()> {
@@ -391,7 +397,7 @@ impl DataSource for DocSource {
 
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
         let c = self.collection(collection).ok()?;
-        let batch = c.flatten();
+        let batch = &c.flat;
         let n = batch.len() as u64;
         let total = batch.byte_width();
         let extent = ExtentStats {
@@ -403,7 +409,7 @@ impl DataSource for DocSource {
         Some(walk::attribute_stats(
             extent,
             &c.schema(),
-            &batch,
+            batch,
             |_| false,
             None,
         ))

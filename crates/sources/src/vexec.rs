@@ -15,22 +15,23 @@
 //!   string, and boolean columns, then gathers once;
 //! * **project** re-slices attribute columns (an `Arc` clone per
 //!   column), computing only constant and arithmetic columns;
-//! * **hash join** builds on the key column (hashing normalized keys,
-//!   not formatted strings) into a table that owns its keys
-//!   ([`HashJoinBuild`]: built once, probed per chunk) and emits row-id
-//!   pairs, gathering output columns instead of cloning rows;
-//! * **aggregate / dedup** group on structured `Key` vectors, so no
-//!   string content can merge two groups;
+//! * **hash join, dedup and aggregate** group rows through one key
+//!   table, sized once from the row count: a dense group id per distinct
+//!   key, keys compared cell against cell. The join chains each key's
+//!   build rows ([`HashJoinBuild`]: built once, probed per chunk) and
+//!   gathers output columns by row-id pairs; dedup keeps the rows that
+//!   open a group; aggregate feeds one run of accumulators per group;
 //! * **sort** permutes row ids and gathers once.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use disco_algebra::logical::AggExpr;
 use disco_algebra::{AggFunc, CompareOp, JoinPredicate, Predicate, ScalarExpr, SelectPredicate};
 use disco_common::{
-    AttributeDef, Batch, Column, ColumnBuilder, ColumnData, DataType, DiscoError, Key, Result,
-    Schema, Value, ValueRef,
+    AttributeDef, Batch, Column, ColumnBuilder, ColumnData, DataType, DiscoError, Result, Schema,
+    Value, ValueRef,
 };
 
 /// Record one operator's output in the global metrics registry
@@ -47,20 +48,7 @@ fn observe(op: &str, rows: usize) {
 /// Mirror of [`CompareOp::eval`] on borrowed cell views: nulls fail,
 /// cross-family comparisons fail, numbers compare across `Long`/`Double`.
 fn cmp_ref(op: CompareOp, a: ValueRef<'_>, b: ValueRef<'_>) -> bool {
-    if a.is_null() || b.is_null() {
-        return false;
-    }
-    match a.partial_cmp_ref(b) {
-        Some(ord) => match op {
-            CompareOp::Eq => ord.is_eq(),
-            CompareOp::Ne => ord.is_ne(),
-            CompareOp::Lt => ord.is_lt(),
-            CompareOp::Le => ord.is_le(),
-            CompareOp::Gt => ord.is_gt(),
-            CompareOp::Ge => ord.is_ge(),
-        },
-        None => false,
-    }
+    !a.is_null() && !b.is_null() && a.partial_cmp_ref(b).is_some_and(|ord| cmp_ord(op, ord))
 }
 
 fn cmp_ord(op: CompareOp, ord: std::cmp::Ordering) -> bool {
@@ -164,9 +152,9 @@ pub fn filter(schema: &Schema, batch: &Batch, pred: &Predicate) -> Result<Batch>
 /// Project a batch to named expressions.
 ///
 /// Attribute columns are `Arc` re-slices; constant columns are built
-/// once; arithmetic columns evaluate [`ScalarExpr`] per row against a
-/// materialized scratch tuple so the semantics (including error cases)
-/// match the row reference exactly.
+/// once; arithmetic columns evaluate [`ScalarExpr::eval_cells`] per row
+/// straight from the batch's cells, so the semantics (including error
+/// cases) match the row reference exactly.
 pub fn project(
     schema: &Schema,
     batch: &Batch,
@@ -202,10 +190,10 @@ pub fn project(
         let mut builders: Vec<ColumnBuilder> =
             scalar_cols.iter().map(|_| ColumnBuilder::new()).collect();
         for row in 0..batch.len() {
-            // One scratch tuple serves every arithmetic column of the row.
-            let t = batch.tuple_at(row);
+            // Row-major, as the row reference evaluates: the same first error.
+            let cell = |i: usize| batch.value_ref(row, i);
             for ((_, e), b) in scalar_cols.iter().zip(builders.iter_mut()) {
-                b.push_value(e.eval(schema, &t)?);
+                b.push_value(e.eval_cells(schema, &cell)?);
             }
         }
         for ((pos, _), b) in scalar_cols.iter().zip(builders) {
@@ -237,102 +225,126 @@ pub fn project_schema(schema: &Schema, columns: &[(String, ScalarExpr)]) -> Sche
     Schema::new(attrs)
 }
 
-/// Key column view used by the joins: precomputes dictionary keys so
-/// hashing a dictionary column touches only codes.
-fn keys_of(col: &Column) -> Vec<Option<Key<'_>>> {
-    match col.data() {
-        ColumnData::Str { dict, codes } => {
-            let per_code: Vec<Key<'_>> = dict.iter().map(|s| Key::Str(s.as_str())).collect();
-            codes
-                .iter()
-                .enumerate()
-                .map(|(row, &c)| {
-                    if col.is_valid(row) {
-                        Some(per_code[c as usize])
-                    } else {
-                        None
-                    }
-                })
-                .collect()
+const NONE: u32 = u32::MAX;
+
+/// One key column as the [`KeyTable`] hashes it. A dictionary column's
+/// strings are hashed once per code, unless the dictionary outnumbers
+/// the rows (a gathered slice of a large collection).
+struct KeyCol {
+    col: Arc<Column>,
+    code_hashes: Vec<u64>,
+}
+
+impl KeyCol {
+    /// The word a row's hash is taken over: a number's [`num_word`], a
+    /// boolean, or a string's own hash. Words of different families may
+    /// collide; [`same_key`] tells them apart.
+    fn word(&self, row: usize, state: &RandomState) -> u64 {
+        match (self.col.value_ref(row), self.col.data()) {
+            (ValueRef::Null, _) => 0,
+            (ValueRef::Bool(b), _) => b as u64,
+            (ValueRef::Str(_), ColumnData::Str { codes, .. }) if !self.code_hashes.is_empty() => {
+                self.code_hashes[codes[row] as usize]
+            }
+            (ValueRef::Str(s), _) => state.hash_one(s),
+            (v, _) => num_word(v.as_f64().expect("a number")),
         }
-        ColumnData::Long(data) => data
-            .iter()
-            .enumerate()
-            .map(|(row, &n)| {
-                if col.is_valid(row) {
-                    Some(Key::num(n as f64))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        ColumnData::Double(data) => data
-            .iter()
-            .enumerate()
-            .map(|(row, &d)| {
-                if col.is_valid(row) {
-                    Some(Key::num(d))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        _ => (0..col.len()).map(|row| col.key_at(row)).collect(),
     }
 }
 
-/// Owned counterpart of [`Key`] for a hash table that outlives the
-/// batch it was read from: strings are interned by the build side, so a
-/// probe string the build never saw has no key at all.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum JoinKey {
-    Num(u64),
-    Bool(bool),
-    Str(u32),
+/// Numbers key by their `f64` bits with `-0.0` folded into `0.0`:
+/// `Long(2)` meets `Double(2.0)`, and a NaN meets the NaNs of its bits.
+fn num_word(f: f64) -> u64 {
+    if f == 0.0 {
+        0
+    } else {
+        f.to_bits()
+    }
 }
 
-/// Call `f(row, key)` for every non-null row of `col`, in row order.
-/// `intern` maps a string to its id on the build side (`None` on the
-/// probe side means "cannot match", and the row is skipped). Dictionary
-/// columns resolve each distinct string once.
-fn for_each_join_key(
-    col: &Column,
-    mut intern: impl FnMut(&str) -> Option<u32>,
-    mut f: impl FnMut(u32, JoinKey),
-) {
-    let mut owned = |k: Key<'_>| match k {
-        Key::Num(n) => Some(JoinKey::Num(n)),
-        Key::Bool(b) => Some(JoinKey::Bool(b)),
-        Key::Str(s) => intern(s).map(JoinKey::Str),
-    };
-    let mut emit = |row: usize, k: Option<JoinKey>| {
-        if let Some(k) = k.filter(|_| col.is_valid(row)) {
-            f(row as u32, k);
+/// Key equality of two cells on normalized values: numbers across
+/// `Long`/`Double` by [`num_word`], strings by content whatever
+/// dictionary holds them, and `Null` equal to `Null` only.
+fn same_key(a: ValueRef<'_>, b: ValueRef<'_>) -> bool {
+    match (a, b) {
+        (ValueRef::Null, ValueRef::Null) => true,
+        (ValueRef::Bool(x), ValueRef::Bool(y)) => x == y,
+        (ValueRef::Str(x), ValueRef::Str(y)) => x == y,
+        _ => matches!((a.as_f64(), b.as_f64()), (Some(x), Some(y)) if num_word(x) == num_word(y)),
+    }
+}
+
+/// The one hash table of the kernels: rows grouped by the key of one or
+/// more columns, each group a dense id in order of first appearance.
+/// Sized once from the row count and never grown: `head` chains each
+/// bucket's groups through `next`, and `reps` holds the row that opened
+/// each group, which lookups compare against. Each table seeds its own
+/// hash, as wrapper data chooses the keys.
+struct KeyTable {
+    state: RandomState,
+    head: Vec<u32>,
+    next: Vec<u32>,
+    reps: Vec<u32>,
+}
+
+impl KeyTable {
+    /// A table for at most `rows` groups.
+    fn new(rows: usize) -> Self {
+        KeyTable {
+            state: RandomState::new(),
+            head: vec![NONE; rows.max(1).next_power_of_two()],
+            next: Vec::with_capacity(rows),
+            reps: Vec::with_capacity(rows),
         }
-    };
-    match col.data() {
-        ColumnData::Str { dict, codes } => {
-            let per_code: Vec<Option<JoinKey>> =
-                dict.iter().map(|s| owned(Key::Str(s.as_str()))).collect();
-            for (row, &c) in codes.iter().enumerate() {
-                emit(row, per_code[c as usize]);
+    }
+
+    /// View `col` for hashing with this table's seed.
+    fn key_col(&self, col: &Arc<Column>) -> KeyCol {
+        let code_hashes = match col.data() {
+            ColumnData::Str { dict, .. } if dict.len() <= col.len() => dict
+                .iter()
+                .map(|s| self.state.hash_one(s.as_str()))
+                .collect(),
+            _ => Vec::new(),
+        };
+        KeyCol {
+            col: Arc::clone(col),
+            code_hashes,
+        }
+    }
+
+    /// The bucket `row`'s key hashes to, and the group in it whose key
+    /// equals `keys` at `row` (`NONE` if none does), compared against the
+    /// representative rows of `owner`, the key columns the table was built on.
+    fn find(&self, keys: &[KeyCol], row: usize, owner: &[KeyCol]) -> (usize, u32) {
+        let mut h = self.state.build_hasher();
+        for k in keys {
+            h.write_u64(k.word(row, &self.state));
+        }
+        let bucket = h.finish() as usize & (self.head.len() - 1);
+        let mut g = self.head[bucket];
+        while g != NONE {
+            let rep = self.reps[g as usize] as usize;
+            let mut pairs = keys.iter().zip(owner);
+            if pairs.all(|(k, o)| same_key(k.col.value_ref(row), o.col.value_ref(rep))) {
+                break;
             }
+            g = self.next[g as usize];
         }
-        ColumnData::Long(data) => {
-            for (row, &n) in data.iter().enumerate() {
-                emit(row, owned(Key::num(n as f64)));
-            }
+        (bucket, g)
+    }
+
+    /// The group of `row`, opening a new one if its key is new.
+    fn group(&mut self, keys: &[KeyCol], row: usize) -> u32 {
+        let (bucket, g) = self.find(keys, row, keys);
+        if g != NONE {
+            return g;
         }
-        ColumnData::Double(data) => {
-            for (row, &d) in data.iter().enumerate() {
-                emit(row, owned(Key::num(d)));
-            }
-        }
-        _ => {
-            for row in 0..col.len() {
-                emit(row, col.key_at(row).and_then(&mut owned));
-            }
-        }
+        let g = self.reps.len() as u32;
+        self.reps.push(row as u32);
+        self.next.push(self.head[bucket]);
+        self.head[bucket] = g;
+        g
     }
 }
 
@@ -350,16 +362,20 @@ thread_local! {
 }
 
 /// The build half of a hash equi-join: the build (right) side's rows
-/// hashed once on the join key, probed any number of times.
+/// grouped by join key once, probed any number of times.
 pub struct HashJoinBuild {
     right: Batch,
     left_attr: String,
-    table: HashMap<JoinKey, Vec<u32>>,
-    strings: HashMap<String, u32>,
+    table: KeyTable,
+    key: [KeyCol; 1],
+    /// Build row → the next build row of its key, in insertion order;
+    /// each key's chain starts at its group's representative.
+    next_row: Vec<u32>,
 }
 
 impl HashJoinBuild {
-    /// Hash `right` on the predicate's right attribute.
+    /// Group `right` on the predicate's right attribute; null keys join
+    /// nothing and stay out of the table.
     pub fn new(right_schema: &Schema, right: Batch, pred: &JoinPredicate) -> Result<Self> {
         if pred.op != CompareOp::Eq {
             return Err(DiscoError::Exec(format!(
@@ -367,28 +383,26 @@ impl HashJoinBuild {
                 pred.op
             )));
         }
-        let ri = join_attr(right_schema, &pred.right_attr)?;
-        let mut strings: HashMap<String, u32> = HashMap::new();
-        let mut table: HashMap<JoinKey, Vec<u32>> = HashMap::new();
-        for_each_join_key(
-            right.column(ri),
-            |s| {
-                if let Some(&id) = strings.get(s) {
-                    return Some(id);
-                }
-                let id = strings.len() as u32;
-                strings.insert(s.to_string(), id);
-                Some(id)
-            },
-            |row, k| table.entry(k).or_default().push(row),
-        );
+        let col = right.column(join_attr(right_schema, &pred.right_attr)?);
+        let mut table = KeyTable::new(right.len());
+        let key = [table.key_col(col)];
+        let mut next_row = vec![NONE; right.len()];
+        // Last row first: an earlier row of a known key becomes its
+        // group's representative and heads the chain.
+        for row in (0..right.len()).rev().filter(|&row| col.is_valid(row)) {
+            let g = table.group(&key, row) as usize;
+            if table.reps[g] != row as u32 {
+                next_row[row] = std::mem::replace(&mut table.reps[g], row as u32);
+            }
+        }
         #[cfg(test)]
         HASH_BUILDS.with(|c| c.set(c.get() + 1));
         Ok(HashJoinBuild {
             right,
             left_attr: pred.left_attr.clone(),
             table,
-            strings,
+            key,
+            next_row,
         })
     }
 
@@ -397,20 +411,23 @@ impl HashJoinBuild {
     /// build insertion order inner.
     pub fn probe(&self, left_schema: &Schema, left: &Batch) -> Result<Batch> {
         let li = join_attr(left_schema, &self.left_attr)?;
+        let col = left.column(li);
+        let keys = [self.table.key_col(col)];
         let mut lids: Vec<u32> = Vec::new();
         let mut rids: Vec<u32> = Vec::new();
-        for_each_join_key(
-            left.column(li),
-            |s| self.strings.get(s).copied(),
-            |row, k| {
-                if let Some(matches) = self.table.get(&k) {
-                    for &r in matches {
-                        lids.push(row);
-                        rids.push(r);
-                    }
-                }
-            },
-        );
+        for row in 0..left.len() {
+            // A null key equals no build key: the build left nulls out.
+            let (_, g) = self.table.find(&keys, row, &self.key);
+            if g == NONE {
+                continue;
+            }
+            let mut r = self.table.reps[g as usize];
+            while r != NONE {
+                lids.push(row as u32);
+                rids.push(r);
+                r = self.next_row[r as usize];
+            }
+        }
         observe("hash_join", lids.len());
         left.take(&lids).hstack(&self.right.take(&rids))
     }
@@ -454,19 +471,16 @@ pub fn nested_loop_join(
     left.take(&lids).hstack(&right.take(&rids))
 }
 
-/// Duplicate elimination, first occurrence wins.
+/// Duplicate elimination, first occurrence wins: the rows that open a
+/// group of the whole row's key.
 pub fn dedup(batch: &Batch) -> Batch {
-    let per_col: Vec<Vec<Option<Key<'_>>>> = batch.columns().iter().map(|c| keys_of(c)).collect();
-    let mut seen: HashMap<Vec<Option<Key<'_>>>, ()> = HashMap::new();
-    let mut sel: Vec<u32> = Vec::new();
+    let mut table = KeyTable::new(batch.len());
+    let keys: Vec<KeyCol> = batch.columns().iter().map(|c| table.key_col(c)).collect();
     for row in 0..batch.len() {
-        let key: Vec<Option<Key<'_>>> = per_col.iter().map(|c| c[row]).collect();
-        if seen.insert(key, ()).is_none() {
-            sel.push(row as u32);
-        }
+        table.group(&keys, row);
     }
-    observe("dedup", sel.len());
-    batch.take(&sel)
+    observe("dedup", table.reps.len());
+    batch.take(&table.reps)
 }
 
 /// Stable multi-key sort via a row-id permutation.
@@ -514,38 +528,31 @@ pub fn aggregate(
                 .ok_or_else(|| DiscoError::Exec(format!("unknown group-by attribute `{g}`")))
         })
         .collect::<Result<_>>()?;
-    let agg_idx: Vec<Option<usize>> = aggs
+    let agg_cols: Vec<Option<&Column>> = aggs
         .iter()
         .map(|a| match &a.arg {
             Some(arg) => schema
                 .index_of(arg)
-                .map(Some)
+                .map(|i| Some(&**batch.column(i)))
                 .ok_or_else(|| DiscoError::Exec(format!("unknown aggregate argument `{arg}`"))),
             None => Ok(None),
         })
         .collect::<Result<_>>()?;
 
-    // Same accumulator as the row reference, fed from borrowed cell views.
-    #[derive(Clone)]
+    // The row reference's accumulator, keeping its extremes as row ids.
+    #[derive(Clone, Default)]
     struct Acc {
         count: u64,
-        sum: f64,
-        min: Option<Value>,
-        max: Option<Value>,
         non_null: u64,
+        sum: f64,
+        min: Option<usize>,
+        max: Option<usize>,
     }
     impl Acc {
-        fn new() -> Self {
-            Acc {
-                count: 0,
-                sum: 0.0,
-                min: None,
-                max: None,
-                non_null: 0,
-            }
-        }
-        fn feed(&mut self, v: ValueRef<'_>) {
+        fn feed(&mut self, col: Option<&Column>, row: usize) {
             self.count += 1;
+            let Some(col) = col else { return };
+            let v = col.value_ref(row);
             if v.is_null() {
                 return;
             }
@@ -553,102 +560,72 @@ pub fn aggregate(
             if let Some(f) = v.as_f64() {
                 self.sum += f;
             }
-            let better_min = self
+            if self
                 .min
-                .as_ref()
-                .map(|m| v.total_cmp_ref(ValueRef::from_value(m)).is_lt())
-                .unwrap_or(true);
-            if better_min {
-                self.min = Some(v.to_value());
+                .is_none_or(|m| v.total_cmp_ref(col.value_ref(m)).is_lt())
+            {
+                self.min = Some(row);
             }
-            let better_max = self
+            if self
                 .max
-                .as_ref()
-                .map(|m| v.total_cmp_ref(ValueRef::from_value(m)).is_gt())
-                .unwrap_or(true);
-            if better_max {
-                self.max = Some(v.to_value());
+                .is_none_or(|m| v.total_cmp_ref(col.value_ref(m)).is_gt())
+            {
+                self.max = Some(row);
             }
         }
     }
 
-    let group_keys: Vec<Vec<Option<Key<'_>>>> = group_idx
+    // A global aggregate is one group, however many rows feed it.
+    let mut table = KeyTable::new(if group_idx.is_empty() { 1 } else { batch.len() });
+    let keys: Vec<KeyCol> = group_idx
         .iter()
-        .map(|&i| keys_of(batch.column(i)))
+        .map(|&i| table.key_col(batch.column(i)))
         .collect();
-    let mut groups: HashMap<Vec<Option<Key<'_>>>, usize> = HashMap::new();
-    // Per group: representative key row id + accumulators.
-    let mut reps: Vec<u32> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
+    // Group g's accumulators are `accs[g * aggs.len()..][..aggs.len()]`.
+    let mut accs: Vec<Acc> = Vec::new();
     for row in 0..batch.len() {
-        let key: Vec<Option<Key<'_>>> = group_keys.iter().map(|c| c[row]).collect();
-        let gid = *groups.entry(key).or_insert_with(|| {
-            reps.push(row as u32);
-            accs.push(vec![Acc::new(); aggs.len()]);
-            accs.len() - 1
-        });
-        for (acc, idx) in accs[gid].iter_mut().zip(&agg_idx) {
-            if let Some(i) = idx {
-                acc.feed(batch.value_ref(row, *i));
-            } else {
-                acc.count += 1;
-            }
+        let g = table.group(&keys, row) as usize;
+        accs.resize(table.reps.len() * aggs.len(), Acc::default());
+        for (acc, col) in accs[g * aggs.len()..].iter_mut().zip(&agg_cols) {
+            acc.feed(*col, row);
         }
     }
-    let arity = group_by.len() + aggs.len();
-    if reps.is_empty() && group_by.is_empty() {
-        // A global aggregate over an empty input still yields one row.
-        let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
-        for (a, b) in aggs.iter().zip(builders.iter_mut()) {
-            match a.func {
-                AggFunc::Count => b.push_long(0),
-                _ => b.push_null(),
-            }
-        }
-        observe("aggregate", 1);
-        return Batch::from_columns(builders.into_iter().map(|b| Arc::new(b.finish())).collect());
-    }
-    let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
-    for (gid, &rep) in reps.iter().enumerate() {
+    // A global aggregate yields one row, over an empty input too.
+    let groups = if group_by.is_empty() {
+        1
+    } else {
+        table.reps.len()
+    };
+    accs.resize(groups * aggs.len(), Acc::default());
+    let mut builders: Vec<ColumnBuilder> = (0..group_by.len() + aggs.len())
+        .map(|_| ColumnBuilder::new())
+        .collect();
+    for g in 0..groups {
         for (pos, &i) in group_idx.iter().enumerate() {
-            builders[pos].push_ref(batch.value_ref(rep as usize, i));
+            builders[pos].push_ref(batch.value_ref(table.reps[g] as usize, i));
         }
-        for ((acc, a), b) in accs[gid]
+        let cells = aggs.iter().zip(&agg_cols);
+        for ((acc, (a, col)), b) in accs[g * aggs.len()..]
             .iter()
-            .zip(aggs)
+            .zip(cells)
             .zip(builders[group_by.len()..].iter_mut())
         {
+            let extreme = |row: Option<usize>| {
+                row.zip(*col)
+                    .map_or(ValueRef::Null, |(r, c)| c.value_ref(r))
+            };
             match a.func {
-                AggFunc::Count => b.push_long(match a.arg {
-                    Some(_) => acc.non_null as i64,
-                    None => acc.count as i64,
-                }),
-                AggFunc::Sum => {
-                    if acc.non_null == 0 {
-                        b.push_null()
-                    } else {
-                        b.push_double(acc.sum)
-                    }
-                }
-                AggFunc::Avg => {
-                    if acc.non_null == 0 {
-                        b.push_null()
-                    } else {
-                        b.push_double(acc.sum / acc.non_null as f64)
-                    }
-                }
-                AggFunc::Min => match &acc.min {
-                    Some(v) => b.push_ref(ValueRef::from_value(v)),
-                    None => b.push_null(),
-                },
-                AggFunc::Max => match &acc.max {
-                    Some(v) => b.push_ref(ValueRef::from_value(v)),
-                    None => b.push_null(),
-                },
+                AggFunc::Count if a.arg.is_some() => b.push_long(acc.non_null as i64),
+                AggFunc::Count => b.push_long(acc.count as i64),
+                AggFunc::Sum | AggFunc::Avg if acc.non_null == 0 => b.push_null(),
+                AggFunc::Sum => b.push_double(acc.sum),
+                AggFunc::Avg => b.push_double(acc.sum / acc.non_null as f64),
+                AggFunc::Min => b.push_ref(extreme(acc.min)),
+                AggFunc::Max => b.push_ref(extreme(acc.max)),
             }
         }
     }
-    observe("aggregate", reps.len());
+    observe("aggregate", groups);
     Batch::from_columns(builders.into_iter().map(|b| Arc::new(b.finish())).collect())
 }
 
@@ -805,6 +782,23 @@ mod tests {
         let col = dedup(&Batch::from_tuples(1, &tuples));
         assert_eq!(col.to_tuples(), row);
         assert_eq!(col.len(), 2);
+    }
+
+    #[test]
+    fn keys_collapse_long_and_double() {
+        // 1 meets 1.0 and -0.0 meets 0.0, nulls are one key, and the
+        // string "1" is not the number 1.
+        let mut cells: Vec<Value> = [1, 2, 1].map(Value::Long).into();
+        cells.extend([1.0, 0.0, -0.0].map(Value::Double));
+        cells.extend([Value::Null, Value::Null, Value::Str("1".into())]);
+        let tuples: Vec<Tuple> = cells.into_iter().map(|v| Tuple::new(vec![v])).collect();
+        let row = exec::dedup(&tuples);
+        let col = dedup(&Batch::from_tuples(1, &tuples));
+        assert_eq!(col.to_tuples(), row);
+        assert_eq!(col.len(), 5);
+        // NaNs are one key when their bits are.
+        let nans = [f64::NAN, f64::NAN, -f64::NAN].map(|d| Tuple::new(vec![Value::Double(d)]));
+        assert_eq!(dedup(&Batch::from_tuples(1, &nans)).len(), 2);
     }
 
     #[test]

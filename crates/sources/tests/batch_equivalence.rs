@@ -4,6 +4,7 @@
 //! `support/exec.rs`, across random schemas, random data with nulls and
 //! mixed types, and random operator parameters.
 
+use disco_algebra::expr::ArithOp;
 use disco_algebra::logical::AggExpr;
 use disco_algebra::{AggFunc, CompareOp, JoinPredicate, Predicate, ScalarExpr, SelectPredicate};
 use disco_common::rng::{seeded, StdRng};
@@ -43,16 +44,30 @@ const KINDS: [ColKind; 5] = [
     ColKind::Mixed,
 ];
 
+/// Doubles whose bits matter: both zeroes, which keys fold together,
+/// and NaNs of both signs and two payloads, which keys tell apart by
+/// their bits, as the row reference does.
+const ODD_DOUBLES: [f64; 5] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7ff8_0000_0000_0001),
+];
+
 fn random_value(rng: &mut StdRng, kind: ColKind) -> Value {
     if rng.gen_range(0..8i64) == 0 {
         return Value::Null;
     }
     match kind {
         ColKind::Long => Value::Long(rng.gen_range(-20..20i64)),
-        ColKind::Double => {
-            // Small integral range so cross-typed equality joins hit.
-            Value::Double(rng.gen_range(-20..20i64) as f64 / 2.0)
-        }
+        ColKind::Double => match rng.gen_range(0..8usize) {
+            0 => Value::Double(ODD_DOUBLES[rng.gen_range(0..ODD_DOUBLES.len())]),
+            // The same range as `Long`, so a Long and a Double of one
+            // number meet in joins, groups and dedup.
+            1 | 2 => Value::Double(rng.gen_range(-20..20i64) as f64),
+            _ => Value::Double(rng.gen_range(-20..20i64) as f64 / 2.0),
+        },
         ColKind::Bool => Value::Bool(rng.gen_range(0..2i64) == 1),
         ColKind::Str => Value::Str(STRS[rng.gen_range(0..STRS.len())].into()),
         ColKind::Mixed => {
@@ -60,6 +75,29 @@ fn random_value(rng: &mut StdRng, kind: ColKind) -> Value {
             random_value(rng, k)
         }
     }
+}
+
+/// A cell compared by its bits, so that a NaN equals itself and `-0.0`
+/// differs from `0.0`: the kernels must return exactly the row
+/// reference's values.
+#[derive(Debug, PartialEq)]
+enum Cell {
+    Double(u64),
+    Other(Value),
+}
+
+fn cells(rows: &[Tuple]) -> Vec<Vec<Cell>> {
+    rows.iter()
+        .map(|t| {
+            t.values()
+                .iter()
+                .map(|v| match v {
+                    Value::Double(d) => Cell::Double(d.to_bits()),
+                    v => Cell::Other(v.clone()),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 struct Case {
@@ -95,6 +133,29 @@ fn case_of(rng: &mut StdRng, prefix: &str, kinds: Vec<ColKind>, rows: usize) -> 
     }
 }
 
+/// `case` with about a third of its strings replaced by strings only
+/// this side holds (tagged with its attribute prefix), so a join's build
+/// and probe dictionaries each hold strings the other lacks.
+fn own_strings(case: Case, rng: &mut StdRng) -> Case {
+    let tag = &case.schema.attributes()[0].name[..1];
+    let tuples: Vec<Tuple> = case
+        .tuples
+        .iter()
+        .map(|t| {
+            let own = |v: &Value| match v {
+                Value::Str(s) if rng.gen_range(0..3i64) == 0 => Value::Str(format!("{s}.{tag}")),
+                v => v.clone(),
+            };
+            Tuple::new(t.values().iter().map(own).collect())
+        })
+        .collect();
+    Case {
+        batch: Batch::from_tuples(case.schema.arity(), &tuples),
+        tuples,
+        ..case
+    }
+}
+
 fn attr(case: &Case, rng: &mut StdRng) -> (String, usize) {
     let i = rng.gen_range(0..case.schema.arity());
     (case.schema.attributes()[i].name.clone(), i)
@@ -116,7 +177,11 @@ fn tuple_batch_round_trip() {
     for seed in 0..SEEDS {
         let mut rng = seeded(seed, "batch-roundtrip");
         let case = random_case(&mut rng, "a");
-        assert_eq!(case.batch.to_tuples(), case.tuples, "seed {seed}");
+        assert_eq!(
+            cells(&case.batch.to_tuples()),
+            cells(&case.tuples),
+            "seed {seed}"
+        );
         assert_eq!(case.batch.len(), case.tuples.len());
     }
 }
@@ -150,7 +215,7 @@ fn wire_round_trip_matches_row_decode() {
             .collect();
         r.expect_end().unwrap();
         let batch = SubAnswer::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(batch.batch.to_tuples(), rows, "seed {seed}");
+        assert_eq!(cells(&batch.batch.to_tuples()), cells(&rows), "seed {seed}");
         assert_eq!(batch.to_wire_bytes(), bytes, "seed {seed}");
     }
 }
@@ -173,7 +238,11 @@ fn filter_equivalence() {
         let pred = Predicate::all(conjuncts);
         let rows = exec::filter(&case.schema, &case.tuples, &pred).unwrap();
         let batch = vexec::filter(&case.schema, &case.batch, &pred).unwrap();
-        assert_eq!(batch.to_tuples(), rows, "seed {seed} pred {pred}");
+        assert_eq!(
+            cells(&batch.to_tuples()),
+            cells(&rows),
+            "seed {seed} pred {pred}"
+        );
 
         // A wider all-`Mixed` table, one conjunct on its middle column,
         // the right-hand side of any kind whatever the column holds.
@@ -186,7 +255,29 @@ fn filter_equivalence() {
         )]);
         let rows = exec::filter(&case.schema, &case.tuples, &pred).unwrap();
         let batch = vexec::filter(&case.schema, &case.batch, &pred).unwrap();
-        assert_eq!(batch.to_tuples(), rows, "seed {seed} pred {pred}");
+        assert_eq!(
+            cells(&batch.to_tuples()),
+            cells(&rows),
+            "seed {seed} pred {pred}"
+        );
+    }
+}
+
+/// A random arithmetic expression over `case`'s attributes and
+/// constants, nested at most `depth` deep. Operands may be strings,
+/// booleans or nulls, and divisors zero, so evaluation can fail.
+fn random_arith(rng: &mut StdRng, case: &Case, depth: usize) -> ScalarExpr {
+    let operand = |rng: &mut StdRng| match rng.gen_range(0..6usize) {
+        0 if depth > 0 => random_arith(rng, case, depth - 1),
+        1 => ScalarExpr::Const(Value::Long(0)),
+        2 => ScalarExpr::Const(random_value(rng, ColKind::Mixed)),
+        _ => ScalarExpr::attr(attr(case, rng).0),
+    };
+    let op = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div][rng.gen_range(0..4usize)];
+    ScalarExpr::Binary {
+        op,
+        left: Box::new(operand(rng)),
+        right: Box::new(operand(rng)),
     }
 }
 
@@ -197,21 +288,26 @@ fn project_equivalence() {
         let case = random_case(&mut rng, "a");
         let columns: Vec<(String, ScalarExpr)> = (0..rng.gen_range(1..4usize))
             .map(|o| {
-                if rng.gen_range(0..4i64) == 0 {
-                    (
-                        format!("c{o}"),
-                        ScalarExpr::Const(random_value(&mut rng, ColKind::Mixed)),
-                    )
-                } else {
-                    let (name, _) = attr(&case, &mut rng);
-                    (format!("c{o}"), ScalarExpr::attr(name))
-                }
+                let e = match rng.gen_range(0..8i64) {
+                    0 | 1 => ScalarExpr::Const(random_value(&mut rng, ColKind::Mixed)),
+                    2..=4 => random_arith(&mut rng, &case, 1),
+                    _ => ScalarExpr::attr(attr(&case, &mut rng).0),
+                };
+                (format!("c{o}"), e)
             })
             .collect();
-        let (rs, rows) = exec::project(&case.schema, &case.tuples, &columns).unwrap();
-        let (bs, batch) = vexec::project(&case.schema, &case.batch, &columns).unwrap();
-        assert_eq!(bs, rs, "seed {seed}");
-        assert_eq!(batch.to_tuples(), rows, "seed {seed}");
+        // The same rows, or the same first error.
+        match (
+            exec::project(&case.schema, &case.tuples, &columns),
+            vexec::project(&case.schema, &case.batch, &columns),
+        ) {
+            (Ok((rs, rows)), Ok((bs, batch))) => {
+                assert_eq!(bs, rs, "seed {seed}");
+                assert_eq!(cells(&batch.to_tuples()), cells(&rows), "seed {seed}");
+            }
+            (Err(r), Err(b)) => assert_eq!(b.to_string(), r.to_string(), "seed {seed}"),
+            (r, b) => panic!("seed {seed}: row {r:?}, batch {b:?}"),
+        }
     }
 }
 
@@ -219,8 +315,8 @@ fn project_equivalence() {
 fn join_equivalence() {
     for seed in 0..SEEDS {
         let mut rng = seeded(seed, "batch-join");
-        let left = random_case(&mut rng, "l");
-        let right = random_case(&mut rng, "r");
+        let left = own_strings(random_case(&mut rng, "l"), &mut rng);
+        let right = own_strings(random_case(&mut rng, "r"), &mut rng);
         let (ln, _) = attr(&left, &mut rng);
         let (rn, _) = attr(&right, &mut rng);
         let pred = JoinPredicate::equi(ln.clone(), rn.clone());
@@ -240,7 +336,11 @@ fn join_equivalence() {
             &pred,
         )
         .unwrap();
-        assert_eq!(batch.to_tuples(), rows, "seed {seed} hash {pred}");
+        assert_eq!(
+            cells(&batch.to_tuples()),
+            cells(&rows),
+            "seed {seed} hash {pred}"
+        );
 
         // Nested loop with a random (possibly non-equality) operator.
         let pred = JoinPredicate {
@@ -264,7 +364,11 @@ fn join_equivalence() {
             &pred,
         )
         .unwrap();
-        assert_eq!(batch.to_tuples(), rows, "seed {seed} nl {pred}");
+        assert_eq!(
+            cells(&batch.to_tuples()),
+            cells(&rows),
+            "seed {seed} nl {pred}"
+        );
     }
 }
 
@@ -275,7 +379,11 @@ fn dedup_sort_union_equivalence() {
         let case = random_case(&mut rng, "a");
 
         let rows = exec::dedup(&case.tuples);
-        assert_eq!(vexec::dedup(&case.batch).to_tuples(), rows, "seed {seed}");
+        assert_eq!(
+            cells(&vexec::dedup(&case.batch).to_tuples()),
+            cells(&rows),
+            "seed {seed}"
+        );
 
         let keys: Vec<(String, bool)> = (0..rng.gen_range(1..3usize))
             .map(|_| {
@@ -286,7 +394,11 @@ fn dedup_sort_union_equivalence() {
         let mut rows = case.tuples.clone();
         exec::sort(&case.schema, &mut rows, &keys).unwrap();
         let batch = vexec::sort(&case.schema, &case.batch, &keys).unwrap();
-        assert_eq!(batch.to_tuples(), rows, "seed {seed} keys {keys:?}");
+        assert_eq!(
+            cells(&batch.to_tuples()),
+            cells(&rows),
+            "seed {seed} keys {keys:?}"
+        );
 
         // Union with a second batch of the same arity.
         let mut other_rng = seeded(seed, "batch-misc-other");
@@ -297,7 +409,7 @@ fn dedup_sort_union_equivalence() {
         let mut rows = case.tuples.clone();
         rows.extend(other.tuples.clone());
         let batch = vexec::union(&case.batch, &other.batch).unwrap();
-        assert_eq!(batch.to_tuples(), rows, "seed {seed}");
+        assert_eq!(cells(&batch.to_tuples()), cells(&rows), "seed {seed}");
     }
 }
 
@@ -335,8 +447,8 @@ fn aggregate_equivalence() {
         let rows = exec::aggregate(&case.schema, &case.tuples, &group_by, &aggs).unwrap();
         let batch = vexec::aggregate(&case.schema, &case.batch, &group_by, &aggs).unwrap();
         assert_eq!(
-            batch.to_tuples(),
-            rows,
+            cells(&batch.to_tuples()),
+            cells(&rows),
             "seed {seed} group_by {group_by:?} aggs {aggs:?}"
         );
     }
