@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use disco_algebra::{CompareOp, LogicalPlan};
 use disco_catalog::{CollectionStats, ExtentStats};
-use disco_common::{Batch, Result, Schema, Tuple, Value};
+use disco_common::{Batch, ColumnBuilder, Result, Schema, Value};
 use disco_store::{DiskStore, PoolCounters, Rid, StoreSession};
 
 use crate::clock::{CostProfile, VirtualClock};
@@ -88,8 +88,9 @@ impl StoreSource {
 struct DiskLeaves<'a> {
     session: StoreSession<'a>,
     profile: &'a CostProfile,
-    /// Rows fetched since the last gather, as the heap decoded them.
-    fetched: Vec<Tuple>,
+    /// Rows fetched since the last gather, decoded straight into one
+    /// builder per attribute; empty when nothing is staged.
+    fetched: Vec<ColumnBuilder>,
 }
 
 impl DiskLeaves<'_> {
@@ -100,6 +101,18 @@ impl DiskLeaves<'_> {
             .collection(collection)?
             .schema()
             .arity())
+    }
+
+    /// Builders for the rows of `collection` about to be fetched, room
+    /// for `rows` of them reserved, unless some are staged already.
+    fn stage(&mut self, collection: &str, rows: usize) -> Result<()> {
+        if self.fetched.is_empty() {
+            let arity = self.arity(collection)?;
+            self.fetched = (0..arity)
+                .map(|_| ColumnBuilder::with_capacity(rows))
+                .collect();
+        }
+        Ok(())
     }
 }
 
@@ -134,17 +147,22 @@ impl Leaves for DiskLeaves<'_> {
         op: CompareOp,
         value: &Value,
     ) -> Result<Option<Vec<Rid>>> {
-        self.session.index_rids(collection, attr, op, value)
+        let rids = self.session.index_rids(collection, attr, op, value)?;
+        if let Some(rids) = &rids {
+            self.stage(collection, rids.len())?;
+        }
+        Ok(rids)
     }
 
     fn fetch(&mut self, collection: &str, rid: Rid, _clock: &mut VirtualClock) -> Result<()> {
-        self.fetched.push(self.session.fetch(collection, rid)?);
-        Ok(())
+        self.stage(collection, 0)?;
+        self.session.fetch_into(collection, rid, &mut self.fetched)
     }
 
     fn gather(&mut self, collection: &str) -> Result<Batch> {
-        let rows = std::mem::take(&mut self.fetched);
-        Ok(Batch::from_tuples(self.arity(collection)?, &rows))
+        self.stage(collection, 0)?;
+        let columns = std::mem::take(&mut self.fetched);
+        Batch::from_columns(columns.into_iter().map(|b| Arc::new(b.finish())).collect())
     }
 
     fn settle(&mut self, clock: &mut VirtualClock) -> PoolCounters {

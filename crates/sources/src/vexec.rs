@@ -240,6 +240,9 @@ impl KeyCol {
     /// boolean, or a string's own hash. Words of different families may
     /// collide; [`same_key`] tells them apart.
     fn word(&self, row: usize, state: &RandomState) -> u64 {
+        if let Some(f) = self.number(row) {
+            return num_word(f);
+        }
         match (self.col.value_ref(row), self.col.data()) {
             (ValueRef::Null, _) => 0,
             (ValueRef::Bool(b), _) => b as u64,
@@ -250,11 +253,30 @@ impl KeyCol {
             (v, _) => num_word(v.as_f64().expect("a number")),
         }
     }
+
+    /// The cell at `row` read straight from `Long` or `Double` storage;
+    /// `None` for a null or any other storage.
+    fn number(&self, row: usize) -> Option<f64> {
+        match self.col.data() {
+            ColumnData::Long(v) if self.col.is_valid(row) => Some(v[row] as f64),
+            ColumnData::Double(v) if self.col.is_valid(row) => Some(v[row]),
+            _ => None,
+        }
+    }
+
+    /// Whether the key at `row` equals `other`'s key at `at`, by
+    /// [`same_key`]; two numeric cells compare without a `ValueRef`.
+    fn same_as(&self, row: usize, other: &KeyCol, at: usize) -> bool {
+        match (self.number(row), other.number(at)) {
+            (Some(x), Some(y)) => num_word(x) == num_word(y),
+            _ => same_key(self.col.value_ref(row), other.col.value_ref(at)),
+        }
+    }
 }
 
 /// Numbers key by their `f64` bits with `-0.0` folded into `0.0`:
 /// `Long(2)` meets `Double(2.0)`, and a NaN meets the NaNs of its bits.
-fn num_word(f: f64) -> u64 {
+pub(crate) fn num_word(f: f64) -> u64 {
     if f == 0.0 {
         0
     } else {
@@ -326,7 +348,7 @@ impl KeyTable {
         while g != NONE {
             let rep = self.reps[g as usize] as usize;
             let mut pairs = keys.iter().zip(owner);
-            if pairs.all(|(k, o)| same_key(k.col.value_ref(row), o.col.value_ref(rep))) {
+            if pairs.all(|(k, o)| k.same_as(row, o, rep)) {
                 break;
             }
             g = self.next[g as usize];

@@ -13,8 +13,6 @@
 //! additions is part of the contract: committed virtual-clock numbers
 //! are reproduced bit for bit.
 
-use std::fmt::Write;
-
 use disco_algebra::{CompareOp, LogicalPlan};
 use disco_catalog::{AttributeStats, CollectionStats, ExtentStats, Histogram};
 use disco_common::{Batch, DiscoError, Result, Schema, Value, ValueRef};
@@ -269,6 +267,31 @@ pub(crate) fn answer<L: Leaves>(
     })
 }
 
+/// A non-null cell as the kernels' key tables key it: numbers by
+/// [`vexec::num_word`] (`Long(2)` is `Double(2.0)`, `-0.0` is `0.0`, a
+/// NaN is the NaNs of its bits), booleans by value and strings by
+/// content, each family apart from the others. Two cells are one key
+/// exactly when `vexec`'s `same_key` says so; the order only brings
+/// equal keys together.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum CellKey<'a> {
+    Bool(bool),
+    Number(u64),
+    Str(&'a str),
+}
+
+impl<'a> CellKey<'a> {
+    fn of(v: ValueRef<'a>) -> Option<CellKey<'a>> {
+        match v {
+            ValueRef::Null => None,
+            ValueRef::Bool(b) => Some(CellKey::Bool(b)),
+            ValueRef::Str(s) => Some(CellKey::Str(s)),
+            ValueRef::Long(n) => Some(CellKey::Number(vexec::num_word(n as f64))),
+            ValueRef::Double(d) => Some(CellKey::Number(vexec::num_word(d))),
+        }
+    }
+}
+
 /// A collection's statistics: the source's own `extent` plus, per
 /// attribute and computed from the columns, distinct count, min, max,
 /// whether it is `indexed`, and an equi-depth histogram over numeric
@@ -287,18 +310,19 @@ pub(crate) fn attribute_stats(
         let cells =
             || (0..batch.len()).map(|row| column.map_or(ValueRef::Null, |c| c.value_ref(row)));
         let (mut min, mut max): (Option<ValueRef<'_>>, Option<ValueRef<'_>>) = (None, None);
-        // Values are distinct when their text is. Every text is written
-        // into one buffer and the spans are sorted: two allocations per
-        // attribute, freed alike in every process. A hash set of one
-        // string per row frees them in a per-process random order, and
-        // that order decides whether megabytes of freed heap go back to
-        // the OS, so the resident set would differ from run to run.
-        let mut text = String::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for v in cells().filter(|v| !v.is_null()) {
-            let start = text.len();
-            write!(text, "{v}").expect("writing to a String cannot fail");
-            spans.push((start, text.len()));
+        // Values are distinct when the kernels would key them apart:
+        // the keys are collected into one vector, sorted and counted by
+        // runs — one allocation per attribute, freed alike in every
+        // process. A hash set frees its entries in a per-process random
+        // order, and that order decides whether megabytes of freed heap
+        // go back to the OS, so the resident set would differ from run
+        // to run.
+        let mut keys: Vec<CellKey<'_>> = Vec::with_capacity(batch.len());
+        for v in cells() {
+            let Some(key) = CellKey::of(v) else {
+                continue;
+            };
+            keys.push(key);
             if min.is_none_or(|m| v.total_cmp_ref(m).is_lt()) {
                 min = Some(v);
             }
@@ -306,11 +330,10 @@ pub(crate) fn attribute_stats(
                 max = Some(v);
             }
         }
-        let span = |&(start, end): &(usize, usize)| &text[start..end];
-        spans.sort_unstable_by(|a, b| span(a).cmp(span(b)));
-        spans.dedup_by(|a, b| span(a) == span(b));
+        keys.sort_unstable();
+        keys.dedup();
         let mut a = AttributeStats::new(
-            spans.len().max(1) as u64,
+            keys.len().max(1) as u64,
             min.map_or(Value::Null, ValueRef::to_value),
             max.map_or(Value::Null, ValueRef::to_value),
         );
@@ -329,12 +352,14 @@ pub(crate) fn attribute_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec;
     use crate::source::DataSource;
     use crate::{CollectionBuilder, DocField, DocSource, DocValue, PagedStore, StoreSource};
     use disco_algebra::{AggFunc, JoinKind, JoinPredicate, PlanBuilder};
     use disco_common::rng::{self, StdRng};
     use disco_common::{AttributeDef, DataType, QualifiedName, Tuple};
     use disco_store::{DiskCollectionBuilder, DiskStoreBuilder};
+    use std::fmt::Write;
 
     /// Rows of `T(id, g = id % 7)`. In the stores they are 56-byte
     /// objects, 70 to a page, clustered on the indexed `id`: two pages,
@@ -665,7 +690,8 @@ mod tests {
     }
 
     /// The statistics pass as it read rows, before sources held columns:
-    /// the reference the column pass must equal.
+    /// the reference the column pass must equal. Distinct values are
+    /// counted as the row kernels' duplicate elimination keys them.
     fn row_attribute_stats(
         extent: ExtentStats,
         schema: &Schema,
@@ -676,12 +702,12 @@ mod tests {
         let mut stats = CollectionStats::new(extent);
         for (i, attr) in schema.attributes().iter().enumerate() {
             let (mut min, mut max): (Option<&Value>, Option<&Value>) = (None, None);
-            let mut texts: Vec<String> = Vec::new();
+            let mut cells: Vec<Tuple> = Vec::new();
             for v in tuples.iter().filter_map(|t| t.get(i)) {
                 if v.is_null() {
                     continue;
                 }
-                texts.push(v.to_string());
+                cells.push(Tuple::new(vec![v.clone()]));
                 if min.is_none_or(|m| v.total_cmp_value(m).is_lt()) {
                     min = Some(v);
                 }
@@ -689,10 +715,8 @@ mod tests {
                     max = Some(v);
                 }
             }
-            texts.sort_unstable();
-            texts.dedup();
             let mut a = AttributeStats::new(
-                texts.len().max(1) as u64,
+                exec::dedup(&cells).len().max(1) as u64,
                 min.cloned().unwrap_or(Value::Null),
                 max.cloned().unwrap_or(Value::Null),
             );
@@ -792,5 +816,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn distinct_values_are_the_groups_a_group_by_makes() {
+        // Cells the kernels key together or apart where their text does
+        // not: `-0.0` and `0.0` are one key, NaNs of two bit patterns two,
+        // `Long(2)` and `Double(2.0)` one, and `"1"` is not `1`.
+        let cells = [
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(f64::NAN),
+            Value::Double(-f64::NAN),
+            Value::Double(f64::NAN),
+            Value::Long(2),
+            Value::Double(2.0),
+            Value::Str("1".into()),
+            Value::Long(1),
+            Value::Bool(true),
+            Value::Str("true".into()),
+        ];
+        let tuples: Vec<Tuple> = cells.into_iter().map(|v| Tuple::new(vec![v])).collect();
+        let batch = Batch::from_tuples(1, &tuples);
+        let schema = Schema::new(vec![AttributeDef::new("v", DataType::Double)]);
+        let extent = ExtentStats {
+            count_object: batch.len() as u64,
+            total_size: 0,
+            object_size: 0,
+            count_page: None,
+        };
+        let stats = attribute_stats(extent, &schema, &batch, |_| false, None);
+        let groups = vexec::aggregate(&schema, &batch, &["v".to_string()], &[]).unwrap();
+        assert_eq!(groups.len(), 8);
+        assert_eq!(stats.attribute("v").count_distinct, groups.len() as u64);
     }
 }

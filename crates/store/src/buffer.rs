@@ -2,41 +2,57 @@
 //!
 //! Frames cache [`Page`]s read from a [`PageFile`]. Accessors pin a page
 //! ([`PageRef`] unpins on drop); dirty frames are written back when
-//! evicted (LRU over unpinned frames) or on [`BufferPool::flush`]. The
-//! frame table sits behind one non-reentrant mutex, so callers must never
-//! pin or allocate from *inside* a [`BufferPool::with_page_mut`] closure.
+//! evicted (LRU over unpinned frames) or on [`BufferPool::flush`]. A
+//! [`BufferPool::with_page_mut`] closure holds its page's slot lock and
+//! may hold up a flush that holds the pool lock, so it must never pin or
+//! allocate from *inside* the closure.
 //!
-//! Any number of threads may read through one pool. The mutex covers
-//! bookkeeping only — the frame table, the LRU order, the counters — and
-//! is never held across a disk read: a fault picks its victim and marks
-//! the page's slot *loading* under the lock, reads and checksums outside
-//! it, and re-locks to install the frame. A loading slot counts against
-//! capacity, is neither evictable nor dirty, and a second caller for the
-//! same page waits for it to settle instead of reading the page twice.
-//! The incoming page is read into the evicted frame's buffer, so a fault
-//! in a full pool allocates nothing. An unpin takes no lock at all: each
-//! frame carries a pin token and a [`PageRef`] holds a clone of it, so
-//! the pin count is the token's reference count.
+//! Any number of threads may read through one pool, and a hit writes
+//! nothing another page's reader reads. Each page id owns a slot: an
+//! atomic state word (empty, loading or resident, plus a pin count), an
+//! atomic LRU stamp, and the frame behind a lock of its own. A hit raises
+//! the pin count with a compare-and-swap, stamps the slot with one
+//! `fetch_add` on the pool's tick and clones the page out of the slot;
+//! an unpin lowers the pin count. Neither takes the pool lock.
 //!
-//! Page ids are dense file offsets, so the frame table is a `Vec` indexed
-//! by page id: a pin indexes it directly, nothing is hashed. Eviction is
-//! exact LRU — the victim is the unpinned frame with the smallest
-//! `last_used` tick, a pure function of the access history — found by
-//! walking an ordered `last_used → page` index of the resident frames
-//! from its old end past whatever is pinned (a handful of frames at
-//! most), instead of scanning every frame on every fault. Ticks are
-//! handed out under the mutex, so one caller alone sees the same victims
-//! and the same counters whatever other threads exist; under several
-//! callers only the interleaving of their requests differs.
+//! The pool lock covers what a fault, an allocation, a flush or a cache
+//! clear change: the ordered LRU index, the counts of faults begun and
+//! of evictions, and every transition into or out of a resident frame
+//! but the fault's install. A fault takes it once: it picks and claims
+//! its victim, marks the page's slot *loading* and indexes it under a
+//! tick taken then; it reads and checksums with the lock released, into
+//! the evicted frame's buffer, so a fault in a full pool allocates
+//! nothing; and it installs by publishing the slot's state word. A
+//! loading slot counts against capacity, is neither evictable nor dirty,
+//! and a second caller for the same page parks until it settles instead
+//! of reading the page twice; the install wakes parked callers only if
+//! one set the slot's waiter bit.
+//!
+//! Page ids are dense file offsets, so the slot table is indexed by page
+//! id: a pin indexes it directly, nothing is hashed. Eviction is exact
+//! LRU — the victim is the unpinned frame with the smallest stamp, a pure
+//! function of the access history. The index of frames, a queue of
+//! `(stamp, page)` in stamp order, is repaired lazily: a hit moves only
+//! its slot's stamp, and the evictor, walking the queue from its old
+//! end, re-files an entry whose stamp has moved and steps over pinned
+//! and loading frames, so the first
+//! unpinned frame whose key is current is the one a scan of every frame
+//! would pick. Every request takes one tick, so one caller alone sees
+//! the same victims and the same counters whatever other threads exist;
+//! under several callers only the interleaving of their requests differs.
 //!
 //! Counters distinguish data (heap) from index (B+Tree) faults so cost
 //! models can attribute I/O to the operator that caused it. They are kept
 //! twice: once per pool, and once per thread (`thread_io`) so that a
 //! session can meter its own I/O while other sessions use the same pool.
+//! The pool's hits are not counted on a shared line at all: a request is
+//! a hit, a fault begun or an allocation, so the hits are the ticks less
+//! the other two.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use disco_common::{DiscoError, Result};
 
@@ -87,220 +103,428 @@ pub(crate) fn thread_io() -> PoolCounters {
     THREAD_IO.with(Cell::get)
 }
 
-#[derive(Debug)]
+/// Count one event in the calling thread's counters.
+fn count_mine(add: impl Fn(&mut PoolCounters)) {
+    THREAD_IO.with(|io| {
+        let mut mine = io.get();
+        add(&mut mine);
+        io.set(mine);
+    });
+}
+
+// A slot's state word: the state in the low two bits, the waiter bit,
+// and the pin count above them.
+const EMPTY: u64 = 0;
+/// Reserved by a fault that is reading the page outside the pool lock.
+const LOADING: u64 = 1;
+const RESIDENT: u64 = 2;
+const STATE: u64 = 0b11;
+/// Set on a loading slot by a caller parked until it settles.
+const WAITED: u64 = 0b100;
+/// One pin.
+const PIN: u64 = 0b1000;
+
+/// What a resident frame holds.
+#[derive(Debug, Default)]
 struct Frame {
-    page: Arc<Page>,
-    /// The pin token. Every [`PageRef`] on this frame holds a clone, so
-    /// the frame is pinned while the count is above one. It is separate
-    /// from `page` because [`BufferPool::with_page_mut`] on a pinned
-    /// page replaces `page` copy-on-write, and readers of the old copy
-    /// still pin the frame.
-    pin: Arc<()>,
+    page: Option<Arc<Page>>,
     dirty: bool,
-    last_used: u64,
 }
 
-impl Frame {
-    fn new(page: Page) -> Frame {
-        Frame {
-            page: Arc::new(page),
-            pin: Arc::new(()),
-            dirty: false,
-            last_used: 0,
+/// One page id's place in the pool, on a cache line of its own so that
+/// pins of different pages share no line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Slot {
+    /// Every store that lets go of the slot — an unpin, an install, an
+    /// allocation — is `Release`, and every load that takes it — a pin,
+    /// a claim — is `Acquire`, so whoever takes the slot sees the frame
+    /// and the stamp as the last holder left them.
+    word: AtomicU64,
+    /// The tick of the last request for the page. `Relaxed`: it is
+    /// written while the slot is pinned or reserved, and read after a
+    /// claim or under the pool lock, which the state word orders.
+    stamp: AtomicU64,
+    /// Locked by a pin to clone the page, by `with_page_mut` around its
+    /// closure, by a fault's install, and under the pool lock by
+    /// eviction, flush and cache clears.
+    frame: Mutex<Frame>,
+}
+
+impl Slot {
+    fn frame(&self) -> MutexGuard<'_, Frame> {
+        // A poisoned frame is a `with_page_mut` closure that panicked:
+        // the page is as the closure left it, and marked dirty.
+        self.frame.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn state(&self) -> u64 {
+        self.word.load(Ordering::Acquire) & STATE
+    }
+
+    /// Pin the frame if it is resident, stamping it with the next tick.
+    fn try_pin(&self, tick: &AtomicU64) -> bool {
+        let mut word = self.word.load(Ordering::Acquire);
+        while word & STATE == RESIDENT {
+            match self.word.compare_exchange_weak(
+                word,
+                word + PIN,
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => {
+                    let t = tick.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.stamp.store(t, Ordering::Relaxed);
+                    count_mine(|c| c.hits += 1);
+                    return true;
+                }
+                Err(now) => word = now,
+            }
         }
+        false
     }
 
-    /// Pins are taken under the pool mutex and dropped without it, so
-    /// under the mutex `false` is final and `true` may be stale — which
-    /// only makes eviction skip a frame it could have taken.
-    fn pinned(&self) -> bool {
-        Arc::strong_count(&self.pin) > 1
+    /// Claim an unpinned resident frame for eviction: a hit racing the
+    /// claim either pins the frame first or finds the slot empty.
+    fn claim(&self) -> bool {
+        self.word
+            .compare_exchange(RESIDENT, EMPTY, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// The pinned frame's page.
+    fn page(&self) -> Arc<Page> {
+        Arc::clone(
+            self.frame()
+                .page
+                .as_ref()
+                .expect("a pinned frame is resident"),
+        )
     }
 }
 
-#[derive(Debug)]
-enum Slot {
-    Empty,
-    /// Reserved by a fault that is reading the page outside the mutex.
-    Loading,
-    Resident(Frame),
+/// Slots of the first segment of the slot table; segment `k` holds
+/// `FIRST_SEGMENT << k`, so the table grows without moving a slot.
+const FIRST_SEGMENT: u64 = 1 << 10;
+const SEGMENTS: usize = 64 - FIRST_SEGMENT.trailing_zeros() as usize;
+
+/// The slot table, indexed by page id.
+struct Slots {
+    segments: [OnceLock<Box<[Slot]>>; SEGMENTS],
 }
 
-#[derive(Debug)]
-struct State {
-    tick: u64,
-    /// Frame table, indexed by page id.
-    frames: Vec<Slot>,
-    /// `last_used → page`, one entry per resident frame. Ticks are
-    /// unique within a pool, so the keys are too.
-    lru: BTreeMap<u64, PageId>,
-    /// Slots in [`Slot::Loading`]; they count against capacity.
-    loading: usize,
-    /// Threads blocked until some loading slot settles.
-    waiting: usize,
-    counters: PoolCounters,
-}
+impl Slots {
+    /// `id`'s segment and its place there.
+    fn locate(id: PageId) -> Option<(usize, usize)> {
+        let x = id.checked_add(FIRST_SEGMENT)?;
+        let segment = x.ilog2() - FIRST_SEGMENT.trailing_zeros();
+        Some((segment as usize, (x - (FIRST_SEGMENT << segment)) as usize))
+    }
 
-#[derive(Debug)]
-struct Shared {
-    file: PageFile,
-    capacity: usize,
-    /// Poison is ignored wherever this is locked: no caller code runs
-    /// under it at query time, and every update below leaves the table,
-    /// the LRU index and the counters consistent with each other.
-    state: Mutex<State>,
-    /// Signalled when a loading slot settles while `waiting > 0`.
-    settled: Condvar,
-}
-
-impl State {
-    fn slot(&self, id: PageId) -> &Slot {
-        self.frames.get(id as usize).unwrap_or(&Slot::Empty)
+    fn get(&self, id: PageId) -> Option<&Slot> {
+        let (segment, at) = Self::locate(id)?;
+        self.segments[segment].get().map(|slots| &slots[at])
     }
 
     /// `id`'s slot, growing the table to hold it.
-    fn slot_mut(&mut self, id: PageId) -> &mut Slot {
-        let slot = id as usize;
-        if slot >= self.frames.len() {
-            self.frames.resize_with(slot + 1, || Slot::Empty);
-        }
-        &mut self.frames[slot]
-    }
-
-    fn frame(&mut self, id: PageId) -> &mut Frame {
-        match self.frames.get_mut(id as usize) {
-            Some(Slot::Resident(frame)) => frame,
-            _ => unreachable!("page {id} is resident"),
-        }
-    }
-
-    /// Count one event in the pool's counters and the calling thread's.
-    fn count(&mut self, add: impl Fn(&mut PoolCounters)) {
-        add(&mut self.counters);
-        THREAD_IO.with(|io| {
-            let mut mine = io.get();
-            add(&mut mine);
-            io.set(mine);
+    fn grow(&self, id: PageId) -> &Slot {
+        let (segment, at) = Self::locate(id).expect("page ids are file offsets");
+        let slots = self.segments[segment].get_or_init(|| {
+            std::iter::repeat_with(Slot::default)
+                .take((FIRST_SEGMENT << segment) as usize)
+                .collect()
         });
+        &slots[at]
     }
 
-    /// Put `frame` in `id`'s slot as the most recently used.
-    fn install(&mut self, id: PageId, mut frame: Frame, dirty: bool) {
-        self.tick += 1;
-        self.lru.insert(self.tick, id);
-        frame.dirty = dirty;
-        frame.last_used = self.tick;
-        *self.slot_mut(id) = Slot::Resident(frame);
+    /// The slot of a page the LRU index holds.
+    fn indexed(&self, id: PageId) -> &Slot {
+        self.get(id).expect("an indexed page has a slot")
+    }
+}
+
+/// Keeps its value on a cache line of its own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Line<T>(T);
+
+#[derive(Debug, Default)]
+struct State {
+    /// `(key, page)` in key order, one entry per resident or loading
+    /// slot, where the key is a stamp of the page's. A key may lag its
+    /// slot's stamp (hits do not re-key it); eviction repairs it. Ticks
+    /// are unique within a pool, so the keys are too. A fault's entry
+    /// goes at the back, and a repaired one near it, so an update moves
+    /// only the ends of the queue.
+    lru: VecDeque<(u64, PageId)>,
+    /// Faults begun: each took a tick, whether its read succeeded or not.
+    misses: u64,
+    allocations: u64,
+    evictions: u64,
+    writebacks: u64,
+    /// Threads parked until some loading slot settles.
+    waiting: usize,
+}
+
+impl State {
+    /// Put `page` in the index under `key`, in order; returns where.
+    fn file(&mut self, key: u64, page: PageId) -> usize {
+        let at = self
+            .lru
+            .iter()
+            .rposition(|&(k, _)| k < key)
+            .map_or(0, |before| before + 1);
+        self.lru.insert(at, (key, page));
+        at
+    }
+}
+
+struct Shared {
+    file: PageFile,
+    capacity: usize,
+    slots: Slots,
+    /// Requests so far; the last one's tick.
+    tick: Line<AtomicU64>,
+    /// Faults installed, by page kind: heap, B+Tree, other.
+    faults: Line<[AtomicU64; 3]>,
+    /// Poison is ignored wherever this is locked: no caller code runs
+    /// under it, and every update below leaves the index, the slots and
+    /// the counters consistent with each other.
+    state: Mutex<State>,
+    /// Signalled when a loading slot with its waiter bit set settles.
+    settled: Condvar,
+}
+
+/// A pin on a slot's frame, released on drop.
+struct Pinned<'p> {
+    slot: &'p Slot,
+}
+
+impl Drop for Pinned<'_> {
+    fn drop(&mut self) {
+        self.slot.word.fetch_sub(PIN, Ordering::Release);
+    }
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A hit: mark `id`'s frame most recently used.
-    fn touch(&mut self, id: PageId) {
-        self.count(|c| c.hits += 1);
-        self.tick += 1;
-        let tick = self.tick;
-        let frame = self.frame(id);
-        let before = std::mem::replace(&mut frame.last_used, tick);
-        self.lru.remove(&before);
-        self.lru.insert(tick, id);
+    fn next_tick(&self) -> u64 {
+        self.tick.0.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Pin `id`, counted as a hit or a fault and stamped most recently
+    /// used.
+    fn acquire(&self, id: PageId) -> Result<Pinned<'_>> {
+        match self.slots.get(id) {
+            Some(slot) if slot.try_pin(&self.tick.0) => Ok(Pinned { slot }),
+            _ => self.miss(id),
+        }
+    }
+
+    /// A request that found its page not resident: under the pool lock,
+    /// take it as a hit after all, wait for someone else's read of it,
+    /// or reserve its slot and read it.
+    fn miss(&self, id: PageId) -> Result<Pinned<'_>> {
+        let mut state = self.lock();
+        while let Some(slot) = self.slots.get(id) {
+            match slot.state() {
+                RESIDENT if slot.try_pin(&self.tick.0) => return Ok(Pinned { slot }),
+                // When it settles this request is a hit — or, if that
+                // read failed, ours to try.
+                LOADING => state = self.park(state, slot),
+                EMPTY => break,
+                _ => {}
+            }
+        }
+        let spare = self.reserve(&mut state, id)?;
+        drop(state);
+        self.fault(id, spare)
+    }
+
+    /// Wait until `slot` is no longer loading.
+    fn park<'a>(&'a self, mut state: MutexGuard<'a, State>, slot: &Slot) -> MutexGuard<'a, State> {
+        let mut word = slot.word.load(Ordering::Acquire);
+        while word & STATE == LOADING {
+            match slot.word.compare_exchange(
+                word,
+                word | WAITED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => {
+                    state.waiting += 1;
+                    state = self
+                        .settled
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    state.waiting -= 1;
+                    break;
+                }
+                Err(now) => word = now,
+            }
+        }
+        state
     }
 
     /// Make room for one more frame: evict the least recently used
     /// unpinned frame until resident and loading slots together are
-    /// below capacity. Returns the last frame evicted, whose buffers the
-    /// caller may reuse.
-    fn make_room(&mut self, pool: &Shared) -> Result<Option<Frame>> {
+    /// below capacity. Returns the page buffer of the last frame
+    /// evicted, for the caller to reuse.
+    fn make_room(&self, state: &mut State) -> Result<Option<Arc<Page>>> {
         let mut spare = None;
-        while self.lru.len() + self.loading >= pool.capacity {
-            let frames = &self.frames;
-            let victim = self
-                .lru
-                .iter()
-                .find(
-                    |&(_, &pid)| matches!(&frames[pid as usize], Slot::Resident(f) if !f.pinned()),
-                )
-                .map(|(&tick, &pid)| (tick, pid));
-            let Some((tick, pid)) = victim else {
+        // Entries before `at` are frames that are pinned or loading.
+        let mut at = 0;
+        while state.lru.len() >= self.capacity {
+            let Some(&(key, pid)) = state.lru.get(at) else {
                 return Err(DiscoError::Source(format!(
                     "store: buffer pool exhausted ({} frames, all pinned)",
-                    self.lru.len() + self.loading
+                    state.lru.len()
                 )));
             };
-            self.lru.remove(&tick);
-            let Slot::Resident(frame) =
-                std::mem::replace(&mut self.frames[pid as usize], Slot::Empty)
-            else {
-                unreachable!("indexed frame is resident");
-            };
-            if frame.dirty {
-                pool.file.write_page(pid, &frame.page)?;
-                self.count(|c| c.writebacks += 1);
+            let slot = self.slots.indexed(pid);
+            let stamp = slot.stamp.load(Ordering::Relaxed);
+            if stamp != key {
+                // Used since it was keyed: file it under its stamp.
+                state.lru.remove(at);
+                at = at.min(state.file(stamp, pid));
+                continue;
             }
-            self.count(|c| c.evictions += 1);
-            spare = Some(frame);
+            if !slot.claim() {
+                at += 1;
+                continue;
+            }
+            if slot.stamp.load(Ordering::Relaxed) != key {
+                // A hit came and went between the look and the claim.
+                slot.word.store(RESIDENT, Ordering::Release);
+                continue;
+            }
+            state.lru.remove(at);
+            let frame = std::mem::take(&mut *slot.frame());
+            let page = frame.page.expect("a claimed frame is resident");
+            if frame.dirty {
+                self.file.write_page(pid, &page)?;
+                state.writebacks += 1;
+                count_mine(|c| c.writebacks += 1);
+            }
+            state.evictions += 1;
+            count_mine(|c| c.evictions += 1);
+            spare = Some(page);
         }
         Ok(spare)
     }
 
-    /// First half of a fault: make room and mark `id`'s slot loading.
-    fn reserve(&mut self, pool: &Shared, id: PageId) -> Result<Option<Frame>> {
+    /// First half of a fault, under the pool lock: make room, mark
+    /// `id`'s slot loading and index it as the most recently used.
+    fn reserve(&self, state: &mut State, id: PageId) -> Result<Option<Arc<Page>>> {
         // Refused before anything is evicted or the table grows for it.
-        pool.file.check_allocated(id)?;
-        let spare = self.make_room(pool)?;
-        *self.slot_mut(id) = Slot::Loading;
-        self.loading += 1;
+        self.file.check_allocated(id)?;
+        let spare = self.make_room(state)?;
+        let slot = self.slots.grow(id);
+        let tick = self.next_tick();
+        slot.stamp.store(tick, Ordering::Relaxed);
+        state.lru.push_back((tick, id));
+        state.misses += 1;
+        slot.word.store(LOADING, Ordering::Release);
         Ok(spare)
     }
 
-    /// Second half of a fault: the read is over, so the slot reserved
-    /// for `id` becomes a frame or goes back to empty.
-    fn settle(&mut self, id: PageId, loaded: Result<Frame>) -> Result<()> {
-        self.loading -= 1;
-        let frame = match loaded {
-            Ok(frame) => frame,
+    /// The rest of a fault whose slot is reserved: read the page with
+    /// the pool lock released and publish it pinned, or, if the read
+    /// failed, empty the slot. Either way, wake whoever waits for it.
+    fn fault(&self, id: PageId, spare: Option<Arc<Page>>) -> Result<Pinned<'_>> {
+        let slot = self.slots.indexed(id);
+        let page = match self.read(id, spare) {
+            Ok(page) => page,
             Err(e) => {
-                self.frames[id as usize] = Slot::Empty;
+                let mut state = self.lock();
+                let key = slot.stamp.load(Ordering::Relaxed);
+                if let Ok(at) = state.lru.binary_search_by_key(&key, |&(k, _)| k) {
+                    state.lru.remove(at);
+                }
+                if slot.word.swap(EMPTY, Ordering::AcqRel) & WAITED != 0 {
+                    self.settled.notify_all();
+                }
                 return Err(e);
             }
         };
-        let kind = frame.page.kind();
-        self.count(|c| {
+        let kind = match page.kind() {
+            Some(PageKind::Heap) => 0,
+            Some(PageKind::BTreeLeaf) | Some(PageKind::BTreeInternal) => 1,
+            None => 2,
+        };
+        *slot.frame() = Frame {
+            page: Some(page),
+            dirty: false,
+        };
+        self.faults.0[kind].fetch_add(1, Ordering::Relaxed);
+        count_mine(|c| {
             c.faults += 1;
             match kind {
-                Some(PageKind::Heap) => c.data_faults += 1,
-                Some(PageKind::BTreeLeaf) | Some(PageKind::BTreeInternal) => c.index_faults += 1,
-                None => {}
+                0 => c.data_faults += 1,
+                1 => c.index_faults += 1,
+                _ => {}
             }
         });
-        self.install(id, frame, false);
-        Ok(())
+        if slot.word.swap(RESIDENT + PIN, Ordering::AcqRel) & WAITED != 0 {
+            let _state = self.lock();
+            self.settled.notify_all();
+        }
+        Ok(Pinned { slot })
+    }
+
+    /// Read page `id` from the file into the buffer of the frame just
+    /// evicted, if there is one.
+    fn read(&self, id: PageId, spare: Option<Arc<Page>>) -> Result<Arc<Page>> {
+        // Eviction saw the frame unpinned and a `PageRef` drops its page
+        // before its pin, so the buffer is this thread's alone — unless
+        // its view of the page's count lags its view of the pin count.
+        // Then that reader keeps the copy.
+        let mut page = spare
+            .filter(|spare| Arc::strong_count(spare) == 1)
+            .unwrap_or_else(|| Arc::new(Page::zeroed()));
+        let buffer = Arc::get_mut(&mut page).expect("no one else holds this buffer");
+        self.file.read_page_into(id, buffer)?;
+        Ok(page)
     }
 }
 
 /// A shared, thread-safe buffer pool over one page file.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct BufferPool {
     shared: Arc<Shared>,
 }
 
-/// A pinned page. Derefs to [`Page`]; the pin is released on drop, making
-/// the frame evictable again.
-pub struct PageRef {
-    id: PageId,
-    // Declared, and so dropped, before the token: once eviction sees the
-    // token unshared, no reader's clone of the page is left either, and
-    // the frame's buffer can take the next page.
-    page: Arc<Page>,
-    _pin: Arc<()>,
+impl std::fmt::Debug for BufferPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BufferPool")
+            .field("file", &self.shared.file.path())
+            .field("capacity", &self.shared.capacity)
+            .finish_non_exhaustive()
+    }
 }
 
-impl std::ops::Deref for PageRef {
+/// A pinned page. Derefs to [`Page`]; the pin is released on drop, making
+/// the frame evictable again.
+pub struct PageRef<'p> {
+    id: PageId,
+    // Declared, and so dropped, before the pin: once eviction sees the
+    // frame unpinned, no reader's clone of the page is left either, and
+    // the frame's buffer can take the next page.
+    page: Arc<Page>,
+    _pin: Pinned<'p>,
+}
+
+impl std::ops::Deref for PageRef<'_> {
     type Target = Page;
     fn deref(&self) -> &Page {
         &self.page
     }
 }
 
-impl PageRef {
+impl PageRef<'_> {
     /// The pinned page's id.
     pub fn id(&self) -> PageId {
         self.id
@@ -310,146 +534,87 @@ impl PageRef {
 impl BufferPool {
     /// Wrap `file` with room for `capacity` resident pages.
     pub fn new(file: PageFile, capacity: usize) -> BufferPool {
-        let frames = std::iter::repeat_with(|| Slot::Empty)
-            .take(file.pages() as usize)
-            .collect();
         BufferPool {
             shared: Arc::new(Shared {
                 file,
                 capacity: capacity.max(1),
-                state: Mutex::new(State {
-                    tick: 0,
-                    frames,
-                    lru: BTreeMap::new(),
-                    loading: 0,
-                    waiting: 0,
-                    counters: PoolCounters::default(),
-                }),
+                slots: Slots {
+                    segments: std::array::from_fn(|_| OnceLock::new()),
+                },
+                tick: Line::default(),
+                faults: Line::default(),
+                state: Mutex::default(),
                 settled: Condvar::new(),
             }),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Lock the pool with `id` resident: counted as a hit or a fault,
-    /// and marked most recently used.
-    fn load(&self, id: PageId) -> Result<MutexGuard<'_, State>> {
-        let mut state = self.lock();
-        loop {
-            match state.slot(id) {
-                Slot::Resident(_) => {
-                    state.touch(id);
-                    return Ok(state);
-                }
-                // Someone else's fault on the same page: when it settles
-                // this request is a hit — or, if that read failed, ours
-                // to try.
-                Slot::Loading => {
-                    state.waiting += 1;
-                    state = self
-                        .shared
-                        .settled
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state.waiting -= 1;
-                }
-                Slot::Empty => break,
-            }
-        }
-        let spare = state.reserve(&self.shared, id)?;
-        drop(state);
-        self.fault(id, spare)
-    }
-
-    /// The rest of a fault whose slot is reserved: read the page with the
-    /// mutex released, then lock again to settle the slot and wake
-    /// whoever waited for it.
-    fn fault(&self, id: PageId, spare: Option<Frame>) -> Result<MutexGuard<'_, State>> {
-        let loaded = self.read(id, spare);
-        let mut state = self.lock();
-        let settled = state.settle(id, loaded);
-        if state.waiting > 0 {
-            self.shared.settled.notify_all();
-        }
-        settled.map(|()| state)
-    }
-
-    /// Read page `id` from the file into the buffer of the frame just
-    /// evicted, if there is one.
-    fn read(&self, id: PageId, spare: Option<Frame>) -> Result<Frame> {
-        // Eviction saw the spare's pin token unshared and a `PageRef`
-        // drops its page before its token, so the buffer is this
-        // thread's alone — unless its view of the page's count lags its
-        // view of the token's. Then that reader keeps the copy.
-        let mut frame = spare
-            .filter(|spare| Arc::strong_count(&spare.page) == 1)
-            .unwrap_or_else(|| Frame::new(Page::zeroed()));
-        let page = Arc::get_mut(&mut frame.page).expect("no one else holds this buffer");
-        self.shared.file.read_page_into(id, page)?;
-        Ok(frame)
-    }
-
     /// Allocate a fresh page of `kind`. Born dirty and resident; it
     /// reaches disk on eviction or flush.
     pub fn allocate(&self, kind: PageKind) -> Result<PageId> {
-        let mut state = self.lock();
-        state.make_room(&self.shared)?;
-        let id = self.shared.file.allocate();
-        state.install(id, Frame::new(Page::new(kind)), true);
+        let pool = &*self.shared;
+        let mut state = pool.lock();
+        pool.make_room(&mut state)?;
+        let id = pool.file.allocate();
+        let slot = pool.slots.grow(id);
+        let tick = pool.next_tick();
+        slot.stamp.store(tick, Ordering::Relaxed);
+        state.lru.push_back((tick, id));
+        state.allocations += 1;
+        *slot.frame() = Frame {
+            page: Some(Arc::new(Page::new(kind))),
+            dirty: true,
+        };
+        slot.word.store(RESIDENT, Ordering::Release);
         Ok(id)
     }
 
     /// Pin a page for reading. Counts a hit or fault.
-    pub fn pin(&self, id: PageId) -> Result<PageRef> {
-        let mut state = self.load(id)?;
-        let frame = state.frame(id);
+    pub fn pin(&self, id: PageId) -> Result<PageRef<'_>> {
+        let pin = self.shared.acquire(id)?;
         Ok(PageRef {
             id,
-            page: Arc::clone(&frame.page),
-            _pin: Arc::clone(&frame.pin),
+            page: pin.slot.page(),
+            _pin: pin,
         })
     }
 
     /// Mutate a page in place, marking it dirty. Counts a hit or fault.
-    /// The closure MUST NOT call back into the pool (non-reentrant lock);
-    /// callers that need a second page (e.g. B+Tree splits) allocate it
-    /// *before* entering the closure.
+    /// The closure MUST NOT call back into the pool (a flush holding the
+    /// pool lock may be waiting for this page's slot); callers that need
+    /// a second page (e.g. B+Tree splits) allocate it *before* entering
+    /// the closure.
     pub fn with_page_mut<T>(&self, id: PageId, f: impl FnOnce(&mut Page) -> T) -> Result<T> {
-        let mut state = self.load(id)?;
-        let frame = state.frame(id);
+        let pin = self.shared.acquire(id)?;
+        let mut frame = pin.slot.frame();
         frame.dirty = true;
-        Ok(f(Arc::make_mut(&mut frame.page)))
+        let page = frame.page.as_mut().expect("a pinned frame is resident");
+        Ok(f(Arc::make_mut(page)))
     }
 
     /// Write every dirty frame back, in page order, and sync the file.
     /// A slot that is loading has nothing to write.
     pub fn flush(&self) -> Result<()> {
-        let mut state = self.lock();
+        let pool = &*self.shared;
+        let mut state = pool.lock();
         let mut written = 0;
-        let wrote = state
-            .frames
-            .iter_mut()
-            .enumerate()
-            .try_for_each(|(pid, slot)| {
-                let Slot::Resident(frame) = slot else {
-                    return Ok(());
-                };
-                if frame.dirty {
-                    self.shared.file.write_page(pid as PageId, &frame.page)?;
-                    frame.dirty = false;
-                    written += 1;
-                }
-                Ok(())
-            });
-        state.count(|c| c.writebacks += written);
+        let wrote = (0..pool.file.pages()).try_for_each(|pid| {
+            let Some(slot) = pool.slots.get(pid).filter(|s| s.state() == RESIDENT) else {
+                return Ok(());
+            };
+            let mut frame = slot.frame();
+            if frame.dirty {
+                let page = frame.page.as_ref().expect("a dirty frame is resident");
+                pool.file.write_page(pid, page)?;
+                frame.dirty = false;
+                written += 1;
+            }
+            Ok(())
+        });
+        state.writebacks += written;
+        count_mine(|c| c.writebacks += written);
         wrote?;
-        self.shared.file.sync()
+        pool.file.sync()
     }
 
     /// Flush, then drop every unpinned frame: the next access pattern
@@ -458,32 +623,72 @@ impl BufferPool {
     /// when the read that owns it settles.
     pub fn clear_cache(&self) -> Result<()> {
         self.flush()?;
-        let mut guard = self.lock();
-        let State { frames, lru, .. } = &mut *guard;
-        lru.retain(|_, &mut pid| {
-            let slot = &mut frames[pid as usize];
-            let pinned = matches!(slot, Slot::Resident(f) if f.pinned());
-            if !pinned {
-                *slot = Slot::Empty;
+        let pool = &*self.shared;
+        let mut guard = pool.lock();
+        let State {
+            lru, writebacks, ..
+        } = &mut *guard;
+        let mut failed = Ok(());
+        lru.retain(|&(_, pid)| {
+            let slot = pool.slots.indexed(pid);
+            if !slot.claim() {
+                return true;
             }
-            pinned
+            let mut frame = slot.frame();
+            // Dirtied by a writer that came between the flush and here.
+            if frame.dirty {
+                let page = frame.page.as_ref().expect("a dirty frame is resident");
+                if let Err(e) = pool.file.write_page(pid, page) {
+                    slot.word.store(RESIDENT, Ordering::Release);
+                    failed = Err(e);
+                    return true;
+                }
+                *writebacks += 1;
+                count_mine(|c| c.writebacks += 1);
+            }
+            *frame = Frame::default();
+            false
         });
-        Ok(())
+        failed
     }
 
     /// Current counter snapshot.
     pub fn counters(&self) -> PoolCounters {
-        self.lock().counters
+        let pool = &*self.shared;
+        let state = pool.lock();
+        let [data, index, other] = pool.faults.0.each_ref().map(|n| n.load(Ordering::Relaxed));
+        PoolCounters {
+            hits: pool.tick.0.load(Ordering::Relaxed) - state.misses - state.allocations,
+            faults: data + index + other,
+            data_faults: data,
+            index_faults: index,
+            evictions: state.evictions,
+            writebacks: state.writebacks,
+        }
     }
 
     /// Number of resident frames (a slot still loading is not one yet).
     pub fn resident(&self) -> usize {
-        self.lock().lru.len()
+        self.indexed_in(RESIDENT).len()
     }
 
     /// Frame capacity.
     pub fn capacity(&self) -> usize {
         self.shared.capacity
+    }
+
+    /// The indexed pages whose slots are in `state`, in page order.
+    fn indexed_in(&self, state: u64) -> Vec<PageId> {
+        let pool = &*self.shared;
+        let guard = pool.lock();
+        let mut ids: Vec<PageId> = guard
+            .lru
+            .iter()
+            .map(|&(_, pid)| pid)
+            .filter(|&pid| pool.slots.indexed(pid).state() == state)
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -618,7 +823,7 @@ mod tests {
         let before = p.counters();
         // This thread's fault on page 1, stopped where `load` releases
         // the mutex to read.
-        let spare = p.lock().reserve(&p.shared, ids[1]).unwrap();
+        let spare = p.shared.reserve(&mut p.lock(), ids[1]).unwrap();
         let other = {
             let (p, id) = (p.clone(), ids[1]);
             std::thread::spawn(move || {
@@ -632,9 +837,9 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(p.counters(), before);
-        let mut state = p.fault(ids[1], spare).unwrap();
-        assert_eq!(state.frame(ids[1]).page.record(0).unwrap(), b"page 1");
-        drop(state);
+        let pinned = p.shared.fault(ids[1], spare).unwrap();
+        assert_eq!(pinned.slot.page().record(0).unwrap(), b"page 1");
+        drop(pinned);
 
         let (bytes, others_io) = other.join().unwrap();
         assert_eq!(bytes, b"page 1");
@@ -643,8 +848,7 @@ mod tests {
         // The fault is metered to the thread that read, the hit to the
         // thread that waited.
         assert_eq!((others_io.faults, others_io.hits), (0, 1));
-        let state = p.lock();
-        assert_eq!((state.loading, state.waiting), (0, 0));
+        assert_eq!((p.loading(), p.lock().waiting), (0, 0));
     }
 
     #[test]
@@ -652,7 +856,7 @@ mod tests {
         let (p, _) = cold_pool(4, 1);
         // Allocated in the file, never written: reading it fails.
         let ghost = p.shared.file.allocate();
-        let spare = p.lock().reserve(&p.shared, ghost).unwrap();
+        let spare = p.shared.reserve(&mut p.lock(), ghost).unwrap();
         let other = {
             let p = p.clone();
             std::thread::spawn(move || p.pin(ghost).map(drop))
@@ -660,16 +864,131 @@ mod tests {
         while p.lock().waiting == 0 {
             std::thread::yield_now();
         }
-        let err = p.fault(ghost, spare).map(drop).unwrap_err().to_string();
+        let err = p
+            .shared
+            .fault(ghost, spare)
+            .map(drop)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains(&format!("read of page {ghost}")), "{err}");
         // The waiter finds the slot empty again, tries the read itself
         // and gets the same answer.
         let err = other.join().unwrap().unwrap_err().to_string();
         assert!(err.contains(&format!("read of page {ghost}")), "{err}");
-        let state = p.lock();
-        assert_eq!((state.loading, state.waiting), (0, 0));
-        assert!(matches!(state.slot(ghost), Slot::Empty));
-        assert_eq!(state.counters.faults, 0);
+        assert_eq!((p.loading(), p.lock().waiting), (0, 0));
+        assert!(matches!(p.state_of(ghost), EMPTY));
+        assert_eq!(p.counters().faults, 0);
+    }
+
+    #[test]
+    fn a_resident_pin_takes_no_pool_lock() {
+        let (p, ids) = cold_pool(4, 1);
+        drop(p.pin(ids[0]).unwrap());
+        // With the pool lock held here, a hit on another thread must
+        // still come back: it touches its own slot and the tick only.
+        let held = p.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let other = {
+            let (p, id) = (p.clone(), ids[0]);
+            std::thread::spawn(move || {
+                let bytes = p.pin(id).unwrap().record(0).unwrap().to_vec();
+                tx.send((bytes, thread_io())).unwrap();
+            })
+        };
+        let (bytes, io) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a resident pin waited for the pool lock");
+        drop(held);
+        other.join().unwrap();
+        assert_eq!(bytes, b"page 0");
+        assert_eq!((io.hits, io.faults), (1, 0));
+    }
+
+    #[test]
+    fn concurrent_pins_writes_flushes_and_clears_keep_the_pool_whole() {
+        // The `store_probe` geometry: 1 000 pages behind 256 frames.
+        const THREADS: u64 = 4;
+        const OPS: u64 = 4_000;
+        let (p, ids) = cold_pool(256, 1_000);
+        let over_capacity = |p: &BufferPool| {
+            let _state = p.lock();
+            let held = ids
+                .iter()
+                .filter(|&&id| matches!(p.state_of(id), RESIDENT | LOADING))
+                .count();
+            (held > p.capacity()).then_some(held)
+        };
+        let before = p.counters();
+        let per_thread: Vec<(PoolCounters, Vec<(PageId, u64)>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (p, ids, over_capacity) = (&p, &ids, &over_capacity);
+                    scope.spawn(move || {
+                        let start = thread_io();
+                        let mut r = rng::seeded(rng::DEFAULT_SEED, &format!("pool-stress-{t}"));
+                        // Thread `t` writes only the pages `≡ t (mod THREADS)`,
+                        // so each page has one last write.
+                        let mut last = HashMap::new();
+                        for op in 0..OPS {
+                            let id = ids[(r.next_u64() % ids.len() as u64) as usize];
+                            match r.next_u64() % 1_000 {
+                                0 => p.flush().unwrap(),
+                                1 => p.clear_cache().unwrap(),
+                                2..=249 if id % THREADS == t => {
+                                    let stamp = t << 32 | op;
+                                    p.with_page_mut(id, |pg| pg.set_aux(stamp)).unwrap();
+                                    last.insert(id, stamp);
+                                }
+                                _ => {
+                                    let page = p.pin(id).unwrap();
+                                    let other = p.pin(ids[(id as usize + 1) % ids.len()]).unwrap();
+                                    assert_eq!(
+                                        page.record(0).unwrap(),
+                                        format!("page {id}").as_bytes()
+                                    );
+                                    drop((page, other));
+                                }
+                            }
+                            if op % 64 == 0 {
+                                assert_eq!(over_capacity(p), None, "thread {t} op {op}");
+                            }
+                        }
+                        (thread_io().delta(&start), last.into_iter().collect())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let pool = p.counters().delta(&before);
+        let summed = per_thread
+            .iter()
+            .fold(PoolCounters::default(), |sum, (mine, _)| PoolCounters {
+                hits: sum.hits + mine.hits,
+                faults: sum.faults + mine.faults,
+                data_faults: sum.data_faults + mine.data_faults,
+                index_faults: sum.index_faults + mine.index_faults,
+                evictions: sum.evictions + mine.evictions,
+                writebacks: sum.writebacks + mine.writebacks,
+            });
+        assert_eq!(summed, pool);
+        assert!(
+            pool.evictions > 1_000,
+            "{pool:?}: the pool was never under pressure"
+        );
+        assert!(pool.writebacks > 0, "{pool:?}");
+        // Every page reads back its last write, warm and from disk.
+        let last: HashMap<PageId, u64> = per_thread.into_iter().flat_map(|(_, l)| l).collect();
+        for _ in 0..2 {
+            for &id in &ids {
+                assert_eq!(
+                    p.pin(id).unwrap().aux(),
+                    last.get(&id).copied().unwrap_or(0),
+                    "page {id}"
+                );
+            }
+            p.clear_cache().unwrap();
+        }
+        assert_eq!((p.loading(), p.lock().waiting), (0, 0));
     }
 
     #[test]
@@ -680,22 +999,21 @@ mod tests {
         // Page 2 is mid-read on "another thread" while the cache is
         // flushed and cleared, as `StoreSource::clear_cache` may do
         // between one client's queries while another client's runs.
-        let spare = p.lock().reserve(&p.shared, ids[2]).unwrap();
+        let spare = p.shared.reserve(&mut p.lock(), ids[2]).unwrap();
         let before = p.counters();
         p.flush().unwrap();
         p.clear_cache().unwrap();
         assert_eq!(p.counters(), before, "nothing dirty, nothing counted");
         {
-            let state = p.lock();
-            assert_eq!(state.loading, 1);
-            assert!(matches!(state.slot(ids[2]), Slot::Loading));
-            assert!(matches!(state.slot(ids[0]), Slot::Empty));
+            assert_eq!(p.loading(), 1);
+            assert!(matches!(p.state_of(ids[2]), LOADING));
+            assert!(matches!(p.state_of(ids[0]), EMPTY));
         }
         // Unpinned page 0 went, pinned page 1 stayed.
         assert_eq!(p.resident_ids(), vec![ids[1]]);
         // The read settles into the slot that was kept for it.
-        drop(p.fault(ids[2], spare).unwrap());
-        assert_eq!(p.lock().loading, 0);
+        drop(p.shared.fault(ids[2], spare).unwrap());
+        assert_eq!(p.loading(), 0);
         assert_eq!(p.resident_ids(), vec![ids[1], ids[2]]);
         let before = p.counters();
         assert_eq!(p.pin(ids[2]).unwrap().record(0).unwrap(), b"page 2");
@@ -708,7 +1026,7 @@ mod tests {
         let (p, ids) = cold_pool(2, 3);
         let before = p.counters();
         drop(p.pin(ids[0]).unwrap());
-        let spare = p.lock().reserve(&p.shared, ids[1]).unwrap();
+        let spare = p.shared.reserve(&mut p.lock(), ids[1]).unwrap();
         assert!(spare.is_none(), "one frame and one reservation fit");
         // A third page must push page 0 out: the reservation holds the
         // other place, and cannot itself be the victim.
@@ -719,7 +1037,7 @@ mod tests {
         let held = p.pin(ids[2]).unwrap();
         let err = p.pin(ids[0]).map(drop).unwrap_err().to_string();
         assert!(err.contains("exhausted"), "{err}");
-        drop(p.fault(ids[1], spare).unwrap());
+        drop(p.shared.fault(ids[1], spare).unwrap());
         drop(held);
         assert_eq!(p.resident(), 2);
     }
@@ -820,12 +1138,23 @@ mod tests {
         }
     }
 
+    /// White-box hooks on the pool's internals.
     impl BufferPool {
+        fn lock(&self) -> MutexGuard<'_, State> {
+            self.shared.lock()
+        }
+
         fn resident_ids(&self) -> Vec<PageId> {
-            let inner = self.lock();
-            let mut ids: Vec<PageId> = inner.lru.values().copied().collect();
-            ids.sort_unstable();
-            ids
+            self.indexed_in(RESIDENT)
+        }
+
+        /// Slots reserved by a fault whose read has not settled.
+        fn loading(&self) -> usize {
+            self.indexed_in(LOADING).len()
+        }
+
+        fn state_of(&self, id: PageId) -> u64 {
+            self.shared.slots.get(id).map_or(EMPTY, Slot::state)
         }
     }
 

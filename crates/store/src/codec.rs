@@ -9,7 +9,7 @@
 
 use std::cmp::Ordering;
 
-use disco_common::{DiscoError, Result, Tuple, Value};
+use disco_common::{ColumnBuilder, DiscoError, Result, Tuple, Value, ValueRef};
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -86,17 +86,23 @@ pub fn cmp_key(bytes: &[u8], pos: &mut usize, probe: &Value) -> Result<Ordering>
 
 /// Decode one value at `pos`, advancing it.
 pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
+    decode_ref(bytes, pos).map(ValueRef::to_value)
+}
+
+/// Decode one value at `pos` as a view into `bytes`, advancing `pos`: a
+/// string is borrowed from the record, not copied out of it.
+fn decode_ref<'b>(bytes: &'b [u8], pos: &mut usize) -> Result<ValueRef<'b>> {
     let tag = take(bytes, pos, 1, "tag")?[0];
     Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_BOOL => Value::Bool(take(bytes, pos, 1, "bool")?[0] != 0),
-        TAG_LONG => Value::Long(i64::from_le_bytes(
+        TAG_NULL => ValueRef::Null,
+        TAG_BOOL => ValueRef::Bool(take(bytes, pos, 1, "bool")?[0] != 0),
+        TAG_LONG => ValueRef::Long(i64::from_le_bytes(
             take(bytes, pos, 8, "long")?.try_into().expect("8 bytes"),
         )),
-        TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
+        TAG_DOUBLE => ValueRef::Double(f64::from_bits(u64::from_le_bytes(
             take(bytes, pos, 8, "double")?.try_into().expect("8 bytes"),
         ))),
-        TAG_STR => Value::Str(take_str(bytes, pos)?.to_owned()),
+        TAG_STR => ValueRef::Str(take_str(bytes, pos)?),
         t => {
             return Err(DiscoError::Source(format!(
                 "store: unknown value tag {t} in record"
@@ -126,15 +132,44 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
 /// Decode a record back into a tuple. Rejects trailing bytes — a record
 /// is exactly its encoding, so excess length means corruption.
 pub fn decode_tuple(bytes: &[u8]) -> Result<Tuple> {
+    let columns = bytes
+        .get(..2)
+        .map_or(0, |n| u16::from_le_bytes([n[0], n[1]]));
+    let mut values = Vec::with_capacity(columns as usize);
+    decode_record(bytes, |cell| values.push(cell.to_value()))?;
+    Ok(Tuple::new(values))
+}
+
+/// Decode a record straight into one column builder per attribute, with
+/// no [`Tuple`] between: cell `i` is pushed to `columns[i]`, a record
+/// shorter than `columns` is padded with nulls, and cells beyond it are
+/// dropped — the cells `Batch::from_tuples` would take from the decoded
+/// tuple. Rejects trailing bytes as [`decode_tuple`] does.
+pub fn decode_into(bytes: &[u8], columns: &mut [ColumnBuilder]) -> Result<()> {
+    let mut i = 0;
+    decode_record(bytes, |cell| {
+        if let Some(column) = columns.get_mut(i) {
+            column.push_ref(cell);
+        }
+        i += 1;
+    })?;
+    columns
+        .iter_mut()
+        .skip(i)
+        .for_each(ColumnBuilder::push_null);
+    Ok(())
+}
+
+/// Hand each cell of a record to `cell`, in column order.
+fn decode_record<'b>(bytes: &'b [u8], mut cell: impl FnMut(ValueRef<'b>)) -> Result<()> {
     let mut pos = 0;
     let n = u16::from_le_bytes(
         take(bytes, &mut pos, 2, "column count")?
             .try_into()
             .expect("2"),
     ) as usize;
-    let mut values = Vec::with_capacity(n);
     for _ in 0..n {
-        values.push(decode_value(bytes, &mut pos)?);
+        cell(decode_ref(bytes, &mut pos)?);
     }
     if pos != bytes.len() {
         return Err(DiscoError::Source(format!(
@@ -142,7 +177,7 @@ pub fn decode_tuple(bytes: &[u8]) -> Result<Tuple> {
             bytes.len() - pos
         )));
     }
-    Ok(Tuple::new(values))
+    Ok(())
 }
 
 #[cfg(test)]

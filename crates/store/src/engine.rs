@@ -20,11 +20,11 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use disco_algebra::CompareOp;
-use disco_common::{rng, DiscoError, Result, Schema, Tuple, Value};
+use disco_common::{rng, ColumnBuilder, DiscoError, Result, Schema, Tuple, Value};
 
 use crate::btree::DiskBTree;
 use crate::buffer::{thread_io, BufferPool, PoolCounters};
-use crate::codec::{decode_tuple, encode_tuple};
+use crate::codec::{decode_into, decode_tuple, encode_tuple};
 use crate::file::PageFile;
 use crate::heap::{HeapBuilder, HeapFile, Layout, Rid};
 
@@ -444,6 +444,21 @@ impl StoreSession<'_> {
             .collection(collection)?
             .heap
             .get(rid, decode_tuple)
+    }
+
+    /// Fetch one row by rid straight into one column builder per
+    /// attribute, building no [`Tuple`] (pins its heap page: one hit or
+    /// fault).
+    pub fn fetch_into(
+        &self,
+        collection: &str,
+        rid: Rid,
+        columns: &mut [ColumnBuilder],
+    ) -> Result<()> {
+        self.store
+            .collection(collection)?
+            .heap
+            .get(rid, |bytes| decode_into(bytes, columns))
     }
 
     /// Rids matching `attr op value` via the index, in key order.
