@@ -1,5 +1,6 @@
 //! Micro-benches of the source substrate: subplan execution on the
-//! simulated store, and pin/unpin on the disk engine's buffer pool.
+//! simulated store, and pin/unpin on the disk engine's buffer pool, one
+//! page at a time and in runs.
 
 use disco_bench::micro::{BenchmarkId, Micro};
 
@@ -58,8 +59,52 @@ fn bench_pool_pins(c: &mut Micro) {
     group.finish();
 }
 
+/// Pins of one run in [`bench_pool_runs`]: what an index select of a
+/// few hundred rids hands the pool at a time.
+const RUN: usize = 32;
+
+/// The same xorshift64 trace as [`bench_pool_pins`] at `store_probe`'s
+/// geometry, pinned through [`BufferPool::pin_each`] in runs of
+/// [`RUN`]: per run, one block of ticks, one pool lock at its first
+/// miss and one update of the fault counters.
+fn bench_pool_runs(c: &mut Micro) {
+    let mut group = c.benchmark_group("pool_pin_each_x20000");
+    let pool = BufferPool::new(PageFile::create_temp("bench-pool").unwrap(), 256);
+    let ids: Vec<PageId> = (0..1_000)
+        .map(|_| pool.allocate(PageKind::Heap).unwrap())
+        .collect();
+    pool.clear_cache().unwrap();
+    for threads in [1u64, 2] {
+        let id = BenchmarkId::from_parameter(format!("store_probe/{threads}_threads"));
+        group.bench_with_input(id, &threads, |b, &threads| {
+            b.iter(|| {
+                std::thread::scope(|scope| {
+                    for t in 0..threads {
+                        let (pool, ids) = (&pool, &ids);
+                        scope.spawn(move || {
+                            let mut x = 88_172_645_463_325_252u64 + t;
+                            let mut run = [0; RUN];
+                            for _ in 0..PINS_PER_THREAD as usize / RUN {
+                                for id in &mut run {
+                                    x ^= x << 13;
+                                    x ^= x >> 7;
+                                    x ^= x << 17;
+                                    *id = ids[(x % 1_000) as usize];
+                                }
+                                pool.pin_each(&run, |_, _| Ok(())).unwrap();
+                            }
+                        });
+                    }
+                })
+            })
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = Micro::from_args();
     bench_index_scan(&mut c);
     bench_pool_pins(&mut c);
+    bench_pool_runs(&mut c);
 }

@@ -130,10 +130,10 @@ impl Leaves for DiskLeaves<'_> {
     }
 
     fn scan(&mut self, collection: &str, clock: &mut VirtualClock) -> Result<(Batch, u64)> {
-        let tuples = self.session.scan(collection)?;
-        clock.charge(tuples.len() as f64 * self.profile.cpu_scan_ms);
-        let batch = Batch::from_tuples(self.arity(collection)?, &tuples);
-        Ok((batch, tuples.len() as u64))
+        let batch = self.session.scan(collection)?;
+        clock.charge(batch.len() as f64 * self.profile.cpu_scan_ms);
+        let rows = batch.len() as u64;
+        Ok((batch, rows))
     }
 
     fn has_index(&self, collection: &str, attr: &str) -> Result<bool> {
@@ -154,9 +154,20 @@ impl Leaves for DiskLeaves<'_> {
         Ok(rids)
     }
 
-    fn fetch(&mut self, collection: &str, rid: Rid, _clock: &mut VirtualClock) -> Result<()> {
-        self.stage(collection, 0)?;
-        self.session.fetch_into(collection, rid, &mut self.fetched)
+    fn fetch(
+        &mut self,
+        collection: &str,
+        rids: &[Rid],
+        per_row_ms: f64,
+        clock: &mut VirtualClock,
+    ) -> Result<()> {
+        self.stage(collection, rids.len())?;
+        self.session
+            .fetch_into(collection, rids, &mut self.fetched)?;
+        for _ in rids {
+            clock.charge(per_row_ms);
+        }
+        Ok(())
     }
 
     fn gather(&mut self, collection: &str) -> Result<Batch> {
@@ -194,8 +205,7 @@ impl DataSource for StoreSource {
             return Some(cached.clone());
         }
         let c = self.store.collection(collection).ok()?;
-        let tuples = self.store.session().scan(collection).ok()?;
-        let batch = Batch::from_tuples(c.schema().arity(), &tuples);
+        let batch = self.store.session().scan(collection).ok()?;
         let n = batch.len() as u64;
         let extent = ExtentStats {
             count_object: n,

@@ -373,8 +373,11 @@ impl Leaves for DocLeaves<'_> {
         Ok((c.flat.clone(), c.doc_count as u64))
     }
 
-    fn fetch(&mut self, _: &str, rid: Infallible, _: &mut VirtualClock) -> Result<()> {
-        match rid {}
+    fn fetch(&mut self, _: &str, rids: &[Infallible], _: f64, _: &mut VirtualClock) -> Result<()> {
+        match rids.first() {
+            Some(&rid) => match rid {},
+            None => Ok(()),
+        }
     }
 
     fn gather(&mut self, collection: &str) -> Result<Batch> {

@@ -48,16 +48,18 @@ impl SortedIndex {
     }
 
     /// Rids matching `op value`, in key order. `None` for `Ne`, which
-    /// an index does not serve.
+    /// an index does not serve. A range below `value` starts after the
+    /// NULL keys, which sort lowest but compare true with nothing.
     fn scan(&self, op: CompareOp, value: &Value) -> Option<Vec<u32>> {
         let (rids, value) = (&self.rids, ValueRef::from_value(value));
         let key = |rid: &u32| self.key.value_ref(*rid as usize).total_cmp_ref(value);
         let lt = rids.partition_point(|rid| key(rid).is_lt());
         let le = rids.partition_point(|rid| key(rid).is_le());
+        let nulls = rids.partition_point(|&rid| self.key.value_ref(rid as usize).is_null());
         let range = match op {
             CompareOp::Eq => lt..le,
-            CompareOp::Lt => 0..lt,
-            CompareOp::Le => 0..le,
+            CompareOp::Lt => nulls.min(lt)..lt,
+            CompareOp::Le => nulls.min(le)..le,
             CompareOp::Gt => le..rids.len(),
             CompareOp::Ge => lt..rids.len(),
             CompareOp::Ne => return None,
@@ -225,11 +227,20 @@ impl Leaves for PagedLeaves<'_> {
         Ok(c.indexes.get(attr).and_then(|index| index.scan(op, value)))
     }
 
-    fn fetch(&mut self, collection: &str, rid: u32, clock: &mut VirtualClock) -> Result<()> {
+    fn fetch(
+        &mut self,
+        collection: &str,
+        rids: &[u32],
+        per_row_ms: f64,
+        clock: &mut VirtualClock,
+    ) -> Result<()> {
         let c = self.store.collection(collection)?;
-        let page = c.page_base + c.layout.page_of(rid as usize);
-        self.buf.access(page, &self.store.profile, clock);
-        self.fetched.push(rid);
+        for &rid in rids {
+            let page = c.page_base + c.layout.page_of(rid as usize);
+            self.buf.access(page, &self.store.profile, clock);
+            clock.charge(per_row_ms);
+        }
+        self.fetched.extend_from_slice(rids);
         Ok(())
     }
 
@@ -492,8 +503,9 @@ mod tests {
     }
 
     /// The index against a brute-force filter: every comparison, probes
-    /// of every type (mixed-type keys follow the total order), unique and
-    /// duplicate-heavy keys, equal keys in rid order.
+    /// of every type (mixed-type keys follow the total order, but a range
+    /// below the probe holds no NULL key), unique and duplicate-heavy
+    /// keys, equal keys in rid order.
     #[test]
     fn sorted_index_matches_filter_oracle() {
         let mut r = rng::seeded(rng::DEFAULT_SEED, "sorted-index-oracle");
@@ -537,11 +549,12 @@ mod tests {
                     let expect = (op != CompareOp::Ne).then(|| {
                         let mut rids: Vec<u32> = (0..keys.len() as u32)
                             .filter(|&rid| {
-                                let ord = keys[rid as usize].total_cmp_value(probe);
+                                let key = &keys[rid as usize];
+                                let ord = key.total_cmp_value(probe);
                                 match op {
                                     CompareOp::Eq => ord.is_eq(),
-                                    CompareOp::Lt => ord.is_lt(),
-                                    CompareOp::Le => ord.is_le(),
+                                    CompareOp::Lt => ord.is_lt() && !key.is_null(),
+                                    CompareOp::Le => ord.is_le() && !key.is_null(),
                                     CompareOp::Gt => ord.is_gt(),
                                     _ => ord.is_ge(),
                                 }

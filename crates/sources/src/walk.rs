@@ -55,10 +55,16 @@ pub(crate) trait Leaves {
         Ok(None)
     }
 
-    /// Fetch one row by rid, to be handed out by the next
-    /// [`Leaves::gather`]. A simulated pool charges its fault here, in
-    /// line.
-    fn fetch(&mut self, collection: &str, rid: Self::Rid, clock: &mut VirtualClock) -> Result<()>;
+    /// Fetch the rows at `rids`, in order, to be handed out by the next
+    /// [`Leaves::gather`], charging `per_row_ms` for each row after its
+    /// page access. A simulated pool charges its faults here, in line.
+    fn fetch(
+        &mut self,
+        collection: &str,
+        rids: &[Self::Rid],
+        per_row_ms: f64,
+        clock: &mut VirtualClock,
+    ) -> Result<()>;
 
     /// The rows fetched since the last gather, in fetch order.
     fn gather(&mut self, collection: &str) -> Result<Batch>;
@@ -88,12 +94,30 @@ struct Walk<'a, L> {
 }
 
 impl<L: Leaves> Walk<'_, L> {
-    /// Fetch one object an index pointed at.
-    fn fetch(&mut self, collection: &str, rid: L::Rid) -> Result<()> {
-        self.leaves.fetch(collection, rid, &mut self.clock)?;
-        self.clock.charge(self.p.cpu_scan_ms);
-        self.scanned += 1;
+    /// Fetch the objects an index pointed at.
+    fn fetch(&mut self, collection: &str, rids: &[L::Rid]) -> Result<()> {
+        let per_row_ms = self.p.cpu_scan_ms;
+        self.leaves
+            .fetch(collection, rids, per_row_ms, &mut self.clock)?;
+        self.scanned += rids.len() as u64;
         Ok(())
+    }
+
+    /// The rids an index serves for `attr op value`; `None` when it
+    /// serves none. A NULL constant compares true with nothing, so its
+    /// probe finds no row, whatever the index's order puts at NULL.
+    fn index_rids(
+        &mut self,
+        collection: &str,
+        attr: &str,
+        op: CompareOp,
+        value: &Value,
+    ) -> Result<Option<Vec<L::Rid>>> {
+        if value.is_null() {
+            let served = op != CompareOp::Ne && self.leaves.has_index(collection, attr)?;
+            return Ok(served.then(Vec::new));
+        }
+        self.leaves.index_rids(collection, attr, op, value)
     }
 
     fn exec(&mut self, plan: &LogicalPlan) -> Result<(Schema, Batch)> {
@@ -113,13 +137,9 @@ impl<L: Leaves> Walk<'_, L> {
                     (input.as_ref(), predicate.conjuncts.as_slice())
                 {
                     let name = collection.collection.as_str();
-                    if let Some(rids) =
-                        self.leaves.index_rids(name, &c.attribute, c.op, &c.value)?
-                    {
+                    if let Some(rids) = self.index_rids(name, &c.attribute, c.op, &c.value)? {
                         self.clock.charge(p.probe_ms);
-                        for rid in rids {
-                            self.fetch(name, rid)?;
-                        }
+                        self.fetch(name, &rids)?;
                         return Ok((self.leaves.schema(name)?, self.leaves.gather(name)?));
                     }
                 }
@@ -162,11 +182,10 @@ impl<L: Leaves> Walk<'_, L> {
                         for row in 0..lb.len() {
                             self.clock.charge(p.probe_ms);
                             let v = key.value(row);
-                            let rids = self.leaves.index_rids(name, attr, CompareOp::Eq, &v)?;
-                            for rid in rids.unwrap_or_default() {
-                                self.fetch(name, rid)?;
-                                outer.push(row as u32);
-                            }
+                            let rids = self.index_rids(name, attr, CompareOp::Eq, &v)?;
+                            let rids = rids.unwrap_or_default();
+                            self.fetch(name, &rids)?;
+                            outer.extend(std::iter::repeat_n(row as u32, rids.len()));
                         }
                         let inner = self.leaves.gather(name)?;
                         let out = lb.take(&outer).hstack(&inner)?;

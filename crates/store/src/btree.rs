@@ -443,7 +443,9 @@ impl DiskBTree {
     }
 
     /// Rids matching `op value`, in key order — same contract as the
-    /// page model's sorted index: `Ne` returns `None` (an index gives no benefit).
+    /// page model's sorted index: `Ne` returns `None` (an index gives no
+    /// benefit), and a range below `value` starts after the NULL keys,
+    /// which sort lowest but compare true with nothing.
     pub fn scan(&self, op: CompareOp, value: &Value) -> Result<Option<Vec<Rid>>> {
         let mut out = Vec::new();
         match op {
@@ -451,9 +453,16 @@ impl DiskBTree {
             CompareOp::Ne => return Ok(None),
             CompareOp::Lt | CompareOp::Le => {
                 let mut leaf = Some(self.first_leaf()?);
+                let mut past_nulls = false;
                 'walk: while let Some(pid) = leaf {
                     let page = self.pool.pin(pid)?;
                     for i in 0..page.slot_count() {
+                        if !past_nulls {
+                            past_nulls = cell_cmp(&page, i, &Value::Null)?.0 != Ordering::Equal;
+                            if !past_nulls {
+                                continue;
+                            }
+                        }
                         let (ord, rids) = cell_cmp(&page, i, value)?;
                         let keep = match op {
                             CompareOp::Lt => ord == Ordering::Less,

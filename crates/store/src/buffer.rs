@@ -10,23 +10,37 @@
 //! Any number of threads may read through one pool, and a hit writes
 //! nothing another page's reader reads. Each page id owns a slot: an
 //! atomic state word (empty, loading or resident, plus a pin count), an
-//! atomic LRU stamp, and the frame behind a lock of its own. A hit raises
-//! the pin count with a compare-and-swap, stamps the slot with one
-//! `fetch_add` on the pool's tick and clones the page out of the slot;
-//! an unpin lowers the pin count. Neither takes the pool lock.
+//! atomic LRU stamp, and the frame behind a lock of its own.
+//!
+//! Requests come in *runs*: [`BufferPool::pin_each`] pins a list of
+//! pages a run at a time, and [`BufferPool::pin`] is a run of one. A run
+//! holds at most a quarter of the frames (and at most 64 pins), and
+//! takes its ticks as one block with one `fetch_add` on the pool's tick,
+//! request `i` stamped with the block's `i`-th tick. A hit raises its
+//! slot's pin count with a compare-and-swap and takes no pool lock; if
+//! every request of a run hits, the run takes its block once all are
+//! pinned and never sees the pool lock at all. An unpin lowers the pin
+//! count.
 //!
 //! The pool lock covers what a fault, an allocation, a flush or a cache
 //! clear change: the ordered LRU index, the counts of faults begun and
 //! of evictions, and every transition into or out of a resident frame
-//! but the fault's install. A fault takes it once: it picks and claims
-//! its victim, marks the page's slot *loading* and indexes it under a
-//! tick taken then; it reads and checksums with the lock released, into
-//! the evicted frame's buffer, so a fault in a full pool allocates
-//! nothing; and it installs by publishing the slot's state word. A
+//! but the fault's install. A run takes it once, at its first miss, and
+//! takes its block there; it then handles each remaining request in
+//! order, each seeing what the one before it did: a resident page is a
+//! hit, a page the run has already reserved is a hit on that loading
+//! slot, and any other page evicts the LRU victim, if the pool is full,
+//! and has its slot marked *loading* and indexed under its tick. So a
+//! page that an earlier miss of the same run evicted misses too, as it
+//! would pin by pin. With the lock released, each reserved page is read
+//! and checksummed into its victim's buffer, so a fault in a full pool
+//! allocates nothing, and installed by publishing its slot's state word;
+//! the run then counts its faults on the shared counters once. A
 //! loading slot counts against capacity, is neither evictable nor dirty,
 //! and a second caller for the same page parks until it settles instead
 //! of reading the page twice; the install wakes parked callers only if
-//! one set the slot's waiter bit.
+//! one set the slot's waiter bit, and a run with reads of its own
+//! settles them before it parks.
 //!
 //! Page ids are dense file offsets, so the slot table is indexed by page
 //! id: a pin indexes it directly, nothing is hashed. Eviction is exact
@@ -35,11 +49,15 @@
 //! `(stamp, page)` in stamp order, is repaired lazily: a hit moves only
 //! its slot's stamp, and the evictor, walking the queue from its old
 //! end, re-files an entry whose stamp has moved and steps over pinned
-//! and loading frames, so the first
-//! unpinned frame whose key is current is the one a scan of every frame
-//! would pick. Every request takes one tick, so one caller alone sees
-//! the same victims and the same counters whatever other threads exist;
-//! under several callers only the interleaving of their requests differs.
+//! and loading frames, so the first unpinned frame whose key is current
+//! is the one a scan of every frame would pick. Every entry is filed
+//! under its key, not pushed at the back: another caller's fault may
+//! hold a later tick than a run's reservations. Every request takes one
+//! tick, and a run's own pages hold the newest stamps, so its later
+//! misses never choose among them: one caller alone sees the same hits,
+//! faults and victims whether it pins page by page or in runs, and
+//! whatever other threads exist; under several callers only the
+//! interleaving of their requests differs.
 //!
 //! Counters distinguish data (heap) from index (B+Tree) faults so cost
 //! models can attribute I/O to the operator that caused it. They are kept
@@ -47,7 +65,9 @@
 //! session can meter its own I/O while other sessions use the same pool.
 //! The pool's hits are not counted on a shared line at all: a request is
 //! a hit, a fault begun or an allocation, so the hits are the ticks less
-//! the other two.
+//! the other two, less the ticks of runs not yet served — a run's block
+//! is on record under the pool lock until each of its requests is, and
+//! all of it if the run ends early on an error.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -112,6 +132,32 @@ fn count_mine(add: impl Fn(&mut PoolCounters)) {
     });
 }
 
+/// What one request, or one eviction, did: what the run differential
+/// compares with pin-by-pin requests. Recorded, in test builds only,
+/// by a thread that keeps a journal.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Hit(PageId),
+    Fault(PageId),
+    Evict(PageId),
+}
+
+#[cfg(test)]
+thread_local! {
+    static JOURNAL: std::cell::RefCell<Option<Vec<Event>>> = const { std::cell::RefCell::new(None) };
+}
+
+/// Record `event` in the calling thread's journal, if it keeps one.
+#[cfg(test)]
+fn journal(event: Event) {
+    JOURNAL.with(|j| {
+        if let Some(events) = j.borrow_mut().as_mut() {
+            events.push(event);
+        }
+    });
+}
+
 // A slot's state word: the state in the low two bits, the waiter bit,
 // and the pin count above them.
 const EMPTY: u64 = 0;
@@ -162,8 +208,8 @@ impl Slot {
         self.word.load(Ordering::Acquire) & STATE
     }
 
-    /// Pin the frame if it is resident, stamping it with the next tick.
-    fn try_pin(&self, tick: &AtomicU64) -> bool {
+    /// Pin the frame if it is resident. The caller stamps it.
+    fn try_pin(&self) -> bool {
         let mut word = self.word.load(Ordering::Acquire);
         while word & STATE == RESIDENT {
             match self.word.compare_exchange_weak(
@@ -172,12 +218,7 @@ impl Slot {
                 Ordering::Acquire,
                 Ordering::Acquire,
             ) {
-                Ok(_) => {
-                    let t = tick.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.stamp.store(t, Ordering::Relaxed);
-                    count_mine(|c| c.hits += 1);
-                    return true;
-                }
+                Ok(_) => return true,
                 Err(now) => word = now,
             }
         }
@@ -253,13 +294,18 @@ struct State {
     /// `(key, page)` in key order, one entry per resident or loading
     /// slot, where the key is a stamp of the page's. A key may lag its
     /// slot's stamp (hits do not re-key it); eviction repairs it. Ticks
-    /// are unique within a pool, so the keys are too. A fault's entry
-    /// goes at the back, and a repaired one near it, so an update moves
-    /// only the ends of the queue.
+    /// are unique within a pool, so the keys are too. Every entry is
+    /// filed under its key: a run's ticks are taken before its faults
+    /// are, so another caller's fault may already hold a later key.
+    /// Entries are new ticks nearly always, so an update moves only the
+    /// ends of the queue.
     lru: VecDeque<(u64, PageId)>,
     /// Faults begun: each took a tick, whether its read succeeded or not.
     misses: u64,
     allocations: u64,
+    /// Ticks of runs that reached the pool lock and have not served the
+    /// requests they were taken for — all of them, if a run ended early.
+    unserved: u64,
     evictions: u64,
     writebacks: u64,
     /// Threads parked until some loading slot settles.
@@ -278,6 +324,13 @@ impl State {
         at
     }
 }
+
+/// Most pins one run holds.
+const RUN_MAX: usize = 64;
+
+/// A fault a run owes: the request that reserved the slot, and the
+/// buffer of the frame its reservation evicted.
+type Owed = (usize, Option<Arc<Page>>);
 
 struct Shared {
     file: PageFile,
@@ -306,42 +359,151 @@ impl Drop for Pinned<'_> {
     }
 }
 
+/// Stamp the pinned hits `pins` of the requests `ids` with their ticks
+/// of the block that starts at `base`, in request order.
+#[cfg_attr(not(test), allow(unused_variables))]
+fn stamp_hits(ids: &[PageId], base: u64, pins: &[Option<Pinned<'_>>]) {
+    for (at, pin) in pins.iter().enumerate() {
+        let pin = pin.as_ref().expect("a hit is pinned");
+        pin.slot.stamp.store(base + at as u64, Ordering::Relaxed);
+        #[cfg(test)]
+        journal(Event::Hit(ids[at]));
+    }
+}
+
+/// Index of a page kind in the fault counters.
+fn kind_of(page: &Page) -> usize {
+    match page.kind() {
+        Some(PageKind::Heap) => 0,
+        Some(PageKind::BTreeLeaf) | Some(PageKind::BTreeInternal) => 1,
+        None => 2,
+    }
+}
+
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.0.fetch_add(1, Ordering::Relaxed) + 1
+    /// Pins one run holds at most: a quarter of the frames, so that the
+    /// run's own pages, which hold the newest stamps, are never what its
+    /// later misses must evict, and two runs at once leave most of the
+    /// pool evictable.
+    fn run_len(&self) -> usize {
+        (self.capacity / 4).clamp(1, RUN_MAX)
     }
 
-    /// Pin `id`, counted as a hit or a fault and stamped most recently
-    /// used.
-    fn acquire(&self, id: PageId) -> Result<Pinned<'_>> {
-        match self.slots.get(id) {
-            Some(slot) if slot.try_pin(&self.tick.0) => Ok(Pinned { slot }),
-            _ => self.miss(id),
-        }
-    }
-
-    /// A request that found its page not resident: under the pool lock,
-    /// take it as a hit after all, wait for someone else's read of it,
-    /// or reserve its slot and read it.
-    fn miss(&self, id: PageId) -> Result<Pinned<'_>> {
-        let mut state = self.lock();
-        while let Some(slot) = self.slots.get(id) {
-            match slot.state() {
-                RESIDENT if slot.try_pin(&self.tick.0) => return Ok(Pinned { slot }),
-                // When it settles this request is a hit — or, if that
-                // read failed, ours to try.
-                LOADING => state = self.park(state, slot),
-                EMPTY => break,
-                _ => {}
+    /// Pin each of `ids` — at most [`Shared::run_len`] of them — into
+    /// the same place of `pins`, every request counted as a hit or a
+    /// fault and stamped with its tick of the run's block. On an error,
+    /// the run's reads have settled and what it pinned is in `pins`.
+    fn acquire<'p>(&'p self, ids: &[PageId], pins: &mut [Option<Pinned<'p>>]) -> Result<()> {
+        debug_assert!(ids.len() <= self.run_len() && pins.len() == ids.len());
+        for (at, &id) in ids.iter().enumerate() {
+            match self.slots.get(id) {
+                Some(slot) if slot.try_pin() => pins[at] = Some(Pinned { slot }),
+                _ => return self.misses(ids, at, pins),
             }
         }
-        let spare = self.reserve(&mut state, id)?;
+        // Taken once every request is pinned: until then a snapshot of
+        // the counters cannot count as hits what may yet be faults.
+        let base = self.tick.0.fetch_add(ids.len() as u64, Ordering::Relaxed) + 1;
+        stamp_hits(ids, base, pins);
+        count_mine(|c| c.hits += ids.len() as u64);
+        Ok(())
+    }
+
+    /// The rest of a run from its first request whose page was not
+    /// resident. Under the pool lock, taken once unless the run must
+    /// wait for another caller's read, each request in order is a hit, a
+    /// hit on a slot this run reserved, or a reservation of its own, so
+    /// a page that an earlier miss of the run evicted misses too. The
+    /// reserved pages are read with the lock released.
+    fn misses<'p>(
+        &'p self,
+        ids: &[PageId],
+        mut at: usize,
+        pins: &mut [Option<Pinned<'p>>],
+    ) -> Result<()> {
+        let mut hits = at as u64;
+        let mut owed: [Owed; RUN_MAX] = [const { (0, None) }; RUN_MAX];
+        let mut owing = 0;
+        let mut failed = Ok(());
+        let mut state = self.lock();
+        // The run's block, taken where the requests it does not serve
+        // yet are on record, so the derived hits never run ahead.
+        let base = self.tick.0.fetch_add(ids.len() as u64, Ordering::Relaxed) + 1;
+        stamp_hits(&ids[..at], base, &pins[..at]);
+        state.unserved += (ids.len() - at) as u64;
+        while at < ids.len() {
+            let (id, tick) = (ids[at], base + at as u64);
+            let slot = self.slots.get(id);
+            match slot.map_or(EMPTY, Slot::state) {
+                // Nothing claims a frame but under the lock: this pins.
+                RESIDENT => {
+                    let slot = slot.expect("a resident page has a slot");
+                    if !slot.try_pin() {
+                        continue;
+                    }
+                    slot.stamp.store(tick, Ordering::Relaxed);
+                    #[cfg(test)]
+                    journal(Event::Hit(id));
+                    pins[at] = Some(Pinned { slot });
+                    hits += 1;
+                }
+                LOADING => {
+                    let slot = slot.expect("a loading page has a slot");
+                    let ours = owed[..owing].iter().any(|(first, _)| {
+                        pins[*first]
+                            .as_ref()
+                            .is_some_and(|p| std::ptr::eq(p.slot, slot))
+                    });
+                    if ours {
+                        slot.word.fetch_add(PIN, Ordering::Relaxed);
+                        slot.stamp.store(tick, Ordering::Relaxed);
+                        #[cfg(test)]
+                        journal(Event::Hit(id));
+                        pins[at] = Some(Pinned { slot });
+                        hits += 1;
+                    } else if owing > 0 {
+                        // Its reader may be parked on one of ours: read
+                        // ours before waiting for it.
+                        drop(state);
+                        failed = self.settle(ids, pins, &mut owed[..owing]);
+                        owing = 0;
+                        state = self.lock();
+                        if failed.is_err() {
+                            break;
+                        }
+                        continue;
+                    } else {
+                        // When it settles this request is a hit — or, if
+                        // that read failed, ours to try.
+                        state = self.park(state, slot);
+                        continue;
+                    }
+                }
+                _ => match self.reserve(&mut state, id, tick) {
+                    Ok(spare) => {
+                        pins[at] = Some(Pinned {
+                            slot: self.slots.indexed(id),
+                        });
+                        owed[owing] = (at, spare);
+                        owing += 1;
+                    }
+                    Err(e) => {
+                        failed = Err(e);
+                        break;
+                    }
+                },
+            }
+            state.unserved -= 1;
+            at += 1;
+        }
         drop(state);
-        self.fault(id, spare)
+        count_mine(|c| c.hits += hits);
+        let settled = self.settle(ids, pins, &mut owed[..owing]);
+        failed.and(settled)
     }
 
     /// Wait until `slot` is no longer loading.
@@ -411,68 +573,94 @@ impl Shared {
             }
             state.evictions += 1;
             count_mine(|c| c.evictions += 1);
+            #[cfg(test)]
+            journal(Event::Evict(pid));
             spare = Some(page);
         }
         Ok(spare)
     }
 
-    /// First half of a fault, under the pool lock: make room, mark
-    /// `id`'s slot loading and index it as the most recently used.
-    fn reserve(&self, state: &mut State, id: PageId) -> Result<Option<Arc<Page>>> {
+    /// A fault's reservation, under the pool lock: make room, mark
+    /// `id`'s slot loading with the request's pin and index it under the
+    /// request's tick.
+    fn reserve(&self, state: &mut State, id: PageId, tick: u64) -> Result<Option<Arc<Page>>> {
         // Refused before anything is evicted or the table grows for it.
         self.file.check_allocated(id)?;
         let spare = self.make_room(state)?;
+        #[cfg(test)]
+        journal(Event::Fault(id));
         let slot = self.slots.grow(id);
-        let tick = self.next_tick();
         slot.stamp.store(tick, Ordering::Relaxed);
-        state.lru.push_back((tick, id));
+        state.file(tick, id);
         state.misses += 1;
-        slot.word.store(LOADING, Ordering::Release);
+        slot.word.store(LOADING + PIN, Ordering::Release);
         Ok(spare)
     }
 
-    /// The rest of a fault whose slot is reserved: read the page with
-    /// the pool lock released and publish it pinned, or, if the read
-    /// failed, empty the slot. Either way, wake whoever waits for it.
-    fn fault(&self, id: PageId, spare: Option<Arc<Page>>) -> Result<Pinned<'_>> {
-        let slot = self.slots.indexed(id);
-        let page = match self.read(id, spare) {
-            Ok(page) => page,
-            Err(e) => {
-                let mut state = self.lock();
-                let key = slot.stamp.load(Ordering::Relaxed);
-                if let Ok(at) = state.lru.binary_search_by_key(&key, |&(k, _)| k) {
-                    state.lru.remove(at);
+    /// Read the pages a run reserved, with the pool lock released, each
+    /// into the buffer its reservation evicted; install each by
+    /// publishing its slot's state word with the run's pins on it, or,
+    /// if its read failed, empty the slot and drop the run's pins on it
+    /// unreleased. Counts the faults once, wakes whoever waits once, and
+    /// returns the first read's error.
+    fn settle(
+        &self,
+        ids: &[PageId],
+        pins: &mut [Option<Pinned<'_>>],
+        owed: &mut [Owed],
+    ) -> Result<()> {
+        let (mut kinds, mut wake, mut failed) = ([0u64; 3], false, Ok(()));
+        for (first, spare) in owed.iter_mut() {
+            let (id, slot) = (ids[*first], pins[*first].as_ref().expect("reserved").slot);
+            match self.read(id, spare.take()) {
+                Ok(page) => {
+                    kinds[kind_of(&page)] += 1;
+                    *slot.frame() = Frame {
+                        page: Some(page),
+                        dirty: false,
+                    };
+                    let installed =
+                        slot.word
+                            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
+                                Some(w & !(STATE | WAITED) | RESIDENT)
+                            });
+                    wake |= installed.expect("always updated") & WAITED != 0;
                 }
-                if slot.word.swap(EMPTY, Ordering::AcqRel) & WAITED != 0 {
-                    self.settled.notify_all();
+                Err(e) => {
+                    let mut state = self.lock();
+                    if let Some(at) = state.lru.iter().rposition(|&(_, pid)| pid == id) {
+                        state.lru.remove(at);
+                    }
+                    wake |= slot.word.swap(EMPTY, Ordering::AcqRel) & WAITED != 0;
+                    drop(state);
+                    // The pins went with the slot's word.
+                    for pin in pins.iter_mut() {
+                        if pin.as_ref().is_some_and(|p| std::ptr::eq(p.slot, slot)) {
+                            std::mem::forget(pin.take());
+                        }
+                    }
+                    failed = failed.and(Err(e));
                 }
-                return Err(e);
             }
-        };
-        let kind = match page.kind() {
-            Some(PageKind::Heap) => 0,
-            Some(PageKind::BTreeLeaf) | Some(PageKind::BTreeInternal) => 1,
-            None => 2,
-        };
-        *slot.frame() = Frame {
-            page: Some(page),
-            dirty: false,
-        };
-        self.faults.0[kind].fetch_add(1, Ordering::Relaxed);
-        count_mine(|c| {
-            c.faults += 1;
-            match kind {
-                0 => c.data_faults += 1,
-                1 => c.index_faults += 1,
-                _ => {}
+        }
+        for (n, counter) in kinds.iter().zip(&self.faults.0) {
+            if *n > 0 {
+                counter.fetch_add(*n, Ordering::Relaxed);
             }
-        });
-        if slot.word.swap(RESIDENT + PIN, Ordering::AcqRel) & WAITED != 0 {
+        }
+        let [data, index, other] = kinds;
+        if data + index + other > 0 {
+            count_mine(|c| {
+                c.faults += data + index + other;
+                c.data_faults += data;
+                c.index_faults += index;
+            });
+        }
+        if wake {
             let _state = self.lock();
             self.settled.notify_all();
         }
-        Ok(Pinned { slot })
+        failed
     }
 
     /// Read page `id` from the file into the buffer of the frame just
@@ -488,6 +676,13 @@ impl Shared {
         let buffer = Arc::get_mut(&mut page).expect("no one else holds this buffer");
         self.file.read_page_into(id, buffer)?;
         Ok(page)
+    }
+
+    /// Pin one page: a run of one.
+    fn pin(&self, id: PageId) -> Result<Pinned<'_>> {
+        let mut pins = [None];
+        self.acquire(&[id], &mut pins)?;
+        Ok(pins[0].take().expect("a run pins what it returns Ok for"))
     }
 }
 
@@ -557,9 +752,9 @@ impl BufferPool {
         pool.make_room(&mut state)?;
         let id = pool.file.allocate();
         let slot = pool.slots.grow(id);
-        let tick = pool.next_tick();
+        let tick = pool.tick.0.fetch_add(1, Ordering::Relaxed) + 1;
         slot.stamp.store(tick, Ordering::Relaxed);
-        state.lru.push_back((tick, id));
+        state.file(tick, id);
         state.allocations += 1;
         *slot.frame() = Frame {
             page: Some(Arc::new(Page::new(kind))),
@@ -571,12 +766,42 @@ impl BufferPool {
 
     /// Pin a page for reading. Counts a hit or fault.
     pub fn pin(&self, id: PageId) -> Result<PageRef<'_>> {
-        let pin = self.shared.acquire(id)?;
+        let pin = self.shared.pin(id)?;
         Ok(PageRef {
             id,
             page: pin.slot.page(),
             _pin: pin,
         })
+    }
+
+    /// Pin each of `ids` in order and hand its page, with its place in
+    /// `ids`, to `visit`, then unpin it. Counts a hit or fault per id.
+    /// The requests go in runs of at most a quarter of the frames (and
+    /// at most 64): each run takes its ticks as one block, takes the pool
+    /// lock once at its first miss, reads its faults with the lock
+    /// released, then visits its pages. One caller alone sees exactly
+    /// the hits, faults and victims that pinning the pages one at a time
+    /// would give. `visit` holds its page's slot lock, so like a
+    /// [`BufferPool::with_page_mut`] closure it MUST NOT call back into
+    /// the pool.
+    pub fn pin_each(
+        &self,
+        ids: &[PageId],
+        mut visit: impl FnMut(usize, &Page) -> Result<()>,
+    ) -> Result<()> {
+        let pool = &*self.shared;
+        let mut pins: [Option<Pinned<'_>>; RUN_MAX] = [const { None }; RUN_MAX];
+        for (run, chunk) in ids.chunks(pool.run_len()).enumerate() {
+            let pins = &mut pins[..chunk.len()];
+            pool.acquire(chunk, pins)?;
+            for (at, pin) in pins.iter_mut().enumerate() {
+                let pin = pin.take().expect("a run pins every request");
+                let frame = pin.slot.frame();
+                let page = frame.page.as_ref().expect("a pinned frame is resident");
+                visit(run * pool.run_len() + at, page)?;
+            }
+        }
+        Ok(())
     }
 
     /// Mutate a page in place, marking it dirty. Counts a hit or fault.
@@ -585,7 +810,7 @@ impl BufferPool {
     /// a second page (e.g. B+Tree splits) allocate it *before* entering
     /// the closure.
     pub fn with_page_mut<T>(&self, id: PageId, f: impl FnOnce(&mut Page) -> T) -> Result<T> {
-        let pin = self.shared.acquire(id)?;
+        let pin = self.shared.pin(id)?;
         let mut frame = pin.slot.frame();
         frame.dirty = true;
         let page = frame.page.as_mut().expect("a pinned frame is resident");
@@ -658,7 +883,10 @@ impl BufferPool {
         let state = pool.lock();
         let [data, index, other] = pool.faults.0.each_ref().map(|n| n.load(Ordering::Relaxed));
         PoolCounters {
-            hits: pool.tick.0.load(Ordering::Relaxed) - state.misses - state.allocations,
+            hits: pool.tick.0.load(Ordering::Relaxed)
+                - state.misses
+                - state.allocations
+                - state.unserved,
             faults: data + index + other,
             data_faults: data,
             index_faults: index,
@@ -823,7 +1051,7 @@ mod tests {
         let before = p.counters();
         // This thread's fault on page 1, stopped where `load` releases
         // the mutex to read.
-        let spare = p.shared.reserve(&mut p.lock(), ids[1]).unwrap();
+        let spare = p.reserve(ids[1]).unwrap();
         let other = {
             let (p, id) = (p.clone(), ids[1]);
             std::thread::spawn(move || {
@@ -837,7 +1065,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(p.counters(), before);
-        let pinned = p.shared.fault(ids[1], spare).unwrap();
+        let pinned = p.fault(ids[1], spare).unwrap();
         assert_eq!(pinned.slot.page().record(0).unwrap(), b"page 1");
         drop(pinned);
 
@@ -856,7 +1084,7 @@ mod tests {
         let (p, _) = cold_pool(4, 1);
         // Allocated in the file, never written: reading it fails.
         let ghost = p.shared.file.allocate();
-        let spare = p.shared.reserve(&mut p.lock(), ghost).unwrap();
+        let spare = p.reserve(ghost).unwrap();
         let other = {
             let p = p.clone();
             std::thread::spawn(move || p.pin(ghost).map(drop))
@@ -864,12 +1092,7 @@ mod tests {
         while p.lock().waiting == 0 {
             std::thread::yield_now();
         }
-        let err = p
-            .shared
-            .fault(ghost, spare)
-            .map(drop)
-            .unwrap_err()
-            .to_string();
+        let err = p.fault(ghost, spare).map(drop).unwrap_err().to_string();
         assert!(err.contains(&format!("read of page {ghost}")), "{err}");
         // The waiter finds the slot empty again, tries the read itself
         // and gets the same answer.
@@ -939,6 +1162,20 @@ mod tests {
                                     p.with_page_mut(id, |pg| pg.set_aux(stamp)).unwrap();
                                     last.insert(id, stamp);
                                 }
+                                // The last thread reads in runs.
+                                _ if t == THREADS - 1 => {
+                                    let run: Vec<PageId> = (0..1 + r.next_u64() % 64)
+                                        .map(|_| ids[(r.next_u64() % ids.len() as u64) as usize])
+                                        .collect();
+                                    p.pin_each(&run, |i, page| {
+                                        assert_eq!(
+                                            page.record(0).unwrap(),
+                                            format!("page {}", run[i]).as_bytes()
+                                        );
+                                        Ok(())
+                                    })
+                                    .unwrap();
+                                }
                                 _ => {
                                     let page = p.pin(id).unwrap();
                                     let other = p.pin(ids[(id as usize + 1) % ids.len()]).unwrap();
@@ -951,6 +1188,7 @@ mod tests {
                             }
                             if op % 64 == 0 {
                                 assert_eq!(over_capacity(p), None, "thread {t} op {op}");
+                                assert!(p.keys().is_sorted_by(|a, b| a < b), "thread {t} op {op}");
                             }
                         }
                         (thread_io().delta(&start), last.into_iter().collect())
@@ -999,7 +1237,7 @@ mod tests {
         // Page 2 is mid-read on "another thread" while the cache is
         // flushed and cleared, as `StoreSource::clear_cache` may do
         // between one client's queries while another client's runs.
-        let spare = p.shared.reserve(&mut p.lock(), ids[2]).unwrap();
+        let spare = p.reserve(ids[2]).unwrap();
         let before = p.counters();
         p.flush().unwrap();
         p.clear_cache().unwrap();
@@ -1012,7 +1250,7 @@ mod tests {
         // Unpinned page 0 went, pinned page 1 stayed.
         assert_eq!(p.resident_ids(), vec![ids[1]]);
         // The read settles into the slot that was kept for it.
-        drop(p.shared.fault(ids[2], spare).unwrap());
+        drop(p.fault(ids[2], spare).unwrap());
         assert_eq!(p.loading(), 0);
         assert_eq!(p.resident_ids(), vec![ids[1], ids[2]]);
         let before = p.counters();
@@ -1026,7 +1264,7 @@ mod tests {
         let (p, ids) = cold_pool(2, 3);
         let before = p.counters();
         drop(p.pin(ids[0]).unwrap());
-        let spare = p.shared.reserve(&mut p.lock(), ids[1]).unwrap();
+        let spare = p.reserve(ids[1]).unwrap();
         assert!(spare.is_none(), "one frame and one reservation fit");
         // A third page must push page 0 out: the reservation holds the
         // other place, and cannot itself be the victim.
@@ -1037,7 +1275,7 @@ mod tests {
         let held = p.pin(ids[2]).unwrap();
         let err = p.pin(ids[0]).map(drop).unwrap_err().to_string();
         assert!(err.contains("exhausted"), "{err}");
-        drop(p.shared.fault(ids[1], spare).unwrap());
+        drop(p.fault(ids[1], spare).unwrap());
         drop(held);
         assert_eq!(p.resident(), 2);
     }
@@ -1052,6 +1290,10 @@ mod tests {
         frames: HashMap<PageId, ModelFrame>,
         kinds: Vec<PageKind>,
         counters: PoolCounters,
+        /// Every request's and every eviction's event, in order.
+        journal: Vec<Event>,
+        /// A page whose read fails, if the file has one.
+        ghost: Option<PageId>,
     }
 
     #[derive(Default)]
@@ -1075,6 +1317,7 @@ mod tests {
                     self.counters.writebacks += 1;
                 }
                 self.counters.evictions += 1;
+                self.journal.push(Event::Evict(pid));
             }
             Ok(())
         }
@@ -1096,10 +1339,21 @@ mod tests {
         /// A page request: `pin` raises the pin count, `dirty` is a
         /// `with_page_mut`.
         fn load(&mut self, id: PageId, pin: bool, dirty: bool) -> std::result::Result<(), ()> {
+            if id as usize >= self.kinds.len() {
+                return Err(());
+            }
             if self.frames.contains_key(&id) {
                 self.counters.hits += 1;
+                self.journal.push(Event::Hit(id));
             } else {
                 self.make_room()?;
+                self.journal.push(Event::Fault(id));
+                if self.ghost == Some(id) {
+                    // A fault begun whose read failed: not a hit, not a
+                    // fault installed, and nothing resident.
+                    self.tick += 1;
+                    return Err(());
+                }
                 self.counters.faults += 1;
                 match self.kinds[id as usize] {
                     PageKind::Heap => self.counters.data_faults += 1,
@@ -1136,6 +1390,25 @@ mod tests {
             ids.sort_unstable();
             ids
         }
+
+        /// With the pool full: a page that is not resident, and the
+        /// frame its fault would evict.
+        fn miss_and_victim(&self, r: &mut rng::StdRng) -> Option<(PageId, PageId)> {
+            if self.frames.len() < self.capacity {
+                return None;
+            }
+            let (_, victim) = self
+                .frames
+                .iter()
+                .filter(|(_, f)| f.pins == 0)
+                .map(|(&pid, f)| (f.last_used, pid))
+                .min()?;
+            let pages = self.kinds.len() as u64;
+            let miss = (0..64)
+                .map(|_| r.next_u64() % pages)
+                .find(|id| !self.frames.contains_key(id) && self.ghost != Some(*id))?;
+            Some((miss, victim))
+        }
     }
 
     /// White-box hooks on the pool's internals.
@@ -1155,6 +1428,27 @@ mod tests {
 
         fn state_of(&self, id: PageId) -> u64 {
             self.shared.slots.get(id).map_or(EMPTY, Slot::state)
+        }
+
+        /// A one-page run stopped where it releases the pool lock to
+        /// read: `id`'s slot reserved under a tick of its own.
+        fn reserve(&self, id: PageId) -> Result<Option<Arc<Page>>> {
+            let tick = self.shared.tick.0.fetch_add(1, Ordering::Relaxed) + 1;
+            self.shared.reserve(&mut self.lock(), id, tick)
+        }
+
+        /// The rest of that run: read and install the page, or empty its
+        /// slot.
+        fn fault(&self, id: PageId, spare: Option<Arc<Page>>) -> Result<Pinned<'_>> {
+            let slot = self.shared.slots.indexed(id);
+            let mut pins = [Some(Pinned { slot })];
+            self.shared.settle(&[id], &mut pins, &mut [(0, spare)])?;
+            Ok(pins[0].take().expect("installed with its pin"))
+        }
+
+        /// The LRU index's keys, which must rise strictly.
+        fn keys(&self) -> Vec<u64> {
+            self.lock().lru.iter().map(|&(key, _)| key).collect()
         }
     }
 
@@ -1241,6 +1535,198 @@ mod tests {
                 assert!(exhausted > 0, "capacity {capacity} never ran out of frames");
             }
         }
+    }
+
+    /// The calling thread's journal since it was last taken; a journal
+    /// is kept from the first call on.
+    fn take_journal() -> Vec<Event> {
+        JOURNAL.with(|j| j.borrow_mut().replace(Vec::new()).unwrap_or_default())
+    }
+
+    #[test]
+    fn a_run_sees_exactly_what_pinning_one_page_at_a_time_would() {
+        for capacity in [1usize, 2, 7, 256] {
+            let mut r = rng::seeded(rng::DEFAULT_SEED, &format!("run-diff-{capacity}"));
+            let real = pool(capacity);
+            let mut model = ScanModel {
+                capacity,
+                ..ScanModel::default()
+            };
+            let pages = 4 * capacity as u64 + 5;
+            for i in 0..pages {
+                let id = real.allocate(PageKind::Heap).unwrap();
+                assert_eq!(model.allocate(PageKind::Heap), Ok(id));
+                real.with_page_mut(id, |pg| pg.insert(format!("page {i}").as_bytes()))
+                    .unwrap();
+                model.load(id, false, true).unwrap();
+            }
+            // Allocated in the file, never written: reading it fails.
+            let ghost = real.shared.file.allocate();
+            model.kinds.push(PageKind::Heap);
+            model.ghost = Some(ghost);
+            real.clear_cache().unwrap();
+            model.clear_cache();
+            take_journal();
+            model.journal.clear();
+            // Guards in hand, each with the step at which it is dropped.
+            let mut held: Vec<(PageRef, usize)> = Vec::new();
+            // Hits on a page its own run faulted in, and faults on a page
+            // an earlier miss of the same run evicted.
+            let (mut repeated, mut refaulted, mut failed) = (0, 0, 0);
+            for step in 0..1_500 {
+                held.retain(|(guard, until)| {
+                    let keep = *until > step;
+                    if !keep {
+                        model.unpin(guard.id());
+                    }
+                    keep
+                });
+                if held.len() < capacity / 2 && r.next_u64().is_multiple_of(8) {
+                    let id = r.next_u64() % pages;
+                    let guard = real.pin(id).unwrap();
+                    model.load(id, true, false).unwrap();
+                    held.push((guard, step + 1 + (r.next_u64() % 5) as usize));
+                }
+                let len = 1 + (r.next_u64() % 64) as usize;
+                let mut ids = Vec::with_capacity(len + 2);
+                if r.next_u64().is_multiple_of(4) {
+                    ids.extend(
+                        model
+                            .miss_and_victim(&mut r)
+                            .map(|(m, v)| [m, v])
+                            .into_iter()
+                            .flatten(),
+                    );
+                }
+                while ids.len() < len {
+                    let repeat = !ids.is_empty() && r.next_u64().is_multiple_of(8);
+                    ids.push(if repeat {
+                        ids[(r.next_u64() % ids.len() as u64) as usize]
+                    } else {
+                        r.next_u64() % pages
+                    });
+                }
+                match r.next_u64() % 32 {
+                    // Beyond the file: refused before it takes a frame.
+                    0 => ids[(r.next_u64() % len as u64) as usize] = pages + 1_000,
+                    1 => *ids.last_mut().expect("a run has a request") = ghost,
+                    _ => {}
+                }
+
+                let mut visited = Vec::new();
+                let got = real.pin_each(&ids, |i, page| {
+                    assert_eq!(page.record(0), Some(format!("page {}", ids[i]).as_bytes()));
+                    visited.push(i);
+                    Ok(())
+                });
+                let want = ids.iter().try_for_each(|&id| model.load(id, false, false));
+                let events = take_journal();
+                let at = format!("capacity {capacity} step {step} run {ids:?}");
+                assert_eq!(events, model.journal, "{at}");
+                assert_eq!(got.is_ok(), want.is_ok(), "{at}: {got:?}");
+                if got.is_ok() {
+                    assert_eq!(visited, (0..ids.len()).collect::<Vec<_>>(), "{at}");
+                } else {
+                    failed += 1;
+                }
+                assert_eq!(real.counters(), model.counters, "{at}");
+                assert_eq!(real.resident_ids(), model.resident(), "{at}");
+                assert!(real.keys().is_sorted_by(|a, b| a < b), "{at}");
+                assert_eq!(real.loading(), 0, "{at}");
+
+                let (mut faulted, mut evicted) = (Vec::new(), Vec::new());
+                for event in model.journal.drain(..) {
+                    match event {
+                        Event::Hit(id) => repeated += faulted.contains(&id) as u32,
+                        Event::Fault(id) => {
+                            refaulted += evicted.contains(&id) as u32;
+                            faulted.push(id);
+                        }
+                        Event::Evict(id) => evicted.push(id),
+                    }
+                }
+            }
+            drop(held);
+            assert!(
+                model.counters.evictions > 500,
+                "capacity {capacity}: {:?}",
+                model.counters
+            );
+            assert!(failed > 50, "capacity {capacity}: {failed} runs failed");
+            if capacity == 256 {
+                assert!(repeated > 0 && refaulted > 0, "{repeated} {refaulted}");
+            }
+        }
+        JOURNAL.with(|j| j.borrow_mut().take());
+    }
+
+    #[test]
+    fn a_run_files_its_faults_under_their_ticks() {
+        // 16 frames: runs of up to 4 pins.
+        let (p, ids) = cold_pool(16, 20);
+        let (q, mid, r, s) = (ids[0], ids[1], ids[2], ids[3]);
+        // Another caller's read of `mid` is stopped mid-way.
+        let spare = p.reserve(mid).unwrap();
+        let run = {
+            let p = p.clone();
+            std::thread::spawn(move || {
+                // Its ticks are taken first; it faults `q`, reads it, then
+                // parks on `mid`.
+                let mut seen = Vec::new();
+                p.pin_each(&[q, mid, r], |_, page| {
+                    seen.push(page.record(0).unwrap().to_vec());
+                    Ok(())
+                })
+                .map(|()| seen)
+            })
+        };
+        while p.lock().waiting == 0 {
+            std::thread::yield_now();
+        }
+        // A fault with a later tick than every tick of the run's block.
+        drop(p.pin(s).unwrap());
+        drop(p.fault(mid, spare).unwrap());
+        let seen = run.join().unwrap().unwrap();
+        assert_eq!(seen, [b"page 0", b"page 1", b"page 2"]);
+        // `r` was reserved last, but under an earlier tick than `s`.
+        let keys = p.keys();
+        assert!(keys.is_sorted_by(|a, b| a < b), "{keys:?}");
+        // Fill the pool; then each miss evicts in tick order: `q` (the
+        // run's first tick), `mid` (hit at the run's second), `r`, `s`.
+        for &id in &ids[4..16] {
+            drop(p.pin(id).unwrap());
+        }
+        for (&id, gone) in ids[16..].iter().zip([q, mid, r, s]) {
+            assert!(p.resident_ids().contains(&gone));
+            drop(p.pin(id).unwrap());
+            assert!(!p.resident_ids().contains(&gone), "{gone} should have gone");
+        }
+    }
+
+    #[test]
+    fn a_failed_read_inside_a_run_settles_the_rest_of_it() {
+        // 32 frames: the six requests are one run.
+        let (p, ids) = cold_pool(32, 4);
+        let ghost = p.shared.file.allocate();
+        let before = p.counters();
+        let err = p
+            .pin_each(&[ids[0], ids[1], ghost, ids[2], ids[3], ids[1]], |_, _| {
+                panic!("a failed run visits nothing")
+            })
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(&format!("read of page {ghost}")), "{err}");
+        let d = p.counters().delta(&before);
+        // Every other reservation was read and installed; `ids[1]`'s
+        // second request was a hit on the run's own loading slot.
+        assert_eq!((d.faults, d.hits, d.evictions), (4, 1, 0));
+        assert_eq!(p.resident_ids(), ids);
+        assert_eq!((p.loading(), p.lock().waiting), (0, 0));
+        assert!(p.keys().is_sorted_by(|a, b| a < b));
+        // No pin was left behind: a cache clear drops every frame.
+        p.clear_cache().unwrap();
+        assert_eq!(p.resident(), 0);
+        assert!(p.pin(ghost).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use disco_algebra::CompareOp;
-use disco_common::{rng, ColumnBuilder, DiscoError, Result, Schema, Tuple, Value};
+use disco_common::{rng, Batch, ColumnBuilder, DiscoError, Result, Schema, Tuple, Value};
 
 use crate::btree::DiskBTree;
 use crate::buffer::{thread_io, BufferPool, PoolCounters};
@@ -415,27 +415,37 @@ impl StoreSession<'_> {
         thread_io().delta(&self.start)
     }
 
-    /// Full scan in logical (insertion) row order. Pages are read
-    /// sequentially in storage order; rows are slotted back into
-    /// insertion order so answers match the in-memory source exactly.
-    pub fn scan(&self, collection: &str) -> Result<Vec<Tuple>> {
+    /// Full scan in logical (insertion) row order, one column per
+    /// attribute. Pages are read sequentially in storage order and each
+    /// record is decoded straight into its columns; one gather then puts
+    /// the rows back in insertion order, so answers match the in-memory
+    /// source exactly. No [`Tuple`] is built.
+    pub fn scan(&self, collection: &str) -> Result<Batch> {
         let c = self.store.collection(collection)?;
-        let mut out: Vec<Option<Tuple>> = vec![None; c.rids.len()];
+        let rows = c.rids.len();
+        let mut columns: Vec<ColumnBuilder> = (0..c.schema.arity())
+            .map(|_| ColumnBuilder::with_capacity(rows))
+            .collect();
+        // `stored_at[row]`: where logical row `row` was decoded.
+        let mut stored_at = vec![u32::MAX; rows];
+        let mut stored = 0;
         c.heap.scan(|rid, bytes| {
             let &row = c.row_of.get(&rid).ok_or_else(|| {
                 DiscoError::Source(format!("store: unmapped rid {rid:?} in `{collection}`"))
             })?;
-            out[row as usize] = Some(decode_tuple(bytes)?);
+            decode_into(bytes, &mut columns)?;
+            stored_at[row as usize] = stored;
+            stored += 1;
             Ok(())
         })?;
-        out.into_iter()
-            .enumerate()
-            .map(|(row, t)| {
-                t.ok_or_else(|| {
-                    DiscoError::Source(format!("store: row {row} missing from `{collection}`"))
-                })
-            })
-            .collect()
+        if let Some(row) = stored_at.iter().position(|&at| at == u32::MAX) {
+            return Err(DiscoError::Source(format!(
+                "store: row {row} missing from `{collection}`"
+            )));
+        }
+        let stored =
+            Batch::from_columns(columns.into_iter().map(|b| Arc::new(b.finish())).collect())?;
+        Ok(stored.take(&stored_at))
     }
 
     /// Fetch one row by rid (pins its heap page: one hit or fault).
@@ -446,19 +456,19 @@ impl StoreSession<'_> {
             .get(rid, decode_tuple)
     }
 
-    /// Fetch one row by rid straight into one column builder per
-    /// attribute, building no [`Tuple`] (pins its heap page: one hit or
-    /// fault).
+    /// Fetch the rows at `rids`, in order, straight into one column
+    /// builder per attribute, building no [`Tuple`]. Their heap pages are
+    /// pinned as runs ([`HeapFile::get_each`]): one hit or fault per rid.
     pub fn fetch_into(
         &self,
         collection: &str,
-        rid: Rid,
+        rids: &[Rid],
         columns: &mut [ColumnBuilder],
     ) -> Result<()> {
         self.store
             .collection(collection)?
             .heap
-            .get(rid, |bytes| decode_into(bytes, columns))
+            .get_each(rids, |bytes| decode_into(bytes, columns))
     }
 
     /// Rids matching `attr op value` via the index, in key order.
@@ -535,7 +545,7 @@ mod tests {
         let session = s.session();
         let rows = session.scan("T").unwrap();
         assert_eq!(rows.len(), 500);
-        for (i, t) in rows.iter().enumerate() {
+        for (i, t) in rows.to_tuples().iter().enumerate() {
             assert_eq!(t.get(0), Some(&Value::Long(i as i64)));
             assert_eq!(t.get(1), Some(&Value::Str(format!("row-{i}"))));
         }

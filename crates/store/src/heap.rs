@@ -17,7 +17,7 @@ use std::sync::Arc;
 use disco_common::{DiscoError, Result};
 
 use crate::buffer::BufferPool;
-use crate::page::{PageId, PageKind};
+use crate::page::{Page, PageId, PageKind};
 
 /// Which modelled page each object of a collection lives on. The page
 /// model in `disco-sources` counts faults on these pages; the engine
@@ -186,21 +186,34 @@ impl HeapFile {
     /// Read one record by rid: `read` sees the record's bytes on the
     /// pinned page, so nothing is copied out before it is decoded.
     pub fn get<T>(&self, rid: Rid, read: impl FnOnce(&[u8]) -> Result<T>) -> Result<T> {
-        let Some(&pid) = self.pages.get(rid.page as usize) else {
-            return Err(DiscoError::Source(format!(
+        let page = self.pool.pin(self.page_of(rid)?)?;
+        read(record(&page, rid)?)
+    }
+
+    /// Read the records at `rids`, in order: `read` sees each one's
+    /// bytes on its pinned page. The pages are pinned as runs
+    /// ([`BufferPool::pin_each`]); every rid is checked against the page
+    /// list before the first is pinned.
+    pub fn get_each(&self, rids: &[Rid], mut read: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        // Reserved whole: collecting through `Result` would grow it by
+        // doubling.
+        let mut ids = Vec::with_capacity(rids.len());
+        for &rid in rids {
+            ids.push(self.page_of(rid)?);
+        }
+        self.pool
+            .pin_each(&ids, |at, page| read(record(page, rids[at])?))
+    }
+
+    /// The pool page holding `rid`.
+    fn page_of(&self, rid: Rid) -> Result<PageId> {
+        self.pages.get(rid.page as usize).copied().ok_or_else(|| {
+            DiscoError::Source(format!(
                 "store: rid page {} out of range ({} pages)",
                 rid.page,
                 self.pages.len()
-            )));
-        };
-        let page = self.pool.pin(pid)?;
-        let record = page.record(rid.slot as usize).ok_or_else(|| {
-            DiscoError::Source(format!(
-                "store: rid slot {} missing on page {}",
-                rid.slot, rid.page
             ))
-        })?;
-        read(record)
+        })
     }
 
     /// Visit every live record in storage order (page by page, slot by
@@ -225,6 +238,16 @@ impl HeapFile {
         }
         Ok(())
     }
+}
+
+/// `rid`'s record on its pinned page.
+fn record(page: &Page, rid: Rid) -> Result<&[u8]> {
+    page.record(rid.slot as usize).ok_or_else(|| {
+        DiscoError::Source(format!(
+            "store: rid slot {} missing on page {}",
+            rid.slot, rid.page
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -294,6 +317,22 @@ mod tests {
         assert!(get(2, 3).is_err());
         assert!(get(0, u16::MAX).is_err());
         assert!(get(u32::MAX, u16::MAX).is_err());
+        // The run form reads the same records, in request order, and
+        // refuses a bad rid before it reads any.
+        let mut seen = Vec::new();
+        let order = [rids[7], rids[0], rids[7], rids[9]];
+        heap.get_each(&order, |bytes| {
+            seen.push(bytes.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, [&b"v7"[..], b"v0", b"v7", b"v9"]);
+        let bad = [rids[1], Rid { page: 99, slot: 0 }];
+        assert!(heap
+            .get_each(&bad, |_| panic!("read before the check"))
+            .is_err());
+        let missing = [Rid { page: 2, slot: 3 }];
+        assert!(heap.get_each(&missing, |_| Ok(())).is_err());
     }
 
     #[test]
